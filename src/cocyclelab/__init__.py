@@ -16,19 +16,15 @@ from .base import (
     TorusSystem,
     apply_f,
     base_distance,
-    bracket,
-    sample_point,
     sample_points,
 )
 from .cocycle import (
     BunchingReport,
     ConstantCocycle,
     ConstantFactor,
-    ConstantField,
     DiagonalFactor,
     HolderReport,
     LocallyConstantCocycle,
-    LocallyConstantField,
     PerturbedCocycle,
     PointwiseCocycle,
     PointwiseEntriesField,
@@ -57,11 +53,9 @@ from .continuity import (
     ContinuityReport,
     ContinuityRow,
     GoodSetReport,
-    LusinReport,
     PerturbationFamily,
     continuity_experiment,
     good_set_measure,
-    lusin_stability_probe,
     perturb,
     wilson_interval,
 )
@@ -70,8 +64,6 @@ from .errors import (
     ConfigError,
     HorizonExceeded,
     NoGap,
-    NotBunched,
-    PointsTooFar,
     SingularPerturbation,
     SingularValueError,
 )
@@ -79,7 +71,6 @@ from .oseledets import (
     Direction,
     Splitting,
     apply_projective,
-    default_depth,
     equivariance_residuals,
     projective_distance,
     splitting,

@@ -1,9 +1,8 @@
 """Hyperbolic base dynamics: two-sided full shift and toral automorphism.
 
 Both realizations expose the same small surface: orbit stepping, the base
-metric, measure sampling with per-point seed substreams, the local bracket
-(stable/unstable intersection), and a leaf-contraction diagnostic.  Shift
-points carry an explicit finite symbol window; stepping or reading past the
+metric, and measure sampling with per-point seed substreams.  Shift points
+carry an explicit finite symbol window; stepping or reading past the
 window is a hard error, never a silent fallback.
 """
 
@@ -11,16 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, HorizonExceeded, PointsTooFar
+from .errors import ConfigError, HorizonExceeded
 
 _WINDOW_DTYPE = np.int16
 _LATTICE_DENOM = 2**26
 _STATIONARY_TOL = 1e-14
-_LEAF_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,6 @@ class ShiftSystem:
     lambda0: float = 0.5
     local_scale: float = 0.2
     bracket_scale: float = 0.2
-    c1: float = 1.0
 
     def __post_init__(self) -> None:
         if not 2 <= self.alphabet_size <= 1000:
@@ -181,7 +178,6 @@ class TorusSystem:
     measure: MeasureSpec = LebesgueMeasure()
     local_scale: float = 0.2
     bracket_scale: float = 0.2
-    c1: float = 1.0
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
@@ -378,67 +374,6 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _circle_delta(a: float, b: float) -> float:
-    """Signed representative of b - a in [-1/2, 1/2)."""
-    return (b - a + 0.5) % 1.0 - 0.5
-
-
-def bracket(sys: BaseSystem, x: BasePoint, y: BasePoint) -> BasePoint:
-    """Local product bracket: the unique point on the stable set of x and
-    the unstable set of y, defined when d(x, y) <= bracket_scale."""
-    d = base_distance(sys, x, y)
-    if d > sys.bracket_scale:
-        raise PointsTooFar(
-            f"bracket needs d(x, y) <= {sys.bracket_scale}, got {d}"
-        )
-    if isinstance(sys, ShiftSystem):
-        k = min(x.future_horizon, y.past_horizon)
-        if k < 0:
-            raise HorizonExceeded("bracket windows share no usable range")
-        out = np.empty(2 * k + 1, dtype=_WINDOW_DTYPE)
-        for i in range(-k, 0):
-            out[k + i] = y.symbol(i)
-        for i in range(0, k + 1):
-            out[k + i] = x.symbol(i)
-        return ShiftPoint(window=out, offset=0)
-    delta = np.array(
-        [_circle_delta(x.u, y.u), _circle_delta(x.v, y.v)], dtype=float
-    )
-    cols = np.column_stack([sys.stable_vector, -sys.unstable_vector])
-    s, _t = np.linalg.solve(cols, delta)
-    e_s = sys.stable_vector
-    return TorusPoint(x.u + s * e_s[0], x.v + s * e_s[1])
-
-
-@dataclass(frozen=True, eq=False)
-class LeafReport:
-    side: str
-    distances: np.ndarray
-    bounds: np.ndarray
-    violation: bool
-
-
-def local_leaf_check(
-    sys: BaseSystem, x: BasePoint, y: BasePoint, side: str, n_max: int
-) -> LeafReport:
-    """Iterate forward (stable side) or backward (unstable side) and compare
-    d(f^n x, f^n y) against the contraction bound C1 * lambda^n * d(x, y)."""
-    if side not in ("stable", "unstable"):
-        raise ConfigError("side must be 'stable' or 'unstable'")
-    sign = 1 if side == "stable" else -1
-    d0 = base_distance(sys, x, y)
-    lam = sys.contraction
-    distances = np.empty(n_max + 1)
-    bounds = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        xn = apply_f(sys, x, sign * n)
-        yn = apply_f(sys, y, sign * n)
-        distances[n] = base_distance(sys, xn, yn)
-        bounds[n] = sys.c1 * (lam ** n) * d0
-    violation = bool(np.any(distances > bounds + _LEAF_TOL))
-    return LeafReport(side=side, distances=distances, bounds=bounds, violation=violation)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -450,33 +385,13 @@ def substream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
 
 
-def sample_point(sys: BaseSystem, horizon: int, rng_stream) -> BasePoint:
-    """Draw one point of the invariant measure; shift points get a symbol
-    window of half-width ``horizon``.  Deterministic given the stream."""
-    return _sample_batch(sys, horizon, [_as_seedseq(rng_stream)])[0]
-
-
 def sample_points(
     sys: BaseSystem, count: int, horizon: int, seed: int
 ) -> list[BasePoint]:
-    """Draw ``count`` points using per-point substreams of ``seed``; entry i
-    equals sample_point(sys, horizon, substream(seed, i)) bit for bit."""
+    """Draw ``count`` points of the invariant measure; shift points get a
+    symbol window of half-width ``horizon``.  Point i comes from its own
+    substream(seed, i), so it does not depend on ``count``."""
     seqs = [substream(seed, i) for i in range(count)]
-    return _sample_batch(sys, horizon, seqs)
-
-
-def _as_seedseq(stream) -> np.random.SeedSequence:
-    if isinstance(stream, np.random.SeedSequence):
-        return stream
-    if isinstance(stream, (int, np.integer)):
-        return np.random.SeedSequence(int(stream))
-    raise ConfigError("rng_stream must be an int seed or a SeedSequence")
-
-
-def _sample_batch(
-    sys: BaseSystem, horizon: int, seqs: Sequence[np.random.SeedSequence]
-) -> list[BasePoint]:
-    count = len(seqs)
     if isinstance(sys, TorusSystem):
         # Draw on the dyadic lattice 2**-26 Z^2 / Z^2 instead of raw floats.
         # Integer-matrix steps keep lattice points on the lattice with every

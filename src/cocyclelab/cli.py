@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .base import ShiftSystem, sample_points
+from .base import sample_points
 from .cocycle import bunching_check
 from .config import (
     Config,
@@ -29,7 +29,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .continuity import continuity_experiment, good_set_measure, perturb
+from .continuity import continuity_experiment
 from .errors import (
     CocycleLabError,
     ConfigError,
@@ -228,7 +228,7 @@ def _cmd_projective(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    cfg, sys_, spec, seed, out_dir = _setting(args)
+    cfg, sys_, _, seed, out_dir = _setting(args)
     family = build_family(cfg)
     rep = continuity_experiment(
         family,
@@ -260,21 +260,12 @@ def _cmd_continuity(args) -> int:
     )
     live = [r for r in rep.rows if not r.censored]
     if live:
-        last = live[-1]
-        horizon = 0
-        if isinstance(sys_, ShiftSystem):
-            horizon = rep.depth + spec.symbol_depth + 2
-        points = sample_points(sys_, rep.samples, horizon, seed)
-        spec_k = perturb(spec, family.direction, last.t, family.rule, sys_)
-        gs = good_set_measure(
-            spec, spec_k, sys_, points, rep.epsilon, rep.depth, args.threads
-        )
         emit_plot(
             os.path.join(out_dir, "displacements.svg"),
             histogram_svg(
-                np.log10(np.maximum(gs.unstable_distances, 1e-300)),
+                np.log10(np.maximum(rep.last_unstable_distances, 1e-300)),
                 bins=24,
-                title=f"log10 unstable displacement at t = {last.t:g}",
+                title=f"log10 unstable displacement at t = {live[-1].t:g}",
             ),
         )
     censored = sum(1 for r in rep.rows if r.censored)

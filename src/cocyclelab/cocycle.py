@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from . import engine, mat2
+from .mat2 import DET_FLOOR
 from .base import (
     BaseSystem,
     BasePoint,
@@ -31,7 +32,6 @@ from .base import (
 )
 from .errors import ConfigError, SingularValueError
 
-_DET_FLOOR = 1e-12
 _TWO_PI = 2.0 * np.pi
 
 
@@ -137,7 +137,7 @@ class ConstantFactor:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ConfigError("constant factor must be 2x2")
-        if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < _DET_FLOOR:
+        if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < DET_FLOOR:
             raise SingularValueError("constant factor is singular")
         m = m.copy()
         m.setflags(write=False)
@@ -165,16 +165,22 @@ def _factor_is_constant(f: PointwiseFactor) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ConstantCocycle:
-    """The same invertible matrix at every base point; valid over any base."""
+    """The same matrix at every base point; valid over any base.
+
+    Cocycles must be invertible; ``invertible=False`` admits singular
+    matrices, which perturbation directions need.
+    """
 
     matrix: np.ndarray
     r: float = 1.0
+    invertible: bool = True
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ConfigError("cocycle matrix must be 2x2")
-        if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < _DET_FLOOR:
+        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        if self.invertible and abs(det) < DET_FLOOR:
             raise SingularValueError("constant cocycle matrix is singular")
         if not 0.0 < self.r <= 1.0:
             raise ConfigError("Holder exponent r must lie in (0, 1]")
@@ -201,17 +207,19 @@ class ConstantCocycle:
 
 @dataclass(frozen=True, eq=False)
 class LocallyConstantCocycle:
-    """Shift cocycle reading the forward symbols x_0 .. x_{depth-1}.
+    """Shift matrix map reading the forward symbols x_0 .. x_{depth-1}.
 
     ``table`` lists one matrix per word, ordered lexicographically with x_0
     the most significant symbol; for depth 1 that is simply one matrix per
-    symbol.
+    symbol.  Cocycles must be invertible; ``invertible=False`` admits
+    singular entries, which perturbation directions need.
     """
 
     table: np.ndarray
     r: float = 1.0
     depth: int = 1
     alphabet_size: int | None = None
+    invertible: bool = True
 
     def __post_init__(self) -> None:
         tab = np.asarray(self.table, dtype=float)
@@ -231,7 +239,7 @@ class LocallyConstantCocycle:
         if not 0.0 < self.r <= 1.0:
             raise ConfigError("Holder exponent r must lie in (0, 1]")
         dets = tab[:, 0, 0] * tab[:, 1, 1] - tab[:, 0, 1] * tab[:, 1, 0]
-        if np.any(np.abs(dets) < _DET_FLOOR):
+        if self.invertible and np.any(np.abs(dets) < DET_FLOOR):
             raise SingularValueError("locally constant table has a singular entry")
         tab = tab.copy()
         tab.setflags(write=False)
@@ -303,82 +311,8 @@ class PointwiseCocycle:
 
 
 # ---------------------------------------------------------------------------
-# direction fields (perturbation directions; invertibility not required)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantField:
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ConfigError("field matrix must be 2x2")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    symbol_depth = 0
-    is_constant = True
-
-    def values_at_symbols(self, block):
-        m = self.matrix
-        ones = np.ones(block.shape[0])
-        return m[0, 0] * ones, m[0, 1] * ones, m[1, 0] * ones, m[1, 1] * ones
-
-    def values_at_coords(self, coords):
-        m = self.matrix
-        ones = np.ones(coords.shape[0])
-        return m[0, 0] * ones, m[0, 1] * ones, m[1, 0] * ones, m[1, 1] * ones
-
-
-@dataclass(frozen=True, eq=False)
-class LocallyConstantField:
-    """Symbol-indexed matrix field with the same table layout as
-    LocallyConstantCocycle but no invertibility requirement."""
-
-    table: np.ndarray
-    depth: int = 1
-    alphabet_size: int | None = None
-
-    def __post_init__(self) -> None:
-        tab = np.asarray(self.table, dtype=float)
-        if tab.ndim != 3 or tab.shape[1:] != (2, 2):
-            raise ConfigError("field table must be a sequence of 2x2 matrices")
-        a = self.alphabet_size
-        if a is None:
-            if self.depth != 1:
-                raise ConfigError("alphabet_size is required when depth > 1")
-            a = tab.shape[0]
-        if a ** self.depth != tab.shape[0]:
-            raise ConfigError("field table length does not match alphabet^depth")
-        tab = tab.copy()
-        tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "alphabet_size", int(a))
-        powers = a ** np.arange(self.depth - 1, -1, -1, dtype=np.int64)
-        object.__setattr__(self, "_powers", powers)
-
-    @property
-    def symbol_depth(self) -> int:
-        return self.depth
-
-    @property
-    def is_constant(self) -> bool:
-        return bool(np.all(self.table == self.table[0]))
-
-    def values_at_symbols(self, block):
-        idx = block.astype(np.int64) @ self._powers
-        tab = self.table
-        return (
-            tab[idx, 0, 0],
-            tab[idx, 0, 1],
-            tab[idx, 1, 0],
-            tab[idx, 1, 1],
-        )
-
-    def values_at_coords(self, coords):
-        raise ConfigError("locally constant fields live over shift bases")
+# torus direction fields (constant and table directions are the classes
+# above with invertible=False)
 
 
 @dataclass(frozen=True)
@@ -417,7 +351,7 @@ class PointwiseEntriesField:
         )
 
 
-MatrixField = Union[ConstantField, LocallyConstantField, PointwiseEntriesField]
+MatrixField = Union[ConstantCocycle, LocallyConstantCocycle, PointwiseEntriesField]
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,7 +434,7 @@ def evaluate(a_spec: CocycleSpec, x: BasePoint) -> np.ndarray:
         [[float(np.asarray(va).ravel()[0]), float(np.asarray(vb).ravel()[0])],
          [float(np.asarray(vc).ravel()[0]), float(np.asarray(vd).ravel()[0])]]
     )
-    if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < _DET_FLOOR:
+    if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < DET_FLOOR:
         raise SingularValueError("cocycle value is singular at the given point")
     return m
 
@@ -664,18 +598,18 @@ def holder_distance(
         tb = _expand_table(tb, a, depth_b, depth)
         sup, quot = _table_holder(ta - tb, a, depth, sys.lambda0, a_spec.r)
         return HolderReport(sup, quot, a_spec.r, exact=True)
-    return _sampled_holder(
-        _DifferenceMap(a_spec, b_spec), sys, a_spec.r, pair_samples, seed
+    # A + (-1) * B is bitwise A - B
+    difference = PerturbedCocycle(
+        base=a_spec, direction=b_spec, t=-1.0, rule="additive"
     )
+    return _sampled_holder(difference, sys, a_spec.r, pair_samples, seed)
 
 
 def _as_table(spec, sys: BaseSystem):
     """Spec as (table, depth) over the system's alphabet, or None."""
     if not isinstance(sys, ShiftSystem):
         return None
-    if isinstance(spec, LocallyConstantCocycle) or isinstance(
-        spec, LocallyConstantField
-    ):
+    if isinstance(spec, LocallyConstantCocycle):
         if spec.alphabet_size != sys.alphabet_size:
             return None
         return spec.table, spec.depth
@@ -694,11 +628,8 @@ def _as_table(spec, sys: BaseSystem):
         for i in range(btab.shape[0]):
             out[i] = btab[i] @ mat2.expm(spec.t * ftab[i])
         return out, depth
-    if getattr(spec, "is_constant", False):
-        if isinstance(spec, (ConstantCocycle, ConstantField)):
-            value = spec.matrix
-        else:
-            value = spec.constant_value()
+    if spec.is_constant:
+        value = spec.constant_value()
         return value[None, :, :].repeat(sys.alphabet_size, axis=0), 1
     return None
 
@@ -749,26 +680,6 @@ def _table_holder(tab, a, depth, lambda0, r):
             delta = tab[i] - tab[j]
             quot = max(quot, mat2.opnorm(delta) / lambda0 ** (k * r))
     return sup, float(quot)
-
-
-class _DifferenceMap:
-    """Internal duck-typed spec for A - B; only used for sampled norms."""
-
-    def __init__(self, a_spec, b_spec):
-        self._a = a_spec
-        self._b = b_spec
-        self.symbol_depth = max(a_spec.symbol_depth, b_spec.symbol_depth)
-        self.is_constant = False
-
-    def values_at_symbols(self, block):
-        aa = self._a.values_at_symbols(block)
-        bb = self._b.values_at_symbols(block)
-        return tuple(x - y for x, y in zip(aa, bb))
-
-    def values_at_coords(self, coords):
-        aa = self._a.values_at_coords(coords)
-        bb = self._b.values_at_coords(coords)
-        return tuple(x - y for x, y in zip(aa, bb))
 
 
 def _sampled_holder(spec, sys, r, pair_samples, seed) -> HolderReport:

@@ -26,10 +26,8 @@ from .base import (
 from .cocycle import (
     ConstantCocycle,
     ConstantFactor,
-    ConstantField,
     DiagonalFactor,
     LocallyConstantCocycle,
-    LocallyConstantField,
     PointwiseCocycle,
     PointwiseEntriesField,
     RotationFactor,
@@ -209,13 +207,14 @@ def _build_factor(f: dict):
 
 def _build_field(d: dict, cfg: Config):
     if d["kind"] == "constant":
-        return ConstantField(matrix=_np(d["matrix"]))
+        return ConstantCocycle(matrix=_np(d["matrix"]), invertible=False)
     if d["kind"] == "locally_constant":
         alphabet = cfg.data["base"].get("alphabet_size")
         if alphabet is None:
             raise ConfigError("locally constant fields need a shift base")
-        return LocallyConstantField(
-            table=_np(d["table"]), depth=d["depth"], alphabet_size=alphabet
+        return LocallyConstantCocycle(
+            table=_np(d["table"]), depth=d["depth"], alphabet_size=alphabet,
+            invertible=False,
         )
     return PointwiseEntriesField(
         e00=_trig(d["e00"]), e01=_trig(d["e01"]),

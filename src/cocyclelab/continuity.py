@@ -8,9 +8,10 @@ unstable directions both moved less than epsilon.  Coupling removes the
 base-sampling noise from all comparisons, which is what makes the small-t
 rows informative at realistic sample counts.
 
-Rows whose perturbed member loses its singular value gap are censored: the
-row stays in the table with NaN statistics rather than disappearing, so the
-schedule remains visible in the output.
+Rows whose perturbed member loses its singular value gap, or whose additive
+perturbation is singular, are censored: the row stays in the table with NaN
+statistics rather than disappearing, so the schedule remains visible in the
+output.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .cocycle import (
     specialize,
 )
 from .errors import ConfigError, NoGap, SingularPerturbation, SingularValueError
+from .mat2 import DET_FLOOR
 from .oseledets import stable_directions, unstable_directions
 from .spectrum import lyapunov_exponents
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_DET_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +98,7 @@ def perturb(
         uu, vv = np.meshgrid(side, side)
         coords = np.column_stack([uu.ravel(), vv.ravel()])
         a, b, c, d = spec.values_at_coords(coords)
-        if np.min(np.abs(a * d - b * c)) < _DET_FLOOR:
+        if np.min(np.abs(a * d - b * c)) < DET_FLOOR:
             raise SingularPerturbation(
                 f"additive perturbation at t={t} is singular on the grid"
             )
@@ -223,6 +224,8 @@ class ContinuityReport:
     samples: int
     n_window: int
     seed: int
+    # unstable direction displacements of the last uncensored row, or None
+    last_unstable_distances: np.ndarray | None
 
 
 def continuity_experiment(
@@ -239,11 +242,11 @@ def continuity_experiment(
 
     Every row reports the Holder distance to the base, the good-set
     fraction with its interval, the perturbed exponents, and the direction
-    displacement statistics; rows that lose the singular value gap are
-    censored to NaN but keep their place in the schedule.
+    displacement statistics; rows that lose the singular value gap or hit a
+    singular additive perturbation are censored to NaN but keep their place
+    in the schedule.
     """
-    max_depth_syms = family.base.symbol_depth
-    max_depth_syms = max(max_depth_syms, getattr(family.direction, "symbol_depth", 0))
+    max_depth_syms = max(family.base.symbol_depth, family.direction.symbol_depth)
     horizon = 0
     if isinstance(sys, ShiftSystem):
         horizon = max(depth, n_window) + max_depth_syms + 2
@@ -253,9 +256,14 @@ def continuity_experiment(
     )
     base_dirs = _extract_both(family.base, sys, points, depth, threads)
     rows: list[ContinuityRow] = []
+    last_du = None
     for i, t in enumerate(family.ts):
         k = i + 1
-        spec_k = perturb(family.base, family.direction, t, family.rule, sys)
+        try:
+            spec_k = perturb(family.base, family.direction, t, family.rule, sys)
+        except SingularPerturbation:
+            rows.append(_censored_row(k, t, np.nan))
+            continue
         hd = holder_distance(spec_k, family.base, sys, seed=seed).norm
         try:
             pert_dirs = _extract_both(spec_k, sys, points, depth, threads)
@@ -264,16 +272,7 @@ def continuity_experiment(
                 spec_k, sys, n=n_window, points=points, threads=threads
             )
         except NoGap:
-            rows.append(
-                ContinuityRow(
-                    k=k, t=t, holder_dist=hd,
-                    g_hat=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                    lambda_plus=np.nan, lambda_minus=np.nan,
-                    mean_du=np.nan, max_du=np.nan,
-                    mean_ds=np.nan, max_ds=np.nan,
-                    censored=True,
-                )
-            )
+            rows.append(_censored_row(k, t, hd))
             continue
         rows.append(
             ContinuityRow(
@@ -286,6 +285,7 @@ def continuity_experiment(
                 censored=False,
             )
         )
+        last_du = gs.unstable_distances
     return ContinuityReport(
         rows=tuple(rows),
         base_lambda_plus=base_rep.lambda_plus,
@@ -295,79 +295,16 @@ def continuity_experiment(
         samples=samples,
         n_window=n_window,
         seed=seed,
+        last_unstable_distances=last_du,
     )
 
 
-# ---------------------------------------------------------------------------
-# Lusin-style regularity probe
-
-
-@dataclass(frozen=True, eq=False)
-class LusinReport:
-    scales: tuple[int, ...]
-    unstable_dispersion: np.ndarray
-    stable_dispersion: np.ndarray
-    samples: int
-
-
-def lusin_stability_probe(
-    a_spec: CocycleSpec,
-    sys: BaseSystem,
-    samples: int = 2000,
-    depth: int = 40,
-    scales: tuple[int, ...] = (1, 2, 3),
-    seed: int = 0,
-    threads: int = 1,
-) -> LusinReport:
-    """Within-bin circular dispersion of the direction fields by scale.
-
-    Bins at scale m are past cylinders of length m for the unstable field
-    and future cylinders for the stable one (dyadic coordinate boxes on the
-    torus for both).  Doubled angles make the statistic line-valued; a
-    dispersion that falls as the bins shrink is the empirical face of
-    measurable-almost-continuous direction fields.
-    """
-    horizon = 0
-    if isinstance(sys, ShiftSystem):
-        horizon = depth + a_spec.symbol_depth + max(scales) + 2
-    points = sample_points(sys, samples, horizon, seed)
-    ux, uy, sx, sy = _extract_both(a_spec, sys, points, depth, threads)
-    disp_u = []
-    disp_s = []
-    for m in scales:
-        disp_u.append(_binned_dispersion(sys, points, ux, uy, m, past=True))
-        disp_s.append(_binned_dispersion(sys, points, sx, sy, m, past=False))
-    return LusinReport(
-        scales=tuple(scales),
-        unstable_dispersion=np.array(disp_u),
-        stable_dispersion=np.array(disp_s),
-        samples=samples,
+def _censored_row(k: int, t: float, holder_dist: float) -> ContinuityRow:
+    nan = np.nan
+    return ContinuityRow(
+        k=k, t=t, holder_dist=holder_dist,
+        g_hat=nan, ci_lo=nan, ci_hi=nan,
+        lambda_plus=nan, lambda_minus=nan,
+        mean_du=nan, max_du=nan, mean_ds=nan, max_ds=nan,
+        censored=True,
     )
-
-
-def _binned_dispersion(sys, points, vx, vy, scale: int, past: bool) -> float:
-    keys: dict[tuple, list[int]] = {}
-    if isinstance(sys, ShiftSystem):
-        for i, p in enumerate(points):
-            if past:
-                key = tuple(p.symbol(-j) for j in range(1, scale + 1))
-            else:
-                key = tuple(p.symbol(j) for j in range(scale))
-            keys.setdefault(key, []).append(i)
-    else:
-        boxes = 2 ** scale
-        for i, p in enumerate(points):
-            key = (int(p.u * boxes), int(p.v * boxes))
-            keys.setdefault(key, []).append(i)
-    cos2 = vx * vx - vy * vy
-    sin2 = 2.0 * vx * vy
-    total = 0.0
-    weight = 0
-    for idx in keys.values():
-        if len(idx) < 2:
-            continue
-        sel = np.asarray(idx)
-        resultant = np.hypot(np.mean(cos2[sel]), np.mean(sin2[sel]))
-        total += (1.0 - resultant) * len(idx)
-        weight += len(idx)
-    return total / weight if weight else 0.0

@@ -2,9 +2,9 @@
 
 Matrices are carried as four entry arrays of shape (S,), one slot per
 sample, so every step is a handful of fused elementwise operations.  Scans
-renormalize to unit operator norm at each step and accumulate the log scale,
-the log |det|, and the det sign separately; downstream code reconstructs
-whatever combination it needs without ever forming an overflowing product.
+renormalize to unit operator norm at each step and accumulate the log scale
+and the log |det| separately; downstream code reconstructs whatever
+combination it needs without ever forming an overflowing product.
 
 Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mat2
+from .mat2 import DET_FLOOR
 from .base import (
     BasePoint,
     BaseSystem,
@@ -30,7 +31,6 @@ from .base import (
 )
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
-_DET_FLOOR = 1e-12
 BLOCK = 1024
 
 
@@ -117,8 +117,7 @@ def values(spec, sys: BaseSystem, batch: Batch):
         va, vb, vc, vd = spec.values_at_symbols(block)
     else:
         va, vb, vc, vd = spec.values_at_coords(batch.coords)
-    ones = np.ones(batch.size)
-    return va * ones, vb * ones, vc * ones, vd * ones
+    return va, vb, vc, vd
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +127,8 @@ def values(spec, sys: BaseSystem, batch: Batch):
 @dataclass(eq=False)
 class ScanState:
     """Renormalized product: matrix = exp(log_scale) * [[a, b], [c, d]] with
-    [[a, b], [c, d]] of unit operator norm; logdet and det_sign accumulate
-    the product determinant as sign * exp(logdet)."""
+    [[a, b], [c, d]] of unit operator norm; logdet accumulates log |det| of
+    the product."""
 
     a: np.ndarray
     b: np.ndarray
@@ -137,7 +136,6 @@ class ScanState:
     d: np.ndarray
     log_scale: np.ndarray
     logdet: np.ndarray
-    det_sign: np.ndarray
     inv_a: np.ndarray | None = None
     inv_b: np.ndarray | None = None
     inv_c: np.ndarray | None = None
@@ -155,7 +153,6 @@ def _identity_state(size: int, want_inverse: bool) -> ScanState:
         d=ones.copy(),
         log_scale=zeros.copy(),
         logdet=zeros.copy(),
-        det_sign=ones.copy(),
     )
     if want_inverse:
         st.inv_a = ones.copy()
@@ -168,29 +165,18 @@ def _identity_state(size: int, want_inverse: bool) -> ScanState:
 
 def _step_dets(va, vb, vc, vd):
     sdet = va * vd - vb * vc
-    if np.any(np.abs(sdet) < _DET_FLOOR):
+    if np.any(np.abs(sdet) < DET_FLOOR):
         raise SingularValueError("cocycle value is singular along the orbit")
     return sdet
 
 
-def _absorb_left(st: ScanState, va, vb, vc, vd, sdet) -> None:
-    """st <- step @ st, renormalized."""
-    a, b, c, d = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
+def _renormalize(st: ScanState, a, b, c, d, sdet) -> None:
+    """st <- the new product [[a, b], [c, d]], renormalized; sdet is the
+    determinant of the step it absorbed."""
     nrm = mat2.opnorm_batch(a, b, c, d)
     st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
     st.log_scale += np.log(nrm)
     st.logdet += np.log(np.abs(sdet))
-    st.det_sign *= np.sign(sdet)
-
-
-def _absorb_right(st: ScanState, va, vb, vc, vd, sdet) -> None:
-    """st <- st @ step, renormalized."""
-    a, b, c, d = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
-    nrm = mat2.opnorm_batch(a, b, c, d)
-    st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
-    st.log_scale += np.log(nrm)
-    st.logdet += np.log(np.abs(sdet))
-    st.det_sign *= np.sign(sdet)
 
 
 def _absorb_inverse(st: ScanState, va, vb, vc, vd, sdet) -> None:
@@ -226,7 +212,8 @@ def forward_scan(
     for j in range(n):
         va, vb, vc, vd = values(spec, sys, batch)
         sdet = _step_dets(va, vb, vc, vd)
-        _absorb_left(st, va, vb, vc, vd, sdet)
+        prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
+        _renormalize(st, *prod, sdet)
         if want_inverse:
             _absorb_inverse(st, va, vb, vc, vd, sdet)
         if j + 1 < n:
@@ -246,7 +233,8 @@ def forward_record(
     for j in range(n):
         va, vb, vc, vd = values(spec, sys, batch)
         sdet = _step_dets(va, vb, vc, vd)
-        _absorb_left(st, va, vb, vc, vd, sdet)
+        prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
+        _renormalize(st, *prod, sdet)
         ls_path[j] = st.log_scale
         ldet_path[j] = st.logdet
         if j + 1 < n:
@@ -267,7 +255,8 @@ def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
         step(sys, batch, -1)
         va, vb, vc, vd = values(spec, sys, batch)
         sdet = _step_dets(va, vb, vc, vd)
-        _absorb_right(st, va, vb, vc, vd, sdet)
+        prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
+        _renormalize(st, *prod, sdet)
     return st
 
 

@@ -15,10 +15,6 @@ class HorizonExceeded(CocycleLabError):
     """An orbit access stepped outside a finite symbol window."""
 
 
-class PointsTooFar(CocycleLabError):
-    """Bracket requested for points farther apart than the bracket scale."""
-
-
 class SingularValueError(CocycleLabError):
     """A matrix that must be invertible is singular to working precision."""
 
@@ -29,7 +25,3 @@ class SingularPerturbation(CocycleLabError):
 
 class NoGap(CocycleLabError):
     """No spectral gap resolved at the given sampling budget."""
-
-
-class NotBunched(CocycleLabError):
-    """A driver required a fiber-bunched cocycle and the check failed."""

@@ -14,6 +14,8 @@ import numpy as np
 # Below this squared-frequency threshold the exponential uses its series
 # branch; the error of the 2-term series is O(w^4) ~ 1e-24 there.
 _EXPM_SERIES_CUT = 1e-12
+# A matrix with |det| below this floor counts as singular everywhere in the lab.
+DET_FLOOR = 1e-12
 
 
 def matmul_batch(a1, b1, c1, d1, a2, b2, c2, d2):

@@ -13,7 +13,6 @@ batched variants).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -66,15 +65,6 @@ def apply_projective(m: np.ndarray, d: Direction) -> Direction:
     vx = m[0, 0] * d.x + m[0, 1] * d.y
     vy = m[1, 0] * d.x + m[1, 1] * d.y
     return Direction(vx, vy)
-
-
-def default_depth(gap: float) -> int:
-    """Window depth for direction extraction: singular directions converge
-    like exp(-gap * depth), so 40/gap pushes the finite-depth error to the
-    1e-17 scale; clamped to keep degenerate gap estimates usable."""
-    if gap <= 0.0:
-        raise NoGap("cannot choose a window depth without a positive gap")
-    return int(min(max(ceil(40.0 / gap), 8), 4000))
 
 
 def _left_directions(st: engine.ScanState) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +179,6 @@ def stable_directions(
 
 def _power_state(p: np.ndarray) -> engine.ScanState:
     """Wrap a single matrix in the ScanState shape the extractors read."""
-    one = np.ones(1)
     zero = np.zeros(1)
     return engine.ScanState(
         a=np.array([p[0, 0]]),
@@ -198,7 +187,6 @@ def _power_state(p: np.ndarray) -> engine.ScanState:
         d=np.array([p[1, 1]]),
         log_scale=zero,
         logdet=zero,
-        det_sign=one,
     )
 
 

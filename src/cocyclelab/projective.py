@@ -31,6 +31,8 @@ from .cocycle import CocycleSpec
 from .errors import ConfigError, NoGap
 from .oseledets import stable_directions, unstable_directions
 
+_HORIZON_SLACK = 2
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalProjectiveMeasure:
@@ -55,16 +57,15 @@ def build_invariant_measures(
     depth: int,
     seed: int = 0,
     threads: int = 1,
-    horizon_slack: int = 2,
 ) -> tuple[EmpiricalProjectiveMeasure, EmpiricalProjectiveMeasure]:
     """Sampled unstable and stable graph measures at the given window depth.
 
-    Shift windows get half-width depth + symbol depth + slack so direction
-    extraction and one forward push both stay inside the window.
+    Shift windows get half-width depth + symbol depth + _HORIZON_SLACK so
+    direction extraction and one forward push both stay inside the window.
     """
     horizon = 0
     if isinstance(sys, ShiftSystem):
-        horizon = depth + a_spec.symbol_depth + horizon_slack
+        horizon = depth + a_spec.symbol_depth + _HORIZON_SLACK
     pts = sample_points(sys, samples, horizon, seed)
     ux, uy, ok_u = unstable_directions(a_spec, sys, pts, depth, threads)
     sx, sy, ok_s = stable_directions(a_spec, sys, pts, depth, threads)

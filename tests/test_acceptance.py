@@ -19,7 +19,6 @@ from cocyclelab.cli import main as cli_main
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
-    ConstantField,
     LocallyConstantCocycle,
     PointwiseCocycle,
     RotationFactor,
@@ -193,7 +192,9 @@ def test_ac8_continuity_harness(shift2):
     # there, which says nothing about the small-t limit under test.
     family = PerturbationFamily.dyadic(
         gapped_shift_spec(),
-        ConstantField(matrix=np.array([[0.0, -0.2], [0.2, 0.0]])),
+        ConstantCocycle(
+            matrix=np.array([[0.0, -0.2], [0.2, 0.0]]), invertible=False
+        ),
         count=12,
     )
     rep = continuity_experiment(

@@ -5,9 +5,11 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from cocyclelab import cli
 from cocyclelab.cli import GOODSET_COLUMNS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -118,6 +120,78 @@ class TestContinuityCommand:
         head2 = (out2 / "lyapunov.csv").read_text().splitlines()[0]
         assert head1.endswith("seed=5") and head2.endswith("seed=9")
 
+    def test_singular_perturbation_row_censored(self, tmp_path):
+        # t=1 zeroes the top left entry of the first table matrix; the t=1/2
+        # member is an ordinary hyperbolic table
+        singular = {
+            **FAST_SHIFT,
+            "perturbation": {
+                "rule": "additive",
+                "schedule": {"kind": "explicit", "values": [1.0, 0.5]},
+                "direction": {"kind": "constant", "matrix": [[-1.2, 0.0], [0.0, 0.0]]},
+            },
+        }
+        path = tmp_path / "singular.yaml"
+        path.write_text(yaml.safe_dump(singular))
+        out = tmp_path / "o"
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "goodset.csv").read_text().splitlines()
+        assert len(lines) == 2 + 2
+        first = lines[2].split(",")
+        second = lines[3].split(",")
+        assert first[:2] == ["1", "1"] and set(first[2:]) == {"nan"}
+        assert second[:2] == ["2", "0.5"] and "nan" not in second
+        assert (out / "displacements.svg").exists()
+
+    def test_all_rows_censored_writes_no_histogram(self, tmp_path):
+        # diag(2, 1/2) after a quarter turn squares to -identity, so its
+        # windows of even depth are conformal: no gap
+        spun = {
+            **FAST_SHIFT,
+            "cocycle": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 0.5]]},
+            "budgets": {"samples": 60, "depth": 30, "n_max": 50},
+            "perturbation": {
+                "rule": "multiplicative_exp",
+                "schedule": {"kind": "explicit", "values": [0.5]},
+                "direction": {
+                    "kind": "constant",
+                    "matrix": [[0.0, -float(np.pi)], [float(np.pi), 0.0]],
+                },
+            },
+        }
+        path = tmp_path / "spun.yaml"
+        path.write_text(yaml.safe_dump(spun))
+        out = tmp_path / "o"
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "goodset.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[2].split(",")[3] == "nan"
+        assert (out / "goodset.svg").exists()
+        assert not (out / "displacements.svg").exists()
+
+    def test_histogram_plots_the_goodset_draw(self, shift_cfg, tmp_path, monkeypatch):
+        reports, plotted = [], []
+        experiment = cli.continuity_experiment
+        histogram = cli.histogram_svg
+
+        def keep_report(*args, **kwargs):
+            reports.append(experiment(*args, **kwargs))
+            return reports[-1]
+
+        def keep_values(values, **kwargs):
+            plotted.append(values)
+            return histogram(values, **kwargs)
+
+        monkeypatch.setattr(cli, "continuity_experiment", keep_report)
+        monkeypatch.setattr(cli, "histogram_svg", keep_values)
+        assert run(["continuity", "--config", shift_cfg, "--out", str(tmp_path / "o")]) == 0
+        (rep,) = reports
+        last = [r for r in rep.rows if not r.censored][-1]
+        du = rep.last_unstable_distances
+        assert np.mean(du) == last.mean_du
+        assert np.max(du) == last.max_du
+        (values,) = plotted
+        assert np.array_equal(values, np.log10(np.maximum(du, 1e-300)))
+
     def test_env_out_override(self, shift_cfg, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("COCYCLELAB_OUT", str(env_dir))
@@ -148,6 +222,20 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump(conformal))
         out = tmp_path / "o"
         assert run(["oseledets", "--config", str(path), "--out", str(out)]) == 3
+
+    def test_continuity_no_gap_is_3(self, tmp_path):
+        # a conformal base has no splitting to perturb; that is not a
+        # censored row but a failed run
+        conformal = {
+            **FAST_SHIFT,
+            "cocycle": {"kind": "constant", "matrix": [[0.0, -1.0], [1.0, 0.0]]},
+            "budgets": {"samples": 20, "depth": 10, "n_max": 20},
+        }
+        path = tmp_path / "rot.yaml"
+        path.write_text(yaml.safe_dump(conformal))
+        out = tmp_path / "o"
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 3
+        assert not (out / "goodset.csv").exists()
 
     def test_not_bunched_is_1(self, tmp_path, capsys):
         wide = {

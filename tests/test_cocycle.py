@@ -17,10 +17,8 @@ from cocyclelab.base import (
 from cocyclelab.cocycle import (
     BunchingReport,
     ConstantCocycle,
-    ConstantField,
     DiagonalFactor,
     LocallyConstantCocycle,
-    LocallyConstantField,
     PerturbedCocycle,
     PointwiseCocycle,
     PointwiseEntriesField,
@@ -65,6 +63,51 @@ class TestSpecs:
         spec = LocallyConstantCocycle(table=np.array([DIAG2] * 4), depth=2, alphabet_size=2)
         assert spec.symbol_depth == 2
         assert spec.is_constant
+
+    def test_invertible_flag(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SingularValueError):
+            ConstantCocycle(matrix=singular)
+        direction = ConstantCocycle(matrix=singular, invertible=False)
+        assert np.array_equal(direction.constant_value(), singular)
+        table = np.array([DIAG2, singular])
+        with pytest.raises(SingularValueError):
+            LocallyConstantCocycle(table=table)
+        direction = LocallyConstantCocycle(table=table, invertible=False)
+        a, b, c, d = direction.values_at_symbols(np.array([[1], [0]]))
+        assert a.tolist() == [1.0, 2.0] and d.tolist() == [4.0, 0.5]
+
+    def test_difference_spec_is_bitwise_subtraction(self):
+        # holder_distance samples A - B through A + (-1) * B
+        rng = np.random.default_rng(3)
+        shift_pairs = [
+            LocallyConstantCocycle(
+                table=rng.standard_normal((4, 2, 2)), depth=2, alphabet_size=2,
+                invertible=False,
+            )
+            for _ in range(2)
+        ]
+        torus_pairs = [
+            PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.3)),)),
+            PointwiseCocycle(
+                factors=(
+                    DiagonalFactor(log_d1=TrigExpr(cos_v=0.2), log_d2=TrigExpr()),
+                )
+            ),
+        ]
+        block = rng.integers(0, 2, size=(64, 2))
+        coords = rng.random((64, 2))
+        for (a, b), hook, arg in (
+            (shift_pairs, "values_at_symbols", block),
+            (torus_pairs, "values_at_coords", coords),
+        ):
+            diff = PerturbedCocycle(base=a, direction=b, t=-1.0, rule="additive")
+            got = getattr(diff, hook)(arg)
+            want = [
+                x - y for x, y in zip(getattr(a, hook)(arg), getattr(b, hook)(arg))
+            ]
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     def test_rotation_factor_winding(self):
         RotationFactor(angle=TrigExpr(lin_u=2.0 * np.pi))  # full turn, fine
@@ -112,7 +155,9 @@ class TestEvaluate:
 
     def test_perturbed_multiplicative(self, cat):
         base = ConstantCocycle(matrix=DIAG2)
-        fld = ConstantField(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        fld = ConstantCocycle(
+            matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), invertible=False
+        )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.25, rule="multiplicative_exp")
         x = TorusPoint(0.1, 0.2)
         ref = DIAG2 @ mat2.expm(0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -121,8 +166,9 @@ class TestEvaluate:
 
     def test_perturbed_additive(self, shift2):
         base = two_table(DIAG2, mat2.rotation(0.3))
-        fld = LocallyConstantField(
-            table=np.array([np.eye(2), np.zeros((2, 2))])
+        fld = LocallyConstantCocycle(
+            table=np.array([np.eye(2), np.zeros((2, 2))]),
+            invertible=False,
         )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.1, rule="additive")
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
@@ -274,7 +320,9 @@ class TestHolderNorm:
         b = two_table(DIAG2, mat2.rotation(0.3))
         rep = holder_distance(a, b, shift2)
         assert rep.exact and rep.norm == 0.0
-        fld = LocallyConstantField(table=np.array([np.eye(2), -np.eye(2)]))
+        fld = LocallyConstantCocycle(
+            table=np.array([np.eye(2), -np.eye(2)]), invertible=False
+        )
         pert = PerturbedCocycle(base=a, direction=fld, t=0.01, rule="additive")
         rep = holder_distance(pert, a, shift2)
         assert rep.exact

@@ -10,9 +10,7 @@ from cocyclelab.base import sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
-    ConstantField,
     LocallyConstantCocycle,
-    LocallyConstantField,
     PerturbedCocycle,
     PointwiseCocycle,
     PointwiseEntriesField,
@@ -24,7 +22,6 @@ from cocyclelab.continuity import (
     PerturbationFamily,
     continuity_experiment,
     good_set_measure,
-    lusin_stability_probe,
     perturb,
     wilson_interval,
 )
@@ -32,6 +29,10 @@ from cocyclelab.errors import ConfigError, SingularPerturbation
 
 DIAG2 = np.diag([2.0, 0.5])
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def constant_direction(m):
+    return ConstantCocycle(matrix=m, invertible=False)
 
 
 def gapped_spec():
@@ -42,7 +43,7 @@ def gapped_spec():
 class TestFamily:
     def test_dyadic_schedule(self):
         fam = PerturbationFamily.dyadic(
-            ConstantCocycle(matrix=DIAG2), ConstantField(matrix=SPIN), count=12
+            ConstantCocycle(matrix=DIAG2), constant_direction(SPIN), count=12
         )
         assert fam.ts[0] == 0.5
         assert fam.ts[11] == 2.0 ** -12
@@ -50,7 +51,7 @@ class TestFamily:
 
     def test_validation(self):
         base = ConstantCocycle(matrix=DIAG2)
-        field = ConstantField(matrix=SPIN)
+        field = constant_direction(SPIN)
         with pytest.raises(ConfigError):
             PerturbationFamily(base=base, direction=field, rule="subtract", ts=(0.5,))
         with pytest.raises(ConfigError):
@@ -62,7 +63,9 @@ class TestFamily:
 class TestPerturb:
     def test_shift_specializes_to_table(self, shift2):
         base = gapped_spec()
-        field = LocallyConstantField(table=np.array([SPIN, np.eye(2)]))
+        field = LocallyConstantCocycle(
+            table=np.array([SPIN, np.eye(2)]), invertible=False
+        )
         t = 0.125
         spec = perturb(base, field, t, "multiplicative_exp", shift2)
         assert isinstance(spec, LocallyConstantCocycle)
@@ -73,7 +76,9 @@ class TestPerturb:
 
     def test_shift_table_matches_perturbed_evaluate(self, shift2):
         base = gapped_spec()
-        field = LocallyConstantField(table=np.array([SPIN, -SPIN]))
+        field = LocallyConstantCocycle(
+            table=np.array([SPIN, -SPIN]), invertible=False
+        )
         raw = PerturbedCocycle(base=base, direction=field, t=0.25, rule="additive")
         spec = perturb(base, field, 0.25, "additive", shift2)
         p = sample_points(shift2, 5, 8, seed=3)[4]
@@ -81,7 +86,7 @@ class TestPerturb:
 
     def test_additive_singularity_raises(self, shift2):
         base = ConstantCocycle(matrix=np.eye(2))
-        field = ConstantField(matrix=-np.eye(2))
+        field = constant_direction(-np.eye(2))
         with pytest.raises(SingularPerturbation):
             perturb(base, field, 1.0, "additive", shift2)
 
@@ -102,7 +107,7 @@ class TestPerturb:
 
     def test_torus_multiplicative_passes_through(self, cat):
         base = ConstantCocycle(matrix=DIAG2)
-        spec = perturb(base, ConstantField(matrix=SPIN), 0.5, "multiplicative_exp", cat)
+        spec = perturb(base, constant_direction(SPIN), 0.5, "multiplicative_exp", cat)
         assert isinstance(spec, PerturbedCocycle)
 
 
@@ -159,7 +164,7 @@ class TestGoodSet:
 class TestExperiment:
     def test_small_run_shape_and_trend(self, shift2):
         fam = PerturbationFamily.dyadic(
-            gapped_spec(), ConstantField(matrix=SPIN), count=6
+            gapped_spec(), constant_direction(SPIN), count=6
         )
         rep = continuity_experiment(
             fam, shift2, epsilon=0.1, samples=400, depth=30, n_window=100, seed=7
@@ -182,7 +187,7 @@ class TestExperiment:
         # the k=2 member (an eighth of a turn) is hyperbolic again
         fam = PerturbationFamily(
             base=ConstantCocycle(matrix=DIAG2),
-            direction=ConstantField(matrix=np.pi * SPIN),
+            direction=constant_direction(np.pi * SPIN),
             rule="multiplicative_exp",
             ts=(0.5, 0.125),
         )
@@ -197,9 +202,50 @@ class TestExperiment:
         assert not second.censored
         assert np.isfinite(second.g_hat)
 
+    def test_singular_perturbation_row_censored(self, shift2):
+        # t=1 zeroes the top left entry of the first table matrix, so that
+        # member is singular; t=1/2 is hyperbolic and keeps its row
+        fam = PerturbationFamily(
+            base=gapped_spec(),
+            direction=constant_direction(np.array([[-1.2, 0.0], [0.0, 0.0]])),
+            rule="additive",
+            ts=(1.0, 0.5),
+        )
+        rep = continuity_experiment(
+            fam, shift2, epsilon=0.1, samples=60, depth=30, n_window=50, seed=0
+        )
+        first, second = rep.rows
+        assert first.censored
+        assert np.isnan(first.holder_dist) and np.isnan(first.g_hat)
+        assert not second.censored
+        assert np.isfinite(second.holder_dist) and np.isfinite(second.g_hat)
+        assert np.mean(rep.last_unstable_distances) == second.mean_du
+
+    def test_torus_singular_perturbation_row_censored(self, cat):
+        # A(x) = R(0.15 sin 2 pi u) diag(3/2, 2/3) minus t diag(3/2, 0) is
+        # singular at u = 0 for t = 1, a point of the invertibility grid
+        base = PointwiseCocycle(
+            factors=(
+                RotationFactor(angle=TrigExpr(sin_u=0.15)),
+                ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
+            )
+        )
+        fam = PerturbationFamily(
+            base=base,
+            direction=constant_direction(np.diag([-1.5, 0.0])),
+            rule="additive",
+            ts=(1.0, 0.25),
+        )
+        rep = continuity_experiment(
+            fam, cat, epsilon=0.1, samples=60, depth=30, n_window=50, seed=0
+        )
+        first, second = rep.rows
+        assert first.censored and np.isnan(first.holder_dist)
+        assert not second.censored and np.isfinite(second.g_hat)
+
     def test_threads_bitwise_identical(self, shift2):
         fam = PerturbationFamily.dyadic(
-            gapped_spec(), ConstantField(matrix=SPIN), count=3
+            gapped_spec(), constant_direction(SPIN), count=3
         )
         kw = dict(epsilon=0.1, samples=1100, depth=20, n_window=40, seed=4)
         r1 = continuity_experiment(fam, shift2, threads=1, **kw)
@@ -210,7 +256,7 @@ class TestExperiment:
 
     def test_reproducible(self, shift2):
         fam = PerturbationFamily.dyadic(
-            gapped_spec(), ConstantField(matrix=SPIN), count=2
+            gapped_spec(), constant_direction(SPIN), count=2
         )
         kw = dict(epsilon=0.1, samples=80, depth=20, n_window=40, seed=11)
         assert (
@@ -218,33 +264,3 @@ class TestExperiment:
             == continuity_experiment(fam, shift2, **kw).rows
         )
 
-
-class TestLusin:
-    def test_constant_spec_zero_dispersion(self, shift2):
-        rep = lusin_stability_probe(
-            ConstantCocycle(matrix=DIAG2), shift2, samples=200, depth=30, seed=0
-        )
-        assert np.all(rep.unstable_dispersion == 0.0)
-        assert np.all(rep.stable_dispersion == 0.0)
-
-    def test_dispersion_falls_with_scale(self, shift2):
-        rep = lusin_stability_probe(
-            gapped_spec(), shift2, samples=3000, depth=40,
-            scales=(1, 2, 3, 4), seed=0,
-        )
-        assert np.all(rep.unstable_dispersion >= 0.0)
-        assert np.all(rep.unstable_dispersion <= 1.0)
-        assert rep.unstable_dispersion[-1] < rep.unstable_dispersion[0]
-        assert rep.stable_dispersion[-1] < rep.stable_dispersion[0]
-
-    def test_torus_boxes(self, cat):
-        spec = PointwiseCocycle(
-            factors=(
-                RotationFactor(angle=TrigExpr(sin_u=0.15)),
-                ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
-            )
-        )
-        rep = lusin_stability_probe(
-            spec, cat, samples=2000, depth=40, scales=(1, 2, 3), seed=1
-        )
-        assert rep.unstable_dispersion[-1] < rep.unstable_dispersion[0] + 1e-12

@@ -108,7 +108,6 @@ class TestScans:
             # cond * eps of relative accuracy, so the bound is looser here
             assert mat2.opnorm(inv_got - inv_plain) / mat2.opnorm(inv_plain) < 1e-5
             det_plain = np.linalg.det(plain)
-            assert st.det_sign[i] == np.sign(det_plain)
             # det of the rounded reference product is itself only good to
             # about cond * eps, so the comparison cannot be tighter
             assert st.logdet[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)

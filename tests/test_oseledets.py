@@ -12,7 +12,6 @@ from cocyclelab.errors import NoGap
 from cocyclelab.oseledets import (
     Direction,
     apply_projective,
-    default_depth,
     equivariance_residuals,
     projective_distance,
     splitting,
@@ -143,11 +142,3 @@ class TestSampledCocycles:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
 
-
-class TestDefaultDepth:
-    def test_scaling(self):
-        assert default_depth(1.0) == 40
-        assert default_depth(0.5) == 80
-        assert default_depth(100.0) == 8  # clamped from below
-        with pytest.raises(NoGap):
-            default_depth(0.0)
