@@ -228,8 +228,8 @@ def _cmd_projective(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    cfg, sys_, _, seed, out_dir = _setting(args)
-    family = build_family(cfg)
+    cfg, sys_, spec, seed, out_dir = _setting(args)
+    family = build_family(cfg, base=spec)
     rep = continuity_experiment(
         family,
         sys_,

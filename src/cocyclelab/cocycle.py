@@ -498,7 +498,7 @@ def product_renormalized(
     # assembled window product instead would lose the small singular value
     # at O(kappa eps).
     engine.step(sys, batch, n)
-    scan = engine.forward_scan(a_spec, sys, batch, -n, want_inverse=True)
+    scan = engine.exponent_scan(a_spec, sys, batch, -n)
     norm = mat2.opnorm_batch(scan.inv_a, scan.inv_b, scan.inv_c, scan.inv_d)
     m = np.array(
         [[scan.inv_a[0], scan.inv_b[0]], [scan.inv_c[0], scan.inv_d[0]]]

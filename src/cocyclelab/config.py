@@ -24,6 +24,7 @@ from .base import (
     TorusSystem,
 )
 from .cocycle import (
+    CocycleSpec,
     ConstantCocycle,
     ConstantFactor,
     DiagonalFactor,
@@ -105,9 +106,9 @@ def normalize_config(data: dict) -> Config:
     cfg = Config(data=out)
     # exercise every builder so a loaded config is known to construct
     sys = build_system(cfg)
-    build_cocycle(cfg)
+    base = build_cocycle(cfg)
     if "perturbation" in out:
-        build_family(cfg)
+        build_family(cfg, base=base)
     b = out["budgets"]
     if isinstance(sys, ShiftSystem) and b["horizon"] > 0:
         need = b["depth"] + b["n_max"]
@@ -180,7 +181,11 @@ def build_cocycle(cfg: Config):
     )
 
 
-def build_family(cfg: Config) -> PerturbationFamily:
+def build_family(
+    cfg: Config, base: CocycleSpec | None = None
+) -> PerturbationFamily:
+    """The config's perturbation family around ``base``, which defaults to
+    a freshly built ``build_cocycle(cfg)``."""
     if "perturbation" not in cfg.data:
         raise ConfigError("config has no perturbation section")
     p = cfg.data["perturbation"]
@@ -190,7 +195,7 @@ def build_family(cfg: Config) -> PerturbationFamily:
     else:
         ts = tuple(sched["values"])
     return PerturbationFamily(
-        base=build_cocycle(cfg),
+        base=build_cocycle(cfg) if base is None else base,
         direction=_build_field(p["direction"], cfg),
         rule=p["rule"],
         ts=ts,

@@ -1,10 +1,19 @@
 """Batched orbit iteration kernels.
 
 Matrices are carried as four entry arrays of shape (S,), one slot per
-sample, so every step is a handful of fused elementwise operations.  Scans
-renormalize to unit operator norm at each step and accumulate the log scale
-and the log |det| separately; downstream code reconstructs whatever
-combination it needs without ever forming an overflowing product.
+sample, so every step is a handful of fused elementwise operations.  Every
+scan renormalizes at each step and keeps the scale and the |det| apart from
+the matrix, so no product ever overflows, in one of two ways:
+
+- the direction scans (``forward_scan``, ``backward_scan``,
+  ``forward_record``) divide by the operator norm, because their callers
+  read the unit-norm product as a direction;
+- ``exponent_scan``, which only needs the final scales, divides by the
+  power of two above the largest entry, which is exact, keeps the integer
+  exponents, and takes one norm and one log per track at the end.
+
+A shift batch's symbol window is checked once per scan, before the first
+step, and singular steps are caught once, after the last one.
 
 Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
@@ -31,7 +40,7 @@ from .base import (
 )
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
-BLOCK = 1024
+BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +130,73 @@ def values(spec, sys: BaseSystem, batch: Batch):
 
 
 # ---------------------------------------------------------------------------
-# renormalized scans
+# orbit walks
+
+
+def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
+    """Yield the cocycle values a scan of n steps absorbs, in scan order:
+    A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
+    backward.
+
+    On a shift batch the whole walk is checked against the symbol window
+    once, before the first value: every offset visited and every symbol
+    read must lie inside it.  The symbols are then gathered in one strip and
+    the batch is moved to its final position (f^{n-1}x forward, f^{-n}x
+    backward) up front; a torus batch steps as it goes and ends there too.
+    """
+    if n == 0:
+        return
+    if isinstance(batch, TorusBatch):
+        for j in range(n):
+            if backward:
+                step(sys, batch, -1)
+            elif j:
+                step(sys, batch, 1)
+            yield spec.values_at_coords(batch.coords)
+        return
+    depth = spec.symbol_depth
+    first, last = (-n, -1) if backward else (0, n - 1)
+    reach = last + max(depth - 1, 0)
+    if (
+        int(batch.offsets.min()) + first < -batch.horizon
+        or int(batch.offsets.max()) + reach > batch.horizon
+    ):
+        raise HorizonExceeded(
+            f"a {n}-step scan reading {depth} symbols per step leaves the "
+            f"represented symbol window of horizon {batch.horizon}"
+        )
+    # flat indices of the symbols each sample reads, gathered once
+    starts = np.arange(batch.size) * batch.windows.shape[1] + batch.horizon
+    index = (starts + batch.offsets)[:, None] + np.arange(first, last + depth)
+    strip = np.take(batch.windows, index)
+    batch.offsets += first if backward else last
+    order = range(n - 1, -1, -1) if backward else range(n)
+    for k in order:
+        yield spec.values_at_symbols(strip[:, k : k + depth])
+
+
+def _require_regular(low_det: np.ndarray) -> None:
+    """Raise if any step absorbed had |det| below the floor; low_det is the
+    running minimum of |det| per sample."""
+    if np.any(low_det < DET_FLOOR):
+        raise SingularValueError("cocycle value is singular along the orbit")
+
+
+# ---------------------------------------------------------------------------
+# direction scans: unit-norm renormalization at every step
 
 
 @dataclass(eq=False)
 class ScanState:
     """Renormalized product: matrix = exp(log_scale) * [[a, b], [c, d]] with
     [[a, b], [c, d]] of unit operator norm; logdet accumulates log |det| of
-    the product."""
+    the product.
+
+    The direction scans keep [[a, b], [c, d]] at unit norm after every step,
+    since their callers read it as a direction.  ``exponent_scan`` rescales
+    by powers of two along the way and normalizes once at the end; it alone
+    fills the ``inv_*`` fields with the inverse product, in the same form.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -143,10 +211,10 @@ class ScanState:
     inv_log_scale: np.ndarray | None = None
 
 
-def _identity_state(size: int, want_inverse: bool) -> ScanState:
+def _identity_state(size: int) -> ScanState:
     ones = np.ones(size)
     zeros = np.zeros(size)
-    st = ScanState(
+    return ScanState(
         a=ones.copy(),
         b=zeros.copy(),
         c=zeros.copy(),
@@ -154,71 +222,51 @@ def _identity_state(size: int, want_inverse: bool) -> ScanState:
         log_scale=zeros.copy(),
         logdet=zeros.copy(),
     )
-    if want_inverse:
-        st.inv_a = ones.copy()
-        st.inv_b = zeros.copy()
-        st.inv_c = zeros.copy()
-        st.inv_d = ones.copy()
-        st.inv_log_scale = zeros.copy()
-    return st
 
 
-def _step_dets(va, vb, vc, vd):
-    sdet = va * vd - vb * vc
-    if np.any(np.abs(sdet) < DET_FLOOR):
-        raise SingularValueError("cocycle value is singular along the orbit")
-    return sdet
-
-
-def _renormalize(st: ScanState, a, b, c, d, sdet) -> None:
-    """st <- the new product [[a, b], [c, d]], renormalized; sdet is the
-    determinant of the step it absorbed."""
+def _renormalize(st: ScanState, a, b, c, d, abs_det) -> None:
+    """st <- the new product [[a, b], [c, d]], renormalized; abs_det is the
+    |det| of the step it absorbed."""
     nrm = mat2.opnorm_batch(a, b, c, d)
     st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
     st.log_scale += np.log(nrm)
-    st.logdet += np.log(np.abs(sdet))
+    st.logdet += np.log(abs_det)
 
 
-def _absorb_inverse(st: ScanState, va, vb, vc, vd, sdet) -> None:
-    """Track (product)^{-1} = inv(step_1) inv(step_2) ... by right-multiplying
-    each step inverse; renormalized independently of the forward track."""
-    ia, ib, ic, id_ = mat2.adjugate_batch(va, vb, vc, vd)
-    ia, ib, ic, id_ = ia / sdet, ib / sdet, ic / sdet, id_ / sdet
-    a, b, c, d = mat2.matmul_batch(
-        st.inv_a, st.inv_b, st.inv_c, st.inv_d, ia, ib, ic, id_
-    )
-    nrm = mat2.opnorm_batch(a, b, c, d)
-    st.inv_a, st.inv_b, st.inv_c, st.inv_d = a / nrm, b / nrm, c / nrm, d / nrm
-    st.inv_log_scale += np.log(nrm)
+def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
+    """Walk n steps, renormalizing to unit norm at every step; with
+    ``paths`` = (ls_path, ldet_path) row j records the state after step j.
+    The singularity check runs once, after the walk."""
+    st = _identity_state(batch.size)
+    low_det = np.full(batch.size, np.inf)
+    # a singular step turns the product into 0/0 noise; the warning is
+    # replaced by the SingularValueError raised after the walk
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _orbit_values(spec, sys, batch, n, backward)
+        for j, (va, vb, vc, vd) in enumerate(values):
+            abs_det = np.abs(va * vd - vb * vc)
+            np.fmin(low_det, abs_det, out=low_det)
+            if backward:
+                prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
+            else:
+                prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
+            _renormalize(st, *prod, abs_det)
+            if paths is not None:
+                paths[0][j] = st.log_scale
+                paths[1][j] = st.logdet
+    _require_regular(low_det)
+    return st
 
 
-def forward_scan(
-    spec,
-    sys: BaseSystem,
-    batch: Batch,
-    n: int,
-    want_inverse: bool = False,
-) -> ScanState:
+def forward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     """Renormalized product over the forward window [0, n).
 
     The batch is left positioned at f^{n-1} of its starting points (or
-    untouched when n = 0).  With ``want_inverse`` the inverse product is
-    accumulated along the way from per-step inverses, renormalized on its
-    own, so the two log scales come from genuinely different arithmetic.
+    untouched when n = 0).
     """
     if n < 0:
         raise ConfigError("forward_scan needs n >= 0")
-    st = _identity_state(batch.size, want_inverse)
-    for j in range(n):
-        va, vb, vc, vd = values(spec, sys, batch)
-        sdet = _step_dets(va, vb, vc, vd)
-        prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
-        _renormalize(st, *prod, sdet)
-        if want_inverse:
-            _absorb_inverse(st, va, vb, vc, vd, sdet)
-        if j + 1 < n:
-            step(sys, batch, 1)
-    return st
+    return _direction_scan(spec, sys, batch, n, backward=False)
 
 
 def forward_record(
@@ -227,19 +275,9 @@ def forward_record(
     """log_scale and logdet after each of the first n steps, shape (n, S)."""
     if n < 1:
         raise ConfigError("forward_record needs n >= 1")
-    ls_path = np.empty((n, batch.size))
-    ldet_path = np.empty((n, batch.size))
-    st = _identity_state(batch.size, want_inverse=False)
-    for j in range(n):
-        va, vb, vc, vd = values(spec, sys, batch)
-        sdet = _step_dets(va, vb, vc, vd)
-        prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
-        _renormalize(st, *prod, sdet)
-        ls_path[j] = st.log_scale
-        ldet_path[j] = st.logdet
-        if j + 1 < n:
-            step(sys, batch, 1)
-    return ls_path, ldet_path
+    paths = (np.empty((n, batch.size)), np.empty((n, batch.size)))
+    _direction_scan(spec, sys, batch, n, backward=False, paths=paths)
+    return paths
 
 
 def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
@@ -250,14 +288,90 @@ def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     """
     if n < 0:
         raise ConfigError("backward_scan needs n >= 0")
-    st = _identity_state(batch.size, want_inverse=False)
-    for _ in range(n):
-        step(sys, batch, -1)
-        va, vb, vc, vd = values(spec, sys, batch)
-        sdet = _step_dets(va, vb, vc, vd)
-        prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
-        _renormalize(st, *prod, sdet)
-    return st
+    return _direction_scan(spec, sys, batch, n, backward=True)
+
+
+# ---------------------------------------------------------------------------
+# exponent scan: exact power-of-two renormalization
+
+
+def _radix_scale(a, b, c, d, exps):
+    """Divide [[a, b], [c, d]] by the power of two just above its largest
+    absolute entry and add that power's exponent to ``exps`` in place.
+    Scaling by the floating-point radix is exact, so no rounding enters."""
+    big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    k = np.frexp(big)[1]
+    exps += k
+    k = -k
+    return np.ldexp(a, k), np.ldexp(b, k), np.ldexp(c, k), np.ldexp(d, k)
+
+
+def _unit_form(a, b, c, d, exps):
+    """(2**exps) [[a, b], [c, d]] as unit-norm entries plus the log scale."""
+    nrm = mat2.opnorm_batch(a, b, c, d)
+    return a / nrm, b / nrm, c / nrm, d / nrm, exps * _LN2 + np.log(nrm)
+
+
+_LN2 = np.log(2.0)
+
+
+def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
+    """Forward product over [0, n) and, independently, the product of the
+    step inverses inv(A(x)) inv(A(fx)) ... inv(A(f^{n-1}x)), for exponents.
+
+    Each track, and the running product of step determinants, is rescaled
+    at every step by an exact power of two with its exponent kept as an
+    integer, so no product overflows and the only rounding is in the
+    products themselves; one operator norm and one log per track at the
+    end give the returned unit-norm ScanState with its ``inv_*`` fields.
+    The two log scales come from different arithmetic, so checking them
+    against ``logdet`` is a genuine cross-check.
+
+    The batch is left positioned at f^{n-1} of its starting points (or
+    untouched when n = 0).
+    """
+    if n < 0:
+        raise ConfigError("exponent_scan needs n >= 0")
+    size = batch.size
+    a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
+    ia, ib, ic, id_ = a, b, c, d
+    det = np.ones(size)
+    exps = np.zeros(size, dtype=np.int64)
+    inv_exps = np.zeros(size, dtype=np.int64)
+    det_exps = np.zeros(size, dtype=np.int64)
+    low_det = np.full(size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for va, vb, vc, vd in _orbit_values(spec, sys, batch, n, backward=False):
+            sdet = va * vd - vb * vc
+            np.fmin(low_det, np.abs(sdet), out=low_det)
+            a, b, c, d = _radix_scale(
+                *mat2.matmul_batch(va, vb, vc, vd, a, b, c, d), exps
+            )
+            sa, sb, sc, sd = mat2.adjugate_batch(va, vb, vc, vd)
+            ia, ib, ic, id_ = _radix_scale(
+                *mat2.matmul_batch(
+                    ia, ib, ic, id_, sa / sdet, sb / sdet, sc / sdet, sd / sdet
+                ),
+                inv_exps,
+            )
+            det, k = np.frexp(det * sdet)
+            det_exps += k
+    _require_regular(low_det)
+    a, b, c, d, log_scale = _unit_form(a, b, c, d, exps)
+    ia, ib, ic, id_, inv_log_scale = _unit_form(ia, ib, ic, id_, inv_exps)
+    return ScanState(
+        a=a,
+        b=b,
+        c=c,
+        d=d,
+        log_scale=log_scale,
+        logdet=det_exps * _LN2 + np.log(np.abs(det)),
+        inv_a=ia,
+        inv_b=ib,
+        inv_c=ic,
+        inv_d=id_,
+        inv_log_scale=inv_log_scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +383,7 @@ def block_map(
     count: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, ...]:
-    """Apply fn(start, stop) over fixed 1024-wide index blocks and
+    """Apply fn(start, stop) over fixed BLOCK-wide index blocks and
     concatenate the results positionally.
 
     The block layout never depends on the thread count, and results are

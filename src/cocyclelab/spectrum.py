@@ -90,7 +90,7 @@ def finite_time_exponents(
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
-        st = engine.forward_scan(a_spec, sys, batch, n, want_inverse=True)
+        st = engine.exponent_scan(a_spec, sys, batch, n)
         return st.log_scale / n, -st.inv_log_scale / n, st.logdet / n
 
     plus, minus, rate = engine.block_map(job, count, threads)

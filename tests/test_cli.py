@@ -192,6 +192,26 @@ class TestContinuityCommand:
         (values,) = plotted
         assert np.array_equal(values, np.log10(np.maximum(du, 1e-300)))
 
+    def test_continuity_builds_the_base_once(self, shift_cfg, tmp_path, monkeypatch):
+        built, families = [], []
+        build = cli.build_cocycle
+        experiment = cli.continuity_experiment
+
+        def keep_spec(cfg):
+            built.append(build(cfg))
+            return built[-1]
+
+        def keep_family(family, *args, **kwargs):
+            families.append(family)
+            return experiment(family, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_cocycle", keep_spec)
+        monkeypatch.setattr(cli, "continuity_experiment", keep_family)
+        assert run(["continuity", "--config", shift_cfg, "--out", str(tmp_path / "o")]) == 0
+        (spec,) = built
+        (family,) = families
+        assert family.base is spec
+
     def test_env_out_override(self, shift_cfg, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
         monkeypatch.setenv("COCYCLELAB_OUT", str(env_dir))

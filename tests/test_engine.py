@@ -14,13 +14,16 @@ from cocyclelab.base import (
 )
 from cocyclelab.cocycle import (
     ConstantCocycle,
+    ConstantFactor,
     LocallyConstantCocycle,
     PointwiseCocycle,
     RotationFactor,
     TrigExpr,
     product,
 )
-from cocyclelab.errors import ConfigError, HorizonExceeded
+from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
+from cocyclelab.oseledets import stable_directions, unstable_directions
+from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
 
 D = np.diag([2.0, 0.5])
 
@@ -92,14 +95,15 @@ class TestScans:
     def test_forward_scan_matches_products(self, shift2):
         spec = lc_spec()
         pts = sample_points(shift2, 10, 25, seed=6)
-        batch = engine.batch_of(shift2, pts)
-        st = engine.forward_scan(spec, shift2, batch, 20, want_inverse=True)
+        fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
+        st = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
         for i, x in enumerate(pts):
             plain = product(spec, shift2, x, 20)
-            got = np.exp(st.log_scale[i]) * np.array(
-                [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
-            )
-            assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
+            for scan in (fwd, st):
+                got = np.exp(scan.log_scale[i]) * np.array(
+                    [[scan.a[i], scan.b[i]], [scan.c[i], scan.d[i]]]
+                )
+                assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
             inv_plain = np.linalg.inv(plain)
             inv_got = np.exp(st.inv_log_scale[i]) * np.array(
                 [[st.inv_a[i], st.inv_b[i]], [st.inv_c[i], st.inv_d[i]]]
@@ -110,7 +114,8 @@ class TestScans:
             det_plain = np.linalg.det(plain)
             # det of the rounded reference product is itself only good to
             # about cond * eps, so the comparison cannot be tighter
-            assert st.logdet[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
+            for scan in (fwd, st):
+                assert scan.logdet[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
 
     def test_backward_scan_is_backward_window(self, cat):
         spec = PointwiseCocycle(
@@ -181,6 +186,114 @@ class TestBlockMap:
             calls.append((start, stop))
             return (np.zeros(stop - start),)
 
-        out = engine.block_map(job, 2500, threads=1)
-        assert calls == [(0, 1024), (1024, 2048), (2048, 2500)]
-        assert out[0].shape == (2500,)
+        width = engine.BLOCK
+        count = 2 * width + 452
+        out = engine.block_map(job, count, threads=1)
+        assert calls == [(0, width), (width, 2 * width), (2 * width, count)]
+        assert out[0].shape == (count,)
+
+
+class TestBlockWidth:
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    def test_outputs_do_not_depend_on_block_width(self, base, request, monkeypatch):
+        sys_ = request.getfixturevalue(base)
+        if base == "shift2":
+            spec = lc_spec()
+            points = sample_points(sys_, 5000, 40, seed=10)
+        else:
+            spec = PointwiseCocycle(
+                factors=(
+                    RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
+                    ConstantFactor(matrix=np.diag([1.5, 1 / 1.5])),
+                )
+            )
+            points = sample_points(sys_, 5000, 0, seed=10)
+        runs = []
+        for width in (1024, 4096):
+            monkeypatch.setattr(engine, "BLOCK", width)
+            ft = finite_time_exponents(spec, sys_, points, 30)
+            runs.append(
+                (ft.plus, ft.minus, ft.logdet_rate)
+                + unstable_directions(spec, sys_, points, 12)
+                + stable_directions(spec, sys_, points, 12)
+            )
+        for narrow, wide in zip(*runs):
+            assert np.array_equal(narrow, wide)
+
+
+def depth2_spec():
+    """Reads two symbols per step, so the window edge differs from n."""
+    r = mat2.rotation(0.4)
+    return LocallyConstantCocycle(
+        table=np.array([D, r @ D, D @ r, r @ D @ r]), depth=2, alphabet_size=2
+    )
+
+
+def window_batch(sys_, horizon, offsets=(0,)):
+    rng = np.random.default_rng(horizon)
+    window = rng.integers(0, 2, 2 * horizon + 1).astype(np.int16)
+    return engine.batch_of(sys_, [ShiftPoint(window=window, offset=o) for o in offsets])
+
+
+class TestHorizonEdges:
+    """The once-per-scan window check admits exactly the symbols a scan
+    reads and refuses a window one symbol shorter."""
+
+    N = 10
+
+    @pytest.mark.parametrize("scan", ["forward_scan", "exponent_scan", "forward_record"])
+    def test_forward_reads_n_plus_depth_minus_one_symbols(self, shift2, scan):
+        spec, n = depth2_spec(), self.N
+        run = getattr(engine, scan)
+        exact = n + spec.symbol_depth - 2  # symbols 0 .. n + depth - 2
+        batch = window_batch(shift2, exact)
+        run(spec, shift2, batch, n)
+        assert np.all(batch.offsets == n - 1)
+        with pytest.raises(HorizonExceeded):
+            run(spec, shift2, window_batch(shift2, exact - 1), n)
+
+    def test_backward_reads_n_symbols_behind(self, shift2):
+        spec, n = depth2_spec(), self.N
+        batch = window_batch(shift2, n)
+        engine.backward_scan(spec, shift2, batch, n)
+        assert np.all(batch.offsets == -n)
+        with pytest.raises(HorizonExceeded):
+            engine.backward_scan(spec, shift2, window_batch(shift2, n - 1), n)
+
+    def test_check_covers_every_sample_offset(self, shift2):
+        spec, n = depth2_spec(), self.N
+        exact = n + spec.symbol_depth - 2
+        # the sample one step ahead needs one more symbol forward ...
+        engine.forward_scan(spec, shift2, window_batch(shift2, exact + 1, (0, 1)), n)
+        with pytest.raises(HorizonExceeded):
+            engine.forward_scan(spec, shift2, window_batch(shift2, exact, (0, 1)), n)
+        # ... and the sample one step behind one more backward
+        engine.backward_scan(spec, shift2, window_batch(shift2, n + 1, (0, -1)), n)
+        with pytest.raises(HorizonExceeded):
+            engine.backward_scan(spec, shift2, window_batch(shift2, n, (0, -1)), n)
+
+    def test_lyapunov_points_end_to_end(self, shift2):
+        spec, n = depth2_spec(), self.N
+        exact = n + spec.symbol_depth - 2
+        points = sample_points(shift2, 6, exact, seed=11)
+        rep = lyapunov_exponents(spec, shift2, n=n, points=points)
+        assert rep.samples == 6
+        short = sample_points(shift2, 6, exact - 1, seed=11)
+        with pytest.raises(HorizonExceeded):
+            lyapunov_exponents(spec, shift2, n=n, points=short)
+
+
+class TestSingularSteps:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scan", ["forward_scan", "backward_scan", "forward_record", "exponent_scan"]
+    )
+    def test_singular_step_raises_without_warnings(self, shift2, scan):
+        spec = LocallyConstantCocycle(
+            table=np.array([D, np.zeros((2, 2))]), invertible=False
+        )
+        # the singular symbol sits two steps ahead and two steps behind
+        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        batch = engine.batch_of(shift2, pts * 3)
+        with pytest.raises(SingularValueError):
+            getattr(engine, scan)(spec, shift2, batch, 4)

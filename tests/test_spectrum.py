@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cocyclelab import mat2
+from cocyclelab import engine, mat2
 from cocyclelab.base import BernoulliMeasure, ShiftSystem, sample_points
+from cocyclelab.config import build_cocycle, build_system, load_config
 from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle
 from cocyclelab.spectrum import (
     finite_time_exponents,
@@ -106,3 +109,31 @@ class TestSampled:
         b = lyapunov_exponents(spec, shift2, n=100, samples=30, seed=7)
         assert np.array_equal(a.per_sample.plus, b.per_sample.plus)
         assert a.lambda_plus == b.lambda_plus
+
+
+class TestExponentScan:
+    def test_diagonal_closed_form_past_overflow(self, shift2):
+        # 1e3 ** 1000 overflows a double long before n = 2000, so only the
+        # renormalized scan can produce these numbers
+        big, small = np.diag([1e3, 1e-3]), np.diag([2.0, 0.5])
+        spec = LocallyConstantCocycle(table=np.array([big, small]))
+        n = 2000
+        pts = sample_points(shift2, 40, n + 1, seed=12)
+        ft = finite_time_exponents(spec, shift2, pts, n)
+        scan = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        for i, x in enumerate(pts):
+            k = int(np.count_nonzero(x.window[x.horizon : x.horizon + n] == 0))
+            plus = (k * np.log(1e3) + (n - k) * np.log(2.0)) / n
+            minus = (k * np.log(1e-3) + (n - k) * np.log(0.5)) / n
+            assert ft.plus[i] == pytest.approx(plus, abs=1e-13)
+            assert ft.minus[i] == pytest.approx(minus, abs=1e-13)
+        # the bottom exponent is the inverse track's, not logdet - plus
+        assert np.array_equal(ft.minus, -scan.inv_log_scale / n)
+
+    def test_det_residuals_on_shipped_table(self):
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(str(root / "configs" / "shift_gapped.yaml"))
+        sys_, spec = build_system(cfg), build_cocycle(cfg)
+        pts = sample_points(sys_, 300, 401, seed=13)
+        ft = finite_time_exponents(spec, sys_, pts, 400)
+        assert np.max(np.abs(ft.det_residuals)) < 1e-12
