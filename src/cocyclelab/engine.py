@@ -41,6 +41,7 @@ from .base import (
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
 BLOCK = 4096
+_LN2 = np.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,7 @@ def _require_regular(low_det: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# direction scans: unit-norm renormalization at every step
+# renormalized scans
 
 
 @dataclass(eq=False)
@@ -222,6 +223,9 @@ def _identity_state(size: int) -> ScanState:
         log_scale=zeros.copy(),
         logdet=zeros.copy(),
     )
+
+
+# direction scans: unit-norm renormalization at every step
 
 
 def _renormalize(st: ScanState, a, b, c, d, abs_det) -> None:
@@ -291,14 +295,14 @@ def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     return _direction_scan(spec, sys, batch, n, backward=True)
 
 
-# ---------------------------------------------------------------------------
 # exponent scan: exact power-of-two renormalization
 
 
 def _radix_scale(a, b, c, d, exps):
-    """Divide [[a, b], [c, d]] by the power of two just above its largest
-    absolute entry and add that power's exponent to ``exps`` in place.
-    Scaling by the floating-point radix is exact, so no rounding enters."""
+    """Divide [[a, b], [c, d]] by the smallest power of two above its
+    largest absolute entry and add that power's exponent to ``exps`` in
+    place.  Scaling by the floating-point radix is exact (short of
+    underflow), so no rounding enters."""
     big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
     k = np.frexp(big)[1]
     exps += k
@@ -310,9 +314,6 @@ def _unit_form(a, b, c, d, exps):
     """(2**exps) [[a, b], [c, d]] as unit-norm entries plus the log scale."""
     nrm = mat2.opnorm_batch(a, b, c, d)
     return a / nrm, b / nrm, c / nrm, d / nrm, exps * _LN2 + np.log(nrm)
-
-
-_LN2 = np.log(2.0)
 
 
 def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
@@ -340,6 +341,7 @@ def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     inv_exps = np.zeros(size, dtype=np.int64)
     det_exps = np.zeros(size, dtype=np.int64)
     low_det = np.full(size, np.inf)
+    # as in _direction_scan, a singular step raises after the walk instead
     with np.errstate(divide="ignore", invalid="ignore"):
         for va, vb, vc, vd in _orbit_values(spec, sys, batch, n, backward=False):
             sdet = va * vd - vb * vc
