@@ -141,9 +141,10 @@ def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
 
     On a shift batch the whole walk is checked against the symbol window
     once, before the first value: every offset visited and every symbol
-    read must lie inside it.  The symbols are then gathered in one strip and
-    the batch is moved to its final position (f^{n-1}x forward, f^{-n}x
-    backward) up front; a torus batch steps as it goes and ends there too.
+    read must lie inside it.  The batch is then moved to its final position
+    (f^{n-1}x forward, f^{-n}x backward) up front, and each step gathers its
+    symbols at precomputed flat indices; a torus batch steps as it goes and
+    ends in the same place.
     """
     if n == 0:
         return
@@ -166,14 +167,14 @@ def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
             f"a {n}-step scan reading {depth} symbols per step leaves the "
             f"represented symbol window of horizon {batch.horizon}"
         )
-    # flat indices of the symbols each sample reads, gathered once
+    # flat indices into the windows of the symbols each sample reads at its
+    # current offset; the step at relative offset k reads them shifted by k
     starts = np.arange(batch.size) * batch.windows.shape[1] + batch.horizon
-    index = (starts + batch.offsets)[:, None] + np.arange(first, last + depth)
-    strip = np.take(batch.windows, index)
+    here = (starts + batch.offsets)[:, None] + np.arange(depth)
     batch.offsets += first if backward else last
-    order = range(n - 1, -1, -1) if backward else range(n)
+    order = range(-1, -n - 1, -1) if backward else range(n)
     for k in order:
-        yield spec.values_at_symbols(strip[:, k : k + depth])
+        yield spec.values_at_symbols(np.take(batch.windows, here + k))
 
 
 def _require_regular(low_det: np.ndarray) -> None:
