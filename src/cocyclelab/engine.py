@@ -110,26 +110,6 @@ def step(sys: BaseSystem, batch: Batch, j: int = 1) -> None:
     batch.coords = np.column_stack([u, v])
 
 
-def values(spec, sys: BaseSystem, batch: Batch):
-    """Cocycle entries at the batch's current positions, as four (S,) arrays."""
-    if isinstance(batch, ShiftBatch):
-        depth = spec.symbol_depth
-        if depth == 0:
-            block = np.empty((batch.size, 0), dtype=np.int64)
-        else:
-            last = batch.offsets + depth - 1
-            if np.any(last > batch.horizon):
-                raise HorizonExceeded(
-                    "cocycle evaluation reads past the represented window"
-                )
-            cols = batch.horizon + batch.offsets[:, None] + np.arange(depth)
-            block = batch.windows[np.arange(batch.size)[:, None], cols]
-        va, vb, vc, vd = spec.values_at_symbols(block)
-    else:
-        va, vb, vc, vd = spec.values_at_coords(batch.coords)
-    return va, vb, vc, vd
-
-
 # ---------------------------------------------------------------------------
 # orbit walks
 
@@ -175,6 +155,11 @@ def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
     order = range(-1, -n - 1, -1) if backward else range(n)
     for k in order:
         yield spec.values_at_symbols(np.take(batch.windows, here + k))
+
+
+def values(spec, sys: BaseSystem, batch: Batch):
+    """Cocycle entries at the batch's current positions, as four (S,) arrays."""
+    return next(_orbit_values(spec, sys, batch, 1, backward=False))
 
 
 def _require_regular(low_det: np.ndarray) -> None:
