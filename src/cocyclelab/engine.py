@@ -51,7 +51,7 @@ _LN2 = np.log(2.0)
 @dataclass(eq=False)
 class ShiftBatch:
     windows: np.ndarray  # (S, 2*horizon + 1) int16, shared, read-only
-    offsets: np.ndarray  # (S,) int64, mutated by step()
+    offsets: np.ndarray  # (S,) int64, moved by step() and the scans
     horizon: int
 
     @property

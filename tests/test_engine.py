@@ -117,6 +117,25 @@ class TestScans:
             for scan in (fwd, st):
                 assert scan.logdet[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
 
+    def test_mixed_offsets_match_products(self, shift2):
+        spec = lc_spec()
+        draw = sample_points(shift2, 3, 30, seed=14)
+        pts = [ShiftPoint(window=p.window, offset=o) for p, o in zip(draw, (0, 3, -4))]
+        n = 12
+        scans = (
+            (engine.forward_scan, 0),
+            (engine.exponent_scan, 0),
+            (engine.backward_scan, -n),
+        )
+        for scan, start in scans:
+            st = scan(spec, shift2, engine.batch_of(shift2, pts), n)
+            for i, x in enumerate(pts):
+                ref = product(spec, shift2, apply_f(shift2, x, start), n)
+                got = np.exp(st.log_scale[i]) * np.array(
+                    [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
+                )
+                assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-12
+
     def test_backward_scan_is_backward_window(self, cat):
         spec = PointwiseCocycle(
             factors=(
