@@ -52,10 +52,8 @@ from .config import (
 from .continuity import (
     ContinuityReport,
     ContinuityRow,
-    GoodSetReport,
     PerturbationFamily,
     continuity_experiment,
-    good_set_measure,
     perturb,
     wilson_interval,
 )

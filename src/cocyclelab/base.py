@@ -8,6 +8,7 @@ window is a hard error, never a silent fallback.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Union
@@ -19,6 +20,11 @@ from .errors import ConfigError, HorizonExceeded
 _WINDOW_DTYPE = np.int16
 _LATTICE_DENOM = 2**26
 _STATIONARY_TOL = 1e-14
+# sample_points turns uniforms into symbols this many float64 entries at a
+# time (but at least _MIN_CHUNK_ROWS rows), so the draw never holds more
+# than the int16 windows plus one chunk
+_CHUNK_ENTRIES = 2**19
+_MIN_CHUNK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +323,40 @@ class TorusPoint:
 BasePoint = Union[ShiftPoint, TorusPoint]
 
 
+class ShiftDraw(Sequence):
+    """Shift points at offset 0 held as the rows of one read-only window
+    array: indexing gives a ShiftPoint over a row, slicing a ShiftDraw over
+    the same rows, so batches take views instead of copies."""
+
+    def __init__(self, windows: np.ndarray):
+        self.windows = windows
+
+    def __len__(self) -> int:
+        return self.windows.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ShiftDraw(self.windows[i])
+        return ShiftPoint(window=self.windows[i])
+
+
+class TorusDraw(Sequence):
+    """Torus points held as the rows of one read-only (count, 2) coordinate
+    array; indexing gives a TorusPoint, slicing a TorusDraw."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+
+    def __len__(self) -> int:
+        return self.coords.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TorusDraw(self.coords[i])
+        u, v = self.coords[i]
+        return TorusPoint(u, v)
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -364,14 +404,15 @@ def base_distance(sys: BaseSystem, x: BasePoint, y: BasePoint) -> float:
             return 0.0
         k = int(np.min(np.abs(mismatch - common)))
         return sys.lambda0 ** k
-    du = _circle_dist(x.u, y.u)
-    dv = _circle_dist(x.v, y.v)
-    return max(du, dv)
+    return float(torus_distances(x.coords, y.coords))
 
 
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def torus_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The torus metric between coordinate rows (..., 2): the max of the
+    two circle distances."""
+    d = np.abs(xs - ys) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.maximum(d[..., 0], d[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +428,7 @@ def substream(seed: int, index: int) -> np.random.SeedSequence:
 
 def sample_points(
     sys: BaseSystem, count: int, horizon: int, seed: int
-) -> list[BasePoint]:
+) -> ShiftDraw | TorusDraw:
     """Draw ``count`` points of the invariant measure; shift points get a
     symbol window of half-width ``horizon``.  Point i comes from its own
     substream(seed, i), so it does not depend on ``count``."""
@@ -399,31 +440,36 @@ def sample_points(
         # f^-1 are exact mutual inverses along sampled orbits; raw uniforms
         # would pick up a rounding eps per step that hyperbolicity amplifies
         # by lambda^k across a backward/forward round trip.
-        out: list[BasePoint] = []
-        for sq in seqs:
-            ju, jv = np.random.default_rng(sq).integers(0, _LATTICE_DENOM, size=2)
-            out.append(TorusPoint(ju / _LATTICE_DENOM, jv / _LATTICE_DENOM))
-        return out
+        ints = np.empty((count, 2), dtype=np.int64)
+        for i, sq in enumerate(seqs):
+            ints[i] = np.random.default_rng(sq).integers(0, _LATTICE_DENOM, size=2)
+        coords = ints / _LATTICE_DENOM
+        coords.setflags(write=False)
+        return TorusDraw(coords)
     if horizon < 0:
         raise ConfigError("horizon must be nonnegative")
     length = 2 * horizon + 1
-    uniforms = np.empty((count, length), dtype=float)
-    for i, sq in enumerate(seqs):
-        uniforms[i] = np.random.default_rng(sq).random(length)
+    windows = np.empty((count, length), dtype=_WINDOW_DTYPE)
     measure = sys.measure
     if isinstance(measure, BernoulliMeasure):
         cum = measure.cumulative
-        symbols = np.searchsorted(cum, uniforms.ravel(), side="right")
-        windows = symbols.reshape(count, length).astype(_WINDOW_DTYPE)
     else:
         cum_rows = np.cumsum(np.asarray(measure.matrix, dtype=float), axis=1)
         cum_pi = np.cumsum(np.asarray(measure.stationary, dtype=float))
-        windows = np.empty((count, length), dtype=_WINDOW_DTYPE)
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // length)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        uniforms = np.empty((hi - lo, length), dtype=float)
+        for i in range(lo, hi):
+            uniforms[i - lo] = np.random.default_rng(seqs[i]).random(length)
+        out = windows[lo:hi]
+        if isinstance(measure, BernoulliMeasure):
+            out[:] = np.searchsorted(cum, uniforms, side="right")
+            continue
         state = (cum_pi[None, :] <= uniforms[:, :1]).sum(axis=1)
-        windows[:, 0] = state
+        out[:, 0] = state
         for t in range(1, length):
-            rows = cum_rows[state]
-            state = (rows <= uniforms[:, t : t + 1]).sum(axis=1)
-            windows[:, t] = state
+            state = (cum_rows[state] <= uniforms[:, t : t + 1]).sum(axis=1)
+            out[:, t] = state
     windows.setflags(write=False)
-    return [ShiftPoint(window=windows[i], offset=0) for i in range(count)]
+    return ShiftDraw(windows)

@@ -27,8 +27,8 @@ from .base import (
     TorusPoint,
     TorusSystem,
     apply_f,
-    base_distance,
     sample_points,
+    torus_distances,
 )
 from .errors import ConfigError, SingularValueError
 
@@ -386,26 +386,131 @@ class PerturbedCocycle:
         a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
-    def _compose(self, base_vals, dir_vals):
-        ba, bb, bc, bd = base_vals
-        fa, fb, fc, fd = dir_vals
-        if self.rule == "additive":
-            return ba + self.t * fa, bb + self.t * fb, bc + self.t * fc, bd + self.t * fd
-        ea, eb, ec, ed = mat2.expm_batch(
-            self.t * fa, self.t * fb, self.t * fc, self.t * fd
-        )
-        return mat2.matmul_batch(ba, bb, bc, bd, ea, eb, ec, ed)
-
     def values_at_symbols(self, block):
-        return self._compose(
+        return _compose(
+            self.rule,
+            self.t,
             self.base.values_at_symbols(block),
             self.direction.values_at_symbols(block),
         )
 
     def values_at_coords(self, coords):
-        return self._compose(
+        return _compose(
+            self.rule,
+            self.t,
             self.base.values_at_coords(coords),
             self.direction.values_at_coords(coords),
+        )
+
+
+def _compose(rule: str, t, base_vals, dir_vals):
+    """Entries of A composed with t B, from the entries of A and B; with a
+    column of sizes t of shape (T, 1) and (S,) entries this gives (T, S)
+    entries, row k bitwise the scalar result at t[k]."""
+    ba, bb, bc, bd = base_vals
+    fa, fb, fc, fd = dir_vals
+    if rule == "additive":
+        return ba + t * fa, bb + t * fb, bc + t * fc, bd + t * fd
+    ea, eb, ec, ed = mat2.expm_batch(t * fa, t * fb, t * fc, t * fd)
+    return mat2.matmul_batch(ba, bb, bc, bd, ea, eb, ec, ed)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedCocycle:
+    """Several cocycles walked together: each hook returns four (M, S)
+    entry arrays whose row m is bitwise the m-th member's own (S,) output,
+    so one orbit walk serves every member.
+
+    The members are either symbol tables over one alphabet, read with one
+    shared word index, or a base spec (optionally first) followed by
+    perturbations of it along one direction and rule, for which the base
+    and direction hooks run once per step and only the t-dependent
+    composition is formed per member.
+    """
+
+    members: tuple
+
+    is_constant = False
+
+    def __post_init__(self) -> None:
+        members = tuple(self.members)
+        if not members:
+            raise ConfigError("a stacked cocycle needs at least one member")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "r", members[0].r)
+        first = members[0]
+        if all(
+            isinstance(m, LocallyConstantCocycle)
+            and m.alphabet_size == first.alphabet_size
+            for m in members
+        ):
+            a, depth = first.alphabet_size, max(m.depth for m in members)
+            tabs = np.stack(
+                [_expand_table(m.table, a, m.depth, depth) for m in members]
+            )
+            entries = tuple(
+                np.ascontiguousarray(tabs[:, :, i, j])
+                for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+            )
+            object.__setattr__(self, "_entries", entries)
+            object.__setattr__(
+                self, "_powers", a ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+            )
+            object.__setattr__(self, "symbol_depth", depth)
+            return
+        base = first.base if isinstance(first, PerturbedCocycle) else first
+        with_base = first is base
+        perturbed = members[1:] if with_base else members
+        head = perturbed[0] if perturbed else None
+        if not all(
+            isinstance(m, PerturbedCocycle)
+            and m.base is base
+            and m.direction is head.direction
+            and m.rule == head.rule
+            for m in perturbed
+        ):
+            raise ConfigError(
+                "stacked members must be symbol tables or perturbations of "
+                "one base along one direction"
+            )
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_with_base", with_base)
+        object.__setattr__(
+            self, "_ts", np.array([m.t for m in perturbed], dtype=float)[:, None]
+        )
+        object.__setattr__(
+            self, "symbol_depth", max(m.symbol_depth for m in members)
+        )
+
+    @property
+    def rows(self) -> int:
+        return len(self.members)
+
+    def values_at_symbols(self, block):
+        if self._entries is not None:
+            idx = block.astype(np.int64) @ self._powers
+            return tuple(e[:, idx] for e in self._entries)
+        return self._stack(lambda spec: spec.values_at_symbols(block))
+
+    def values_at_coords(self, coords):
+        return self._stack(lambda spec: spec.values_at_coords(coords))
+
+    def _stack(self, hook):
+        """Rows from one call of ``hook`` on the base and one on the
+        direction; only the composition is formed per member."""
+        base_vals = hook(self._base)
+        if self._head is None:
+            return tuple(np.asarray(v)[None] for v in base_vals)
+        composed = _compose(
+            self._head.rule, self._ts, base_vals, hook(self._head.direction)
+        )
+        if not self._with_base:
+            return composed
+        return tuple(
+            np.concatenate([np.asarray(b)[None], c])
+            for b, c in zip(base_vals, composed)
         )
 
 
@@ -576,7 +681,10 @@ def holder_norm(
         return HolderReport(sup, quot, a_spec.r, exact=True)
     if isinstance(a_spec, LocallyConstantCocycle):
         raise ConfigError("locally constant cocycles live over shift bases")
-    return _sampled_holder(a_spec, sys, a_spec.r, pair_samples, seed)
+    sample = _HolderSample.draw(sys, pair_samples, seed)
+    return sample.report(
+        lambda sl: a_spec.values_at_coords(sample.coords[sl]), a_spec.r
+    )
 
 
 def holder_distance(
@@ -587,22 +695,60 @@ def holder_distance(
     seed: int = 0,
 ) -> HolderReport:
     """Holder norm of the difference map x -> A(x) - B(x)."""
-    table_a = _as_table(a_spec, sys)
+    return holder_distances((a_spec,), b_spec, sys, pair_samples, seed)[0]
+
+
+def holder_distances(
+    specs,
+    b_spec: CocycleSpec,
+    sys: BaseSystem,
+    pair_samples: int = 2048,
+    seed: int = 0,
+) -> list[HolderReport]:
+    """``holder_distance(a, b_spec, ...)`` for every a in ``specs``, each
+    bitwise as if computed alone.
+
+    Symbol tables are compared exactly.  The sampled route draws its pairs
+    and near-point rings once and evaluates B there once; a spec that
+    perturbs B (a PerturbedCocycle with base B) also shares its direction's
+    values, so only the t-dependent composition is formed per spec.
+    """
     table_b = _as_table(b_spec, sys)
-    if table_a is not None and table_b is not None:
-        ta, depth_a = table_a
-        tb, depth_b = table_b
-        depth = max(depth_a, depth_b, 1)
-        a = sys.alphabet_size
-        ta = _expand_table(ta, a, depth_a, depth)
-        tb = _expand_table(tb, a, depth_b, depth)
-        sup, quot = _table_holder(ta - tb, a, depth, sys.lambda0, a_spec.r)
-        return HolderReport(sup, quot, a_spec.r, exact=True)
-    # A + (-1) * B is bitwise A - B
-    difference = PerturbedCocycle(
-        base=a_spec, direction=b_spec, t=-1.0, rule="additive"
-    )
-    return _sampled_holder(difference, sys, a_spec.r, pair_samples, seed)
+    sample = None
+    direction_vals = {}
+    out = []
+    for a_spec in specs:
+        table_a = _as_table(a_spec, sys) if table_b is not None else None
+        if table_a is not None:
+            depth = max(table_a[1], table_b[1], 1)
+            a = sys.alphabet_size
+            ta = _expand_table(table_a[0], a, table_a[1], depth)
+            tb = _expand_table(table_b[0], a, table_b[1], depth)
+            sup, quot = _table_holder(ta - tb, a, depth, sys.lambda0, a_spec.r)
+            out.append(HolderReport(sup, quot, a_spec.r, exact=True))
+            continue
+        if sample is None:
+            sample = _HolderSample.draw(sys, pair_samples, seed)
+            b_vals = b_spec.values_at_coords(sample.coords)
+        shares_b = isinstance(a_spec, PerturbedCocycle) and a_spec.base is b_spec
+        if shares_b and id(a_spec.direction) not in direction_vals:
+            direction_vals[id(a_spec.direction)] = a_spec.direction.values_at_coords(
+                sample.coords
+            )
+
+        def diff(sl):
+            b_at = tuple(v[sl] for v in b_vals)
+            if shares_b:
+                dir_at = tuple(v[sl] for v in direction_vals[id(a_spec.direction)])
+                a_at = _compose(a_spec.rule, a_spec.t, b_at, dir_at)
+            else:
+                a_at = a_spec.values_at_coords(sample.coords[sl])
+            # the values of PerturbedCocycle(a_spec, b_spec, t=-1,
+            # "additive"): A + (-1) * B is bitwise A - B
+            return _compose("additive", -1.0, a_at, b_at)
+
+        out.append(sample.report(diff, a_spec.r))
+    return out
 
 
 def _as_table(spec, sys: BaseSystem):
@@ -666,69 +812,85 @@ def _table_holder(tab, a, depth, lambda0, r):
         raise ConfigError("table too large for exact Holder enumeration")
     # Words are lexicographic with x_0 most significant; two words first
     # differing at forward position k can be completed to points at distance
-    # exactly lambda0^k, so the quotient enumerates word pairs by k.
-    words = np.array(
-        np.unravel_index(np.arange(n_words), (a,) * depth)
-    ).T  # (n_words, depth)
+    # exactly lambda0^k, so the quotient enumerates word pairs by k.  Words
+    # i < j first differ at k = the number of leading digits they share,
+    # which is the number of prefix lengths m in 1..depth-1 where
+    # i // a^(depth-m) == j // a^(depth-m).
+    scale = np.array([lambda0 ** (k * r) for k in range(depth)])
+    entries = tuple(tab[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    idx = np.arange(n_words)
     quot = 0.0
-    for i in range(n_words):
-        for j in range(i + 1, n_words):
-            diff = np.nonzero(words[i] != words[j])[0]
-            if diff.size == 0:
-                continue
-            k = int(diff[0])
-            delta = tab[i] - tab[j]
-            quot = max(quot, mat2.opnorm(delta) / lambda0 ** (k * r))
-    return sup, float(quot)
+    rows = max(1, 2**18 // n_words)
+    for lo in range(0, n_words - 1, rows):
+        i, j = np.nonzero(idx[lo : lo + rows, None] < idx)
+        i += lo
+        k = np.zeros(i.shape, dtype=np.int64)
+        for m in range(1, depth):
+            unit = a ** (depth - m)
+            k += i // unit == j // unit
+        delta = tuple(e[i] - e[j] for e in entries)
+        ratios = mat2.opnorm_batch(*delta) / scale[k]
+        quot = float(np.fmax.reduce(ratios, initial=quot))
+    return sup, quot
 
 
-def _sampled_holder(spec, sys, r, pair_samples, seed) -> HolderReport:
-    pts = sample_points(sys, 2 * pair_samples, 0 if isinstance(sys, TorusSystem) else spec.symbol_depth + 8, seed)
-    xs = pts[:pair_samples]
-    ys = pts[pair_samples:]
-    vx = _values_matrix(spec, sys, xs)
-    vy = _values_matrix(spec, sys, ys)
-    sup = float(
-        max(
-            np.max(mat2.opnorm_batch(*vx)),
-            np.max(mat2.opnorm_batch(*vy)),
-        )
-    )
-    quot = 0.0
-    diffs = tuple(x - y for x, y in zip(vx, vy))
-    dists = np.array([base_distance(sys, x, y) for x, y in zip(xs, ys)])
-    norms = mat2.opnorm_batch(*diffs)
-    ok = dists > 0
-    if np.any(ok):
-        quot = float(np.max(norms[ok] / dists[ok] ** r))
-    if isinstance(sys, TorusSystem):
+@dataclass(frozen=True, eq=False)
+class _HolderSample:
+    """The torus points a sampled Holder quotient reads, drawn once:
+    ``pairs`` points x, as many independent points y, then six rings of
+    points near the x at log-spaced scales down to 1e-6, all as rows of
+    ``coords``; ``dists`` holds d(x, y) followed by d(x, ring point) for
+    each ring."""
+
+    coords: np.ndarray
+    dists: np.ndarray
+    pairs: int
+
+    @classmethod
+    def draw(cls, sys: BaseSystem, pairs: int, seed: int) -> "_HolderSample":
+        if not isinstance(sys, TorusSystem):
+            raise ConfigError(
+                "a shift cocycle without a symbol table over the system's "
+                "alphabet has no Holder norm"
+            )
+        xy = sample_points(sys, 2 * pairs, 0, seed).coords
+        xs = xy[:pairs]
+        parts, dists = [xy], [torus_distances(xs, xy[pairs:])]
         # Nearby pairs probe the local quotient, which dominates for smooth
-        # maps; scales are log-spaced down to 1e-6.
+        # maps.
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(999,)))
         for scale in 10.0 ** np.arange(-1, -7, -1):
-            angles = rng.random(len(xs)) * _TWO_PI
-            near = [
-                TorusPoint(p.u + scale * np.cos(t), p.v + scale * np.sin(t))
-                for p, t in zip(xs, angles)
-            ]
-            vn = _values_matrix(spec, sys, near)
-            nd = np.array([base_distance(sys, p, q) for p, q in zip(xs, near)])
-            nn = mat2.opnorm_batch(*tuple(x - y for x, y in zip(vx, vn)))
-            ok = nd > 0
-            if np.any(ok):
-                quot = max(quot, float(np.max(nn[ok] / nd[ok] ** r)))
-    return HolderReport(sup, quot, r, exact=False)
+            angles = rng.random(pairs) * _TWO_PI
+            step = scale * np.column_stack([np.cos(angles), np.sin(angles)])
+            near = (xs + step) % 1.0
+            parts.append(near)
+            dists.append(torus_distances(xs, near))
+        return cls(np.concatenate(parts), np.concatenate(dists), pairs)
 
-
-def _values_matrix(spec, sys, points):
-    if isinstance(sys, ShiftSystem):
-        depth = max(spec.symbol_depth, 1)
-        block = np.array(
-            [[p.symbol(i) for i in range(depth)] for p in points], dtype=np.int64
+    def report(self, values, r: float) -> HolderReport:
+        """sup-norm and Holder-r quotient of a map; ``values(sl)`` gives its
+        four entry arrays at ``coords[sl]``, asked for one block of
+        ``pairs`` points at a time."""
+        p = self.pairs
+        at_x = values(slice(0, p))
+        at_y = values(slice(p, 2 * p))
+        sup = float(
+            max(
+                np.max(mat2.opnorm_batch(*at_x)),
+                np.max(mat2.opnorm_batch(*at_y)),
+            )
         )
-        return spec.values_at_symbols(block[:, : max(spec.symbol_depth, 1)])
-    coords = np.array([[p.u, p.v] for p in points])
-    return spec.values_at_coords(coords)
+        quot = 0.0
+        # ring 0 pairs x with y; rings 1-6 with the near points
+        for ring in range(7):
+            other = at_y if ring == 0 else values(slice((ring + 1) * p, (ring + 2) * p))
+            norms = mat2.opnorm_batch(*(x - v for x, v in zip(at_x, other)))
+            dists = self.dists[ring * p : (ring + 1) * p]
+            ok = dists > 0
+            if np.any(ok):
+                worst = float(np.max(norms[ok] / dists[ok] ** r))
+                quot = worst if ring == 0 else max(quot, worst)
+        return HolderReport(sup, quot, r, exact=False)
 
 
 # ---------------------------------------------------------------------------

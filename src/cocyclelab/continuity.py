@@ -8,6 +8,12 @@ unstable directions both moved less than epsilon.  Coupling removes the
 base-sampling noise from all comparisons, which is what makes the small-t
 rows informative at realistic sample counts.
 
+The whole family is walked together: each scan steps every orbit once and
+absorbs the values of all live members as stacked (M, S) arrays (see
+``StackedCocycle``), and the sampled Holder distances draw their pairs
+once.  Each row is then reduced from its own slice, bitwise as if its
+member had been run alone.
+
 Rows whose perturbed member loses its singular value gap, or whose additive
 perturbation is singular, are censored: the row stays in the table with NaN
 statistics rather than disappearing, so the schedule remains visible in the
@@ -20,18 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BasePoint, BaseSystem, ShiftSystem, TorusSystem, sample_points
+from .base import BaseSystem, ShiftSystem, TorusSystem, sample_points
 from .cocycle import (
     CocycleSpec,
     MatrixField,
     PerturbedCocycle,
-    holder_distance,
+    StackedCocycle,
+    holder_distances,
     specialize,
 )
 from .errors import ConfigError, NoGap, SingularPerturbation, SingularValueError
 from .mat2 import DET_FLOOR
 from .oseledets import stable_directions, unstable_directions
-from .spectrum import lyapunov_exponents
+from .spectrum import finite_time_exponents
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -124,73 +131,78 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     return lo, hi
 
 
-@dataclass(frozen=True, eq=False)
-class GoodSetReport:
-    g_hat: float
-    ci_lo: float
-    ci_hi: float
-    epsilon: float
-    samples: int
-    depth: int
-    mean_du: float
-    max_du: float
-    mean_ds: float
-    max_ds: float
-    unstable_distances: np.ndarray
-    stable_distances: np.ndarray
-
-
-def _extract_both(a_spec, sys, points, depth, threads):
-    ux, uy, ok_u = unstable_directions(a_spec, sys, points, depth, threads)
-    sx, sy, ok_s = stable_directions(a_spec, sys, points, depth, threads)
-    if not (ok_u.all() and ok_s.all()):
-        raise NoGap("conformal window product during direction extraction")
-    return ux, uy, sx, sy
-
-
-def _good_set_from_directions(
-    base_dirs, pert_dirs, epsilon: float, depth: int
-) -> GoodSetReport:
+def _good_set_stats(base_dirs, dirs, epsilon: float):
+    """One member against the base on the shared draw: the row's good-set
+    fraction with its Wilson interval and the displacement means and
+    maxima, plus the unstable displacements themselves."""
     ux, uy, sx, sy = base_dirs
-    px, py, qx, qy = pert_dirs
+    px, py, qx, qy = dirs
     du = np.abs(ux * py - uy * px)
     ds = np.abs(sx * qy - sy * qx)
     good = (du <= epsilon) & (ds <= epsilon)
     n = good.size
     hits = int(np.count_nonzero(good))
     lo, hi = wilson_interval(hits, n)
-    return GoodSetReport(
+    stats = dict(
         g_hat=hits / n,
         ci_lo=lo,
         ci_hi=hi,
-        epsilon=epsilon,
-        samples=n,
-        depth=depth,
         mean_du=float(np.mean(du)),
         max_du=float(np.max(du)),
         mean_ds=float(np.mean(ds)),
         max_ds=float(np.max(ds)),
-        unstable_distances=du,
-        stable_distances=ds,
     )
+    return stats, du
 
 
-def good_set_measure(
-    a_spec: CocycleSpec,
-    b_spec: CocycleSpec,
-    sys: BaseSystem,
-    points: list[BasePoint],
-    epsilon: float,
-    depth: int,
-    threads: int = 1,
-) -> GoodSetReport:
-    """Fraction of shared sample points where both Oseledets directions of
-    b_spec sit within epsilon of a_spec's, with a Wilson 95% interval."""
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon must be positive")
-    base_dirs = _extract_both(a_spec, sys, points, depth, threads)
-    pert_dirs = _extract_both(b_spec, sys, points, depth, threads)
-    return _good_set_from_directions(base_dirs, pert_dirs, epsilon, depth)
+def _directions(a_spec, sys, points, depth, threads):
+    """(ux, uy, sx, sy, ok): both finite-depth directions and where both
+    had a gap."""
+    ux, uy, ok_u = unstable_directions(a_spec, sys, points, depth, threads)
+    sx, sy, ok_s = stable_directions(a_spec, sys, points, depth, threads)
+    return ux, uy, sx, sy, ok_u & ok_s
+
+
+def _good_sets(specs: dict, sys, points, epsilon, depth, threads):
+    """Good-set statistics of every perturbed member (keys other than 0)
+    that has a gap, against the base (key 0), and the unstable
+    displacements of the last of them (None if there is none); raises
+    NoGap if the base has no gap.  The stacked direction arrays are
+    dropped on return."""
+    (*base_dirs, base_ok), *rest = _each_member(
+        _directions, list(specs.values()), sys, points, depth, threads
+    )
+    if not base_ok.all():
+        raise NoGap("conformal window product during direction extraction")
+    stats, last_du = {}, None
+    for k, (*dirs, ok) in zip(list(specs)[1:], rest):
+        if ok.all():
+            stats[k], last_du = _good_set_stats(base_dirs, dirs, epsilon)
+    return stats, last_du
+
+
+def _exponents(a_spec, sys, points, n, threads):
+    ft = finite_time_exponents(a_spec, sys, points, n, threads)
+    return ft.plus, ft.minus
+
+
+def _each_member(fn, specs, *args) -> list[tuple[np.ndarray, ...]]:
+    """fn(spec, *args) for every spec, as a tuple of per-sample arrays.
+
+    The specs that need an orbit walk go through one call on their
+    StackedCocycle and each reads its own row back; constant specs take
+    fn's closed-form path on their own.
+    """
+    walked = [i for i, spec in enumerate(specs) if not spec.is_constant]
+    out: list = [None] * len(specs)
+    if walked:
+        stacked = fn(StackedCocycle(tuple(specs[i] for i in walked)), *args)
+        for row, i in enumerate(walked):
+            out[i] = tuple(x[row] for x in stacked)
+    for i, spec in enumerate(specs):
+        if out[i] is None:
+            out[i] = fn(spec, *args)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,50 +258,59 @@ def continuity_experiment(
     singular additive perturbation are censored to NaN but keep their place
     in the schedule.
     """
+    if epsilon <= 0.0:
+        raise ConfigError("epsilon must be positive")
     max_depth_syms = max(family.base.symbol_depth, family.direction.symbol_depth)
     horizon = 0
     if isinstance(sys, ShiftSystem):
         horizon = max(depth, n_window) + max_depth_syms + 2
     points = sample_points(sys, samples, horizon, seed)
-    base_rep = lyapunov_exponents(
-        family.base, sys, n=n_window, points=points, threads=threads
-    )
-    base_dirs = _extract_both(family.base, sys, points, depth, threads)
-    rows: list[ContinuityRow] = []
-    last_du = None
-    for i, t in enumerate(family.ts):
-        k = i + 1
+    # schedule index k -> perturbed spec, for every regular perturbation
+    live = {}
+    for k, t in enumerate(family.ts, start=1):
         try:
-            spec_k = perturb(family.base, family.direction, t, family.rule, sys)
+            live[k] = perturb(family.base, family.direction, t, family.rule, sys)
         except SingularPerturbation:
+            pass
+    specs = {0: family.base, **live}
+    good, last_du = _good_sets(specs, sys, points, epsilon, depth, threads)
+    walked = [0, *good]
+    exps = dict(
+        zip(
+            walked,
+            _each_member(
+                _exponents, [specs[k] for k in walked], sys, points, n_window,
+                threads,
+            ),
+        )
+    )
+    holder = dict(
+        zip(live, holder_distances(tuple(live.values()), family.base, sys, seed=seed))
+    )
+    rows: list[ContinuityRow] = []
+    for k, t in enumerate(family.ts, start=1):
+        if k not in live:
             rows.append(_censored_row(k, t, np.nan))
             continue
-        hd = holder_distance(spec_k, family.base, sys, seed=seed).norm
-        try:
-            pert_dirs = _extract_both(spec_k, sys, points, depth, threads)
-            gs = _good_set_from_directions(base_dirs, pert_dirs, epsilon, depth)
-            rep_k = lyapunov_exponents(
-                spec_k, sys, n=n_window, points=points, threads=threads
-            )
-        except NoGap:
+        hd = holder[k].norm
+        if k not in good:
             rows.append(_censored_row(k, t, hd))
             continue
+        plus, minus = exps[k]
         rows.append(
             ContinuityRow(
                 k=k, t=t, holder_dist=hd,
-                g_hat=gs.g_hat, ci_lo=gs.ci_lo, ci_hi=gs.ci_hi,
-                lambda_plus=rep_k.lambda_plus,
-                lambda_minus=rep_k.lambda_minus,
-                mean_du=gs.mean_du, max_du=gs.max_du,
-                mean_ds=gs.mean_ds, max_ds=gs.max_ds,
+                lambda_plus=float(np.mean(plus)),
+                lambda_minus=float(np.mean(minus)),
                 censored=False,
+                **good[k],
             )
         )
-        last_du = gs.unstable_distances
+    base_plus, base_minus = exps[0]
     return ContinuityReport(
         rows=tuple(rows),
-        base_lambda_plus=base_rep.lambda_plus,
-        base_lambda_minus=base_rep.lambda_minus,
+        base_lambda_plus=float(np.mean(base_plus)),
+        base_lambda_minus=float(np.mean(base_minus)),
         epsilon=epsilon,
         depth=depth,
         samples=samples,

@@ -1,9 +1,12 @@
 """Batched orbit iteration kernels.
 
 Matrices are carried as four entry arrays of shape (S,), one slot per
-sample, so every step is a handful of fused elementwise operations.  Every
-scan renormalizes at each step and keeps the scale and the |det| apart from
-the matrix, so no product ever overflows, in one of two ways:
+sample, so every step is a handful of fused elementwise operations.  A
+stacked spec (``cocycle.StackedCocycle``) returns (M, S) arrays, one row
+per member, and every scan's state takes the shape of the values it
+absorbs, so one walk of the orbits serves all M members.  Every scan
+renormalizes at each step and keeps the scale and the |det| apart from the
+matrix, so no product ever overflows, in one of two ways:
 
 - the direction scans (``forward_scan``, ``backward_scan``,
   ``forward_record``) divide by the operator norm, because their callers
@@ -33,14 +36,16 @@ from .mat2 import DET_FLOOR
 from .base import (
     BasePoint,
     BaseSystem,
-    ShiftPoint,
+    ShiftDraw,
     ShiftSystem,
-    TorusPoint,
-    TorusSystem,
+    TorusDraw,
 )
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
 BLOCK = 4096
+# a block of a stacked spec (several members per sample) holds at most this
+# many member-samples, so the scans' working arrays stay cache-sized
+STACK_SPAN = 6144
 _LN2 = np.log(2.0)
 
 
@@ -72,22 +77,35 @@ Batch = ShiftBatch | TorusBatch
 
 
 def batch_of(sys: BaseSystem, points: Sequence[BasePoint]) -> Batch:
-    """Pack points into a batch; shift points must share one window length."""
-    if not points:
+    """Pack points into a batch; shift points must share one window length.
+
+    A draw from ``sample_points`` (or a slice of one) is taken as a view of
+    its rows, without touching the points one by one."""
+    if not len(points):
         raise ConfigError("cannot build an empty batch")
     if isinstance(sys, ShiftSystem):
-        if not all(isinstance(p, ShiftPoint) for p in points):
-            raise ConfigError("shift system needs shift points")
-        horizons = {p.horizon for p in points}
-        if len(horizons) != 1:
-            raise ConfigError("batched shift points must share a window length")
-        windows = np.stack([p.window for p in points])
-        windows.setflags(write=False)
-        offsets = np.array([p.offset for p in points], dtype=np.int64)
-        return ShiftBatch(windows=windows, offsets=offsets, horizon=horizons.pop())
-    if not all(isinstance(p, TorusPoint) for p in points):
-        raise ConfigError("torus system needs torus points")
-    coords = np.array([[p.u, p.v] for p in points], dtype=float)
+        if isinstance(points, ShiftDraw):
+            windows = points.windows
+            offsets = np.zeros(len(points), dtype=np.int64)
+        else:
+            try:
+                windows = np.stack([p.window for p in points])
+                offsets = np.array([p.offset for p in points], dtype=np.int64)
+            except AttributeError as err:
+                raise ConfigError("shift system needs shift points") from err
+            except ValueError as err:
+                raise ConfigError(
+                    "batched shift points must share a window length"
+                ) from err
+            windows.setflags(write=False)
+        horizon = (windows.shape[1] - 1) // 2
+        return ShiftBatch(windows=windows, offsets=offsets, horizon=horizon)
+    if isinstance(points, TorusDraw):
+        return TorusBatch(coords=points.coords.copy())
+    try:
+        coords = np.array([[p.u, p.v] for p in points], dtype=float)
+    except AttributeError as err:
+        raise ConfigError("torus system needs torus points") from err
     return TorusBatch(coords=coords)
 
 
@@ -216,11 +234,12 @@ def _identity_state(size: int) -> ScanState:
 
 def _renormalize(st: ScanState, a, b, c, d, abs_det) -> None:
     """st <- the new product [[a, b], [c, d]], renormalized; abs_det is the
-    |det| of the step it absorbed."""
+    |det| of the step it absorbed.  The state takes the shape of the
+    product, so a stacked spec's (M, S) values widen an (S,) start."""
     nrm = mat2.opnorm_batch(a, b, c, d)
     st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
-    st.log_scale += np.log(nrm)
-    st.logdet += np.log(abs_det)
+    st.log_scale = st.log_scale + np.log(nrm)
+    st.logdet = st.logdet + np.log(abs_det)
 
 
 def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
@@ -228,14 +247,14 @@ def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
     ``paths`` = (ls_path, ldet_path) row j records the state after step j.
     The singularity check runs once, after the walk."""
     st = _identity_state(batch.size)
-    low_det = np.full(batch.size, np.inf)
+    low_det = np.inf
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
         values = _orbit_values(spec, sys, batch, n, backward)
         for j, (va, vb, vc, vd) in enumerate(values):
             abs_det = np.abs(va * vd - vb * vc)
-            np.fmin(low_det, abs_det, out=low_det)
+            low_det = np.fmin(low_det, abs_det)
             if backward:
                 prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
             else:
@@ -285,15 +304,18 @@ def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
 
 
 def _radix_scale(a, b, c, d, exps):
-    """Divide [[a, b], [c, d]] by the smallest power of two above its
-    largest absolute entry and add that power's exponent to ``exps`` in
-    place.  Scaling by the floating-point radix is exact (short of
-    underflow), so no rounding enters."""
-    big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    """Divide the fresh product [[a, b], [c, d]], in place, by the smallest
+    power of two above its largest absolute entry; returns ``exps`` plus
+    that power's exponent.  Scaling by the floating-point radix is exact
+    (short of underflow), so no rounding enters."""
+    big = np.abs(a)
+    for x in (b, c, d):
+        np.maximum(big, np.abs(x), out=big)
     k = np.frexp(big)[1]
-    exps += k
-    k = -k
-    return np.ldexp(a, k), np.ldexp(b, k), np.ldexp(c, k), np.ldexp(d, k)
+    down = -k
+    for x in (a, b, c, d):
+        np.ldexp(x, down, out=x)
+    return exps + k
 
 
 def _unit_form(a, b, c, d, exps):
@@ -315,7 +337,8 @@ def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     against ``logdet`` is a genuine cross-check.
 
     The batch is left positioned at f^{n-1} of its starting points (or
-    untouched when n = 0).
+    untouched when n = 0).  As in the direction scans, the state takes the
+    shape of the values absorbed.
     """
     if n < 0:
         raise ConfigError("exponent_scan needs n >= 0")
@@ -323,27 +346,22 @@ def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
     ia, ib, ic, id_ = a, b, c, d
     det = np.ones(size)
-    exps = np.zeros(size, dtype=np.int64)
-    inv_exps = np.zeros(size, dtype=np.int64)
-    det_exps = np.zeros(size, dtype=np.int64)
-    low_det = np.full(size, np.inf)
+    exps = inv_exps = det_exps = np.zeros(size, dtype=np.int64)
+    low_det = np.inf
     # as in _direction_scan, a singular step raises after the walk instead
     with np.errstate(divide="ignore", invalid="ignore"):
         for va, vb, vc, vd in _orbit_values(spec, sys, batch, n, backward=False):
             sdet = va * vd - vb * vc
-            np.fmin(low_det, np.abs(sdet), out=low_det)
-            a, b, c, d = _radix_scale(
-                *mat2.matmul_batch(va, vb, vc, vd, a, b, c, d), exps
-            )
+            low_det = np.fmin(low_det, np.abs(sdet))
+            a, b, c, d = mat2.matmul_batch(va, vb, vc, vd, a, b, c, d)
+            exps = _radix_scale(a, b, c, d, exps)
             sa, sb, sc, sd = mat2.adjugate_batch(va, vb, vc, vd)
-            ia, ib, ic, id_ = _radix_scale(
-                *mat2.matmul_batch(
-                    ia, ib, ic, id_, sa / sdet, sb / sdet, sc / sdet, sd / sdet
-                ),
-                inv_exps,
+            ia, ib, ic, id_ = mat2.matmul_batch(
+                ia, ib, ic, id_, sa / sdet, sb / sdet, sc / sdet, sd / sdet
             )
+            inv_exps = _radix_scale(ia, ib, ic, id_, inv_exps)
             det, k = np.frexp(det * sdet)
-            det_exps += k
+            det_exps = det_exps + k
     _require_regular(low_det)
     a, b, c, d, log_scale = _unit_form(a, b, c, d, exps)
     ia, ib, ic, id_, inv_log_scale = _unit_form(ia, ib, ic, id_, inv_exps)
@@ -370,17 +388,21 @@ def block_map(
     fn: Callable[[int, int], tuple[np.ndarray, ...]],
     count: int,
     threads: int = 1,
+    rows: int = 1,
 ) -> tuple[np.ndarray, ...]:
-    """Apply fn(start, stop) over fixed BLOCK-wide index blocks and
-    concatenate the results positionally.
+    """Apply fn(start, stop) over fixed index blocks and concatenate the
+    results positionally along their last axis.
 
-    The block layout never depends on the thread count, and results are
-    reassembled in index order, so outputs are identical for any value of
-    ``threads``.
+    Blocks are BLOCK wide, or narrower when each sample carries ``rows``
+    members of a stacked spec: at most STACK_SPAN member-samples per
+    block.  The block layout never depends on the thread count, and
+    results are reassembled in index order, so outputs are identical for
+    any value of ``threads``.
     """
     if count < 1:
         raise ConfigError("block_map needs count >= 1")
-    bounds = [(s, min(s + BLOCK, count)) for s in range(0, count, BLOCK)]
+    width = max(1, min(BLOCK, STACK_SPAN // rows))
+    bounds = [(s, min(s + width, count)) for s in range(0, count, width)]
     if threads <= 1 or len(bounds) == 1:
         parts = [fn(s, e) for s, e in bounds]
     else:

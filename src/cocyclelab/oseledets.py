@@ -129,7 +129,8 @@ def unstable_directions(
 
     Returns (vx, vy, ok) with unit direction components and a boolean mask;
     entries with ok False had a conformal window product and carry no
-    meaningful direction.
+    meaningful direction.  A StackedCocycle gives (M, S) arrays, row m for
+    its m-th member.
     """
     if depth < 1:
         raise ConfigError("depth must be >= 1")
@@ -144,7 +145,9 @@ def unstable_directions(
         vx, vy = _left_directions(st)
         return vx, vy, _conformality_ok(st)
 
-    vx, vy, ok = engine.block_map(job, len(points), threads)
+    vx, vy, ok = engine.block_map(
+        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
+    )
     return vx, vy, ok.astype(bool)
 
 
@@ -173,7 +176,9 @@ def stable_directions(
         # rotate the top right-singular direction by 90 degrees: exact in 2d
         return _normalize_pairs(-ry, rx) + (_conformality_ok(st),)
 
-    vx, vy, ok = engine.block_map(job, len(points), threads)
+    vx, vy, ok = engine.block_map(
+        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
+    )
     return vx, vy, ok.astype(bool)
 
 
@@ -249,6 +254,7 @@ def equivariance_residuals(
         extract = stable_directions
     else:
         raise ConfigError("side must be 'unstable' or 'stable'")
+    points = list(points)  # walked twice below; a draw builds points on access
     shifted = [apply_f(sys, p, 1) for p in points]
     vx, vy, ok = extract(a_spec, sys, points, depth, threads)
     wx, wy, ok2 = extract(a_spec, sys, shifted, depth, threads)

@@ -74,7 +74,8 @@ def finite_time_exponents(
     n: int,
     threads: int = 1,
 ) -> FiniteTimeExponents:
-    """Finite-time exponents at each point over the forward window [0, n)."""
+    """Finite-time exponents at each point over the forward window [0, n);
+    a StackedCocycle gives (M, S) arrays, row m for its m-th member."""
     if n < 1:
         raise ConfigError("window length n must be >= 1")
     count = len(points)
@@ -93,7 +94,9 @@ def finite_time_exponents(
         st = engine.exponent_scan(a_spec, sys, batch, n)
         return st.log_scale / n, -st.inv_log_scale / n, st.logdet / n
 
-    plus, minus, rate = engine.block_map(job, count, threads)
+    plus, minus, rate = engine.block_map(
+        job, count, threads, rows=getattr(a_spec, "rows", 1)
+    )
     # sigma1 >= sigma2 makes plus >= minus automatic; enforce against ties
     lo = np.minimum(plus, minus)
     hi = np.maximum(plus, minus)

@@ -5,17 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cocyclelab import base
 from cocyclelab.base import (
     BernoulliMeasure,
     LebesgueMeasure,
     MarkovMeasure,
+    ShiftDraw,
     ShiftPoint,
     ShiftSystem,
+    TorusDraw,
     TorusPoint,
     TorusSystem,
     apply_f,
     base_distance,
     sample_points,
+    substream,
 )
 from cocyclelab.errors import ConfigError, HorizonExceeded
 
@@ -232,3 +236,77 @@ class TestSampling:
         assert np.all(coords >= 0.0) and np.all(coords < 1.0)
         assert np.mean(coords[:, 0]) == pytest.approx(0.5, abs=0.025)
         assert np.mean(coords[:, 1]) == pytest.approx(0.5, abs=0.025)
+
+
+def one_shot_windows(sys, count, horizon, seed):
+    """Windows by the one-shot route: the whole draw as float64 uniforms,
+    then every symbol at once."""
+    length = 2 * horizon + 1
+    uniforms = np.empty((count, length))
+    for i in range(count):
+        uniforms[i] = np.random.default_rng(substream(seed, i)).random(length)
+    measure = sys.measure
+    if isinstance(measure, BernoulliMeasure):
+        symbols = np.searchsorted(measure.cumulative, uniforms.ravel(), side="right")
+        return symbols.reshape(count, length).astype(np.int16)
+    cum_rows = np.cumsum(np.asarray(measure.matrix), axis=1)
+    cum_pi = np.cumsum(np.asarray(measure.stationary))
+    windows = np.empty((count, length), dtype=np.int16)
+    state = (cum_pi[None, :] <= uniforms[:, :1]).sum(axis=1)
+    windows[:, 0] = state
+    for t in range(1, length):
+        state = (cum_rows[state] <= uniforms[:, t : t + 1]).sum(axis=1)
+        windows[:, t] = state
+    return windows
+
+
+MEASURES = {
+    "bernoulli": BernoulliMeasure(weights=(0.2, 0.5, 0.3)),
+    "markov": MarkovMeasure(
+        matrix=((0.5, 0.3, 0.2), (0.1, 0.8, 0.1), (0.3, 0.3, 0.4))
+    ),
+}
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize("kind", sorted(MEASURES))
+    @pytest.mark.parametrize("chunk_rows", [3, 256, None])
+    def test_windows_match_one_shot_route(self, monkeypatch, kind, chunk_rows):
+        sys = ShiftSystem(alphabet_size=3, measure=MEASURES[kind])
+        count, horizon = (10, 7) if chunk_rows == 3 else (700, 20)
+        if chunk_rows is not None:
+            # chunks of exactly chunk_rows rows, the last one partial
+            monkeypatch.setattr(base, "_MIN_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(base, "_CHUNK_ENTRIES", 1)
+        else:
+            # the shipped sizes: a 1307-row chunk, then a partial one
+            count, horizon = 2000, 200
+        draw = sample_points(sys, count, horizon, seed=5)
+        assert draw.windows.dtype == np.int16 and not draw.windows.flags.writeable
+        assert np.array_equal(draw.windows, one_shot_windows(sys, count, horizon, 5))
+
+
+class TestDraws:
+    def test_shift_draw_points_and_slices(self, shift2):
+        draw = sample_points(shift2, 6, 4, seed=2)
+        assert isinstance(draw, ShiftDraw) and len(draw) == 6
+        p = draw[4]
+        assert p.offset == 0 and p.horizon == 4
+        assert np.shares_memory(p.window, draw.windows)
+        part = draw[1:5]
+        assert isinstance(part, ShiftDraw) and len(part) == 4
+        assert np.array_equal(part[0].window, draw[1].window)
+        assert [q.window.size for q in draw] == [9] * 6
+
+    def test_torus_draw_points_and_slices(self, cat):
+        draw = sample_points(cat, 6, 0, seed=2)
+        assert isinstance(draw, TorusDraw) and len(draw) == 6
+        assert (draw[3].u, draw[3].v) == tuple(draw.coords[3])
+        assert (draw[2:4][1].u, draw[2:4][1].v) == (draw[3].u, draw[3].v)
+        assert not draw.coords.flags.writeable
+
+    def test_vectorized_torus_metric_matches_points(self, cat):
+        rng = np.random.default_rng(8)
+        xs, ys = rng.random((50, 2)), rng.random((50, 2))
+        for x, y, d in zip(xs, ys, base.torus_distances(xs, ys)):
+            assert base_distance(cat, TorusPoint(*x), TorusPoint(*y)) == d

@@ -12,25 +12,31 @@ from cocyclelab.base import (
     ShiftSystem,
     TorusPoint,
     apply_f,
+    base_distance,
     sample_points,
 )
 from cocyclelab.cocycle import (
     BunchingReport,
     ConstantCocycle,
+    ConstantFactor,
     DiagonalFactor,
     LocallyConstantCocycle,
     PerturbedCocycle,
     PointwiseCocycle,
     PointwiseEntriesField,
     RotationFactor,
+    StackedCocycle,
     TrigExpr,
+    _table_holder,
     bunching_check,
     evaluate,
     holder_distance,
+    holder_distances,
     holder_norm,
     product,
     product_renormalized,
 )
+from cocyclelab.config import build_cocycle, load_config
 from cocyclelab.errors import ConfigError, SingularValueError
 
 DIAG2 = np.diag([2.0, 0.5])
@@ -334,6 +340,155 @@ class TestHolderNorm:
         b = ConstantCocycle(matrix=DIAG2)
         rep = holder_distance(a, b, shift2)
         assert rep.exact and rep.norm == 0.0
+
+
+def loop_table_holder(tab, a, depth, lambda0, r):
+    """The quotient by the word-pair loop, one 2x2 norm per pair."""
+    words = np.array(np.unravel_index(np.arange(tab.shape[0]), (a,) * depth)).T
+    quot = 0.0
+    for i in range(tab.shape[0]):
+        for j in range(i + 1, tab.shape[0]):
+            k = int(np.nonzero(words[i] != words[j])[0][0])
+            quot = max(quot, mat2.opnorm(tab[i] - tab[j]) / lambda0 ** (k * r))
+    return quot
+
+
+def per_point_sampled_holder(spec, sys, r, pair_samples, seed):
+    """The sampled sup-norm and quotient, one TorusPoint and one
+    base_distance per pair."""
+    pts = sample_points(sys, 2 * pair_samples, 0, seed)
+    xs = [pts[i] for i in range(pair_samples)]
+    ys = [pts[i] for i in range(pair_samples, 2 * pair_samples)]
+
+    def values(points):
+        return spec.values_at_coords(np.array([[p.u, p.v] for p in points]))
+
+    vx, vy = values(xs), values(ys)
+    sup = float(max(np.max(mat2.opnorm_batch(*vx)), np.max(mat2.opnorm_batch(*vy))))
+    dists = np.array([base_distance(sys, x, y) for x, y in zip(xs, ys)])
+    norms = mat2.opnorm_batch(*(x - y for x, y in zip(vx, vy)))
+    ok = dists > 0
+    quot = float(np.max(norms[ok] / dists[ok] ** r))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(999,)))
+    for scale in 10.0 ** np.arange(-1, -7, -1):
+        angles = rng.random(len(xs)) * 2.0 * np.pi
+        near = [
+            TorusPoint(p.u + scale * np.cos(t), p.v + scale * np.sin(t))
+            for p, t in zip(xs, angles)
+        ]
+        vn = values(near)
+        nd = np.array([base_distance(sys, p, q) for p, q in zip(xs, near)])
+        nn = mat2.opnorm_batch(*(x - y for x, y in zip(vx, vn)))
+        ok = nd > 0
+        quot = max(quot, float(np.max(nn[ok] / nd[ok] ** r)))
+    return sup, quot
+
+
+def torus_base():
+    return PointwiseCocycle(
+        factors=(
+            RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
+            ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
+        ),
+        r=0.8,
+    )
+
+
+def torus_direction():
+    return PointwiseEntriesField(
+        e00=TrigExpr(), e01=TrigExpr(const=-1.0, sin_u=0.2),
+        e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(cos_v=0.3),
+    )
+
+
+class TestHolderRoutes:
+    """The vectorized Holder routes against per-pair and per-point ones."""
+
+    def test_table_quotient_matches_pair_loop(self):
+        rng = np.random.default_rng(4)
+        tab = rng.normal(size=(27, 2, 2))
+        for lambda0, r in ((0.5, 1.0), (0.37, 0.6)):
+            _, quot = _table_holder(tab, 3, 3, lambda0, r)
+            assert quot == loop_table_holder(tab, 3, 3, lambda0, r)
+
+    def test_table_quotient_on_shipped_table(self):
+        cfg = load_config("configs/shift_gapped.yaml")
+        spec = build_cocycle(cfg)
+        lambda0 = cfg.data["base"]["lambda0"]
+        _, quot = _table_holder(spec.table, 2, 1, lambda0, spec.r)
+        assert quot == loop_table_holder(spec.table, 2, 1, lambda0, spec.r)
+        assert quot > 0.0
+
+    def test_sampled_norm_matches_per_point_route(self, cat):
+        spec = torus_base()
+        rep = holder_norm(spec, cat, pair_samples=300, seed=5)
+        sup, quot = per_point_sampled_holder(spec, cat, spec.r, 300, 5)
+        assert (rep.sup_norm, rep.holder_constant) == (sup, quot)
+
+    @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
+    def test_sampled_distances_match_per_point_route(self, cat, rule):
+        base, field = torus_base(), torus_direction()
+        specs = [
+            PerturbedCocycle(base=base, direction=field, t=t, rule=rule)
+            for t in (0.5, 0.125)
+        ] + [ConstantCocycle(matrix=DIAG2)]
+        reps = holder_distances(specs, base, cat, pair_samples=300, seed=6)
+        for spec, rep in zip(specs, reps):
+            diff = PerturbedCocycle(base=spec, direction=base, t=-1.0, rule="additive")
+            sup, quot = per_point_sampled_holder(diff, cat, spec.r, 300, 6)
+            assert (rep.sup_norm, rep.holder_constant) == (sup, quot)
+            alone = holder_distance(spec, base, cat, pair_samples=300, seed=6)
+            assert alone == rep
+
+    def test_shift_spec_without_table_rejected(self, shift2):
+        # a table over another alphabet has no exact norm on this shift
+        spec = LocallyConstantCocycle(table=np.array([DIAG2, DIAG2, np.eye(2)]))
+        with pytest.raises(ConfigError):
+            holder_norm(spec, shift2)
+
+
+class TestStacked:
+    """Row m of a stacked hook is bitwise member m's own hook output."""
+
+    def test_table_rows(self, shift2):
+        base = two_table(DIAG2, mat2.rotation(0.3) @ DIAG2)
+        deep = LocallyConstantCocycle(
+            table=np.array([mat2.rotation(0.1 * k) @ DIAG2 for k in range(4)]),
+            depth=2, alphabet_size=2,
+        )
+        stacked = StackedCocycle((base, deep, base))
+        assert stacked.symbol_depth == 2 and stacked.rows == 3
+        block = sample_points(shift2, 50, 3, seed=1).windows[:, 3:5]
+        rows = stacked.values_at_symbols(block)
+        for m, member in enumerate((base, deep, base)):
+            own = member.values_at_symbols(block[:, : member.depth])
+            for got, want in zip(rows, own):
+                assert np.array_equal(got[m], want)
+
+    @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
+    @pytest.mark.parametrize("with_base", [True, False])
+    def test_perturbation_rows(self, cat, rule, with_base):
+        base, field = torus_base(), torus_direction()
+        members = [
+            PerturbedCocycle(base=base, direction=field, t=t, rule=rule)
+            for t in (0.5, 0.25, 2.0 ** -10)
+        ]
+        if with_base:
+            members = [base, *members]
+        coords = sample_points(cat, 300, 0, seed=2).coords
+        rows = StackedCocycle(tuple(members)).values_at_coords(coords)
+        for m, member in enumerate(members):
+            for got, want in zip(rows, member.values_at_coords(coords)):
+                assert np.array_equal(got[m], want)
+
+    def test_mixed_members_rejected(self):
+        base, field = torus_base(), torus_direction()
+        other = PerturbedCocycle(base=torus_base(), direction=field, t=0.5, rule="additive")
+        mine = PerturbedCocycle(base=base, direction=field, t=0.5, rule="additive")
+        with pytest.raises(ConfigError):
+            StackedCocycle((base, mine, other))
+        with pytest.raises(ConfigError):
+            StackedCocycle(())
 
 
 class TestBunching:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import mat2
-from cocyclelab.base import sample_points
+from cocyclelab import engine, mat2
+from cocyclelab.base import ShiftSystem, sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
+    DiagonalFactor,
     LocallyConstantCocycle,
     PerturbedCocycle,
     PointwiseCocycle,
@@ -17,15 +18,17 @@ from cocyclelab.cocycle import (
     RotationFactor,
     TrigExpr,
     evaluate,
+    holder_distance,
 )
 from cocyclelab.continuity import (
     PerturbationFamily,
     continuity_experiment,
-    good_set_measure,
     perturb,
     wilson_interval,
 )
 from cocyclelab.errors import ConfigError, SingularPerturbation
+from cocyclelab.oseledets import stable_directions, unstable_directions
+from cocyclelab.spectrum import lyapunov_exponents
 
 DIAG2 = np.diag([2.0, 0.5])
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -134,31 +137,49 @@ class TestWilson:
 
 class TestGoodSet:
     def test_identical_specs_all_good(self, shift2):
-        spec = gapped_spec()
-        pts = sample_points(shift2, 200, 64, seed=1)
-        rep = good_set_measure(spec, spec, shift2, pts, epsilon=0.1, depth=40)
-        assert rep.g_hat == 1.0
-        assert rep.max_du == 0.0 and rep.max_ds == 0.0
-        assert rep.ci_lo == pytest.approx(0.9811546736227335, abs=1e-12)
-        assert rep.ci_hi == 1.0
+        # a zero direction perturbs nothing: every member is the base table
+        fam = PerturbationFamily(
+            base=gapped_spec(),
+            direction=constant_direction(np.zeros((2, 2))),
+            ts=(0.5, 0.25),
+        )
+        rep = continuity_experiment(
+            fam, shift2, epsilon=0.1, samples=200, depth=40, n_window=40, seed=1
+        )
+        for row in rep.rows:
+            assert row.g_hat == 1.0
+            assert row.max_du == 0.0 and row.max_ds == 0.0
+            assert row.ci_lo == pytest.approx(0.9811546736227335, abs=1e-12)
+            assert row.ci_hi == 1.0
         assert rep.samples == 200
 
     def test_far_specs_all_bad(self, shift2):
         spec = gapped_spec()
-        # swapping the expanding and contracting axes moves both
-        # directions by about a quarter turn everywhere
+        # at t = 1 the additive member is the table turned by a quarter
+        # turn, which swaps the expanding and contracting axes and moves
+        # both directions by about a quarter turn everywhere
         rot = mat2.rotation(np.pi / 2.0)
-        far = LocallyConstantCocycle(table=np.array([rot @ m for m in spec.table]))
-        pts = sample_points(shift2, 100, 64, seed=2)
-        rep = good_set_measure(spec, far, shift2, pts, epsilon=0.1, depth=40)
-        assert rep.g_hat < 0.2
-        assert rep.max_du > 0.5
+        direction = LocallyConstantCocycle(
+            table=np.array([rot @ m - m for m in spec.table]), invertible=False
+        )
+        fam = PerturbationFamily(
+            base=spec, direction=direction, rule="additive", ts=(1.0,)
+        )
+        rep = continuity_experiment(
+            fam, shift2, epsilon=0.1, samples=100, depth=40, n_window=40, seed=2
+        )
+        assert rep.rows[0].g_hat < 0.2
+        assert rep.rows[0].max_du > 0.5
 
     def test_epsilon_validation(self, shift2):
-        spec = gapped_spec()
-        pts = sample_points(shift2, 10, 64, seed=0)
-        with pytest.raises(ConfigError):
-            good_set_measure(spec, spec, shift2, pts, epsilon=0.0, depth=40)
+        fam = PerturbationFamily.dyadic(
+            gapped_spec(), constant_direction(SPIN), count=1
+        )
+        for epsilon in (0.0, -0.1):
+            with pytest.raises(ConfigError):
+                continuity_experiment(
+                    fam, shift2, epsilon=epsilon, samples=10, depth=20, n_window=20
+                )
 
 
 class TestExperiment:
@@ -264,3 +285,167 @@ class TestExperiment:
             == continuity_experiment(fam, shift2, **kw).rows
         )
 
+
+
+# ---------------------------------------------------------------------------
+# the family walk against one call per member
+
+
+def per_member_rows(fam, sys, epsilon, samples, depth, n_window, seed):
+    """Each row of the experiment from separate per-member calls on the
+    same draw: None for a singular perturbation, the Holder distance alone
+    for a row without a gap, else the row's reported numbers."""
+    horizon = 0
+    if isinstance(sys, ShiftSystem):
+        depth_syms = max(fam.base.symbol_depth, fam.direction.symbol_depth)
+        horizon = max(depth, n_window) + depth_syms + 2
+    points = sample_points(sys, samples, horizon, seed)
+    ux, uy, _ = unstable_directions(fam.base, sys, points, depth)
+    sx, sy, _ = stable_directions(fam.base, sys, points, depth)
+    out = []
+    for t in fam.ts:
+        try:
+            spec = perturb(fam.base, fam.direction, t, fam.rule, sys)
+        except SingularPerturbation:
+            out.append(None)
+            continue
+        hd = holder_distance(spec, fam.base, sys, seed=seed).norm
+        px, py, ok_u = unstable_directions(spec, sys, points, depth)
+        qx, qy, ok_s = stable_directions(spec, sys, points, depth)
+        if not (ok_u.all() and ok_s.all()):
+            out.append(hd)
+            continue
+        rep = lyapunov_exponents(spec, sys, n=n_window, points=points)
+        du = np.abs(ux * py - uy * px)
+        ds = np.abs(sx * qy - sy * qx)
+        hits = int(np.count_nonzero((du <= epsilon) & (ds <= epsilon)))
+        lo, hi = wilson_interval(hits, samples)
+        out.append(
+            dict(
+                holder_dist=hd, g_hat=hits / samples, ci_lo=lo, ci_hi=hi,
+                lambda_plus=rep.lambda_plus, lambda_minus=rep.lambda_minus,
+                mean_du=float(np.mean(du)), max_du=float(np.max(du)),
+                mean_ds=float(np.mean(ds)), max_ds=float(np.max(ds)),
+            )
+        )
+    return out
+
+
+def assert_rows_match(rep, want):
+    assert len(rep.rows) == len(want)
+    for row, w in zip(rep.rows, want):
+        if w is None:
+            assert row.censored and np.isnan(row.holder_dist)
+        elif isinstance(w, float):
+            assert row.censored and row.holder_dist == w
+            assert np.isnan(row.g_hat) and np.isnan(row.lambda_plus)
+        else:
+            assert not row.censored
+            for name, value in w.items():
+                assert getattr(row, name) == value, name
+
+
+def shift_family():
+    # additive along B = (R(0.3) - A0, -A1 / 2): at t = 2 the second
+    # matrix is exactly zero (a singular row), at t = 1 the first is the
+    # rotation R(0.3), so points whose window repeats symbol 0 have
+    # conformal products (a row without a gap)
+    base = gapped_spec()
+    a0, a1 = base.table
+    direction = LocallyConstantCocycle(
+        table=np.array([mat2.rotation(0.3) - a0, -0.5 * a1]), invertible=False
+    )
+    return PerturbationFamily(
+        base=base, direction=direction, rule="additive",
+        ts=(0.5, 2.0, 1.0, 0.25, 0.125),
+    )
+
+
+def log_diagonal_base():
+    c = np.log(1.5)
+    return PointwiseCocycle(
+        factors=(
+            DiagonalFactor(
+                log_d1=TrigExpr(const=c, sin_u=0.1),
+                log_d2=TrigExpr(const=-c, sin_u=-0.1),
+            ),
+        )
+    )
+
+
+def torus_gapless_family():
+    # multiplicative: at t = 1/4, expm(t B) undoes the diagonal's log
+    # entries exactly (the scalings by 4 are powers of two), so every
+    # window product is conformal and that row has no gap
+    c = np.log(1.5)
+    direction = PointwiseEntriesField(
+        e00=TrigExpr(const=-4.0 * c, sin_u=-0.4), e01=TrigExpr(),
+        e10=TrigExpr(), e11=TrigExpr(const=4.0 * c, sin_u=0.4),
+    )
+    return PerturbationFamily(
+        base=log_diagonal_base(), direction=direction, ts=(0.5, 0.25, 0.125)
+    )
+
+
+def torus_singular_family():
+    # as in test_torus_singular_perturbation_row_censored: t = 1 is
+    # singular at u = 0, a point of the invertibility grid
+    base = PointwiseCocycle(
+        factors=(
+            RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
+            ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
+        )
+    )
+    return PerturbationFamily(
+        base=base,
+        direction=constant_direction(np.diag([-1.5, 0.0])),
+        rule="additive",
+        ts=(0.5, 1.0, 0.25),
+    )
+
+
+class TestFamilyWalk:
+    """Every row of the family walk equals, bitwise, the per-member calls
+    on the same draw, for any block width and thread count."""
+
+    KW = dict(epsilon=0.1, samples=2500, depth=6, n_window=40, seed=3)
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shift_table_family(self, shift2, monkeypatch, block, threads):
+        monkeypatch.setattr(engine, "BLOCK", block)
+        fam = shift_family()
+        want = per_member_rows(fam, shift2, **self.KW)
+        assert want[1] is None and isinstance(want[2], float)
+        rep = continuity_experiment(fam, shift2, threads=threads, **self.KW)
+        assert_rows_match(rep, want)
+        assert rep.last_unstable_distances.size == self.KW["samples"]
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_torus_family_without_gap_row(self, cat, monkeypatch, block, threads):
+        monkeypatch.setattr(engine, "BLOCK", block)
+        fam = torus_gapless_family()
+        want = per_member_rows(fam, cat, **self.KW)
+        assert isinstance(want[1], float) and isinstance(want[2], dict)
+        rep = continuity_experiment(fam, cat, threads=threads, **self.KW)
+        assert_rows_match(rep, want)
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    def test_torus_family_with_singular_row(self, cat, monkeypatch, block):
+        monkeypatch.setattr(engine, "BLOCK", block)
+        fam = torus_singular_family()
+        want = per_member_rows(fam, cat, **self.KW)
+        assert want[1] is None and isinstance(want[2], dict)
+        rep = continuity_experiment(fam, cat, **self.KW)
+        assert_rows_match(rep, want)
+
+    def test_base_exponents_match_a_lone_call(self, cat):
+        fam = torus_gapless_family()
+        rep = continuity_experiment(fam, cat, **self.KW)
+        points = sample_points(cat, self.KW["samples"], 0, self.KW["seed"])
+        alone = lyapunov_exponents(
+            fam.base, cat, n=self.KW["n_window"], points=points
+        )
+        assert rep.base_lambda_plus == alone.lambda_plus
+        assert rep.base_lambda_minus == alone.lambda_minus

@@ -48,6 +48,46 @@ class TestBatches:
         with pytest.raises(ConfigError):
             engine.batch_of(shift2, [a, b])
 
+    def test_mixed_point_types_rejected(self, shift2, cat):
+        spts = sample_points(shift2, 3, 4, seed=1)
+        tpts = sample_points(cat, 3, 0, seed=1)
+        for sys_, pts in ((shift2, tpts), (cat, spts)):
+            with pytest.raises(ConfigError):
+                engine.batch_of(sys_, pts)
+            with pytest.raises(ConfigError):
+                engine.batch_of(sys_, [pts[0], pts[1]])
+        with pytest.raises(ConfigError):
+            engine.batch_of(shift2, [spts[0], tpts[0]])
+        with pytest.raises(ConfigError):
+            engine.batch_of(cat, [tpts[0], spts[0]])
+
+    def test_draw_batch_is_a_view(self, shift2, cat):
+        draw = sample_points(shift2, 10, 6, seed=3)
+        batch = engine.batch_of(shift2, draw[2:7])
+        assert np.shares_memory(batch.windows, draw.windows)
+        assert batch.horizon == 6 and np.all(batch.offsets == 0)
+        listed = engine.batch_of(shift2, [draw[i] for i in range(2, 7)])
+        assert np.array_equal(batch.windows, listed.windows)
+        tdraw = sample_points(cat, 10, 0, seed=3)
+        tbatch = engine.batch_of(cat, tdraw[2:7])
+        assert np.array_equal(tbatch.coords, tdraw.coords[2:7])
+        engine.step(cat, tbatch, 1)
+        assert np.array_equal(tdraw.coords, sample_points(cat, 10, 0, seed=3).coords)
+
+    def test_stacked_blocks_are_narrower(self):
+        # with 13 members per sample a block holds STACK_SPAN // 13 samples
+        seen = []
+
+        def fn(start, stop):
+            seen.append((start, stop))
+            return (np.arange(start, stop),)
+
+        (out,) = engine.block_map(fn, 2000, rows=13)
+        width = engine.STACK_SPAN // 13
+        assert width < engine.BLOCK
+        assert seen[:2] == [(0, width), (width, 2 * width)]
+        assert np.array_equal(out, np.arange(2000))
+
     def test_step_matches_apply_f(self, shift2, cat):
         pts = sample_points(shift2, 4, 6, seed=2)
         batch = engine.batch_of(shift2, pts)
