@@ -432,7 +432,6 @@ def sample_points(
     """Draw ``count`` points of the invariant measure; shift points get a
     symbol window of half-width ``horizon``.  Point i comes from its own
     substream(seed, i), so it does not depend on ``count``."""
-    seqs = [substream(seed, i) for i in range(count)]
     if isinstance(sys, TorusSystem):
         # Draw on the dyadic lattice 2**-26 Z^2 / Z^2 instead of raw floats.
         # Integer-matrix steps keep lattice points on the lattice with every
@@ -441,8 +440,9 @@ def sample_points(
         # would pick up a rounding eps per step that hyperbolicity amplifies
         # by lambda^k across a backward/forward round trip.
         ints = np.empty((count, 2), dtype=np.int64)
-        for i, sq in enumerate(seqs):
-            ints[i] = np.random.default_rng(sq).integers(0, _LATTICE_DENOM, size=2)
+        for i in range(count):
+            rng = np.random.default_rng(substream(seed, i))
+            ints[i] = rng.integers(0, _LATTICE_DENOM, size=2)
         coords = ints / _LATTICE_DENOM
         coords.setflags(write=False)
         return TorusDraw(coords)
@@ -461,7 +461,7 @@ def sample_points(
         hi = min(lo + rows, count)
         uniforms = np.empty((hi - lo, length), dtype=float)
         for i in range(lo, hi):
-            uniforms[i - lo] = np.random.default_rng(seqs[i]).random(length)
+            uniforms[i - lo] = np.random.default_rng(substream(seed, i)).random(length)
         out = windows[lo:hi]
         if isinstance(measure, BernoulliMeasure):
             out[:] = np.searchsorted(cum, uniforms, side="right")

@@ -709,13 +709,10 @@ def holder_distances(
     bitwise as if computed alone.
 
     Symbol tables are compared exactly.  The sampled route draws its pairs
-    and near-point rings once and evaluates B there once; a spec that
-    perturbs B (a PerturbedCocycle with base B) also shares its direction's
-    values, so only the t-dependent composition is formed per spec.
+    and near-point rings once and evaluates B there once.
     """
     table_b = _as_table(b_spec, sys)
     sample = None
-    direction_vals = {}
     out = []
     for a_spec in specs:
         table_a = _as_table(a_spec, sys) if table_b is not None else None
@@ -730,22 +727,12 @@ def holder_distances(
         if sample is None:
             sample = _HolderSample.draw(sys, pair_samples, seed)
             b_vals = b_spec.values_at_coords(sample.coords)
-        shares_b = isinstance(a_spec, PerturbedCocycle) and a_spec.base is b_spec
-        if shares_b and id(a_spec.direction) not in direction_vals:
-            direction_vals[id(a_spec.direction)] = a_spec.direction.values_at_coords(
-                sample.coords
-            )
 
         def diff(sl):
-            b_at = tuple(v[sl] for v in b_vals)
-            if shares_b:
-                dir_at = tuple(v[sl] for v in direction_vals[id(a_spec.direction)])
-                a_at = _compose(a_spec.rule, a_spec.t, b_at, dir_at)
-            else:
-                a_at = a_spec.values_at_coords(sample.coords[sl])
+            a_at = a_spec.values_at_coords(sample.coords[sl])
             # the values of PerturbedCocycle(a_spec, b_spec, t=-1,
             # "additive"): A + (-1) * B is bitwise A - B
-            return _compose("additive", -1.0, a_at, b_at)
+            return _compose("additive", -1.0, a_at, tuple(v[sl] for v in b_vals))
 
         out.append(sample.report(diff, a_spec.r))
     return out

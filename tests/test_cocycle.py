@@ -441,10 +441,15 @@ class TestHolderRoutes:
             assert alone == rep
 
     def test_shift_spec_without_table_rejected(self, shift2):
-        # a table over another alphabet has no exact norm on this shift
+        # a table over another alphabet has no exact norm on this shift,
+        # and there is no sampled route over a shift base to fall back on
         spec = LocallyConstantCocycle(table=np.array([DIAG2, DIAG2, np.eye(2)]))
         with pytest.raises(ConfigError):
             holder_norm(spec, shift2)
+        with pytest.raises(ConfigError, match="no Holder norm"):
+            holder_distance(spec, spec, shift2)
+        with pytest.raises(ConfigError, match="no Holder norm"):
+            holder_distances((spec,), two_table(DIAG2, DIAG2), shift2)
 
 
 class TestStacked:
