@@ -324,20 +324,31 @@ BasePoint = Union[ShiftPoint, TorusPoint]
 
 
 class ShiftDraw(Sequence):
-    """Shift points at offset 0 held as the rows of one read-only window
-    array: indexing gives a ShiftPoint over a row, slicing a ShiftDraw over
-    the same rows, so batches take views instead of copies."""
+    """Shift points at one common offset held as the rows of one read-only
+    window array: indexing gives a ShiftPoint over a row, slicing a
+    ShiftDraw over the same rows, so batches take views instead of copies."""
 
-    def __init__(self, windows: np.ndarray):
+    def __init__(self, windows: np.ndarray, offset: int = 0):
         self.windows = windows
+        self.offset = offset
 
     def __len__(self) -> int:
         return self.windows.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ShiftDraw(self.windows[i])
-        return ShiftPoint(window=self.windows[i])
+            return ShiftDraw(self.windows[i], self.offset)
+        return ShiftPoint(window=self.windows[i], offset=self.offset)
+
+    def symbols(self, i: int) -> np.ndarray:
+        """Every point's symbol at relative index i, as one column."""
+        horizon = (self.windows.shape[1] - 1) // 2
+        j = self.offset + i
+        if abs(j) > horizon:
+            raise HorizonExceeded(
+                f"symbol access at relative index {i} leaves the window"
+            )
+        return self.windows[:, horizon + j]
 
 
 class TorusDraw(Sequence):

@@ -267,6 +267,11 @@ class LocallyConstantCocycle:
         idx = block.astype(np.int64) @ self._powers
         return self._ta[idx], self._tb[idx], self._tc[idx], self._td[idx]
 
+    def symbol_table(self):
+        """(entries, alphabet size, depth): the four entry arrays indexed
+        by word, for scans that precompute products of words."""
+        return (self._ta, self._tb, self._tc, self._td), self.alphabet_size, self.depth
+
     def values_at_coords(self, coords):
         raise ConfigError("locally constant cocycles live over shift bases")
 
@@ -453,6 +458,7 @@ class StackedCocycle:
                 for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
             )
             object.__setattr__(self, "_entries", entries)
+            object.__setattr__(self, "_alphabet", a)
             object.__setattr__(
                 self, "_powers", a ** np.arange(depth - 1, -1, -1, dtype=np.int64)
             )
@@ -496,6 +502,13 @@ class StackedCocycle:
 
     def values_at_coords(self, coords):
         return self._stack(lambda spec: spec.values_at_coords(coords))
+
+    def symbol_table(self):
+        """As ``LocallyConstantCocycle.symbol_table`` with (M, words)
+        entries, or None when the members are not symbol tables."""
+        if self._entries is None:
+            return None
+        return self._entries, self._alphabet, self.symbol_depth
 
     def _stack(self, hook):
         """Rows from one call of ``hook`` on the base and one on the

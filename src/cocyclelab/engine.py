@@ -13,14 +13,18 @@ matrix, so no product ever overflows, in one of two ways:
   read the unit-norm product as a direction;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
-  exponents, and takes one norm and one log per track at the end.
+  exponents, and takes one norm and one log per track at the end.  Over a
+  symbol table it absorbs one precomputed k-step word product per k
+  symbols instead of one matrix per symbol.
 
 A shift batch's symbol window is checked once per scan, before the first
 step, and singular steps are caught once, after the last one.
 
 Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
-``symbol_depth`` giving how many forward symbols a shift spec reads.
+``symbol_depth`` giving how many forward symbols a shift spec reads.  A
+spec that is one matrix per word of symbols may also expose its entries
+through ``symbol_table()``, which the exponent scan's word tables read.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def batch_of(sys: BaseSystem, points: Sequence[BasePoint]) -> Batch:
     if isinstance(sys, ShiftSystem):
         if isinstance(points, ShiftDraw):
             windows = points.windows
-            offsets = np.zeros(len(points), dtype=np.int64)
+            offsets = np.full(len(points), points.offset, dtype=np.int64)
         else:
             try:
                 windows = np.stack([p.window for p in points])
@@ -107,6 +111,18 @@ def batch_of(sys: BaseSystem, points: Sequence[BasePoint]) -> Batch:
     except AttributeError as err:
         raise ConfigError("torus system needs torus points") from err
     return TorusBatch(coords=coords)
+
+
+def pushed(sys: BaseSystem, draw: ShiftDraw | TorusDraw) -> ShiftDraw | TorusDraw:
+    """The draw moved by f, as one array: the same shift windows one offset
+    on, or the torus coordinates stepped once.  As ``apply_f``, a shift
+    draw raises HorizonExceeded when the step leaves its window."""
+    batch = batch_of(sys, draw)
+    step(sys, batch, 1)
+    if isinstance(batch, ShiftBatch):
+        return ShiftDraw(batch.windows, draw.offset + 1)
+    batch.coords.setflags(write=False)
+    return TorusDraw(batch.coords)
 
 
 def step(sys: BaseSystem, batch: Batch, j: int = 1) -> None:
@@ -132,17 +148,38 @@ def step(sys: BaseSystem, batch: Batch, j: int = 1) -> None:
 # orbit walks
 
 
+def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
+    """Flat index into the windows of each sample's current symbol, for a
+    walk of n >= 1 steps reading ``depth`` symbols per step.
+
+    The whole walk is checked against the symbol window once: every offset
+    visited and every symbol read must lie inside it.  The batch is then
+    moved to its final position (f^{n-1}x forward, f^{-n}x backward).
+    """
+    first, last = (-n, -1) if backward else (0, n - 1)
+    reach = last + max(depth - 1, 0)
+    if (
+        int(batch.offsets.min()) + first < -batch.horizon
+        or int(batch.offsets.max()) + reach > batch.horizon
+    ):
+        raise HorizonExceeded(
+            f"a {n}-step scan reading {depth} symbols per step leaves the "
+            f"represented symbol window of horizon {batch.horizon}"
+        )
+    starts = np.arange(batch.size) * batch.windows.shape[1] + batch.horizon
+    starts = starts + batch.offsets
+    batch.offsets += first if backward else last
+    return starts
+
+
 def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
     """Yield the cocycle values a scan of n steps absorbs, in scan order:
     A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
     backward.
 
-    On a shift batch the whole walk is checked against the symbol window
-    once, before the first value: every offset visited and every symbol
-    read must lie inside it.  The batch is then moved to its final position
-    (f^{n-1}x forward, f^{-n}x backward) up front, and each step gathers its
-    symbols at precomputed flat indices; a torus batch steps as it goes and
-    ends in the same place.
+    A shift batch is checked and moved to its final position up front (see
+    ``_symbol_starts``), and each step gathers its symbols at precomputed
+    flat indices; a torus batch steps as it goes and ends in the same place.
     """
     if n == 0:
         return
@@ -155,21 +192,8 @@ def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
             yield spec.values_at_coords(batch.coords)
         return
     depth = spec.symbol_depth
-    first, last = (-n, -1) if backward else (0, n - 1)
-    reach = last + max(depth - 1, 0)
-    if (
-        int(batch.offsets.min()) + first < -batch.horizon
-        or int(batch.offsets.max()) + reach > batch.horizon
-    ):
-        raise HorizonExceeded(
-            f"a {n}-step scan reading {depth} symbols per step leaves the "
-            f"represented symbol window of horizon {batch.horizon}"
-        )
-    # flat indices into the windows of the symbols each sample reads at its
-    # current offset; the step at relative offset k reads them shifted by k
-    starts = np.arange(batch.size) * batch.windows.shape[1] + batch.horizon
-    here = (starts + batch.offsets)[:, None] + np.arange(depth)
-    batch.offsets += first if backward else last
+    # the step at relative offset k reads the symbols at here + k
+    here = _symbol_starts(batch, n, depth, backward)[:, None] + np.arange(depth)
     order = range(-1, -n - 1, -1) if backward else range(n)
     for k in order:
         yield spec.values_at_symbols(np.take(batch.windows, here + k))
@@ -199,8 +223,9 @@ class ScanState:
 
     The direction scans keep [[a, b], [c, d]] at unit norm after every step,
     since their callers read it as a direction.  ``exponent_scan`` rescales
-    by powers of two along the way and normalizes once at the end; it alone
-    fills the ``inv_*`` fields with the inverse product, in the same form.
+    by powers of two along the way, a step or a word of steps at a time,
+    and normalizes once at the end; it alone fills the ``inv_*`` fields
+    with the inverse product, in the same form.
     """
 
     a: np.ndarray
@@ -324,17 +349,134 @@ def _unit_form(a, b, c, d, exps):
     return a / nrm, b / nrm, c / nrm, d / nrm, exps * _LN2 + np.log(nrm)
 
 
-def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
+# A factor is what exponent_scan absorbs, one step or one word of steps:
+# (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the same five
+# for the product of the step inverses, the determinant product as
+# (mantissa, exponent), and the smallest step |det|.
+def _identity_factor(size: int):
+    one, zero = np.ones(size), np.zeros(size, dtype=np.int64)
+    return (one, 0.0, 0.0, one, zero, one, 0.0, 0.0, one, zero, one, zero, np.inf)
+
+
+def _step_factor(va, vb, vc, vd):
+    """One step A as a factor; its inverse is adj(A) / det(A)."""
+    sdet = va * vd - vb * vc
+    sa, sb, sc, sd = mat2.adjugate_batch(va, vb, vc, vd)
+    return (
+        va, vb, vc, vd, 0,
+        sa / sdet, sb / sdet, sc / sdet, sd / sdet, 0,
+        sdet, 0, np.abs(sdet),
+    )
+
+
+def _absorb(acc, factor):
+    """The running product acc followed by one more factor: the forward
+    track and the determinant take it on the left, the inverse track on
+    the right; both tracks are rescaled by exact powers of two."""
+    a, b, c, d, e, ia, ib, ic, id_, ie, det, de, low = acc
+    fa, fb, fc, fd, fe, ga, gb, gc, gd, ge, fdet, fde, flow = factor
+    a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
+    e = _radix_scale(a, b, c, d, e + fe)
+    ia, ib, ic, id_ = mat2.matmul_batch(ia, ib, ic, id_, ga, gb, gc, gd)
+    ie = _radix_scale(ia, ib, ic, id_, ie + ge)
+    det, k = np.frexp(det * fdet)
+    return a, b, c, d, e, ia, ib, ic, id_, ie, det, de + k + fde, np.fmin(low, flow)
+
+
+# A word table covers at most WORD_SPAN words: the word length k is the
+# largest with alphabet**k <= WORD_SPAN (and at least 1).  It depends on the
+# alphabet only, so a depth-expanded stack groups its steps exactly as each
+# member does alone.
+WORD_SPAN = 256
+
+
+def _word_length(alphabet: int) -> int:
+    k = 1
+    while alphabet ** (k + 1) <= WORD_SPAN:
+        k += 1
+    return k
+
+
+def _word_factors(entries, alphabet: int, depth: int, length: int) -> np.ndarray:
+    """The factor of every word of length + depth - 1 symbols (x_0 most
+    significant): the product of the ``length`` steps it determines, built
+    with the scan's own arithmetic.  Returned as one float array of shape
+    (13, ..., words), exponents held exactly as floats, so a scan gathers a
+    word's whole factor at once."""
+    words = np.arange(alphabet ** (length + depth - 1))
+    acc = _identity_factor(1)
+    for j in range(length):
+        idx = words // alphabet ** (length - 1 - j) % alphabet ** depth
+        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in entries)))
+    return np.ascontiguousarray(np.stack(np.broadcast_arrays(*acc)), dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class WordTables:
+    """The word factors an n-step exponent scan of a symbol-table spec
+    absorbs: ``factors[L]`` for every word length L it uses (k, and n mod k
+    when that is not 0)."""
+
+    alphabet: int
+    depth: int
+    k: int
+    factors: dict
+
+
+def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
+    """Word tables for n-step exponent scans of ``spec``, to build once and
+    pass to every block's scan; None when the spec has no symbol table
+    (``symbol_table()``) over the system's alphabet, or n < 1."""
+    hook = getattr(spec, "symbol_table", None)
+    table = hook() if hook is not None and isinstance(sys, ShiftSystem) else None
+    if table is None or table[1] != sys.alphabet_size or n < 1:
+        return None
+    entries, alphabet, depth = table
+    k = _word_length(alphabet)
+    # errors from singular steps surface in the scans' own check
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = {
+            length: _word_factors(entries, alphabet, depth, length)
+            for length in {min(k, n), n % k} - {0}
+        }
+    return WordTables(alphabet=alphabet, depth=depth, k=k, factors=factors)
+
+
+def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
+    """Yield the factors of a forward walk of n >= 1 steps: one gathered
+    word factor per k steps, the last word shorter when k does not divide
+    n."""
+    alphabet, depth, k = words.alphabet, words.depth, words.k
+    starts = _symbol_starts(batch, n, depth, backward=False)[:, None]
+    for at in range(0, n, k):
+        length = min(k, n - at)
+        span = length + depth - 1
+        symbols = np.take(batch.windows, starts + np.arange(at, at + span))
+        powers = alphabet ** np.arange(span - 1, -1, -1, dtype=np.int64)
+        idx = symbols.astype(np.int64) @ powers
+        yield np.take(words.factors[length], idx, axis=-1)
+
+
+def exponent_scan(
+    spec, sys: BaseSystem, batch: Batch, n: int, words: WordTables | None = None
+) -> ScanState:
     """Forward product over [0, n) and, independently, the product of the
     step inverses inv(A(x)) inv(A(fx)) ... inv(A(f^{n-1}x)), for exponents.
 
     Each track, and the running product of step determinants, is rescaled
-    at every step by an exact power of two with its exponent kept as an
-    integer, so no product overflows and the only rounding is in the
-    products themselves; one operator norm and one log per track at the
-    end give the returned unit-norm ScanState with its ``inv_*`` fields.
-    The two log scales come from different arithmetic, so checking them
-    against ``logdet`` is a genuine cross-check.
+    by an exact power of two as it goes, with the exponent kept apart, so
+    no product overflows and the only rounding is in the products
+    themselves; one operator norm and one log per track at the end give the
+    returned unit-norm ScanState with its ``inv_*`` fields.  The two log
+    scales come from different arithmetic, so checking them against
+    ``logdet`` is a genuine cross-check.
+
+    A spec with a symbol table over the system's alphabet is walked a word
+    at a time: each iteration gathers one precomputed k-step factor per
+    sample from ``words`` (see ``word_tables``, built here when not
+    passed), so an n-step walk takes about n / k iterations.  Other specs
+    are walked a step at a time.  The window is checked once, before the
+    walk, and singular steps once, after it.
 
     The batch is left positioned at f^{n-1} of its starting points (or
     untouched when n = 0).  As in the direction scans, the state takes the
@@ -342,26 +484,19 @@ def exponent_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
     """
     if n < 0:
         raise ConfigError("exponent_scan needs n >= 0")
-    size = batch.size
-    a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
-    ia, ib, ic, id_ = a, b, c, d
-    det = np.ones(size)
-    exps = inv_exps = det_exps = np.zeros(size, dtype=np.int64)
-    low_det = np.inf
+    if words is None:
+        words = word_tables(spec, sys, n)
+    if words is None:
+        values = _orbit_values(spec, sys, batch, n, backward=False)
+        factors = (_step_factor(*v) for v in values)
+    else:
+        factors = _word_walk(words, batch, n)
+    acc = _identity_factor(batch.size)
     # as in _direction_scan, a singular step raises after the walk instead
     with np.errstate(divide="ignore", invalid="ignore"):
-        for va, vb, vc, vd in _orbit_values(spec, sys, batch, n, backward=False):
-            sdet = va * vd - vb * vc
-            low_det = np.fmin(low_det, np.abs(sdet))
-            a, b, c, d = mat2.matmul_batch(va, vb, vc, vd, a, b, c, d)
-            exps = _radix_scale(a, b, c, d, exps)
-            sa, sb, sc, sd = mat2.adjugate_batch(va, vb, vc, vd)
-            ia, ib, ic, id_ = mat2.matmul_batch(
-                ia, ib, ic, id_, sa / sdet, sb / sdet, sc / sdet, sd / sdet
-            )
-            inv_exps = _radix_scale(ia, ib, ic, id_, inv_exps)
-            det, k = np.frexp(det * sdet)
-            det_exps = det_exps + k
+        for factor in factors:
+            acc = _absorb(acc, factor)
+    a, b, c, d, exps, ia, ib, ic, id_, inv_exps, det, det_exps, low_det = acc
     _require_regular(low_det)
     a, b, c, d, log_scale = _unit_form(a, b, c, d, exps)
     ia, ib, ic, id_, inv_log_scale = _unit_form(ia, ib, ic, id_, inv_exps)

@@ -23,8 +23,9 @@ from . import engine, mat2
 from .base import (
     BasePoint,
     BaseSystem,
+    ShiftDraw,
     ShiftSystem,
-    apply_f,
+    TorusDraw,
     sample_points,
 )
 from .cocycle import CocycleSpec
@@ -39,7 +40,7 @@ class EmpiricalProjectiveMeasure:
     """Uniform atoms (x_i, v_i) on the projective bundle; v components are
     unit vectors stored as parallel arrays."""
 
-    points: list[BasePoint]
+    points: ShiftDraw | TorusDraw
     vx: np.ndarray
     vy: np.ndarray
     kind: str
@@ -137,21 +138,16 @@ def _base_functions(sys: BaseSystem):
     return funcs
 
 
-def _eval_base_function(tag, sys: BaseSystem, points: list[BasePoint]) -> np.ndarray:
-    count = len(points)
+def _eval_base_function(tag, points: ShiftDraw | TorusDraw) -> np.ndarray:
     if tag is None:
-        return np.ones(count)
+        return np.ones(len(points))
     if tag[0] == "cyl1":
-        return np.array([1.0 if p.symbol(0) == tag[1] else 0.0 for p in points])
+        return (points.symbols(0) == tag[1]).astype(float)
     if tag[0] == "cyl2":
-        return np.array(
-            [
-                1.0 if (p.symbol(0) == tag[1] and p.symbol(1) == tag[2]) else 0.0
-                for p in points
-            ]
-        )
+        hit = (points.symbols(0) == tag[1]) & (points.symbols(1) == tag[2])
+        return hit.astype(float)
     k1, k2 = tag[1], tag[2]
-    phase = 2.0 * np.pi * np.array([k1 * p.u + k2 * p.v for p in points])
+    phase = 2.0 * np.pi * (k1 * points.coords[:, 0] + k2 * points.coords[:, 1])
     return np.cos(phase) if tag[0] == "cos" else np.sin(phase)
 
 
@@ -186,7 +182,7 @@ def invariance_defect(
     the pushed fiber directions sit from the extracted field; for a constant
     cocycle with a gap it vanishes to rounding.
     """
-    pushed_pts = [apply_f(sys, p, 1) for p in measure.points]
+    pushed_pts = engine.pushed(sys, measure.points)
     va, vb, vc, vd = _spec_values(a_spec, sys, measure.points)
     wx, wy = _push_directions(va, vb, vc, vd, measure.vx, measure.vy)
     if measure.kind == "unstable":
@@ -203,7 +199,7 @@ def invariance_defect(
         raise NoGap("conformal window product while recomputing directions")
     per_test: dict[str, float] = {}
     for base_name, tag in _base_functions(sys):
-        base_vals = _eval_base_function(tag, sys, pushed_pts)
+        base_vals = _eval_base_function(tag, pushed_pts)
         for fiber_name, fiber in _FIBER_FUNCTIONS:
             lhs = float(np.mean(base_vals * fiber(wx, wy)))
             rhs = float(np.mean(base_vals * fiber(rx, ry)))

@@ -89,9 +89,11 @@ def finite_time_exponents(
         rate = np.full(count, np.log(abs(det)))
         return FiniteTimeExponents(plus=plus, minus=minus, logdet_rate=rate, n=n)
 
+    words = engine.word_tables(a_spec, sys, n)
+
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
-        st = engine.exponent_scan(a_spec, sys, batch, n)
+        st = engine.exponent_scan(a_spec, sys, batch, n, words)
         return st.log_scale / n, -st.inv_log_scale / n, st.logdet / n
 
     plus, minus, rate = engine.block_map(

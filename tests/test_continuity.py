@@ -361,6 +361,17 @@ def shift_family():
     )
 
 
+def depth2_direction_family():
+    # a rotation generator whose size depends on the next two symbols
+    direction = LocallyConstantCocycle(
+        table=np.array([SPIN * w for w in (0.2, -0.1, 0.3, 0.05)]),
+        depth=2, alphabet_size=2, invertible=False,
+    )
+    return PerturbationFamily(
+        base=gapped_spec(), direction=direction, ts=(0.5, 0.25, 0.125)
+    )
+
+
 def log_diagonal_base():
     c = np.log(1.5)
     return PointwiseCocycle(
@@ -420,6 +431,25 @@ class TestFamilyWalk:
         rep = continuity_experiment(fam, shift2, threads=threads, **self.KW)
         assert_rows_match(rep, want)
         assert rep.last_unstable_distances.size == self.KW["samples"]
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_depth_expanded_table_family(self, shift2, monkeypatch, block, threads):
+        # a depth-1 base under depth-2 perturbations: the stack reads two
+        # symbols per step, its words one symbol more than the base's own;
+        # a 43-step window takes five 8-step words and a 3-step tail
+        monkeypatch.setattr(engine, "BLOCK", block)
+        fam = depth2_direction_family()
+        kw = dict(self.KW, n_window=43)
+        want = per_member_rows(fam, shift2, **kw)
+        assert all(isinstance(w, dict) for w in want)
+        rep = continuity_experiment(fam, shift2, threads=threads, **kw)
+        assert_rows_match(rep, want)
+        # the base row, read at depth 2 in the stack, is its lone call
+        points = sample_points(shift2, kw["samples"], 43 + 2 + 2, kw["seed"])
+        alone = lyapunov_exponents(fam.base, shift2, n=43, points=points)
+        assert rep.base_lambda_plus == alone.lambda_plus
+        assert rep.base_lambda_minus == alone.lambda_minus
 
     @pytest.mark.parametrize("block", [1024, 4096])
     @pytest.mark.parametrize("threads", [1, 2])

@@ -7,7 +7,9 @@ import pytest
 
 from cocyclelab import engine, mat2
 from cocyclelab.base import (
+    BernoulliMeasure,
     ShiftPoint,
+    ShiftSystem,
     TorusPoint,
     apply_f,
     sample_points,
@@ -16,8 +18,10 @@ from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
     LocallyConstantCocycle,
+    PerturbedCocycle,
     PointwiseCocycle,
     RotationFactor,
+    StackedCocycle,
     TrigExpr,
     product,
 )
@@ -103,6 +107,33 @@ class TestBatches:
         for i, p in enumerate(tpts):
             q = apply_f(cat, apply_f(cat, p, 2), -2)
             assert (tbatch.coords[i, 0], tbatch.coords[i, 1]) == (q.u, q.v)
+
+    def test_pushed_draw_matches_apply_f(self, shift2, cat):
+        draw = sample_points(shift2, 5, 2, seed=4)
+        moved = engine.pushed(shift2, draw)
+        assert np.shares_memory(moved.windows, draw.windows)
+        for p, got in zip(draw, moved):
+            q = apply_f(shift2, p, 1)
+            assert got.offset == q.offset == 1
+            assert [got.symbol(j) for j in (-3, 0, 1)] == [
+                q.symbol(j) for j in (-3, 0, 1)
+            ]
+        assert np.array_equal(moved.symbols(1), [p.symbol(2) for p in draw])
+        assert np.all(engine.batch_of(shift2, moved[2:4]).offsets == 1)
+        # one more push stands at the edge; a third leaves the window, as
+        # apply_f does
+        edge = engine.pushed(shift2, moved)
+        with pytest.raises(HorizonExceeded):
+            apply_f(shift2, edge[0], 1)
+        with pytest.raises(HorizonExceeded):
+            engine.pushed(shift2, edge)
+        with pytest.raises(HorizonExceeded):
+            edge.symbols(1)
+        tdraw = sample_points(cat, 5, 0, seed=4)
+        tmoved = engine.pushed(cat, tdraw)
+        for p, q in zip(tdraw, tmoved):
+            r = apply_f(cat, p, 1)
+            assert (q.u, q.v) == (r.u, r.v)
 
     def test_step_past_horizon_raises(self, shift2):
         pts = sample_points(shift2, 2, 3, seed=3)
@@ -356,3 +387,88 @@ class TestSingularSteps:
         batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):
             getattr(engine, scan)(spec, shift2, batch, 4)
+
+
+def without_table_hook(spec):
+    """The same values, bitwise, from a spec with no symbol table, which
+    the exponent scan walks a step at a time."""
+    zero = LocallyConstantCocycle(
+        table=np.zeros_like(spec.table), depth=spec.depth,
+        alphabet_size=spec.alphabet_size, invertible=False,
+    )
+    return PerturbedCocycle(spec, zero, t=0.0, rule="additive")
+
+
+class TestWordBlocks:
+    """The exponent scan's word path: k-step factors gathered per word."""
+
+    def test_word_length_from_alphabet(self):
+        assert [engine._word_length(a) for a in (2, 3, 4, 16, 17, 300)] == [
+            8, 5, 4, 2, 1, 1,
+        ]
+
+    def test_only_tables_over_the_alphabet_take_words(self, shift2, cat):
+        assert engine.word_tables(lc_spec(), shift2, 10).factors.keys() == {8, 2}
+        assert engine.word_tables(lc_spec(), shift2, 3).factors.keys() == {3}
+        assert engine.word_tables(lc_spec(), shift2, 0) is None
+        assert engine.word_tables(without_table_hook(lc_spec()), shift2, 10) is None
+        shift3 = ShiftSystem(
+            alphabet_size=3, measure=BernoulliMeasure(weights=(0.2, 0.3, 0.5))
+        )
+        assert engine.word_tables(lc_spec(), shift3, 10) is None
+        torus = PointwiseCocycle(factors=(ConstantFactor(matrix=D),))
+        assert engine.word_tables(torus, cat, 10) is None
+
+    @pytest.mark.parametrize("make", [lc_spec, depth2_spec])
+    def test_word_length_one_is_the_step_path(self, shift2, monkeypatch, make):
+        monkeypatch.setattr(engine, "WORD_SPAN", 1)
+        spec = make()
+        pts = sample_points(shift2, 300, 45, seed=15)
+        assert engine.word_tables(spec, shift2, 40).k == 1
+        words = finite_time_exponents(spec, shift2, pts, 40)
+        steps = finite_time_exponents(without_table_hook(spec), shift2, pts, 40)
+        for name in ("plus", "minus", "logdet_rate"):
+            assert np.array_equal(getattr(words, name), getattr(steps, name)), name
+
+    def test_depth_expanded_stack_rows_are_member_calls(self, shift2):
+        # the depth-1 member reads two symbols per step in the stack, so
+        # its words there are one symbol longer, but group the same steps
+        members = (lc_spec(), depth2_spec())
+        pts = sample_points(shift2, 400, 45, seed=18)
+        stacked = finite_time_exponents(StackedCocycle(members), shift2, pts, 43)
+        for row, spec in enumerate(members):
+            alone = finite_time_exponents(spec, shift2, pts, 43)
+            for name in ("plus", "minus", "logdet_rate"):
+                assert np.array_equal(getattr(stacked, name)[row], getattr(alone, name))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tables_built_once_per_call(self, shift2, monkeypatch, threads):
+        # not once per block
+        built = []
+        word_factors = engine._word_factors
+
+        def counted(*args):
+            built.append(args[-1])
+            return word_factors(*args)
+
+        monkeypatch.setattr(engine, "_word_factors", counted)
+        monkeypatch.setattr(engine, "BLOCK", 1024)
+        pts = sample_points(shift2, 5000, 32, seed=17)
+        finite_time_exponents(lc_spec(), shift2, pts, 30, threads)
+        # five blocks, two word lengths: 3 words of 8 steps and a tail of 6
+        assert sorted(built) == [6, 8]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_step_inside_a_word_raises(self, shift2):
+        spec = LocallyConstantCocycle(
+            table=np.array([D, np.zeros((2, 2))]), invertible=False
+        )
+        window = np.zeros(41, dtype=np.int16)
+        window[20 + 11] = 1  # step 11 of 20: inside the second word
+        batch = engine.batch_of(shift2, [ShiftPoint(window=window)] * 3)
+        with pytest.raises(SingularValueError):
+            engine.exponent_scan(spec, shift2, batch, 20)
+        # a walk that stops just before the singular symbol absorbs none of it
+        batch = engine.batch_of(shift2, [ShiftPoint(window=window)])
+        st = engine.exponent_scan(spec, shift2, batch, 11)
+        assert st.log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -137,3 +139,66 @@ class TestExponentScan:
         pts = sample_points(sys_, 300, 401, seed=13)
         ft = finite_time_exponents(spec, sys_, pts, 400)
         assert np.max(np.abs(ft.det_residuals)) < 1e-12
+
+
+def _exact_exponents(spec, x, n):
+    """(lambda_plus, lambda_minus) of the window product at x, from the
+    step matrices multiplied exactly in rationals: sigma1 from the exact
+    product, sigma2 = |det| / sigma1, logs taken at 60 digits."""
+    depth, a = spec.depth, spec.alphabet_size
+    prod = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for j in range(n):
+        word = sum(x.symbol(j + i) * a ** (depth - 1 - i) for i in range(depth))
+        m = [[Fraction(float(v)) for v in row] for row in spec.table[word]]
+        prod = [
+            [sum(m[r][t] * prod[t][c] for t in range(2)) for c in range(2)]
+            for r in range(2)
+        ]
+    (pa, pb), (pc, pd) = prod
+    p, q, r = pa * pa + pc * pc, pa * pb + pc * pd, pb * pb + pd * pd
+    half, rad = (p + r) / 2, ((p - r) / 2) ** 2 + q * q
+    det = abs(pa * pd - pb * pc)
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        log_s1 = (dec(half) + dec(rad).sqrt()).ln() / 2
+        log_s2 = dec(det).ln() - log_s1
+        return float(log_s1 / n), float(log_s2 / n)
+
+
+def _shipped_gapped():
+    root = Path(__file__).resolve().parent.parent
+    cfg = load_config(str(root / "configs" / "shift_gapped.yaml"))
+    return build_system(cfg), build_cocycle(cfg)
+
+
+def _random_depth2_alphabet3():
+    rng = np.random.default_rng(2024)
+    tab = rng.normal(size=(9, 2, 2)) + 1.5 * np.eye(2)
+    sys_ = ShiftSystem(
+        alphabet_size=3, measure=BernoulliMeasure(weights=(0.2, 0.3, 0.5))
+    )
+    return sys_, LocallyConstantCocycle(table=tab, depth=2, alphabet_size=3)
+
+
+class TestExactOracle:
+    """finite_time_exponents against products taken exactly in rationals,
+    which share no arithmetic with the scan: a walk of the tail word
+    alone, one word short, an exact word, one word plus a step, and
+    several words plus a remainder."""
+
+    @pytest.mark.parametrize("setting", ["shipped", "random"])
+    def test_exponents_match_exact_products(self, setting):
+        make = _shipped_gapped if setting == "shipped" else _random_depth2_alphabet3
+        sys_, spec = make()
+        k = engine._word_length(sys_.alphabet_size)
+        for n in (1, k - 1, k, k + 1, 30):
+            pts = sample_points(sys_, 5, n + spec.depth, seed=n)
+            ft = finite_time_exponents(spec, sys_, pts, n)
+            for i, x in enumerate(pts):
+                plus, minus = _exact_exponents(spec, x, n)
+                assert abs(ft.plus[i] - plus) < 1e-13
+                assert abs(ft.minus[i] - minus) < 1e-13
