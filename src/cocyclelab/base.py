@@ -146,16 +146,12 @@ class ShiftSystem:
     alphabet_size: int
     measure: MeasureSpec
     lambda0: float = 0.5
-    local_scale: float = 0.2
-    bracket_scale: float = 0.2
 
     def __post_init__(self) -> None:
         if not 2 <= self.alphabet_size <= 1000:
             raise ConfigError("alphabet_size must be in [2, 1000]")
         if not 0.0 < self.lambda0 < 1.0:
             raise ConfigError("lambda0 must lie in (0, 1)")
-        if self.local_scale <= 0.0 or self.bracket_scale <= 0.0:
-            raise ConfigError("local_scale and bracket_scale must be positive")
         if isinstance(self.measure, BernoulliMeasure):
             if len(self.measure.weights) != self.alphabet_size:
                 raise ConfigError("Bernoulli weights do not match alphabet")
@@ -182,8 +178,6 @@ class TorusSystem:
 
     matrix: tuple[tuple[int, int], tuple[int, int]]
     measure: MeasureSpec = LebesgueMeasure()
-    local_scale: float = 0.2
-    bracket_scale: float = 0.2
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix)
@@ -203,8 +197,6 @@ class TorusSystem:
             raise ConfigError("torus matrix has an eigenvalue on the unit circle")
         if not isinstance(self.measure, LebesgueMeasure):
             raise ConfigError("torus base uses the Lebesgue measure")
-        if self.local_scale <= 0.0 or self.bracket_scale <= 0.0:
-            raise ConfigError("local_scale and bracket_scale must be positive")
         order = np.argsort(np.abs(evals))  # contracting first
         e_s = _sign_normalized(evecs.real[:, order[0]])
         e_u = _sign_normalized(evecs.real[:, order[1]])
@@ -441,8 +433,17 @@ def sample_points(
     sys: BaseSystem, count: int, horizon: int, seed: int
 ) -> ShiftDraw | TorusDraw:
     """Draw ``count`` points of the invariant measure; shift points get a
-    symbol window of half-width ``horizon``.  Point i comes from its own
-    substream(seed, i), so it does not depend on ``count``."""
+    symbol window of half-width ``horizon``, which torus points ignore.
+    Point i comes from its own substream(seed, i), so it does not depend on
+    ``count``.
+
+    Every study sizes the window by one rule: ``horizon`` = how far the
+    study walks from the sample point, either way, + the spec's
+    ``symbol_depth``, the symbols one step reads.  An exponent walk of n
+    steps takes n + symbol_depth; a direction extraction at depth d, which
+    keeps two steps of room to push the directions, takes
+    d + 2 + symbol_depth.
+    """
     if isinstance(sys, TorusSystem):
         # Draw on the dyadic lattice 2**-26 Z^2 / Z^2 instead of raw floats.
         # Integer-matrix steps keep lattice points on the lattice with every

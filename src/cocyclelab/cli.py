@@ -153,8 +153,7 @@ def _cmd_lyapunov(args) -> int:
 def _cmd_oseledets(args) -> int:
     cfg, sys_, spec, seed, out_dir = _setting(args)
     depth = cfg.depth
-    horizon = cfg.horizon or (depth + spec.symbol_depth + 2)
-    points = sample_points(sys_, cfg.samples, horizon, seed)
+    points = sample_points(sys_, cfg.samples, depth + 2 + spec.symbol_depth, seed)
     ux, uy, ok_u = unstable_directions(spec, sys_, points, depth, args.threads)
     sx, sy, ok_s = stable_directions(spec, sys_, points, depth, args.threads)
     if not (ok_u.all() and ok_s.all()):
@@ -307,7 +306,7 @@ def _cmd_selftest(args) -> int:
     check("determinant consistency", resid < 1e-9, f"max residual {resid:.2e}")
 
     try:
-        pts = sample_points(sys_, 100, 40 + spec.symbol_depth + 2, seed + 1)
+        pts = sample_points(sys_, 100, 40 + 2 + spec.symbol_depth, seed + 1)
         res = equivariance_residuals(spec, sys_, pts, 40, "unstable", args.threads)
         q99 = float(np.quantile(res, 0.99))
         check("equivariance", q99 < 1e-4, f"99th percentile residual {q99:.2e}")

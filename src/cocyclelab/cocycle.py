@@ -264,7 +264,8 @@ class LocallyConstantCocycle:
         return self.table[0]
 
     def values_at_symbols(self, block):
-        idx = block.astype(np.int64) @ self._powers
+        # a wider block (a deeper partner's) carries symbols this table ignores
+        idx = block[:, : self.depth].astype(np.int64) @ self._powers
         return self._ta[idx], self._tb[idx], self._tc[idx], self._td[idx]
 
     def symbol_table(self):

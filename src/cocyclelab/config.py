@@ -71,10 +71,6 @@ class Config:
     def n_max(self) -> int:
         return self.data["budgets"]["n_max"]
 
-    @property
-    def horizon(self) -> int:
-        return self.data["budgets"]["horizon"]
-
 
 def load_config(path: str) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,17 +101,10 @@ def normalize_config(data: dict) -> Config:
         out["perturbation"] = _norm_perturbation(data["perturbation"])
     cfg = Config(data=out)
     # exercise every builder so a loaded config is known to construct
-    sys = build_system(cfg)
+    build_system(cfg)
     base = build_cocycle(cfg)
     if "perturbation" in out:
         build_family(cfg, base=base)
-    b = out["budgets"]
-    if isinstance(sys, ShiftSystem) and b["horizon"] > 0:
-        need = b["depth"] + b["n_max"]
-        if b["horizon"] < need:
-            raise ConfigError(
-                f"horizon {b['horizon']} is below depth + n_max = {need}"
-            )
     return cfg
 
 
@@ -152,14 +141,10 @@ def build_system(cfg: Config) -> BaseSystem:
             alphabet_size=b["alphabet_size"],
             measure=measure,
             lambda0=b["lambda0"],
-            local_scale=b["local_scale"],
-            bracket_scale=b["bracket_scale"],
         )
     return TorusSystem(
         matrix=tuple(tuple(row) for row in b["matrix"]),
         measure=LebesgueMeasure(),
-        local_scale=b["local_scale"],
-        bracket_scale=b["bracket_scale"],
     )
 
 
@@ -190,15 +175,12 @@ def build_family(
         raise ConfigError("config has no perturbation section")
     p = cfg.data["perturbation"]
     sched = p["schedule"]
+    base = build_cocycle(cfg) if base is None else base
+    direction = _build_field(p["direction"], cfg)
     if sched["kind"] == "dyadic":
-        ts = tuple(2.0 ** -k for k in range(1, sched["count"] + 1))
-    else:
-        ts = tuple(sched["values"])
+        return PerturbationFamily.dyadic(base, direction, p["rule"], sched["count"])
     return PerturbationFamily(
-        base=build_cocycle(cfg) if base is None else base,
-        direction=_build_field(p["direction"], cfg),
-        rule=p["rule"],
-        ts=ts,
+        base=base, direction=direction, rule=p["rule"], ts=tuple(sched["values"])
     )
 
 
@@ -294,17 +276,15 @@ def _norm_trig(d, where: str) -> dict:
     if d is None:
         return {}
     _expect_keys(d, required=set(), optional=set(_TRIG_KEYS), where=where)
-    return {k: _number(v, f"{where}.{k}") for k, v in d.items() if _number(v, k) != 0.0}
+    out = {k: _number(v, f"{where}.{k}") for k, v in d.items()}
+    return {k: v for k, v in out.items() if v != 0.0}
 
 
 def _norm_base(b) -> dict:
     _expect_keys(
         b,
         required={"kind"},
-        optional={
-            "alphabet_size", "lambda0", "local_scale", "bracket_scale",
-            "measure", "matrix",
-        },
+        optional={"alphabet_size", "lambda0", "measure", "matrix"},
         where="base",
     )
     kind = b.get("kind")
@@ -313,8 +293,6 @@ def _norm_base(b) -> dict:
             "kind": "shift",
             "alphabet_size": _integer(b.get("alphabet_size", 2), "base.alphabet_size"),
             "lambda0": _number(b.get("lambda0", 0.5), "base.lambda0"),
-            "local_scale": _number(b.get("local_scale", 0.2), "base.local_scale"),
-            "bracket_scale": _number(b.get("bracket_scale", 0.2), "base.bracket_scale"),
         }
         m = b.get("measure") or {"kind": "bernoulli"}
         _expect_keys(
@@ -345,8 +323,6 @@ def _norm_base(b) -> dict:
         return {
             "kind": "torus",
             "matrix": _int_matrix(b["matrix"], "base.matrix"),
-            "local_scale": _number(b.get("local_scale", 0.2), "base.local_scale"),
-            "bracket_scale": _number(b.get("bracket_scale", 0.2), "base.bracket_scale"),
             "measure": {"kind": "lebesgue"},
         }
     raise ConfigError(f"unknown base kind {kind!r}")
@@ -476,17 +452,14 @@ def _norm_budgets(b) -> dict:
     _expect_keys(
         b,
         required=set(),
-        optional={"samples", "depth", "n_max", "horizon"},
+        optional={"samples", "depth", "n_max"},
         where="budgets",
     )
     out = {
         "samples": _integer(b.get("samples", 1000), "budgets.samples"),
         "depth": _integer(b.get("depth", 40), "budgets.depth"),
         "n_max": _integer(b.get("n_max", 400), "budgets.n_max"),
-        "horizon": _integer(b.get("horizon", 0), "budgets.horizon"),
     }
     if out["samples"] < 1 or out["depth"] < 1 or out["n_max"] < 1:
         raise ConfigError("budgets must be positive")
-    if out["horizon"] < 0:
-        raise ConfigError("horizon must be >= 0 (0 means automatic)")
     return out

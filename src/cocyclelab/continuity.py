@@ -260,11 +260,10 @@ def continuity_experiment(
     """
     if epsilon <= 0.0:
         raise ConfigError("epsilon must be positive")
-    max_depth_syms = max(family.base.symbol_depth, family.direction.symbol_depth)
-    horizon = 0
-    if isinstance(sys, ShiftSystem):
-        horizon = max(depth, n_window) + max_depth_syms + 2
-    points = sample_points(sys, samples, horizon, seed)
+    symbol_depth = max(family.base.symbol_depth, family.direction.symbol_depth)
+    points = sample_points(
+        sys, samples, max(depth, n_window) + 2 + symbol_depth, seed
+    )
     # schedule index k -> perturbed spec, for every regular perturbation
     live = {}
     for k, t in enumerate(family.ts, start=1):

@@ -32,8 +32,6 @@ from .cocycle import CocycleSpec
 from .errors import ConfigError, NoGap
 from .oseledets import stable_directions, unstable_directions
 
-_HORIZON_SLACK = 2
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalProjectiveMeasure:
@@ -61,13 +59,10 @@ def build_invariant_measures(
 ) -> tuple[EmpiricalProjectiveMeasure, EmpiricalProjectiveMeasure]:
     """Sampled unstable and stable graph measures at the given window depth.
 
-    Shift windows get half-width depth + symbol depth + _HORIZON_SLACK so
-    direction extraction and one forward push both stay inside the window.
+    Shift windows get half-width depth + 2 + symbol depth, so direction
+    extraction and one forward push both stay inside the window.
     """
-    horizon = 0
-    if isinstance(sys, ShiftSystem):
-        horizon = depth + a_spec.symbol_depth + _HORIZON_SLACK
-    pts = sample_points(sys, samples, horizon, seed)
+    pts = sample_points(sys, samples, depth + 2 + a_spec.symbol_depth, seed)
     ux, uy, ok_u = unstable_directions(a_spec, sys, pts, depth, threads)
     sx, sy, ok_s = stable_directions(a_spec, sys, pts, depth, threads)
     if not (ok_u.all() and ok_s.all()):
@@ -243,10 +238,7 @@ def attraction_test(
         raise ConfigError("side must be 'unstable' or 'stable'")
     if grid < 2:
         raise ConfigError("grid needs at least two directions")
-    horizon = 0
-    if isinstance(sys, ShiftSystem):
-        horizon = depth + n + a_spec.symbol_depth + 2
-    pts = sample_points(sys, samples, horizon, seed)
+    pts = sample_points(sys, samples, depth + n + 2 + a_spec.symbol_depth, seed)
     if side == "unstable":
         rx0, ry0, ok = unstable_directions(a_spec, sys, pts, depth, threads)
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, mat2
-from .base import BasePoint, BaseSystem, ShiftSystem, sample_points
+from .base import BasePoint, BaseSystem, sample_points
 from .cocycle import CocycleSpec, _constant_power
 from .errors import ConfigError
 
@@ -116,14 +116,13 @@ def lyapunov_exponents(
 ) -> SpectrumReport:
     """Both exponents with standard errors over sampled base points.
 
-    For a shift base the sampled windows get half-width n plus the symbol
-    depth of the spec, so the whole forward window is represented.  Passing
-    ``points`` overrides sampling, which lets perturbation studies evaluate
-    a family of cocycles on the same draw.
+    Shift windows get half-width n + symbol depth, so the whole forward
+    window is represented.  Passing ``points`` overrides sampling, which
+    lets perturbation studies evaluate a family of cocycles on the same
+    draw.
     """
     if points is None:
-        horizon = n + a_spec.symbol_depth if isinstance(sys, ShiftSystem) else 0
-        points = sample_points(sys, samples, horizon, seed)
+        points = sample_points(sys, samples, n + a_spec.symbol_depth, seed)
     else:
         samples = len(points)
     ft = finite_time_exponents(a_spec, sys, points, n, threads)

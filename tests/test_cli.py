@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import cocyclelab
 from cocyclelab import cli
+from cocyclelab.base import sample_points
 from cocyclelab.cli import GOODSET_COLUMNS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,6 +41,31 @@ FAST_SHIFT = {
     "epsilon": 0.1,
     "seed": 5,
 }
+
+
+FAST_TORUS = {
+    "base": {"kind": "torus", "matrix": [[2, 1], [1, 1]]},
+    "cocycle": {
+        "kind": "pointwise",
+        "factors": [
+            {"kind": "rotation", "angle": {"sin_u": 0.15, "cos_v": 0.1}},
+            {"kind": "constant", "matrix": [[1.5, 0.0], [0.0, 1 / 1.5]]},
+        ],
+    },
+    "perturbation": {
+        "rule": "multiplicative_exp",
+        "schedule": {"kind": "dyadic", "count": 3},
+        "direction": {
+            "kind": "pointwise_entries",
+            "e01": {"const": -1.0, "sin_u": 0.2},
+            "e10": {"const": 1.0, "sin_u": -0.2},
+        },
+    },
+    "budgets": {"samples": 100, "depth": 20, "n_max": 40},
+    "seed": 2,
+}
+
+COMMANDS = ("lyapunov", "oseledets", "bunching", "projective", "continuity", "selftest")
 
 
 @pytest.fixture
@@ -275,6 +304,104 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(["bunching", "--config", path, "--out", str(out)]) == 0
         assert "verdict = bunched" in capsys.readouterr().out
+
+
+def run_captured(command, config, out, capsys):
+    """Exit code, stdout and every output file's bytes of one run."""
+    code = run([command, "--config", config, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("data", [FAST_SHIFT, FAST_TORUS], ids=["shift", "torus"])
+    def test_rerun_byte_identical(self, command, data, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        first = run_captured(command, str(path), tmp_path / "a", capsys)
+        again = run_captured(command, str(path), tmp_path / "b", capsys)
+        assert first[1] and (first[2] or command == "selftest")
+        assert first == again
+
+
+# modules that draw sample points, each through its own imported name
+DRAWERS = ("cli", "cocycle", "continuity", "projective", "spectrum")
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Record the (count, horizon) of every sample_points call; a draw of
+    more than 5000 points is recorded and then stopped."""
+    seen = []
+
+    def spy(sys_, count, horizon, seed):
+        seen.append((count, horizon))
+        if count > 5000:
+            raise _Drawn
+        return sample_points(sys_, count, horizon, seed)
+
+    for name in DRAWERS:
+        monkeypatch.setattr(
+            importlib.import_module(f"cocyclelab.{name}"), "sample_points", spy
+        )
+    return seen
+
+
+class TestWindows:
+    """Each study's shift window is how far it walks from the sample point
+    + the spec's symbol depth; shift_gapped has symbol depth 1, depth 40,
+    n_max 400 and 2000 samples."""
+
+    def test_every_drawer_is_spied(self):
+        for info in pkgutil.iter_modules(cocyclelab.__path__):
+            mod = importlib.import_module(f"cocyclelab.{info.name}")
+            if info.name not in ("base", *DRAWERS):
+                assert not hasattr(mod, "sample_points"), info.name
+
+    @pytest.mark.parametrize(
+        "command, windows",
+        [
+            ("lyapunov", [(2000, 401)]),
+            ("oseledets", [(2000, 43)]),
+            ("projective", [(2000, 43)]),
+            ("bunching", [(64, 61)]),
+            ("continuity", [(2000, 403)]),
+            ("selftest", [(20, 25), (50, 201), (100, 43)]),
+        ],
+    )
+    def test_shipped_windows(self, command, windows, draws, tmp_path):
+        config = str(CONFIG_DIR / "shift_gapped.yaml")
+        assert run([command, "--config", config, "--out", str(tmp_path)]) == 0
+        assert draws == windows
+
+    def test_acceptance_size_window(self, draws, tmp_path):
+        data = yaml.safe_load((CONFIG_DIR / "shift_gapped.yaml").read_text())
+        data["budgets"]["samples"] = 10_000
+        path = tmp_path / "ac8.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(_Drawn):
+            run(["continuity", "--config", str(path), "--out", str(tmp_path)])
+        assert draws == [(10_000, 403)]
+
+
+class TestRemovedKeys:
+    @pytest.mark.parametrize(
+        "section, key",
+        [("budgets", "horizon"), ("base", "local_scale"), ("base", "bracket_scale")],
+    )
+    @pytest.mark.parametrize("base", [FAST_SHIFT, FAST_TORUS], ids=["shift", "torus"])
+    def test_exit_2_names_the_key(self, base, section, key, tmp_path, capsys):
+        data = {**base, section: {**base[section], key: 500}}
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert run(["lyapunov", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {section} has unknown keys ['{key}']" in err
 
 
 class TestShippedConfigs:

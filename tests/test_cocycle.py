@@ -35,9 +35,11 @@ from cocyclelab.cocycle import (
     holder_norm,
     product,
     product_renormalized,
+    specialize,
 )
 from cocyclelab.config import build_cocycle, load_config
 from cocyclelab.errors import ConfigError, SingularValueError
+from cocyclelab.spectrum import lyapunov_exponents
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -494,6 +496,84 @@ class TestStacked:
             StackedCocycle((base, mine, other))
         with pytest.raises(ConfigError):
             StackedCocycle(())
+
+
+def mixed_depth(rule: str, deep_base: bool) -> PerturbedCocycle:
+    """A perturbation over the 2-shift whose base and direction tables have
+    depths 2 and 1 (deep_base) or 1 and 2."""
+    gapped = load_config("configs/shift_gapped.yaml")
+    shallow_table = build_cocycle(gapped)
+    deep_table = LocallyConstantCocycle(
+        table=np.array([mat2.rotation(0.1 * k) @ DIAG2 for k in range(4)]),
+        depth=2, alphabet_size=2,
+    )
+    shallow_field = LocallyConstantCocycle(
+        table=np.array([[[0.0, -0.2], [0.2, 0.0]], [[0.1, 0.0], [0.0, -0.1]]]),
+        invertible=False,
+    )
+    deep_field = LocallyConstantCocycle(
+        table=np.array(
+            [[[0.0, -0.2 * k], [0.2, 0.05 * k]] for k in range(4)]
+        ),
+        depth=2, alphabet_size=2, invertible=False,
+    )
+    if deep_base:
+        return PerturbedCocycle(deep_table, shallow_field, t=0.25, rule=rule)
+    return PerturbedCocycle(shallow_table, deep_field, t=0.25, rule=rule)
+
+
+class TestMixedDepth:
+    """A table inside a perturbation reads only the leading symbols of the
+    block its deeper partner needs."""
+
+    WORDS = np.array([[a, b] for a in range(2) for b in range(2)])
+
+    @pytest.mark.parametrize("rule", ["additive", "multiplicative_exp"])
+    @pytest.mark.parametrize("deep_base", [True, False])
+    def test_hook_matches_specialized_table(self, shift2, rule, deep_base):
+        spec = mixed_depth(rule, deep_base)
+        table = specialize(spec, shift2)
+        assert isinstance(table, LocallyConstantCocycle) and table.depth == 2
+        got = spec.values_at_symbols(self.WORDS)
+        want = table.values_at_symbols(self.WORDS)
+        for g, w in zip(got, want):
+            if rule == "additive":
+                assert np.array_equal(g, w)
+            else:
+                # the table multiplies with numpy @, the hook with matmul_batch
+                assert np.max(np.abs(g - w)) <= 1e-15
+
+    @pytest.mark.parametrize("deep_base", [True, False])
+    def test_point_evaluation_and_products(self, shift2, deep_base):
+        spec = mixed_depth("multiplicative_exp", deep_base)
+        table = specialize(spec, shift2)
+        x = sample_points(shift2, 1, 12, seed=4)[0]
+        assert rel_err(evaluate(spec, x), evaluate(table, x)) < 1e-14
+        assert rel_err(product(spec, shift2, x, 8), product(table, shift2, x, 8)) < 1e-13
+        assert rel_err(product(spec, shift2, x, -8), product(table, shift2, x, -8)) < 1e-13
+
+    @pytest.mark.parametrize("deep_base", [True, False])
+    def test_exponents_run(self, shift2, deep_base):
+        spec = mixed_depth("multiplicative_exp", deep_base)
+        rep = lyapunov_exponents(spec, shift2, n=60, samples=40, seed=2)
+        ref = lyapunov_exponents(specialize(spec, shift2), shift2, n=60, samples=40, seed=2)
+        assert abs(rep.lambda_plus - ref.lambda_plus) < 1e-12
+        assert abs(rep.lambda_minus - ref.lambda_minus) < 1e-12
+
+    @pytest.mark.parametrize("deep_base", [True, False])
+    def test_stacked_perturbation_rows(self, shift2, deep_base):
+        head = mixed_depth("additive", deep_base)
+        members = [head.base] + [
+            PerturbedCocycle(head.base, head.direction, t=t, rule="additive")
+            for t in (0.5, 0.25)
+        ]
+        stacked = StackedCocycle(tuple(members))
+        assert stacked.symbol_depth == 2
+        block = sample_points(shift2, 30, 3, seed=1).windows[:, 3:5]
+        rows = stacked.values_at_symbols(block)
+        for m, member in enumerate(members):
+            for got, want in zip(rows, member.values_at_symbols(block)):
+                assert np.array_equal(got[m], want)
 
 
 class TestBunching:

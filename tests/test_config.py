@@ -21,6 +21,7 @@ from cocyclelab.config import (
     normalize_config,
     save_config,
 )
+from cocyclelab.continuity import PerturbationFamily
 from cocyclelab.errors import ConfigError
 
 SHIFT_CFG = {
@@ -62,7 +63,8 @@ class TestNormalize:
         assert cfg.epsilon == 0.1
         assert cfg.output_dir == "out"
         assert cfg.samples == 1000 and cfg.depth == 40 and cfg.n_max == 400
-        assert cfg.horizon == 0
+        assert cfg.data["budgets"].keys() == {"samples", "depth", "n_max"}
+        assert cfg.data["base"].keys() == {"kind", "matrix", "measure"}
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -90,14 +92,16 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="integer"):
             normalize_config(bad)
 
-    def test_horizon_floor_on_shift(self):
-        bad = dict(SHIFT_CFG)
-        bad["budgets"] = {"samples": 10, "depth": 30, "n_max": 200, "horizon": 100}
-        with pytest.raises(ConfigError, match="horizon"):
+    def test_bad_trig_coefficient_named_with_its_path(self):
+        bad = {
+            **TORUS_CFG,
+            "cocycle": {
+                "kind": "pointwise",
+                "factors": [{"kind": "rotation", "angle": {"sin_u": "x"}}],
+            },
+        }
+        with pytest.raises(ConfigError, match=r"^angle\.sin_u must be a number"):
             normalize_config(bad)
-        ok = dict(SHIFT_CFG)
-        ok["budgets"] = {"samples": 10, "depth": 30, "n_max": 200, "horizon": 230}
-        assert normalize_config(ok).horizon == 230
 
     def test_pointwise_needs_torus(self):
         bad = {"base": SHIFT_CFG["base"], "cocycle": TORUS_CFG["cocycle"]}
@@ -210,6 +214,7 @@ class TestBuilders:
     def test_family_dyadic(self):
         fam = build_family(normalize_config(SHIFT_CFG))
         assert fam.ts == (0.5, 0.25, 0.125, 0.0625)
+        assert fam.ts == PerturbationFamily.dyadic(fam.base, fam.direction, count=4).ts
         assert fam.rule == "multiplicative_exp"
 
     def test_family_explicit_schedule(self):

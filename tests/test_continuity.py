@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import engine, mat2
-from cocyclelab.base import ShiftSystem, sample_points
+from cocyclelab.base import sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
@@ -295,11 +295,8 @@ def per_member_rows(fam, sys, epsilon, samples, depth, n_window, seed):
     """Each row of the experiment from separate per-member calls on the
     same draw: None for a singular perturbation, the Holder distance alone
     for a row without a gap, else the row's reported numbers."""
-    horizon = 0
-    if isinstance(sys, ShiftSystem):
-        depth_syms = max(fam.base.symbol_depth, fam.direction.symbol_depth)
-        horizon = max(depth, n_window) + depth_syms + 2
-    points = sample_points(sys, samples, horizon, seed)
+    depth_syms = max(fam.base.symbol_depth, fam.direction.symbol_depth)
+    points = sample_points(sys, samples, max(depth, n_window) + 2 + depth_syms, seed)
     ux, uy, _ = unstable_directions(fam.base, sys, points, depth)
     sx, sy, _ = stable_directions(fam.base, sys, points, depth)
     out = []
