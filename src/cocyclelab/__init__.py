@@ -68,7 +68,6 @@ from .errors import (
 from .oseledets import (
     Direction,
     Splitting,
-    apply_projective,
     equivariance_residuals,
     projective_distance,
     splitting,

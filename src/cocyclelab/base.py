@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, HorizonExceeded
+from .errors import CocycleLabError, ConfigError, HorizonExceeded
 
 _WINDOW_DTYPE = np.int16
 _LATTICE_DENOM = 2**26
@@ -25,6 +25,9 @@ _STATIONARY_TOL = 1e-14
 # than the int16 windows plus one chunk
 _CHUNK_ENTRIES = 2**19
 _MIN_CHUNK_ROWS = 256
+# substreams are seeded this many at a time: a seed state is a few hundred
+# bytes of Python integers, so a chunk of short rows must not seed at once
+_SEED_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +425,127 @@ def torus_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # sampling
 
 
-def substream(seed: int, index: int) -> np.random.SeedSequence:
-    """The index-th child stream of a master seed.  Children are a pure
-    function of (seed, index), so parallel draws never depend on scheduling
-    or on how many samples a batch requests."""
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+# numpy's SeedSequence mixing (bit_generator.pyx, after O'Neill's seed_seq
+# in the PCG report) and PCG64's seeding, re-derived so the substreams of a
+# block of indices are seeded with array arithmetic
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_XSHIFT = np.uint32(16)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The uint32 words numpy reads a seed as, least significant first."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence hash: each call mixes one word (or array of
+    words) with the current constant, then steps the constant.  Arrays of
+    uint32 wrap on overflow, as numpy's C code does."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ (out >> _XSHIFT)
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(i,))) for each
+    index i in [lo, hi) < 2**32.
+
+    The hash constants do not depend on the data, so the pools of all the
+    indices are mixed at once as uint32 arrays; PCG64's seeding, two LCG
+    steps mod 2**128, then runs on Python integers per index."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # a spawned sequence pads the seed's words to the pool size, then
+    # appends the spawn key; an index below 2**32 is one word
+    run = _seed_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.array([w], dtype=np.uint32) for w in run]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words cycling the pool, paired low
+    # word first into seed = (high, low) and inc = (high, low)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    halves = [
+        (words[k] | words[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)
+    ]
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _substreams(seed: int, lo: int, hi: int):
+    """Yield, for each index i in [lo, hi), a Generator at the start of
+    point i's substream, the stream of
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  It is one
+    Generator whose state is replaced each time, so take each point's draw
+    before asking for the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for start in range(lo, hi, _SEED_BLOCK):
+        for state, inc in _pcg64_states(seed, start, min(start + _SEED_BLOCK, hi)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+def _check_seeding(seed: int) -> None:
+    """The bulk route must seed point 0 exactly as numpy does; a numpy whose
+    seeding differs would break the substream contract, so it stops the
+    draw instead."""
+    got = _pcg64_states(seed, 0, 1)[0]  # a negative seed raises here
+    want = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    want = want.state["state"]
+    if got != (want["state"], want["inc"]):
+        raise CocycleLabError(
+            "numpy's SeedSequence/PCG64 seeding differs from the bulk route, "
+            f"so points cannot be drawn from their substreams (numpy {np.__version__})"
+        )
+
+
+def _chunks(count: int, length: int) -> list[tuple[int, int]]:
+    """Row ranges holding _CHUNK_ENTRIES entries of ``length`` each (but at
+    least _MIN_CHUNK_ROWS rows)."""
+    rows = max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // length)
+    return [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def sample_points(
@@ -434,8 +553,12 @@ def sample_points(
 ) -> ShiftDraw | TorusDraw:
     """Draw ``count`` points of the invariant measure; shift points get a
     symbol window of half-width ``horizon``, which torus points ignore.
-    Point i comes from its own substream(seed, i), so it does not depend on
-    ``count``.
+    Point i comes from its own substream, the stream of
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so it does not
+    depend on ``count``.  The substreams are seeded in bulk, _SEED_BLOCK
+    points at a time (``_pcg64_states``), checked against numpy's own
+    seeding of point 0 once per call, and drawn through one reused
+    Generator.
 
     Every study sizes the window by one rule: ``horizon`` = how far the
     study walks from the sample point, either way, + the spec's
@@ -444,6 +567,10 @@ def sample_points(
     keeps two steps of room to push the directions, takes
     d + 2 + symbol_depth.
     """
+    if count > 2**32:
+        raise ConfigError("at most 2**32 points per draw")
+    if count > 0:
+        _check_seeding(seed)
     if isinstance(sys, TorusSystem):
         # Draw on the dyadic lattice 2**-26 Z^2 / Z^2 instead of raw floats.
         # Integer-matrix steps keep lattice points on the lattice with every
@@ -451,11 +578,12 @@ def sample_points(
         # f^-1 are exact mutual inverses along sampled orbits; raw uniforms
         # would pick up a rounding eps per step that hyperbolicity amplifies
         # by lambda^k across a backward/forward round trip.
-        ints = np.empty((count, 2), dtype=np.int64)
-        for i in range(count):
-            rng = np.random.default_rng(substream(seed, i))
-            ints[i] = rng.integers(0, _LATTICE_DENOM, size=2)
-        coords = ints / _LATTICE_DENOM
+        coords = np.empty((count, 2))
+        for lo, hi in _chunks(count, 2):
+            ints = np.empty((hi - lo, 2), dtype=np.int64)
+            for row, rng in zip(ints, _substreams(seed, lo, hi)):
+                row[:] = rng.integers(0, _LATTICE_DENOM, size=2)
+            np.divide(ints, _LATTICE_DENOM, out=coords[lo:hi])
         coords.setflags(write=False)
         return TorusDraw(coords)
     if horizon < 0:
@@ -468,12 +596,10 @@ def sample_points(
     else:
         cum_rows = np.cumsum(np.asarray(measure.matrix, dtype=float), axis=1)
         cum_pi = np.cumsum(np.asarray(measure.stationary, dtype=float))
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // length)
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
+    for lo, hi in _chunks(count, length):
         uniforms = np.empty((hi - lo, length), dtype=float)
-        for i in range(lo, hi):
-            uniforms[i - lo] = np.random.default_rng(substream(seed, i)).random(length)
+        for row, rng in zip(uniforms, _substreams(seed, lo, hi)):
+            rng.random(out=row)
         out = windows[lo:hi]
         if isinstance(measure, BernoulliMeasure):
             out[:] = np.searchsorted(cum, uniforms, side="right")

@@ -28,6 +28,7 @@ from .config import (
     build_system,
     config_hash,
     load_config,
+    _seed,
 )
 from .continuity import continuity_experiment
 from .errors import (
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _setting(args) -> tuple[Config, object, object, int, str]:
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else _seed(args.seed, "--seed")
     out_dir = args.out or os.environ.get("COCYCLELAB_OUT") or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     sys_ = build_system(cfg)

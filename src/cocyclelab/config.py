@@ -92,7 +92,7 @@ def normalize_config(data: dict) -> Config:
         "cocycle": _norm_cocycle(data["cocycle"]),
         "budgets": _norm_budgets(data.get("budgets") or {}),
         "epsilon": _number(data.get("epsilon", 0.1), "epsilon"),
-        "seed": _integer(data.get("seed", 0), "seed"),
+        "seed": _seed(data.get("seed", 0), "seed"),
         "output_dir": _text(data.get("output_dir", "out"), "output_dir"),
     }
     if out["epsilon"] <= 0.0:
@@ -242,6 +242,14 @@ def _integer(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where} must be an integer, got {v!r}")
     return int(v)
+
+
+def _seed(v, where: str) -> int:
+    """A seed: numpy's SeedSequence takes nonnegative integers only."""
+    seed = _integer(v, where)
+    if seed < 0:
+        raise ConfigError(f"{where} must be nonnegative, got {seed}")
+    return seed
 
 
 def _text(v, where: str) -> str:

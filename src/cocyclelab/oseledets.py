@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, mat2
-from .base import BasePoint, BaseSystem, apply_f
-from .cocycle import CocycleSpec, _constant_power, evaluate
-from .errors import ConfigError, NoGap
+from .base import BasePoint, BaseSystem, ShiftDraw, TorusDraw
+from .cocycle import CocycleSpec, _constant_power
+from .errors import ConfigError, NoGap, SingularValueError
+from .mat2 import DET_FLOOR
 
 _CONFORMAL_GAP = np.log1p(1e-6)
 
@@ -58,13 +59,6 @@ def projective_distance(d1: Direction, d2: Direction) -> float:
     """Sine of the angle between the two lines; a metric on the projective
     line taking values in [0, 1]."""
     return abs(d1.x * d2.y - d1.y * d2.x)
-
-
-def apply_projective(m: np.ndarray, d: Direction) -> Direction:
-    """Image of the line under an invertible matrix."""
-    vx = m[0, 0] * d.x + m[0, 1] * d.y
-    vy = m[1, 0] * d.x + m[1, 1] * d.y
-    return Direction(vx, vy)
 
 
 def _left_directions(st: engine.ScanState) -> tuple[np.ndarray, np.ndarray]:
@@ -237,34 +231,48 @@ def splitting(
     )
 
 
+def _lines(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction's normalization over arrays, bit for bit: unit vectors with
+    the first nonzero component positive; a zero or non-finite vector
+    raises ConfigError, as Direction does."""
+    nrm = np.hypot(vx, vy)
+    if not np.all((nrm != 0.0) & np.isfinite(nrm)):
+        raise ConfigError("direction needs a nonzero finite vector")
+    return _normalize_pairs(vx, vy)
+
+
 def equivariance_residuals(
     a_spec: CocycleSpec,
     sys: BaseSystem,
-    points: list[BasePoint],
+    points: ShiftDraw | TorusDraw,
     depth: int,
     side: str = "unstable",
     threads: int = 1,
 ) -> np.ndarray:
     """Per-sample distance between the pushed direction at x and the
     extracted direction at f(x); small residuals certify that the
-    finite-depth field transforms correctly under the cocycle."""
+    finite-depth field transforms correctly under the cocycle.
+
+    ``points`` is a ``sample_points`` draw; the draw is pushed by f, A(x)
+    read and the lines normalized as arrays, giving bitwise what
+    ``Direction`` and ``evaluate`` give point by point."""
     if side == "unstable":
         extract = unstable_directions
     elif side == "stable":
         extract = stable_directions
     else:
         raise ConfigError("side must be 'unstable' or 'stable'")
-    points = list(points)  # walked twice below; a draw builds points on access
-    shifted = [apply_f(sys, p, 1) for p in points]
+    if not isinstance(points, (ShiftDraw, TorusDraw)):
+        raise ConfigError("equivariance residuals need a sample_points draw")
+    shifted = engine.pushed(sys, points)
     vx, vy, ok = extract(a_spec, sys, points, depth, threads)
     wx, wy, ok2 = extract(a_spec, sys, shifted, depth, threads)
     if not (np.all(ok) and np.all(ok2)):
         raise NoGap("conformal window product while measuring equivariance")
-    out = np.empty(len(points))
-    for i, p in enumerate(points):
-        m = evaluate(a_spec, p)
-        pushed = apply_projective(m, Direction(float(vx[i]), float(vy[i])))
-        out[i] = projective_distance(
-            pushed, Direction(float(wx[i]), float(wy[i]))
-        )
-    return out
+    va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, points))
+    if np.any(np.abs(va * vd - vb * vc) < DET_FLOOR):
+        raise SingularValueError("cocycle value is singular at a sample point")
+    dx, dy = _lines(vx, vy)
+    px, py = _lines(va * dx + vb * dy, vc * dx + vd * dy)
+    qx, qy = _lines(wx, wy)
+    return np.abs(px * qy - py * qx)

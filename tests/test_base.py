@@ -19,9 +19,9 @@ from cocyclelab.base import (
     apply_f,
     base_distance,
     sample_points,
-    substream,
 )
-from cocyclelab.errors import ConfigError, HorizonExceeded
+from cocyclelab.cocycle import _HolderSample
+from cocyclelab.errors import CocycleLabError, ConfigError, HorizonExceeded
 
 
 def wpoint(*symbols, offset=0):
@@ -238,13 +238,18 @@ class TestSampling:
         assert np.mean(coords[:, 1]) == pytest.approx(0.5, abs=0.025)
 
 
+def numpy_substream(seed, i):
+    """Point i's generator as numpy builds it: the per-point oracle."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def one_shot_windows(sys, count, horizon, seed):
     """Windows by the one-shot route: the whole draw as float64 uniforms,
-    then every symbol at once."""
+    one numpy generator per point, then every symbol at once."""
     length = 2 * horizon + 1
     uniforms = np.empty((count, length))
     for i in range(count):
-        uniforms[i] = np.random.default_rng(substream(seed, i)).random(length)
+        uniforms[i] = numpy_substream(seed, i).random(length)
     measure = sys.measure
     if isinstance(measure, BernoulliMeasure):
         symbols = np.searchsorted(measure.cumulative, uniforms.ravel(), side="right")
@@ -310,3 +315,77 @@ class TestDraws:
         xs, ys = rng.random((50, 2)), rng.random((50, 2))
         for x, y, d in zip(xs, ys, base.torus_distances(xs, ys)):
             assert base_distance(cat, TorusPoint(*x), TorusPoint(*y)) == d
+
+
+def one_shot_lattice(count, seed):
+    """Torus lattice integers, one numpy generator per point."""
+    return np.array(
+        [numpy_substream(seed, i).integers(0, 2**26, size=2) for i in range(count)],
+        dtype=np.int64,
+    ).reshape(count, 2)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 4 rows, so a draw of 10 points crosses two boundaries."""
+    monkeypatch.setattr(base, "_MIN_CHUNK_ROWS", 4)
+    monkeypatch.setattr(base, "_CHUNK_ENTRIES", 1)
+
+
+class TestBulkSeeding:
+    """The bulk-seeded draw against numpy's own per-point generators."""
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**128 + 5])
+    def test_states_match_numpy(self, seed):
+        def numpy_state(i):
+            bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
+            return bits.state["state"]["state"], bits.state["state"]["inc"]
+
+        for lo, hi in [(0, 300), (69_990, 70_010), (2**32 - 2, 2**32)]:
+            want = [numpy_state(i) for i in range(lo, hi)]
+            assert base._pcg64_states(seed, lo, hi) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "alphabet, measure",
+        [
+            (2, BernoulliMeasure(weights=(0.4, 0.6))),
+            (3, BernoulliMeasure(weights=(0.3, 0.0, 0.7))),
+            (3, MEASURES["markov"]),
+        ],
+        ids=["bernoulli2", "bernoulli3-zero", "markov3"],
+    )
+    def test_windows_match_numpy(self, small_chunks, seed, alphabet, measure):
+        sys = ShiftSystem(alphabet_size=alphabet, measure=measure)
+        draw = sample_points(sys, 10, 6, seed)
+        assert np.array_equal(draw.windows, one_shot_windows(sys, 10, 6, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_torus_lattice_matches_numpy(self, small_chunks, cat, seed):
+        draw = sample_points(cat, 10, 0, seed)
+        ints = one_shot_lattice(10, seed)
+        assert np.array_equal(draw.coords * 2**26, ints)
+        assert np.array_equal(draw.coords, ints / 2**26)
+
+    def test_holder_draw_matches_numpy(self, cat):
+        sample = _HolderSample.draw(cat, pairs=300, seed=7)
+        assert np.array_equal(sample.coords[:600], one_shot_lattice(600, 7) / 2**26)
+
+    def test_guard_stops_a_changed_seeding(self, monkeypatch, shift2, cat):
+        monkeypatch.setattr(base, "_PCG64_MULT", base._PCG64_MULT + 2)
+        for sys in (shift2, cat):
+            with pytest.raises(CocycleLabError, match="seeding"):
+                sample_points(sys, 3, 2, seed=1)
+            # an empty draw seeds nothing and checks nothing
+            assert len(sample_points(sys, 0, 2, seed=1)) == 0
+
+    def test_negative_seed_is_a_config_error(self, shift2):
+        with pytest.raises(ConfigError, match="seed"):
+            sample_points(shift2, 2, 3, seed=-1)
+
+    def test_count_limit(self, shift2):
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            sample_points(shift2, 2**32 + 1, 0, seed=0)

@@ -258,6 +258,26 @@ class TestExitCodes:
         assert run(["lyapunov", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_negative_seed_is_2(self, route, tmp_path, capsys):
+        path = tmp_path / "neg.yaml"
+        data = FAST_SHIFT if route == "flag" else {**FAST_SHIFT, "seed": -3}
+        path.write_text(yaml.safe_dump(data))
+        argv = ["lyapunov", "--config", str(path), "--out", str(tmp_path)]
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed must be nonnegative" in err
+        assert not (tmp_path / "lyapunov.csv").exists()
+
+    def test_changed_numpy_seeding_is_1(self, shift_cfg, tmp_path, monkeypatch, capsys):
+        from cocyclelab import base
+
+        monkeypatch.setattr(base, "_PCG64_MULT", base._PCG64_MULT + 2)
+        assert run(["lyapunov", "--config", shift_cfg, "--out", str(tmp_path)]) == 1
+        assert "seeding differs" in capsys.readouterr().err
+
     def test_no_gap_is_3(self, tmp_path):
         conformal = {
             "base": FAST_SHIFT["base"],

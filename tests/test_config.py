@@ -87,6 +87,10 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="seed"):
             normalize_config({**TORUS_CFG, "seed": True})
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -3"):
+            normalize_config({**TORUS_CFG, "seed": -3})
+
     def test_torus_matrix_must_be_integer(self):
         bad = {**TORUS_CFG, "base": {"kind": "torus", "matrix": [[2.5, 1], [1, 1]]}}
         with pytest.raises(ConfigError, match="integer"):

@@ -5,13 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import mat2
-from cocyclelab.base import TorusPoint, sample_points
-from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle
-from cocyclelab.errors import NoGap
+from cocyclelab import mat2, oseledets
+from cocyclelab.base import TorusPoint, apply_f, sample_points
+from cocyclelab.cocycle import (
+    ConstantCocycle,
+    ConstantFactor,
+    LocallyConstantCocycle,
+    PointwiseCocycle,
+    RotationFactor,
+    TrigExpr,
+    evaluate,
+)
+from cocyclelab.errors import ConfigError, NoGap, SingularValueError
 from cocyclelab.oseledets import (
     Direction,
-    apply_projective,
     equivariance_residuals,
     projective_distance,
     splitting,
@@ -51,13 +58,6 @@ class TestDirection:
         assert projective_distance(Direction(1, 0), Direction(0, 1)) == 1.0
         assert projective_distance(Direction(1, 1), Direction(1, -1)) == pytest.approx(1.0)
 
-    def test_apply_projective(self):
-        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-        out = apply_projective(shear, Direction(0.0, 1.0))
-        assert (out.x, out.y) == pytest.approx((np.sqrt(0.5), np.sqrt(0.5)))
-        # lines are unsigned: -v maps to the same direction
-        assert apply_projective(-shear, Direction(0.0, 1.0)).x == out.x
-
 
 class TestConstantCocycles:
     def test_diagonal_axes_exact_shift(self, shift2):
@@ -84,7 +84,7 @@ class TestConstantCocycles:
         assert projective_distance(eu, ref_u) < 1e-12
         assert projective_distance(es, ref_s) < 1e-12
         # the splitting is invariant: pushing E^u forward returns E^u
-        pushed = apply_projective(spec.matrix, eu)
+        pushed = Direction(*(spec.matrix @ eu.vector))
         assert projective_distance(pushed, eu) < 1e-12
 
     def test_conformal_raises(self, shift2):
@@ -142,3 +142,61 @@ class TestSampledCocycles:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
 
+
+def per_point_residuals(spec, sys, draw, depth, side):
+    """Equivariance residuals one point at a time, as Direction and
+    evaluate define them: the reference for the batched route."""
+    extract = unstable_directions if side == "unstable" else stable_directions
+    points = list(draw)
+    vx, vy, _ = extract(spec, sys, points, depth)
+    wx, wy, _ = extract(spec, sys, [apply_f(sys, p, 1) for p in points], depth)
+    out = []
+    for i, p in enumerate(points):
+        m = evaluate(spec, p)
+        d = Direction(float(vx[i]), float(vy[i]))
+        pushed = Direction(m[0, 0] * d.x + m[0, 1] * d.y, m[1, 0] * d.x + m[1, 1] * d.y)
+        out.append(projective_distance(pushed, Direction(float(wx[i]), float(wy[i]))))
+    return np.array(out)
+
+
+def torus_spec():
+    rot = RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1))
+    return PointwiseCocycle(factors=(rot, ConstantFactor(np.diag([1.5, 1.0 / 1.5]))))
+
+
+class TestBatchedEquivariance:
+    @pytest.mark.parametrize("side", ["unstable", "stable"])
+    def test_shift_matches_per_point_bitwise(self, shift2, side):
+        spec = TestSampledCocycles().spec()
+        draw = sample_points(shift2, 150, 33, seed=8)
+        res = equivariance_residuals(spec, shift2, draw, depth=30, side=side)
+        assert np.array_equal(res, per_point_residuals(spec, shift2, draw, 30, side))
+
+    @pytest.mark.parametrize("side", ["unstable", "stable"])
+    def test_torus_matches_per_point_bitwise(self, cat, side):
+        draw = sample_points(cat, 150, 0, seed=9)
+        res = equivariance_residuals(torus_spec(), cat, draw, depth=25, side=side)
+        ref = per_point_residuals(torus_spec(), cat, draw, 25, side)
+        assert np.array_equal(res, ref)
+
+    def test_needs_a_draw(self, shift2):
+        draw = sample_points(shift2, 3, 12, seed=1)
+        with pytest.raises(ConfigError, match="draw"):
+            equivariance_residuals(TestSampledCocycles().spec(), shift2, list(draw), 10)
+
+    def test_singular_value(self, shift2):
+        # rank one: the constant window still has a gap, A(x) has none
+        spec = ConstantCocycle(matrix=np.diag([1.0, 0.0]), invertible=False)
+        draw = sample_points(shift2, 4, 3, seed=1)
+        with np.errstate(divide="ignore"), pytest.raises(SingularValueError):
+            equivariance_residuals(spec, shift2, draw, depth=5)
+
+    def test_zero_line(self, monkeypatch, shift2):
+        def zero_lines(spec, sys, points, depth, threads=1):
+            n = len(points)
+            return np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
+
+        monkeypatch.setattr(oseledets, "unstable_directions", zero_lines)
+        draw = sample_points(shift2, 4, 12, seed=1)
+        with pytest.raises(ConfigError, match="nonzero finite"):
+            equivariance_residuals(TestSampledCocycles().spec(), shift2, draw, 10)
