@@ -32,10 +32,8 @@ from .cocycle import (
     TrigExpr,
     bunching_check,
     evaluate,
-    holder_distance,
-    holder_norm,
+    holder_distances,
     product,
-    product_renormalized,
     specialize,
 )
 from .config import (
@@ -47,7 +45,6 @@ from .config import (
     dump_config,
     load_config,
     normalize_config,
-    save_config,
 )
 from .continuity import (
     ContinuityReport,
@@ -67,10 +64,8 @@ from .errors import (
 )
 from .oseledets import (
     Direction,
-    Splitting,
     equivariance_residuals,
     projective_distance,
-    splitting,
     stable_direction,
     stable_directions,
     unstable_direction,

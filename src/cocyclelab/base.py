@@ -44,6 +44,8 @@ class BernoulliMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ConfigError("Bernoulli weights need at least two entries")
+        if not np.all(np.isfinite(w)):
+            raise ConfigError("Bernoulli weights must be finite")
         if np.any(w < 0.0):
             raise ConfigError("Bernoulli weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:

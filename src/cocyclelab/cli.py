@@ -95,7 +95,12 @@ def _setting(args) -> tuple[Config, object, object, int, str]:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else _seed(args.seed, "--seed")
     out_dir = args.out or os.environ.get("COCYCLELAB_OUT") or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot create output directory {out_dir!r}: {err.strerror}"
+        ) from err
     sys_ = build_system(cfg)
     spec = build_cocycle(cfg)
     return cfg, sys_, spec, seed, out_dir
@@ -259,15 +264,19 @@ def _cmd_continuity(args) -> int:
         goodset_curve_svg(rep.rows, rep.epsilon),
     )
     live = [r for r in rep.rows if not r.censored]
+    histogram = os.path.join(out_dir, "displacements.svg")
     if live:
         emit_plot(
-            os.path.join(out_dir, "displacements.svg"),
+            histogram,
             histogram_svg(
                 np.log10(np.maximum(rep.last_unstable_distances, 1e-300)),
                 bins=24,
                 title=f"log10 unstable displacement at t = {live[-1].t:g}",
             ),
         )
+    elif os.path.exists(histogram):
+        # a histogram left by an earlier run would describe another draw
+        os.remove(histogram)
     censored = sum(1 for r in rep.rows if r.censored)
     final = live[-1].g_hat if live else float("nan")
     print(

@@ -4,9 +4,8 @@ A cocycle spec is a serializable description of a matrix map A(x).  Specs
 expose two batched evaluation hooks, ``values_at_symbols`` (shift bases,
 reading a block of forward symbols) and ``values_at_coords`` (torus bases),
 both returning four entry arrays; the iteration kernels are written against
-those hooks only.  Products over orbit windows come in a plain flavor, kept
-for cross-checks at moderate n, and a renormalized flavor that rescales to
-unit operator norm at every step and accumulates the log scale.
+those hooks only.  The plain orbit product ``product`` is kept as a
+cross-check at moderate n; the renormalized products are ``engine``'s scans.
 """
 
 from __future__ import annotations
@@ -574,7 +573,7 @@ def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.nd
         pt = x
         for _ in range(-n):
             pt = apply_f(sys, pt, -1)
-            out = _inverse_step(evaluate(a_spec, pt)) @ out
+            out = mat2.inverse(evaluate(a_spec, pt)) @ out
         return out
     out = np.eye(2)
     pt = x
@@ -585,53 +584,10 @@ def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.nd
     return out
 
 
-def _inverse_step(m: np.ndarray) -> np.ndarray:
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
-def product_renormalized(
-    a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int
-) -> tuple[np.ndarray, float]:
-    """Orbit product as (normalized, log_scale) with unit operator norm.
-
-    Rescaling happens at every step, so nothing overflows for any window
-    length of practical size.  Constant specs take a repeated-squaring path
-    that needs no orbit access at all.
-    """
-    n = int(n)
-    if n == 0:
-        return np.eye(2), 0.0
-    if a_spec.is_constant:
-        return _constant_power(a_spec.constant_value(), n)
-    batch = engine.batch_of(sys, [x])
-    if n > 0:
-        scan = engine.forward_scan(a_spec, sys, batch, n)
-        norm = mat2.opnorm_batch(scan.a, scan.b, scan.c, scan.d)
-        m = np.array(
-            [[scan.a[0], scan.b[0]], [scan.c[0], scan.d[0]]]
-        ) / norm[0]
-        return m, float(scan.log_scale[0] + np.log(norm[0]))
-    # Accumulate per-step inverses over the backward window through the
-    # scan's independently renormalized inverse track; inverting the
-    # assembled window product instead would lose the small singular value
-    # at O(kappa eps).
-    engine.step(sys, batch, n)
-    scan = engine.exponent_scan(a_spec, sys, batch, -n)
-    norm = mat2.opnorm_batch(scan.inv_a, scan.inv_b, scan.inv_c, scan.inv_d)
-    m = np.array(
-        [[scan.inv_a[0], scan.inv_b[0]], [scan.inv_c[0], scan.inv_d[0]]]
-    ) / norm[0]
-    return m, float(scan.inv_log_scale[0] + np.log(norm[0]))
-
-
 def _constant_power(m: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    if n < 0:
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        base = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-        n = -n
-    else:
-        base = np.asarray(m, dtype=float)
+    """m**n for n >= 0 as (normalized, log_scale) with unit operator norm,
+    by repeated squaring, renormalizing after every product."""
+    base = np.asarray(m, dtype=float)
     norm = mat2.opnorm(base)
     acc = np.eye(2)
     acc_log = 0.0
@@ -669,49 +625,6 @@ class HolderReport:
         return self.sup_norm + self.holder_constant
 
 
-def holder_norm(
-    a_spec: CocycleSpec,
-    sys: BaseSystem,
-    pair_samples: int = 2048,
-    seed: int = 0,
-) -> HolderReport:
-    """sup-norm plus Holder-r quotient of the matrix map.
-
-    Exact by finite enumeration for constant and locally constant specs;
-    a flagged Monte Carlo lower bound for pointwise specs.
-    """
-    if a_spec.is_constant:
-        return HolderReport(
-            sup_norm=mat2.opnorm(a_spec.constant_value()),
-            holder_constant=0.0,
-            r=a_spec.r,
-            exact=True,
-        )
-    td = _as_table(a_spec, sys)
-    if td is not None:
-        sup, quot = _table_holder(
-            td[0], sys.alphabet_size, td[1], sys.lambda0, a_spec.r
-        )
-        return HolderReport(sup, quot, a_spec.r, exact=True)
-    if isinstance(a_spec, LocallyConstantCocycle):
-        raise ConfigError("locally constant cocycles live over shift bases")
-    sample = _HolderSample.draw(sys, pair_samples, seed)
-    return sample.report(
-        lambda sl: a_spec.values_at_coords(sample.coords[sl]), a_spec.r
-    )
-
-
-def holder_distance(
-    a_spec: CocycleSpec,
-    b_spec: CocycleSpec,
-    sys: BaseSystem,
-    pair_samples: int = 2048,
-    seed: int = 0,
-) -> HolderReport:
-    """Holder norm of the difference map x -> A(x) - B(x)."""
-    return holder_distances((a_spec,), b_spec, sys, pair_samples, seed)[0]
-
-
 def holder_distances(
     specs,
     b_spec: CocycleSpec,
@@ -719,11 +632,14 @@ def holder_distances(
     pair_samples: int = 2048,
     seed: int = 0,
 ) -> list[HolderReport]:
-    """``holder_distance(a, b_spec, ...)`` for every a in ``specs``, each
-    bitwise as if computed alone.
+    """sup-norm plus Holder-r quotient of x -> A(x) - B(x) for every A in
+    ``specs``, each bitwise as if computed alone; a Holder norm is the
+    distance to ``ConstantCocycle(np.zeros((2, 2)), invertible=False)``.
 
-    Symbol tables are compared exactly.  The sampled route draws its pairs
-    and near-point rings once and evaluates B there once.
+    Exact by finite enumeration over a shift when A and B are symbol tables
+    over its alphabet (a constant spec counts as one).  Over a torus, a
+    flagged Monte Carlo lower bound, which draws its pairs and near-point
+    rings once and evaluates B there once.
     """
     table_b = _as_table(b_spec, sys)
     sample = None
@@ -933,16 +849,12 @@ def bunching_check(
     exact = bool(a_spec.is_constant)
     kappa_lambda_r = None
     if exact:
-        m = a_spec.constant_value()
-        s1, s2 = mat2.singular_values(m)
+        s1, s2 = mat2.singular_values(a_spec.constant_value())
         kappa_lambda_r = (s1 / s2) * lam ** r
-        samples = 1
-        points = _any_point(sys, n_max)
-        batch = engine.batch_of(sys, points)
-    else:
-        samples = x_samples
-        points = sample_points(sys, samples, n_max + a_spec.symbol_depth, seed)
-        batch = engine.batch_of(sys, points)
+    # a constant spec takes the same value at every point, so one will do
+    samples = 1 if exact else x_samples
+    points = sample_points(sys, samples, n_max + a_spec.symbol_depth, seed)
+    batch = engine.batch_of(sys, points)
     ls_path, ldet_path = engine.forward_record(a_spec, sys, batch, n_max)
     ns = np.arange(1, n_max + 1)
     log_b = np.max(2.0 * ls_path - ldet_path, axis=1) + ns * r * np.log(lam)
@@ -970,8 +882,3 @@ def bunching_check(
         samples=samples,
     )
 
-
-def _any_point(sys: BaseSystem, horizon: int):
-    if isinstance(sys, ShiftSystem):
-        return [ShiftPoint(window=np.zeros(2 * horizon + 1, dtype=np.int16))]
-    return [TorusPoint(0.0, 0.0)]

@@ -73,8 +73,13 @@ class Config:
 
 
 def load_config(path: str) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path!r}: {err.strerror}") from err
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path!r} is not valid YAML: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a mapping")
     return normalize_config(data)
@@ -111,11 +116,6 @@ def normalize_config(data: dict) -> Config:
 def dump_config(cfg: Config) -> str:
     """Canonical YAML text; equal configs produce equal text."""
     return yaml.safe_dump(cfg.data, sort_keys=True, default_flow_style=False)
-
-
-def save_config(cfg: Config, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg))
 
 
 def config_hash(cfg: Config) -> str:
@@ -235,7 +235,14 @@ def _expect_keys(d, required: set, optional: set, where: str) -> None:
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer past the float range
+        x = np.inf
+    # NaN passes every range check, so non-finite values stop here
+    if not np.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {v!r}")
+    return x
 
 
 def _integer(v, where: str) -> int:

@@ -217,15 +217,9 @@ def _require_regular(low_det: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class ScanState:
-    """Renormalized product: matrix = exp(log_scale) * [[a, b], [c, d]] with
-    [[a, b], [c, d]] of unit operator norm; logdet accumulates log |det| of
-    the product.
-
-    The direction scans keep [[a, b], [c, d]] at unit norm after every step,
-    since their callers read it as a direction.  ``exponent_scan`` rescales
-    by powers of two along the way, a step or a word of steps at a time,
-    and normalizes once at the end; it alone fills the ``inv_*`` fields
-    with the inverse product, in the same form.
+    """A direction scan's renormalized product: matrix = exp(log_scale) *
+    [[a, b], [c, d]] with [[a, b], [c, d]] of unit operator norm after every
+    step; logdet accumulates log |det| of the product.
     """
 
     a: np.ndarray
@@ -234,11 +228,6 @@ class ScanState:
     d: np.ndarray
     log_scale: np.ndarray
     logdet: np.ndarray
-    inv_a: np.ndarray | None = None
-    inv_b: np.ndarray | None = None
-    inv_c: np.ndarray | None = None
-    inv_d: np.ndarray | None = None
-    inv_log_scale: np.ndarray | None = None
 
 
 def _identity_state(size: int) -> ScanState:
@@ -343,10 +332,9 @@ def _radix_scale(a, b, c, d, exps):
     return exps + k
 
 
-def _unit_form(a, b, c, d, exps):
-    """(2**exps) [[a, b], [c, d]] as unit-norm entries plus the log scale."""
-    nrm = mat2.opnorm_batch(a, b, c, d)
-    return a / nrm, b / nrm, c / nrm, d / nrm, exps * _LN2 + np.log(nrm)
+def _log_norm(a, b, c, d, exps):
+    """log of the operator norm of (2**exps) [[a, b], [c, d]]."""
+    return exps * _LN2 + np.log(mat2.opnorm_batch(a, b, c, d))
 
 
 # A factor is what exponent_scan absorbs, one step or one word of steps:
@@ -459,17 +447,18 @@ def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
 
 def exponent_scan(
     spec, sys: BaseSystem, batch: Batch, n: int, words: WordTables | None = None
-) -> ScanState:
-    """Forward product over [0, n) and, independently, the product of the
-    step inverses inv(A(x)) inv(A(fx)) ... inv(A(f^{n-1}x)), for exponents.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log_scale, inv_log_scale, logdet) for exponents: the log operator
+    norms of the forward product over [0, n) and, independently, of the
+    product of the step inverses inv(A(x)) inv(A(fx)) ... inv(A(f^{n-1}x)),
+    and log |det| of the forward product.
 
     Each track, and the running product of step determinants, is rescaled
     by an exact power of two as it goes, with the exponent kept apart, so
     no product overflows and the only rounding is in the products
     themselves; one operator norm and one log per track at the end give the
-    returned unit-norm ScanState with its ``inv_*`` fields.  The two log
-    scales come from different arithmetic, so checking them against
-    ``logdet`` is a genuine cross-check.
+    two log scales.  They come from different arithmetic, so checking them
+    against ``logdet`` is a genuine cross-check.
 
     A spec with a symbol table over the system's alphabet is walked a word
     at a time: each iteration gathers one precomputed k-step factor per
@@ -479,7 +468,7 @@ def exponent_scan(
     walk, and singular steps once, after it.
 
     The batch is left positioned at f^{n-1} of its starting points (or
-    untouched when n = 0).  As in the direction scans, the state takes the
+    untouched when n = 0).  As in ``forward_record``, the arrays take the
     shape of the values absorbed.
     """
     if n < 0:
@@ -498,20 +487,10 @@ def exponent_scan(
             acc = _absorb(acc, factor)
     a, b, c, d, exps, ia, ib, ic, id_, inv_exps, det, det_exps, low_det = acc
     _require_regular(low_det)
-    a, b, c, d, log_scale = _unit_form(a, b, c, d, exps)
-    ia, ib, ic, id_, inv_log_scale = _unit_form(ia, ib, ic, id_, inv_exps)
-    return ScanState(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        log_scale=log_scale,
-        logdet=det_exps * _LN2 + np.log(np.abs(det)),
-        inv_a=ia,
-        inv_b=ib,
-        inv_c=ic,
-        inv_d=id_,
-        inv_log_scale=inv_log_scale,
+    return (
+        _log_norm(a, b, c, d, exps),
+        _log_norm(ia, ib, ic, id_, inv_exps),
+        det_exps * _LN2 + np.log(np.abs(det)),
     )
 
 

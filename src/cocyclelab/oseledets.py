@@ -61,14 +61,12 @@ def projective_distance(d1: Direction, d2: Direction) -> float:
     return abs(d1.x * d2.y - d1.y * d2.x)
 
 
-def _left_directions(st: engine.ScanState) -> tuple[np.ndarray, np.ndarray]:
-    vx, vy = mat2.left_singular_components(st.a, st.b, st.c, st.d)
-    return _normalize_pairs(vx, vy)
+def _left_directions(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    return _normalize_pairs(*mat2.left_singular_components(a, b, c, d))
 
 
-def _right_directions(st: engine.ScanState) -> tuple[np.ndarray, np.ndarray]:
-    vx, vy = mat2.right_singular_components(st.a, st.b, st.c, st.d)
-    return _normalize_pairs(vx, vy)
+def _right_directions(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    return _normalize_pairs(*mat2.right_singular_components(a, b, c, d))
 
 
 def _normalize_pairs(vx: np.ndarray, vy: np.ndarray):
@@ -94,14 +92,15 @@ def _conformality_ok(st: engine.ScanState) -> np.ndarray:
 
 
 def _constant_window(a_spec: CocycleSpec, depth: int):
-    """(normalized power, ok) for constant specs: the window product is the
-    same matrix power everywhere, so no orbit access is needed."""
+    """(entries, ok) for constant specs: the window product is the same
+    matrix power everywhere, so no orbit access is needed; its normalized
+    entries come as four (1,) arrays, the shape the extractors read."""
     m = a_spec.constant_value()
     normalized, ls = _constant_power(m, depth)
     ldet = depth * np.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
     s1 = mat2.opnorm(normalized)
     log_kappa = 2.0 * (ls + np.log(s1)) - ldet
-    return normalized, bool(log_kappa >= _CONFORMAL_GAP)
+    return normalized.reshape(4, 1), bool(log_kappa >= _CONFORMAL_GAP)
 
 
 def _replicate(vx: float, vy: float, ok: bool, count: int):
@@ -129,14 +128,14 @@ def unstable_directions(
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     if a_spec.is_constant:
-        p, ok = _constant_window(a_spec, depth)
-        vx, vy = _left_directions(_power_state(p))
+        entries, ok = _constant_window(a_spec, depth)
+        vx, vy = _left_directions(*entries)
         return _replicate(float(vx[0]), float(vy[0]), ok, len(points))
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
         st = engine.backward_scan(a_spec, sys, batch, depth)
-        vx, vy = _left_directions(st)
+        vx, vy = _left_directions(st.a, st.b, st.c, st.d)
         return vx, vy, _conformality_ok(st)
 
     vx, vy, ok = engine.block_map(
@@ -156,17 +155,15 @@ def stable_directions(
     if depth < 1:
         raise ConfigError("depth must be >= 1")
     if a_spec.is_constant:
-        p, ok = _constant_window(a_spec, depth)
-        rx, ry = _right_directions(_power_state(p))
-        vx, vy = _normalize_pairs(
-            -np.asarray([ry[0]]), np.asarray([rx[0]])
-        )
+        entries, ok = _constant_window(a_spec, depth)
+        rx, ry = _right_directions(*entries)
+        vx, vy = _normalize_pairs(-ry, rx)
         return _replicate(float(vx[0]), float(vy[0]), ok, len(points))
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
         st = engine.forward_scan(a_spec, sys, batch, depth)
-        rx, ry = _right_directions(st)
+        rx, ry = _right_directions(st.a, st.b, st.c, st.d)
         # rotate the top right-singular direction by 90 degrees: exact in 2d
         return _normalize_pairs(-ry, rx) + (_conformality_ok(st),)
 
@@ -174,19 +171,6 @@ def stable_directions(
         job, len(points), threads, rows=getattr(a_spec, "rows", 1)
     )
     return vx, vy, ok.astype(bool)
-
-
-def _power_state(p: np.ndarray) -> engine.ScanState:
-    """Wrap a single matrix in the ScanState shape the extractors read."""
-    zero = np.zeros(1)
-    return engine.ScanState(
-        a=np.array([p[0, 0]]),
-        b=np.array([p[0, 1]]),
-        c=np.array([p[1, 0]]),
-        d=np.array([p[1, 1]]),
-        log_scale=zero,
-        logdet=zero,
-    )
 
 
 def unstable_direction(
@@ -209,26 +193,6 @@ def stable_direction(
             "window product is conformal to tolerance; no stable direction"
         )
     return Direction(float(vx[0]), float(vy[0]))
-
-
-@dataclass(frozen=True)
-class Splitting:
-    unstable: Direction
-    stable: Direction
-
-    @property
-    def angle(self) -> float:
-        """Sine of the angle between the two subspaces."""
-        return projective_distance(self.unstable, self.stable)
-
-
-def splitting(
-    a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, depth: int
-) -> Splitting:
-    return Splitting(
-        unstable=unstable_direction(a_spec, sys, x, depth),
-        stable=stable_direction(a_spec, sys, x, depth),
-    )
 
 
 def _lines(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

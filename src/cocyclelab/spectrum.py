@@ -93,8 +93,10 @@ def finite_time_exponents(
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
-        st = engine.exponent_scan(a_spec, sys, batch, n, words)
-        return st.log_scale / n, -st.inv_log_scale / n, st.logdet / n
+        log_scale, inv_log_scale, logdet = engine.exponent_scan(
+            a_spec, sys, batch, n, words
+        )
+        return log_scale / n, -inv_log_scale / n, logdet / n
 
     plus, minus, rate = engine.block_map(
         job, count, threads, rows=getattr(a_spec, "rows", 1)

@@ -37,6 +37,10 @@ class TestMeasures:
         with pytest.raises(ConfigError):
             BernoulliMeasure(weights=(1.0,))
         BernoulliMeasure(weights=(1.0, 0.0))  # degenerate but legal
+        # NaN fails no range check and sums to NaN, so it is refused by name
+        for w in ((float("nan"), 1.0), (0.5, 0.5, float("nan"))):
+            with pytest.raises(ConfigError, match="must be finite"):
+                BernoulliMeasure(weights=w)
 
     def test_markov_stationary_against_linear_solve(self):
         p = ((0.9, 0.1), (0.2, 0.8))

@@ -196,6 +196,15 @@ class TestContinuityCommand:
         assert len(lines) == 3 and lines[2].split(",")[3] == "nan"
         assert (out / "goodset.svg").exists()
         assert not (out / "displacements.svg").exists()
+        # a histogram an earlier run left in the same directory goes too,
+        # since it plots another draw
+        lived = tmp_path / "lived.yaml"
+        lived.write_text(yaml.safe_dump(FAST_SHIFT))
+        assert run(["continuity", "--config", str(lived), "--out", str(out)]) == 0
+        assert (out / "displacements.svg").exists()
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "goodset.csv").read_text().splitlines() == lines
+        assert not (out / "displacements.svg").exists()
 
     def test_histogram_plots_the_goodset_draw(self, shift_cfg, tmp_path, monkeypatch):
         reports, plotted = [], []
@@ -257,6 +266,51 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump({**FAST_SHIFT, "colour": 1}))
         assert run(["lyapunov", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case", ["missing", "malformed", "binary", "out_is_a_file"]
+    )
+    def test_unreadable_input_is_2(self, case, shift_cfg, tmp_path, capsys):
+        config, out = shift_cfg, tmp_path / "o"
+        if case == "missing":
+            config = str(tmp_path / "absent.yaml")
+        elif case in ("malformed", "binary"):
+            config = str(tmp_path / "broken.yaml")
+            Path(config).write_bytes(
+                b"base: [unclosed\n" if case == "malformed" else b"\xff\xfe\x00"
+            )
+        else:
+            out.write_text("not a directory")
+        assert run(["lyapunov", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        named = str(out) if case == "out_is_a_file" else config
+        assert repr(named) in err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (("base", "measure", "weights"), "weights"),
+            (("cocycle", "table"), "cocycle.table entry"),
+            (("epsilon",), "epsilon"),
+        ],
+        ids=["weight", "table", "epsilon"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_number_is_2(self, edit, key, value, tmp_path, capsys):
+        data = yaml.safe_load(yaml.safe_dump(FAST_SHIFT))
+        if edit == ("epsilon",):
+            data["epsilon"] = value
+        elif edit[0] == "cocycle":
+            data["cocycle"]["table"][0][0][0] = value
+        else:
+            data["base"]["measure"]["weights"] = [value, 1.0]
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "o"
+        assert run(["lyapunov", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_negative_seed_is_2(self, route, tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import mat2
+from cocyclelab import engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
     ShiftPoint,
@@ -30,18 +30,26 @@ from cocyclelab.cocycle import (
     _table_holder,
     bunching_check,
     evaluate,
-    holder_distance,
     holder_distances,
-    holder_norm,
     product,
-    product_renormalized,
     specialize,
 )
 from cocyclelab.config import build_cocycle, load_config
 from cocyclelab.errors import ConfigError, SingularValueError
-from cocyclelab.spectrum import lyapunov_exponents
+from cocyclelab.oseledets import stable_directions, unstable_directions
+from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
 
 DIAG2 = np.diag([2.0, 0.5])
+# a Holder norm is the Holder distance to the zero map
+ZERO = ConstantCocycle(matrix=np.zeros((2, 2)), invertible=False)
+
+
+def holder_norm_of(spec, sys, **kw):
+    return holder_distances((spec,), ZERO, sys, **kw)[0]
+
+
+def holder_distance_of(a, b, sys, **kw):
+    return holder_distances((a,), b, sys, **kw)[0]
 
 
 def two_table(m0, m1, r=1.0):
@@ -86,7 +94,7 @@ class TestSpecs:
         assert a.tolist() == [1.0, 2.0] and d.tolist() == [4.0, 0.5]
 
     def test_difference_spec_is_bitwise_subtraction(self):
-        # holder_distance samples A - B through A + (-1) * B
+        # holder_distances samples A - B through A + (-1) * B
         rng = np.random.default_rng(3)
         shift_pairs = [
             LocallyConstantCocycle(
@@ -225,72 +233,101 @@ class TestProducts:
             assert rel_err(lhs, rhs) < 1e-9
 
     def test_renormalized_matches_plain(self, shift2):
+        # the renormalized scans against the plain product: forward_scan's
+        # unit-norm product and log scale, and the exponent scan's log norms
+        # of the forward product and of the product of step inverses
         spec = two_table(DIAG2, mat2.rotation(0.7) @ DIAG2)
         pts = sample_points(shift2, 5, 40, seed=7)
-        for x in pts:
-            # long mixed-rotation products are badly conditioned, so the
-            # entrywise agreement between differently grouped float products
-            # degrades like cond * eps; the log scale stays tight throughout.
-            for n, tol in ((0, 0), (1, 1e-12), (7, 1e-11), (12, 1e-9),
-                           (-7, 1e-11), (-12, 1e-9), (25, 1e-4), (-25, 1e-4)):
-                normalized, ls = product_renormalized(spec, shift2, x, n)
+        # long mixed-rotation products are badly conditioned, so the
+        # entrywise agreement between differently grouped float products
+        # degrades like cond * eps; the log scale stays tight throughout.
+        for n, tol in ((1, 1e-12), (7, 1e-11), (12, 1e-9), (25, 1e-4)):
+            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+            ls, inv_ls, _ = engine.exponent_scan(
+                spec, shift2, engine.batch_of(shift2, pts), n
+            )
+            for i, x in enumerate(pts):
                 plain = product(spec, shift2, x, n)
-                assert abs(mat2.opnorm(normalized) - 1.0) < 1e-12 or n == 0
-                if n == 0:
-                    assert np.array_equal(normalized, np.eye(2)) and ls == 0.0
-                    continue
-                assert rel_err(np.exp(ls) * normalized, plain) < tol
-                assert ls == pytest.approx(np.log(mat2.opnorm(plain)), abs=tol)
+                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+                unit = np.array([[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]])
+                assert abs(mat2.opnorm(unit) - 1.0) < 1e-12
+                assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < tol
+                for got in (fwd.log_scale[i], ls[i]):
+                    assert got == pytest.approx(np.log(mat2.opnorm(plain)), abs=tol)
+                assert inv_ls[i] == pytest.approx(np.log(mat2.opnorm(inverse)), abs=tol)
 
     def test_negative_determinant_steps(self, shift2):
         flip = np.array([[0.0, 2.0], [0.5, 0.0]])  # det = -1
         spec = two_table(flip, DIAG2)
-        pts = sample_points(shift2, 4, 30, seed=8)
-        for x in pts:
-            for n in (9, -9, 16, -16):
-                normalized, ls = product_renormalized(spec, shift2, x, n)
+        pts = sample_points(shift2, 4, 40, seed=8)
+        for n in (9, 16):
+            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+            ls, inv_ls, logdet = engine.exponent_scan(
+                spec, shift2, engine.batch_of(shift2, pts), n
+            )
+            for i, x in enumerate(pts):
                 plain = product(spec, shift2, x, n)
-                assert rel_err(np.exp(ls) * normalized, plain) < 1e-9
+                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+                unit = np.array([[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]])
+                assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < 1e-9
+                assert ls[i] == pytest.approx(np.log(mat2.opnorm(plain)), abs=1e-12)
+                assert inv_ls[i] == pytest.approx(
+                    np.log(mat2.opnorm(inverse)), abs=1e-12
+                )
+                # every step has |det| = 1
+                assert logdet[i] == 0.0
 
     def test_identity_cocycle_long_product(self, shift2):
+        # a one-symbol window cannot host a 10**6-step walk; the constant
+        # path needs none
         spec = ConstantCocycle(matrix=np.eye(2))
         x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
-        normalized, ls = product_renormalized(spec, shift2, x, 10**6)
-        assert ls == 0.0
-        assert np.array_equal(normalized, np.eye(2))
+        ft = finite_time_exponents(spec, shift2, [x], 10**6)
+        assert (ft.plus[0], ft.minus[0], ft.logdet_rate[0]) == (0.0, 0.0, 0.0)
 
     def test_constant_power_no_orbit_access(self, shift2):
         # window of half-width 1 cannot host a 100-step walk; the constant
-        # fast path must not need one.
+        # fast paths must not need one.
         spec = ConstantCocycle(matrix=DIAG2)
         x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
-        normalized, ls = product_renormalized(spec, shift2, x, 100)
-        assert ls == pytest.approx(100 * np.log(2.0), rel=1e-14)
-        ref = np.array([[1.0, 0.0], [0.0, 0.25 ** 100]])
-        assert np.allclose(normalized, ref, atol=1e-300)
-        _, ls_back = product_renormalized(spec, shift2, x, -100)
-        assert ls_back == pytest.approx(100 * np.log(2.0), rel=1e-12)
+        ft = finite_time_exponents(spec, shift2, [x], 100)
+        assert ft.plus[0] == pytest.approx(np.log(2.0), rel=1e-14)
+        assert ft.minus[0] == pytest.approx(-np.log(2.0), rel=1e-12)
+        # the normalized power diag(1, 0.25**100) has the axes for its
+        # singular directions
+        ux, uy, ok_u = unstable_directions(spec, shift2, [x], 100)
+        sx, sy, ok_s = stable_directions(spec, shift2, [x], 100)
+        assert ok_u[0] and ok_s[0]
+        assert (ux[0], uy[0], sx[0], sy[0]) == (1.0, 0.0, 0.0, 1.0)
 
     def test_renormalized_scale_shift(self, shift2):
         # scaling the generator by c shifts log_scale by n log c and leaves
         # the normalized part unchanged; exact for dyadic c.
         base = two_table(DIAG2, mat2.rotation(0.4) @ DIAG2)
-        x = sample_points(shift2, 1, 30, seed=9)[0]
-        n0, l0 = product_renormalized(base, shift2, x, 20)
-        for c in (2.0, 0.5):
-            scaled = two_table(c * DIAG2, c * (mat2.rotation(0.4) @ DIAG2))
-            n1, l1 = product_renormalized(scaled, shift2, x, 20)
-            assert np.array_equal(n0, n1)
-            assert l1 == pytest.approx(l0 + 20 * np.log(c), rel=1e-14)
-        scaled = two_table(3.0 * DIAG2, 3.0 * (mat2.rotation(0.4) @ DIAG2))
-        n1, l1 = product_renormalized(scaled, shift2, x, 20)
-        assert np.allclose(n0, n1, atol=1e-12)
-        assert l1 == pytest.approx(l0 + 20 * np.log(3.0), rel=1e-12)
+        pts = sample_points(shift2, 1, 30, seed=9)
+
+        def scans(spec):
+            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
+            ls, inv_ls, _ = engine.exponent_scan(
+                spec, shift2, engine.batch_of(shift2, pts), 20
+            )
+            return np.array([fwd.a, fwd.b, fwd.c, fwd.d]), fwd.log_scale, ls, inv_ls
+
+        n0, *logs0 = scans(base)
+        for c, exact in ((2.0, True), (0.5, True), (3.0, False)):
+            n1, *logs1 = scans(two_table(c * DIAG2, c * (mat2.rotation(0.4) @ DIAG2)))
+            if exact:
+                assert np.array_equal(n0, n1)
+            else:
+                assert np.allclose(n0, n1, atol=1e-12)
+            rel = 1e-14 if exact else 1e-12
+            for l0, l1, sign in zip(logs0, logs1, (1, 1, -1)):
+                assert l1[0] == pytest.approx(l0[0] + sign * 20 * np.log(c), rel=rel)
 
 
 class TestHolderNorm:
     def test_constant(self, shift2):
-        rep = holder_norm(ConstantCocycle(matrix=DIAG2), shift2)
+        rep = holder_norm_of(ConstantCocycle(matrix=DIAG2), shift2)
         assert rep.exact
         assert rep.sup_norm == 2.0
         assert rep.holder_constant == 0.0
@@ -298,7 +335,7 @@ class TestHolderNorm:
     def test_locally_constant_depth_one(self, shift2):
         m0 = DIAG2
         m1 = mat2.rotation(0.2)
-        rep = holder_norm(two_table(m0, m1), shift2)
+        rep = holder_norm_of(two_table(m0, m1), shift2)
         assert rep.exact
         assert rep.sup_norm == pytest.approx(2.0)
         assert rep.holder_constant == pytest.approx(mat2.opnorm(m0 - m1))
@@ -306,7 +343,7 @@ class TestHolderNorm:
     def test_locally_constant_depth_two(self, shift2):
         mats = np.array([np.eye(2), np.eye(2), np.eye(2), 2.0 * np.eye(2)])
         spec = LocallyConstantCocycle(table=mats, depth=2, alphabet_size=2, r=1.0)
-        rep = holder_norm(spec, shift2)
+        rep = holder_norm_of(spec, shift2)
         # words 10 and 11 differ first at forward position 1: quotient
         # ||I - 2I|| / lambda0^1 = 2; words 0*, 1* differ at position 0.
         assert rep.holder_constant == pytest.approx(2.0)
@@ -316,7 +353,7 @@ class TestHolderNorm:
         spec = PointwiseCocycle(
             factors=(RotationFactor(angle=TrigExpr(sin_u=eps)),)
         )
-        rep = holder_norm(spec, cat, pair_samples=512, seed=2)
+        rep = holder_norm_of(spec, cat, pair_samples=512, seed=2)
         assert not rep.exact
         assert rep.sup_norm == pytest.approx(1.0, rel=1e-9)
         lipschitz = 2.0 * np.pi * eps
@@ -326,13 +363,13 @@ class TestHolderNorm:
     def test_distance_exact_tables(self, shift2):
         a = two_table(DIAG2, mat2.rotation(0.3))
         b = two_table(DIAG2, mat2.rotation(0.3))
-        rep = holder_distance(a, b, shift2)
+        rep = holder_distance_of(a, b, shift2)
         assert rep.exact and rep.norm == 0.0
         fld = LocallyConstantCocycle(
             table=np.array([np.eye(2), -np.eye(2)]), invertible=False
         )
         pert = PerturbedCocycle(base=a, direction=fld, t=0.01, rule="additive")
-        rep = holder_distance(pert, a, shift2)
+        rep = holder_distance_of(pert, a, shift2)
         assert rep.exact
         assert rep.sup_norm == pytest.approx(0.01)
         assert rep.holder_constant == pytest.approx(0.02)
@@ -340,7 +377,7 @@ class TestHolderNorm:
     def test_distance_constant_vs_table(self, shift2):
         a = two_table(DIAG2, DIAG2)
         b = ConstantCocycle(matrix=DIAG2)
-        rep = holder_distance(a, b, shift2)
+        rep = holder_distance_of(a, b, shift2)
         assert rep.exact and rep.norm == 0.0
 
 
@@ -423,7 +460,8 @@ class TestHolderRoutes:
 
     def test_sampled_norm_matches_per_point_route(self, cat):
         spec = torus_base()
-        rep = holder_norm(spec, cat, pair_samples=300, seed=5)
+        # A - 0 is bitwise A, so the norm is the per-point route's
+        rep = holder_norm_of(spec, cat, pair_samples=300, seed=5)
         sup, quot = per_point_sampled_holder(spec, cat, spec.r, 300, 5)
         assert (rep.sup_norm, rep.holder_constant) == (sup, quot)
 
@@ -439,17 +477,17 @@ class TestHolderRoutes:
             diff = PerturbedCocycle(base=spec, direction=base, t=-1.0, rule="additive")
             sup, quot = per_point_sampled_holder(diff, cat, spec.r, 300, 6)
             assert (rep.sup_norm, rep.holder_constant) == (sup, quot)
-            alone = holder_distance(spec, base, cat, pair_samples=300, seed=6)
+            alone = holder_distance_of(spec, base, cat, pair_samples=300, seed=6)
             assert alone == rep
 
     def test_shift_spec_without_table_rejected(self, shift2):
         # a table over another alphabet has no exact norm on this shift,
         # and there is no sampled route over a shift base to fall back on
         spec = LocallyConstantCocycle(table=np.array([DIAG2, DIAG2, np.eye(2)]))
-        with pytest.raises(ConfigError):
-            holder_norm(spec, shift2)
         with pytest.raises(ConfigError, match="no Holder norm"):
-            holder_distance(spec, spec, shift2)
+            holder_norm_of(spec, shift2)
+        with pytest.raises(ConfigError, match="no Holder norm"):
+            holder_distance_of(spec, spec, shift2)
         with pytest.raises(ConfigError, match="no Holder norm"):
             holder_distances((spec,), two_table(DIAG2, DIAG2), shift2)
 
@@ -602,6 +640,44 @@ class TestBunching:
         assert not rep.exact
         assert rep.verdict == "bunched"
         assert rep.theta_hat < 0.95
+
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    def test_constant_report_is_closed_form(self, base, request):
+        # a constant spec draws one point like any spec; its values, and so
+        # its report, do not depend on which point that is
+        sys_ = request.getfixturevalue(base)
+        q = 2.0 ** 0.25
+        specs = [ConstantCocycle(matrix=np.diag([q, 1.0 / q]), r=0.7)]
+        if base == "shift2":
+            # a constant table reading 3 symbols per step needs a window of
+            # n_max + 2 symbols, which the draw's window rule gives it
+            specs.append(
+                LocallyConstantCocycle(
+                    table=np.array([np.diag([q, 1.0 / q])] * 8),
+                    r=0.7, depth=3, alphabet_size=2,
+                )
+            )
+        if base == "cat":
+            specs.append(
+                PointwiseCocycle(
+                    factors=(
+                        DiagonalFactor(
+                            log_d1=TrigExpr(const=np.log(q)),
+                            log_d2=TrigExpr(const=-np.log(q)),
+                        ),
+                    ),
+                    r=0.7,
+                )
+            )
+        for spec in specs:
+            rep = bunching_check(spec, sys_, n_max=40, seed=3)
+            assert rep.exact and rep.samples == 1
+            # ||A^n|| ||A^-n|| = kappa^n for a normal A, so b_n = (kappa lambda^r)^n
+            want = rep.kappa_lambda_r ** rep.ns
+            assert np.allclose(rep.b_values, want, rtol=0.0, atol=1e-14)
+            other = bunching_check(spec, sys_, n_max=40, seed=4)
+            assert np.array_equal(rep.b_values, other.b_values)
+            assert other.theta_hat == rep.theta_hat
 
     def test_torus_constant(self, cat):
         spec = ConstantCocycle(matrix=np.diag([1.1, 1.0 / 1.1]), r=1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from cocyclelab.config import (
     dump_config,
     load_config,
     normalize_config,
-    save_config,
 )
 from cocyclelab.continuity import PerturbationFamily
 from cocyclelab.errors import ConfigError
@@ -83,6 +84,32 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="epsilon"):
             normalize_config({**TORUS_CFG, "epsilon": 0.0})
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="10**400")],
+    )
+    def test_non_finite_numbers_rejected(self, value):
+        for data, key in (
+            ({**TORUS_CFG, "epsilon": value}, "epsilon"),
+            ({**SHIFT_CFG, "base": {**SHIFT_CFG["base"], "lambda0": value}}, "base.lambda0"),
+            ({**TORUS_CFG, "cocycle": {**TORUS_CFG["cocycle"], "r": value}}, "cocycle.r"),
+        ):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                normalize_config(data)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("shift_bunched", "545ea77e0a2ffbe9f2c975b3dd1d7308a528a61dc583e5ccf53924062d1610db"),
+            ("shift_gapped", "9df3d2ffdf65b562d6c44030b87aee0c68dc8c7e37730eec6043175efbf70dd6"),
+            ("torus_pointwise", "73a715f49a072ca2a726a81e4b071cb554611906f4f0b8df42b030430f83bad6"),
+        ],
+    )
+    def test_shipped_hashes_pinned(self, name, digest):
+        # validation may refuse more configs, but a valid one keeps its hash
+        root = Path(__file__).resolve().parent.parent
+        assert config_hash(load_config(str(root / "configs" / f"{name}.yaml"))) == digest
+
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="seed"):
             normalize_config({**TORUS_CFG, "seed": True})
@@ -144,7 +171,7 @@ class TestRoundTrip:
     def test_dump_load_identity(self, tmp_path):
         cfg = normalize_config(SHIFT_CFG)
         path = tmp_path / "exp.yaml"
-        save_config(cfg, str(path))
+        path.write_text(dump_config(cfg), encoding="utf-8")
         again = load_config(str(path))
         assert again.data == cfg.data
         assert config_hash(again) == config_hash(cfg)

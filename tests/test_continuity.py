@@ -18,7 +18,7 @@ from cocyclelab.cocycle import (
     RotationFactor,
     TrigExpr,
     evaluate,
-    holder_distance,
+    holder_distances,
 )
 from cocyclelab.continuity import (
     PerturbationFamily,
@@ -306,7 +306,7 @@ def per_member_rows(fam, sys, epsilon, samples, depth, n_window, seed):
         except SingularPerturbation:
             out.append(None)
             continue
-        hd = holder_distance(spec, fam.base, sys, seed=seed).norm
+        hd = holder_distances((spec,), fam.base, sys, seed=seed)[0].norm
         px, py, ok_u = unstable_directions(spec, sys, points, depth)
         qx, qy, ok_s = stable_directions(spec, sys, points, depth)
         if not (ok_u.all() and ok_s.all()):

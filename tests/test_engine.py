@@ -167,38 +167,33 @@ class TestScans:
         spec = lc_spec()
         pts = sample_points(shift2, 10, 25, seed=6)
         fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
-        st = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
+        log_scale, inv_log_scale, logdet = engine.exponent_scan(
+            spec, shift2, engine.batch_of(shift2, pts), 20
+        )
         for i, x in enumerate(pts):
             plain = product(spec, shift2, x, 20)
-            for scan in (fwd, st):
-                got = np.exp(scan.log_scale[i]) * np.array(
-                    [[scan.a[i], scan.b[i]], [scan.c[i], scan.d[i]]]
-                )
-                assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
-            inv_plain = np.linalg.inv(plain)
-            inv_got = np.exp(st.inv_log_scale[i]) * np.array(
-                [[st.inv_a[i], st.inv_b[i]], [st.inv_c[i], st.inv_d[i]]]
+            got = np.exp(fwd.log_scale[i]) * np.array(
+                [[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]]
             )
-            # inverting the badly conditioned reference product costs
-            # cond * eps of relative accuracy, so the bound is looser here
-            assert mat2.opnorm(inv_got - inv_plain) / mat2.opnorm(inv_plain) < 1e-5
+            assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
+            # the product of step inverses, multiplied out step by step
+            inv_plain = product(spec, shift2, apply_f(shift2, x, 20), -20)
+            for got_log, ref in ((log_scale, plain), (inv_log_scale, inv_plain)):
+                assert got_log[i] == pytest.approx(
+                    np.log(mat2.opnorm(ref)), abs=1e-12
+                )
             det_plain = np.linalg.det(plain)
             # det of the rounded reference product is itself only good to
             # about cond * eps, so the comparison cannot be tighter
-            for scan in (fwd, st):
-                assert scan.logdet[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
+            for got_log in (fwd.logdet, logdet):
+                assert got_log[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
 
     def test_mixed_offsets_match_products(self, shift2):
         spec = lc_spec()
         draw = sample_points(shift2, 3, 30, seed=14)
         pts = [ShiftPoint(window=p.window, offset=o) for p, o in zip(draw, (0, 3, -4))]
         n = 12
-        scans = (
-            (engine.forward_scan, 0),
-            (engine.exponent_scan, 0),
-            (engine.backward_scan, -n),
-        )
-        for scan, start in scans:
+        for scan, start in ((engine.forward_scan, 0), (engine.backward_scan, -n)):
             st = scan(spec, shift2, engine.batch_of(shift2, pts), n)
             for i, x in enumerate(pts):
                 ref = product(spec, shift2, apply_f(shift2, x, start), n)
@@ -206,6 +201,19 @@ class TestScans:
                     [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
                 )
                 assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-12
+        logs = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        for i, x in enumerate(pts):
+            ref = product(spec, shift2, x, n)
+            inv_ref = product(spec, shift2, apply_f(shift2, x, n), -n)
+            want = (
+                np.log(mat2.opnorm(ref)),
+                np.log(mat2.opnorm(inv_ref)),
+                np.log(abs(np.linalg.det(ref))),
+            )
+            # det of the rounded reference product is only good to about
+            # cond * eps (see above)
+            for got, w, tol in zip(logs, want, (1e-12, 1e-12, 1e-6)):
+                assert got[i] == pytest.approx(w, abs=tol)
 
     def test_backward_scan_is_backward_window(self, cat):
         spec = PointwiseCocycle(
@@ -470,5 +478,5 @@ class TestWordBlocks:
             engine.exponent_scan(spec, shift2, batch, 20)
         # a walk that stops just before the singular symbol absorbs none of it
         batch = engine.batch_of(shift2, [ShiftPoint(window=window)])
-        st = engine.exponent_scan(spec, shift2, batch, 11)
-        assert st.log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)
+        log_scale, _, _ = engine.exponent_scan(spec, shift2, batch, 11)
+        assert log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)

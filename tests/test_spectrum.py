@@ -122,7 +122,9 @@ class TestExponentScan:
         n = 2000
         pts = sample_points(shift2, 40, n + 1, seed=12)
         ft = finite_time_exponents(spec, shift2, pts, n)
-        scan = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        _, inv_log_scale, _ = engine.exponent_scan(
+            spec, shift2, engine.batch_of(shift2, pts), n
+        )
         for i, x in enumerate(pts):
             k = int(np.count_nonzero(x.window[x.horizon : x.horizon + n] == 0))
             plus = (k * np.log(1e3) + (n - k) * np.log(2.0)) / n
@@ -130,7 +132,7 @@ class TestExponentScan:
             assert ft.plus[i] == pytest.approx(plus, abs=1e-13)
             assert ft.minus[i] == pytest.approx(minus, abs=1e-13)
         # the bottom exponent is the inverse track's, not logdet - plus
-        assert np.array_equal(ft.minus, -scan.inv_log_scale / n)
+        assert np.array_equal(ft.minus, -inv_log_scale / n)
 
     def test_det_residuals_on_shipped_table(self):
         root = Path(__file__).resolve().parent.parent
