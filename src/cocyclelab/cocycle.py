@@ -10,7 +10,7 @@ cross-check at moderate n; the renormalized products are ``engine``'s scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from math import ceil, log
 from typing import Union
 
@@ -28,10 +28,18 @@ from .base import (
     apply_f,
     sample_points,
     torus_distances,
+    wrap_unit,
 )
 from .errors import ConfigError, SingularValueError
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _require_finite(values, what: str) -> None:
+    """Reject NaN and infinite numbers where a spec is built: the scans
+    would carry them to NaN results instead of an error."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +62,9 @@ class TrigExpr:
     cos_u: float = 0.0
     sin_v: float = 0.0
     cos_v: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(astuple(self), "TrigExpr coefficients")
 
     def __call__(self, u, v):
         out = self.const + self.lin_u * u + self.lin_v * v
@@ -136,6 +147,7 @@ class ConstantFactor:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ConfigError("constant factor must be 2x2")
+        _require_finite(m, "ConstantFactor matrix")
         if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < DET_FLOOR:
             raise SingularValueError("constant factor is singular")
         m = m.copy()
@@ -178,6 +190,7 @@ class ConstantCocycle:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ConfigError("cocycle matrix must be 2x2")
+        _require_finite(m, "ConstantCocycle matrix")
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if self.invertible and abs(det) < DET_FLOOR:
             raise SingularValueError("constant cocycle matrix is singular")
@@ -224,6 +237,7 @@ class LocallyConstantCocycle:
         tab = np.asarray(self.table, dtype=float)
         if tab.ndim != 3 or tab.shape[1:] != (2, 2):
             raise ConfigError("table must be a sequence of 2x2 matrices")
+        _require_finite(tab, "LocallyConstantCocycle table")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
         a = self.alphabet_size
@@ -377,6 +391,7 @@ class PerturbedCocycle:
     def __post_init__(self) -> None:
         if self.rule not in ("multiplicative_exp", "additive"):
             raise ConfigError("rule must be 'multiplicative_exp' or 'additive'")
+        _require_finite(self.t, "PerturbedCocycle t")
         object.__setattr__(self, "r", self.base.r)
 
     @property
@@ -701,11 +716,14 @@ def specialize(spec: CocycleSpec, sys: BaseSystem) -> CocycleSpec:
     """Replace a perturbed spec by its exact locally constant equivalent
     when the base and direction both reduce to symbol tables; other specs
     pass through unchanged.  Raises SingularValueError if the specialized
-    table has a singular entry."""
+    table has a singular entry, or a non-finite one from an exponential
+    that overflowed."""
     if isinstance(spec, PerturbedCocycle) and isinstance(sys, ShiftSystem):
         td = _as_table(spec, sys)
         if td is not None:
             tab, depth = td
+            if not np.all(np.isfinite(tab)):
+                raise SingularValueError("specialized table is not finite")
             return LocallyConstantCocycle(
                 table=tab, r=spec.r, depth=depth, alphabet_size=sys.alphabet_size
             )
@@ -779,7 +797,7 @@ class _HolderSample:
         for scale in 10.0 ** np.arange(-1, -7, -1):
             angles = rng.random(pairs) * _TWO_PI
             step = scale * np.column_stack([np.cos(angles), np.sin(angles)])
-            near = (xs + step) % 1.0
+            near = wrap_unit(xs + step)
             parts.append(near)
             dists.append(torus_distances(xs, near))
         return cls(np.concatenate(parts), np.concatenate(dists), pairs)

@@ -43,6 +43,7 @@ from .base import (
     ShiftDraw,
     ShiftSystem,
     TorusDraw,
+    wrap_unit,
 )
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
@@ -138,9 +139,12 @@ def step(sys: BaseSystem, batch: Batch, j: int = 1) -> None:
     u = batch.coords[:, 0]
     v = batch.coords[:, 1]
     for _ in range(abs(j)):
-        # Elementwise form mirrors the single-point map exactly, so batched
+        # The elementwise form and the wrap are those of apply_f, so batched
         # and per-point orbits agree bit for bit.
-        u, v = (m[0, 0] * u + m[0, 1] * v) % 1.0, (m[1, 0] * u + m[1, 1] * v) % 1.0
+        u, v = (
+            wrap_unit(m[0, 0] * u + m[0, 1] * v),
+            wrap_unit(m[1, 0] * u + m[1, 1] * v),
+        )
     batch.coords = np.column_stack([u, v])
 
 
@@ -205,9 +209,9 @@ def values(spec, sys: BaseSystem, batch: Batch):
 
 
 def _require_regular(low_det: np.ndarray) -> None:
-    """Raise if any step absorbed had |det| below the floor; low_det is the
-    running minimum of |det| per sample."""
-    if np.any(low_det < DET_FLOOR):
+    """Raise if any step absorbed had |det| below the floor or NaN; low_det
+    is the running minimum of |det| per sample, which keeps a NaN."""
+    if not np.all(low_det >= DET_FLOOR):
         raise SingularValueError("cocycle value is singular along the orbit")
 
 
@@ -268,7 +272,7 @@ def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
         values = _orbit_values(spec, sys, batch, n, backward)
         for j, (va, vb, vc, vd) in enumerate(values):
             abs_det = np.abs(va * vd - vb * vc)
-            low_det = np.fmin(low_det, abs_det)
+            low_det = np.minimum(low_det, abs_det)
             if backward:
                 prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
             else:
@@ -368,7 +372,7 @@ def _absorb(acc, factor):
     ia, ib, ic, id_ = mat2.matmul_batch(ia, ib, ic, id_, ga, gb, gc, gd)
     ie = _radix_scale(ia, ib, ic, id_, ie + ge)
     det, k = np.frexp(det * fdet)
-    return a, b, c, d, e, ia, ib, ic, id_, ie, det, de + k + fde, np.fmin(low, flow)
+    return a, b, c, d, e, ia, ib, ic, id_, ie, det, de + k + fde, np.minimum(low, flow)
 
 
 # A word table covers at most WORD_SPAN words: the word length k is the

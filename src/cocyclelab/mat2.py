@@ -107,8 +107,14 @@ def expm_batch(a, b, c, d):
     """exp(M) entrywise for batches of 2x2 matrices, in closed form.
 
     Splits M = s*I + N with N traceless; N^2 = w2 * I with w2 = -det(N),
-    so exp(M) = e^s (cosh(w) I + sinhc(w) N), with the trig branch when
-    w2 < 0 and a short series across the branch point.
+    so exp(M) = e^s (cosh(w) I + sinhc(w) N) with w = sqrt(|w2|): the
+    trig branch cos(w), sin(w)/w when w2 <= 0, the hyperbolic one when
+    w2 > 0, and a short series where |w2| < ``_EXPM_SERIES_CUT``.
+
+    Only the branches some entry needs are evaluated: cos and sin/w always,
+    cosh and sinh/w only when some w2 > 0, the series only when some |w2|
+    is below the cut (which also overwrites the 0/0 at w = 0).  Each entry
+    gets the same bits as evaluating every branch and selecting.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -119,18 +125,21 @@ def expm_batch(a, b, c, d):
     nd = d - s
     w2 = na * na + b * c
 
-    w_pos = np.sqrt(np.maximum(w2, 0.0))
-    w_neg = np.sqrt(np.maximum(-w2, 0.0))
+    abs_w2 = np.abs(w2)
+    w = np.sqrt(abs_w2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cosh_term = np.where(w2 > 0, np.cosh(w_pos), np.cos(w_neg))
-        sinhc_term = np.where(
-            w2 > 0,
-            np.where(w_pos > 0, np.sinh(w_pos) / np.where(w_pos > 0, w_pos, 1.0), 1.0),
-            np.where(w_neg > 0, np.sin(w_neg) / np.where(w_neg > 0, w_neg, 1.0), 1.0),
-        )
-    series = np.abs(w2) < _EXPM_SERIES_CUT
-    cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
-    sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
+        cosh_term = np.cos(w)
+        sinhc_term = np.sin(w) / w
+        hyperbolic = w2 > 0
+        if hyperbolic.any():
+            # zero off the branch, so cosh overflows only where it is kept
+            wh = np.where(hyperbolic, w, 0.0)
+            cosh_term = np.where(hyperbolic, np.cosh(wh), cosh_term)
+            sinhc_term = np.where(hyperbolic, np.sinh(wh) / wh, sinhc_term)
+    series = abs_w2 < _EXPM_SERIES_CUT
+    if series.any():
+        cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
+        sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
 
     scale = np.exp(s)
     ea = scale * (cosh_term + sinhc_term * na)

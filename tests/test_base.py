@@ -150,6 +150,45 @@ class TestApplyF:
         assert apply_f(cat, apply_f(cat, y, 3), -3).coords.tolist() == [0.5, 0.25]
 
 
+WRAP_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-20, -1e-20, 5e-324, -5e-324,
+    1.0 - 2.0**-53, -(1.0 - 2.0**-53), 2.0**52 + 0.5, -(2.0**52 + 0.5),
+    2.0**53, -(2.0**53), 1e300, -1e300,
+]
+
+
+def same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestWrap:
+    """wrap_unit is bitwise the remainder x % 1.0."""
+
+    def test_edge_values(self):
+        xs = np.array(WRAP_EDGES)
+        assert same_bits(base.wrap_unit(xs), xs % 1.0)
+        for x in WRAP_EDGES:
+            assert same_bits(base.wrap_unit(x), x % 1.0)
+        assert base.wrap_unit(-1e-20) == 1.0
+        assert TorusPoint(-1e-20, -0.0).coords.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 10.0, 1e3, 1e8, 1e15])
+    def test_random_values_both_signs(self, scale):
+        x = scale * np.random.default_rng(1).standard_normal(100_000)
+        assert (x < 0).any() and (x > 0).any()
+        assert same_bits(base.wrap_unit(x), x % 1.0)
+
+    def test_forward_and_inverse_steps(self, cat):
+        # the raw sums a torus step wraps, for the map and for its inverse,
+        # whose off-diagonal entries make them negative
+        uv = np.random.default_rng(2).random((100_000, 2))
+        for m in (cat.int_matrix, cat.int_inverse):
+            for row in m:
+                x = row[0] * uv[:, 0] + row[1] * uv[:, 1]
+                assert same_bits(base.wrap_unit(x), x % 1.0)
+
+
 class TestDistance:
     def test_shift_first_disagreement(self, shift2):
         x = wpoint(0, 0, 1, 1, 0, 1, 1)

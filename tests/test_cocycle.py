@@ -80,6 +80,42 @@ class TestSpecs:
         assert spec.symbol_depth == 2
         assert spec.is_constant
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda x: TrigExpr(sin_u=x), "TrigExpr"),
+            (lambda x: TrigExpr(const=x), "TrigExpr"),
+            (lambda x: ConstantFactor(np.array([[x, 0.0], [0.0, 1.0]])), "ConstantFactor"),
+            (lambda x: ConstantCocycle([[x, 0.0], [0.0, 1.0]]), "ConstantCocycle"),
+            (
+                lambda x: ConstantCocycle([[0.0, x], [0.0, 0.0]], invertible=False),
+                "ConstantCocycle",
+            ),
+            (
+                lambda x: LocallyConstantCocycle(table=[np.diag([x, 1.0]), np.eye(2)]),
+                "LocallyConstantCocycle",
+            ),
+            (
+                lambda x: LocallyConstantCocycle(
+                    table=[np.zeros((2, 2)), [[0.0, x], [0.0, 0.0]]], invertible=False
+                ),
+                "LocallyConstantCocycle",
+            ),
+            (
+                lambda x: PerturbedCocycle(
+                    ConstantCocycle(DIAG2), ConstantCocycle(DIAG2), t=x, rule="additive"
+                ),
+                "PerturbedCocycle",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, build, name, bad):
+        # a NaN entry would pass every |det| check and the scans would
+        # report nan exponents instead of failing
+        with pytest.raises(ConfigError, match=name):
+            build(bad)
+
     def test_invertible_flag(self):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularValueError):

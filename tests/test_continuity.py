@@ -242,6 +242,25 @@ class TestExperiment:
         assert np.isfinite(second.holder_dist) and np.isfinite(second.g_hat)
         assert np.mean(rep.last_unstable_distances) == second.mean_du
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_exponential_row_censored(self, shift2):
+        # exp(diag(1500, -1500)) overflows to inf and 0, and inf * 0 puts
+        # NaN in the specialized table: the t = 1/2 row is censored, not a
+        # config error, while t = 2^-12 keeps its row
+        fam = PerturbationFamily(
+            base=gapped_spec(),
+            direction=constant_direction(np.diag([3000.0, -3000.0])),
+            rule="multiplicative_exp",
+            ts=(0.5, 2.0**-12),
+        )
+        rep = continuity_experiment(
+            fam, shift2, epsilon=0.1, samples=60, depth=30, n_window=50, seed=0
+        )
+        first, second = rep.rows
+        assert first.censored
+        assert np.isnan(first.holder_dist) and np.isnan(first.g_hat)
+        assert not second.censored and np.isfinite(second.holder_dist)
+
     def test_torus_singular_perturbation_row_censored(self, cat):
         # A(x) = R(0.15 sin 2 pi u) diag(3/2, 2/3) minus t diag(3/2, 0) is
         # singular at u = 0 for t = 1, a point of the invertibility grid

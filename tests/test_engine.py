@@ -108,6 +108,22 @@ class TestBatches:
             q = apply_f(cat, apply_f(cat, p, 2), -2)
             assert (tbatch.coords[i, 0], tbatch.coords[i, 1]) == (q.u, q.v)
 
+    @pytest.mark.parametrize("j", [400, -400], ids=["forward", "backward"])
+    def test_long_torus_orbits_match_apply_f(self, cat, j):
+        draw = sample_points(cat, 16, 0, seed=7)
+        batch = engine.batch_of(cat, draw)
+        for _ in range(abs(j)):
+            engine.step(cat, batch, 1 if j > 0 else -1)
+        # the same orbit reduced with % 1.0, one step at a time
+        m = cat.int_matrix if j > 0 else cat.int_inverse
+        u, v = draw.coords[:, 0], draw.coords[:, 1]
+        for _ in range(abs(j)):
+            u, v = (m[0, 0] * u + m[0, 1] * v) % 1.0, (m[1, 0] * u + m[1, 1] * v) % 1.0
+        assert np.array_equal(batch.coords, np.column_stack([u, v]))
+        for p, got in zip(draw, batch.coords):
+            q = apply_f(cat, p, j)
+            assert (q.u, q.v) == tuple(got)
+
     def test_pushed_draw_matches_apply_f(self, shift2, cat):
         draw = sample_points(shift2, 5, 2, seed=4)
         moved = engine.pushed(shift2, draw)
@@ -391,6 +407,27 @@ class TestSingularSteps:
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
         # the singular symbol sits two steps ahead and two steps behind
+        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        batch = engine.batch_of(shift2, pts * 3)
+        with pytest.raises(SingularValueError):
+            getattr(engine, scan)(spec, shift2, batch, 4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scan", ["forward_scan", "backward_scan", "forward_record", "exponent_scan"]
+    )
+    def test_nan_step_raises(self, shift2, scan):
+        # finite specs whose composition overflows: exp(diag(1000, -1000))
+        # is inf and 0, and inf * 0 makes the symbol-1 step NaN
+        direction = LocallyConstantCocycle(
+            table=np.array([np.zeros((2, 2)), np.diag([1e3, -1e3])]), invertible=False
+        )
+        spec = PerturbedCocycle(
+            LocallyConstantCocycle(table=np.array([D, D])), direction,
+            t=1.0, rule="multiplicative_exp",
+        )
+        a, _, _, _ = spec.values_at_symbols(np.array([[0], [1]]))
+        assert np.isfinite(a[0]) and np.isnan(a[1])
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
         batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):

@@ -31,6 +31,47 @@ def taylor_expm(m, terms=80):
     return out
 
 
+def two_branch_expm(a, b, c, d):
+    """The exponential with every branch evaluated and then selected: the
+    bitwise oracle for ``expm_batch``, which evaluates only the branches
+    its entries need."""
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    s = 0.5 * (a + d)
+    na = a - s
+    nd = d - s
+    w2 = na * na + b * c
+    w_pos = np.sqrt(np.maximum(w2, 0.0))
+    w_neg = np.sqrt(np.maximum(-w2, 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosh_term = np.where(w2 > 0, np.cosh(w_pos), np.cos(w_neg))
+        sinhc_term = np.where(
+            w2 > 0,
+            np.where(w_pos > 0, np.sinh(w_pos) / np.where(w_pos > 0, w_pos, 1.0), 1.0),
+            np.where(w_neg > 0, np.sin(w_neg) / np.where(w_neg > 0, w_neg, 1.0), 1.0),
+        )
+    series = np.abs(w2) < mat2._EXPM_SERIES_CUT
+    cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
+    sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
+    scale = np.exp(s)
+    return (
+        scale * (cosh_term + sinhc_term * na),
+        scale * (sinhc_term * b),
+        scale * (sinhc_term * c),
+        scale * (cosh_term + sinhc_term * nd),
+    )
+
+
+def with_w2(w2):
+    """Entries (0, 1, w2, 0): a traceless matrix whose w2 is exactly w2."""
+    w2 = np.asarray(w2, dtype=float)
+    return np.zeros_like(w2), np.ones_like(w2), w2, np.zeros_like(w2)
+
+
+def same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class TestSingularValues:
     def test_matches_numpy_svd(self):
         a, b, c, d = random_entries(500, seed=1)
@@ -125,6 +166,78 @@ class TestExpm:
         one = mat2.expm(m)
         half = mat2.expm(m / 2)
         assert np.allclose(half @ half, one, rtol=1e-13, atol=1e-14)
+
+
+class TestExpmBranches:
+    """expm_batch evaluates only the branches its entries need; every
+    output bit matches the formula that evaluates them all."""
+
+    CUT = mat2._EXPM_SERIES_CUT
+
+    @pytest.mark.parametrize(
+        "w2",
+        [
+            pytest.param([0.25, 4.0, 700.0**2], id="hyperbolic"),
+            pytest.param([-0.25, -4.0, -1e6], id="trig"),
+            pytest.param([0.0, 0.0], id="zero"),
+            pytest.param(
+                [np.nextafter(CUT, 0.0), CUT, np.nextafter(CUT, 1.0), 1e-13, 1e-11],
+                id="cut-positive",
+            ),
+            pytest.param(
+                [-np.nextafter(CUT, 0.0), -CUT, -np.nextafter(CUT, 1.0), -1e-13, -1e-11],
+                id="cut-negative",
+            ),
+            pytest.param([np.inf, -np.inf, 1.0, -1.0], id="infinite"),
+            pytest.param([5e-324, -5e-324, 1e-300, -1e-300], id="tiny"),
+        ],
+    )
+    def test_w2_classes_match_oracle(self, w2):
+        got = mat2.expm_batch(*with_w2(w2))
+        ref = two_branch_expm(*with_w2(w2))
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-3, 1.0, 30.0])
+    def test_mixed_branches_match_oracle(self, scale):
+        a, b, c, d = random_entries(2000, seed=11, scale=scale)
+        b[::7] = 0.0  # w2 = na^2 >= 0
+        c[::5] = 0.0
+        a[::9] = d[::9]  # na = 0, so w2 = 0 where b or c is also zero
+        w2 = (0.5 * (a - d)) ** 2 + b * c
+        assert (w2 > 0).any() and (w2 < 0).any()
+        got = mat2.expm_batch(a, b, c, d)
+        ref = two_branch_expm(a, b, c, d)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+    def test_zero_d_scalars(self):
+        for entries in [(0.0, 1.0, -2.0, 0.0), (0.3, 1.0, 2.0, -0.1), (1.0, 0.0, 0.0, 1.0),
+                        (0.0, 1.0, 1e-13, 0.0)]:
+            got = mat2.expm_batch(*entries)
+            ref = two_branch_expm(*entries)
+            assert all(np.ndim(g) == 0 for g in got)
+            assert all(same_bits(g, r) for g, r in zip(got, ref))
+            m = np.array(entries).reshape(2, 2)
+            assert same_bits(mat2.expm(m), np.array(ref).reshape(2, 2))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.4], ids=["traceless", "trace"])
+    def test_size_column_broadcast(self, shift):
+        # the (T, 1) sizes times (S,) direction entries of a stacked spec
+        t = (2.0 ** -np.arange(1, 11))[:, None]
+        a, b, c, d = random_entries(512, seed=3)
+        b, c = np.abs(b) + 0.1, -np.abs(c) - 0.1
+        a = 0.1 * a + shift
+        d = -0.1 * a + shift
+        args = (t * a, t * b, t * c, t * d)
+        got = mat2.expm_batch(*args)
+        ref = two_branch_expm(*args)
+        assert got[0].shape == (10, 512)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cosh_overflows_only_on_its_branch(self):
+        # w = 1000 on the trig branch overflows cosh, which it never reads
+        mat2.expm_batch(*with_w2([-1e6]))
+        mat2.expm_batch(*with_w2([-1e6, 4.0]))
 
 
 class TestInverseAdjugate:
