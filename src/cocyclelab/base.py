@@ -28,6 +28,8 @@ _MIN_CHUNK_ROWS = 256
 # substreams are seeded this many at a time: a seed state is a few hundred
 # bytes of Python integers, so a chunk of short rows must not seed at once
 _SEED_BLOCK = 256
+# Bernoulli uniforms become symbols through a table over their top bits
+_BUCKET_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +55,6 @@ class BernoulliMeasure:
         if not np.any(w > 0.0):
             raise ConfigError("Bernoulli weights must have a positive entry")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,6 +444,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _XSHIFT = np.uint32(16)
@@ -521,6 +520,19 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
     return states
 
 
+def _lattice_pair(state: int, inc: int) -> tuple[int, int]:
+    """``integers(0, 2**26, size=2)`` of a Generator at PCG64 state
+    (state, inc), from the state itself: one LCG step, the XSL-RR output
+    of the new state, then Lemire's bounded draw on each 32-bit half, low
+    half first.  For a range of 2**26 Lemire's draw never rejects and is
+    the half shifted right by 6."""
+    state = (state * _PCG64_MULT + inc) & _MASK128
+    rot = state >> 122
+    x = (state >> 64 ^ state) & _MASK64
+    out = (x >> rot | x << (64 - rot)) & _MASK64
+    return (out & _MASK32) >> 6, out >> 38
+
+
 def _substreams(seed: int, lo: int, hi: int):
     """Yield, for each index i in [lo, hi), a Generator at the start of
     point i's substream, the stream of
@@ -541,16 +553,64 @@ def _substreams(seed: int, lo: int, hi: int):
 
 
 def _check_seeding(seed: int) -> None:
-    """The bulk route must seed point 0 exactly as numpy does; a numpy whose
-    seeding differs would break the substream contract, so it stops the
-    draw instead."""
+    """The bulk route must seed point 0 exactly as numpy does, and its
+    lattice pair must be the one numpy draws; a numpy that differs would
+    break the substream contract, so it stops the draw instead."""
     got = _pcg64_states(seed, 0, 1)[0]  # a negative seed raises here
-    want = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    want = want.state["state"]
-    if got != (want["state"], want["inc"]):
+    bit_generator = np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(0,)))
+    want = bit_generator.state["state"]
+    pair = np.random.Generator(bit_generator).integers(0, _LATTICE_DENOM, size=2)
+    if got != (want["state"], want["inc"]) or _lattice_pair(*got) != tuple(pair):
         raise CocycleLabError(
-            "numpy's SeedSequence/PCG64 seeding differs from the bulk route, "
-            f"so points cannot be drawn from their substreams (numpy {np.__version__})"
+            "numpy's SeedSequence/PCG64 seeding differs from the bulk route "
+            "(or its bounded draw from the lattice pair's), so points cannot "
+            f"be drawn from their substreams (numpy {np.__version__})"
+        )
+
+
+def _cut_points(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights along the last axis as the cut points of [0, 1):
+    a uniform u maps to the number of cut points <= u.  The cut points
+    from the last positive weight on are inf, so a cumsum that rounds
+    below 1 cannot map the top uniforms past the last symbol with weight
+    (ten weights of 0.1 sum to 0.9999999999999999)."""
+    n = weights.shape[-1]
+    cut = np.cumsum(weights, axis=-1)
+    last = n - 1 - np.argmax(weights[..., ::-1] > 0.0, axis=-1)
+    cut[np.arange(n) >= np.expand_dims(last, -1)] = np.inf
+    return cut
+
+
+def _bucket_table(cut: np.ndarray) -> np.ndarray:
+    """For each bucket [j, j + 1) * 2**-_BUCKET_BITS of [0, 1), the symbol
+    of every uniform in it, or -1 where a cut point splits the bucket.
+
+    A cut point counts for every bucket after its own, and for its own
+    when it sits on that bucket's lower edge; built from per-bucket counts
+    so the draw's memory peak sees no full-size temporaries."""
+    scaled = cut[cut < 1.0] * 2.0**_BUCKET_BITS  # exact
+    own = np.floor(scaled)
+    splits = scaled > own
+    counts = np.zeros(2**_BUCKET_BITS + 1, dtype=_WINDOW_DTYPE)
+    np.add.at(counts, (own + splits).astype(np.intp), 1)
+    table = np.cumsum(counts[:-1], dtype=_WINDOW_DTYPE)
+    table[own[splits].astype(np.intp)] = -1
+    return table
+
+
+def _to_symbols(cut, table, uniforms: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = searchsorted(cut, uniforms, side="right"), bitwise, for
+    C-contiguous arrays: u * 2**_BUCKET_BITS is exact, so its integer part
+    is u's bucket, and only the uniforms of split buckets are searched.
+    ``uniforms`` is scaled in place."""
+    uniforms *= 2.0**_BUCKET_BITS
+    # indexing keeps the 16-bit index (np.take would widen it to intp)
+    out[...] = table[uniforms.astype(np.uint16)]
+    split = np.flatnonzero(out < 0)
+    if split.size:
+        scaled = uniforms.reshape(-1)[split]
+        out.reshape(-1)[split] = np.searchsorted(
+            cut * 2.0**_BUCKET_BITS, scaled, side="right"
         )
 
 
@@ -569,9 +629,11 @@ def sample_points(
     Point i comes from its own substream, the stream of
     ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so it does not
     depend on ``count``.  The substreams are seeded in bulk, _SEED_BLOCK
-    points at a time (``_pcg64_states``), checked against numpy's own
-    seeding of point 0 once per call, and drawn through one reused
-    Generator.
+    points at a time (``_pcg64_states``), and checked against numpy's own
+    seeding and lattice draw of point 0 once per call.  A torus point's
+    lattice pair is computed from its seeded state (``_lattice_pair``);
+    shift uniforms are drawn through one reused Generator and become
+    symbols through a bucket table (``_to_symbols``).
 
     Every study sizes the window by one rule: ``horizon`` = how far the
     study walks from the sample point, either way, + the spec's
@@ -592,10 +654,9 @@ def sample_points(
         # would pick up a rounding eps per step that hyperbolicity amplifies
         # by lambda^k across a backward/forward round trip.
         coords = np.empty((count, 2))
-        for lo, hi in _chunks(count, 2):
-            ints = np.empty((hi - lo, 2), dtype=np.int64)
-            for row, rng in zip(ints, _substreams(seed, lo, hi)):
-                row[:] = rng.integers(0, _LATTICE_DENOM, size=2)
+        for lo in range(0, count, _SEED_BLOCK):
+            hi = min(lo + _SEED_BLOCK, count)
+            ints = [_lattice_pair(*st) for st in _pcg64_states(seed, lo, hi)]
             np.divide(ints, _LATTICE_DENOM, out=coords[lo:hi])
         coords.setflags(write=False)
         return TorusDraw(coords)
@@ -605,22 +666,26 @@ def sample_points(
     windows = np.empty((count, length), dtype=_WINDOW_DTYPE)
     measure = sys.measure
     if isinstance(measure, BernoulliMeasure):
-        cum = measure.cumulative
+        cut = _cut_points(np.asarray(measure.weights, dtype=float))
+        table = _bucket_table(cut)
     else:
-        cum_rows = np.cumsum(np.asarray(measure.matrix, dtype=float), axis=1)
-        cum_pi = np.cumsum(np.asarray(measure.stationary, dtype=float))
-    for lo, hi in _chunks(count, length):
-        uniforms = np.empty((hi - lo, length), dtype=float)
+        cut_rows = _cut_points(np.asarray(measure.matrix, dtype=float))
+        cut_pi = _cut_points(np.asarray(measure.stationary, dtype=float))
+    chunks = _chunks(count, length)
+    # one buffer for every chunk's uniforms, so no two chunks coexist
+    buffer = np.empty((chunks[0][1] if chunks else 0, length), dtype=float)
+    for lo, hi in chunks:
+        uniforms = buffer[: hi - lo]
         for row, rng in zip(uniforms, _substreams(seed, lo, hi)):
             rng.random(out=row)
         out = windows[lo:hi]
         if isinstance(measure, BernoulliMeasure):
-            out[:] = np.searchsorted(cum, uniforms, side="right")
+            _to_symbols(cut, table, uniforms, out)
             continue
-        state = (cum_pi[None, :] <= uniforms[:, :1]).sum(axis=1)
+        state = (cut_pi[None, :] <= uniforms[:, :1]).sum(axis=1)
         out[:, 0] = state
         for t in range(1, length):
-            state = (cum_rows[state] <= uniforms[:, t : t + 1]).sum(axis=1)
+            state = (cut_rows[state] <= uniforms[:, t : t + 1]).sum(axis=1)
             out[:, t] = state
     windows.setflags(write=False)
     return ShiftDraw(windows)

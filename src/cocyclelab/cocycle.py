@@ -33,6 +33,9 @@ from .base import (
 from .errors import ConfigError, SingularValueError
 
 _TWO_PI = 2.0 * np.pi
+# a pass over many points evaluates a StackedCocycle on column blocks of
+# about this many entries (members x points), so its temporaries stay small
+STACK_BLOCK = 2**12
 
 
 def _require_finite(values, what: str) -> None:
@@ -516,6 +519,8 @@ class StackedCocycle:
         return self._stack(lambda spec: spec.values_at_symbols(block))
 
     def values_at_coords(self, coords):
+        if self._entries is not None:
+            raise ConfigError("locally constant cocycles live over shift bases")
         return self._stack(lambda spec: spec.values_at_coords(coords))
 
     def symbol_table(self):
@@ -654,12 +659,14 @@ def holder_distances(
     Exact by finite enumeration over a shift when A and B are symbol tables
     over its alphabet (a constant spec counts as one).  Over a torus, a
     flagged Monte Carlo lower bound, which draws its pairs and near-point
-    rings once and evaluates B there once.
+    rings once and evaluates B there once; the perturbations of one base
+    along one direction and rule are evaluated as one ``StackedCocycle``
+    in one pass, any other spec as a stack of its own.
     """
     table_b = _as_table(b_spec, sys)
-    sample = None
-    out = []
-    for a_spec in specs:
+    out: list = [None] * len(specs)
+    stacks: dict = {}
+    for i, a_spec in enumerate(specs):
         table_a = _as_table(a_spec, sys) if table_b is not None else None
         if table_a is not None:
             depth = max(table_a[1], table_b[1], 1)
@@ -667,19 +674,27 @@ def holder_distances(
             ta = _expand_table(table_a[0], a, table_a[1], depth)
             tb = _expand_table(table_b[0], a, table_b[1], depth)
             sup, quot = _table_holder(ta - tb, a, depth, sys.lambda0, a_spec.r)
-            out.append(HolderReport(sup, quot, a_spec.r, exact=True))
+            out[i] = HolderReport(sup, quot, a_spec.r, exact=True)
             continue
-        if sample is None:
-            sample = _HolderSample.draw(sys, pair_samples, seed)
-            b_vals = b_spec.values_at_coords(sample.coords)
+        key = i
+        if isinstance(a_spec, PerturbedCocycle):
+            key = (id(a_spec.base), id(a_spec.direction), a_spec.rule)
+        stacks.setdefault(key, []).append(i)
+    if not stacks:
+        return out
+    sample = _HolderSample.draw(sys, pair_samples, seed)
+    b_vals = b_spec.values_at_coords(sample.coords)
+    for rows in stacks.values():
+        stack = StackedCocycle(tuple(specs[i] for i in rows))
 
         def diff(sl):
-            a_at = a_spec.values_at_coords(sample.coords[sl])
+            a_at = stack.values_at_coords(sample.coords[sl])
             # the values of PerturbedCocycle(a_spec, b_spec, t=-1,
             # "additive"): A + (-1) * B is bitwise A - B
             return _compose("additive", -1.0, a_at, tuple(v[sl] for v in b_vals))
 
-        out.append(sample.report(diff, a_spec.r))
+        for i, rep in zip(rows, sample.reports(diff, stack.rows, stack.r)):
+            out[i] = rep
     return out
 
 
@@ -802,30 +817,49 @@ class _HolderSample:
             dists.append(torus_distances(xs, near))
         return cls(np.concatenate(parts), np.concatenate(dists), pairs)
 
-    def report(self, values, r: float) -> HolderReport:
-        """sup-norm and Holder-r quotient of a map; ``values(sl)`` gives its
-        four entry arrays at ``coords[sl]``, asked for one block of
-        ``pairs`` points at a time."""
+    def reports(self, values, rows: int, r: float) -> list[HolderReport]:
+        """sup-norm and Holder-r quotient of ``rows`` maps at once;
+        ``values(sl)`` gives their four (rows, n) entry arrays at
+        ``coords[sl]``, asked for in column blocks of about
+        STACK_BLOCK entries.  Every ring is reduced to per-row maxima
+        first and the rings are then combined in order with Python's max,
+        as for one map alone, so each report is bitwise the one its map
+        gets by itself, a NaN ring included."""
         p = self.pairs
-        at_x = values(slice(0, p))
-        at_y = values(slice(p, 2 * p))
-        sup = float(
-            max(
-                np.max(mat2.opnorm_batch(*at_x)),
-                np.max(mat2.opnorm_batch(*at_y)),
-            )
-        )
-        quot = 0.0
-        # ring 0 pairs x with y; rings 1-6 with the near points
-        for ring in range(7):
-            other = at_y if ring == 0 else values(slice((ring + 1) * p, (ring + 2) * p))
-            norms = mat2.opnorm_batch(*(x - v for x, v in zip(at_x, other)))
-            dists = self.dists[ring * p : (ring + 1) * p]
-            ok = dists > 0
-            if np.any(ok):
-                worst = float(np.max(norms[ok] / dists[ok] ** r))
-                quot = worst if ring == 0 else max(quot, worst)
-        return HolderReport(sup, quot, r, exact=False)
+        width = max(1, STACK_BLOCK // rows)
+        # per row: the largest opnorm at x and at y, and each ring's largest
+        # quotient (None while no pair of the ring is at positive distance)
+        top_x = top_y = None
+        worst = [None] * 7
+        for lo in range(0, p, width):
+            hi = min(lo + width, p)
+            at_x = values(slice(lo, hi))
+            top_x = _row_max(top_x, mat2.opnorm_batch(*at_x))
+            # ring 0 pairs x with y; rings 1-6 with the near points
+            for ring in range(7):
+                other = values(slice((ring + 1) * p + lo, (ring + 1) * p + hi))
+                if ring == 0:
+                    top_y = _row_max(top_y, mat2.opnorm_batch(*other))
+                dists = self.dists[ring * p + lo : ring * p + hi]
+                ok = dists > 0
+                if ok.any():
+                    norms = mat2.opnorm_batch(*(x - v for x, v in zip(at_x, other)))
+                    worst[ring] = _row_max(worst[ring], norms[:, ok] / dists[ok] ** r)
+        out = []
+        for m in range(rows):
+            quot = 0.0
+            for ring, ring_worst in enumerate(worst):
+                if ring_worst is not None:
+                    w = float(ring_worst[m])
+                    quot = w if ring == 0 else max(quot, w)
+            out.append(HolderReport(float(max(top_x[m], top_y[m])), quot, r, exact=False))
+        return out
+
+
+def _row_max(acc, block):
+    """Running per-row maximum; NaN propagates, as in one np.max."""
+    top = np.max(block, axis=1)
+    return top if acc is None else np.maximum(acc, top)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,14 @@ rows informative at realistic sample counts.
 
 The whole family is walked together: each scan steps every orbit once and
 absorbs the values of all live members as stacked (M, S) arrays (see
-``StackedCocycle``), and the sampled Holder distances draw their pairs
-once.  Each row is then reduced from its own slice, bitwise as if its
-member had been run alone.
+``StackedCocycle``), and the up-front grid check and the sampled Holder
+distances each evaluate every member in one pass.  Each row is then
+reduced from its own slice, bitwise as if its member had been run alone.
 
-Rows whose perturbed member loses its singular value gap, or whose additive
-perturbation is singular, are censored: the row stays in the table with NaN
-statistics rather than disappearing, so the schedule remains visible in the
-output.
+Rows whose perturbed member loses its singular value gap, or fails the
+up-front check of ``perturbations``, are censored: the row stays in the
+table with NaN statistics rather than disappearing, so the schedule
+remains visible in the output.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseSystem, ShiftSystem, TorusSystem, sample_points
+from .base import BaseSystem, ShiftSystem, sample_points
 from .cocycle import (
+    STACK_BLOCK,
     CocycleSpec,
     MatrixField,
     PerturbedCocycle,
@@ -36,11 +37,14 @@ from .cocycle import (
     specialize,
 )
 from .errors import ConfigError, NoGap, SingularPerturbation, SingularValueError
-from .mat2 import DET_FLOOR
+from .mat2 import DET_FLOOR, opnorm_batch
 from .oseledets import stable_directions, unstable_directions
 from .spectrum import finite_time_exponents
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_EPS = np.finfo(float).eps
+# torus perturbations are checked on this many points per side of a grid
+_GRID_SIDE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +83,57 @@ class PerturbationFamily:
         )
 
 
+def perturbations(
+    base: CocycleSpec,
+    direction: MatrixField,
+    ts,
+    rule: str,
+    sys: BaseSystem,
+) -> list[CocycleSpec | None]:
+    """The perturbed cocycle at each size in ``ts``, specialized to an
+    exact symbol table over shift bases when both pieces reduce to tables;
+    None where the perturbation is censored.
+
+    Each is checked up front: exactly on tables, and over a torus on a
+    fixed coordinate grid, where a value that is not finite, a |det| below
+    ``DET_FLOOR`` or a value singular to working precision (which an
+    overflowing operator norm is) censors it: an additive member can be
+    singular, an exponential can overflow or lose its determinant.  The
+    grid is walked once for every size, as one ``StackedCocycle`` whose
+    rows are bitwise each member's own, so a size gets the same verdict
+    alone as in its family.
+    """
+    specs = [
+        PerturbedCocycle(base=base, direction=direction, t=t, rule=rule) for t in ts
+    ]
+    if isinstance(sys, ShiftSystem):
+        out = []
+        for spec in specs:
+            try:
+                out.append(specialize(spec, sys))
+            except SingularValueError:
+                out.append(None)
+        return out
+    side = np.arange(_GRID_SIDE) / _GRID_SIDE
+    uu, vv = np.meshgrid(side, side)
+    coords = np.column_stack([uu.ravel(), vv.ravel()])
+    stack = StackedCocycle(tuple(specs))
+    regular = np.ones(stack.rows, dtype=bool)
+    width = max(1, STACK_BLOCK // stack.rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, coords.shape[0], width):
+            a, b, c, d = stack.values_at_coords(coords[lo : lo + width])
+            abs_det = np.abs(a * d - b * c)
+            nrm = opnorm_batch(a, b, c, d)
+            # |det| / |M|^2 is the ratio of the singular values; below eps
+            # the value is singular to working precision, its computed det
+            # rounding noise that can land on 0 along an orbit.  It is 0 or
+            # NaN where the norm overflows, and NaN fails every comparison.
+            ok = (abs_det >= DET_FLOOR) & (abs_det / nrm / nrm >= _EPS)
+            regular &= ok.all(axis=1)
+    return [spec if keep else None for spec, keep in zip(specs, regular)]
+
+
 def perturb(
     base: CocycleSpec,
     direction: MatrixField,
@@ -86,29 +141,13 @@ def perturb(
     rule: str,
     sys: BaseSystem,
 ) -> CocycleSpec:
-    """The perturbed cocycle at size t, specialized to an exact symbol table
-    over shift bases when both pieces reduce to tables.
-
-    Additive perturbations are checked for invertibility up front: exactly
-    on tables, on a fixed coordinate grid for pointwise specs.
-    """
-    spec = PerturbedCocycle(base=base, direction=direction, t=t, rule=rule)
-    if isinstance(sys, ShiftSystem):
-        try:
-            return specialize(spec, sys)
-        except SingularValueError as err:
-            raise SingularPerturbation(
-                f"additive perturbation at t={t} produces a singular value"
-            ) from err
-    if rule == "additive" and isinstance(sys, TorusSystem):
-        side = np.arange(128) / 128.0
-        uu, vv = np.meshgrid(side, side)
-        coords = np.column_stack([uu.ravel(), vv.ravel()])
-        a, b, c, d = spec.values_at_coords(coords)
-        if np.min(np.abs(a * d - b * c)) < DET_FLOOR:
-            raise SingularPerturbation(
-                f"additive perturbation at t={t} is singular on the grid"
-            )
+    """``perturbations`` at the one size t; raises SingularPerturbation
+    where that censors it."""
+    (spec,) = perturbations(base, direction, (t,), rule, sys)
+    if spec is None:
+        raise SingularPerturbation(
+            f"{rule} perturbation at t={t} is singular or overflows"
+        )
     return spec
 
 
@@ -254,9 +293,9 @@ def continuity_experiment(
 
     Every row reports the Holder distance to the base, the good-set
     fraction with its interval, the perturbed exponents, and the direction
-    displacement statistics; rows that lose the singular value gap or hit a
-    singular additive perturbation are censored to NaN but keep their place
-    in the schedule.
+    displacement statistics; rows that lose the singular value gap or fail
+    the up-front check of ``perturbations`` are censored to NaN but keep
+    their place in the schedule.
     """
     if epsilon <= 0.0:
         raise ConfigError("epsilon must be positive")
@@ -265,12 +304,16 @@ def continuity_experiment(
         sys, samples, max(depth, n_window) + 2 + symbol_depth, seed
     )
     # schedule index k -> perturbed spec, for every regular perturbation
-    live = {}
-    for k, t in enumerate(family.ts, start=1):
-        try:
-            live[k] = perturb(family.base, family.direction, t, family.rule, sys)
-        except SingularPerturbation:
-            pass
+    live = {
+        k: spec
+        for k, spec in enumerate(
+            perturbations(
+                family.base, family.direction, family.ts, family.rule, sys
+            ),
+            start=1,
+        )
+        if spec is not None
+    }
     specs = {0: family.base, **live}
     good, last_du = _good_sets(specs, sys, points, epsilon, depth, threads)
     walked = [0, *good]

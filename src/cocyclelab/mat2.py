@@ -121,8 +121,13 @@ def expm_batch(a, b, c, d):
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     s = 0.5 * (a + d)
-    na = a - s
-    nd = d - s
+    # on a traceless batch e^s is exactly 1, so skip the shift and the
+    # scale; a = d = -0.0 then keeps na = -0.0 where a - s gives +0.0,
+    # which no output bit sees (na enters as na^2 or added to a nonzero
+    # cosh term)
+    traced = s.any()
+    na = a - s if traced else a
+    nd = d - s if traced else d
     w2 = na * na + b * c
 
     abs_w2 = np.abs(w2)
@@ -141,11 +146,13 @@ def expm_batch(a, b, c, d):
         cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
         sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
 
-    scale = np.exp(s)
-    ea = scale * (cosh_term + sinhc_term * na)
-    eb = scale * (sinhc_term * b)
-    ec = scale * (sinhc_term * c)
-    ed = scale * (cosh_term + sinhc_term * nd)
+    ea = cosh_term + sinhc_term * na
+    eb = sinhc_term * b
+    ec = sinhc_term * c
+    ed = cosh_term + sinhc_term * nd
+    if traced:
+        scale = np.exp(s)
+        ea, eb, ec, ed = scale * ea, scale * eb, scale * ec, scale * ed
     return ea, eb, ec, ed
 
 

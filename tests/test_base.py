@@ -295,7 +295,8 @@ def one_shot_windows(sys, count, horizon, seed):
         uniforms[i] = numpy_substream(seed, i).random(length)
     measure = sys.measure
     if isinstance(measure, BernoulliMeasure):
-        symbols = np.searchsorted(measure.cumulative, uniforms.ravel(), side="right")
+        cum = np.cumsum(measure.weights)
+        symbols = np.searchsorted(cum, uniforms.ravel(), side="right")
         return symbols.reshape(count, length).astype(np.int16)
     cum_rows = np.cumsum(np.asarray(measure.matrix), axis=1)
     cum_pi = np.cumsum(np.asarray(measure.stationary))
@@ -413,6 +414,21 @@ class TestBulkSeeding:
         assert np.array_equal(draw.coords * 2**26, ints)
         assert np.array_equal(draw.coords, ints / 2**26)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lattice_pairs_match_numpy(self, seed):
+        # the pair computed from each seeded state is numpy's own draw
+        for lo, hi in [(0, 300), (2**32 - 3, 2**32)]:
+            states = base._pcg64_states(seed, lo, hi)
+            for i, state in zip(range(lo, hi), states):
+                want = numpy_substream(seed, i).integers(0, 2**26, size=2)
+                assert base._lattice_pair(*state) == tuple(want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_torus_draw_crosses_seed_blocks(self, monkeypatch, cat, seed):
+        monkeypatch.setattr(base, "_SEED_BLOCK", 4)
+        draw = sample_points(cat, 10, 0, seed)
+        assert np.array_equal(draw.coords, one_shot_lattice(10, seed) / 2**26)
+
     def test_holder_draw_matches_numpy(self, cat):
         sample = _HolderSample.draw(cat, pairs=300, seed=7)
         assert np.array_equal(sample.coords[:600], one_shot_lattice(600, 7) / 2**26)
@@ -425,6 +441,22 @@ class TestBulkSeeding:
             # an empty draw seeds nothing and checks nothing
             assert len(sample_points(sys, 0, 2, seed=1)) == 0
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda lo, hi: (hi, lo),  # halves swapped
+            lambda lo, hi: (lo ^ 1, hi),  # one low bit
+            lambda lo, hi: (lo, hi >> 1),  # a half shifted by 7, not 6
+        ],
+        ids=["swapped", "low-bit", "shift"],
+    )
+    def test_guard_stops_a_changed_lattice_pair(self, monkeypatch, shift2, cat, mutate):
+        pair = base._lattice_pair
+        monkeypatch.setattr(base, "_lattice_pair", lambda s, i: mutate(*pair(s, i)))
+        for sys in (shift2, cat):
+            with pytest.raises(CocycleLabError, match="seeding differs"):
+                sample_points(sys, 3, 2, seed=1)
+
     def test_negative_seed_is_a_config_error(self, shift2):
         with pytest.raises(ConfigError, match="seed"):
             sample_points(shift2, 2, 3, seed=-1)
@@ -432,3 +464,112 @@ class TestBulkSeeding:
     def test_count_limit(self, shift2):
         with pytest.raises(ConfigError, match="2\\*\\*32"):
             sample_points(shift2, 2**32 + 1, 0, seed=0)
+
+
+def searched(cut, uniforms):
+    """The conversion by binary search: the oracle for the bucket table."""
+    return np.searchsorted(cut, uniforms, side="right").astype(np.int16)
+
+
+def converted(weights, uniforms):
+    """Symbols of ``uniforms`` through the bucket table, as sample_points
+    converts a chunk (two rows, so the split fallback indexes a 2-d out)."""
+    cut = base._cut_points(np.asarray(weights, dtype=float))
+    table = base._bucket_table(cut)
+    u = np.asarray(uniforms, dtype=float).reshape(2, -1).copy()
+    out = np.empty(u.shape, dtype=np.int16)
+    base._to_symbols(cut, table, u, out)
+    return cut, table, out.ravel()
+
+
+TOP = 1.0 - 2.0**-53  # the largest uniform numpy draws
+
+
+class TestSymbolTable:
+    """Uniforms become symbols through a table over their top bits,
+    bitwise the binary search; the cut points stop at the last positive
+    weight, so no uniform maps outside the symbols that have weight."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.5, 0.5),
+            (0.3, 0.7),
+            (1 / 3, 1 / 3, 1 / 3),
+            (0.0, 0.3, 0.0, 0.0, 0.7, 0.0),
+            (2.0**-20, 0.25, 0.75 - 2.0**-20),
+            tuple(np.random.default_rng(4).dirichlet(np.ones(1000))),
+        ],
+        ids=["halves", "split", "thirds", "zeros", "narrow", "1000"],
+    )
+    def test_matches_search(self, weights):
+        cut = base._cut_points(np.asarray(weights, dtype=float))
+        step = 2.0**-base._BUCKET_BITS
+        finite = cut[np.isfinite(cut)]
+        # every cut point, its neighbours and the edges of its bucket
+        near = np.concatenate(
+            [finite, np.nextafter(finite, 0.0), np.nextafter(finite, 1.0)]
+        )
+        edges = np.floor(near / step) * step
+        edges = np.concatenate([edges, edges + step, np.nextafter(edges, 0.0)])
+        special = np.concatenate([near, edges, [0.0, 2.0**-53, 0.5, TOP]])
+        special = special[(special >= 0.0) & (special < 1.0)]
+        randoms = np.random.default_rng(9).random(20_000 - special.size % 2)
+        uniforms = np.concatenate([special, randoms])
+        cut, table, got = converted(weights, uniforms)
+        assert np.array_equal(got, searched(cut, uniforms))
+        # the search fallback ran wherever a cut point splits a bucket
+        split = table[(uniforms / step).astype(np.int64)] < 0
+        if weights == (0.5, 0.5):
+            assert not np.any(table < 0)  # 1/2 is a bucket edge: no split
+        else:
+            assert split.any()
+        if len(weights) < 1000:
+            assert np.array_equal(got, searched(np.asarray(weights).cumsum(), uniforms))
+
+    @pytest.mark.parametrize(
+        "weights, last",
+        [
+            ((0.1,) * 10, 9),
+            ((0.5, 0.5 - 4e-13), 1),
+            ((0.1,) * 10 + (0.0, 0.0), 9),
+        ],
+        ids=["tenths", "short", "trailing-zeros"],
+    )
+    def test_top_uniforms_stay_in_alphabet(self, weights, last):
+        # each cumsum rounds below 1, so the plain search maps the top
+        # uniforms past the last symbol with weight
+        BernoulliMeasure(weights=weights)  # a legal measure
+        assert np.cumsum(weights)[-1] < 1.0
+        assert np.searchsorted(np.cumsum(weights), TOP, side="right") > last
+        _, _, got = converted(weights, [TOP, 0.0, 0.9999999999999, TOP])
+        assert got[0] == got[3] == last and got[1] == 0
+
+    def test_markov_cut_points(self):
+        rows = np.array([[0.5, 0.5 - 4e-13, 0.0], [0.0, 0.5, 0.5 - 4e-13], [1.0, 0.0, 0.0]])
+        cut = base._cut_points(rows)
+        assert np.array_equal(np.isinf(cut), [[0, 1, 1], [0, 0, 1], [1, 1, 1]])
+        assert np.array_equal(cut[:, 0], [0.5, 0.0, np.inf])
+        assert list((cut <= TOP).sum(axis=1)) == [1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "measure, alphabet, last",
+        [
+            (BernoulliMeasure(weights=(0.1,) * 10), 10, 9),
+            (MarkovMeasure(matrix=((0.5, 0.5 - 4e-13), (0.5 - 4e-13, 0.5))), 2, 1),
+        ],
+        ids=["bernoulli", "markov"],
+    )
+    def test_draw_of_top_uniforms(self, monkeypatch, measure, alphabet, last):
+        class Top:
+            def random(self, out):
+                out[:] = TOP
+
+        def substreams(seed, lo, hi):
+            for _ in range(lo, hi):
+                yield Top()
+
+        monkeypatch.setattr(base, "_substreams", substreams)
+        sys = ShiftSystem(alphabet_size=alphabet, measure=measure)
+        windows = sample_points(sys, 5, 3, seed=0).windows
+        assert np.all(windows == last)

@@ -172,6 +172,34 @@ class TestContinuityCommand:
         assert second[:2] == ["2", "0.5"] and "nan" not in second
         assert (out / "displacements.svg").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_torus_exponential_rows_censored(self, tmp_path, capsys):
+        # exp(t B) with B = diag(3000, -3000) + the shipped off-diagonal
+        # overflows, or loses its determinant to rounding, for t >= 1/128
+        direction = {
+            **FAST_TORUS["perturbation"]["direction"],
+            "e00": {"const": 3000.0},
+            "e11": {"const": -3000.0},
+        }
+        steep = {
+            **FAST_TORUS,
+            "perturbation": {
+                **FAST_TORUS["perturbation"],
+                "schedule": {"kind": "dyadic", "count": 10},
+                "direction": direction,
+            },
+            "budgets": {"samples": 50, "depth": 20, "n_max": 40},
+        }
+        path = tmp_path / "steep.yaml"
+        path.write_text(yaml.safe_dump(steep))
+        out = tmp_path / "o"
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "(7 censored)" in captured.out
+        rows = [line.split(",") for line in (out / "goodset.csv").read_text().splitlines()[2:]]
+        assert [set(row[2:]) == {"nan"} for row in rows] == [True] * 7 + [False] * 3
+
     def test_all_rows_censored_writes_no_histogram(self, tmp_path):
         # diag(2, 1/2) after a quarter turn squares to -identity, so its
         # windows of even depth are conformal: no gap

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import engine, mat2
+from cocyclelab import cocycle, engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
     ShiftPoint,
@@ -27,6 +27,7 @@ from cocyclelab.cocycle import (
     RotationFactor,
     StackedCocycle,
     TrigExpr,
+    _HolderSample,
     _table_holder,
     bunching_check,
     evaluate,
@@ -526,6 +527,73 @@ class TestHolderRoutes:
             holder_distance_of(spec, spec, shift2)
         with pytest.raises(ConfigError, match="no Holder norm"):
             holder_distances((spec,), two_table(DIAG2, DIAG2), shift2)
+
+
+class NanAt:
+    """A torus spec equal to ``inner`` except for NaN entries at points
+    whose u coordinate is one of ``us``."""
+
+    symbol_depth = 0
+    is_constant = False
+
+    def __init__(self, inner, us):
+        self.inner, self.us, self.r = inner, us, inner.r
+
+    def values_at_coords(self, coords):
+        hit = np.isin(coords[:, 0], self.us)
+        return tuple(np.where(hit, np.nan, v) for v in self.inner.values_at_coords(coords))
+
+
+def same_float(x, y):
+    return x == y or (np.isnan(x) and np.isnan(y))
+
+
+class TestStackedHolder:
+    """The sampled Holder pass evaluates each stack of perturbations once,
+    in column blocks; every row is bitwise its spec's report alone."""
+
+    @pytest.mark.parametrize("block", [1, 4 * 7, 4 * 299, None])
+    def test_rows_match_alone_at_block_edges(self, monkeypatch, cat, block):
+        # widths of 1, 7 and 299 points end blocks inside every ring
+        base, field = torus_base(), torus_direction()
+        specs = [
+            PerturbedCocycle(base=base, direction=field, t=t, rule="multiplicative_exp")
+            for t in (0.5, 0.25, 2.0**-6, 2.0**-12)
+        ]
+        specs.insert(2, ConstantCocycle(matrix=DIAG2))  # a stack of its own
+        alone = [holder_distance_of(s, base, cat, pair_samples=300, seed=6) for s in specs]
+        if block is not None:
+            monkeypatch.setattr(cocycle, "STACK_BLOCK", block)
+        assert holder_distances(specs, base, cat, pair_samples=300, seed=6) == alone
+
+    def test_table_over_torus_rejected(self, cat):
+        # a stack of symbol tables has no values at torus coordinates
+        with pytest.raises(ConfigError, match="shift bases"):
+            holder_distances((two_table(DIAG2, DIAG2),), torus_base(), cat)
+
+    @pytest.mark.parametrize("ring", [-1, 0, 3, 6], ids=["x", "y", "ring3", "ring6"])
+    @pytest.mark.parametrize("block", [2 * 7, None])
+    def test_nan_ring_matches_per_point_route(self, monkeypatch, cat, ring, block):
+        if block is not None:
+            monkeypatch.setattr(cocycle, "STACK_BLOCK", block)
+        sample = _HolderSample.draw(cat, 300, 6)
+        us = sample.coords[(ring + 1) * 300 : (ring + 2) * 300 : 37, 0]
+        base = NanAt(torus_base(), us)
+        specs = [base] + [
+            PerturbedCocycle(base=base, direction=torus_direction(), t=t, rule="additive")
+            for t in (0.5, 2.0**-8)
+        ]
+        reps = holder_distances(specs, torus_base(), cat, pair_samples=300, seed=6)
+        for spec, rep in zip(specs, reps):
+            diff = PerturbedCocycle(
+                base=spec, direction=torus_base(), t=-1.0, rule="additive"
+            )
+            sup, quot = per_point_sampled_holder(diff, cat, spec.r, 300, 6)
+            assert same_float(rep.sup_norm, sup)
+            assert same_float(rep.holder_constant, quot)
+            # Python's max keeps a NaN it starts from and drops a later one
+            assert np.isnan(rep.sup_norm) == (ring == -1)
+            assert np.isnan(rep.holder_constant) == (ring <= 0)
 
 
 class TestStacked:

@@ -24,6 +24,7 @@ from cocyclelab.continuity import (
     PerturbationFamily,
     continuity_experiment,
     perturb,
+    perturbations,
     wilson_interval,
 )
 from cocyclelab.errors import ConfigError, SingularPerturbation
@@ -112,6 +113,70 @@ class TestPerturb:
         base = ConstantCocycle(matrix=DIAG2)
         spec = perturb(base, constant_direction(SPIN), 0.5, "multiplicative_exp", cat)
         assert isinstance(spec, PerturbedCocycle)
+
+
+def shipped_torus_base():
+    return PointwiseCocycle(
+        factors=(
+            RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
+            ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
+        )
+    )
+
+
+def steep_direction():
+    """The shipped torus direction with +-3000 on the diagonal: exp(t B)
+    overflows for t >= 1/4 and carries ~e^{3000 t} entries whose
+    determinant cancels to rounding noise for t >= 1/128."""
+    return PointwiseEntriesField(
+        e00=TrigExpr(const=3000.0), e01=TrigExpr(const=-1.0, sin_u=0.2),
+        e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(const=-3000.0),
+    )
+
+
+class TestTorusGridCheck:
+    """Every torus perturbation is checked on the grid: a value that is not
+    finite, below the determinant floor or singular to working precision
+    censors its size."""
+
+    TS = (0.5, 0.25, 2.0**-5, 2.0**-7, 2.0**-8, 2.0**-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_steep_exponential_censored(self, cat):
+        got = perturbations(
+            shipped_torus_base(), steep_direction(), self.TS, "multiplicative_exp", cat
+        )
+        assert [spec is None for spec in got] == [True] * 4 + [False] * 2
+        with pytest.raises(SingularPerturbation, match="t=0.0078125"):
+            perturb(shipped_torus_base(), steep_direction(), 2.0**-7, "multiplicative_exp", cat)
+
+    def test_noise_determinant_is_seen(self, cat):
+        # at t = 1/128 the grid's smallest |det| is far above the floor,
+        # though the true det is 1: the value is singular to working
+        # precision, and an orbit point rounds its det to 0
+        spec = PerturbedCocycle(
+            base=shipped_torus_base(), direction=steep_direction(), t=2.0**-7,
+            rule="multiplicative_exp",
+        )
+        pts = sample_points(cat, 50, 0, seed=0)
+        batch = engine.batch_of(cat, pts)
+        low = np.inf
+        for _ in range(4):
+            engine.step(cat, batch, -1)
+            a, b, c, d = spec.values_at_coords(batch.coords)
+            low = min(low, float(np.min(np.abs(a * d - b * c))))
+        assert low < mat2.DET_FLOOR
+
+    @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
+    def test_family_verdicts_match_alone(self, cat, rule):
+        base, field = shipped_torus_base(), steep_direction()
+        together = perturbations(base, field, self.TS, rule, cat)
+        for t, spec in zip(self.TS, together):
+            try:
+                alone = perturb(base, field, t, rule, cat)
+            except SingularPerturbation:
+                alone = None
+            assert (alone is None) == (spec is None)
 
 
 class TestWilson:
@@ -260,6 +325,20 @@ class TestExperiment:
         assert first.censored
         assert np.isnan(first.holder_dist) and np.isnan(first.g_hat)
         assert not second.censored and np.isfinite(second.holder_dist)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_torus_steep_exponential_rows_censored(self, cat):
+        fam = PerturbationFamily(
+            base=shipped_torus_base(), direction=steep_direction(),
+            ts=(0.5, 2.0**-7, 2.0**-10),
+        )
+        rep = continuity_experiment(
+            fam, cat, epsilon=0.1, samples=50, depth=40, n_window=400, seed=0
+        )
+        first, second, third = rep.rows
+        assert first.censored and np.isnan(first.holder_dist)
+        assert second.censored and np.isnan(second.holder_dist)
+        assert not third.censored and np.isfinite(third.g_hat)
 
     def test_torus_singular_perturbation_row_censored(self, cat):
         # A(x) = R(0.15 sin 2 pi u) diag(3/2, 2/3) minus t diag(3/2, 0) is
@@ -417,14 +496,8 @@ def torus_gapless_family():
 def torus_singular_family():
     # as in test_torus_singular_perturbation_row_censored: t = 1 is
     # singular at u = 0, a point of the invertibility grid
-    base = PointwiseCocycle(
-        factors=(
-            RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
-            ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
-        )
-    )
     return PerturbationFamily(
-        base=base,
+        base=shipped_torus_base(),
         direction=constant_direction(np.diag([-1.5, 0.0])),
         rule="additive",
         ts=(0.5, 1.0, 0.25),

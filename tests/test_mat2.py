@@ -240,6 +240,62 @@ class TestExpmBranches:
         mat2.expm_batch(*with_w2([-1e6, 4.0]))
 
 
+# (b, c) pairs over every w2 class of a traceless matrix with na = 0:
+# trig, hyperbolic, zero, both sides of the series cut, infinite and NaN
+OFF_DIAGONALS = [
+    (1.0, -2.0), (1.0, 2.0), (0.0, 0.0), (0.0, -0.0), (1.0, 1e-13), (1.0, -1e-13),
+    (-3.0, 700.0), (np.inf, 1.0), (np.inf, -1.0), (-np.inf, 2.0), (np.inf, 0.0),
+    (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+]
+
+
+def entries_with_diagonal(diagonals):
+    """Every (a, d) of ``diagonals`` with every off-diagonal pair."""
+    rows = [(a, b, c, d) for a, d in diagonals for b, c in OFF_DIAGONALS]
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+def w2_of(a, b, c, d):
+    with np.errstate(invalid="ignore", over="ignore"):
+        na = a - 0.5 * (a + d)
+        return na * na + b * c
+
+
+class TestExpmTraceless:
+    """A batch whose every s = (a + d) / 2 is +-0 skips the shift and the
+    e^s scale, which is exactly 1; every output bit is kept."""
+
+    TRACELESS = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.3, -0.3), (-0.3, 0.3)]
+    TRACED = [(0.4, 0.4), (0.7, -0.1), (-0.0, 1e-300), (800.0, 800.0), (np.inf, 0.0)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_skip_matches_the_scaled_path(self):
+        a, b, c, d = entries_with_diagonal(self.TRACELESS)
+        assert not (0.5 * (a + d)).any()
+        got = mat2.expm_batch(a, b, c, d)
+        # one traced entry more sends the whole batch through the scale
+        scaled = mat2.expm_batch(*(np.append(x, v) for x, v in zip((a, b, c, d), (1, 0, 0, 1))))
+        assert all(same_bits(g, s[:-1]) for g, s in zip(got, scaled))
+        for i, row in enumerate(zip(a, b, c, d)):  # 0-d input skips alone
+            one = mat2.expm_batch(*row)
+            assert all(np.ndim(x) == 0 and same_bits(x, g[i]) for x, g in zip(one, got))
+
+    @pytest.mark.parametrize("kind", ["traceless", "traced"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_oracle(self, kind):
+        # the oracle selects 1.0 for sinhc where w2 is NaN (see
+        # TestExpmBranches), so only the entries with a w2 are compared
+        a, b, c, d = entries_with_diagonal(
+            self.TRACELESS if kind == "traceless" else self.TRACED
+        )
+        keep = ~np.isnan(w2_of(a, b, c, d))
+        assert keep.sum() >= 40
+        a, b, c, d = (x[keep] for x in (a, b, c, d))
+        got = mat2.expm_batch(a, b, c, d)
+        ref = two_branch_expm(a, b, c, d)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+
 class TestInverseAdjugate:
     def test_inverse_exact_on_integers(self):
         m = np.array([[2.0, 1.0], [1.0, 1.0]])
