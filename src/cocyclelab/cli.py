@@ -31,6 +31,7 @@ from .config import (
     _seed,
 )
 from .continuity import continuity_experiment
+from .engine import batch_of, forward_scan
 from .errors import (
     CocycleLabError,
     ConfigError,
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .oseledets import equivariance_residuals, stable_directions, unstable_directions
 from .projective import build_invariant_measures, integrate_phi, invariance_defect
-from .spectrum import lyapunov_exponents, spectral_gap
+from .spectrum import finite_time_exponents, lyapunov_exponents, spectral_gap
 from .svgplot import emit_plot, goodset_curve_svg, histogram_svg
 
 GOODSET_COLUMNS = (
@@ -311,9 +312,14 @@ def _cmd_selftest(args) -> int:
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     check("cocycle identity", worst < 1e-9, f"max relative defect {worst:.2e}")
 
-    rep = lyapunov_exponents(spec, sys_, n=200, samples=50, seed=seed, threads=args.threads)
-    resid = float(np.max(np.abs(rep.per_sample.det_residuals)))
-    check("determinant consistency", resid < 1e-9, f"max residual {resid:.2e}")
+    # the exponents against the unit-norm walk, which shares no
+    # renormalization, grouping or accumulation with the exponent scan
+    points = sample_points(sys_, 50, 200 + spec.symbol_depth, seed)
+    ft = finite_time_exponents(spec, sys_, points, 200, args.threads)
+    walk = forward_scan(spec, sys_, batch_of(sys_, points), 200)
+    plus, rate = walk.log_scale / 200, walk.logdet / 200
+    dev = np.max(np.abs([ft.plus - plus, ft.minus - (rate - plus), ft.logdet_rate - rate]))
+    check("exponent routes", dev < 1e-9, f"max deviation from the unit-norm walk {dev:.2e}")
 
     try:
         pts = sample_points(sys_, 100, 40 + 2 + spec.symbol_depth, seed + 1)

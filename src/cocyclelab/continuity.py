@@ -96,12 +96,14 @@ def perturbations(
 
     Each is checked up front: exactly on tables, and over a torus on a
     fixed coordinate grid, where a value that is not finite, a |det| below
-    ``DET_FLOOR`` or a value singular to working precision (which an
-    overflowing operator norm is) censors it: an additive member can be
-    singular, an exponential can overflow or lose its determinant.  The
-    grid is walked once for every size, as one ``StackedCocycle`` whose
-    rows are bitwise each member's own, so a size gets the same verdict
-    alone as in its family.
+    ``DET_FLOOR``, a value singular to working precision (which an
+    overflowing operator norm is) or a det that takes both signs censors
+    it: an additive member can be singular, an exponential can overflow or
+    lose its determinant.  The torus is connected, so a continuous det of
+    both signs vanishes on a curve, however far from 0 it stays on the
+    grid.  The grid is walked once for every size, as one
+    ``StackedCocycle`` whose rows are bitwise each member's own, so a size
+    gets the same verdict alone as in its family.
     """
     specs = [
         PerturbedCocycle(base=base, direction=direction, t=t, rule=rule) for t in ts
@@ -121,16 +123,20 @@ def perturbations(
     regular = np.ones(stack.rows, dtype=bool)
     width = max(1, STACK_BLOCK // stack.rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # every grid det must share the sign of the first
+        a, b, c, d = stack.values_at_coords(coords[:1])
+        sign = np.sign(a * d - b * c)
         for lo in range(0, coords.shape[0], width):
             a, b, c, d = stack.values_at_coords(coords[lo : lo + width])
-            abs_det = np.abs(a * d - b * c)
+            det = a * d - b * c
+            abs_det = np.abs(det)
             nrm = opnorm_batch(a, b, c, d)
             # |det| / |M|^2 is the ratio of the singular values; below eps
             # the value is singular to working precision, its computed det
             # rounding noise that can land on 0 along an orbit.  It is 0 or
             # NaN where the norm overflows, and NaN fails every comparison.
             ok = (abs_det >= DET_FLOOR) & (abs_det / nrm / nrm >= _EPS)
-            regular &= ok.all(axis=1)
+            regular &= (ok & (np.sign(det) == sign)).all(axis=1)
     return [spec if keep else None for spec, keep in zip(specs, regular)]
 
 

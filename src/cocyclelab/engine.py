@@ -13,9 +13,9 @@ matrix, so no product ever overflows, in one of two ways:
   read the unit-norm product as a direction;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
-  exponents, and takes one norm and one log per track at the end.  Over a
-  symbol table it absorbs one precomputed k-step word product per k
-  symbols instead of one matrix per symbol.
+  exponents, and takes one norm and one log at the end.  Over a symbol
+  table it absorbs one precomputed k-step word product per k symbols
+  instead of one matrix per symbol.
 
 A shift batch's symbol window is checked once per scan, before the first
 step, and singular steps are caught once, after the last one.
@@ -342,37 +342,29 @@ def _log_norm(a, b, c, d, exps):
 
 
 # A factor is what exponent_scan absorbs, one step or one word of steps:
-# (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the same five
-# for the product of the step inverses, the determinant product as
-# (mantissa, exponent), and the smallest step |det|.
+# (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the
+# determinant product as (mantissa, exponent), and the smallest step |det|.
 def _identity_factor(size: int):
     one, zero = np.ones(size), np.zeros(size, dtype=np.int64)
-    return (one, 0.0, 0.0, one, zero, one, 0.0, 0.0, one, zero, one, zero, np.inf)
+    return (one, 0.0, 0.0, one, zero, one, zero, np.inf)
 
 
 def _step_factor(va, vb, vc, vd):
-    """One step A as a factor; its inverse is adj(A) / det(A)."""
+    """One step A as a factor."""
     sdet = va * vd - vb * vc
-    sa, sb, sc, sd = mat2.adjugate_batch(va, vb, vc, vd)
-    return (
-        va, vb, vc, vd, 0,
-        sa / sdet, sb / sdet, sc / sdet, sd / sdet, 0,
-        sdet, 0, np.abs(sdet),
-    )
+    return (va, vb, vc, vd, 0, sdet, 0, np.abs(sdet))
 
 
 def _absorb(acc, factor):
-    """The running product acc followed by one more factor: the forward
-    track and the determinant take it on the left, the inverse track on
-    the right; both tracks are rescaled by exact powers of two."""
-    a, b, c, d, e, ia, ib, ic, id_, ie, det, de, low = acc
-    fa, fb, fc, fd, fe, ga, gb, gc, gd, ge, fdet, fde, flow = factor
+    """The running product acc followed by one more factor, taken on the
+    left; the product is rescaled by an exact power of two and the
+    determinant is kept as a frexp mantissa and exponent."""
+    a, b, c, d, e, det, de, low = acc
+    fa, fb, fc, fd, fe, fdet, fde, flow = factor
     a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
     e = _radix_scale(a, b, c, d, e + fe)
-    ia, ib, ic, id_ = mat2.matmul_batch(ia, ib, ic, id_, ga, gb, gc, gd)
-    ie = _radix_scale(ia, ib, ic, id_, ie + ge)
     det, k = np.frexp(det * fdet)
-    return a, b, c, d, e, ia, ib, ic, id_, ie, det, de + k + fde, np.minimum(low, flow)
+    return a, b, c, d, e, det, de + k + fde, np.minimum(low, flow)
 
 
 # A word table covers at most WORD_SPAN words: the word length k is the
@@ -393,7 +385,7 @@ def _word_factors(entries, alphabet: int, depth: int, length: int) -> np.ndarray
     """The factor of every word of length + depth - 1 symbols (x_0 most
     significant): the product of the ``length`` steps it determines, built
     with the scan's own arithmetic.  Returned as one float array of shape
-    (13, ..., words), exponents held exactly as floats, so a scan gathers a
+    (8, ..., words), exponents held exactly as floats, so a scan gathers a
     word's whole factor at once."""
     words = np.arange(alphabet ** (length + depth - 1))
     acc = _identity_factor(1)
@@ -425,12 +417,10 @@ def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
         return None
     entries, alphabet, depth = table
     k = _word_length(alphabet)
-    # errors from singular steps surface in the scans' own check
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = {
-            length: _word_factors(entries, alphabet, depth, length)
-            for length in {min(k, n), n % k} - {0}
-        }
+    factors = {
+        length: _word_factors(entries, alphabet, depth, length)
+        for length in {min(k, n), n % k} - {0}
+    }
     return WordTables(alphabet=alphabet, depth=depth, k=k, factors=factors)
 
 
@@ -451,18 +441,16 @@ def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
 
 def exponent_scan(
     spec, sys: BaseSystem, batch: Batch, n: int, words: WordTables | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log_scale, inv_log_scale, logdet) for exponents: the log operator
-    norms of the forward product over [0, n) and, independently, of the
-    product of the step inverses inv(A(x)) inv(A(fx)) ... inv(A(f^{n-1}x)),
-    and log |det| of the forward product.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log_scale, logdet) for exponents: the log operator norm and log
+    |det| of the forward product over [0, n).
 
-    Each track, and the running product of step determinants, is rescaled
-    by an exact power of two as it goes, with the exponent kept apart, so
-    no product overflows and the only rounding is in the products
-    themselves; one operator norm and one log per track at the end give the
-    two log scales.  They come from different arithmetic, so checking them
-    against ``logdet`` is a genuine cross-check.
+    The product, and the running product of step determinants, are
+    rescaled by an exact power of two as they go, with the exponent kept
+    apart, so no product overflows and the only rounding is in the
+    products themselves; one operator norm and one log at the end give the
+    log scale.  For a 2x2 product sigma1 * sigma2 = |det|, so the bottom
+    exponent is the log-det rate minus the top one.
 
     A spec with a symbol table over the system's alphabet is walked a word
     at a time: each iteration gathers one precomputed k-step factor per
@@ -485,17 +473,11 @@ def exponent_scan(
     else:
         factors = _word_walk(words, batch, n)
     acc = _identity_factor(batch.size)
-    # as in _direction_scan, a singular step raises after the walk instead
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for factor in factors:
-            acc = _absorb(acc, factor)
-    a, b, c, d, exps, ia, ib, ic, id_, inv_exps, det, det_exps, low_det = acc
+    for factor in factors:
+        acc = _absorb(acc, factor)
+    a, b, c, d, exps, det, det_exps, low_det = acc
     _require_regular(low_det)
-    return (
-        _log_norm(a, b, c, d, exps),
-        _log_norm(ia, ib, ic, id_, inv_exps),
-        det_exps * _LN2 + np.log(np.abs(det)),
-    )
+    return _log_norm(a, b, c, d, exps), det_exps * _LN2 + np.log(np.abs(det))
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,32 @@ class TestOutputs:
         assert "3/3" in out
 
 
+    @pytest.mark.parametrize("setting", ["shift", "torus"])
+    def test_selftest_fails_on_a_broken_route(
+        self, setting, tmp_path, monkeypatch, capsys
+    ):
+        # the exponent scan forgets the exponent of its first rescaling:
+        # the unit-norm walk must disagree, on the word and the step path
+        from cocyclelab import engine
+
+        radix_scale = engine._radix_scale
+        calls = []
+
+        def dropping(a, b, c, d, exps):
+            out = radix_scale(a, b, c, d, exps)
+            calls.append(None)
+            return exps if len(calls) == 1 else out
+
+        monkeypatch.setattr(engine, "_radix_scale", dropping)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(FAST_SHIFT if setting == "shift" else FAST_TORUS))
+        assert run(["selftest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] exponent routes: " in out
+        assert out.count("[ok]") == 2 and "2/3" in out
+        assert calls
+
+
 class TestContinuityCommand:
     def test_goodset_columns_and_plots(self, shift_cfg, tmp_path):
         out = tmp_path / "c1"
@@ -199,6 +225,36 @@ class TestContinuityCommand:
         assert "(7 censored)" in captured.out
         rows = [line.split(",") for line in (out / "goodset.csv").read_text().splitlines()[2:]]
         assert [set(row[2:]) == {"nan"} for row in rows] == [True] * 7 + [False] * 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sign_changing_torus_determinant_row_censored(self, tmp_path, capsys):
+        # A + t diag(0, -1.3533) has a det of both signs at t = 1/2 only;
+        # censoring it leaves the other rows bitwise as a family without it
+        def goodset(schedule, name):
+            cfg = {
+                **FAST_TORUS,
+                "perturbation": {
+                    "rule": "additive",
+                    "schedule": schedule,
+                    "direction": {
+                        "kind": "pointwise_entries", "e11": {"const": -1.3533},
+                    },
+                },
+            }
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            out = tmp_path / name
+            assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+            text = (out / "goodset.csv").read_text().splitlines()[2:]
+            return [line.split(",") for line in text], capsys.readouterr()
+
+        rows, captured = goodset({"kind": "dyadic", "count": 3}, "flip")
+        assert captured.err == ""
+        assert "(1 censored)" in captured.out
+        assert rows[0][:2] == ["1", "0.5"] and set(rows[0][2:]) == {"nan"}
+        assert all("nan" not in row for row in rows[1:])
+        rest, _ = goodset({"kind": "explicit", "values": [0.25, 0.125]}, "rest")
+        assert [row[1:] for row in rows[1:]] == [row[1:] for row in rest]
 
     def test_all_rows_censored_writes_no_histogram(self, tmp_path):
         # diag(2, 1/2) after a quarter turn squares to -identity, so its

@@ -271,8 +271,9 @@ class TestProducts:
 
     def test_renormalized_matches_plain(self, shift2):
         # the renormalized scans against the plain product: forward_scan's
-        # unit-norm product and log scale, and the exponent scan's log norms
-        # of the forward product and of the product of step inverses
+        # unit-norm product and log scale, the exponent scan's log norm, and
+        # log sigma1 - log |det| = log |A^-n| against the product of step
+        # inverses
         spec = two_table(DIAG2, mat2.rotation(0.7) @ DIAG2)
         pts = sample_points(shift2, 5, 40, seed=7)
         # long mixed-rotation products are badly conditioned, so the
@@ -280,7 +281,7 @@ class TestProducts:
         # degrades like cond * eps; the log scale stays tight throughout.
         for n, tol in ((1, 1e-12), (7, 1e-11), (12, 1e-9), (25, 1e-4)):
             fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
-            ls, inv_ls, _ = engine.exponent_scan(
+            ls, logdet = engine.exponent_scan(
                 spec, shift2, engine.batch_of(shift2, pts), n
             )
             for i, x in enumerate(pts):
@@ -291,7 +292,9 @@ class TestProducts:
                 assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < tol
                 for got in (fwd.log_scale[i], ls[i]):
                     assert got == pytest.approx(np.log(mat2.opnorm(plain)), abs=tol)
-                assert inv_ls[i] == pytest.approx(np.log(mat2.opnorm(inverse)), abs=tol)
+                assert ls[i] - logdet[i] == pytest.approx(
+                    np.log(mat2.opnorm(inverse)), abs=tol
+                )
 
     def test_negative_determinant_steps(self, shift2):
         flip = np.array([[0.0, 2.0], [0.5, 0.0]])  # det = -1
@@ -299,7 +302,7 @@ class TestProducts:
         pts = sample_points(shift2, 4, 40, seed=8)
         for n in (9, 16):
             fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
-            ls, inv_ls, logdet = engine.exponent_scan(
+            ls, logdet = engine.exponent_scan(
                 spec, shift2, engine.batch_of(shift2, pts), n
             )
             for i, x in enumerate(pts):
@@ -308,7 +311,7 @@ class TestProducts:
                 unit = np.array([[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]])
                 assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < 1e-9
                 assert ls[i] == pytest.approx(np.log(mat2.opnorm(plain)), abs=1e-12)
-                assert inv_ls[i] == pytest.approx(
+                assert ls[i] - logdet[i] == pytest.approx(
                     np.log(mat2.opnorm(inverse)), abs=1e-12
                 )
                 # every step has |det| = 1
@@ -345,10 +348,11 @@ class TestProducts:
 
         def scans(spec):
             fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
-            ls, inv_ls, _ = engine.exponent_scan(
+            ls, logdet = engine.exponent_scan(
                 spec, shift2, engine.batch_of(shift2, pts), 20
             )
-            return np.array([fwd.a, fwd.b, fwd.c, fwd.d]), fwd.log_scale, ls, inv_ls
+            unit = np.array([fwd.a, fwd.b, fwd.c, fwd.d])
+            return unit, fwd.log_scale, ls, ls - logdet
 
         n0, *logs0 = scans(base)
         for c, exact in ((2.0, True), (0.5, True), (3.0, False)):

@@ -167,6 +167,27 @@ class TestTorusGridCheck:
             low = min(low, float(np.min(np.abs(a * d - b * c))))
         assert low < mat2.DET_FLOOR
 
+    def test_sign_changing_determinant_censored(self, cat):
+        # det(A + t diag(0, -1.3533)) = 1 - 2.03 t cos(phi) for the shipped
+        # base: at t = 1/2 it takes both signs on the grid without coming
+        # near the floor there, so it vanishes on a curve between grid points
+        field = PointwiseEntriesField(
+            e00=TrigExpr(), e01=TrigExpr(), e10=TrigExpr(),
+            e11=TrigExpr(const=-1.3533),
+        )
+        ts = (0.5, 0.25, 0.125)
+        got = perturbations(shipped_torus_base(), field, ts, "additive", cat)
+        assert [spec is None for spec in got] == [True, False, False]
+        side = np.arange(128) / 128
+        uu, vv = np.meshgrid(side, side)
+        raw = PerturbedCocycle(
+            base=shipped_torus_base(), direction=field, t=0.5, rule="additive"
+        )
+        a, b, c, d = raw.values_at_coords(np.column_stack([uu.ravel(), vv.ravel()]))
+        det = a * d - b * c
+        assert det.min() < 0.0 < det.max()
+        assert np.abs(det).min() > 1e3 * mat2.DET_FLOOR
+
     @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
     def test_family_verdicts_match_alone(self, cat, rule):
         base, field = shipped_torus_base(), steep_direction()

@@ -183,7 +183,7 @@ class TestScans:
         spec = lc_spec()
         pts = sample_points(shift2, 10, 25, seed=6)
         fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
-        log_scale, inv_log_scale, logdet = engine.exponent_scan(
+        log_scale, logdet = engine.exponent_scan(
             spec, shift2, engine.batch_of(shift2, pts), 20
         )
         for i, x in enumerate(pts):
@@ -192,9 +192,10 @@ class TestScans:
                 [[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]]
             )
             assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
-            # the product of step inverses, multiplied out step by step
+            # the product of step inverses, multiplied out step by step, has
+            # log norm log sigma1 - log |det| of the forward product
             inv_plain = product(spec, shift2, apply_f(shift2, x, 20), -20)
-            for got_log, ref in ((log_scale, plain), (inv_log_scale, inv_plain)):
+            for got_log, ref in ((log_scale, plain), (log_scale - logdet, inv_plain)):
                 assert got_log[i] == pytest.approx(
                     np.log(mat2.opnorm(ref)), abs=1e-12
                 )
@@ -217,7 +218,10 @@ class TestScans:
                     [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
                 )
                 assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-12
-        logs = engine.exponent_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        log_scale, logdet = engine.exponent_scan(
+            spec, shift2, engine.batch_of(shift2, pts), n
+        )
+        logs = (log_scale, log_scale - logdet, logdet)
         for i, x in enumerate(pts):
             ref = product(spec, shift2, x, n)
             inv_ref = product(spec, shift2, apply_f(shift2, x, n), -n)
@@ -386,6 +390,25 @@ class TestHorizonEdges:
         with pytest.raises(HorizonExceeded):
             engine.backward_scan(spec, shift2, window_batch(shift2, n, (0, -1)), n)
 
+    @pytest.mark.parametrize("n", [3, 8, 16, 19])
+    def test_one_exact_window_for_every_scan(self, shift2, n):
+        # at depth 2 the forward scans read n symbols ahead (the word walk
+        # reads depth - 1 past its last step, whatever its word lengths)
+        # and the backward scan n behind, so horizon n is exact for all
+        spec = depth2_spec()
+        assert engine.word_tables(spec, shift2, n) is not None
+        for scan in (engine.exponent_scan, engine.forward_scan, engine.backward_scan):
+            scan(spec, shift2, window_batch(shift2, n), n)
+            with pytest.raises(HorizonExceeded):
+                scan(spec, shift2, window_batch(shift2, n - 1), n)
+        # the words at the exact window are the steps' products
+        words = engine.exponent_scan(spec, shift2, window_batch(shift2, n), n)
+        steps = engine.exponent_scan(
+            without_table_hook(spec), shift2, window_batch(shift2, n), n
+        )
+        for got, want in zip(words, steps):
+            assert got == pytest.approx(want, abs=1e-12)
+
     def test_lyapunov_points_end_to_end(self, shift2):
         spec, n = depth2_spec(), self.N
         exact = n + spec.symbol_depth - 2
@@ -515,5 +538,5 @@ class TestWordBlocks:
             engine.exponent_scan(spec, shift2, batch, 20)
         # a walk that stops just before the singular symbol absorbs none of it
         batch = engine.batch_of(shift2, [ShiftPoint(window=window)])
-        log_scale, _, _ = engine.exponent_scan(spec, shift2, batch, 11)
+        log_scale, _ = engine.exponent_scan(spec, shift2, batch, 11)
         assert log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)

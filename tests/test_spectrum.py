@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from cocyclelab import engine, mat2
-from cocyclelab.base import BernoulliMeasure, ShiftSystem, sample_points
+from cocyclelab.base import BernoulliMeasure, ShiftSystem, apply_f, sample_points
 from cocyclelab.config import build_cocycle, build_system, load_config
-from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle
+from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle, product
 from cocyclelab.spectrum import (
     finite_time_exponents,
     lyapunov_exponents,
@@ -29,7 +29,9 @@ class TestConstant:
         assert rep.lambda_plus == pytest.approx(np.log(2.0), abs=1e-12)
         assert rep.lambda_minus == pytest.approx(-np.log(2.0), abs=1e-12)
         assert rep.se_plus == 0.0
-        assert np.max(np.abs(rep.per_sample.det_residuals)) < 1e-12
+        # det = 1 exactly, so the determinant rule mirrors the top exponent
+        assert np.all(rep.per_sample.logdet_rate == 0.0)
+        assert np.array_equal(rep.per_sample.minus, -rep.per_sample.plus)
 
     def test_diagonal_exponents_torus(self, cat):
         spec = ConstantCocycle(matrix=DIAG2)
@@ -46,6 +48,25 @@ class TestConstant:
         assert rep.lambda_plus == pytest.approx(np.log(lam_u), abs=1e-5)
         assert rep.lambda_minus == pytest.approx(-np.log(lam_u), abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "matrix, plus, minus",
+        [
+            ([[3.0, 1.0], [0.0, 0.5]], np.log(3.0), np.log(0.5)),
+            ((2.0 * mat2.rotation(0.3)).tolist(), np.log(2.0), np.log(2.0)),
+        ],
+    )
+    def test_non_unit_det_closed_form(self, shift2, matrix, plus, minus):
+        # the bottom exponent is the determinant rate minus the top one on
+        # the closed-form path too; the power's exponents converge at O(1/n)
+        spec = ConstantCocycle(matrix=np.array(matrix))
+        ft = finite_time_exponents(spec, shift2, sample_points(shift2, 2, 1, 0), 10**6)
+        assert ft.plus[0] == pytest.approx(plus, abs=1e-5)
+        assert ft.minus[0] == pytest.approx(minus, abs=1e-5)
+        assert ft.logdet_rate[0] == pytest.approx(plus + minus, abs=1e-14)
+        # a conformal power ties the exponents up to rounding, never
+        # reversing them
+        assert ft.plus[0] >= ft.minus[0]
+
     def test_gap_detected(self, shift2):
         rep = lyapunov_exponents(ConstantCocycle(matrix=DIAG2), shift2, n=1000, samples=5)
         g = spectral_gap(rep)
@@ -55,12 +76,18 @@ class TestConstant:
 
 class TestSampled:
     def test_det_route_consistency(self, shift2):
+        # the word-blocked radix scan against the unit-norm walk, whose
+        # log scale and log |det| are summed step by step
         spec = LocallyConstantCocycle(
             table=np.array([np.diag([2.0, 0.6]), mat2.rotation(0.3) @ np.diag([1.0, 0.5])])
         )
         pts = sample_points(shift2, 50, 410, seed=2)
-        ft = finite_time_exponents(spec, shift2, pts, 400)
-        assert np.max(np.abs(ft.det_residuals)) < 1e-9
+        n = 400
+        ft = finite_time_exponents(spec, shift2, pts, n)
+        walk = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        assert np.max(np.abs(ft.plus - walk.log_scale / n)) < 1e-9
+        assert np.max(np.abs(ft.minus - (walk.logdet - walk.log_scale) / n)) < 1e-9
+        assert np.max(np.abs(ft.logdet_rate - walk.logdet / n)) < 1e-9
         assert np.all(ft.plus >= ft.minus)
 
     def test_logdet_rate_matches_measure_mean(self):
@@ -122,7 +149,7 @@ class TestExponentScan:
         n = 2000
         pts = sample_points(shift2, 40, n + 1, seed=12)
         ft = finite_time_exponents(spec, shift2, pts, n)
-        _, inv_log_scale, _ = engine.exponent_scan(
+        log_scale, logdet = engine.exponent_scan(
             spec, shift2, engine.batch_of(shift2, pts), n
         )
         for i, x in enumerate(pts):
@@ -131,16 +158,38 @@ class TestExponentScan:
             minus = (k * np.log(1e-3) + (n - k) * np.log(0.5)) / n
             assert ft.plus[i] == pytest.approx(plus, abs=1e-13)
             assert ft.minus[i] == pytest.approx(minus, abs=1e-13)
-        # the bottom exponent is the inverse track's, not logdet - plus
-        assert np.array_equal(ft.minus, -inv_log_scale / n)
+        # the bottom exponent is the determinant rate minus the top one
+        assert np.array_equal(ft.minus, logdet / n - log_scale / n)
 
-    def test_det_residuals_on_shipped_table(self):
-        root = Path(__file__).resolve().parent.parent
-        cfg = load_config(str(root / "configs" / "shift_gapped.yaml"))
-        sys_, spec = build_system(cfg), build_cocycle(cfg)
+    def test_minus_mirrors_plus_on_shipped_table(self):
+        # every step det of the shipped table is exactly 1, so log |det|
+        # sums to 0 and the bottom exponent is the top one negated, bitwise
+        sys_, spec = _shipped_gapped()
+        dets = [m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in spec.table]
+        assert dets == [1.0] * len(spec.table)
         pts = sample_points(sys_, 300, 401, seed=13)
         ft = finite_time_exponents(spec, sys_, pts, 400)
-        assert np.max(np.abs(ft.det_residuals)) < 1e-12
+        assert np.all(ft.logdet_rate == 0.0)
+        assert np.array_equal(ft.minus, -ft.plus)
+
+    @pytest.mark.parametrize("table", ["non-unit", "flip"])
+    def test_minus_matches_plain_inverse_product(self, shift2, table):
+        # log |A^-n| = log sigma1 - log |det| of A^n, against the step
+        # inverses multiplied out plainly; steps with |det| != 1 and with
+        # det < 0 on the word path and on its tail
+        if table == "non-unit":
+            steps = [np.diag([3.0, 1.0]), mat2.rotation(0.7) @ np.diag([1.0, 0.5])]
+        else:
+            steps = [np.array([[0.0, 2.0], [0.5, 0.0]]), DIAG2]
+        spec = LocallyConstantCocycle(table=np.array(steps))
+        for n in (5, 8, 19):
+            pts = sample_points(shift2, 8, n + 1, seed=n)
+            ft = finite_time_exponents(spec, shift2, pts, n)
+            for i, x in enumerate(pts):
+                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+                assert n * ft.minus[i] == pytest.approx(
+                    -np.log(mat2.opnorm(inverse)), abs=1e-12
+                )
 
 
 def _exact_exponents(spec, x, n):
