@@ -178,7 +178,9 @@ def _cmd_oseledets(args) -> int:
             for i in range(len(points))
         ],
     )
-    res = equivariance_residuals(spec, sys_, points, depth, "unstable", args.threads)
+    res = equivariance_residuals(
+        spec, sys_, points, (ux, uy, ok_u), depth, "unstable", args.threads
+    )
     print(
         f"extracted {len(points)} splittings at depth {depth}; "
         f"min sin(angle) = {angle_between.min():.3e}, "
@@ -323,7 +325,8 @@ def _cmd_selftest(args) -> int:
 
     try:
         pts = sample_points(sys_, 100, 40 + 2 + spec.symbol_depth, seed + 1)
-        res = equivariance_residuals(spec, sys_, pts, 40, "unstable", args.threads)
+        field = unstable_directions(spec, sys_, pts, 40, args.threads)
+        res = equivariance_residuals(spec, sys_, pts, field, 40, "unstable", args.threads)
         q99 = float(np.quantile(res, 0.99))
         check("equivariance", q99 < 1e-4, f"99th percentile residual {q99:.2e}")
     except NoGap:

@@ -4,10 +4,14 @@ The unstable direction at x is the top left-singular direction of the
 product over the backward window A^depth(f^{-depth} x); the stable direction
 is the bottom right-singular direction of the forward product A^depth(x),
 which in dimension two is exactly the rotation by 90 degrees of the top one.
-Both are closed-form reads off the renormalized scans, and both come with a
-conformality guard: when the window product has essentially equal singular
-values the direction is meaningless and NoGap is raised (or reported, in the
-batched variants).
+
+Both sides run through one body, ``_directions``: the side picks only the
+scan and the singular vector read off its product.  The depth check, the
+constant closed form (read as one window, like a scanned one), the blocks
+and the conformality guard are shared: when the window product has
+essentially equal singular values the direction is meaningless and NoGap is
+raised (or reported, in the batched variants).  ``extractor(side)`` is the
+one place that maps a side's name to its extractor and rejects other names.
 """
 
 from __future__ import annotations
@@ -34,15 +38,9 @@ class Direction:
     y: float
 
     def __post_init__(self) -> None:
-        nrm = float(np.hypot(self.x, self.y))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise ConfigError("direction needs a nonzero finite vector")
-        x, y = self.x / nrm, self.y / nrm
-        lead = x if x != 0.0 else y
-        if lead < 0.0:
-            x, y = -x, -y
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        x, y = _lines(self.x, self.y)
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
 
     @property
     def angle(self) -> float:
@@ -61,14 +59,6 @@ def projective_distance(d1: Direction, d2: Direction) -> float:
     return abs(d1.x * d2.y - d1.y * d2.x)
 
 
-def _left_directions(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
-    return _normalize_pairs(*mat2.left_singular_components(a, b, c, d))
-
-
-def _right_directions(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
-    return _normalize_pairs(*mat2.right_singular_components(a, b, c, d))
-
-
 def _normalize_pairs(vx: np.ndarray, vy: np.ndarray):
     # conformal windows yield (0, 0) components; those rows are masked out
     # by the caller, so give them a harmless zero instead of 0/0
@@ -80,35 +70,45 @@ def _normalize_pairs(vx: np.ndarray, vy: np.ndarray):
     return vx * flip, vy * flip
 
 
-def _conformality_ok(st: engine.ScanState) -> np.ndarray:
-    """True where the window product has a usable singular value gap.
-
-    log kappa = 2 log sigma1 - log |det|, assembled from the scan's exact
-    step-accumulated pieces.
-    """
-    s1 = mat2.opnorm_batch(st.a, st.b, st.c, st.d)
+def _read(st: engine.ScanState, side: str):
+    """(vx, vy, ok) off a window product: the side's direction, and where
+    the product has a usable singular value gap, log kappa = 2 log sigma1 -
+    log |det| from the product's exact step-accumulated pieces."""
+    entries = st.a, st.b, st.c, st.d
+    if side == "unstable":
+        vx, vy = _normalize_pairs(*mat2.left_singular_components(*entries))
+    else:
+        # the top right-singular direction turned by 90 degrees: exact in 2d
+        rx, ry = _normalize_pairs(*mat2.right_singular_components(*entries))
+        vx, vy = _normalize_pairs(-ry, rx)
+    s1 = mat2.opnorm_batch(*entries)
     log_kappa = 2.0 * (st.log_scale + np.log(s1)) - st.logdet
-    return log_kappa >= _CONFORMAL_GAP
+    return vx, vy, log_kappa >= _CONFORMAL_GAP
 
 
-def _constant_window(a_spec: CocycleSpec, depth: int):
-    """(entries, ok) for constant specs: the window product is the same
-    matrix power everywhere, so no orbit access is needed; its normalized
-    entries come as four (1,) arrays, the shape the extractors read."""
-    m = a_spec.constant_value()
-    normalized, ls = _constant_power(m, depth)
-    ldet = depth * np.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-    s1 = mat2.opnorm(normalized)
-    log_kappa = 2.0 * (ls + np.log(s1)) - ldet
-    return normalized.reshape(4, 1), bool(log_kappa >= _CONFORMAL_GAP)
+def _directions(side, a_spec, sys, points, depth, threads):
+    """The side's finite-depth directions at each point: the unstable side
+    over the backward window, the stable side over the forward one."""
+    if depth < 1:
+        raise ConfigError("depth must be >= 1")
+    if a_spec.is_constant:
+        # the window product is the same matrix power everywhere, so no
+        # orbit access is needed; read it once and replicate
+        m = a_spec.constant_value()
+        normalized, ls = _constant_power(m, depth)
+        ldet = depth * np.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+        window = engine.ScanState(*normalized.reshape(4, 1), ls, ldet)
+        return tuple(np.repeat(r, len(points)) for r in _read(window, side))
+    scan = engine.backward_scan if side == "unstable" else engine.forward_scan
 
+    def job(start: int, stop: int):
+        batch = engine.batch_of(sys, points[start:stop])
+        return _read(scan(a_spec, sys, batch, depth), side)
 
-def _replicate(vx: float, vy: float, ok: bool, count: int):
-    return (
-        np.full(count, vx),
-        np.full(count, vy),
-        np.full(count, ok, dtype=bool),
+    vx, vy, ok = engine.block_map(
+        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
     )
+    return vx, vy, ok.astype(bool)
 
 
 def unstable_directions(
@@ -125,23 +125,7 @@ def unstable_directions(
     meaningful direction.  A StackedCocycle gives (M, S) arrays, row m for
     its m-th member.
     """
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if a_spec.is_constant:
-        entries, ok = _constant_window(a_spec, depth)
-        vx, vy = _left_directions(*entries)
-        return _replicate(float(vx[0]), float(vy[0]), ok, len(points))
-
-    def job(start: int, stop: int):
-        batch = engine.batch_of(sys, points[start:stop])
-        st = engine.backward_scan(a_spec, sys, batch, depth)
-        vx, vy = _left_directions(st.a, st.b, st.c, st.d)
-        return vx, vy, _conformality_ok(st)
-
-    vx, vy, ok = engine.block_map(
-        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
-    )
-    return vx, vy, ok.astype(bool)
+    return _directions("unstable", a_spec, sys, points, depth, threads)
 
 
 def stable_directions(
@@ -152,53 +136,41 @@ def stable_directions(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Finite-depth stable directions; same contract as unstable_directions."""
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
-    if a_spec.is_constant:
-        entries, ok = _constant_window(a_spec, depth)
-        rx, ry = _right_directions(*entries)
-        vx, vy = _normalize_pairs(-ry, rx)
-        return _replicate(float(vx[0]), float(vy[0]), ok, len(points))
+    return _directions("stable", a_spec, sys, points, depth, threads)
 
-    def job(start: int, stop: int):
-        batch = engine.batch_of(sys, points[start:stop])
-        st = engine.forward_scan(a_spec, sys, batch, depth)
-        rx, ry = _right_directions(st.a, st.b, st.c, st.d)
-        # rotate the top right-singular direction by 90 degrees: exact in 2d
-        return _normalize_pairs(-ry, rx) + (_conformality_ok(st),)
 
-    vx, vy, ok = engine.block_map(
-        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
-    )
-    return vx, vy, ok.astype(bool)
+def extractor(side: str):
+    """The public extractor of one side of the splitting.  It is looked up
+    by name at call time, so whatever the module's name is bound to then
+    (a tracing wrapper, a test's stand-in) is what runs."""
+    if side not in ("unstable", "stable"):
+        raise ConfigError("side must be 'unstable' or 'stable'")
+    return globals()[f"{side}_directions"]
+
+
+def _direction(side: str, a_spec, sys, x, depth) -> Direction:
+    vx, vy, ok = extractor(side)(a_spec, sys, [x], depth)
+    if not ok[0]:
+        raise NoGap(f"window product is conformal to tolerance; no {side} direction")
+    return Direction(float(vx[0]), float(vy[0]))
 
 
 def unstable_direction(
     a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, depth: int
 ) -> Direction:
-    vx, vy, ok = unstable_directions(a_spec, sys, [x], depth)
-    if not ok[0]:
-        raise NoGap(
-            "window product is conformal to tolerance; no unstable direction"
-        )
-    return Direction(float(vx[0]), float(vy[0]))
+    return _direction("unstable", a_spec, sys, x, depth)
 
 
 def stable_direction(
     a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, depth: int
 ) -> Direction:
-    vx, vy, ok = stable_directions(a_spec, sys, [x], depth)
-    if not ok[0]:
-        raise NoGap(
-            "window product is conformal to tolerance; no stable direction"
-        )
-    return Direction(float(vx[0]), float(vy[0]))
+    return _direction("stable", a_spec, sys, x, depth)
 
 
 def _lines(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direction's normalization over arrays, bit for bit: unit vectors with
+    """The normalization of lines, Direction's included: unit vectors with
     the first nonzero component positive; a zero or non-finite vector
-    raises ConfigError, as Direction does."""
+    raises ConfigError."""
     nrm = np.hypot(vx, vy)
     if not np.all((nrm != 0.0) & np.isfinite(nrm)):
         raise ConfigError("direction needs a nonzero finite vector")
@@ -209,6 +181,7 @@ def equivariance_residuals(
     a_spec: CocycleSpec,
     sys: BaseSystem,
     points: ShiftDraw | TorusDraw,
+    field: tuple[np.ndarray, np.ndarray, np.ndarray],
     depth: int,
     side: str = "unstable",
     threads: int = 1,
@@ -217,20 +190,16 @@ def equivariance_residuals(
     extracted direction at f(x); small residuals certify that the
     finite-depth field transforms correctly under the cocycle.
 
+    ``field`` is the side's (vx, vy, ok) at ``points``, as its extractor
+    returns it at this depth; only the field at f(x) is extracted here.
     ``points`` is a ``sample_points`` draw; the draw is pushed by f, A(x)
     read and the lines normalized as arrays, giving bitwise what
     ``Direction`` and ``evaluate`` give point by point."""
-    if side == "unstable":
-        extract = unstable_directions
-    elif side == "stable":
-        extract = stable_directions
-    else:
-        raise ConfigError("side must be 'unstable' or 'stable'")
+    extract = extractor(side)
     if not isinstance(points, (ShiftDraw, TorusDraw)):
         raise ConfigError("equivariance residuals need a sample_points draw")
-    shifted = engine.pushed(sys, points)
-    vx, vy, ok = extract(a_spec, sys, points, depth, threads)
-    wx, wy, ok2 = extract(a_spec, sys, shifted, depth, threads)
+    vx, vy, ok = field
+    wx, wy, ok2 = extract(a_spec, sys, engine.pushed(sys, points), depth, threads)
     if not (np.all(ok) and np.all(ok2)):
         raise NoGap("conformal window product while measuring equivariance")
     va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, points))

@@ -30,7 +30,7 @@ from .base import (
 )
 from .cocycle import CocycleSpec
 from .errors import ConfigError, NoGap
-from .oseledets import stable_directions, unstable_directions
+from .oseledets import extractor, stable_directions, unstable_directions
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,19 +177,11 @@ def invariance_defect(
     the pushed fiber directions sit from the extracted field; for a constant
     cocycle with a gap it vanishes to rounding.
     """
+    extract = extractor(measure.kind)
     pushed_pts = engine.pushed(sys, measure.points)
     va, vb, vc, vd = _spec_values(a_spec, sys, measure.points)
     wx, wy = _push_directions(va, vb, vc, vd, measure.vx, measure.vy)
-    if measure.kind == "unstable":
-        rx, ry, ok = unstable_directions(
-            a_spec, sys, pushed_pts, measure.depth, threads
-        )
-    elif measure.kind == "stable":
-        rx, ry, ok = stable_directions(
-            a_spec, sys, pushed_pts, measure.depth, threads
-        )
-    else:
-        raise ConfigError("measure kind must be 'unstable' or 'stable'")
+    rx, ry, ok = extract(a_spec, sys, pushed_pts, measure.depth, threads)
     if not ok.all():
         raise NoGap("conformal window product while recomputing directions")
     per_test: dict[str, float] = {}
@@ -230,41 +222,37 @@ def attraction_test(
     """Push a grid of directions with the cocycle (or its inverse) and
     measure the collapse onto the pushed reference direction.
 
+    The unstable side walks n steps forward and pushes by A(x), A(fx), ...,
+    A(f^{n-1}x); the stable side walks n steps backward and pushes by
+    A(f^{-1}x)^{-1}, ..., A(f^{-n}x)^{-1}, each inverse formed as
+    adj(A)/det(A).  The values come from the scans' own orbit walk, so the
+    symbol window is checked once, before the first step.
+
     The reference at each point is the extracted direction pushed along the
     same orbit, which the dynamics keeps closer to the true field than a
     fresh finite-depth extraction would be.
     """
-    if side not in ("unstable", "stable"):
-        raise ConfigError("side must be 'unstable' or 'stable'")
+    extract = extractor(side)
     if grid < 2:
         raise ConfigError("grid needs at least two directions")
     pts = sample_points(sys, samples, depth + n + 2 + a_spec.symbol_depth, seed)
-    if side == "unstable":
-        rx0, ry0, ok = unstable_directions(a_spec, sys, pts, depth, threads)
-    else:
-        rx0, ry0, ok = stable_directions(a_spec, sys, pts, depth, threads)
+    rx0, ry0, ok = extract(a_spec, sys, pts, depth, threads)
     if not ok.all():
         raise NoGap("conformal window product in attraction test")
     # grid of initial angles, offset to avoid symmetry artifacts
     thetas = np.pi * (np.arange(grid) + 0.37) / grid
     gx0 = np.cos(thetas)
     gy0 = np.sin(thetas)
+    backward = side == "stable"
 
     def job(start: int, stop: int):
         width = stop - start
         batch = engine.batch_of(sys, pts[start:stop])
         gx = np.tile(gx0, (width, 1))
         gy = np.tile(gy0, (width, 1))
-        rx = rx0[start:stop].copy()
-        ry = ry0[start:stop].copy()
-        for k in range(n):
-            if side == "unstable":
-                va, vb, vc, vd = engine.values(a_spec, sys, batch)
-                if k + 1 < n:
-                    engine.step(sys, batch, 1)
-            else:
-                engine.step(sys, batch, -1)
-                va, vb, vc, vd = engine.values(a_spec, sys, batch)
+        rx, ry = rx0[start:stop], ry0[start:stop]
+        for va, vb, vc, vd in engine._orbit_values(a_spec, sys, batch, n, backward):
+            if backward:
                 sdet = va * vd - vb * vc
                 va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
                 va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet

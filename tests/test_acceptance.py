@@ -31,6 +31,7 @@ from cocyclelab.oseledets import (
     equivariance_residuals,
     stable_direction,
     unstable_direction,
+    unstable_directions,
 )
 from cocyclelab.projective import (
     attraction_test,
@@ -152,7 +153,8 @@ def test_ac5_splitting_equivariance(shift2, cat):
     shares = []
     for spec, sys_ in ((gapped_shift_spec(), shift2), (ConstantCocycle(matrix=DIAG2), cat)):
         points = sample_points(sys_, 1000, 63 + spec.symbol_depth, seed=4)
-        res = equivariance_residuals(spec, sys_, points, depth=60, side="unstable")
+        field = unstable_directions(spec, sys_, points, 60)
+        res = equivariance_residuals(spec, sys_, points, field, depth=60, side="unstable")
         shares.append(float(np.mean(res <= 1e-6)))
     assert min(shares) >= 0.99
     elapsed = clock.check()

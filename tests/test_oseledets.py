@@ -102,19 +102,23 @@ class TestSampledCocycles:
 
     def test_equivariance_unstable(self, shift2):
         pts = sample_points(shift2, 200, 45, seed=2)
-        res = equivariance_residuals(self.spec(), shift2, pts, depth=40, side="unstable")
+        field = unstable_directions(self.spec(), shift2, pts, 40)
+        res = equivariance_residuals(self.spec(), shift2, pts, field, depth=40, side="unstable")
         assert np.quantile(res, 0.99) < 1e-4
         assert np.median(res) < 1e-6
 
     def test_equivariance_stable(self, shift2):
         pts = sample_points(shift2, 200, 45, seed=3)
-        res = equivariance_residuals(self.spec(), shift2, pts, depth=40, side="stable")
+        field = stable_directions(self.spec(), shift2, pts, 40)
+        res = equivariance_residuals(self.spec(), shift2, pts, field, depth=40, side="stable")
         assert np.quantile(res, 0.99) < 1e-4
 
     def test_depth_improves_residuals(self, shift2):
         pts = sample_points(shift2, 100, 65, seed=4)
-        shallow = equivariance_residuals(self.spec(), shift2, pts, depth=10)
-        deep = equivariance_residuals(self.spec(), shift2, pts, depth=60)
+        field = unstable_directions(self.spec(), shift2, pts, 10)
+        shallow = equivariance_residuals(self.spec(), shift2, pts, field, depth=10)
+        field = unstable_directions(self.spec(), shift2, pts, 60)
+        deep = equivariance_residuals(self.spec(), shift2, pts, field, depth=60)
         assert np.median(deep) < np.median(shallow)
 
     def test_splitting_angle_positive(self, shift2):
@@ -169,27 +173,34 @@ class TestBatchedEquivariance:
     def test_shift_matches_per_point_bitwise(self, shift2, side):
         spec = TestSampledCocycles().spec()
         draw = sample_points(shift2, 150, 33, seed=8)
-        res = equivariance_residuals(spec, shift2, draw, depth=30, side=side)
+        field = oseledets.extractor(side)(spec, shift2, draw, 30)
+        res = equivariance_residuals(spec, shift2, draw, field, depth=30, side=side)
         assert np.array_equal(res, per_point_residuals(spec, shift2, draw, 30, side))
 
     @pytest.mark.parametrize("side", ["unstable", "stable"])
     def test_torus_matches_per_point_bitwise(self, cat, side):
         draw = sample_points(cat, 150, 0, seed=9)
-        res = equivariance_residuals(torus_spec(), cat, draw, depth=25, side=side)
+        field = oseledets.extractor(side)(torus_spec(), cat, draw, 25)
+        res = equivariance_residuals(torus_spec(), cat, draw, field, depth=25, side=side)
         ref = per_point_residuals(torus_spec(), cat, draw, 25, side)
         assert np.array_equal(res, ref)
 
     def test_needs_a_draw(self, shift2):
         draw = sample_points(shift2, 3, 12, seed=1)
+        field = unstable_directions(TestSampledCocycles().spec(), shift2, draw, 10)
         with pytest.raises(ConfigError, match="draw"):
-            equivariance_residuals(TestSampledCocycles().spec(), shift2, list(draw), 10)
+            equivariance_residuals(
+                TestSampledCocycles().spec(), shift2, list(draw), field, 10
+            )
 
     def test_singular_value(self, shift2):
         # rank one: the constant window still has a gap, A(x) has none
         spec = ConstantCocycle(matrix=np.diag([1.0, 0.0]), invertible=False)
         draw = sample_points(shift2, 4, 3, seed=1)
-        with np.errstate(divide="ignore"), pytest.raises(SingularValueError):
-            equivariance_residuals(spec, shift2, draw, depth=5)
+        with np.errstate(divide="ignore"):
+            field = unstable_directions(spec, shift2, draw, 5)
+            with pytest.raises(SingularValueError):
+                equivariance_residuals(spec, shift2, draw, field, depth=5)
 
     def test_zero_line(self, monkeypatch, shift2):
         def zero_lines(spec, sys, points, depth, threads=1):
@@ -198,5 +209,6 @@ class TestBatchedEquivariance:
 
         monkeypatch.setattr(oseledets, "unstable_directions", zero_lines)
         draw = sample_points(shift2, 4, 12, seed=1)
+        field = oseledets.unstable_directions(TestSampledCocycles().spec(), shift2, draw, 10)
         with pytest.raises(ConfigError, match="nonzero finite"):
-            equivariance_residuals(TestSampledCocycles().spec(), shift2, draw, 10)
+            equivariance_residuals(TestSampledCocycles().spec(), shift2, draw, field, 10)

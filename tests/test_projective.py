@@ -5,11 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import mat2
+from cocyclelab import engine, mat2
 from cocyclelab.base import sample_points
-from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle
-from cocyclelab.errors import NoGap
+from cocyclelab.cocycle import (
+    ConstantCocycle,
+    ConstantFactor,
+    LocallyConstantCocycle,
+    PointwiseCocycle,
+    RotationFactor,
+    TrigExpr,
+)
+from cocyclelab.errors import ConfigError, NoGap
+from cocyclelab.oseledets import (
+    equivariance_residuals,
+    stable_directions,
+    unstable_directions,
+)
 from cocyclelab.projective import (
+    _push_directions,
+    _push_grid,
     attraction_test,
     build_invariant_measures,
     integrate_phi,
@@ -24,6 +38,40 @@ DIAG2 = np.diag([2.0, 0.5])
 def gapped_spec():
     d = np.diag([1.2, 1.0 / 1.2])
     return LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+
+
+def torus_spec():
+    rot = RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1))
+    return PointwiseCocycle(factors=(rot, ConstantFactor(np.diag([1.5, 1.0 / 1.5]))))
+
+
+def stepwise_attraction(spec, sys, side, samples, grid, n, depth, seed):
+    """The attraction distances with the orbit walked one step at a time:
+    A read at the batch's position and the batch moved by one step, forward
+    for the unstable side, backward with A inverted as adj(A)/det(A) for
+    the stable side.  The reference for attraction_test's walk."""
+    extract = unstable_directions if side == "unstable" else stable_directions
+    pts = sample_points(sys, samples, depth + n + 2 + spec.symbol_depth, seed)
+    rx, ry, ok = extract(spec, sys, pts, depth)
+    assert ok.all()
+    thetas = np.pi * (np.arange(grid) + 0.37) / grid
+    gx = np.tile(np.cos(thetas), (samples, 1))
+    gy = np.tile(np.sin(thetas), (samples, 1))
+    batch = engine.batch_of(sys, pts)
+    for k in range(n):
+        if side == "unstable":
+            va, vb, vc, vd = engine.values(spec, sys, batch)
+            if k + 1 < n:
+                engine.step(sys, batch, 1)
+        else:
+            engine.step(sys, batch, -1)
+            va, vb, vc, vd = engine.values(spec, sys, batch)
+            sdet = va * vd - vb * vc
+            va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
+            va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet
+        gx, gy = _push_grid(va, vb, vc, vd, gx, gy)
+        rx, ry = _push_directions(va, vb, vc, vd, rx, ry)
+    return np.abs(gx * ry[:, None] - gy * rx[:, None])
 
 
 class TestBuild:
@@ -138,3 +186,29 @@ class TestAttraction:
         a = attraction_test(gapped_spec(), shift2, side="unstable", threads=1, **kw)
         b = attraction_test(gapped_spec(), shift2, side="unstable", threads=8, **kw)
         assert np.array_equal(a.distances, b.distances)
+
+    @pytest.mark.parametrize("side", ["unstable", "stable"])
+    def test_walk_matches_stepwise_bitwise(self, shift2, cat, side):
+        kw = dict(samples=40, grid=6, n=25, depth=20, seed=12)
+        for spec, sys in ((gapped_spec(), shift2), (torus_spec(), cat)):
+            rep = attraction_test(spec, sys, side=side, **kw)
+            ref = stepwise_attraction(spec, sys, side, **kw)
+            assert np.max(ref) > 0.0
+            assert np.array_equal(rep.distances, ref)
+
+
+class TestSideRule:
+    def test_bad_side_raises_one_error(self, shift2):
+        spec = gapped_spec()
+        draw = sample_points(shift2, 4, 12, seed=1)
+        field = unstable_directions(spec, shift2, draw, 10)
+        m_u, _ = build_invariant_measures(spec, shift2, 4, 10, seed=1)
+        bad = type(m_u)(points=m_u.points, vx=m_u.vx, vy=m_u.vy, kind="x", depth=10)
+        calls = (
+            lambda: equivariance_residuals(spec, shift2, draw, field, 10, side="x"),
+            lambda: invariance_defect(spec, shift2, bad),
+            lambda: attraction_test(spec, shift2, side="x", samples=4, grid=4, n=5),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="^side must be 'unstable' or 'stable'$"):
+                call()
