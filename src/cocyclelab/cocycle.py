@@ -358,6 +358,10 @@ class PointwiseEntriesField:
             getattr(self, n).is_constant for n in ("e00", "e01", "e10", "e11")
         )
 
+    def constant_value(self) -> np.ndarray:
+        a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
+        return np.array([[a[0], b[0]], [c[0], d[0]]])
+
     def values_at_symbols(self, block):
         raise ConfigError("pointwise fields live over torus bases")
 
@@ -406,7 +410,14 @@ class PerturbedCocycle:
         return self.base.is_constant and self.direction.is_constant
 
     def constant_value(self) -> np.ndarray:
-        a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
+        # from the parts' own constants: a symbol table has no values at
+        # torus coordinates
+        a, b, c, d = _compose(
+            self.rule,
+            self.t,
+            self.base.constant_value().reshape(4, 1),
+            self.direction.constant_value().reshape(4, 1),
+        )
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
     def values_at_symbols(self, block):

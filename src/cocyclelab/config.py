@@ -1,10 +1,17 @@
 """YAML experiment configs: load, validate, canonicalize, hash, build.
 
-A config fully determines an experiment: the base system, the cocycle, an
-optional perturbation family, sampling budgets, epsilon, and the seed.
-Normalization fills every default and coerces every number, so two configs
-that mean the same experiment serialize to the same canonical text and
-share one hash.
+A config fully determines an experiment: the base system with its
+invariant measure, the cocycle, an optional perturbation family (a
+direction field and a schedule of sizes), sampling budgets, epsilon, and
+the seed.  Normalization fills every default and coerces every number, so
+two configs that mean the same experiment serialize to the same canonical
+text and share one hash.
+
+Each section has one reader, which in one pass checks the keys of the
+section's own kind, returns the canonical data and builds the object; a
+key that only another kind takes is refused, not dropped.  The builders
+read the canonical data back through the same readers, which return
+canonical data unchanged.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from .continuity import PerturbationFamily
 from .errors import ConfigError
 
 _TRIG_KEYS = ("const", "lin_u", "lin_v", "sin_u", "cos_u", "sin_v", "cos_v")
+_ENTRIES = ("e00", "e01", "e10", "e11")
+# the kinds cocycles and direction fields share, with their keys; a
+# cocycle's also take its Holder exponent r
+_MATRIX_KINDS = {"constant": {"matrix"}, "locally_constant": {"table", "depth"}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +103,11 @@ def normalize_config(data: dict) -> Config:
         optional={"perturbation", "budgets", "epsilon", "seed", "output_dir"},
         where="config",
     )
+    base, _ = _read_base(data["base"])
+    cocycle, spec = _read_cocycle(data["cocycle"], base)
     out = {
-        "base": _norm_base(data["base"]),
-        "cocycle": _norm_cocycle(data["cocycle"]),
+        "base": base,
+        "cocycle": cocycle,
         "budgets": _norm_budgets(data.get("budgets") or {}),
         "epsilon": _number(data.get("epsilon", 0.1), "epsilon"),
         "seed": _seed(data.get("seed", 0), "seed"),
@@ -102,15 +115,9 @@ def normalize_config(data: dict) -> Config:
     }
     if out["epsilon"] <= 0.0:
         raise ConfigError("epsilon must be positive")
-    if "perturbation" in data and data["perturbation"] is not None:
-        out["perturbation"] = _norm_perturbation(data["perturbation"])
-    cfg = Config(data=out)
-    # exercise every builder so a loaded config is known to construct
-    build_system(cfg)
-    base = build_cocycle(cfg)
-    if "perturbation" in out:
-        build_family(cfg, base=base)
-    return cfg
+    if data.get("perturbation") is not None:
+        out["perturbation"], _ = _read_perturbation(data["perturbation"], base, spec)
+    return Config(data=out)
 
 
 def dump_config(cfg: Config) -> str:
@@ -124,46 +131,15 @@ def config_hash(cfg: Config) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads the canonical data back through its section's reader
 
 
 def build_system(cfg: Config) -> BaseSystem:
-    b = cfg.data["base"]
-    if b["kind"] == "shift":
-        m = b["measure"]
-        if m["kind"] == "bernoulli":
-            measure = BernoulliMeasure(weights=tuple(m["weights"]))
-        else:
-            measure = MarkovMeasure(
-                matrix=tuple(tuple(row) for row in m["matrix"])
-            )
-        return ShiftSystem(
-            alphabet_size=b["alphabet_size"],
-            measure=measure,
-            lambda0=b["lambda0"],
-        )
-    return TorusSystem(
-        matrix=tuple(tuple(row) for row in b["matrix"]),
-        measure=LebesgueMeasure(),
-    )
+    return _read_base(cfg.data["base"])[1]
 
 
 def build_cocycle(cfg: Config):
-    c = cfg.data["cocycle"]
-    if c["kind"] == "constant":
-        return ConstantCocycle(matrix=_np(c["matrix"]), r=c["r"])
-    if c["kind"] == "locally_constant":
-        alphabet = cfg.data["base"].get("alphabet_size")
-        if alphabet is None:
-            raise ConfigError("locally constant cocycles need a shift base")
-        return LocallyConstantCocycle(
-            table=_np(c["table"]), r=c["r"], depth=c["depth"], alphabet_size=alphabet
-        )
-    if cfg.data["base"]["kind"] != "torus":
-        raise ConfigError("pointwise cocycles need a torus base")
-    return PointwiseCocycle(
-        factors=tuple(_build_factor(f) for f in c["factors"]), r=c["r"]
-    )
+    return _read_cocycle(cfg.data["cocycle"], cfg.data["base"])[1]
 
 
 def build_family(
@@ -173,52 +149,13 @@ def build_family(
     a freshly built ``build_cocycle(cfg)``."""
     if "perturbation" not in cfg.data:
         raise ConfigError("config has no perturbation section")
-    p = cfg.data["perturbation"]
-    sched = p["schedule"]
     base = build_cocycle(cfg) if base is None else base
-    direction = _build_field(p["direction"], cfg)
-    if sched["kind"] == "dyadic":
-        return PerturbationFamily.dyadic(base, direction, p["rule"], sched["count"])
-    return PerturbationFamily(
-        base=base, direction=direction, rule=p["rule"], ts=tuple(sched["values"])
-    )
-
-
-def _build_factor(f: dict):
-    if f["kind"] == "rotation":
-        return RotationFactor(angle=_trig(f["angle"]))
-    if f["kind"] == "diagonal":
-        return DiagonalFactor(log_d1=_trig(f["log_d1"]), log_d2=_trig(f["log_d2"]))
-    return ConstantFactor(matrix=_np(f["matrix"]))
-
-
-def _build_field(d: dict, cfg: Config):
-    if d["kind"] == "constant":
-        return ConstantCocycle(matrix=_np(d["matrix"]), invertible=False)
-    if d["kind"] == "locally_constant":
-        alphabet = cfg.data["base"].get("alphabet_size")
-        if alphabet is None:
-            raise ConfigError("locally constant fields need a shift base")
-        return LocallyConstantCocycle(
-            table=_np(d["table"]), depth=d["depth"], alphabet_size=alphabet,
-            invertible=False,
-        )
-    return PointwiseEntriesField(
-        e00=_trig(d["e00"]), e01=_trig(d["e01"]),
-        e10=_trig(d["e10"]), e11=_trig(d["e11"]),
-    )
-
-
-def _trig(d: dict) -> TrigExpr:
-    return TrigExpr(**d)
-
-
-def _np(rows):
-    return np.asarray(rows, dtype=float)
+    return _read_perturbation(cfg.data["perturbation"], cfg.data["base"], base)[1]
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# section readers: check the keys of the section's own kind, return the
+# canonical data and build the object, in one pass
 
 
 def _expect_keys(d, required: set, optional: set, where: str) -> None:
@@ -265,6 +202,10 @@ def _text(v, where: str) -> str:
     return v
 
 
+def _np(rows):
+    return np.asarray(rows, dtype=float)
+
+
 def _float_matrix(rows, where: str, shape: tuple[int, int] | None = (2, 2)) -> list:
     if not isinstance(rows, list) or (shape and len(rows) != shape[0]):
         raise ConfigError(f"{where} must be a {shape} matrix")
@@ -287,180 +228,161 @@ def _int_matrix(rows, where: str) -> list:
     return out
 
 
-def _norm_trig(d, where: str) -> dict:
-    if d is None:
-        return {}
-    _expect_keys(d, required=set(), optional=set(_TRIG_KEYS), where=where)
-    out = {k: _number(v, f"{where}.{k}") for k, v in d.items()}
-    return {k: v for k, v in out.items() if v != 0.0}
+def _kind(d, where: str, kinds: dict, what: str | None = None) -> str:
+    """The kind of section ``d``, once ``d`` is known to be a mapping that
+    holds only its kind's keys; ``kinds`` maps each kind to those keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    if "kind" not in d:
+        raise ConfigError(f"{where} is missing ['kind']")
+    kind = d["kind"]
+    # a kind that is not a string (a list, say) is unknown, not a TypeError
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what or where} kind {kind!r}")
+    _expect_keys(d, required={"kind"}, optional=kinds[kind], where=where)
+    return kind
 
 
-def _norm_base(b) -> dict:
-    _expect_keys(
-        b,
-        required={"kind"},
-        optional={"alphabet_size", "lambda0", "measure", "matrix"},
-        where="base",
-    )
-    kind = b.get("kind")
-    if kind == "shift":
-        out = {
-            "kind": "shift",
-            "alphabet_size": _integer(b.get("alphabet_size", 2), "base.alphabet_size"),
-            "lambda0": _number(b.get("lambda0", 0.5), "base.lambda0"),
-        }
-        m = b.get("measure") or {"kind": "bernoulli"}
-        _expect_keys(
-            m, required={"kind"}, optional={"weights", "matrix"}, where="base.measure"
-        )
-        if m["kind"] == "bernoulli":
-            weights = m.get(
-                "weights", [1.0 / out["alphabet_size"]] * out["alphabet_size"]
-            )
-            if not isinstance(weights, list):
-                raise ConfigError("bernoulli weights must be a list")
-            out["measure"] = {
-                "kind": "bernoulli",
-                "weights": [_number(w, "weights") for w in weights],
-            }
-        elif m["kind"] == "markov":
-            n = out["alphabet_size"]
-            out["measure"] = {
-                "kind": "markov",
-                "matrix": _float_matrix(m.get("matrix"), "markov matrix", (n, n)),
-            }
-        else:
-            raise ConfigError(f"unknown shift measure kind {m.get('kind')!r}")
-        return out
+def _read_trigs(d: dict, names: tuple) -> tuple[dict, dict]:
+    """The trig expressions under ``names`` in ``d``, zero terms dropped:
+    canonical data and TrigExprs, both keyed by name."""
+    data = {}
+    for name in names:
+        expr = {} if d.get(name) is None else d[name]
+        _expect_keys(expr, required=set(), optional=set(_TRIG_KEYS), where=name)
+        coefs = {k: _number(v, f"{name}.{k}") for k, v in expr.items()}
+        data[name] = {k: v for k, v in coefs.items() if v != 0.0}
+    return data, {name: TrigExpr(**coefs) for name, coefs in data.items()}
+
+
+def _read_base(b) -> tuple[dict, BaseSystem]:
+    """The base section: canonical data and the system with its measure."""
+    shift_keys = {"alphabet_size", "lambda0", "measure"}
+    kind = _kind(b, "base", {"shift": shift_keys, "torus": {"matrix", "measure"}})
     if kind == "torus":
         if "matrix" not in b:
             raise ConfigError("torus base needs a matrix")
-        return {
-            "kind": "torus",
-            "matrix": _int_matrix(b["matrix"], "base.matrix"),
-            "measure": {"kind": "lebesgue"},
-        }
-    raise ConfigError(f"unknown base kind {kind!r}")
+        matrix = _int_matrix(b["matrix"], "base.matrix")
+        measure = b.get("measure") or {"kind": "lebesgue"}
+        _kind(measure, "base.measure", {"lebesgue": set()}, what="torus measure")
+        out = {"kind": kind, "matrix": matrix, "measure": {"kind": "lebesgue"}}
+        return out, TorusSystem(
+            matrix=tuple(tuple(row) for row in matrix), measure=LebesgueMeasure()
+        )
+    n = _integer(b.get("alphabet_size", 2), "base.alphabet_size")
+    lambda0 = _number(b.get("lambda0", 0.5), "base.lambda0")
+    m = b.get("measure") or {"kind": "bernoulli"}
+    shift_measures = {"bernoulli": {"weights"}, "markov": {"matrix"}}
+    measure_kind = _kind(m, "base.measure", shift_measures, what="shift measure")
+    if measure_kind == "bernoulli":
+        weights = m.get("weights", [1.0 / n] * n)
+        if not isinstance(weights, list):
+            raise ConfigError("bernoulli weights must be a list")
+        weights = [_number(w, "weights") for w in weights]
+        measure = {"kind": measure_kind, "weights": weights}
+        law = BernoulliMeasure(weights=tuple(weights))
+    else:
+        matrix = _float_matrix(m.get("matrix"), "markov matrix", (n, n))
+        measure = {"kind": measure_kind, "matrix": matrix}
+        law = MarkovMeasure(matrix=tuple(tuple(row) for row in matrix))
+    out = {"kind": kind, "alphabet_size": n, "lambda0": lambda0, "measure": measure}
+    return out, ShiftSystem(alphabet_size=n, measure=law, lambda0=lambda0)
 
 
-def _norm_cocycle(c) -> dict:
-    _expect_keys(
-        c,
-        required={"kind"},
-        optional={"matrix", "table", "depth", "factors", "r"},
-        where="cocycle",
-    )
-    kind = c.get("kind")
+def _read_cocycle(c, base: dict) -> tuple[dict, CocycleSpec]:
+    """The cocycle section over the canonical ``base``: canonical data and
+    the spec."""
+    kinds = {**_MATRIX_KINDS, "pointwise": {"factors"}}
+    kind = _kind(c, "cocycle", {k: keys | {"r"} for k, keys in kinds.items()})
     r = _number(c.get("r", 1.0), "cocycle.r")
+    if kind != "pointwise":
+        return _read_matrices(c, kind, "cocycle", base, r)
+    factors = c.get("factors")
+    if not isinstance(factors, list) or not factors:
+        raise ConfigError("cocycle.factors must be a nonempty list")
+    read = [_read_factor(f) for f in factors]
+    if base["kind"] != "torus":
+        raise ConfigError("pointwise cocycles need a torus base")
+    out = {"kind": kind, "factors": [data for data, _ in read], "r": r}
+    return out, PointwiseCocycle(factors=tuple(f for _, f in read), r=r)
+
+
+def _read_field(d, base: dict):
+    """The perturbation's direction over the canonical ``base``: canonical
+    data and the matrix field."""
+    kind = _kind(d, "direction", {**_MATRIX_KINDS, "pointwise_entries": set(_ENTRIES)})
+    if kind != "pointwise_entries":
+        return _read_matrices(d, kind, "direction", base, r=None)
+    data, exprs = _read_trigs(d, _ENTRIES)
+    return {"kind": kind, **data}, PointwiseEntriesField(**exprs)
+
+
+def _read_matrices(d: dict, kind: str, where: str, base: dict, r: float | None):
+    """A constant or locally constant section: a cocycle with Holder
+    exponent ``r``, or for ``r=None`` a direction field, which may be
+    singular and carries no exponent."""
+    invertible = r is not None
+    extra = {"r": r} if invertible else {}
     if kind == "constant":
-        return {"kind": "constant", "matrix": _float_matrix(c.get("matrix"), "cocycle.matrix"), "r": r}
-    if kind == "locally_constant":
-        tab = c.get("table")
-        if not isinstance(tab, list) or not tab:
-            raise ConfigError("cocycle.table must be a nonempty list of matrices")
-        return {
-            "kind": "locally_constant",
-            "table": [_float_matrix(m, "cocycle.table entry") for m in tab],
-            "depth": _integer(c.get("depth", 1), "cocycle.depth"),
-            "r": r,
-        }
-    if kind == "pointwise":
-        factors = c.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ConfigError("cocycle.factors must be a nonempty list")
-        return {
-            "kind": "pointwise",
-            "factors": [_norm_factor(f) for f in factors],
-            "r": r,
-        }
-    raise ConfigError(f"unknown cocycle kind {kind!r}")
-
-
-def _norm_factor(f) -> dict:
-    _expect_keys(
-        f,
-        required={"kind"},
-        optional={"angle", "log_d1", "log_d2", "matrix"},
-        where="factor",
+        matrix = _float_matrix(d.get("matrix"), f"{where}.matrix")
+        spec = ConstantCocycle(matrix=_np(matrix), invertible=invertible, **extra)
+        return {"kind": kind, "matrix": matrix, **extra}, spec
+    tab = d.get("table")
+    if not isinstance(tab, list) or not tab:
+        raise ConfigError(f"{where}.table must be a nonempty list of matrices")
+    table = [_float_matrix(m, f"{where}.table entry") for m in tab]
+    depth = _integer(d.get("depth", 1), f"{where}.depth")
+    if "alphabet_size" not in base:
+        raise ConfigError(f"locally constant {where}s need a shift base")
+    spec = LocallyConstantCocycle(
+        table=_np(table), depth=depth, alphabet_size=base["alphabet_size"],
+        invertible=invertible, **extra,
     )
-    kind = f.get("kind")
-    if kind == "rotation":
-        return {"kind": "rotation", "angle": _norm_trig(f.get("angle"), "angle")}
-    if kind == "diagonal":
-        return {
-            "kind": "diagonal",
-            "log_d1": _norm_trig(f.get("log_d1"), "log_d1"),
-            "log_d2": _norm_trig(f.get("log_d2"), "log_d2"),
-        }
+    return {"kind": kind, "table": table, "depth": depth, **extra}, spec
+
+
+def _read_factor(f):
+    """One factor of a pointwise cocycle: canonical data and the factor."""
+    kinds = dict(rotation={"angle"}, diagonal={"log_d1", "log_d2"}, constant={"matrix"})
+    kind = _kind(f, "factor", kinds)
     if kind == "constant":
-        return {"kind": "constant", "matrix": _float_matrix(f.get("matrix"), "factor.matrix")}
-    raise ConfigError(f"unknown factor kind {kind!r}")
+        matrix = _float_matrix(f.get("matrix"), "factor.matrix")
+        return {"kind": kind, "matrix": matrix}, ConstantFactor(matrix=_np(matrix))
+    if kind == "rotation":
+        data, exprs = _read_trigs(f, ("angle",))
+        return {"kind": kind, **data}, RotationFactor(**exprs)
+    data, exprs = _read_trigs(f, ("log_d1", "log_d2"))
+    return {"kind": kind, **data}, DiagonalFactor(**exprs)
 
 
-def _norm_perturbation(p) -> dict:
+def _read_perturbation(
+    p, base: dict, spec: CocycleSpec
+) -> tuple[dict, PerturbationFamily]:
+    """The perturbation section around ``spec`` over the canonical
+    ``base``: canonical data and the family."""
     _expect_keys(
-        p,
-        required={"direction", "schedule"},
-        optional={"rule"},
-        where="perturbation",
+        p, required={"direction", "schedule"}, optional={"rule"}, where="perturbation"
     )
     rule = p.get("rule", "multiplicative_exp")
     if rule not in ("multiplicative_exp", "additive"):
         raise ConfigError(f"unknown perturbation rule {rule!r}")
+    direction, field = _read_field(p["direction"], base)
     sched = p["schedule"]
-    _expect_keys(
-        sched, required={"kind"}, optional={"count", "values"}, where="schedule"
-    )
-    if sched["kind"] == "dyadic":
+    kind = _kind(sched, "schedule", {"dyadic": {"count"}, "explicit": {"values"}})
+    if kind == "dyadic":
         count = _integer(sched.get("count", 12), "schedule.count")
         if count < 1:
             raise ConfigError("schedule.count must be >= 1")
-        norm_sched = {"kind": "dyadic", "count": count}
-    elif sched["kind"] == "explicit":
+        schedule = {"kind": kind, "count": count}
+        family = PerturbationFamily.dyadic(spec, field, rule, count)
+    else:
         values = sched.get("values")
         if not isinstance(values, list) or not values:
             raise ConfigError("explicit schedule needs values")
-        norm_sched = {
-            "kind": "explicit",
-            "values": [_number(v, "schedule value") for v in values],
-        }
-    else:
-        raise ConfigError(f"unknown schedule kind {sched['kind']!r}")
-    return {
-        "rule": rule,
-        "schedule": norm_sched,
-        "direction": _norm_field(p["direction"]),
-    }
-
-
-def _norm_field(d) -> dict:
-    _expect_keys(
-        d,
-        required={"kind"},
-        optional={"matrix", "table", "depth", "e00", "e01", "e10", "e11"},
-        where="direction",
-    )
-    kind = d.get("kind")
-    if kind == "constant":
-        return {"kind": "constant", "matrix": _float_matrix(d.get("matrix"), "direction.matrix")}
-    if kind == "locally_constant":
-        tab = d.get("table")
-        if not isinstance(tab, list) or not tab:
-            raise ConfigError("direction.table must be a nonempty list")
-        return {
-            "kind": "locally_constant",
-            "table": [_float_matrix(m, "direction.table entry") for m in tab],
-            "depth": _integer(d.get("depth", 1), "direction.depth"),
-        }
-    if kind == "pointwise_entries":
-        return {
-            "kind": "pointwise_entries",
-            "e00": _norm_trig(d.get("e00"), "e00"),
-            "e01": _norm_trig(d.get("e01"), "e01"),
-            "e10": _norm_trig(d.get("e10"), "e10"),
-            "e11": _norm_trig(d.get("e11"), "e11"),
-        }
-    raise ConfigError(f"unknown direction kind {kind!r}")
+        values = [_number(v, "schedule value") for v in values]
+        schedule = {"kind": kind, "values": values}
+        family = PerturbationFamily(spec, field, rule, ts=tuple(values))
+    return {"rule": rule, "schedule": schedule, "direction": direction}, family
 
 
 def _norm_budgets(b) -> dict:

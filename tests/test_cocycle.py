@@ -722,6 +722,47 @@ class TestMixedDepth:
                 assert np.array_equal(got[m], want)
 
 
+class TestConstantPerturbationOverShift:
+    """A perturbation of constant parts is constant even when one part is a
+    symbol table; every study reads its value as it reads the specialized
+    table's."""
+
+    B = np.array([[0.0, -1.0], [1.0, 0.3]])
+
+    def perturbation(self, rule, table_side):
+        if table_side == "base":
+            base = two_table(DIAG2, DIAG2)
+            field = ConstantCocycle(matrix=self.B, invertible=False)
+        else:
+            base = ConstantCocycle(matrix=DIAG2)
+            field = LocallyConstantCocycle(table=np.array([self.B] * 2), invertible=False)
+        return PerturbedCocycle(base, field, t=0.1, rule=rule)
+
+    @pytest.mark.parametrize("table_side", ["base", "direction"])
+    @pytest.mark.parametrize("rule", ["additive", "multiplicative_exp"])
+    def test_studies_match_specialized(self, shift2, rule, table_side):
+        spec = self.perturbation(rule, table_side)
+        table = specialize(spec, shift2)
+        assert spec.is_constant and table.is_constant
+        # the table multiplies with numpy @, the composition with matmul_batch
+        tol = 1e-12
+        assert np.max(np.abs(spec.constant_value() - table.constant_value())) <= tol
+        got = lyapunov_exponents(spec, shift2, n=50, samples=20, seed=1)
+        want = lyapunov_exponents(table, shift2, n=50, samples=20, seed=1)
+        assert abs(got.lambda_plus - want.lambda_plus) <= tol
+        assert abs(got.lambda_minus - want.lambda_minus) <= tol
+        got, want = bunching_check(spec, shift2), bunching_check(table, shift2)
+        assert got.exact and want.exact and got.verdict == want.verdict
+        assert abs(got.kappa_lambda_r - want.kappa_lambda_r) <= tol
+        assert abs(got.theta_hat - want.theta_hat) <= tol
+        points = sample_points(shift2, 5, 30, seed=1)
+        got = unstable_directions(spec, shift2, points, 20)
+        want = unstable_directions(table, shift2, points, 20)
+        assert np.array_equal(got[2], want[2]) and got[2].all()
+        assert np.max(np.abs(got[0] - want[0])) <= tol
+        assert np.max(np.abs(got[1] - want[1])) <= tol
+
+
 class TestBunching:
     def test_constant_bunched(self, shift2):
         q = 2.0 ** 0.25

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cocyclelab.base import MarkovMeasure, ShiftSystem, TorusSystem
 from cocyclelab.cocycle import (
@@ -55,6 +57,70 @@ TORUS_CFG = {
         ],
     },
 }
+
+# every kind the shift and torus configs above leave out
+MARKOV_CFG = {
+    "base": {
+        "kind": "shift",
+        "alphabet_size": 2,
+        "lambda0": 0.4,
+        "measure": {"kind": "markov", "matrix": [[0.9, 0.1], [0.2, 0.8]]},
+    },
+    "cocycle": {
+        "kind": "locally_constant",
+        "depth": 2,
+        "r": 0.5,
+        "table": [
+            [[1.2, 0.0], [0.0, 0.8]],
+            [[1.1, 0.1], [0.0, 0.9]],
+            [[1.3, 0.0], [0.2, 0.7]],
+            [[1.0, -0.1], [0.1, 1.0]],
+        ],
+    },
+    "perturbation": {
+        "rule": "additive",
+        "schedule": {"kind": "explicit", "values": [0.25, 0.125]},
+        "direction": {
+            "kind": "locally_constant",
+            "table": [[[0.0, -1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
+        },
+    },
+}
+
+ENTRIES_CFG = {
+    "base": {"kind": "torus", "matrix": [[2, 1], [1, 1]], "measure": {"kind": "lebesgue"}},
+    "cocycle": {
+        "kind": "pointwise",
+        "factors": [
+            {"kind": "diagonal", "log_d1": {"const": 0.4, "cos_v": 0.1}, "log_d2": {"const": -0.4}},
+            {"kind": "rotation", "angle": {"sin_u": 0.2}},
+        ],
+    },
+    "perturbation": {
+        "schedule": {"kind": "dyadic", "count": 3},
+        "direction": {
+            "kind": "pointwise_entries",
+            "e01": {"const": -1.0, "sin_u": 0.2},
+            "e10": {"const": 1.0},
+        },
+    },
+}
+
+CONSTANT_CFG = {
+    "base": SHIFT_CFG["base"],
+    "cocycle": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 0.5]], "r": 0.5},
+}
+
+
+def edited(data: dict, path: tuple, **changes) -> dict:
+    """A deep copy of ``data`` with ``changes`` made to the section at
+    ``path``."""
+    out = copy.deepcopy(data)
+    section = out
+    for key in path:
+        section = section[key]
+    section.update(changes)
+    return out
 
 
 class TestNormalize:
@@ -167,6 +233,72 @@ class TestNormalize:
             )
 
 
+class TestKeysOfAnotherKind:
+    """A section takes the keys of its own kind only: a key that another
+    kind of the same section takes is refused, never dropped."""
+
+    @pytest.mark.parametrize(
+        "data, path, key, value",
+        [
+            (SHIFT_CFG, ("base",), "matrix", [[2, 1], [1, 1]]),
+            (TORUS_CFG, ("base",), "lambda0", 0.3),
+            (SHIFT_CFG, ("base", "measure"), "matrix", [[0.5, 0.5], [0.5, 0.5]]),
+            (MARKOV_CFG, ("base", "measure"), "weights", [0.5, 0.5]),
+            (ENTRIES_CFG, ("base", "measure"), "weights", [0.5, 0.5]),
+            (CONSTANT_CFG, ("cocycle",), "depth", 1),
+            (SHIFT_CFG, ("cocycle",), "factors", TORUS_CFG["cocycle"]["factors"]),
+            (TORUS_CFG, ("cocycle",), "depth", 2),
+            (TORUS_CFG, ("cocycle", "factors", 0), "matrix", [[1.0, 0.0], [0.0, 1.0]]),
+            (ENTRIES_CFG, ("cocycle", "factors", 0), "angle", {"sin_u": 0.1}),
+            (TORUS_CFG, ("cocycle", "factors", 1), "log_d1", {"const": 0.1}),
+            (SHIFT_CFG, ("perturbation", "direction"), "depth", 2),
+            (MARKOV_CFG, ("perturbation", "direction"), "e00", {"const": 1.0}),
+            (ENTRIES_CFG, ("perturbation", "direction"), "matrix", [[0.0, 1.0], [1.0, 0.0]]),
+            (SHIFT_CFG, ("perturbation", "schedule"), "values", [0.5]),
+            (MARKOV_CFG, ("perturbation", "schedule"), "count", 3),
+        ],
+        ids=[
+            "base-shift", "base-torus",
+            "measure-bernoulli", "measure-markov", "measure-lebesgue",
+            "cocycle-constant", "cocycle-locally_constant", "cocycle-pointwise",
+            "factor-rotation", "factor-diagonal", "factor-constant",
+            "direction-constant", "direction-locally_constant",
+            "direction-pointwise_entries",
+            "schedule-dyadic", "schedule-explicit",
+        ],
+    )
+    def test_refused(self, data, path, key, value):
+        normalize_config(data)
+        with pytest.raises(ConfigError, match=rf"has unknown keys \['{key}'\]$"):
+            normalize_config(edited(data, path, **{key: value}))
+
+    def test_measure_of_another_base(self):
+        bad = edited(TORUS_CFG, ("base",), measure={"kind": "bernoulli"})
+        with pytest.raises(ConfigError, match="^unknown torus measure kind 'bernoulli'$"):
+            normalize_config(bad)
+
+    @pytest.mark.parametrize(
+        "data, path, what",
+        [
+            (SHIFT_CFG, ("base",), "base"),
+            (SHIFT_CFG, ("base", "measure"), "shift measure"),
+            (ENTRIES_CFG, ("base", "measure"), "torus measure"),
+            (SHIFT_CFG, ("cocycle",), "cocycle"),
+            (TORUS_CFG, ("cocycle", "factors", 0), "factor"),
+            (SHIFT_CFG, ("perturbation", "direction"), "direction"),
+            (SHIFT_CFG, ("perturbation", "schedule"), "schedule"),
+        ],
+        ids=[
+            "base", "measure-shift", "measure-torus", "cocycle", "factor",
+            "direction", "schedule",
+        ],
+    )
+    def test_kind_that_is_not_a_string(self, data, path, what):
+        bad = edited(data, path, kind=["shift"])
+        with pytest.raises(ConfigError, match=rf"^unknown {what} kind \['shift'\]$"):
+            normalize_config(bad)
+
+
 class TestRoundTrip:
     def test_dump_load_identity(self, tmp_path):
         cfg = normalize_config(SHIFT_CFG)
@@ -175,6 +307,16 @@ class TestRoundTrip:
         again = load_config(str(path))
         assert again.data == cfg.data
         assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "data",
+        [SHIFT_CFG, TORUS_CFG, MARKOV_CFG, ENTRIES_CFG, CONSTANT_CFG],
+        ids=["shift", "torus", "markov-depth2-explicit", "entries-diagonal", "constant"],
+    )
+    def test_canonical_text_reads_back_unchanged(self, data):
+        # the builders read the canonical data back through the same readers
+        cfg = normalize_config(data)
+        assert normalize_config(yaml.safe_load(dump_config(cfg))).data == cfg.data
 
     def test_hash_ignores_spelled_defaults(self):
         minimal = normalize_config(TORUS_CFG)
