@@ -314,7 +314,11 @@ def _read_field(d, base: dict):
     if kind != "pointwise_entries":
         return _read_matrices(d, kind, "direction", base, r=None)
     data, exprs = _read_trigs(d, _ENTRIES)
-    return {"kind": kind, **data}, PointwiseEntriesField(**exprs)
+    field = PointwiseEntriesField(**exprs)
+    # a constant field is one matrix, which any base takes
+    if base["kind"] != "torus" and not field.is_constant:
+        raise ConfigError("non-constant pointwise_entries directions need a torus base")
+    return {"kind": kind, **data}, field
 
 
 def _read_matrices(d: dict, kind: str, where: str, base: dict, r: float | None):

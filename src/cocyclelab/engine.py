@@ -20,6 +20,14 @@ matrix, so no product ever overflows, in one of two ways:
 A shift batch's symbol window is checked once per scan, before the first
 step, and singular steps are caught once, after the last one.
 
+On a shift the first k steps of a direction scan read only the
+k + depth - 1 symbols next to the sample.  ``scan_head`` walks them once
+per distinct read of a whole draw, with k chosen from the draw to maximize
+the sample-steps saved, k (S - U_k), where U_k counts the distinct k-step
+reads; ``forward_scan`` and ``backward_scan`` take each block's slice of
+it and walk the other n - k steps.  The per-sample arithmetic is the same,
+so the result is bitwise the unshared walk's.
+
 Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
 ``symbol_depth`` giving how many forward symbols a shift spec reads.  A
@@ -30,10 +38,11 @@ through ``symbol_table()``, which the exponent scan's word tables read.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import mat2
 from .mat2 import DET_FLOOR
@@ -176,14 +185,17 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
     return starts
 
 
-def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
+def _orbit_values(
+    spec, sys: BaseSystem, batch: Batch, n: int, backward: bool, skip: int = 0
+):
     """Yield the cocycle values a scan of n steps absorbs, in scan order:
     A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
-    backward.
+    backward, leaving out the first ``skip`` (shift batches only).
 
-    A shift batch is checked and moved to its final position up front (see
-    ``_symbol_starts``), and each step gathers its symbols at precomputed
-    flat indices; a torus batch steps as it goes and ends in the same place.
+    A shift batch is checked for the whole walk and moved to its final
+    position up front (see ``_symbol_starts``), and each step gathers its
+    symbols at precomputed flat indices; a torus batch steps as it goes and
+    ends in the same place.
     """
     if n == 0:
         return
@@ -198,7 +210,7 @@ def _orbit_values(spec, sys: BaseSystem, batch: Batch, n: int, backward: bool):
     depth = spec.symbol_depth
     # the step at relative offset k reads the symbols at here + k
     here = _symbol_starts(batch, n, depth, backward)[:, None] + np.arange(depth)
-    order = range(-1, -n - 1, -1) if backward else range(n)
+    order = range(-1 - skip, -n - 1, -1) if backward else range(skip, n)
     for k in order:
         yield spec.values_at_symbols(np.take(batch.windows, here + k))
 
@@ -260,17 +272,24 @@ def _renormalize(st: ScanState, a, b, c, d, abs_det) -> None:
     st.logdet = st.logdet + np.log(abs_det)
 
 
-def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
+def _direction_scan(
+    spec, sys, batch, n, backward, paths=None, head=None
+) -> ScanState:
     """Walk n steps, renormalizing to unit norm at every step; with
     ``paths`` = (ls_path, ldet_path) row j records the state after step j.
-    The singularity check runs once, after the walk."""
-    st = _identity_state(batch.size)
+    With a ``head`` (see ``scan_head``) the walk starts from each sample's
+    state after the head's k steps and takes the other n - k.  The
+    singularity check runs once, after the walk."""
+    if head is None:
+        st, done = _identity_state(batch.size), 0
+    else:
+        st, done = head.start(batch, n, backward), head.k
     low_det = np.inf
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _orbit_values(spec, sys, batch, n, backward)
-        for j, (va, vb, vc, vd) in enumerate(values):
+        values = _orbit_values(spec, sys, batch, n, backward, done)
+        for j, (va, vb, vc, vd) in enumerate(values, done):
             abs_det = np.abs(va * vd - vb * vc)
             low_det = np.minimum(low_det, abs_det)
             if backward:
@@ -285,15 +304,18 @@ def _direction_scan(spec, sys, batch, n, backward, paths=None) -> ScanState:
     return st
 
 
-def forward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
-    """Renormalized product over the forward window [0, n).
+def forward_scan(
+    spec, sys: BaseSystem, batch: Batch, n: int, head: ScanHead | None = None
+) -> ScanState:
+    """Renormalized product over the forward window [0, n), from ``head``
+    when one is passed (see ``scan_head``).
 
     The batch is left positioned at f^{n-1} of its starting points (or
     untouched when n = 0).
     """
     if n < 0:
         raise ConfigError("forward_scan needs n >= 0")
-    return _direction_scan(spec, sys, batch, n, backward=False)
+    return _direction_scan(spec, sys, batch, n, backward=False, head=head)
 
 
 def forward_record(
@@ -307,15 +329,126 @@ def forward_record(
     return paths
 
 
-def backward_scan(spec, sys: BaseSystem, batch: Batch, n: int) -> ScanState:
+def backward_scan(
+    spec, sys: BaseSystem, batch: Batch, n: int, head: ScanHead | None = None
+) -> ScanState:
     """Renormalized product over the backward window:
-    A(f^{-1}x) A(f^{-2}x) ... A(f^{-n}x), which equals A^n(f^{-n}x).
+    A(f^{-1}x) A(f^{-2}x) ... A(f^{-n}x), which equals A^n(f^{-n}x); from
+    ``head`` when one is passed (see ``scan_head``).
 
     The batch is left positioned at f^{-n} of its starting points.
     """
     if n < 0:
         raise ConfigError("backward_scan needs n >= 0")
-    return _direction_scan(spec, sys, batch, n, backward=True)
+    return _direction_scan(spec, sys, batch, n, backward=True, head=head)
+
+
+# shared heads: the first k steps once per distinct symbol read
+
+
+@dataclass(frozen=True, eq=False)
+class ScanHead:
+    """The first k steps of an n-step direction scan of a shift draw:
+    ``state`` has one column per distinct k-step symbol read and ``index``
+    maps each sample of the draw to its column.  ``head[start:stop]`` is
+    the head of the samples start:stop, as ``block_map`` hands them out."""
+
+    n: int
+    k: int
+    backward: bool
+    state: ScanState
+    index: np.ndarray
+
+    def __getitem__(self, rows: slice) -> "ScanHead":
+        return replace(self, index=self.index[rows])
+
+    def start(self, batch: Batch, n: int, backward: bool) -> ScanState:
+        """Each sample's state after the first k steps, gathered."""
+        if (self.n, self.backward, self.index.size) != (n, backward, batch.size):
+            raise ConfigError("scan head was built for another scan")
+        return ScanState(
+            **{f: np.take(x, self.index, axis=-1) for f, x in vars(self.state).items()}
+        )
+
+
+def _shared_prefixes(reads: np.ndarray, alphabet: int, n: int, span: int):
+    """(k, index, reps) for the symbol reads of an n-step walk, one row per
+    sample in walk order, the first j steps reading the first j + span
+    symbols.  k maximizes the sample-steps saved, k (S - U_k), with U_k the
+    number of distinct k-step reads; ``index`` numbers each sample's k-step
+    read and ``reps`` holds one sample per number.  None when nothing is
+    saved.  The rows are sorted once, as int64 keys of ``per`` symbols, and
+    U_k is one more than the number of sorted neighbours that share fewer
+    than k + span leading symbols.
+    """
+    size, width = reads.shape
+    bits = max(1, (alphabet - 1).bit_length())
+    per = 62 // bits
+    keys = []
+    for c in range(0, width, per):
+        cols = reads[:, c : c + per]
+        key = np.zeros(size, dtype=np.int64)
+        for col in cols.T:
+            key <<= bits
+            key |= col
+        keys.append(key << bits * (per - cols.shape[1]))
+    order = np.arange(size)
+    for key in reversed(keys):
+        order = order[np.argsort(key[order], kind="stable")]
+    diff = np.stack([key[order][1:] ^ key[order][:-1] for key in keys])
+    first = (diff != 0).argmax(axis=0)
+    x = diff[first, np.arange(size - 1)]
+    # keys whose xor is below 2**(bits * i) agree on all but i symbols
+    agree = per - np.searchsorted(np.int64(1) << bits * np.arange(per), x, "right")
+    common = np.where(x == 0, width, np.minimum(first * per + agree, width))
+    below = np.cumsum(np.bincount(common, minlength=width + 1))
+    steps = np.arange(1, n + 1)
+    saved = steps * (size - 1 - below[steps + span - 1])
+    k = int(saved.argmax()) + 1
+    if saved[k - 1] <= 0:
+        return None
+    new = np.concatenate([[True], common < k + span])
+    index = np.empty(size, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return k, index, order[new]
+
+
+def scan_head(
+    spec, sys: BaseSystem, points: Sequence[BasePoint], n: int, backward: bool
+) -> ScanHead | None:
+    """The first k steps of the n-step direction scans (``backward_scan``
+    when ``backward``, else ``forward_scan``) of ``spec`` at ``points``,
+    walked once per distinct k-step symbol read: build it once per draw and
+    pass each block's scan its slice.  k is chosen as ``_shared_prefixes``
+    says.  The whole walk's window check runs here, for every sample, and a
+    singular step inside the k steps raises here.  None over a torus, below
+    two points, or when no read is shared.
+    """
+    if not isinstance(sys, ShiftSystem) or len(points) < 2 or n < 1:
+        return None
+    batch = batch_of(sys, points)
+    depth = spec.symbol_depth
+    span = max(depth, 1) - 1
+    # the whole walk's window check, for every sample
+    starts = _symbol_starts(batch, n, depth, backward)
+    # the first j steps read the symbols at 0 .. j + depth - 2 forward, and
+    # at -j .. depth - 2 backward: one run of n + span symbols per sample
+    run = sliding_window_view(batch.windows.reshape(-1), n + span)
+    reads = run[starts - n][:, ::-1] if backward else run[starts]
+    groups = _shared_prefixes(reads, sys.alphabet_size, n, span)
+    if groups is None:
+        return None
+    k, index, reps = groups
+    # the representatives' k-step reads, put back in windows around them
+    reach = k + span
+    near = np.zeros((reps.size, 2 * reach + 1), dtype=reads.dtype)
+    if backward:
+        near[:, span : span + reach] = reads[reps, :reach][:, ::-1]
+    else:
+        near[:, reach : 2 * reach] = reads[reps, :reach]
+    heads = ShiftBatch(near, np.zeros(reps.size, dtype=np.int64), reach)
+    state = _direction_scan(spec, sys, heads, k, backward)
+    return ScanHead(n=n, k=k, backward=backward, state=state, index=index)
 
 
 # exponent scan: exact power-of-two renormalization

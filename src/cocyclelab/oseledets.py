@@ -99,11 +99,15 @@ def _directions(side, a_spec, sys, points, depth, threads):
         ldet = depth * np.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
         window = engine.ScanState(*normalized.reshape(4, 1), ls, ldet)
         return tuple(np.repeat(r, len(points)) for r in _read(window, side))
-    scan = engine.backward_scan if side == "unstable" else engine.forward_scan
+    backward = side == "unstable"
+    scan = engine.backward_scan if backward else engine.forward_scan
+    # the shared first steps of every scan, walked once for the whole draw
+    head = engine.scan_head(a_spec, sys, points, depth, backward)
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
-        return _read(scan(a_spec, sys, batch, depth), side)
+        part = None if head is None else head[start:stop]
+        return _read(scan(a_spec, sys, batch, depth, part), side)
 
     vx, vy, ok = engine.block_map(
         job, len(points), threads, rows=getattr(a_spec, "rows", 1)

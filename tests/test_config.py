@@ -24,7 +24,8 @@ from cocyclelab.config import (
     load_config,
     normalize_config,
 )
-from cocyclelab.continuity import PerturbationFamily
+from cocyclelab.cli import main
+from cocyclelab.continuity import PerturbationFamily, continuity_experiment
 from cocyclelab.errors import ConfigError
 
 SHIFT_CFG = {
@@ -204,6 +205,37 @@ class TestNormalize:
         bad = {"base": SHIFT_CFG["base"], "cocycle": TORUS_CFG["cocycle"]}
         with pytest.raises(ConfigError, match="torus"):
             normalize_config(bad)
+
+    @pytest.mark.parametrize("command", ["lyapunov", "continuity"])
+    def test_varying_pointwise_direction_needs_torus(self, command, tmp_path, capsys):
+        # refused at load, before any base work, whatever the subcommand
+        varying = ENTRIES_CFG["perturbation"]["direction"]
+        bad = edited(SHIFT_CFG, ("perturbation",), direction=varying)
+        message = "non-constant pointwise_entries directions need a torus base"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            normalize_config(bad)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_constant_pointwise_direction_runs_on_a_shift(self):
+        direction = {
+            "kind": "pointwise_entries", "e01": {"const": -1.0}, "e10": {"const": 1.0}
+        }
+        cfg = normalize_config(edited(SHIFT_CFG, ("perturbation",), direction=direction))
+        fam = build_family(cfg)
+        report = continuity_experiment(
+            fam, build_system(cfg), samples=40, depth=10, n_window=20, seed=1
+        )
+        # the same family as the constant-matrix direction it spells
+        same = build_family(normalize_config(SHIFT_CFG))
+        want = continuity_experiment(
+            same, build_system(cfg), samples=40, depth=10, n_window=20, seed=1
+        )
+        assert repr(report.rows) == repr(want.rows) and len(report.rows) == 4
 
     def test_markov_measure(self):
         cfg = normalize_config(

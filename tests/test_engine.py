@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from cocyclelab import engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
+    LebesgueMeasure,
+    MarkovMeasure,
+    ShiftDraw,
     ShiftPoint,
     ShiftSystem,
     TorusPoint,
@@ -540,3 +545,208 @@ class TestWordBlocks:
         batch = engine.batch_of(shift2, [ShiftPoint(window=window)])
         log_scale, _ = engine.exponent_scan(spec, shift2, batch, 11)
         assert log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)
+
+
+def random_table(alphabet, depth, seed):
+    """An invertible table of alphabet**depth random matrices."""
+    rng = np.random.default_rng(seed)
+    tab = np.diag([1.4, 0.7]) + 0.3 * rng.standard_normal((alphabet**depth, 2, 2))
+    return LocallyConstantCocycle(table=tab, depth=depth, alphabet_size=alphabet)
+
+
+def markov_shift(alphabet):
+    """A Markov shift in which symbol 0 never follows itself."""
+    p = np.full((alphabet, alphabet), 1.0 / alphabet)
+    p[0] = [0.0] + [1.0 / (alphabet - 1)] * (alphabet - 1)
+    return ShiftSystem(
+        alphabet_size=alphabet, measure=MarkovMeasure(matrix=tuple(map(tuple, p)))
+    )
+
+
+def bernoulli_shift(alphabet):
+    weights = (1.0 / alphabet,) * alphabet
+    return ShiftSystem(alphabet_size=alphabet, measure=BernoulliMeasure(weights=weights))
+
+
+def one_point_scans(scan, spec, sys_, draw, n):
+    """The scan's state fields at each point of ``draw`` from one-point
+    batches, which share nothing, joined along the sample axis."""
+    states = [
+        scan(spec, sys_, engine.batch_of(sys_, draw[i : i + 1]), n)
+        for i in range(len(draw))
+    ]
+    return {
+        f: np.concatenate([vars(st)[f] for st in states], axis=-1)
+        for f in vars(states[0])
+    }
+
+
+class TestScanHeads:
+    """The first k steps of a draw's direction scans, walked once per
+    distinct symbol read, give bitwise the unshared walk."""
+
+    N = 10
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("law", [bernoulli_shift, markov_shift])
+    @pytest.mark.parametrize("alphabet, depth", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_head_scans_are_one_point_scans(
+        self, backward, law, alphabet, depth, stacked
+    ):
+        sys_ = law(alphabet)
+        spec = random_table(alphabet, depth, seed=alphabet + depth)
+        if stacked:
+            spec = StackedCocycle((spec, random_table(alphabet, 1, seed=9)))
+        draw = sample_points(sys_, 60, self.N + 2, seed=depth)
+        scan = engine.backward_scan if backward else engine.forward_scan
+        # the draw, the draw pushed by f, and points at mixed offsets
+        mixed = [
+            ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)
+        ]
+        for points in (draw, engine.pushed(sys_, draw), mixed):
+            head = engine.scan_head(spec, sys_, points, self.N, backward)
+            assert head is not None and 1 <= head.k <= self.N
+            assert head.state.a.shape[-1] < len(points)
+            batch = engine.batch_of(sys_, points)
+            start = batch.offsets.copy()
+            st = scan(spec, sys_, batch, self.N, head)
+            end = -self.N if backward else self.N - 1
+            assert np.array_equal(batch.offsets, start + end)
+            want = one_point_scans(scan, spec, sys_, points, self.N)
+            for f, x in vars(st).items():
+                assert np.array_equal(x, want[f]), f
+
+    @pytest.mark.parametrize("alphabet, n, span", [(2, 40, 0), (3, 40, 1), (5, 30, 2)])
+    def test_k_maximizes_the_sample_steps_saved(self, alphabet, n, span):
+        # keys of 62 // bits symbols: these reads take one key or two
+        rng = np.random.default_rng(alphabet)
+        reads = rng.integers(0, alphabet, (400, n + span)).astype(np.int16)
+        reads[200:] = reads[:200]  # every row twice, so even the full reads repeat
+        reads[100:150, : n - 5] = 0  # a common prefix past the first key
+        steps = range(1, n + 1)
+        distinct = [len(np.unique(reads[:, : k + span], axis=0)) for k in steps]
+        saved = [k * (400 - u) for k, u in zip(steps, distinct)]
+        k, index, reps = engine._shared_prefixes(reads, alphabet, n, span)
+        assert k == int(np.argmax(saved)) + 1
+        assert reps.size == distinct[k - 1] == index.max() + 1
+        prefix = reads[:, : k + span]
+        assert np.array_equal(prefix[reps[index]], prefix)
+
+    def test_nothing_shared_is_no_head(self, shift2):
+        one = sample_points(shift2, 1, 30, seed=2)
+        assert engine.scan_head(lc_spec(), shift2, one, 30, False) is None
+        # reads that differ in their first symbol share no step
+        reads = np.array([[3, 0, 1], [1, 1, 1], [0, 1, 1], [2, 1, 1]], dtype=np.int16)
+        assert engine._shared_prefixes(reads, 4, 3, 0) is None
+        assert engine._shared_prefixes(reads, 4, 2, 1) is None
+
+    def test_torus_draws_take_no_head(self, cat):
+        spec = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.1)),))
+        draw = sample_points(cat, 40, 0, seed=1)
+        assert engine.scan_head(spec, cat, draw, 5, True) is None
+
+    def test_head_of_another_scan_is_refused(self, shift2):
+        draw = sample_points(shift2, 200, 12, seed=3)
+        head = engine.scan_head(lc_spec(), shift2, draw, 10, backward=True)
+        for n, scan, points in [
+            (10, engine.forward_scan, draw),
+            (9, engine.backward_scan, draw),
+            (10, engine.backward_scan, draw[:50]),
+        ]:
+            with pytest.raises(ConfigError, match="another scan"):
+                scan(lc_spec(), shift2, engine.batch_of(shift2, points), n, head)
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_window_check_is_the_scans(self, shift2, backward):
+        # at depth 2 both scans read n symbols to one side: horizon n is
+        # exact, n - 1 is refused before any step, as without a head
+        spec, n = depth2_spec(), 10
+        for horizon in (n, n - 1):
+            draw = sample_points(shift2, 300, horizon, seed=4)
+            if horizon < n:
+                with pytest.raises(HorizonExceeded):
+                    engine.scan_head(spec, shift2, draw, n, backward)
+                extract = unstable_directions if backward else stable_directions
+                with pytest.raises(HorizonExceeded):
+                    extract(spec, shift2, draw, n)
+            else:
+                assert engine.scan_head(spec, shift2, draw, n, backward).k >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("nan", [False, True], ids=["singular", "nan"])
+    def test_bad_step_in_the_head_raises(self, shift2, backward, nan):
+        if nan:
+            # exp(diag(1000, -1000)) is inf and 0, and inf * 0 makes the
+            # symbol-1 step NaN; only the exponential's overflow may warn
+            direction = LocallyConstantCocycle(
+                table=np.array([np.zeros((2, 2)), np.diag([1e3, -1e3])]),
+                invertible=False,
+            )
+            spec = PerturbedCocycle(
+                LocallyConstantCocycle(table=np.array([D, D])), direction,
+                t=1.0, rule="multiplicative_exp",
+            )
+        else:
+            spec = LocallyConstantCocycle(
+                table=np.array([D, np.zeros((2, 2))]), invertible=False
+            )
+        # every sample reads the bad symbol two steps along, and they share
+        # all of their reads, so the head holds the whole walk
+        window = np.zeros(13, dtype=np.int16)
+        window[6 + (-2 if backward else 1)] = 1
+        draw = ShiftDraw(np.tile(window, (50, 1)), 0)
+        extract = unstable_directions if backward else stable_directions
+        with np.errstate(over="ignore") if nan else nullcontext():
+            with pytest.raises(SingularValueError):
+                engine.scan_head(spec, shift2, draw, 4, backward)
+            with pytest.raises(SingularValueError):
+                extract(spec, shift2, draw, 4)
+
+    def test_large_draws_read_fewer_values(self, shift2, monkeypatch):
+        # a scan that stopped sharing its head would read S * n rows; the
+        # head of about 10 of the 20 steps reads a little over half of that
+        rows = []
+        hook = LocallyConstantCocycle.values_at_symbols
+
+        def counted(self, block):
+            rows.append(block.shape[0])
+            return hook(self, block)
+
+        monkeypatch.setattr(LocallyConstantCocycle, "values_at_symbols", counted)
+        draw = sample_points(shift2, 10_000, 22, seed=5)
+        for extract in (unstable_directions, stable_directions):
+            rows.clear()
+            extract(lc_spec(), shift2, draw, 20)
+            assert sum(rows) < 0.8 * 10_000 * 20
+
+    def test_directions_do_not_depend_on_the_rest_of_the_draw(self, shift2):
+        spec = StackedCocycle((lc_spec(), random_table(2, 1, seed=4)))
+        a = sample_points(shift2, 3000, 32, seed=6)
+        b = sample_points(shift2, 3000, 32, seed=7)
+        mixed = ShiftDraw(np.concatenate([a.windows[::3], b.windows[:1700]]), 0)
+        for extract in (unstable_directions, stable_directions):
+            alone = extract(spec, shift2, a, 30)
+            among = extract(spec, shift2, mixed, 30)
+            for x, y in zip(alone, among):
+                assert np.array_equal(x[..., ::3], y[..., :1000])
+
+    def test_threads_agree_through_the_head(self, shift2, monkeypatch):
+        # one head per extraction, over the whole draw, not one per block
+        built = []
+        scan_head = engine.scan_head
+
+        def counted(spec, sys_, points, n, backward):
+            built.append(len(points))
+            return scan_head(spec, sys_, points, n, backward)
+
+        monkeypatch.setattr(engine, "scan_head", counted)
+        monkeypatch.setattr(engine, "BLOCK", 700)
+        draw = sample_points(shift2, 3000, 32, seed=8)
+        for extract in (unstable_directions, stable_directions):
+            one = extract(lc_spec(), shift2, draw, 30, threads=1)
+            two = extract(lc_spec(), shift2, draw, 30, threads=2)
+            for x, y in zip(one, two):
+                assert np.array_equal(x, y)
+        assert built == [3000] * 4
