@@ -9,9 +9,9 @@ text and share one hash.
 
 Each section has one reader, which in one pass checks the keys of the
 section's own kind, returns the canonical data and builds the object; a
-key that only another kind takes is refused, not dropped.  The builders
-read the canonical data back through the same readers, which return
-canonical data unchanged.
+key that only another kind takes is refused, not dropped.  The ``Config``
+keeps the objects its readers built next to the canonical data, so a
+config is read and built once; the builders hand those objects back.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ from .cocycle import (
 )
 from .continuity import PerturbationFamily
 from .errors import ConfigError
+from .mat2 import opnorm
 
 _TRIG_KEYS = ("const", "lin_u", "lin_v", "sin_u", "cos_u", "sin_v", "cos_v")
 _ENTRIES = ("e00", "e01", "e10", "e11")
+_BUDGETS = {"samples": 1000, "depth": 40, "n_max": 400}  # with their defaults
 # the kinds cocycles and direction fields share, with their keys; a
 # cocycle's also take its Holder exponent r
 _MATRIX_KINDS = {"constant": {"matrix"}, "locally_constant": {"table", "depth"}}
@@ -53,10 +55,14 @@ _MATRIX_KINDS = {"constant": {"matrix"}, "locally_constant": {"table", "depth"}}
 
 @dataclass(frozen=True, eq=False)
 class Config:
-    """A normalized experiment description; ``data`` is plain nested
-    dict/list/scalar material, safe to serialize."""
+    """A normalized experiment description: ``data`` is plain nested
+    dict/list/scalar material, safe to serialize; the other fields are the
+    objects built from it, ``family`` None without a perturbation."""
 
     data: dict
+    system: BaseSystem
+    cocycle: CocycleSpec
+    family: PerturbationFamily | None
 
     @property
     def seed(self) -> int:
@@ -103,7 +109,7 @@ def normalize_config(data: dict) -> Config:
         optional={"perturbation", "budgets", "epsilon", "seed", "output_dir"},
         where="config",
     )
-    base, _ = _read_base(data["base"])
+    base, system = _read_base(data["base"])
     cocycle, spec = _read_cocycle(data["cocycle"], base)
     out = {
         "base": base,
@@ -115,9 +121,10 @@ def normalize_config(data: dict) -> Config:
     }
     if out["epsilon"] <= 0.0:
         raise ConfigError("epsilon must be positive")
+    family = None
     if data.get("perturbation") is not None:
-        out["perturbation"], _ = _read_perturbation(data["perturbation"], base, spec)
-    return Config(data=out)
+        out["perturbation"], family = _read_perturbation(data["perturbation"], base, spec)
+    return Config(data=out, system=system, cocycle=spec, family=family)
 
 
 def dump_config(cfg: Config) -> str:
@@ -131,26 +138,22 @@ def config_hash(cfg: Config) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders: each reads the canonical data back through its section's reader
+# builders: the objects the readers built while the config was read
 
 
 def build_system(cfg: Config) -> BaseSystem:
-    return _read_base(cfg.data["base"])[1]
+    return cfg.system
 
 
-def build_cocycle(cfg: Config):
-    return _read_cocycle(cfg.data["cocycle"], cfg.data["base"])[1]
+def build_cocycle(cfg: Config) -> CocycleSpec:
+    return cfg.cocycle
 
 
-def build_family(
-    cfg: Config, base: CocycleSpec | None = None
-) -> PerturbationFamily:
-    """The config's perturbation family around ``base``, which defaults to
-    a freshly built ``build_cocycle(cfg)``."""
-    if "perturbation" not in cfg.data:
+def build_family(cfg: Config) -> PerturbationFamily:
+    """The config's perturbation family around its cocycle."""
+    if cfg.family is None:
         raise ConfigError("config has no perturbation section")
-    base = build_cocycle(cfg) if base is None else base
-    return _read_perturbation(cfg.data["perturbation"], cfg.data["base"], base)[1]
+    return cfg.family
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +222,11 @@ def _float_matrix(rows, where: str, shape: tuple[int, int] | None = (2, 2)) -> l
 
 def _int_matrix(rows, where: str) -> list:
     m = _float_matrix(rows, where)
-    out = []
-    for row in m:
-        for x in row:
-            if x != int(x):
-                raise ConfigError(f"{where} entries must be integers")
-        out.append([int(x) for x in row])
-    return out
+    # larger entries would leave orbit steps on the 2**-26 sampling lattice
+    # inexact, and past int64 the torus cannot be built at all
+    if any(x != int(x) or abs(x) >= 2**26 for row in m for x in row):
+        raise ConfigError(f"{where} entries must be integers below 2**26 in magnitude")
+    return [[int(x) for x in row] for row in m]
 
 
 def _kind(d, where: str, kinds: dict, what: str | None = None) -> str:
@@ -266,10 +267,11 @@ def _read_base(b) -> tuple[dict, BaseSystem]:
         measure = b.get("measure") or {"kind": "lebesgue"}
         _kind(measure, "base.measure", {"lebesgue": set()}, what="torus measure")
         out = {"kind": kind, "matrix": matrix, "measure": {"kind": "lebesgue"}}
-        return out, TorusSystem(
-            matrix=tuple(tuple(row) for row in matrix), measure=LebesgueMeasure()
-        )
+        return out, TorusSystem(matrix=matrix, measure=LebesgueMeasure())
     n = _integer(b.get("alphabet_size", 2), "base.alphabet_size")
+    # checked before the default weights 1/n are made
+    if not 2 <= n <= 1000:
+        raise ConfigError("base.alphabet_size must be in [2, 1000]")
     lambda0 = _number(b.get("lambda0", 0.5), "base.lambda0")
     m = b.get("measure") or {"kind": "bernoulli"}
     shift_measures = {"bernoulli": {"weights"}, "markov": {"matrix"}}
@@ -280,11 +282,11 @@ def _read_base(b) -> tuple[dict, BaseSystem]:
             raise ConfigError("bernoulli weights must be a list")
         weights = [_number(w, "weights") for w in weights]
         measure = {"kind": measure_kind, "weights": weights}
-        law = BernoulliMeasure(weights=tuple(weights))
+        law = BernoulliMeasure(weights=weights)
     else:
         matrix = _float_matrix(m.get("matrix"), "markov matrix", (n, n))
         measure = {"kind": measure_kind, "matrix": matrix}
-        law = MarkovMeasure(matrix=tuple(tuple(row) for row in matrix))
+        law = MarkovMeasure(matrix=matrix)
     out = {"kind": kind, "alphabet_size": n, "lambda0": lambda0, "measure": measure}
     return out, ShiftSystem(alphabet_size=n, measure=law, lambda0=lambda0)
 
@@ -329,6 +331,10 @@ def _read_matrices(d: dict, kind: str, where: str, base: dict, r: float | None):
     extra = {"r": r} if invertible else {}
     if kind == "constant":
         matrix = _float_matrix(d.get("matrix"), f"{where}.matrix")
+        # a constant cocycle's exponents come from its norm, which squares the entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            if invertible and not np.isfinite(opnorm(_np(matrix))):
+                raise ConfigError(f"{where}.matrix is too large: its norm overflows")
         spec = ConstantCocycle(matrix=_np(matrix), invertible=invertible, **extra)
         return {"kind": kind, "matrix": matrix, **extra}, spec
     tab = d.get("table")
@@ -390,17 +396,8 @@ def _read_perturbation(
 
 
 def _norm_budgets(b) -> dict:
-    _expect_keys(
-        b,
-        required=set(),
-        optional={"samples", "depth", "n_max"},
-        where="budgets",
-    )
-    out = {
-        "samples": _integer(b.get("samples", 1000), "budgets.samples"),
-        "depth": _integer(b.get("depth", 40), "budgets.depth"),
-        "n_max": _integer(b.get("n_max", 400), "budgets.n_max"),
-    }
-    if out["samples"] < 1 or out["depth"] < 1 or out["n_max"] < 1:
+    _expect_keys(b, required=set(), optional=set(_BUDGETS), where="budgets")
+    out = {key: _integer(b.get(key, v), f"budgets.{key}") for key, v in _BUDGETS.items()}
+    if min(out.values()) < 1:
         raise ConfigError("budgets must be positive")
     return out

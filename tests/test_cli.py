@@ -15,6 +15,8 @@ import cocyclelab
 from cocyclelab import cli
 from cocyclelab.base import sample_points
 from cocyclelab.cli import GOODSET_COLUMNS, main
+from cocyclelab.config import load_config
+from cocyclelab.errors import NoGap
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -142,6 +144,32 @@ class TestOutputs:
         assert "[FAIL] exponent routes: " in out
         assert out.count("[ok]") == 2 and "2/3" in out
         assert calls
+
+
+class TestWriter:
+    def test_columns_format_as_the_cell_writer_did(self, tmp_path):
+        # each column is formatted as a whole; the bytes are those the
+        # earlier cell-by-cell writer produced for the same table
+        cfg = load_config(str(CONFIG_DIR / "shift_bunched.yaml"))
+        columns = {
+            "name": ["a", "b", "c", "d", "e"],
+            "flag": [True, np.bool_(False), np.True_, False, True],
+            "count": [3, np.int64(-7), 0, np.int32(12), 2**40],
+            "value": [0.1, -0.0, float("nan"), float("inf"), 1e-300],
+            "wide": np.array([1 / 3, -np.inf, 2.5e17, 5e-324, -1.0]),
+        }
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), cfg, 7, columns)
+        assert path.read_bytes() == (
+            b"# cocyclelab 0.1.0 config_sha256="
+            b"545ea77e0a2ffbe9f2c975b3dd1d7308a528a61dc583e5ccf53924062d1610db seed=7\n"
+            b"name,flag,count,value,wide\n"
+            b"a,True,3,0.10000000000000001,0.33333333333333331\n"
+            b"b,False,-7,-0,-inf\n"
+            b"c,True,0,nan,2.5e+17\n"
+            b"d,False,12,inf,4.9406564584124654e-324\n"
+            b"e,True,1099511627776,1e-300,-1\n"
+        )
 
 
 class TestContinuityCommand:
@@ -416,7 +444,7 @@ class TestExitCodes:
         assert run(["lyapunov", "--config", shift_cfg, "--out", str(tmp_path)]) == 1
         assert "seeding differs" in capsys.readouterr().err
 
-    def test_no_gap_is_3(self, tmp_path):
+    def test_no_gap_is_3(self, tmp_path, capsys):
         conformal = {
             "base": FAST_SHIFT["base"],
             "cocycle": {
@@ -429,6 +457,30 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump(conformal))
         out = tmp_path / "o"
         assert run(["oseledets", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "no gap: conformal window product during direction extraction\n"
+        )
+        # the output directory is made before the study, which writes nothing
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_no_gap_after_the_table_keeps_the_table(
+        self, shift_cfg, tmp_path, monkeypatch, capsys
+    ):
+        # oseledets.csv is written before the equivariance residuals are
+        # measured, so a failure there leaves the table and no summary
+        def no_gap(*args, **kwargs):
+            raise NoGap("conformal window product while measuring equivariance")
+
+        monkeypatch.setattr(cli, "equivariance_residuals", no_gap)
+        out = tmp_path / "o"
+        assert run(["oseledets", "--config", shift_cfg, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("no gap: ")
+        assert [p.name for p in out.iterdir()] == ["oseledets.csv"]
+        assert len((out / "oseledets.csv").read_text().splitlines()) == 2 + 150
 
     def test_continuity_no_gap_is_3(self, tmp_path):
         # a conformal base has no splitting to perturb; that is not a
@@ -454,8 +506,47 @@ class TestExitCodes:
         path.write_text(yaml.safe_dump(wide))
         out = tmp_path / "o"
         assert run(["bunching", "--config", str(path), "--out", str(out)]) == 1
-        assert (out / "bunching.csv").exists()
-        assert "not_bunched" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "verdict = not_bunched, theta_hat = 2.0000, kappa_lambda_r = 2.0000\n"
+        )
+        assert captured.err == "bunching certificate failed\n"
+        # the table is written before the verdict fails the run
+        assert [p.name for p in out.iterdir()] == ["bunching.csv"]
+        lines = (out / "bunching.csv").read_text().splitlines()
+        assert lines[1] == "n,log_b" and len(lines) == 2 + 40
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(n) for n, _ in rows] == list(range(1, 41))
+        # b_n = (2 / 0.5)^n * lambda0^n = 2^n
+        b_n = [float(b) for _, b in rows]
+        assert np.allclose(b_n, 2.0 ** np.arange(1, 41), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["lyapunov", "oseledets"])
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            # an alphabet of 0 symbols with explicit weights
+            ({**FAST_SHIFT, "base": {**FAST_SHIFT["base"], "alphabet_size": 0}},
+             "base.alphabet_size"),
+            # a torus matrix entry past exact lattice arithmetic
+            ({**FAST_TORUS, "base": {"kind": "torus", "matrix": [[1.0e300, 1], [1, 1]]}},
+             "base.matrix"),
+            # a constant cocycle whose operator norm overflows
+            ({"base": FAST_SHIFT["base"],
+              "cocycle": {"kind": "constant", "matrix": [[1.0e300, 0.0], [0.0, 0.84]]}},
+             "cocycle.matrix"),
+        ],
+        ids=["alphabet_size", "torus_matrix", "constant_matrix"],
+    )
+    def test_value_out_of_range_is_2(self, command, data, key, tmp_path, capsys):
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "o"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_bunched_is_0(self, tmp_path, capsys):
         path = str(CONFIG_DIR / "shift_bunched.yaml")

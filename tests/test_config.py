@@ -190,6 +190,34 @@ class TestNormalize:
         with pytest.raises(ConfigError, match="integer"):
             normalize_config(bad)
 
+    @pytest.mark.parametrize("entry", [1.0e300, 10**30, 2**26, -(2**26)])
+    def test_torus_matrix_entries_bounded(self, entry):
+        # an integral float past int64 must not reach the torus as a Python int
+        bad = edited(TORUS_CFG, ("base",), matrix=[[entry, 1], [1, 1]])
+        message = r"^base\.matrix entries must be integers below 2\*\*26 in magnitude$"
+        with pytest.raises(ConfigError, match=message):
+            normalize_config(bad)
+        big = 2**26 - 1
+        cfg = normalize_config(edited(TORUS_CFG, ("base",), matrix=[[big, 1], [big - 1, 1]]))
+        assert build_system(cfg).matrix == ((big, 1), (big - 1, 1))
+
+    @pytest.mark.parametrize("n", [0, -1, 1, 1001])
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], None], ids=["weights", "default"])
+    def test_alphabet_size_checked_first(self, n, weights, tmp_path, capsys):
+        # the range is checked before the default weights 1/n are made
+        measure = {"kind": "bernoulli"}
+        if weights is not None:
+            measure["weights"] = weights
+        bad = edited(SHIFT_CFG, ("base",), alphabet_size=n, measure=measure)
+        message = r"^base\.alphabet_size must be in \[2, 1000\]$"
+        with pytest.raises(ConfigError, match=message):
+            normalize_config(bad)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad))
+        assert main(["lyapunov", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: base.alphabet_size ") and "Traceback" not in err
+
     def test_bad_trig_coefficient_named_with_its_path(self):
         bad = {
             **TORUS_CFG,
@@ -430,6 +458,25 @@ class TestBuilders:
         }
         fam = build_family(normalize_config(cfg))
         assert fam.ts == (0.3, 0.1)
+
+    def test_read_and_built_once(self, monkeypatch):
+        from cocyclelab import config
+
+        readers = ("_read_base", "_read_cocycle", "_read_perturbation", "_norm_budgets")
+        calls = []
+        for name in readers:
+            def counted(*args, _read=getattr(config, name), _name=name):
+                calls.append(_name)
+                return _read(*args)
+
+            monkeypatch.setattr(config, name, counted)
+        root = Path(__file__).resolve().parent.parent
+        cfg = load_config(str(root / "configs" / "shift_gapped.yaml"))
+        assert build_system(cfg) is build_system(cfg)
+        assert build_cocycle(cfg) is build_cocycle(cfg)
+        assert build_family(cfg) is build_family(cfg)
+        assert build_family(cfg).base is build_cocycle(cfg)
+        assert sorted(calls) == sorted(readers)
 
     def test_family_requires_section(self):
         with pytest.raises(ConfigError, match="perturbation"):
