@@ -15,7 +15,6 @@ from .base import (
     ShiftSystem,
     TorusSystem,
     apply_f,
-    base_distance,
     sample_points,
 )
 from .cocycle import (

@@ -283,15 +283,6 @@ class ShiftPoint:
     def horizon(self) -> int:
         return (self.window.size - 1) // 2
 
-    @property
-    def future_horizon(self) -> int:
-        """Largest relative index readable forward of the current position."""
-        return self.horizon - self.offset
-
-    @property
-    def past_horizon(self) -> int:
-        return self.horizon + self.offset
-
     def symbol(self, i: int) -> int:
         j = self.offset + i
         if abs(j) > self.horizon:
@@ -402,26 +393,6 @@ def apply_f(sys: BaseSystem, x: BasePoint, j: int = 1) -> BasePoint:
             wrap_unit(step[1, 0] * u + step[1, 1] * v),
         )
     return TorusPoint(u, v)
-
-
-def base_distance(sys: BaseSystem, x: BasePoint, y: BasePoint) -> float:
-    if isinstance(sys, ShiftSystem):
-        common = min(
-            x.future_horizon, x.past_horizon, y.future_horizon, y.past_horizon
-        )
-        if common < 0:
-            raise HorizonExceeded("windows share no common index range")
-        cx = x.horizon + x.offset
-        cy = y.horizon + y.offset
-        xs = x.window[cx - common : cx + common + 1]
-        ys = y.window[cy - common : cy + common + 1]
-        mismatch = np.nonzero(xs != ys)[0]
-        if mismatch.size == 0:
-            # Windows agree on everything both can see.
-            return 0.0
-        k = int(np.min(np.abs(mismatch - common)))
-        return sys.lambda0 ** k
-    return float(torus_distances(x.coords, y.coords))
 
 
 def torus_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

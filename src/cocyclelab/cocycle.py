@@ -17,7 +17,6 @@ from typing import Union
 import numpy as np
 
 from . import engine, mat2
-from .mat2 import DET_FLOOR
 from .base import (
     BaseSystem,
     BasePoint,
@@ -43,6 +42,15 @@ def _require_finite(values, what: str) -> None:
     would carry them to NaN results instead of an error."""
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{what} must be finite")
+
+
+def _require_regular(m: np.ndarray, what: str) -> None:
+    """Reject a matrix, or a table of them, that fails ``mat2.regular``;
+    the message opens with ``what`` and names a table's first bad entry."""
+    ok = mat2.regular(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1])
+    if not np.all(ok):
+        what = f"{what} entry {int(np.argmin(ok))}" if m.ndim == 3 else what
+        raise SingularValueError(f"{what} is singular to working precision or too large")
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,7 @@ class ConstantFactor:
         if m.shape != (2, 2):
             raise ConfigError("constant factor must be 2x2")
         _require_finite(m, "ConstantFactor matrix")
-        if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < DET_FLOOR:
-            raise SingularValueError("constant factor is singular")
+        _require_regular(m, "matrix")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -194,9 +201,8 @@ class ConstantCocycle:
         if m.shape != (2, 2):
             raise ConfigError("cocycle matrix must be 2x2")
         _require_finite(m, "ConstantCocycle matrix")
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if self.invertible and abs(det) < DET_FLOOR:
-            raise SingularValueError("constant cocycle matrix is singular")
+        if self.invertible:
+            _require_regular(m, "matrix")
         if not 0.0 < self.r <= 1.0:
             raise ConfigError("Holder exponent r must lie in (0, 1]")
         m = m.copy()
@@ -254,9 +260,8 @@ class LocallyConstantCocycle:
             )
         if not 0.0 < self.r <= 1.0:
             raise ConfigError("Holder exponent r must lie in (0, 1]")
-        dets = tab[:, 0, 0] * tab[:, 1, 1] - tab[:, 0, 1] * tab[:, 1, 0]
-        if self.invertible and np.any(np.abs(dets) < DET_FLOOR):
-            raise SingularValueError("locally constant table has a singular entry")
+        if self.invertible:
+            _require_regular(tab, "table")
         tab = tab.copy()
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
@@ -568,7 +573,8 @@ CocycleSpec = Union[
 
 
 def evaluate(a_spec: CocycleSpec, x: BasePoint) -> np.ndarray:
-    """The matrix A(x), with invertibility enforced to |det| >= 1e-12."""
+    """The matrix A(x); raises SingularValueError where it fails
+    ``mat2.regular``."""
     if isinstance(x, ShiftPoint):
         depth = a_spec.symbol_depth
         block = np.array(
@@ -583,7 +589,7 @@ def evaluate(a_spec: CocycleSpec, x: BasePoint) -> np.ndarray:
         [[float(np.asarray(va).ravel()[0]), float(np.asarray(vb).ravel()[0])],
          [float(np.asarray(vc).ravel()[0]), float(np.asarray(vd).ravel()[0])]]
     )
-    if abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) < DET_FLOOR:
+    if not mat2.regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1]):
         raise SingularValueError("cocycle value is singular at the given point")
     return m
 

@@ -42,8 +42,7 @@ from .cocycle import (
     TrigExpr,
 )
 from .continuity import PerturbationFamily
-from .errors import ConfigError
-from .mat2 import opnorm
+from .errors import ConfigError, SingularValueError
 
 _TRIG_KEYS = ("const", "lin_u", "lin_v", "sin_u", "cos_u", "sin_v", "cos_v")
 _ENTRIES = ("e00", "e01", "e10", "e11")
@@ -297,12 +296,17 @@ def _read_cocycle(c, base: dict) -> tuple[dict, CocycleSpec]:
     kinds = {**_MATRIX_KINDS, "pointwise": {"factors"}}
     kind = _kind(c, "cocycle", {k: keys | {"r"} for k, keys in kinds.items()})
     r = _number(c.get("r", 1.0), "cocycle.r")
-    if kind != "pointwise":
-        return _read_matrices(c, kind, "cocycle", base, r)
-    factors = c.get("factors")
-    if not isinstance(factors, list) or not factors:
-        raise ConfigError("cocycle.factors must be a nonempty list")
-    read = [_read_factor(f) for f in factors]
+    try:
+        if kind != "pointwise":
+            return _read_matrices(c, kind, "cocycle", base, r)
+        factors = c.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise ConfigError("cocycle.factors must be a nonempty list")
+        read = [_read_factor(f) for f in factors]
+    except SingularValueError as err:
+        # a matrix fails mat2.regular; the spec names it ("matrix", "table entry i")
+        where = "factor" if kind == "pointwise" else "cocycle"
+        raise ConfigError(f"{where}.{err}") from err
     if base["kind"] != "torus":
         raise ConfigError("pointwise cocycles need a torus base")
     out = {"kind": kind, "factors": [data for data, _ in read], "r": r}
@@ -331,10 +335,6 @@ def _read_matrices(d: dict, kind: str, where: str, base: dict, r: float | None):
     extra = {"r": r} if invertible else {}
     if kind == "constant":
         matrix = _float_matrix(d.get("matrix"), f"{where}.matrix")
-        # a constant cocycle's exponents come from its norm, which squares the entries
-        with np.errstate(over="ignore", invalid="ignore"):
-            if invertible and not np.isfinite(opnorm(_np(matrix))):
-                raise ConfigError(f"{where}.matrix is too large: its norm overflows")
         spec = ConstantCocycle(matrix=_np(matrix), invertible=invertible, **extra)
         return {"kind": kind, "matrix": matrix, **extra}, spec
     tab = d.get("table")

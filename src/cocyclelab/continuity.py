@@ -37,12 +37,11 @@ from .cocycle import (
     specialize,
 )
 from .errors import ConfigError, NoGap, SingularPerturbation, SingularValueError
-from .mat2 import DET_FLOOR, opnorm_batch
+from .mat2 import regular
 from .oseledets import stable_directions, unstable_directions
 from .spectrum import finite_time_exponents
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_EPS = np.finfo(float).eps
 # torus perturbations are checked on this many points per side of a grid
 _GRID_SIDE = 128
 
@@ -95,11 +94,11 @@ def perturbations(
     None where the perturbation is censored.
 
     Each is checked up front: exactly on tables, and over a torus on a
-    fixed coordinate grid, where a value that is not finite, a |det| below
-    ``DET_FLOOR``, a value singular to working precision (which an
-    overflowing operator norm is) or a det that takes both signs censors
-    it: an additive member can be singular, an exponential can overflow or
-    lose its determinant.  The torus is connected, so a continuous det of
+    fixed coordinate grid, where a value that fails ``mat2.regular`` (not
+    finite, singular to working precision, or too large for its squared
+    Frobenius norm) or a det that takes both signs censors it: an additive
+    member can be singular, an exponential can overflow or lose its
+    determinant.  The torus is connected, so a continuous det of
     both signs vanishes on a curve, however far from 0 it stays on the
     grid.  The grid is walked once for every size, as one
     ``StackedCocycle`` whose rows are bitwise each member's own, so a size
@@ -120,7 +119,7 @@ def perturbations(
     uu, vv = np.meshgrid(side, side)
     coords = np.column_stack([uu.ravel(), vv.ravel()])
     stack = StackedCocycle(tuple(specs))
-    regular = np.ones(stack.rows, dtype=bool)
+    keep = np.ones(stack.rows, dtype=bool)
     width = max(1, STACK_BLOCK // stack.rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # every grid det must share the sign of the first
@@ -128,16 +127,12 @@ def perturbations(
         sign = np.sign(a * d - b * c)
         for lo in range(0, coords.shape[0], width):
             a, b, c, d = stack.values_at_coords(coords[lo : lo + width])
+            # below the rule the computed det is rounding noise that can
+            # land on 0 along an orbit
             det = a * d - b * c
-            abs_det = np.abs(det)
-            nrm = opnorm_batch(a, b, c, d)
-            # |det| / |M|^2 is the ratio of the singular values; below eps
-            # the value is singular to working precision, its computed det
-            # rounding noise that can land on 0 along an orbit.  It is 0 or
-            # NaN where the norm overflows, and NaN fails every comparison.
-            ok = (abs_det >= DET_FLOOR) & (abs_det / nrm / nrm >= _EPS)
-            regular &= (ok & (np.sign(det) == sign)).all(axis=1)
-    return [spec if keep else None for spec, keep in zip(specs, regular)]
+            ok = regular(a, b, c, d, det) & (np.sign(det) == sign)
+            keep &= ok.all(axis=1)
+    return [spec if k else None for spec, k in zip(specs, keep)]
 
 
 def perturb(

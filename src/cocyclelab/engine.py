@@ -45,7 +45,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import mat2
-from .mat2 import DET_FLOOR
 from .base import (
     BasePoint,
     BaseSystem,
@@ -220,10 +219,11 @@ def values(spec, sys: BaseSystem, batch: Batch):
     return next(_orbit_values(spec, sys, batch, 1, backward=False))
 
 
-def _require_regular(low_det: np.ndarray) -> None:
-    """Raise if any step absorbed had |det| below the floor or NaN; low_det
-    is the running minimum of |det| per sample, which keeps a NaN."""
-    if not np.all(low_det >= DET_FLOOR):
+def _require_regular(regular) -> None:
+    """Raise unless every step absorbed passed ``mat2.regular``; regular is
+    the running minimum of that verdict per sample, True or 1.0 where every
+    step passed."""
+    if not np.all(regular):
         raise SingularValueError("cocycle value is singular along the orbit")
 
 
@@ -284,23 +284,29 @@ def _direction_scan(
         st, done = _identity_state(batch.size), 0
     else:
         st, done = head.start(batch, n, backward), head.k
-    low_det = np.inf
+    # a symbol table's steps are its entries: when they all pass the rule,
+    # every step does
+    hook = getattr(spec, "symbol_table", None)
+    table = None if hook is None else hook()
+    per_step = table is None or not np.all(mat2.regular(*table[0]))
+    regular = True
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
         values = _orbit_values(spec, sys, batch, n, backward, done)
         for j, (va, vb, vc, vd) in enumerate(values, done):
-            abs_det = np.abs(va * vd - vb * vc)
-            low_det = np.minimum(low_det, abs_det)
+            det = va * vd - vb * vc
+            if per_step:
+                regular = regular & mat2.regular(va, vb, vc, vd, det)
             if backward:
                 prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
             else:
                 prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
-            _renormalize(st, *prod, abs_det)
+            _renormalize(st, *prod, np.abs(det))
             if paths is not None:
                 paths[0][j] = st.log_scale
                 paths[1][j] = st.logdet
-    _require_regular(low_det)
+    _require_regular(regular)
     return st
 
 
@@ -476,28 +482,29 @@ def _log_norm(a, b, c, d, exps):
 
 # A factor is what exponent_scan absorbs, one step or one word of steps:
 # (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the
-# determinant product as (mantissa, exponent), and the smallest step |det|.
+# determinant product as (mantissa, exponent), and whether every step
+# passed ``mat2.regular`` (a bool, or 1.0 / 0.0 in a word table).
 def _identity_factor(size: int):
     one, zero = np.ones(size), np.zeros(size, dtype=np.int64)
-    return (one, 0.0, 0.0, one, zero, one, zero, np.inf)
+    return (one, 0.0, 0.0, one, zero, one, zero, True)
 
 
 def _step_factor(va, vb, vc, vd):
     """One step A as a factor."""
     sdet = va * vd - vb * vc
-    return (va, vb, vc, vd, 0, sdet, 0, np.abs(sdet))
+    return (va, vb, vc, vd, 0, sdet, 0, mat2.regular(va, vb, vc, vd, sdet))
 
 
 def _absorb(acc, factor):
     """The running product acc followed by one more factor, taken on the
     left; the product is rescaled by an exact power of two and the
     determinant is kept as a frexp mantissa and exponent."""
-    a, b, c, d, e, det, de, low = acc
-    fa, fb, fc, fd, fe, fdet, fde, flow = factor
+    a, b, c, d, e, det, de, regular = acc
+    fa, fb, fc, fd, fe, fdet, fde, fregular = factor
     a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
     e = _radix_scale(a, b, c, d, e + fe)
     det, k = np.frexp(det * fdet)
-    return a, b, c, d, e, det, de + k + fde, np.minimum(low, flow)
+    return a, b, c, d, e, det, de + k + fde, np.minimum(regular, fregular)
 
 
 # A word table covers at most WORD_SPAN words: the word length k is the
@@ -608,8 +615,8 @@ def exponent_scan(
     acc = _identity_factor(batch.size)
     for factor in factors:
         acc = _absorb(acc, factor)
-    a, b, c, d, exps, det, det_exps, low_det = acc
-    _require_regular(low_det)
+    a, b, c, d, exps, det, det_exps, regular = acc
+    _require_regular(regular)
     return _log_norm(a, b, c, d, exps), det_exps * _LN2 + np.log(np.abs(det))
 
 

@@ -5,6 +5,11 @@ variants, as four entry arrays ``(a, b, c, d)`` for ``[[a, b], [c, d]]``
 with an arbitrary leading sample shape.  Operator norms and singular
 directions come from the eigensystem of ``M^T M`` in closed form; nothing
 here iterates.
+
+``regular`` is the lab's one invertibility rule: |det| >= eps |A|_F^2 with
+|A|_F^2 nonzero and below 2**511, that is sigma2 / sigma1 >= eps up to a
+factor of 2.  It is scale-free: A and 2**k A pass or fail it alike, for any
+k that keeps the entries below about 2**255.
 """
 
 from __future__ import annotations
@@ -14,8 +19,11 @@ import numpy as np
 # Below this squared-frequency threshold the exponential uses its series
 # branch; the error of the 2-term series is O(w^4) ~ 1e-24 there.
 _EXPM_SERIES_CUT = 1e-12
-# A matrix with |det| below this floor counts as singular everywhere in the lab.
-DET_FLOOR = 1e-12
+# ``regular`` admits |det| down to this share of the squared Frobenius norm
+_EPS = np.finfo(float).eps
+# and a squared Frobenius norm s below this, so that s * s is finite: the
+# squares of squares that opnorm_batch forms then stay finite too
+_FROB2_MAX = 2.0**511
 
 
 def matmul_batch(a1, b1, c1, d1, a2, b2, c2, d2):
@@ -32,8 +40,18 @@ def matvec_batch(a, b, c, d, vx, vy):
     return a * vx + b * vy, c * vx + d * vy
 
 
-def det_batch(a, b, c, d):
-    return a * d - b * c
+def regular(a, b, c, d, det=None):
+    """True where [[a, b], [c, d]] is invertible to working precision: the
+    squared Frobenius norm s is nonzero and below 2**511 (entries below
+    about 2**255, the range of ``opnorm_batch``) and |det| / s >= eps.  A
+    caller that has already formed det = a d - b c may pass it.  A NaN or
+    infinite entry, a zero matrix or an overflowing s gives a ratio of 0 or
+    NaN and fails, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if det is None:
+            det = a * d - b * c
+        s = a * a + b * b + c * c + d * d
+        return (np.abs(det) / s >= _EPS) & (s < _FROB2_MAX)
 
 
 def adjugate_batch(a, b, c, d):
@@ -161,17 +179,12 @@ def expm(m: np.ndarray) -> np.ndarray:
     return np.array([[ea, eb], [ec, ed]], dtype=float)
 
 
-def rotation(theta: float) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array([[ct, -st], [st, ct]], dtype=float)
-
-
 def inverse(m: np.ndarray) -> np.ndarray:
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if det == 0.0:
+    if not regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1]):
         from .errors import SingularValueError
 
-        raise SingularValueError("2x2 matrix is exactly singular")
+        raise SingularValueError("2x2 matrix is singular to working precision")
+    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     return np.array(
         [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float
     ) / det

@@ -24,7 +24,6 @@ from . import engine, mat2
 from .base import BasePoint, BaseSystem, ShiftDraw, TorusDraw
 from .cocycle import CocycleSpec, _constant_power
 from .errors import ConfigError, NoGap, SingularValueError
-from .mat2 import DET_FLOOR
 
 _CONFORMAL_GAP = np.log1p(1e-6)
 
@@ -207,7 +206,7 @@ def equivariance_residuals(
     if not (np.all(ok) and np.all(ok2)):
         raise NoGap("conformal window product while measuring equivariance")
     va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, points))
-    if np.any(np.abs(va * vd - vb * vc) < DET_FLOOR):
+    if not np.all(mat2.regular(va, vb, vc, vd)):
         raise SingularValueError("cocycle value is singular at a sample point")
     dx, dy = _lines(vx, vy)
     px, py = _lines(va * dx + vb * dy, vc * dx + vd * dy)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cocyclelab import engine, mat2
+from cocyclelab import engine
 from cocyclelab.base import apply_f, sample_points
 from cocyclelab.cli import main as cli_main
 from cocyclelab.cocycle import (
@@ -39,13 +39,14 @@ from cocyclelab.projective import (
     integrate_phi,
 )
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
+from oracles import rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
 
 def gapped_shift_spec():
     d = np.diag([1.2, 1.0 / 1.2])
-    return LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+    return LocallyConstantCocycle(table=np.array([d, rotation(0.1) @ d]))
 
 
 def pointwise_torus_spec():

@@ -17,11 +17,11 @@ from cocyclelab.base import (
     TorusPoint,
     TorusSystem,
     apply_f,
-    base_distance,
     sample_points,
 )
 from cocyclelab.cocycle import _HolderSample
 from cocyclelab.errors import CocycleLabError, ConfigError, HorizonExceeded
+from oracles import base_distance
 
 
 def wpoint(*symbols, offset=0):

@@ -70,6 +70,24 @@ FAST_TORUS = {
 COMMANDS = ("lyapunov", "oseledets", "bunching", "projective", "continuity", "selftest")
 
 
+def with_cocycle(data, **cocycle):
+    """``data`` with keys of its cocycle section replaced."""
+    return {**data, "cocycle": {**data["cocycle"], **cocycle}}
+
+
+def scaled_back(data):
+    """``data`` with its cocycle matrices times 2**30 (the table, the
+    constant matrix or the constant factor)."""
+    c = data["cocycle"]
+    if "table" in c:
+        return with_cocycle(data, table=np.ldexp(c["table"], 30).tolist())
+    if "matrix" in c:
+        return with_cocycle(data, matrix=np.ldexp(c["matrix"], 30).tolist())
+    rot, const = c["factors"]
+    scaled = {**const, "matrix": np.ldexp(const["matrix"], 30).tolist()}
+    return with_cocycle(data, factors=[rot, scaled])
+
+
 @pytest.fixture
 def shift_cfg(tmp_path):
     path = tmp_path / "shift.yaml"
@@ -522,7 +540,7 @@ class TestExitCodes:
         assert np.allclose(b_n, 2.0 ** np.arange(1, 41), rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["lyapunov", "oseledets"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
         "data, key",
         [
@@ -536,8 +554,28 @@ class TestExitCodes:
             ({"base": FAST_SHIFT["base"],
               "cocycle": {"kind": "constant", "matrix": [[1.0e300, 0.0], [0.0, 0.84]]}},
              "cocycle.matrix"),
+            # a table entry of rank one
+            (with_cocycle(FAST_SHIFT, table=[FAST_SHIFT["cocycle"]["table"][0],
+                                             [[1.0, 2.0], [2.0, 4.0]]]),
+             "cocycle.table"),
+            # a table entry of 1e300: sigma2 / sigma1 is 7e-301
+            (with_cocycle(FAST_SHIFT, table=[[[1.0e300, 0.0], [0.0, 1 / 1.2]],
+                                             FAST_SHIFT["cocycle"]["table"][1]]),
+             "cocycle.table"),
+            # a torus cocycle's constant factor with an entry of 1e300
+            (with_cocycle(FAST_TORUS, factors=[
+                FAST_TORUS["cocycle"]["factors"][0],
+                {"kind": "constant", "matrix": [[1.0e300, 0.0], [0.0, 1 / 1.5]]},
+            ]), "factor.matrix"),
+            # shift_bunched's matrix times 2**300: regular in ratio, but its
+            # norm's squares of squares overflow
+            ({"base": FAST_SHIFT["base"],
+              "cocycle": {"kind": "constant", "matrix": np.ldexp(
+                  [[1.189207115002721, 0.0], [0.0, 0.8408964152537145]], 300).tolist()}},
+             "cocycle.matrix"),
         ],
-        ids=["alphabet_size", "torus_matrix", "constant_matrix"],
+        ids=["alphabet_size", "torus_matrix", "constant_matrix", "singular_table",
+             "table_entry", "torus_factor", "constant_2**300"],
     )
     def test_value_out_of_range_is_2(self, command, data, key, tmp_path, capsys):
         path = tmp_path / "big.yaml"
@@ -547,6 +585,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "data",
+        [
+            with_cocycle(FAST_SHIFT, table=np.ldexp(FAST_SHIFT["cocycle"]["table"], -30).tolist()),
+            with_cocycle(FAST_TORUS, factors=[
+                FAST_TORUS["cocycle"]["factors"][0],
+                {"kind": "constant", "matrix": np.ldexp(np.diag([1.5, 1 / 1.5]), -30).tolist()},
+            ]),
+            {"base": FAST_SHIFT["base"], "budgets": FAST_SHIFT["budgets"],
+             "cocycle": {"kind": "constant",
+                         "matrix": np.ldexp(np.diag([1.189207115002721, 0.8408964152537145]), -30).tolist()}},
+        ],
+        ids=["table", "torus_factor", "constant"],
+    )
+    def test_scaled_down_config_is_0(self, data, tmp_path, capsys):
+        # 2**-30 times a shipped cocycle has |det| near 1e-18 and the same
+        # singular value ratio: the same directions, exponents shifted by
+        # -30 log 2
+        bodies = []
+        for name, cfg in (("scaled", data), ("plain", scaled_back(data))):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            out = tmp_path / name
+            for command in ("lyapunov", "oseledets"):
+                assert run([command, "--config", str(path), "--out", str(out)]) == 0
+            bodies.append((out / "oseledets.csv").read_text().splitlines()[1:])
+            lines = (out / "lyapunov.csv").read_text().splitlines()
+            bodies.append(float(lines[2].split(",")[0]))
+        assert capsys.readouterr().err == ""
+        assert bodies[0] == bodies[2]
+        assert bodies[1] == pytest.approx(bodies[3] - 30 * np.log(2.0), rel=1e-14)
 
     def test_bunched_is_0(self, tmp_path, capsys):
         path = str(CONFIG_DIR / "shift_bunched.yaml")

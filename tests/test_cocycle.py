@@ -12,7 +12,6 @@ from cocyclelab.base import (
     ShiftSystem,
     TorusPoint,
     apply_f,
-    base_distance,
     sample_points,
 )
 from cocyclelab.cocycle import (
@@ -39,6 +38,7 @@ from cocyclelab.config import build_cocycle, load_config
 from cocyclelab.errors import ConfigError, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
+from oracles import base_distance, rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 # a Holder norm is the Holder distance to the zero map
@@ -180,11 +180,24 @@ class TestSpecs:
 
 class TestEvaluate:
     def test_locally_constant_reads_first_symbol(self, shift2):
-        spec = two_table(DIAG2, mat2.rotation(0.5))
+        spec = two_table(DIAG2, rotation(0.5))
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
         assert np.array_equal(evaluate(spec, x), DIAG2)
         y = apply_f(shift2, x, 1)
-        assert np.allclose(evaluate(spec, y), mat2.rotation(0.5))
+        assert np.allclose(evaluate(spec, y), rotation(0.5))
+
+    @pytest.mark.filterwarnings("error")
+    def test_regularity_rule(self, shift2):
+        # the value read fails the rule whatever its size: a rank-one entry
+        # and a noise determinant raise, a tiny but regular one passes
+        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
+        for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-17])):
+            spec = LocallyConstantCocycle(table=np.array([DIAG2, bad]), invertible=False)
+            with pytest.raises(SingularValueError):
+                evaluate(spec, x)
+            assert np.array_equal(evaluate(spec, apply_f(shift2, x, -1)), DIAG2)
+        tiny = np.ldexp(DIAG2, -60)
+        assert np.array_equal(evaluate(two_table(DIAG2, tiny), x), tiny)
 
     def test_depth_two_word_order(self):
         mats = [np.diag([float(k + 1), 1.0]) for k in range(4)]
@@ -203,7 +216,7 @@ class TestEvaluate:
         x = TorusPoint(0.2, 0.7)
         th = 0.4 * np.sin(2 * np.pi * 0.2)
         d1 = np.exp(0.3 * np.cos(2 * np.pi * 0.7))
-        ref = mat2.rotation(th) @ np.diag([d1, 1.0])
+        ref = rotation(th) @ np.diag([d1, 1.0])
         assert np.allclose(evaluate(spec, x), ref, rtol=1e-14)
 
     def test_perturbed_multiplicative(self, cat):
@@ -218,7 +231,7 @@ class TestEvaluate:
         assert pert.r == base.r
 
     def test_perturbed_additive(self, shift2):
-        base = two_table(DIAG2, mat2.rotation(0.3))
+        base = two_table(DIAG2, rotation(0.3))
         fld = LocallyConstantCocycle(
             table=np.array([np.eye(2), np.zeros((2, 2))]),
             invertible=False,
@@ -228,7 +241,7 @@ class TestEvaluate:
         assert np.allclose(evaluate(pert, x), DIAG2 + 0.1 * np.eye(2))
 
     def test_wrong_base_kind(self, cat, shift2):
-        lc = two_table(DIAG2, mat2.rotation(0.3))
+        lc = two_table(DIAG2, rotation(0.3))
         with pytest.raises(ConfigError):
             evaluate(lc, TorusPoint(0.1, 0.1))
         pw = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=1.0)),))
@@ -240,7 +253,7 @@ class TestProducts:
     def test_cocycle_identity_shift(self, shift2):
         spec = two_table(
             np.array([[1.2, 0.0], [0.0, 1 / 1.2]]),
-            mat2.rotation(0.1) @ np.array([[1.2, 0.0], [0.0, 1 / 1.2]]),
+            rotation(0.1) @ np.array([[1.2, 0.0], [0.0, 1 / 1.2]]),
         )
         pts = sample_points(shift2, 10, 45, seed=3)
         rng = np.random.default_rng(4)
@@ -274,7 +287,7 @@ class TestProducts:
         # unit-norm product and log scale, the exponent scan's log norm, and
         # log sigma1 - log |det| = log |A^-n| against the product of step
         # inverses
-        spec = two_table(DIAG2, mat2.rotation(0.7) @ DIAG2)
+        spec = two_table(DIAG2, rotation(0.7) @ DIAG2)
         pts = sample_points(shift2, 5, 40, seed=7)
         # long mixed-rotation products are badly conditioned, so the
         # entrywise agreement between differently grouped float products
@@ -343,7 +356,7 @@ class TestProducts:
     def test_renormalized_scale_shift(self, shift2):
         # scaling the generator by c shifts log_scale by n log c and leaves
         # the normalized part unchanged; exact for dyadic c.
-        base = two_table(DIAG2, mat2.rotation(0.4) @ DIAG2)
+        base = two_table(DIAG2, rotation(0.4) @ DIAG2)
         pts = sample_points(shift2, 1, 30, seed=9)
 
         def scans(spec):
@@ -356,7 +369,7 @@ class TestProducts:
 
         n0, *logs0 = scans(base)
         for c, exact in ((2.0, True), (0.5, True), (3.0, False)):
-            n1, *logs1 = scans(two_table(c * DIAG2, c * (mat2.rotation(0.4) @ DIAG2)))
+            n1, *logs1 = scans(two_table(c * DIAG2, c * (rotation(0.4) @ DIAG2)))
             if exact:
                 assert np.array_equal(n0, n1)
             else:
@@ -375,7 +388,7 @@ class TestHolderNorm:
 
     def test_locally_constant_depth_one(self, shift2):
         m0 = DIAG2
-        m1 = mat2.rotation(0.2)
+        m1 = rotation(0.2)
         rep = holder_norm_of(two_table(m0, m1), shift2)
         assert rep.exact
         assert rep.sup_norm == pytest.approx(2.0)
@@ -402,8 +415,8 @@ class TestHolderNorm:
         assert rep.holder_constant >= 0.9 * lipschitz
 
     def test_distance_exact_tables(self, shift2):
-        a = two_table(DIAG2, mat2.rotation(0.3))
-        b = two_table(DIAG2, mat2.rotation(0.3))
+        a = two_table(DIAG2, rotation(0.3))
+        b = two_table(DIAG2, rotation(0.3))
         rep = holder_distance_of(a, b, shift2)
         assert rep.exact and rep.norm == 0.0
         fld = LocallyConstantCocycle(
@@ -604,9 +617,9 @@ class TestStacked:
     """Row m of a stacked hook is bitwise member m's own hook output."""
 
     def test_table_rows(self, shift2):
-        base = two_table(DIAG2, mat2.rotation(0.3) @ DIAG2)
+        base = two_table(DIAG2, rotation(0.3) @ DIAG2)
         deep = LocallyConstantCocycle(
-            table=np.array([mat2.rotation(0.1 * k) @ DIAG2 for k in range(4)]),
+            table=np.array([rotation(0.1 * k) @ DIAG2 for k in range(4)]),
             depth=2, alphabet_size=2,
         )
         stacked = StackedCocycle((base, deep, base))
@@ -650,7 +663,7 @@ def mixed_depth(rule: str, deep_base: bool) -> PerturbedCocycle:
     gapped = load_config("configs/shift_gapped.yaml")
     shallow_table = build_cocycle(gapped)
     deep_table = LocallyConstantCocycle(
-        table=np.array([mat2.rotation(0.1 * k) @ DIAG2 for k in range(4)]),
+        table=np.array([rotation(0.1 * k) @ DIAG2 for k in range(4)]),
         depth=2, alphabet_size=2,
     )
     shallow_field = LocallyConstantCocycle(
@@ -784,7 +797,7 @@ class TestBunching:
 
     def test_sampled_verdict(self, shift2):
         d = np.diag([1.2, 1.0 / 1.2])
-        spec = two_table(d, mat2.rotation(0.1) @ d)
+        spec = two_table(d, rotation(0.1) @ d)
         rep = bunching_check(spec, shift2, n_max=40, x_samples=32, seed=1)
         assert not rep.exact
         assert rep.verdict == "bunched"

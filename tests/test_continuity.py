@@ -30,6 +30,7 @@ from cocyclelab.continuity import (
 from cocyclelab.errors import ConfigError, SingularPerturbation
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import lyapunov_exponents
+from oracles import rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -41,7 +42,7 @@ def constant_direction(m):
 
 def gapped_spec():
     d = np.diag([1.2, 1.0 / 1.2])
-    return LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+    return LocallyConstantCocycle(table=np.array([d, rotation(0.1) @ d]))
 
 
 class TestFamily:
@@ -98,16 +99,27 @@ class TestPerturb:
         base = PointwiseCocycle(
             factors=(RotationFactor(angle=TrigExpr(lin_u=2.0 * np.pi)),)
         )
-        # rotations have det 1; subtracting the identity at t=1 hits a
-        # singular matrix wherever the angle passes 0
+        # rotations have det 1; subtracting the identity at t = -1 gives
+        # the zero matrix where the angle passes 0, a grid point
         field = PointwiseEntriesField(
             e00=TrigExpr(const=1.0), e01=TrigExpr(), e10=TrigExpr(),
             e11=TrigExpr(const=1.0),
         )
         with pytest.raises(SingularPerturbation):
-            perturb(base, field, -1.0 + 1e-15, "additive", cat)
-        spec = perturb(base, field, 0.25, "additive", cat)
-        assert isinstance(spec, PerturbedCocycle)
+            perturb(base, field, -1.0, "additive", cat)
+        # subtracting diag(1, 0) one ulp short of t = -1 leaves
+        # sigma2 / sigma1 = 2**-53 there: singular to working precision,
+        # though the det, 1 + t cos(angle), never vanishes
+        corner = PointwiseEntriesField(
+            e00=TrigExpr(const=1.0), e01=TrigExpr(), e10=TrigExpr(), e11=TrigExpr(),
+        )
+        with pytest.raises(SingularPerturbation):
+            perturb(base, corner, -1.0 + 2.0**-53, "additive", cat)
+        # the identity 1e-15 short of t = -1 leaves a scaled rotation at
+        # every point, 1e-15 I at angle 0: conformal, so regular at any size
+        for t in (-1.0 + 1e-15, 0.25):
+            spec = perturb(base, field, t, "additive", cat)
+            assert isinstance(spec, PerturbedCocycle)
 
     def test_torus_multiplicative_passes_through(self, cat):
         base = ConstantCocycle(matrix=DIAG2)
@@ -151,9 +163,10 @@ class TestTorusGridCheck:
             perturb(shipped_torus_base(), steep_direction(), 2.0**-7, "multiplicative_exp", cat)
 
     def test_noise_determinant_is_seen(self, cat):
-        # at t = 1/128 the grid's smallest |det| is far above the floor,
-        # though the true det is 1: the value is singular to working
-        # precision, and an orbit point rounds its det to 0
+        # at t = 1/128 the computed |det| is mostly in the tens, though the
+        # true det is 1: every value is singular to working precision
+        # (|det| below eps times its squared norm), and an orbit point
+        # rounds its det to 0
         spec = PerturbedCocycle(
             base=shipped_torus_base(), direction=steep_direction(), t=2.0**-7,
             rule="multiplicative_exp",
@@ -165,12 +178,14 @@ class TestTorusGridCheck:
             engine.step(cat, batch, -1)
             a, b, c, d = spec.values_at_coords(batch.coords)
             low = min(low, float(np.min(np.abs(a * d - b * c))))
-        assert low < mat2.DET_FLOOR
+            assert not np.any(mat2.regular(a, b, c, d))
+        assert low == 0.0
 
     def test_sign_changing_determinant_censored(self, cat):
         # det(A + t diag(0, -1.3533)) = 1 - 2.03 t cos(phi) for the shipped
         # base: at t = 1/2 it takes both signs on the grid without coming
-        # near the floor there, so it vanishes on a curve between grid points
+        # near the regularity rule there, so it vanishes on a curve between
+        # grid points
         field = PointwiseEntriesField(
             e00=TrigExpr(), e01=TrigExpr(), e10=TrigExpr(),
             e11=TrigExpr(const=-1.3533),
@@ -186,7 +201,9 @@ class TestTorusGridCheck:
         a, b, c, d = raw.values_at_coords(np.column_stack([uu.ravel(), vv.ravel()]))
         det = a * d - b * c
         assert det.min() < 0.0 < det.max()
-        assert np.abs(det).min() > 1e3 * mat2.DET_FLOOR
+        ratio = np.abs(det) / (a * a + b * b + c * c + d * d)
+        assert ratio.min() > 1e3 * np.finfo(float).eps
+        assert np.all(mat2.regular(a, b, c, d))
 
     @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
     def test_family_verdicts_match_alone(self, cat, rule):
@@ -244,7 +261,7 @@ class TestGoodSet:
         # at t = 1 the additive member is the table turned by a quarter
         # turn, which swaps the expanding and contracting axes and moves
         # both directions by about a quarter turn everywhere
-        rot = mat2.rotation(np.pi / 2.0)
+        rot = rotation(np.pi / 2.0)
         direction = LocallyConstantCocycle(
             table=np.array([rot @ m - m for m in spec.table]), invertible=False
         )
@@ -469,7 +486,7 @@ def shift_family():
     base = gapped_spec()
     a0, a1 = base.table
     direction = LocallyConstantCocycle(
-        table=np.array([mat2.rotation(0.3) - a0, -0.5 * a1]), invertible=False
+        table=np.array([rotation(0.3) - a0, -0.5 * a1]), invertible=False
     )
     return PerturbationFamily(
         base=base, direction=direction, rule="additive",

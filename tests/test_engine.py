@@ -33,12 +33,13 @@ from cocyclelab.cocycle import (
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
+from oracles import rotation
 
 D = np.diag([2.0, 0.5])
 
 
 def lc_spec():
-    return LocallyConstantCocycle(table=np.array([D, mat2.rotation(0.6) @ D]))
+    return LocallyConstantCocycle(table=np.array([D, rotation(0.6) @ D]))
 
 
 class TestBatches:
@@ -346,7 +347,7 @@ class TestBlockWidth:
 
 def depth2_spec():
     """Reads two symbols per step, so the window edge differs from n."""
-    r = mat2.rotation(0.4)
+    r = rotation(0.4)
     return LocallyConstantCocycle(
         table=np.array([D, r @ D, D @ r, r @ D @ r]), depth=2, alphabet_size=2
     )
@@ -437,6 +438,25 @@ class TestSingularSteps:
         # the singular symbol sits two steps ahead and two steps behind
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
         batch = engine.batch_of(shift2, pts * 3)
+        with pytest.raises(SingularValueError):
+            getattr(engine, scan)(spec, shift2, batch, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scan", ["forward_scan", "backward_scan", "forward_record", "exponent_scan"]
+    )
+    def test_singular_entry_never_read_passes(self, shift2, scan):
+        # the rule holds on every step, so a table entry no step reads is
+        # no reason to raise; the same entry read once raises
+        spec = LocallyConstantCocycle(
+            table=np.array([D, np.zeros((2, 2))]), invertible=False
+        )
+        pts = [ShiftPoint(window=np.zeros(9, dtype=np.int16))]
+        batch = engine.batch_of(shift2, pts * 3)
+        getattr(engine, scan)(spec, shift2, batch, 4)
+        window = np.zeros(9, dtype=np.int16)
+        window[4 + (-4 if scan == "backward_scan" else 3)] = 1
+        batch = engine.batch_of(shift2, [ShiftPoint(window=window)] * 3)
         with pytest.raises(SingularValueError):
             getattr(engine, scan)(spec, shift2, batch, 4)
 

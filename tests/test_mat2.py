@@ -9,6 +9,7 @@ import pytest
 
 from cocyclelab import mat2
 from cocyclelab.errors import SingularValueError
+from oracles import rotation
 
 
 def random_entries(count, seed, scale=1.0):
@@ -153,7 +154,7 @@ class TestExpm:
     def test_rotation_generator(self):
         th = 0.7
         got = mat2.expm(np.array([[0.0, -th], [th, 0.0]]))
-        assert np.allclose(got, mat2.rotation(th), atol=1e-15)
+        assert np.allclose(got, rotation(th), atol=1e-15)
 
     def test_near_degenerate_series_branch(self):
         # w2 ~ 1e-13 sits below the series cut; compare with the oracle.
@@ -310,7 +311,7 @@ class TestInverseAdjugate:
     def test_adjugate_identity(self):
         a, b, c, d = random_entries(100, seed=6)
         aa, ab, ac, ad = mat2.adjugate_batch(a, b, c, d)
-        det = mat2.det_batch(a, b, c, d)
+        det = a * d - b * c
         pa, pb, pc, pd = mat2.matmul_batch(a, b, c, d, aa, ab, ac, ad)
         assert np.allclose(pa, det) and np.allclose(pd, det)
         assert np.allclose(pb, 0.0, atol=1e-12) and np.allclose(pc, 0.0, atol=1e-12)
@@ -323,14 +324,82 @@ class TestInverseAdjugate:
         assert np.allclose(na, nm, rtol=1e-12)
 
 
+EPS = np.finfo(float).eps
+
+
+class TestRegular:
+    """The one invertibility rule: |det| >= eps |A|_F^2 with a finite,
+    nonzero squared Frobenius norm."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "m, ok",
+        [
+            # diag(1, delta): |A|_F^2 rounds to 1, so |det| / |A|_F^2 = delta
+            (np.diag([1.0, 1.01 * EPS]), True),
+            (np.diag([1.0, 0.99 * EPS]), False),
+            (np.ldexp(np.eye(2), 254), True),
+            (np.ldexp(np.eye(2), -500), True),
+            (np.zeros((2, 2)), False),
+            (np.diag([np.nan, 1.0]), False),
+            (np.diag([np.inf, 1.0]), False),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), False),
+            # |A|_F^2 of 2**511 and up: past the range where opnorm_batch's
+            # squares of squares stay finite
+            (np.ldexp(np.eye(2), 255), False),
+            (np.ldexp(np.eye(2), 500), False),
+            # finite entries whose squared norm overflows
+            (np.ldexp(np.eye(2), 512), False),
+            (np.array([[1.0, 2.0], [2.0, 4.0]]), False),
+        ],
+        ids=[
+            "eps*1.01", "eps*0.99", "2**254 I", "2**-500 I", "zero", "nan", "inf",
+            "inf-off-diagonal", "2**255 I", "2**500 I", "norm-overflows",
+            "rank-one",
+        ],
+    )
+    def test_boundary(self, m, ok):
+        got = mat2.regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        assert got == ok
+        # the batched form gives the same verdict, row by row
+        batch = mat2.regular(*(np.array([x, 1.0]) for x in m.ravel()))
+        assert batch.tolist() == [ok, False]
+        # a passing matrix has a finite norm
+        if ok:
+            assert np.isfinite(mat2.opnorm(m))
+
+    @pytest.mark.filterwarnings("error")
+    def test_det_passed_in_is_the_det(self):
+        a, b, c, d = random_entries(2000, seed=13)
+        d = b * c / a + np.geomspace(1e-18, 1e-13, a.size) * np.abs(a)
+        ref = mat2.regular(a, b, c, d)
+        assert np.array_equal(mat2.regular(a, b, c, d, a * d - b * c), ref)
+
+    @pytest.mark.parametrize("k", [-200, -30, 0, 30, 200])
+    def test_scale_free(self, k):
+        a, b, c, d = random_entries(2000, seed=12)
+        # a spread of ratios on both sides of eps
+        d = b * c / a + np.geomspace(1e-18, 1e-13, a.size) * np.abs(a)
+        ref = mat2.regular(a, b, c, d)
+        assert 0 < ref.sum() < ref.size
+        scaled = mat2.regular(*(np.ldexp(x, k) for x in (a, b, c, d)))
+        assert np.array_equal(scaled, ref)
+
+    def test_inverse_rejects_noise_determinant(self):
+        with pytest.raises(SingularValueError):
+            mat2.inverse(np.diag([1.0, 0.5 * EPS]))
+        # scale alone is no reason to refuse
+        assert mat2.inverse(np.ldexp(np.eye(2), -60))[0, 0] == 2.0**60
+
+
 class TestRotation:
     def test_orthogonal(self):
-        r = mat2.rotation(1.234)
+        r = rotation(1.234)
         assert np.allclose(r @ r.T, np.eye(2), atol=1e-15)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_turn(self):
-        r = mat2.rotation(math.pi / 2)
+        r = rotation(math.pi / 2)
         assert np.allclose(r, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-15)
 
 

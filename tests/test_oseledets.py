@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import mat2, oseledets
+from cocyclelab import oseledets
 from cocyclelab.base import TorusPoint, apply_f, sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
@@ -26,6 +26,7 @@ from cocyclelab.oseledets import (
     unstable_direction,
     unstable_directions,
 )
+from oracles import rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -87,7 +88,7 @@ class TestConstantCocycles:
         assert projective_distance(pushed, eu) < 1e-12
 
     def test_conformal_raises(self, shift2):
-        spec = ConstantCocycle(matrix=mat2.rotation(0.7))
+        spec = ConstantCocycle(matrix=rotation(0.7))
         pts = sample_points(shift2, 1, 2, seed=1)
         with pytest.raises(NoGap):
             unstable_direction(spec, shift2, pts[0], depth=30)
@@ -98,7 +99,7 @@ class TestConstantCocycles:
 class TestSampledCocycles:
     def spec(self):
         d = np.diag([1.2, 1.0 / 1.2])
-        return LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+        return LocallyConstantCocycle(table=np.array([d, rotation(0.1) @ d]))
 
     def test_equivariance_unstable(self, shift2):
         pts = sample_points(shift2, 200, 45, seed=2)

@@ -31,13 +31,14 @@ from cocyclelab.projective import (
     phi_values,
 )
 from cocyclelab.spectrum import lyapunov_exponents
+from oracles import rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
 
 def gapped_spec():
     d = np.diag([1.2, 1.0 / 1.2])
-    return LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+    return LocallyConstantCocycle(table=np.array([d, rotation(0.1) @ d]))
 
 
 def torus_spec():
@@ -93,7 +94,7 @@ class TestBuild:
     def test_no_gap_raises(self, shift2):
         with pytest.raises(NoGap):
             build_invariant_measures(
-                ConstantCocycle(matrix=mat2.rotation(0.4)), shift2, 10, 20
+                ConstantCocycle(matrix=rotation(0.4)), shift2, 10, 20
             )
 
 

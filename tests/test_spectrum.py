@@ -18,6 +18,7 @@ from cocyclelab.spectrum import (
     lyapunov_exponents,
     spectral_gap,
 )
+from oracles import rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -52,7 +53,7 @@ class TestConstant:
         "matrix, plus, minus",
         [
             ([[3.0, 1.0], [0.0, 0.5]], np.log(3.0), np.log(0.5)),
-            ((2.0 * mat2.rotation(0.3)).tolist(), np.log(2.0), np.log(2.0)),
+            ((2.0 * rotation(0.3)).tolist(), np.log(2.0), np.log(2.0)),
         ],
     )
     def test_non_unit_det_closed_form(self, shift2, matrix, plus, minus):
@@ -79,7 +80,7 @@ class TestSampled:
         # the word-blocked radix scan against the unit-norm walk, whose
         # log scale and log |det| are summed step by step
         spec = LocallyConstantCocycle(
-            table=np.array([np.diag([2.0, 0.6]), mat2.rotation(0.3) @ np.diag([1.0, 0.5])])
+            table=np.array([np.diag([2.0, 0.6]), rotation(0.3) @ np.diag([1.0, 0.5])])
         )
         pts = sample_points(shift2, 50, 410, seed=2)
         n = 400
@@ -103,7 +104,7 @@ class TestSampled:
 
     def test_positive_top_exponent(self, shift2):
         d = np.diag([1.2, 1.0 / 1.2])
-        spec = LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.1) @ d]))
+        spec = LocallyConstantCocycle(table=np.array([d, rotation(0.1) @ d]))
         rep = lyapunov_exponents(spec, shift2, n=600, samples=60, seed=4)
         assert 0.05 < rep.lambda_plus <= np.log(1.2) + 1e-9
         assert rep.lambda_minus == pytest.approx(-rep.lambda_plus, abs=1e-9)
@@ -123,7 +124,7 @@ class TestSampled:
 
     def test_thread_count_invariance(self, shift2):
         d = np.diag([1.3, 0.7])
-        spec = LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.2) @ d]))
+        spec = LocallyConstantCocycle(table=np.array([d, rotation(0.2) @ d]))
         pts = sample_points(shift2, 2100, 60, seed=6)
         one = finite_time_exponents(spec, shift2, pts, 50, threads=1)
         many = finite_time_exponents(spec, shift2, pts, 50, threads=8)
@@ -133,7 +134,7 @@ class TestSampled:
 
     def test_reports_reproducible(self, shift2):
         d = np.diag([1.3, 0.7])
-        spec = LocallyConstantCocycle(table=np.array([d, mat2.rotation(0.2) @ d]))
+        spec = LocallyConstantCocycle(table=np.array([d, rotation(0.2) @ d]))
         a = lyapunov_exponents(spec, shift2, n=100, samples=30, seed=7)
         b = lyapunov_exponents(spec, shift2, n=100, samples=30, seed=7)
         assert np.array_equal(a.per_sample.plus, b.per_sample.plus)
@@ -178,7 +179,7 @@ class TestExponentScan:
         # inverses multiplied out plainly; steps with |det| != 1 and with
         # det < 0 on the word path and on its tail
         if table == "non-unit":
-            steps = [np.diag([3.0, 1.0]), mat2.rotation(0.7) @ np.diag([1.0, 0.5])]
+            steps = [np.diag([3.0, 1.0]), rotation(0.7) @ np.diag([1.0, 0.5])]
         else:
             steps = [np.array([[0.0, 2.0], [0.5, 0.0]]), DIAG2]
         spec = LocallyConstantCocycle(table=np.array(steps))
