@@ -254,7 +254,8 @@ class LocallyConstantCocycle:
             if self.depth != 1:
                 raise ConfigError("alphabet_size is required when depth > 1")
             a = tab.shape[0]
-        if a ** self.depth != tab.shape[0]:
+        # a**64 outnumbers any table, so a huge depth fails without a**depth
+        if a ** min(self.depth, 64) != tab.shape[0]:
             raise ConfigError(
                 f"table length {tab.shape[0]} != alphabet^depth = {a}^{self.depth}"
             )
@@ -931,6 +932,8 @@ def bunching_check(
     slope, intercept = np.polyfit(ns[tail], log_b[tail], 1)
     theta_hat = float(np.exp(slope))
     c3_hat = float(np.exp(intercept))
+    with np.errstate(over="ignore"):
+        b_values = np.exp(log_b)  # inf past the float range
     if theta_hat <= 1.0 - margin:
         verdict = "bunched"
     elif theta_hat >= 1.0 + margin:
@@ -941,7 +944,7 @@ def bunching_check(
         verdict = "inconclusive"
     return BunchingReport(
         ns=ns,
-        b_values=np.exp(log_b),
+        b_values=b_values,
         theta_hat=theta_hat,
         c3_hat=c3_hat,
         verdict=verdict,

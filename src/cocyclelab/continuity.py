@@ -109,11 +109,13 @@ def perturbations(
     ]
     if isinstance(sys, ShiftSystem):
         out = []
-        for spec in specs:
-            try:
-                out.append(specialize(spec, sys))
-            except SingularValueError:
-                out.append(None)
+        # an overflowing exponential leaves a non-finite table, censored here
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for spec in specs:
+                try:
+                    out.append(specialize(spec, sys))
+                except SingularValueError:
+                    out.append(None)
         return out
     side = np.arange(_GRID_SIDE) / _GRID_SIDE
     uu, vv = np.meshgrid(side, side)

@@ -20,13 +20,13 @@ matrix, so no product ever overflows, in one of two ways:
 A shift batch's symbol window is checked once per scan, before the first
 step, and singular steps are caught once, after the last one.
 
-On a shift the first k steps of a direction scan read only the
-k + depth - 1 symbols next to the sample.  ``scan_head`` walks them once
-per distinct read of a whole draw, with k chosen from the draw to maximize
-the sample-steps saved, k (S - U_k), where U_k counts the distinct k-step
-reads; ``forward_scan`` and ``backward_scan`` take each block's slice of
-it and walk the other n - k steps.  The per-sample arithmetic is the same,
-so the result is bitwise the unshared walk's.
+On a shift the first k steps of a direction scan read only a word of
+k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
+words of an a-symbol alphabet once, with k maximizing the sample-steps
+saved, k (S - a^(k + depth - 1)) over S samples; ``forward_scan`` and
+``backward_scan`` gather each sample's state by its word's number, as the
+word tables are indexed, and walk the other n - k steps.  The per-sample
+arithmetic is the same, so the result is bitwise the unshared walk's.
 
 Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
@@ -38,11 +38,11 @@ through ``symbol_table()``, which the exponent scan's word tables read.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import mat2
 from .base import (
@@ -184,17 +184,16 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
     return starts
 
 
-def _orbit_values(
-    spec, sys: BaseSystem, batch: Batch, n: int, backward: bool, skip: int = 0
-):
+def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None):
     """Yield the cocycle values a scan of n steps absorbs, in scan order:
     A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
     backward, leaving out the first ``skip`` (shift batches only).
 
     A shift batch is checked for the whole walk and moved to its final
-    position up front (see ``_symbol_starts``), and each step gathers its
-    symbols at precomputed flat indices; a torus batch steps as it goes and
-    ends in the same place.
+    position up front (see ``_symbol_starts``; a caller that has already
+    done so passes its ``starts``), and each step gathers its symbols at
+    precomputed flat indices; a torus batch steps as it goes and ends in
+    the same place.
     """
     if n == 0:
         return
@@ -207,8 +206,10 @@ def _orbit_values(
             yield spec.values_at_coords(batch.coords)
         return
     depth = spec.symbol_depth
+    if starts is None:
+        starts = _symbol_starts(batch, n, depth, backward)
     # the step at relative offset k reads the symbols at here + k
-    here = _symbol_starts(batch, n, depth, backward)[:, None] + np.arange(depth)
+    here = starts[:, None] + np.arange(depth)
     order = range(-1 - skip, -n - 1, -1) if backward else range(skip, n)
     for k in order:
         yield spec.values_at_symbols(np.take(batch.windows, here + k))
@@ -225,6 +226,24 @@ def _require_regular(regular) -> None:
     step passed."""
     if not np.all(regular):
         raise SingularValueError("cocycle value is singular along the orbit")
+
+
+def _regular_table(spec, sys: BaseSystem):
+    """(entries, alphabet, depth) of a spec that is one matrix per word of
+    symbols over the shift's alphabet (``symbol_table()``), when every
+    entry passes ``mat2.regular``, so every step does; None otherwise."""
+    hook = getattr(spec, "symbol_table", None)
+    table = hook() if hook is not None and isinstance(sys, ShiftSystem) else None
+    ok = table is not None and table[1] == sys.alphabet_size
+    return table if ok and np.all(mat2.regular(*table[0])) else None
+
+
+def _word_index(windows: np.ndarray, at: np.ndarray, alphabet: int) -> np.ndarray:
+    """The number of the word each row of flat window indices ``at`` reads,
+    its first symbol most significant, as word tables and heads number
+    their words."""
+    powers = alphabet ** np.arange(at.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return np.take(windows, at).astype(np.int64) @ powers
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +266,8 @@ class ScanState:
 
 
 def _identity_state(size: int) -> ScanState:
-    ones = np.ones(size)
-    zeros = np.zeros(size)
-    return ScanState(
-        a=ones.copy(),
-        b=zeros.copy(),
-        c=zeros.copy(),
-        d=ones.copy(),
-        log_scale=zeros.copy(),
-        logdet=zeros.copy(),
-    )
+    one, zero = np.ones(size), np.zeros(size)
+    return ScanState(one, zero, zero.copy(), one.copy(), zero.copy(), zero.copy())
 
 
 # direction scans: unit-norm renormalization at every step
@@ -277,23 +288,26 @@ def _direction_scan(
 ) -> ScanState:
     """Walk n steps, renormalizing to unit norm at every step; with
     ``paths`` = (ls_path, ldet_path) row j records the state after step j.
-    With a ``head`` (see ``scan_head``) the walk starts from each sample's
-    state after the head's k steps and takes the other n - k.  The
+    With a ``head`` (see ``scan_head``) the walk is checked against the
+    window, starts from each sample's state after the head's k steps,
+    gathered by the number of its word, and takes the other n - k.  The
     singularity check runs once, after the walk."""
-    if head is None:
-        st, done = _identity_state(batch.size), 0
-    else:
-        st, done = head.start(batch, n, backward), head.k
+    st, done, starts = _identity_state(batch.size), 0, None
+    if head is not None:
+        if (head.n, head.backward) != (n, backward):
+            raise ConfigError("scan head was built for another scan")
+        starts = _symbol_starts(batch, n, spec.symbol_depth, backward)
+        idx = _word_index(batch.windows, starts[:, None] + head.reads, sys.alphabet_size)
+        st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
+        done = head.k
     # a symbol table's steps are its entries: when they all pass the rule,
     # every step does
-    hook = getattr(spec, "symbol_table", None)
-    table = None if hook is None else hook()
-    per_step = table is None or not np.all(mat2.regular(*table[0]))
+    per_step = _regular_table(spec, sys) is None
     regular = True
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _orbit_values(spec, sys, batch, n, backward, done)
+        values = _orbit_values(spec, sys, batch, n, backward, done, starts)
         for j, (va, vb, vc, vd) in enumerate(values, done):
             det = va * vd - vb * vc
             if per_step:
@@ -349,112 +363,52 @@ def backward_scan(
     return _direction_scan(spec, sys, batch, n, backward=True, head=head)
 
 
-# shared heads: the first k steps once per distinct symbol read
+# shared heads: the first k steps once per word of symbols
 
 
 @dataclass(frozen=True, eq=False)
 class ScanHead:
-    """The first k steps of an n-step direction scan of a shift draw:
-    ``state`` has one column per distinct k-step symbol read and ``index``
-    maps each sample of the draw to its column.  ``head[start:stop]`` is
-    the head of the samples start:stop, as ``block_map`` hands them out."""
+    """The first k steps of n-step direction scans over a shift: ``state``
+    has one column per word of the symbols at the relative offsets
+    ``reads``, numbered as ``_word_index`` numbers them."""
 
     n: int
     k: int
     backward: bool
+    reads: np.ndarray
     state: ScanState
-    index: np.ndarray
-
-    def __getitem__(self, rows: slice) -> "ScanHead":
-        return replace(self, index=self.index[rows])
-
-    def start(self, batch: Batch, n: int, backward: bool) -> ScanState:
-        """Each sample's state after the first k steps, gathered."""
-        if (self.n, self.backward, self.index.size) != (n, backward, batch.size):
-            raise ConfigError("scan head was built for another scan")
-        return ScanState(
-            **{f: np.take(x, self.index, axis=-1) for f, x in vars(self.state).items()}
-        )
-
-
-def _shared_prefixes(reads: np.ndarray, alphabet: int, n: int, span: int):
-    """(k, index, reps) for the symbol reads of an n-step walk, one row per
-    sample in walk order, the first j steps reading the first j + span
-    symbols.  k maximizes the sample-steps saved, k (S - U_k), with U_k the
-    number of distinct k-step reads; ``index`` numbers each sample's k-step
-    read and ``reps`` holds one sample per number.  None when nothing is
-    saved.  The rows are sorted once, as int64 keys of ``per`` symbols, and
-    U_k is one more than the number of sorted neighbours that share fewer
-    than k + span leading symbols.
-    """
-    size, width = reads.shape
-    bits = max(1, (alphabet - 1).bit_length())
-    per = 62 // bits
-    keys = []
-    for c in range(0, width, per):
-        cols = reads[:, c : c + per]
-        key = np.zeros(size, dtype=np.int64)
-        for col in cols.T:
-            key <<= bits
-            key |= col
-        keys.append(key << bits * (per - cols.shape[1]))
-    order = np.arange(size)
-    for key in reversed(keys):
-        order = order[np.argsort(key[order], kind="stable")]
-    diff = np.stack([key[order][1:] ^ key[order][:-1] for key in keys])
-    first = (diff != 0).argmax(axis=0)
-    x = diff[first, np.arange(size - 1)]
-    # keys whose xor is below 2**(bits * i) agree on all but i symbols
-    agree = per - np.searchsorted(np.int64(1) << bits * np.arange(per), x, "right")
-    common = np.where(x == 0, width, np.minimum(first * per + agree, width))
-    below = np.cumsum(np.bincount(common, minlength=width + 1))
-    steps = np.arange(1, n + 1)
-    saved = steps * (size - 1 - below[steps + span - 1])
-    k = int(saved.argmax()) + 1
-    if saved[k - 1] <= 0:
-        return None
-    new = np.concatenate([[True], common < k + span])
-    index = np.empty(size, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return k, index, order[new]
 
 
 def scan_head(
-    spec, sys: BaseSystem, points: Sequence[BasePoint], n: int, backward: bool
+    spec, sys: BaseSystem, count: int, n: int, backward: bool
 ) -> ScanHead | None:
     """The first k steps of the n-step direction scans (``backward_scan``
-    when ``backward``, else ``forward_scan``) of ``spec`` at ``points``,
-    walked once per distinct k-step symbol read: build it once per draw and
-    pass each block's scan its slice.  k is chosen as ``_shared_prefixes``
-    says.  The whole walk's window check runs here, for every sample, and a
-    singular step inside the k steps raises here.  None over a torus, below
-    two points, or when no read is shared.
+    when ``backward``, else ``forward_scan``) of ``spec`` over a draw of
+    ``count`` samples, walked once per word of the k + depth - 1 symbols
+    they read, with k maximizing the sample-steps saved, k (count - words).
+    None off a shift, when no k saves a step, or without a regular symbol
+    table (``_regular_table``): a word the draw never reads must not raise.
     """
-    if not isinstance(sys, ShiftSystem) or len(points) < 2 or n < 1:
+    table = _regular_table(spec, sys)
+    if table is None:
         return None
-    batch = batch_of(sys, points)
-    depth = spec.symbol_depth
+    _, alphabet, depth = table
     span = max(depth, 1) - 1
-    # the whole walk's window check, for every sample
-    starts = _symbol_starts(batch, n, depth, backward)
-    # the first j steps read the symbols at 0 .. j + depth - 2 forward, and
-    # at -j .. depth - 2 backward: one run of n + span symbols per sample
-    run = sliding_window_view(batch.windows.reshape(-1), n + span)
-    reads = run[starts - n][:, ::-1] if backward else run[starts]
-    groups = _shared_prefixes(reads, sys.alphabet_size, n, span)
-    if groups is None:
+    # a longer head saves nothing once its words outnumber the samples
+    steps = takewhile(lambda j: alphabet ** (j + span) < count, range(1, n + 1))
+    k = max(steps, key=lambda j: j * (count - alphabet ** (j + span)), default=None)
+    if k is None:
         return None
-    k, index, reps = groups
-    # the representatives' k-step reads, put back in windows around them
+    # the first k steps read the symbols at 0 .. k + span - 1 forward, and
+    # at -k .. span - 1 backward; every word, in windows around them
     reach = k + span
-    near = np.zeros((reps.size, 2 * reach + 1), dtype=reads.dtype)
-    if backward:
-        near[:, span : span + reach] = reads[reps, :reach][:, ::-1]
-    else:
-        near[:, reach : 2 * reach] = reads[reps, :reach]
-    heads = ShiftBatch(near, np.zeros(reps.size, dtype=np.int64), reach)
+    reads = np.arange(reach) - (k if backward else 0)
+    words = np.arange(alphabet**reach)[:, None]
+    near = np.zeros((words.size, 2 * reach + 1), dtype=np.int16)
+    near[:, reach + reads] = words // alphabet ** np.arange(reach - 1, -1, -1) % alphabet
+    heads = ShiftBatch(near, np.zeros(words.size, dtype=np.int64), reach)
     state = _direction_scan(spec, sys, heads, k, backward)
-    return ScanHead(n=n, k=k, backward=backward, state=state, index=index)
+    return ScanHead(n=n, k=k, backward=backward, reads=reads, state=state)
 
 
 # exponent scan: exact power-of-two renormalization
@@ -549,11 +503,10 @@ class WordTables:
 
 def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
     """Word tables for n-step exponent scans of ``spec``, to build once and
-    pass to every block's scan; None when the spec has no symbol table
-    (``symbol_table()``) over the system's alphabet, or n < 1."""
-    hook = getattr(spec, "symbol_table", None)
-    table = hook() if hook is not None and isinstance(sys, ShiftSystem) else None
-    if table is None or table[1] != sys.alphabet_size or n < 1:
+    pass to every block's scan; None when the spec has no regular symbol
+    table (see ``_regular_table``), or n < 1."""
+    table = _regular_table(spec, sys)
+    if table is None or n < 1:
         return None
     entries, alphabet, depth = table
     k = _word_length(alphabet)
@@ -572,10 +525,8 @@ def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
     starts = _symbol_starts(batch, n, depth, backward=False)[:, None]
     for at in range(0, n, k):
         length = min(k, n - at)
-        span = length + depth - 1
-        symbols = np.take(batch.windows, starts + np.arange(at, at + span))
-        powers = alphabet ** np.arange(span - 1, -1, -1, dtype=np.int64)
-        idx = symbols.astype(np.int64) @ powers
+        reads = starts + np.arange(at, at + length + depth - 1)
+        idx = _word_index(batch.windows, reads, alphabet)
         yield np.take(words.factors[length], idx, axis=-1)
 
 

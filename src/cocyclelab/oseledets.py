@@ -101,12 +101,11 @@ def _directions(side, a_spec, sys, points, depth, threads):
     backward = side == "unstable"
     scan = engine.backward_scan if backward else engine.forward_scan
     # the shared first steps of every scan, walked once for the whole draw
-    head = engine.scan_head(a_spec, sys, points, depth, backward)
+    head = engine.scan_head(a_spec, sys, len(points), depth, backward)
 
     def job(start: int, stop: int):
         batch = engine.batch_of(sys, points[start:stop])
-        part = None if head is None else head[start:stop]
-        return _read(scan(a_spec, sys, batch, depth, part), side)
+        return _read(scan(a_spec, sys, batch, depth, head), side)
 
     vx, vy, ok = engine.block_map(
         job, len(points), threads, rows=getattr(a_spec, "rows", 1)

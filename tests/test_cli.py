@@ -272,6 +272,23 @@ class TestContinuityCommand:
         rows = [line.split(",") for line in (out / "goodset.csv").read_text().splitlines()[2:]]
         assert [set(row[2:]) == {"nan"} for row in rows] == [True] * 7 + [False] * 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shift_exponential_rows_censored(self, tmp_path, capsys):
+        # shift_gapped's direction with a 3000 corner: exp(t B) overflows
+        # for t >= 1/64, and the specialized table is not finite
+        cfg = yaml.safe_load((CONFIG_DIR / "shift_gapped.yaml").read_text())
+        cfg["perturbation"]["direction"]["matrix"] = [[0.0, -0.2], [0.2, 3000.0]]
+        cfg["budgets"] = {"samples": 100, "depth": 20, "n_max": 40}
+        path = tmp_path / "steep.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert run(["continuity", "--config", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "(6 censored)" in captured.out
+        rows = [line.split(",") for line in (out / "goodset.csv").read_text().splitlines()[2:]]
+        assert [set(row[2:]) == {"nan"} for row in rows] == [True] * 6 + [False] * 6
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sign_changing_torus_determinant_row_censored(self, tmp_path, capsys):
         # A + t diag(0, -1.3533) has a det of both signs at t = 1/2 only;
@@ -538,6 +555,39 @@ class TestExitCodes:
         # b_n = (2 / 0.5)^n * lambda0^n = 2^n
         b_n = [float(b) for _, b in rows]
         assert np.allclose(b_n, 2.0 ** np.arange(1, 41), rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_b_n_reads_inf(self, tmp_path, capsys):
+        # diag(1.189, 2**40): b_n, near 4.6e11**n, passes the float range at n = 27
+        steep = {
+            "base": FAST_SHIFT["base"],
+            "cocycle": {"kind": "constant", "matrix": [[1.189207115002721, 0.0], [0.0, 2.0**40]]},
+        }
+        path = tmp_path / "steep.yaml"
+        path.write_text(yaml.safe_dump(steep))
+        out = tmp_path / "o"
+        assert run(["bunching", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("verdict = not_bunched, ")
+        assert captured.err == "bunching certificate failed\n"
+        b_n = np.array([float(line.split(",")[1])
+                        for line in (out / "bunching.csv").read_text().splitlines()[2:]])
+        assert np.all(np.isfinite(b_n[:26])) and np.all(b_n[26:] == np.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_identity_products_fail_selftest(self, tmp_path, capsys):
+        # shift_bunched's matrix times 2**200 passes the regularity rule,
+        # but its 6-step plain products overflow
+        matrix = np.ldexp(np.diag([1.189207115002721, 0.8408964152537145]), 200)
+        data = {"base": FAST_SHIFT["base"],
+                "cocycle": {"kind": "constant", "matrix": matrix.tolist()}}
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert run(["selftest", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] cocycle identity: the products overflowed\n" in captured.out
+        assert "selftest: 2/3 checks passed" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", COMMANDS)

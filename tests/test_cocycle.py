@@ -206,6 +206,13 @@ class TestEvaluate:
         x = ShiftPoint(window=np.array([0, 0, 1, 0, 0], dtype=np.int16))
         assert evaluate(spec, x)[0, 0] == 3.0
 
+    @pytest.mark.parametrize("depth", [2, 65, 2**63])
+    def test_table_length_must_match_the_depth(self, depth):
+        # a huge depth is refused without raising the alphabet to it
+        mats = np.array([np.diag([float(k + 1), 1.0]) for k in range(4)])
+        with pytest.raises(ConfigError, match="table length"):
+            LocallyConstantCocycle(table=mats[:2], depth=depth, alphabet_size=2)
+
     def test_pointwise_factors_in_order(self, cat):
         spec = PointwiseCocycle(
             factors=(

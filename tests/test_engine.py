@@ -602,8 +602,8 @@ def one_point_scans(scan, spec, sys_, draw, n):
 
 
 class TestScanHeads:
-    """The first k steps of a draw's direction scans, walked once per
-    distinct symbol read, give bitwise the unshared walk."""
+    """The first k steps of a draw's direction scans, walked once per word
+    of the symbols they read, give bitwise the unshared walk."""
 
     N = 10
 
@@ -624,10 +624,10 @@ class TestScanHeads:
         mixed = [
             ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)
         ]
+        head = engine.scan_head(spec, sys_, 60, self.N, backward)
+        assert head is not None and 1 <= head.k <= self.N
+        assert head.state.a.shape[-1] == alphabet ** (head.k + depth - 1) < 60
         for points in (draw, engine.pushed(sys_, draw), mixed):
-            head = engine.scan_head(spec, sys_, points, self.N, backward)
-            assert head is not None and 1 <= head.k <= self.N
-            assert head.state.a.shape[-1] < len(points)
             batch = engine.batch_of(sys_, points)
             start = batch.offsets.copy()
             st = scan(spec, sys_, batch, self.N, head)
@@ -637,61 +637,72 @@ class TestScanHeads:
             for f, x in vars(st).items():
                 assert np.array_equal(x, want[f]), f
 
-    @pytest.mark.parametrize("alphabet, n, span", [(2, 40, 0), (3, 40, 1), (5, 30, 2)])
+    @pytest.mark.parametrize("alphabet, n, span", [(2, 40, 0), (3, 40, 1), (5, 30, 2), (2, 3, 0)])
     def test_k_maximizes_the_sample_steps_saved(self, alphabet, n, span):
-        # keys of 62 // bits symbols: these reads take one key or two
-        rng = np.random.default_rng(alphabet)
-        reads = rng.integers(0, alphabet, (400, n + span)).astype(np.int16)
-        reads[200:] = reads[:200]  # every row twice, so even the full reads repeat
-        reads[100:150, : n - 5] = 0  # a common prefix past the first key
-        steps = range(1, n + 1)
-        distinct = [len(np.unique(reads[:, : k + span], axis=0)) for k in steps]
-        saved = [k * (400 - u) for k, u in zip(steps, distinct)]
-        k, index, reps = engine._shared_prefixes(reads, alphabet, n, span)
-        assert k == int(np.argmax(saved)) + 1
-        assert reps.size == distinct[k - 1] == index.max() + 1
-        prefix = reads[:, : k + span]
-        assert np.array_equal(prefix[reps[index]], prefix)
+        # every word of k + span symbols is walked once, so k steps save
+        # k (count - words) sample-steps; ties go to the shorter head
+        count = 400 * alphabet**span
+        spec = random_table(alphabet, span + 1, seed=1)
+        saved = [k * (count - alphabet ** (k + span)) for k in range(1, n + 1)]
+        head = engine.scan_head(spec, bernoulli_shift(alphabet), count, n, False)
+        assert head.k == int(np.argmax(saved)) + 1
+        assert head.state.a.size == alphabet ** (head.k + span)
+
+    @pytest.mark.parametrize(
+        "count, k", [(10_000, 10), (2_000, 8), (100, 5)], ids=["ac8", "sweep", "selftest"]
+    )
+    def test_the_shipped_draws_walk_every_word_once(self, shift2, count, k):
+        # a Bernoulli(1/2, 1/2) depth-1 table at depth 40, as every shipped
+        # shift extraction is
+        for backward in (False, True):
+            head = engine.scan_head(lc_spec(), shift2, count, 40, backward)
+            assert (head.k, head.state.a.size) == (k, 2**k)
 
     def test_nothing_shared_is_no_head(self, shift2):
-        one = sample_points(shift2, 1, 30, seed=2)
-        assert engine.scan_head(lc_spec(), shift2, one, 30, False) is None
-        # reads that differ in their first symbol share no step
-        reads = np.array([[3, 0, 1], [1, 1, 1], [0, 1, 1], [2, 1, 1]], dtype=np.int16)
-        assert engine._shared_prefixes(reads, 4, 3, 0) is None
-        assert engine._shared_prefixes(reads, 4, 2, 1) is None
+        # no head unless the words of one step are fewer than the samples
+        assert engine.scan_head(lc_spec(), shift2, 2, 30, False) is None
+        assert engine.scan_head(lc_spec(), shift2, 3, 30, False).k == 1
+        assert engine.scan_head(depth2_spec(), shift2, 4, 30, True) is None
+        assert engine.scan_head(depth2_spec(), shift2, 5, 30, True).k == 1
+        assert engine.scan_head(lc_spec(), shift2, 10_000, 0, True) is None
+        # nor without a symbol table
+        assert engine.scan_head(ConstantCocycle(D), shift2, 10_000, 5, True) is None
 
     def test_torus_draws_take_no_head(self, cat):
         spec = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.1)),))
-        draw = sample_points(cat, 40, 0, seed=1)
-        assert engine.scan_head(spec, cat, draw, 5, True) is None
+        assert engine.scan_head(spec, cat, 10_000, 5, True) is None
 
     def test_head_of_another_scan_is_refused(self, shift2):
         draw = sample_points(shift2, 200, 12, seed=3)
-        head = engine.scan_head(lc_spec(), shift2, draw, 10, backward=True)
-        for n, scan, points in [
-            (10, engine.forward_scan, draw),
-            (9, engine.backward_scan, draw),
-            (10, engine.backward_scan, draw[:50]),
-        ]:
+        head = engine.scan_head(lc_spec(), shift2, 200, 10, backward=True)
+        for n, scan in [(10, engine.forward_scan), (9, engine.backward_scan)]:
             with pytest.raises(ConfigError, match="another scan"):
-                scan(lc_spec(), shift2, engine.batch_of(shift2, points), n, head)
+                scan(lc_spec(), shift2, engine.batch_of(shift2, draw), n, head)
+        # a head is not tied to the draw: it serves a batch of any size
+        st = engine.backward_scan(lc_spec(), shift2, engine.batch_of(shift2, draw[:7]), 10, head)
+        assert st.a.shape == (7,)
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_window_check_is_the_scans(self, shift2, backward):
         # at depth 2 both scans read n symbols to one side: horizon n is
         # exact, n - 1 is refused before any step, as without a head
         spec, n = depth2_spec(), 10
+        scan = engine.backward_scan if backward else engine.forward_scan
+        head = engine.scan_head(spec, shift2, 300, n, backward)
         for horizon in (n, n - 1):
             draw = sample_points(shift2, 300, horizon, seed=4)
+            batch = engine.batch_of(shift2, draw)
             if horizon < n:
                 with pytest.raises(HorizonExceeded):
-                    engine.scan_head(spec, shift2, draw, n, backward)
+                    scan(spec, shift2, batch, n, head)
+                assert np.all(batch.offsets == 0)
                 extract = unstable_directions if backward else stable_directions
                 with pytest.raises(HorizonExceeded):
                     extract(spec, shift2, draw, n)
             else:
-                assert engine.scan_head(spec, shift2, draw, n, backward).k >= 1
+                st = scan(spec, shift2, batch, n, head)
+                want = one_point_scans(scan, spec, shift2, draw, n)
+                assert np.array_equal(st.a, want["a"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
@@ -708,21 +719,41 @@ class TestScanHeads:
                 LocallyConstantCocycle(table=np.array([D, D])), direction,
                 t=1.0, rule="multiplicative_exp",
             )
+            stack = StackedCocycle((spec.base, spec))
         else:
             spec = LocallyConstantCocycle(
                 table=np.array([D, np.zeros((2, 2))]), invertible=False
             )
-        # every sample reads the bad symbol two steps along, and they share
-        # all of their reads, so the head holds the whole walk
+            stack = StackedCocycle((lc_spec(), spec))
+        # every sample reads the bad symbol two steps along
         window = np.zeros(13, dtype=np.int16)
         window[6 + (-2 if backward else 1)] = 1
         draw = ShiftDraw(np.tile(window, (50, 1)), 0)
         extract = unstable_directions if backward else stable_directions
         with np.errstate(over="ignore") if nan else nullcontext():
-            with pytest.raises(SingularValueError):
-                engine.scan_head(spec, shift2, draw, 4, backward)
-            with pytest.raises(SingularValueError):
-                extract(spec, shift2, draw, 4)
+            for s in (spec, stack):
+                assert engine.scan_head(s, shift2, 50, 4, backward) is None
+                with pytest.raises(SingularValueError):
+                    extract(s, shift2, draw, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_an_unread_singular_entry_takes_no_head(self, backward):
+        # a depth-2 table whose entry for the word 00 is singular, over a
+        # Markov law in which 0 never follows 0: the draw never reads it,
+        # so the walk raises nothing and gives the regular table's result
+        sys_ = markov_shift(2)
+        tab = random_table(2, 2, seed=3).table
+        bad = tab.copy()
+        bad[0] = 0.0
+        spec = LocallyConstantCocycle(table=bad, depth=2, alphabet_size=2, invertible=False)
+        good = LocallyConstantCocycle(table=tab, depth=2, alphabet_size=2)
+        assert engine.scan_head(good, sys_, 2000, 20, backward).k == 7
+        assert engine.scan_head(spec, sys_, 2000, 20, backward) is None
+        draw = sample_points(sys_, 2000, 22, seed=2)
+        extract = unstable_directions if backward else stable_directions
+        for x, y in zip(extract(spec, sys_, draw, 20), extract(good, sys_, draw, 20)):
+            assert np.array_equal(x, y)
 
     def test_large_draws_read_fewer_values(self, shift2, monkeypatch):
         # a scan that stopped sharing its head would read S * n rows; the
@@ -757,9 +788,9 @@ class TestScanHeads:
         built = []
         scan_head = engine.scan_head
 
-        def counted(spec, sys_, points, n, backward):
-            built.append(len(points))
-            return scan_head(spec, sys_, points, n, backward)
+        def counted(spec, sys_, count, n, backward):
+            built.append(count)
+            return scan_head(spec, sys_, count, n, backward)
 
         monkeypatch.setattr(engine, "scan_head", counted)
         monkeypatch.setattr(engine, "BLOCK", 700)
