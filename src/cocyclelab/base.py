@@ -572,13 +572,13 @@ def _bucket_table(cut: np.ndarray) -> np.ndarray:
 def _to_symbols(cut, table, uniforms: np.ndarray, out: np.ndarray) -> None:
     """out[...] = searchsorted(cut, uniforms, side="right"), bitwise, for
     C-contiguous arrays: u * 2**_BUCKET_BITS is exact, so its integer part
-    is u's bucket, and only the uniforms of split buckets are searched.
-    ``uniforms`` is scaled in place."""
+    is u's bucket, and only the uniforms of split buckets are searched,
+    when the table has any.  ``uniforms`` is scaled in place."""
     uniforms *= 2.0**_BUCKET_BITS
     # indexing keeps the 16-bit index (np.take would widen it to intp)
     out[...] = table[uniforms.astype(np.uint16)]
-    split = np.flatnonzero(out < 0)
-    if split.size:
+    split = np.flatnonzero(out < 0) if table.min() < 0 else ()
+    if len(split):
         scaled = uniforms.reshape(-1)[split]
         out.reshape(-1)[split] = np.searchsorted(
             cut * 2.0**_BUCKET_BITS, scaled, side="right"

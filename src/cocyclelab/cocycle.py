@@ -532,7 +532,7 @@ class StackedCocycle:
     def values_at_symbols(self, block):
         if self._entries is not None:
             idx = block.astype(np.int64) @ self._powers
-            return tuple(e[:, idx] for e in self._entries)
+            return tuple(np.take(e, idx, axis=1) for e in self._entries)
         return self._stack(lambda spec: spec.values_at_symbols(block))
 
     def values_at_coords(self, coords):

@@ -381,8 +381,9 @@ def _read_perturbation(
     kind = _kind(sched, "schedule", {"dyadic": {"count"}, "explicit": {"values"}})
     if kind == "dyadic":
         count = _integer(sched.get("count", 12), "schedule.count")
-        if count < 1:
-            raise ConfigError("schedule.count must be >= 1")
+        # checked before the family builds its sizes 2**-k: 2**-1075 is 0.0
+        if not 1 <= count <= 1074:
+            raise ConfigError(f"schedule.count must be in 1..1074, got {count}")
         schedule = {"kind": kind, "count": count}
         family = PerturbationFamily.dyadic(spec, field, rule, count)
     else:

@@ -10,7 +10,9 @@ matrix, so no product ever overflows, in one of two ways:
 
 - the direction scans (``forward_scan``, ``backward_scan``,
   ``forward_record``) divide by the operator norm, because their callers
-  read the unit-norm product as a direction;
+  read the unit-norm product as a direction.  Over a regular symbol table
+  each step's a, b, c, d and log |det| come in one gather from a
+  (5, ..., words) step table built once per scan;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
   exponents, and takes one norm and one log at the end.  Over a symbol
@@ -18,7 +20,9 @@ matrix, so no product ever overflows, in one of two ways:
   instead of one matrix per symbol.
 
 A shift batch's symbol window is checked once per scan, before the first
-step, and singular steps are caught once, after the last one.
+step, and singular steps are caught once, after the last one.  A table
+scan numbers the words it reads once per walk (``_word_numbers``), a chunk
+of steps at a time, as every word table is indexed.
 
 On a shift the first k steps of a direction scan read only a word of
 k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
@@ -32,7 +36,7 @@ Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
 for shift bases and ``values_at_coords`` for torus bases, plus an integer
 ``symbol_depth`` giving how many forward symbols a shift spec reads.  A
 spec that is one matrix per word of symbols may also expose its entries
-through ``symbol_table()``, which the exponent scan's word tables read.
+through ``symbol_table()``, which the step and word tables read.
 """
 
 from __future__ import annotations
@@ -184,7 +188,9 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
     return starts
 
 
-def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None):
+def _orbit_values(
+    spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None, table=None
+):
     """Yield the cocycle values a scan of n steps absorbs, in scan order:
     A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
     backward, leaving out the first ``skip`` (shift batches only).
@@ -193,7 +199,9 @@ def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, start
     position up front (see ``_symbol_starts``; a caller that has already
     done so passes its ``starts``), and each step gathers its symbols at
     precomputed flat indices; a torus batch steps as it goes and ends in
-    the same place.
+    the same place.  Given a regular symbol ``table`` (``_regular_table``),
+    a step is (a, b, c, d, log |det|), one gather from a step table formed
+    with the loop's own arithmetic, so bitwise the hook's values.
     """
     if n == 0:
         return
@@ -208,9 +216,15 @@ def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, start
     depth = spec.symbol_depth
     if starts is None:
         starts = _symbol_starts(batch, n, depth, backward)
+    order = np.arange(-1 - skip, -n - 1, -1) if backward else np.arange(skip, n)
+    if table is not None:
+        (a, b, c, d), alphabet, _ = table
+        steps = np.stack([a, b, c, d, np.log(np.abs(a * d - b * c))])
+        for idx in _word_numbers(batch.windows, starts, order, depth, alphabet):
+            yield np.take(steps, idx, axis=-1)
+        return
     # the step at relative offset k reads the symbols at here + k
     here = starts[:, None] + np.arange(depth)
-    order = range(-1 - skip, -n - 1, -1) if backward else range(skip, n)
     for k in order:
         yield spec.values_at_symbols(np.take(batch.windows, here + k))
 
@@ -238,12 +252,22 @@ def _regular_table(spec, sys: BaseSystem):
     return table if ok and np.all(mat2.regular(*table[0])) else None
 
 
-def _word_index(windows: np.ndarray, at: np.ndarray, alphabet: int) -> np.ndarray:
-    """The number of the word each row of flat window indices ``at`` reads,
-    its first symbol most significant, as word tables and heads number
-    their words."""
-    powers = alphabet ** np.arange(at.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return np.take(windows, at).astype(np.int64) @ powers
+NUMBER_SPAN = 2**15
+
+
+def _word_numbers(windows, starts, at, width: int, alphabet: int):
+    """Yield, for each relative offset in ``at``, the number of the word of
+    ``width`` symbols each sample reads from there (``starts`` as
+    ``_symbol_starts`` gives them), its first symbol most significant, as
+    every word table is indexed: Horner's rule over the symbol columns, for
+    NUMBER_SPAN (offset, sample) pairs at a time."""
+    rows = max(1, NUMBER_SPAN // starts.size)
+    for lo in range(0, len(at), rows):
+        here = starts + at[lo : lo + rows, None]
+        idx = np.take(windows, here).astype(np.int64)
+        for i in range(1, width):
+            idx = idx * alphabet + np.take(windows, here + i)
+        yield from idx
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +297,14 @@ def _identity_state(size: int) -> ScanState:
 # direction scans: unit-norm renormalization at every step
 
 
-def _renormalize(st: ScanState, a, b, c, d, abs_det) -> None:
-    """st <- the new product [[a, b], [c, d]], renormalized; abs_det is the
-    |det| of the step it absorbed.  The state takes the shape of the
+def _renormalize(st: ScanState, a, b, c, d, log_det) -> None:
+    """st <- the new product [[a, b], [c, d]], renormalized; log_det is the
+    log |det| of the step it absorbed.  The state takes the shape of the
     product, so a stacked spec's (M, S) values widen an (S,) start."""
     nrm = mat2.opnorm_batch(a, b, c, d)
     st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
     st.log_scale = st.log_scale + np.log(nrm)
-    st.logdet = st.logdet + np.log(abs_det)
+    st.logdet = st.logdet + log_det
 
 
 def _direction_scan(
@@ -290,33 +314,40 @@ def _direction_scan(
     ``paths`` = (ls_path, ldet_path) row j records the state after step j.
     With a ``head`` (see ``scan_head``) the walk is checked against the
     window, starts from each sample's state after the head's k steps,
-    gathered by the number of its word, and takes the other n - k.  The
-    singularity check runs once, after the walk."""
+    gathered by the number of its word, and takes the other n - k.  Steps
+    over a regular symbol table come from its step table; other specs'
+    are checked for singularity once, after the walk."""
     st, done, starts = _identity_state(batch.size), 0, None
     if head is not None:
         if (head.n, head.backward) != (n, backward):
             raise ConfigError("scan head was built for another scan")
         starts = _symbol_starts(batch, n, spec.symbol_depth, backward)
-        idx = _word_index(batch.windows, starts[:, None] + head.reads, sys.alphabet_size)
+        (idx,) = _word_numbers(
+            batch.windows, starts, head.reads[:1], head.reads.size, sys.alphabet_size
+        )
         st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
         done = head.k
     # a symbol table's steps are its entries: when they all pass the rule,
     # every step does
-    per_step = _regular_table(spec, sys) is None
+    table = _regular_table(spec, sys)
+    steps = _orbit_values(spec, sys, batch, n, backward, done, starts, table)
     regular = True
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = _orbit_values(spec, sys, batch, n, backward, done, starts)
-        for j, (va, vb, vc, vd) in enumerate(values, done):
-            det = va * vd - vb * vc
-            if per_step:
+        for j, values in enumerate(steps, done):
+            if table is None:
+                va, vb, vc, vd = values
+                det = va * vd - vb * vc
                 regular = regular & mat2.regular(va, vb, vc, vd, det)
+                log_det = np.log(np.abs(det))
+            else:
+                va, vb, vc, vd, log_det = values
             if backward:
                 prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
             else:
                 prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
-            _renormalize(st, *prod, np.abs(det))
+            _renormalize(st, *prod, log_det)
             if paths is not None:
                 paths[0][j] = st.log_scale
                 paths[1][j] = st.logdet
@@ -370,7 +401,7 @@ def backward_scan(
 class ScanHead:
     """The first k steps of n-step direction scans over a shift: ``state``
     has one column per word of the symbols at the relative offsets
-    ``reads``, numbered as ``_word_index`` numbers them."""
+    ``reads``, numbered as ``_word_numbers`` numbers them."""
 
     n: int
     k: int
@@ -522,12 +553,11 @@ def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
     word factor per k steps, the last word shorter when k does not divide
     n."""
     alphabet, depth, k = words.alphabet, words.depth, words.k
-    starts = _symbol_starts(batch, n, depth, backward=False)[:, None]
-    for at in range(0, n, k):
-        length = min(k, n - at)
-        reads = starts + np.arange(at, at + length + depth - 1)
-        idx = _word_index(batch.windows, reads, alphabet)
-        yield np.take(words.factors[length], idx, axis=-1)
+    starts = _symbol_starts(batch, n, depth, backward=False)
+    full = n - n % k
+    for length, at in ((k, np.arange(0, full, k)), (n - full, np.arange(full, n)[:1])):
+        for idx in _word_numbers(batch.windows, starts, at, length + depth - 1, alphabet):
+            yield np.take(words.factors[length], idx, axis=-1)
 
 
 def exponent_scan(

@@ -528,6 +528,28 @@ class TestSymbolTable:
             assert np.array_equal(got, searched(np.asarray(weights).cumsum(), uniforms))
 
     @pytest.mark.parametrize(
+        "weights, splits", [((0.5, 0.5), False), ((0.3, 0.7), True)], ids=["halves", "split"]
+    )
+    def test_split_search_runs_only_with_a_split_bucket(self, monkeypatch, weights, splits):
+        uniforms = np.random.default_rng(5).random(4_000)
+        cut = base._cut_points(np.asarray(weights, dtype=float))
+        expected = searched(cut, uniforms)
+        assert np.any(base._bucket_table(cut) < 0) == splits
+        calls = []
+        find = np.flatnonzero
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find(*args, **kwargs)
+
+        # the split buckets' uniforms are looked for only when there are any
+        monkeypatch.setattr(base.np, "flatnonzero", counted)
+        _, _, got = converted(weights, uniforms)
+        monkeypatch.undo()
+        assert np.array_equal(got, expected)
+        assert bool(calls) == splits
+
+    @pytest.mark.parametrize(
         "weights, last",
         [
             ((0.1,) * 10, 9),

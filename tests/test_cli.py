@@ -75,6 +75,12 @@ def with_cocycle(data, **cocycle):
     return {**data, "cocycle": {**data["cocycle"], **cocycle}}
 
 
+def with_schedule(data, count):
+    """``data`` with a dyadic perturbation schedule of ``count`` sizes."""
+    schedule = {"kind": "dyadic", "count": count}
+    return {**data, "perturbation": {**data["perturbation"], "schedule": schedule}}
+
+
 def scaled_back(data):
     """``data`` with its cocycle matrices times 2**30 (the table, the
     constant matrix or the constant factor)."""
@@ -623,9 +629,13 @@ class TestExitCodes:
               "cocycle": {"kind": "constant", "matrix": np.ldexp(
                   [[1.189207115002721, 0.0], [0.0, 0.8408964152537145]], 300).tolist()}},
              "cocycle.matrix"),
+            # dyadic schedules whose sizes would be 2**-k for k up to 2**63,
+            # or up to 1075, where 2**-1075 rounds to 0.0: refused before
+            # the sizes are built
+            *((with_schedule(FAST_SHIFT, count), "schedule.count") for count in (2**63, 1075)),
         ],
         ids=["alphabet_size", "torus_matrix", "constant_matrix", "singular_table",
-             "table_entry", "torus_factor", "constant_2**300"],
+             "table_entry", "torus_factor", "constant_2**300", "count_2**63", "count_1075"],
     )
     def test_value_out_of_range_is_2(self, command, data, key, tmp_path, capsys):
         path = tmp_path / "big.yaml"

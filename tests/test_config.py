@@ -450,6 +450,16 @@ class TestBuilders:
         assert fam.ts == PerturbationFamily.dyadic(fam.base, fam.direction, count=4).ts
         assert fam.rule == "multiplicative_exp"
 
+    def test_longest_dyadic_schedule(self):
+        # 2**-1074, the smallest subnormal, is the last size above 0.0
+        cfg = dict(SHIFT_CFG)
+        cfg["perturbation"] = {
+            **SHIFT_CFG["perturbation"],
+            "schedule": {"kind": "dyadic", "count": 1074},
+        }
+        fam = build_family(normalize_config(cfg))
+        assert len(fam.ts) == 1074 and fam.ts[-1] == 2.0**-1074 > 0.0
+
     def test_family_explicit_schedule(self):
         cfg = dict(SHIFT_CFG)
         cfg["perturbation"] = {

@@ -756,21 +756,22 @@ class TestScanHeads:
             assert np.array_equal(x, y)
 
     def test_large_draws_read_fewer_values(self, shift2, monkeypatch):
-        # a scan that stopped sharing its head would read S * n rows; the
-        # head of about 10 of the 20 steps reads a little over half of that
+        # a scan that stopped sharing its head would gather S * n steps; the
+        # head of about 10 of the 20 steps gathers a little over half of that
         rows = []
-        hook = LocallyConstantCocycle.values_at_symbols
+        orbit_values = engine._orbit_values
 
-        def counted(self, block):
-            rows.append(block.shape[0])
-            return hook(self, block)
+        def counted(*args):
+            for values in orbit_values(*args):
+                rows.append(values[0].shape[-1])
+                yield values
 
-        monkeypatch.setattr(LocallyConstantCocycle, "values_at_symbols", counted)
+        monkeypatch.setattr(engine, "_orbit_values", counted)
         draw = sample_points(shift2, 10_000, 22, seed=5)
         for extract in (unstable_directions, stable_directions):
             rows.clear()
             extract(lc_spec(), shift2, draw, 20)
-            assert sum(rows) < 0.8 * 10_000 * 20
+            assert 0.4 * 10_000 * 20 < sum(rows) < 0.8 * 10_000 * 20
 
     def test_directions_do_not_depend_on_the_rest_of_the_draw(self, shift2):
         spec = StackedCocycle((lc_spec(), random_table(2, 1, seed=4)))
@@ -801,3 +802,93 @@ class TestScanHeads:
             for x, y in zip(one, two):
                 assert np.array_equal(x, y)
         assert built == [3000] * 4
+
+
+class HookOnly:
+    """``spec``'s values through its hook alone: without a symbol table the
+    direction scans take the per-step hook path."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.symbol_depth = spec.symbol_depth
+
+    def values_at_symbols(self, block):
+        return self.spec.values_at_symbols(block)
+
+
+class TestStepTables:
+    """Over a regular symbol table the direction scans gather every step
+    from one step table by its word number, bitwise the hook path."""
+
+    N = 10
+
+    @pytest.mark.parametrize("span", [engine.NUMBER_SPAN, 7], ids=["span", "chunked"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("law", [bernoulli_shift, markov_shift])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_table(3, 1, seed=1),
+            lambda: random_table(3, 2, seed=2),
+            lambda: StackedCocycle((random_table(3, 1, seed=3), random_table(3, 1, seed=4))),
+            # a depth-expanded stack: its depth-1 member reads two symbols
+            lambda: StackedCocycle((random_table(3, 1, seed=5), random_table(3, 2, seed=6))),
+        ],
+        ids=["single", "depth2", "stacked", "expanded"],
+    )
+    def test_table_steps_are_the_hooks(self, monkeypatch, span, backward, law, make):
+        monkeypatch.setattr(engine, "NUMBER_SPAN", span)
+        sys_, spec = law(3), make()
+        draw = sample_points(sys_, 90, self.N + 3, seed=11)
+        mixed = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
+        scan = engine.backward_scan if backward else engine.forward_scan
+        head = engine.scan_head(spec, sys_, len(mixed), self.N, backward)
+        assert head is not None
+        for h in (None, head):
+            runs = []
+            for s in (spec, HookOnly(spec)):
+                batch = engine.batch_of(sys_, mixed)
+                runs.append((scan(s, sys_, batch, self.N, h), batch.offsets))
+            (table, table_at), (hook, hook_at) = runs
+            assert np.array_equal(table_at, hook_at)
+            for f, x in vars(table).items():
+                assert np.array_equal(x, vars(hook)[f]), f
+        # forward_record keeps one row per sample: single tables only
+        if not backward and not isinstance(spec, StackedCocycle):
+            paths = [
+                engine.forward_record(s, sys_, engine.batch_of(sys_, mixed), self.N)
+                for s in (spec, HookOnly(spec))
+            ]
+            for x, y in zip(*paths):
+                assert np.array_equal(x, y)
+
+    def test_stacked_hook_rows_are_contiguous(self, shift2):
+        spec = StackedCocycle((lc_spec(), random_table(2, 1, seed=7)))
+        block = sample_points(shift2, 50, 0, seed=1).windows
+        for x in spec.values_at_symbols(block):
+            assert x.shape == (2, 50) and x.flags.c_contiguous
+
+    @pytest.mark.parametrize("span", [engine.NUMBER_SPAN, 7], ids=["span", "chunked"])
+    @pytest.mark.parametrize("n", [3, 16, 21])
+    @pytest.mark.parametrize("make", [lc_spec, depth2_spec])
+    def test_word_walk_numbers(self, shift2, monkeypatch, span, n, make):
+        # each word factor is gathered by its word's number, read here
+        # symbol by symbol; k = 8 divides 16 and not 3 or 21
+        monkeypatch.setattr(engine, "NUMBER_SPAN", span)
+        spec = make()
+        words = engine.word_tables(spec, shift2, n)
+        draw = sample_points(shift2, 40, n + 2, seed=n)
+        points = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
+        batch = engine.batch_of(shift2, points)
+        got = list(engine._word_walk(words, batch, n))
+        assert len(got) == -(-n // words.k)
+        horizon = n + 2
+        for w, factor in enumerate(got):
+            at = w * words.k
+            length = min(words.k, n - at)
+            want = []
+            for p in points:
+                first = horizon + p.offset + at
+                symbols = p.window[first : first + length + spec.depth - 1]
+                want.append(int("".join(map(str, symbols)), 2))
+            assert np.array_equal(factor, words.factors[length][:, want])
