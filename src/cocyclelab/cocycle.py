@@ -1,11 +1,12 @@
 """GL(2, R)-valued cocycle specifications and their orbit products.
 
-A cocycle spec is a serializable description of a matrix map A(x).  Specs
-expose two batched evaluation hooks, ``values_at_symbols`` (shift bases,
-reading a block of forward symbols) and ``values_at_coords`` (torus bases),
-both returning four entry arrays; the iteration kernels are written against
-those hooks only.  The plain orbit product ``product`` is kept as a
-cross-check at moderate n; the renormalized products are ``engine``'s scans.
+A cocycle spec is a serializable description of a matrix map A(x).  Over
+a shift a spec is its symbol table (``symbol_table``: one matrix per word of
+forward symbols, as four entry arrays); over a torus it is its batched hook
+``values_at_coords``, which returns four entry arrays.  The iteration
+kernels read specs through those two only.  The plain orbit product
+``product`` is kept as a cross-check at moderate n; the renormalized
+products are ``engine``'s scans.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from . import engine, mat2
 from .base import (
     BaseSystem,
     BasePoint,
-    ShiftPoint,
     ShiftSystem,
-    TorusPoint,
     TorusSystem,
-    apply_f,
     sample_points,
     torus_distances,
     wrap_unit,
@@ -215,11 +213,6 @@ class ConstantCocycle:
     def constant_value(self) -> np.ndarray:
         return self.matrix
 
-    def values_at_symbols(self, block):
-        m = self.matrix
-        ones = np.ones(block.shape[0])
-        return m[0, 0] * ones, m[0, 1] * ones, m[1, 0] * ones, m[1, 1] * ones
-
     def values_at_coords(self, coords):
         m = self.matrix
         ones = np.ones(coords.shape[0])
@@ -267,12 +260,6 @@ class LocallyConstantCocycle:
         tab.setflags(write=False)
         object.__setattr__(self, "table", tab)
         object.__setattr__(self, "alphabet_size", int(a))
-        powers = a ** np.arange(self.depth - 1, -1, -1, dtype=np.int64)
-        object.__setattr__(self, "_powers", powers)
-        object.__setattr__(self, "_ta", np.ascontiguousarray(tab[:, 0, 0]))
-        object.__setattr__(self, "_tb", np.ascontiguousarray(tab[:, 0, 1]))
-        object.__setattr__(self, "_tc", np.ascontiguousarray(tab[:, 1, 0]))
-        object.__setattr__(self, "_td", np.ascontiguousarray(tab[:, 1, 1]))
 
     @property
     def symbol_depth(self) -> int:
@@ -284,16 +271,6 @@ class LocallyConstantCocycle:
 
     def constant_value(self) -> np.ndarray:
         return self.table[0]
-
-    def values_at_symbols(self, block):
-        # a wider block (a deeper partner's) carries symbols this table ignores
-        idx = block[:, : self.depth].astype(np.int64) @ self._powers
-        return self._ta[idx], self._tb[idx], self._tc[idx], self._td[idx]
-
-    def symbol_table(self):
-        """(entries, alphabet size, depth): the four entry arrays indexed
-        by word, for scans that precompute products of words."""
-        return (self._ta, self._tb, self._tc, self._td), self.alphabet_size, self.depth
 
     def values_at_coords(self, coords):
         raise ConfigError("locally constant cocycles live over shift bases")
@@ -322,9 +299,6 @@ class PointwiseCocycle:
     def constant_value(self) -> np.ndarray:
         a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
         return np.array([[a[0], b[0]], [c[0], d[0]]])
-
-    def values_at_symbols(self, block):
-        raise ConfigError("pointwise cocycles live over torus bases")
 
     def values_at_coords(self, coords):
         u = coords[:, 0]
@@ -367,9 +341,6 @@ class PointwiseEntriesField:
     def constant_value(self) -> np.ndarray:
         a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
         return np.array([[a[0], b[0]], [c[0], d[0]]])
-
-    def values_at_symbols(self, block):
-        raise ConfigError("pointwise fields live over torus bases")
 
     def values_at_coords(self, coords):
         u = coords[:, 0]
@@ -426,14 +397,6 @@ class PerturbedCocycle:
         )
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
-    def values_at_symbols(self, block):
-        return _compose(
-            self.rule,
-            self.t,
-            self.base.values_at_symbols(block),
-            self.direction.values_at_symbols(block),
-        )
-
     def values_at_coords(self, coords):
         return _compose(
             self.rule,
@@ -457,15 +420,15 @@ def _compose(rule: str, t, base_vals, dir_vals):
 
 @dataclass(frozen=True, eq=False)
 class StackedCocycle:
-    """Several cocycles walked together: each hook returns four (M, S)
-    entry arrays whose row m is bitwise the m-th member's own (S,) output,
+    """Several cocycles walked together: their values come as four (M, S)
+    entry arrays whose row m is bitwise the m-th member's own (S,) values,
     so one orbit walk serves every member.
 
-    The members are either symbol tables over one alphabet, read with one
-    shared word index, or a base spec (optionally first) followed by
-    perturbations of it along one direction and rule, for which the base
-    and direction hooks run once per step and only the t-dependent
-    composition is formed per member.
+    The members are either symbol tables over one alphabet, stacked by
+    ``symbol_table``, or a base spec (optionally first) followed by
+    perturbations of it along one direction and rule.  Over a torus the
+    base and direction hooks of such perturbations run once per step and
+    only the t-dependent composition is formed per member.
     """
 
     members: tuple
@@ -478,32 +441,22 @@ class StackedCocycle:
             raise ConfigError("a stacked cocycle needs at least one member")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "r", members[0].r)
+        object.__setattr__(
+            self, "symbol_depth", max(m.symbol_depth for m in members)
+        )
         first = members[0]
-        if all(
+        tables = all(
             isinstance(m, LocallyConstantCocycle)
             and m.alphabet_size == first.alphabet_size
             for m in members
-        ):
-            a, depth = first.alphabet_size, max(m.depth for m in members)
-            tabs = np.stack(
-                [_expand_table(m.table, a, m.depth, depth) for m in members]
-            )
-            entries = tuple(
-                np.ascontiguousarray(tabs[:, :, i, j])
-                for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-            )
-            object.__setattr__(self, "_entries", entries)
-            object.__setattr__(self, "_alphabet", a)
-            object.__setattr__(
-                self, "_powers", a ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-            )
-            object.__setattr__(self, "symbol_depth", depth)
-            return
+        )
         base = first.base if isinstance(first, PerturbedCocycle) else first
         with_base = first is base
-        perturbed = members[1:] if with_base else members
+        # a stack of tables has no values at torus coordinates: its first
+        # member's hook says so
+        perturbed = () if tables else members[1:] if with_base else members
         head = perturbed[0] if perturbed else None
-        if not all(
+        if not tables and not all(
             isinstance(m, PerturbedCocycle)
             and m.base is base
             and m.direction is head.direction
@@ -514,47 +467,28 @@ class StackedCocycle:
                 "stacked members must be symbol tables or perturbations of "
                 "one base along one direction"
             )
-        object.__setattr__(self, "_entries", None)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_with_base", with_base)
         object.__setattr__(
             self, "_ts", np.array([m.t for m in perturbed], dtype=float)[:, None]
         )
-        object.__setattr__(
-            self, "symbol_depth", max(m.symbol_depth for m in members)
-        )
 
     @property
     def rows(self) -> int:
         return len(self.members)
 
-    def values_at_symbols(self, block):
-        if self._entries is not None:
-            idx = block.astype(np.int64) @ self._powers
-            return tuple(np.take(e, idx, axis=1) for e in self._entries)
-        return self._stack(lambda spec: spec.values_at_symbols(block))
-
     def values_at_coords(self, coords):
-        if self._entries is not None:
-            raise ConfigError("locally constant cocycles live over shift bases")
-        return self._stack(lambda spec: spec.values_at_coords(coords))
-
-    def symbol_table(self):
-        """As ``LocallyConstantCocycle.symbol_table`` with (M, words)
-        entries, or None when the members are not symbol tables."""
-        if self._entries is None:
-            return None
-        return self._entries, self._alphabet, self.symbol_depth
-
-    def _stack(self, hook):
-        """Rows from one call of ``hook`` on the base and one on the
-        direction; only the composition is formed per member."""
-        base_vals = hook(self._base)
+        """Rows from one call of the base's hook and one of the
+        direction's; only the composition is formed per member."""
+        base_vals = self._base.values_at_coords(coords)
         if self._head is None:
             return tuple(np.asarray(v)[None] for v in base_vals)
         composed = _compose(
-            self._head.rule, self._ts, base_vals, hook(self._head.direction)
+            self._head.rule,
+            self._ts,
+            base_vals,
+            self._head.direction.values_at_coords(coords),
         )
         if not self._with_base:
             return composed
@@ -573,23 +507,11 @@ CocycleSpec = Union[
 # evaluation and products
 
 
-def evaluate(a_spec: CocycleSpec, x: BasePoint) -> np.ndarray:
-    """The matrix A(x); raises SingularValueError where it fails
-    ``mat2.regular``."""
-    if isinstance(x, ShiftPoint):
-        depth = a_spec.symbol_depth
-        block = np.array(
-            [[x.symbol(i) for i in range(depth)]], dtype=np.int64
-        ).reshape(1, depth)
-        va, vb, vc, vd = a_spec.values_at_symbols(block)
-    elif isinstance(x, TorusPoint):
-        va, vb, vc, vd = a_spec.values_at_coords(x.coords.reshape(1, 2))
-    else:
-        raise ConfigError("unknown base point type")
-    m = np.array(
-        [[float(np.asarray(va).ravel()[0]), float(np.asarray(vb).ravel()[0])],
-         [float(np.asarray(vc).ravel()[0]), float(np.asarray(vd).ravel()[0])]]
-    )
+def evaluate(a_spec: CocycleSpec, x: BasePoint, sys: BaseSystem) -> np.ndarray:
+    """The matrix A(x), read as the scans read it (``engine.values``);
+    raises SingularValueError where it fails ``mat2.regular``."""
+    va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, [x]))
+    m = np.array([[va[0], vb[0]], [vc[0], vd[0]]], dtype=float)
     if not mat2.regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1]):
         raise SingularValueError("cocycle value is singular at the given point")
     return m
@@ -598,27 +520,21 @@ def evaluate(a_spec: CocycleSpec, x: BasePoint) -> np.ndarray:
 def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.ndarray:
     """Plain (unrenormalized) orbit product, kept as a cross-check for
     moderate n: A(f^{n-1}x) ... A(x) for n > 0, identity for n = 0, and the
-    inverse of the product along the backward orbit for n < 0."""
+    inverse of the product along the backward orbit for n < 0.  The values
+    are the scans' own (``engine._orbit_values``); raises
+    SingularValueError where one fails ``mat2.regular``."""
     n = int(n)
-    if n == 0:
-        return np.eye(2)
-    if n < 0:
+    out = np.eye(2)
+    steps = engine._orbit_values(a_spec, sys, engine.batch_of(sys, [x]), abs(n), n < 0)
+    for va, vb, vc, vd, log_det in steps:
+        if np.isnan(log_det[0]):
+            raise SingularValueError("cocycle value is singular along the orbit")
+        m = np.array([[va[0], vb[0]], [vc[0], vd[0]]])
         # Multiply per-step inverses instead of inverting the assembled
         # window product: each step is well conditioned, so the product
         # keeps an O(n eps) entrywise error, while any inverse of the full
         # window loses its small singular value at O(kappa n eps).
-        out = np.eye(2)
-        pt = x
-        for _ in range(-n):
-            pt = apply_f(sys, pt, -1)
-            out = mat2.inverse(evaluate(a_spec, pt)) @ out
-        return out
-    out = np.eye(2)
-    pt = x
-    for j in range(n):
-        out = evaluate(a_spec, pt) @ out
-        if j + 1 < n:
-            pt = apply_f(sys, pt, 1)
+        out = (mat2.inverse(m) if n < 0 else m) @ out
     return out
 
 
@@ -674,26 +590,18 @@ def holder_distances(
     ``specs``, each bitwise as if computed alone; a Holder norm is the
     distance to ``ConstantCocycle(np.zeros((2, 2)), invertible=False)``.
 
-    Exact by finite enumeration over a shift when A and B are symbol tables
-    over its alphabet (a constant spec counts as one).  Over a torus, a
-    flagged Monte Carlo lower bound, which draws its pairs and near-point
-    rings once and evaluates B there once; the perturbations of one base
-    along one direction and rule are evaluated as one ``StackedCocycle``
-    in one pass, any other spec as a stack of its own.
+    Exact by finite enumeration over a shift, from the symbol tables of A
+    and B (``symbol_table``).  Over a torus, a flagged Monte Carlo lower
+    bound, which draws its pairs and near-point rings once and evaluates B
+    there once; the perturbations of one base along one direction and rule
+    are evaluated as one ``StackedCocycle`` in one pass, any other spec as
+    a stack of its own.
     """
-    table_b = _as_table(b_spec, sys)
+    if isinstance(sys, ShiftSystem):
+        return [_table_distance(a_spec, b_spec, sys) for a_spec in specs]
     out: list = [None] * len(specs)
     stacks: dict = {}
     for i, a_spec in enumerate(specs):
-        table_a = _as_table(a_spec, sys) if table_b is not None else None
-        if table_a is not None:
-            depth = max(table_a[1], table_b[1], 1)
-            a = sys.alphabet_size
-            ta = _expand_table(table_a[0], a, table_a[1], depth)
-            tb = _expand_table(table_b[0], a, table_b[1], depth)
-            sup, quot = _table_holder(ta - tb, a, depth, sys.lambda0, a_spec.r)
-            out[i] = HolderReport(sup, quot, a_spec.r, exact=True)
-            continue
         key = i
         if isinstance(a_spec, PerturbedCocycle):
             key = (id(a_spec.base), id(a_spec.direction), a_spec.rule)
@@ -716,23 +624,65 @@ def holder_distances(
     return out
 
 
-def _as_table(spec, sys: BaseSystem):
-    """Spec as (table, depth) over the system's alphabet, or None."""
+def _table_distance(a_spec, b_spec, sys: ShiftSystem) -> HolderReport:
+    """The exact Holder distance of two shift specs, by finite enumeration
+    over the words of their symbol tables."""
+    try:
+        ta, da = _word_matrices(a_spec, sys)
+        tb, db = _word_matrices(b_spec, sys)
+    except ConfigError as err:
+        raise ConfigError(f"{err}, so it has no Holder norm") from err
+    a, depth = sys.alphabet_size, max(da, db)
+    diff = _expand_table(ta, a, da, depth) - _expand_table(tb, a, db, depth)
+    sup, quot = _table_holder(diff, a, depth, sys.lambda0, a_spec.r)
+    return HolderReport(sup, quot, a_spec.r, exact=True)
+
+
+def symbol_table(spec, sys: BaseSystem):
+    """A shift spec as the scans read it: (entries, alphabet size, depth),
+    the four entry arrays indexed by the word of the forward symbols
+    x_0 .. x_{depth-1}, x_0 most significant, with depth >= 1.  The entries
+    are (words,) arrays, or C-ordered (M, words) for a ``StackedCocycle``,
+    whose members are expanded to its deepest member's words.
+
+    A table over the shift's alphabet is itself, a constant the matrix
+    repeated per symbol, and a perturbation the composition of its parts'
+    tables, word by word.  Raises ConfigError off a shift, for a table over
+    another alphabet, and for a spec with no table: a pointwise one.
+    """
     if not isinstance(sys, ShiftSystem):
-        return None
+        raise ConfigError("symbol tables live over shift bases")
+    if isinstance(spec, StackedCocycle):
+        a = sys.alphabet_size
+        tables = [_word_matrices(m, sys) for m in spec.members]
+        depth = max(d for _, d in tables)
+        tab = np.stack([_expand_table(t, a, d, depth) for t, d in tables])
+    else:
+        tab, depth = _word_matrices(spec, sys)
+    entries = tuple(
+        np.ascontiguousarray(tab[..., i, j])
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    return entries, sys.alphabet_size, depth
+
+
+def _word_matrices(spec, sys: ShiftSystem):
+    """(table, depth): the spec's matrix at every word of ``depth`` >= 1
+    forward symbols, as one (words, 2, 2) array (see ``symbol_table``)."""
+    a = sys.alphabet_size
     if isinstance(spec, LocallyConstantCocycle):
-        if spec.alphabet_size != sys.alphabet_size:
-            return None
+        if spec.alphabet_size != a:
+            raise ConfigError(
+                f"a table over {spec.alphabet_size} symbols cannot be read "
+                f"over a shift on {a} symbols"
+            )
         return spec.table, spec.depth
     if isinstance(spec, PerturbedCocycle):
-        base_td = _as_table(spec.base, sys)
-        field_td = _as_table(spec.direction, sys)
-        if base_td is None or field_td is None:
-            return None
-        a = sys.alphabet_size
-        depth = max(base_td[1], field_td[1])
-        btab = _expand_table(base_td[0], a, base_td[1], depth)
-        ftab = _expand_table(field_td[0], a, field_td[1], depth)
+        btab, bdepth = _word_matrices(spec.base, sys)
+        ftab, fdepth = _word_matrices(spec.direction, sys)
+        depth = max(bdepth, fdepth)
+        btab = _expand_table(btab, a, bdepth, depth)
+        ftab = _expand_table(ftab, a, fdepth, depth)
         if spec.rule == "additive":
             return btab + spec.t * ftab, depth
         out = np.empty_like(btab)
@@ -740,26 +690,23 @@ def _as_table(spec, sys: BaseSystem):
             out[i] = btab[i] @ mat2.expm(spec.t * ftab[i])
         return out, depth
     if spec.is_constant:
-        value = spec.constant_value()
-        return value[None, :, :].repeat(sys.alphabet_size, axis=0), 1
-    return None
+        return spec.constant_value()[None, :, :].repeat(a, axis=0), 1
+    raise ConfigError("a pointwise spec has no symbol table: it lives over torus bases")
 
 
 def specialize(spec: CocycleSpec, sys: BaseSystem) -> CocycleSpec:
-    """Replace a perturbed spec by its exact locally constant equivalent
-    when the base and direction both reduce to symbol tables; other specs
-    pass through unchanged.  Raises SingularValueError if the specialized
-    table has a singular entry, or a non-finite one from an exponential
-    that overflowed."""
+    """Replace a perturbed spec over a shift by its exact locally constant
+    equivalent, its symbol table; other specs pass through unchanged.
+    Raises ConfigError where the parts have no symbol table, and
+    SingularValueError if the table has a singular entry, or a non-finite
+    one from an exponential that overflowed."""
     if isinstance(spec, PerturbedCocycle) and isinstance(sys, ShiftSystem):
-        td = _as_table(spec, sys)
-        if td is not None:
-            tab, depth = td
-            if not np.all(np.isfinite(tab)):
-                raise SingularValueError("specialized table is not finite")
-            return LocallyConstantCocycle(
-                table=tab, r=spec.r, depth=depth, alphabet_size=sys.alphabet_size
-            )
+        tab, depth = _word_matrices(spec, sys)
+        if not np.all(np.isfinite(tab)):
+            raise SingularValueError("specialized table is not finite")
+        return LocallyConstantCocycle(
+            table=tab, r=spec.r, depth=depth, alphabet_size=sys.alphabet_size
+        )
     return spec
 
 
@@ -815,12 +762,7 @@ class _HolderSample:
     pairs: int
 
     @classmethod
-    def draw(cls, sys: BaseSystem, pairs: int, seed: int) -> "_HolderSample":
-        if not isinstance(sys, TorusSystem):
-            raise ConfigError(
-                "a shift cocycle without a symbol table over the system's "
-                "alphabet has no Holder norm"
-            )
+    def draw(cls, sys: TorusSystem, pairs: int, seed: int) -> "_HolderSample":
         xy = sample_points(sys, 2 * pairs, 0, seed).coords
         xs = xy[:pairs]
         parts, dists = [xy], [torus_distances(xs, xy[pairs:])]

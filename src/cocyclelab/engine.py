@@ -10,19 +10,19 @@ matrix, so no product ever overflows, in one of two ways:
 
 - the direction scans (``forward_scan``, ``backward_scan``,
   ``forward_record``) divide by the operator norm, because their callers
-  read the unit-norm product as a direction.  Over a regular symbol table
-  each step's a, b, c, d and log |det| come in one gather from a
-  (5, ..., words) step table built once per scan;
+  read the unit-norm product as a direction;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
   exponents, and takes one norm and one log at the end.  Over a symbol
   table it absorbs one precomputed k-step word product per k symbols
   instead of one matrix per symbol.
 
-A shift batch's symbol window is checked once per scan, before the first
-step, and singular steps are caught once, after the last one.  A table
-scan numbers the words it reads once per walk (``_word_numbers``), a chunk
-of steps at a time, as every word table is indexed.
+Every step enters a scan as (a, b, c, d, log |det|), with log |det| NaN
+wherever the value fails ``mat2.regular`` (``_step``).  A shift batch's
+symbol window is checked once per scan, before the first step, and
+singular steps are caught once, after the last one.  A shift scan numbers
+the words it reads once per walk (``_word_numbers``), a chunk of steps at a
+time, as every word table is indexed.
 
 On a shift the first k steps of a direction scan read only a word of
 k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
@@ -32,11 +32,12 @@ saved, k (S - a^(k + depth - 1)) over S samples; ``forward_scan`` and
 word tables are indexed, and walk the other n - k steps.  The per-sample
 arithmetic is the same, so the result is bitwise the unshared walk's.
 
-Cocycle specs plug in through two duck-typed hooks: ``values_at_symbols``
-for shift bases and ``values_at_coords`` for torus bases, plus an integer
-``symbol_depth`` giving how many forward symbols a shift spec reads.  A
-spec that is one matrix per word of symbols may also expose its entries
-through ``symbol_table()``, which the step and word tables read.
+A shift spec is its symbol table (``cocycle.symbol_table``): one matrix per
+word of the forward symbols it reads, from which a scan forms a
+(5, ..., words) step table once and gathers every step with one
+``np.take``.  A torus spec is its ``values_at_coords`` hook, called once per
+step.  An integer ``symbol_depth`` gives how many forward symbols a shift
+spec reads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import mat2
+from . import cocycle, mat2
 from .base import (
     BasePoint,
     BaseSystem,
@@ -188,20 +189,50 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
     return starts
 
 
-def _orbit_values(
-    spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None, table=None
-):
-    """Yield the cocycle values a scan of n steps absorbs, in scan order:
-    A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
-    backward, leaving out the first ``skip`` (shift batches only).
+def _step(a, b, c, d):
+    """Values [[a, b], [c, d]] as a scan absorbs them: (a, b, c, d,
+    log |det|), with log |det| NaN wherever they fail ``mat2.regular``,
+    which is the scans' one singularity signal.  Failing values warn
+    nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * d - b * c
+        ok = mat2.regular(a, b, c, d, det)
+    return a, b, c, d, np.log(np.abs(det), out=np.full_like(det, np.nan), where=ok)
+
+
+def _step_table(spec, sys: BaseSystem):
+    """(steps, alphabet, depth): ``_step`` of every entry of the spec's
+    symbol table (``cocycle.symbol_table``), as one (5, ..., words)
+    array."""
+    # an exponential that overflowed leaves a failing entry, which _step
+    # marks: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries, alphabet, depth = cocycle.symbol_table(spec, sys)
+    return np.stack(_step(*entries)), alphabet, depth
+
+
+def _regular_steps(spec, sys: BaseSystem):
+    """The step table of a shift spec whose entries all pass
+    ``mat2.regular``, so every step does; None off a shift or when an
+    entry fails.  The word tables and the shared heads take only these:
+    both form words that no sample may read."""
+    if not isinstance(sys, ShiftSystem):
+        return None
+    table = _step_table(spec, sys)
+    return None if np.isnan(table[0][4]).any() else table
+
+
+def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None):
+    """Yield the steps a scan of n steps absorbs, in scan order, each as
+    ``_step`` gives it: A(x), A(fx), ..., A(f^{n-1}x) forward, or
+    A(f^{-1}x), ..., A(f^{-n}x) backward, leaving out the first ``skip``
+    (shift batches only).
 
     A shift batch is checked for the whole walk and moved to its final
     position up front (see ``_symbol_starts``; a caller that has already
-    done so passes its ``starts``), and each step gathers its symbols at
-    precomputed flat indices; a torus batch steps as it goes and ends in
-    the same place.  Given a regular symbol ``table`` (``_regular_table``),
-    a step is (a, b, c, d, log |det|), one gather from a step table formed
-    with the loop's own arithmetic, so bitwise the hook's values.
+    done so passes its ``starts``), and each step is one gather from the
+    spec's step table by the number of the word it reads; a torus batch
+    steps as it goes, calls the spec's hook and ends in the same place.
     """
     if n == 0:
         return
@@ -211,45 +242,21 @@ def _orbit_values(
                 step(sys, batch, -1)
             elif j:
                 step(sys, batch, 1)
-            yield spec.values_at_coords(batch.coords)
+            yield _step(*spec.values_at_coords(batch.coords))
         return
-    depth = spec.symbol_depth
+    steps, alphabet, depth = _step_table(spec, sys)
     if starts is None:
         starts = _symbol_starts(batch, n, depth, backward)
     order = np.arange(-1 - skip, -n - 1, -1) if backward else np.arange(skip, n)
-    if table is not None:
-        (a, b, c, d), alphabet, _ = table
-        steps = np.stack([a, b, c, d, np.log(np.abs(a * d - b * c))])
-        for idx in _word_numbers(batch.windows, starts, order, depth, alphabet):
-            yield np.take(steps, idx, axis=-1)
-        return
-    # the step at relative offset k reads the symbols at here + k
-    here = starts[:, None] + np.arange(depth)
-    for k in order:
-        yield spec.values_at_symbols(np.take(batch.windows, here + k))
+    for idx in _word_numbers(batch.windows, starts, order, depth, alphabet):
+        yield np.take(steps, idx, axis=-1)
 
 
 def values(spec, sys: BaseSystem, batch: Batch):
-    """Cocycle entries at the batch's current positions, as four (S,) arrays."""
-    return next(_orbit_values(spec, sys, batch, 1, backward=False))
-
-
-def _require_regular(regular) -> None:
-    """Raise unless every step absorbed passed ``mat2.regular``; regular is
-    the running minimum of that verdict per sample, True or 1.0 where every
-    step passed."""
-    if not np.all(regular):
-        raise SingularValueError("cocycle value is singular along the orbit")
-
-
-def _regular_table(spec, sys: BaseSystem):
-    """(entries, alphabet, depth) of a spec that is one matrix per word of
-    symbols over the shift's alphabet (``symbol_table()``), when every
-    entry passes ``mat2.regular``, so every step does; None otherwise."""
-    hook = getattr(spec, "symbol_table", None)
-    table = hook() if hook is not None and isinstance(sys, ShiftSystem) else None
-    ok = table is not None and table[1] == sys.alphabet_size
-    return table if ok and np.all(mat2.regular(*table[0])) else None
+    """Cocycle entries at the batch's current positions, as four (S,)
+    arrays ((M, S) for a stack)."""
+    a, b, c, d, _ = next(_orbit_values(spec, sys, batch, 1, backward=False))
+    return a, b, c, d
 
 
 NUMBER_SPAN = 2**15
@@ -310,13 +317,13 @@ def _renormalize(st: ScanState, a, b, c, d, log_det) -> None:
 def _direction_scan(
     spec, sys, batch, n, backward, paths=None, head=None
 ) -> ScanState:
-    """Walk n steps, renormalizing to unit norm at every step; with
-    ``paths`` = (ls_path, ldet_path) row j records the state after step j.
-    With a ``head`` (see ``scan_head``) the walk is checked against the
-    window, starts from each sample's state after the head's k steps,
-    gathered by the number of its word, and takes the other n - k.  Steps
-    over a regular symbol table come from its step table; other specs'
-    are checked for singularity once, after the walk."""
+    """Walk n steps, renormalizing to unit norm at every step; a list
+    ``paths`` gets (log_scale, logdet) after each step.  With a ``head``
+    (see ``scan_head``) the walk is checked against the window, starts
+    from each sample's state after the head's k steps, gathered by the
+    number of its word, and takes the other n - k.  A step that fails
+    ``mat2.regular`` leaves its samples' logdet NaN, checked once, after
+    the walk."""
     st, done, starts = _identity_state(batch.size), 0, None
     if head is not None:
         if (head.n, head.backward) != (n, backward):
@@ -327,31 +334,20 @@ def _direction_scan(
         )
         st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
         done = head.k
-    # a symbol table's steps are its entries: when they all pass the rule,
-    # every step does
-    table = _regular_table(spec, sys)
-    steps = _orbit_values(spec, sys, batch, n, backward, done, starts, table)
-    regular = True
+    steps = _orbit_values(spec, sys, batch, n, backward, done, starts)
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, values in enumerate(steps, done):
-            if table is None:
-                va, vb, vc, vd = values
-                det = va * vd - vb * vc
-                regular = regular & mat2.regular(va, vb, vc, vd, det)
-                log_det = np.log(np.abs(det))
-            else:
-                va, vb, vc, vd, log_det = values
+        for va, vb, vc, vd, log_det in steps:
             if backward:
                 prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
             else:
                 prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
             _renormalize(st, *prod, log_det)
             if paths is not None:
-                paths[0][j] = st.log_scale
-                paths[1][j] = st.logdet
-    _require_regular(regular)
+                paths.append((st.log_scale, st.logdet))
+    if np.isnan(st.logdet).any():
+        raise SingularValueError("cocycle value is singular along the orbit")
     return st
 
 
@@ -372,12 +368,14 @@ def forward_scan(
 def forward_record(
     spec, sys: BaseSystem, batch: Batch, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log_scale and logdet after each of the first n steps, shape (n, S)."""
+    """log_scale and logdet after each of the first n steps, shape (n, S),
+    or (n, M, S) for a stack, whose row m is bitwise member m's own."""
     if n < 1:
         raise ConfigError("forward_record needs n >= 1")
-    paths = (np.empty((n, batch.size)), np.empty((n, batch.size)))
+    paths = []
     _direction_scan(spec, sys, batch, n, backward=False, paths=paths)
-    return paths
+    ls_path, ldet_path = zip(*paths)
+    return np.stack(ls_path), np.stack(ldet_path)
 
 
 def backward_scan(
@@ -417,14 +415,15 @@ def scan_head(
     when ``backward``, else ``forward_scan``) of ``spec`` over a draw of
     ``count`` samples, walked once per word of the k + depth - 1 symbols
     they read, with k maximizing the sample-steps saved, k (count - words).
-    None off a shift, when no k saves a step, or without a regular symbol
-    table (``_regular_table``): a word the draw never reads must not raise.
+    None off a shift, when no k saves a step, or when a symbol table entry
+    fails ``mat2.regular`` (``_regular_steps``): a word the draw never
+    reads must not raise.
     """
-    table = _regular_table(spec, sys)
+    table = _regular_steps(spec, sys)
     if table is None:
         return None
     _, alphabet, depth = table
-    span = max(depth, 1) - 1
+    span = depth - 1
     # a longer head saves nothing once its words outnumber the samples
     steps = takewhile(lambda j: alphabet ** (j + span) < count, range(1, n + 1))
     k = max(steps, key=lambda j: j * (count - alphabet ** (j + span)), default=None)
@@ -468,16 +467,15 @@ def _log_norm(a, b, c, d, exps):
 # A factor is what exponent_scan absorbs, one step or one word of steps:
 # (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the
 # determinant product as (mantissa, exponent), and whether every step
-# passed ``mat2.regular`` (a bool, or 1.0 / 0.0 in a word table).
+# passed ``mat2.regular`` (a bool, or 1.0 in a word table).
 def _identity_factor(size: int):
     one, zero = np.ones(size), np.zeros(size, dtype=np.int64)
     return (one, 0.0, 0.0, one, zero, one, zero, True)
 
 
-def _step_factor(va, vb, vc, vd):
-    """One step A as a factor."""
-    sdet = va * vd - vb * vc
-    return (va, vb, vc, vd, 0, sdet, 0, mat2.regular(va, vb, vc, vd, sdet))
+def _step_factor(va, vb, vc, vd, log_det):
+    """One step, as ``_step`` gives it, as a factor."""
+    return (va, vb, vc, vd, 0, va * vd - vb * vc, 0, ~np.isnan(log_det))
 
 
 def _absorb(acc, factor):
@@ -506,17 +504,17 @@ def _word_length(alphabet: int) -> int:
     return k
 
 
-def _word_factors(entries, alphabet: int, depth: int, length: int) -> np.ndarray:
+def _word_factors(steps, alphabet: int, depth: int, length: int) -> np.ndarray:
     """The factor of every word of length + depth - 1 symbols (x_0 most
-    significant): the product of the ``length`` steps it determines, built
-    with the scan's own arithmetic.  Returned as one float array of shape
-    (8, ..., words), exponents held exactly as floats, so a scan gathers a
-    word's whole factor at once."""
+    significant): the product of the ``length`` steps it determines, from
+    the step table ``steps``, built with the scan's own arithmetic.
+    Returned as one float array of shape (8, ..., words), exponents held
+    exactly as floats, so a scan gathers a word's whole factor at once."""
     words = np.arange(alphabet ** (length + depth - 1))
     acc = _identity_factor(1)
     for j in range(length):
         idx = words // alphabet ** (length - 1 - j) % alphabet ** depth
-        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in entries)))
+        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in steps)))
     return np.ascontiguousarray(np.stack(np.broadcast_arrays(*acc)), dtype=float)
 
 
@@ -534,15 +532,15 @@ class WordTables:
 
 def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
     """Word tables for n-step exponent scans of ``spec``, to build once and
-    pass to every block's scan; None when the spec has no regular symbol
-    table (see ``_regular_table``), or n < 1."""
-    table = _regular_table(spec, sys)
+    pass to every block's scan; None off a shift, when a symbol table
+    entry fails ``mat2.regular`` (see ``_regular_steps``), or n < 1."""
+    table = _regular_steps(spec, sys)
     if table is None or n < 1:
         return None
-    entries, alphabet, depth = table
+    steps, alphabet, depth = table
     k = _word_length(alphabet)
     factors = {
-        length: _word_factors(entries, alphabet, depth, length)
+        length: _word_factors(steps, alphabet, depth, length)
         for length in {min(k, n), n % k} - {0}
     }
     return WordTables(alphabet=alphabet, depth=depth, k=k, factors=factors)
@@ -573,9 +571,9 @@ def exponent_scan(
     log scale.  For a 2x2 product sigma1 * sigma2 = |det|, so the bottom
     exponent is the log-det rate minus the top one.
 
-    A spec with a symbol table over the system's alphabet is walked a word
-    at a time: each iteration gathers one precomputed k-step factor per
-    sample from ``words`` (see ``word_tables``, built here when not
+    A shift spec whose table entries all pass ``mat2.regular`` is walked a
+    word at a time: each iteration gathers one precomputed k-step factor
+    per sample from ``words`` (see ``word_tables``, built here when not
     passed), so an n-step walk takes about n / k iterations.  Other specs
     are walked a step at a time.  The window is checked once, before the
     walk, and singular steps once, after it.
@@ -597,7 +595,8 @@ def exponent_scan(
     for factor in factors:
         acc = _absorb(acc, factor)
     a, b, c, d, exps, det, det_exps, regular = acc
-    _require_regular(regular)
+    if not np.all(regular):
+        raise SingularValueError("cocycle value is singular along the orbit")
     return _log_norm(a, b, c, d, exps), det_exps * _LN2 + np.log(np.abs(det))
 
 

@@ -251,7 +251,7 @@ def attraction_test(
         gx = np.tile(gx0, (width, 1))
         gy = np.tile(gy0, (width, 1))
         rx, ry = rx0[start:stop], ry0[start:stop]
-        for va, vb, vc, vd in engine._orbit_values(a_spec, sys, batch, n, backward):
+        for va, vb, vc, vd, _ in engine._orbit_values(a_spec, sys, batch, n, backward):
             if backward:
                 sdet = va * vd - vb * vc
                 va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)

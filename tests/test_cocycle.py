@@ -38,7 +38,7 @@ from cocyclelab.config import build_cocycle, load_config
 from cocyclelab.errors import ConfigError, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
-from oracles import base_distance, rotation
+from oracles import base_distance, oracle_entries, rotation, word_matrix
 
 DIAG2 = np.diag([2.0, 0.5])
 # a Holder norm is the Holder distance to the zero map
@@ -117,7 +117,7 @@ class TestSpecs:
         with pytest.raises(ConfigError, match=name):
             build(bad)
 
-    def test_invertible_flag(self):
+    def test_invertible_flag(self, shift2):
         singular = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularValueError):
             ConstantCocycle(matrix=singular)
@@ -127,10 +127,11 @@ class TestSpecs:
         with pytest.raises(SingularValueError):
             LocallyConstantCocycle(table=table)
         direction = LocallyConstantCocycle(table=table, invertible=False)
-        a, b, c, d = direction.values_at_symbols(np.array([[1], [0]]))
-        assert a.tolist() == [1.0, 2.0] and d.tolist() == [4.0, 0.5]
+        (a, b, c, d), _, _ = cocycle.symbol_table(direction, shift2)
+        assert a.tolist() == [2.0, 1.0] and d.tolist() == [0.5, 4.0]
+        assert np.array_equal(word_matrix(direction, [1]), singular)
 
-    def test_difference_spec_is_bitwise_subtraction(self):
+    def test_difference_spec_is_bitwise_subtraction(self, shift2):
         # holder_distances samples A - B through A + (-1) * B
         rng = np.random.default_rng(3)
         shift_pairs = [
@@ -148,19 +149,22 @@ class TestSpecs:
                 )
             ),
         ]
-        block = rng.integers(0, 2, size=(64, 2))
         coords = rng.random((64, 2))
-        for (a, b), hook, arg in (
-            (shift_pairs, "values_at_symbols", block),
-            (torus_pairs, "values_at_coords", coords),
+        for (a, b), values in (
+            (shift_pairs, lambda spec: cocycle.symbol_table(spec, shift2)[0]),
+            (torus_pairs, lambda spec: spec.values_at_coords(coords)),
         ):
             diff = PerturbedCocycle(base=a, direction=b, t=-1.0, rule="additive")
-            got = getattr(diff, hook)(arg)
-            want = [
-                x - y for x, y in zip(getattr(a, hook)(arg), getattr(b, hook)(arg))
-            ]
+            got = values(diff)
+            want = [x - y for x, y in zip(values(a), values(b))]
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+        # and so is the oracle's value at each word
+        a, b = shift_pairs
+        diff = PerturbedCocycle(base=a, direction=b, t=-1.0, rule="additive")
+        for word in ([x0, x1] for x0 in range(2) for x1 in range(2)):
+            want = word_matrix(a, word) - word_matrix(b, word)
+            assert word_matrix(diff, word).tobytes() == want.tobytes()
 
     def test_rotation_factor_winding(self):
         RotationFactor(angle=TrigExpr(lin_u=2.0 * np.pi))  # full turn, fine
@@ -182,9 +186,9 @@ class TestEvaluate:
     def test_locally_constant_reads_first_symbol(self, shift2):
         spec = two_table(DIAG2, rotation(0.5))
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
-        assert np.array_equal(evaluate(spec, x), DIAG2)
+        assert np.array_equal(evaluate(spec, x, shift2), DIAG2)
         y = apply_f(shift2, x, 1)
-        assert np.allclose(evaluate(spec, y), rotation(0.5))
+        assert np.allclose(evaluate(spec, y, shift2), rotation(0.5))
 
     @pytest.mark.filterwarnings("error")
     def test_regularity_rule(self, shift2):
@@ -194,17 +198,17 @@ class TestEvaluate:
         for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-17])):
             spec = LocallyConstantCocycle(table=np.array([DIAG2, bad]), invertible=False)
             with pytest.raises(SingularValueError):
-                evaluate(spec, x)
-            assert np.array_equal(evaluate(spec, apply_f(shift2, x, -1)), DIAG2)
+                evaluate(spec, x, shift2)
+            assert np.array_equal(evaluate(spec, apply_f(shift2, x, -1), shift2), DIAG2)
         tiny = np.ldexp(DIAG2, -60)
-        assert np.array_equal(evaluate(two_table(DIAG2, tiny), x), tiny)
+        assert np.array_equal(evaluate(two_table(DIAG2, tiny), x, shift2), tiny)
 
-    def test_depth_two_word_order(self):
+    def test_depth_two_word_order(self, shift2):
         mats = [np.diag([float(k + 1), 1.0]) for k in range(4)]
         spec = LocallyConstantCocycle(table=np.array(mats), depth=2, alphabet_size=2)
         # word (x_0, x_1) = (1, 0) is index 2 in lexicographic order
         x = ShiftPoint(window=np.array([0, 0, 1, 0, 0], dtype=np.int16))
-        assert evaluate(spec, x)[0, 0] == 3.0
+        assert evaluate(spec, x, shift2)[0, 0] == 3.0
 
     @pytest.mark.parametrize("depth", [2, 65, 2**63])
     def test_table_length_must_match_the_depth(self, depth):
@@ -224,7 +228,7 @@ class TestEvaluate:
         th = 0.4 * np.sin(2 * np.pi * 0.2)
         d1 = np.exp(0.3 * np.cos(2 * np.pi * 0.7))
         ref = rotation(th) @ np.diag([d1, 1.0])
-        assert np.allclose(evaluate(spec, x), ref, rtol=1e-14)
+        assert np.allclose(evaluate(spec, x, cat), ref, rtol=1e-14)
 
     def test_perturbed_multiplicative(self, cat):
         base = ConstantCocycle(matrix=DIAG2)
@@ -234,7 +238,7 @@ class TestEvaluate:
         pert = PerturbedCocycle(base=base, direction=fld, t=0.25, rule="multiplicative_exp")
         x = TorusPoint(0.1, 0.2)
         ref = DIAG2 @ mat2.expm(0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(evaluate(pert, x), ref, rtol=1e-14)
+        assert np.allclose(evaluate(pert, x, cat), ref, rtol=1e-14)
         assert pert.r == base.r
 
     def test_perturbed_additive(self, shift2):
@@ -245,15 +249,15 @@ class TestEvaluate:
         )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.1, rule="additive")
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
-        assert np.allclose(evaluate(pert, x), DIAG2 + 0.1 * np.eye(2))
+        assert np.allclose(evaluate(pert, x, shift2), DIAG2 + 0.1 * np.eye(2))
 
     def test_wrong_base_kind(self, cat, shift2):
         lc = two_table(DIAG2, rotation(0.3))
         with pytest.raises(ConfigError):
-            evaluate(lc, TorusPoint(0.1, 0.1))
+            evaluate(lc, TorusPoint(0.1, 0.1), cat)
         pw = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=1.0)),))
         with pytest.raises(ConfigError):
-            evaluate(pw, ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16)))
+            evaluate(pw, ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16)), shift2)
 
 
 class TestProducts:
@@ -621,7 +625,7 @@ class TestStackedHolder:
 
 
 class TestStacked:
-    """Row m of a stacked hook is bitwise member m's own hook output."""
+    """Row m of a stack's values is bitwise member m's own values."""
 
     def test_table_rows(self, shift2):
         base = two_table(DIAG2, rotation(0.3) @ DIAG2)
@@ -631,11 +635,10 @@ class TestStacked:
         )
         stacked = StackedCocycle((base, deep, base))
         assert stacked.symbol_depth == 2 and stacked.rows == 3
-        block = sample_points(shift2, 50, 3, seed=1).windows[:, 3:5]
-        rows = stacked.values_at_symbols(block)
+        draw = sample_points(shift2, 50, 3, seed=1)
+        rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
         for m, member in enumerate((base, deep, base)):
-            own = member.values_at_symbols(block[:, : member.depth])
-            for got, want in zip(rows, own):
+            for got, want in zip(rows, oracle_entries(member, list(draw))):
                 assert np.array_equal(got[m], want)
 
     @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
@@ -692,7 +695,7 @@ class TestMixedDepth:
     """A table inside a perturbation reads only the leading symbols of the
     block its deeper partner needs."""
 
-    WORDS = np.array([[a, b] for a in range(2) for b in range(2)])
+    WORDS = [[a, b] for a in range(2) for b in range(2)]
 
     @pytest.mark.parametrize("rule", ["additive", "multiplicative_exp"])
     @pytest.mark.parametrize("deep_base", [True, False])
@@ -700,21 +703,19 @@ class TestMixedDepth:
         spec = mixed_depth(rule, deep_base)
         table = specialize(spec, shift2)
         assert isinstance(table, LocallyConstantCocycle) and table.depth == 2
-        got = spec.values_at_symbols(self.WORDS)
-        want = table.values_at_symbols(self.WORDS)
-        for g, w in zip(got, want):
-            if rule == "additive":
-                assert np.array_equal(g, w)
-            else:
-                # the table multiplies with numpy @, the hook with matmul_batch
-                assert np.max(np.abs(g - w)) <= 1e-15
+        entries, _, depth = cocycle.symbol_table(spec, shift2)
+        assert depth == 2
+        for number, word in enumerate(self.WORDS):
+            want = word_matrix(spec, word)
+            assert np.array_equal(table.table[number], want)
+            assert np.array_equal([e[number] for e in entries], want.ravel())
 
     @pytest.mark.parametrize("deep_base", [True, False])
     def test_point_evaluation_and_products(self, shift2, deep_base):
         spec = mixed_depth("multiplicative_exp", deep_base)
         table = specialize(spec, shift2)
         x = sample_points(shift2, 1, 12, seed=4)[0]
-        assert rel_err(evaluate(spec, x), evaluate(table, x)) < 1e-14
+        assert rel_err(evaluate(spec, x, shift2), evaluate(table, x, shift2)) < 1e-14
         assert rel_err(product(spec, shift2, x, 8), product(table, shift2, x, 8)) < 1e-13
         assert rel_err(product(spec, shift2, x, -8), product(table, shift2, x, -8)) < 1e-13
 
@@ -735,10 +736,10 @@ class TestMixedDepth:
         ]
         stacked = StackedCocycle(tuple(members))
         assert stacked.symbol_depth == 2
-        block = sample_points(shift2, 30, 3, seed=1).windows[:, 3:5]
-        rows = stacked.values_at_symbols(block)
+        draw = sample_points(shift2, 30, 3, seed=1)
+        rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
         for m, member in enumerate(members):
-            for got, want in zip(rows, member.values_at_symbols(block)):
+            for got, want in zip(rows, oracle_entries(member, list(draw))):
                 assert np.array_equal(got[m], want)
 
 

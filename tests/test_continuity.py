@@ -87,7 +87,7 @@ class TestPerturb:
         raw = PerturbedCocycle(base=base, direction=field, t=0.25, rule="additive")
         spec = perturb(base, field, 0.25, "additive", shift2)
         p = sample_points(shift2, 5, 8, seed=3)[4]
-        assert np.allclose(evaluate(spec, p), evaluate(raw, p), rtol=1e-15)
+        assert np.allclose(evaluate(spec, p, shift2), evaluate(raw, p, shift2), rtol=1e-15)
 
     def test_additive_singularity_raises(self, shift2):
         base = ConstantCocycle(matrix=np.eye(2))

@@ -7,7 +7,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from cocyclelab import engine, mat2
+from cocyclelab import cocycle, engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
     LebesgueMeasure,
@@ -28,12 +28,13 @@ from cocyclelab.cocycle import (
     RotationFactor,
     StackedCocycle,
     TrigExpr,
+    evaluate,
     product,
 )
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
-from oracles import rotation
+from oracles import oracle_direction_walk, oracle_entries, rotation, word_matrix
 
 D = np.diag([2.0, 0.5])
 
@@ -397,7 +398,7 @@ class TestHorizonEdges:
             engine.backward_scan(spec, shift2, window_batch(shift2, n, (0, -1)), n)
 
     @pytest.mark.parametrize("n", [3, 8, 16, 19])
-    def test_one_exact_window_for_every_scan(self, shift2, n):
+    def test_one_exact_window_for_every_scan(self, shift2, monkeypatch, n):
         # at depth 2 the forward scans read n symbols ahead (the word walk
         # reads depth - 1 past its last step, whatever its word lengths)
         # and the backward scan n behind, so horizon n is exact for all
@@ -409,9 +410,8 @@ class TestHorizonEdges:
                 scan(spec, shift2, window_batch(shift2, n - 1), n)
         # the words at the exact window are the steps' products
         words = engine.exponent_scan(spec, shift2, window_batch(shift2, n), n)
-        steps = engine.exponent_scan(
-            without_table_hook(spec), shift2, window_batch(shift2, n), n
-        )
+        step_path(monkeypatch)
+        steps = engine.exponent_scan(spec, shift2, window_batch(shift2, n), n)
         for got, want in zip(words, steps):
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -474,22 +474,62 @@ class TestSingularSteps:
             LocallyConstantCocycle(table=np.array([D, D])), direction,
             t=1.0, rule="multiplicative_exp",
         )
-        a, _, _, _ = spec.values_at_symbols(np.array([[0], [1]]))
-        assert np.isfinite(a[0]) and np.isnan(a[1])
+        assert np.all(np.isfinite(word_matrix(spec, [0])))
+        assert np.isnan(word_matrix(spec, [1])).any()
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
         batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):
             getattr(engine, scan)(spec, shift2, batch, 4)
 
 
-def without_table_hook(spec):
-    """The same values, bitwise, from a spec with no symbol table, which
-    the exponent scan walks a step at a time."""
-    zero = LocallyConstantCocycle(
-        table=np.zeros_like(spec.table), depth=spec.depth,
-        alphabet_size=spec.alphabet_size, invertible=False,
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scan", ["forward_scan", "backward_scan", "forward_record", "exponent_scan"]
     )
-    return PerturbedCocycle(spec, zero, t=0.0, rule="additive")
+    @pytest.mark.parametrize("bad", [1, 2], ids=["singular", "nan"])
+    def test_bad_entries_raise_only_where_read(self, scan, bad):
+        # over three symbols: D, then D expm(-1000 I), which underflows to
+        # the zero matrix, then D expm(diag(1000, -1000)), which is NaN
+        direction = LocallyConstantCocycle(
+            table=np.array([np.zeros((2, 2)), -1e3 * np.eye(2), np.diag([1e3, -1e3])]),
+            invertible=False,
+        )
+        spec = PerturbedCocycle(
+            LocallyConstantCocycle(table=np.array([D, D, D])), direction,
+            t=1.0, rule="multiplicative_exp",
+        )
+        sys_ = bernoulli_shift(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not mat2.regular(*word_matrix(spec, [1]).ravel())
+            assert np.isnan(word_matrix(spec, [2])).any()
+        # the other entry sits in the window, one step past the walk
+        window = np.zeros(11, dtype=np.int16)
+        window[5 + (-5 if scan == "backward_scan" else 4)] = 3 - bad
+        run = getattr(engine, scan)
+        run(spec, sys_, engine.batch_of(sys_, [ShiftPoint(window)] * 3), 4)
+        window[5 + (-4 if scan == "backward_scan" else 3)] = bad
+        points = [ShiftPoint(np.zeros(11, dtype=np.int16)), ShiftPoint(window)]
+        with pytest.raises(SingularValueError):
+            run(spec, sys_, engine.batch_of(sys_, points), 4)
+
+    @pytest.mark.parametrize("table, shift", [(2, 3), (3, 2)])
+    def test_table_over_another_alphabet_is_refused(self, table, shift):
+        spec = random_table(table, 1, seed=2)
+        sys_ = bernoulli_shift(shift)
+        draw = sample_points(sys_, 5, 6, seed=1)
+        named = f"over {table} symbols .* on {shift} symbols"
+        for scan in ("forward_scan", "backward_scan", "forward_record", "exponent_scan"):
+            with pytest.raises(ConfigError, match=named):
+                getattr(engine, scan)(spec, sys_, engine.batch_of(sys_, draw), 4)
+        with pytest.raises(ConfigError, match=named):
+            engine.values(spec, sys_, engine.batch_of(sys_, draw))
+        with pytest.raises(ConfigError, match=named):
+            evaluate(spec, draw[0], sys_)
+
+
+def step_path(monkeypatch):
+    """Walk every exponent scan a step at a time: no word tables."""
+    monkeypatch.setattr(engine, "word_tables", lambda spec, sys_, n: None)
 
 
 class TestWordBlocks:
@@ -504,11 +544,26 @@ class TestWordBlocks:
         assert engine.word_tables(lc_spec(), shift2, 10).factors.keys() == {8, 2}
         assert engine.word_tables(lc_spec(), shift2, 3).factors.keys() == {3}
         assert engine.word_tables(lc_spec(), shift2, 0) is None
-        assert engine.word_tables(without_table_hook(lc_spec()), shift2, 10) is None
+        # a constant and a perturbation are the tables the oracle reads
+        spin = ConstantCocycle(np.array([[0.0, -1.0], [1.0, 0.0]]), invertible=False)
+        for spec in (
+            ConstantCocycle(D),
+            PerturbedCocycle(lc_spec(), spin, t=0.3, rule="multiplicative_exp"),
+        ):
+            table = np.array([word_matrix(spec, [s]) for s in range(2)])
+            want = engine.word_tables(LocallyConstantCocycle(table), shift2, 10)
+            got = engine.word_tables(spec, shift2, 10)
+            for length, factors in want.factors.items():
+                assert np.array_equal(got.factors[length], factors)
+        singular = LocallyConstantCocycle(
+            table=np.array([D, np.zeros((2, 2))]), invertible=False
+        )
+        assert engine.word_tables(singular, shift2, 10) is None
         shift3 = ShiftSystem(
             alphabet_size=3, measure=BernoulliMeasure(weights=(0.2, 0.3, 0.5))
         )
-        assert engine.word_tables(lc_spec(), shift3, 10) is None
+        with pytest.raises(ConfigError, match="over 2 symbols .* on 3 symbols"):
+            engine.word_tables(lc_spec(), shift3, 10)
         torus = PointwiseCocycle(factors=(ConstantFactor(matrix=D),))
         assert engine.word_tables(torus, cat, 10) is None
 
@@ -519,7 +574,8 @@ class TestWordBlocks:
         pts = sample_points(shift2, 300, 45, seed=15)
         assert engine.word_tables(spec, shift2, 40).k == 1
         words = finite_time_exponents(spec, shift2, pts, 40)
-        steps = finite_time_exponents(without_table_hook(spec), shift2, pts, 40)
+        step_path(monkeypatch)
+        steps = finite_time_exponents(spec, shift2, pts, 40)
         for name in ("plus", "minus", "logdet_rate"):
             assert np.array_equal(getattr(words, name), getattr(steps, name)), name
 
@@ -665,8 +721,15 @@ class TestScanHeads:
         assert engine.scan_head(depth2_spec(), shift2, 4, 30, True) is None
         assert engine.scan_head(depth2_spec(), shift2, 5, 30, True).k == 1
         assert engine.scan_head(lc_spec(), shift2, 10_000, 0, True) is None
-        # nor without a symbol table
-        assert engine.scan_head(ConstantCocycle(D), shift2, 10_000, 5, True) is None
+        # a constant is its matrix at every symbol: it takes a head, and the
+        # scan from it is the oracle's walk
+        spec, draw = ConstantCocycle(D), sample_points(shift2, 10, 6, seed=1)
+        head = engine.scan_head(spec, shift2, 10, 5, True)
+        assert head.k == 2
+        st = engine.backward_scan(spec, shift2, engine.batch_of(shift2, draw), 5, head)
+        want, _ = oracle_direction_walk(spec, list(draw), 5, True)
+        for f, x in vars(st).items():
+            assert np.array_equal(x, want[f]), f
 
     def test_torus_draws_take_no_head(self, cat):
         spec = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.1)),))
@@ -804,21 +867,9 @@ class TestScanHeads:
         assert built == [3000] * 4
 
 
-class HookOnly:
-    """``spec``'s values through its hook alone: without a symbol table the
-    direction scans take the per-step hook path."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.symbol_depth = spec.symbol_depth
-
-    def values_at_symbols(self, block):
-        return self.spec.values_at_symbols(block)
-
-
 class TestStepTables:
-    """Over a regular symbol table the direction scans gather every step
-    from one step table by its word number, bitwise the hook path."""
+    """The direction scans gather every step from one step table by its
+    word number, bitwise the oracle's walk over ``word_matrix``."""
 
     N = 10
 
@@ -844,29 +895,52 @@ class TestStepTables:
         scan = engine.backward_scan if backward else engine.forward_scan
         head = engine.scan_head(spec, sys_, len(mixed), self.N, backward)
         assert head is not None
+        want, paths = oracle_direction_walk(spec, mixed, self.N, backward)
         for h in (None, head):
-            runs = []
-            for s in (spec, HookOnly(spec)):
-                batch = engine.batch_of(sys_, mixed)
-                runs.append((scan(s, sys_, batch, self.N, h), batch.offsets))
-            (table, table_at), (hook, hook_at) = runs
-            assert np.array_equal(table_at, hook_at)
-            for f, x in vars(table).items():
-                assert np.array_equal(x, vars(hook)[f]), f
-        # forward_record keeps one row per sample: single tables only
-        if not backward and not isinstance(spec, StackedCocycle):
-            paths = [
-                engine.forward_record(s, sys_, engine.batch_of(sys_, mixed), self.N)
-                for s in (spec, HookOnly(spec))
-            ]
-            for x, y in zip(*paths):
+            batch = engine.batch_of(sys_, mixed)
+            start = batch.offsets.copy()
+            st = scan(spec, sys_, batch, self.N, h)
+            end = -self.N if backward else self.N - 1
+            assert np.array_equal(batch.offsets, start + end)
+            for f, x in vars(st).items():
+                assert np.array_equal(x, want[f]), f
+        if not backward:
+            got = engine.forward_record(spec, sys_, engine.batch_of(sys_, mixed), self.N)
+            for x, y in zip(got, paths):
                 assert np.array_equal(x, y)
 
     def test_stacked_hook_rows_are_contiguous(self, shift2):
         spec = StackedCocycle((lc_spec(), random_table(2, 1, seed=7)))
-        block = sample_points(shift2, 50, 0, seed=1).windows
-        for x in spec.values_at_symbols(block):
+        entries, alphabet, depth = cocycle.symbol_table(spec, shift2)
+        assert (alphabet, depth) == (2, 1)
+        draw = sample_points(shift2, 50, 0, seed=1)
+        got = engine.values(spec, shift2, engine.batch_of(shift2, draw))
+        for e, x, y in zip(entries, got, oracle_entries(spec, list(draw))):
+            assert e.shape == (2, 2) and e.flags.c_contiguous
             assert x.shape == (2, 50) and x.flags.c_contiguous
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("torus", [False, True], ids=["tables", "torus"])
+    def test_forward_record_takes_a_stack(self, shift2, cat, torus):
+        # the paths take the state's shape, (n, M, S); row m is the member's
+        if torus:
+            rot = RotationFactor(angle=TrigExpr(sin_u=0.3))
+            base = PointwiseCocycle(factors=(rot, ConstantFactor(matrix=D)))
+            spin = ConstantCocycle(np.array([[0.0, -1.0], [1.0, 0.0]]), invertible=False)
+            members = (base, PerturbedCocycle(base, spin, t=0.25, rule="multiplicative_exp"))
+            sys_, draw = cat, sample_points(cat, 40, 0, seed=3)
+        else:
+            members = (lc_spec(), random_table(2, 2, seed=5))
+            sys_, draw = shift2, sample_points(shift2, 40, 12, seed=3)
+        def record(spec):
+            return engine.forward_record(spec, sys_, engine.batch_of(sys_, draw), 10)
+
+        got = record(StackedCocycle(members))
+        for m, member in enumerate(members):
+            own = record(member)
+            for x, y in zip(got, own):
+                assert x.shape == (10, 2, 40)
+                assert np.array_equal(x[:, m], y)
 
     @pytest.mark.parametrize("span", [engine.NUMBER_SPAN, 7], ids=["span", "chunked"])
     @pytest.mark.parametrize("n", [3, 16, 21])

@@ -157,7 +157,7 @@ def per_point_residuals(spec, sys, draw, depth, side):
     wx, wy, _ = extract(spec, sys, [apply_f(sys, p, 1) for p in points], depth)
     out = []
     for i, p in enumerate(points):
-        m = evaluate(spec, p)
+        m = evaluate(spec, p, sys)
         d = Direction(float(vx[i]), float(vy[i]))
         pushed = Direction(m[0, 0] * d.x + m[0, 1] * d.y, m[1, 0] * d.x + m[1, 1] * d.y)
         out.append(projective_distance(pushed, Direction(float(wx[i]), float(wy[i]))))
