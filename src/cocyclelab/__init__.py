@@ -30,7 +30,6 @@ from .cocycle import (
     RotationFactor,
     TrigExpr,
     bunching_check,
-    evaluate,
     holder_distances,
     product,
     specialize,
@@ -50,7 +49,6 @@ from .continuity import (
     ContinuityRow,
     PerturbationFamily,
     continuity_experiment,
-    perturb,
     wilson_interval,
 )
 from .errors import (
@@ -58,23 +56,16 @@ from .errors import (
     ConfigError,
     HorizonExceeded,
     NoGap,
-    SingularPerturbation,
     SingularValueError,
 )
 from .oseledets import (
-    Direction,
     equivariance_residuals,
-    projective_distance,
-    stable_direction,
     stable_directions,
-    unstable_direction,
     unstable_directions,
 )
 from .projective import (
-    AttractionReport,
     EmpiricalProjectiveMeasure,
     InvarianceReport,
-    attraction_test,
     build_invariant_measures,
     integrate_phi,
     invariance_defect,

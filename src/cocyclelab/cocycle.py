@@ -504,17 +504,7 @@ CocycleSpec = Union[
 
 
 # ---------------------------------------------------------------------------
-# evaluation and products
-
-
-def evaluate(a_spec: CocycleSpec, x: BasePoint, sys: BaseSystem) -> np.ndarray:
-    """The matrix A(x), read as the scans read it (``engine.values``);
-    raises SingularValueError where it fails ``mat2.regular``."""
-    va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, [x]))
-    m = np.array([[va[0], vb[0]], [vc[0], vd[0]]], dtype=float)
-    if not mat2.regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1]):
-        raise SingularValueError("cocycle value is singular at the given point")
-    return m
+# products
 
 
 def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.ndarray:
@@ -599,6 +589,8 @@ def holder_distances(
     """
     if isinstance(sys, ShiftSystem):
         return [_table_distance(a_spec, b_spec, sys) for a_spec in specs]
+    if pair_samples < 1:
+        raise ConfigError("pair_samples must be >= 1")
     out: list = [None] * len(specs)
     stacks: dict = {}
     for i, a_spec in enumerate(specs):

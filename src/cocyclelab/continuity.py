@@ -36,7 +36,7 @@ from .cocycle import (
     holder_distances,
     specialize,
 )
-from .errors import ConfigError, NoGap, SingularPerturbation, SingularValueError
+from .errors import ConfigError, NoGap, SingularValueError
 from .mat2 import regular
 from .oseledets import stable_directions, unstable_directions
 from .spectrum import finite_time_exponents
@@ -135,23 +135,6 @@ def perturbations(
             ok = regular(a, b, c, d, det) & (np.sign(det) == sign)
             keep &= ok.all(axis=1)
     return [spec if k else None for spec, k in zip(specs, keep)]
-
-
-def perturb(
-    base: CocycleSpec,
-    direction: MatrixField,
-    t: float,
-    rule: str,
-    sys: BaseSystem,
-) -> CocycleSpec:
-    """``perturbations`` at the one size t; raises SingularPerturbation
-    where that censors it."""
-    (spec,) = perturbations(base, direction, (t,), rule, sys)
-    if spec is None:
-        raise SingularPerturbation(
-            f"{rule} perturbation at t={t} is singular or overflows"
-        )
-    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,5 @@ class SingularValueError(CocycleLabError):
     """A matrix that must be invertible is singular to working precision."""
 
 
-class SingularPerturbation(CocycleLabError):
-    """A perturbed cocycle value lost invertibility."""
-
-
 class NoGap(CocycleLabError):
     """No spectral gap resolved at the given sampling budget."""

@@ -9,14 +9,12 @@ Both sides run through one body, ``_directions``: the side picks only the
 scan and the singular vector read off its product.  The depth check, the
 constant closed form (read as one window, like a scanned one), the blocks
 and the conformality guard are shared: when the window product has
-essentially equal singular values the direction is meaningless and NoGap is
-raised (or reported, in the batched variants).  ``extractor(side)`` is the
-one place that maps a side's name to its extractor and rejects other names.
+essentially equal singular values the direction is meaningless and the
+sample's mask entry reports it.  ``extractor(side)`` is the one place that
+maps a side's name to its extractor and rejects other names.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,36 +24,6 @@ from .cocycle import CocycleSpec, _constant_power
 from .errors import ConfigError, NoGap, SingularValueError
 
 _CONFORMAL_GAP = np.log1p(1e-6)
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point of the projective line: a unit vector with the first nonzero
-    component positive, so equal lines compare equal bitwise."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        x, y = _lines(self.x, self.y)
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-
-    @property
-    def angle(self) -> float:
-        """Representative angle in [0, pi)."""
-        a = float(np.arctan2(self.y, self.x)) % np.pi
-        return a
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
-def projective_distance(d1: Direction, d2: Direction) -> float:
-    """Sine of the angle between the two lines; a metric on the projective
-    line taking values in [0, 1]."""
-    return abs(d1.x * d2.y - d1.y * d2.x)
 
 
 def _normalize_pairs(vx: np.ndarray, vy: np.ndarray):
@@ -150,29 +118,9 @@ def extractor(side: str):
     return globals()[f"{side}_directions"]
 
 
-def _direction(side: str, a_spec, sys, x, depth) -> Direction:
-    vx, vy, ok = extractor(side)(a_spec, sys, [x], depth)
-    if not ok[0]:
-        raise NoGap(f"window product is conformal to tolerance; no {side} direction")
-    return Direction(float(vx[0]), float(vy[0]))
-
-
-def unstable_direction(
-    a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, depth: int
-) -> Direction:
-    return _direction("unstable", a_spec, sys, x, depth)
-
-
-def stable_direction(
-    a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, depth: int
-) -> Direction:
-    return _direction("stable", a_spec, sys, x, depth)
-
-
 def _lines(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normalization of lines, Direction's included: unit vectors with
-    the first nonzero component positive; a zero or non-finite vector
-    raises ConfigError."""
+    """The normalization of lines: unit vectors with the first nonzero
+    component positive; a zero or non-finite vector raises ConfigError."""
     nrm = np.hypot(vx, vy)
     if not np.all((nrm != 0.0) & np.isfinite(nrm)):
         raise ConfigError("direction needs a nonzero finite vector")
@@ -195,8 +143,7 @@ def equivariance_residuals(
     ``field`` is the side's (vx, vy, ok) at ``points``, as its extractor
     returns it at this depth; only the field at f(x) is extracted here.
     ``points`` is a ``sample_points`` draw; the draw is pushed by f, A(x)
-    read and the lines normalized as arrays, giving bitwise what
-    ``Direction`` and ``evaluate`` give point by point."""
+    read and the lines normalized as arrays."""
     extract = extractor(side)
     if not isinstance(points, (ShiftDraw, TorusDraw)):
         raise ConfigError("equivariance residuals need a sample_points draw")

@@ -1,16 +1,14 @@
 """Empirical measures on the projective bundle and their diagnostics.
 
 The unstable (stable) graph measure is the empirical distribution of pairs
-(x_i, E^u(x_i)) over sampled base points.  Three diagnostics probe it:
+(x_i, E^u(x_i)) over sampled base points.  Two diagnostics probe it:
 
 * an invariance defect, testing the pushforward under (x, v) ->
   (f x, A(x) v) against a bank of product test functions, with the
   reference side evaluated at the same pushed base points so base-sampling
   noise cancels and only the fiber mismatch is measured;
 * the integral of phi(x, v) = log ||A(x) v||, which for the unstable graph
-  measure estimates the top exponent;
-* an attraction test that pushes a grid of directions and watches them
-  collapse onto the pushed reference direction.
+  measure estimates the top exponent.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 
 from . import engine, mat2
 from .base import (
-    BasePoint,
     BaseSystem,
     ShiftDraw,
     ShiftSystem,
@@ -29,8 +26,9 @@ from .base import (
     sample_points,
 )
 from .cocycle import CocycleSpec
-from .errors import ConfigError, NoGap
+from .errors import NoGap
 from .oseledets import extractor, stable_directions, unstable_directions
+from .spectrum import _sem
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +78,6 @@ def build_invariant_measures(
 # evaluation helpers
 
 
-def _spec_values(a_spec: CocycleSpec, sys: BaseSystem, points: list[BasePoint]):
-    batch = engine.batch_of(sys, points)
-    return engine.values(a_spec, sys, batch)
-
-
 def _push_directions(va, vb, vc, vd, vx, vy):
     """, normalized image of unit directions under per-sample matrices."""
     wx, wy = mat2.matvec_batch(va, vb, vc, vd, vx, vy)
@@ -96,7 +89,7 @@ def phi_values(
     a_spec: CocycleSpec, sys: BaseSystem, measure: EmpiricalProjectiveMeasure
 ) -> np.ndarray:
     """phi(x_i, v_i) = log ||A(x_i) v_i|| at each atom."""
-    va, vb, vc, vd = _spec_values(a_spec, sys, measure.points)
+    va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, measure.points))
     wx, wy = mat2.matvec_batch(va, vb, vc, vd, measure.vx, measure.vy)
     return np.log(np.hypot(wx, wy))
 
@@ -106,10 +99,7 @@ def integrate_phi(
 ) -> tuple[float, float]:
     """Mean and standard error of phi over the measure's atoms."""
     vals = phi_values(a_spec, sys, measure)
-    sem = 0.0
-    if vals.size > 1:
-        sem = float(np.std(vals, ddof=1) / np.sqrt(vals.size))
-    return float(np.mean(vals)), sem
+    return float(np.mean(vals)), _sem(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +169,7 @@ def invariance_defect(
     """
     extract = extractor(measure.kind)
     pushed_pts = engine.pushed(sys, measure.points)
-    va, vb, vc, vd = _spec_values(a_spec, sys, measure.points)
+    va, vb, vc, vd = engine.values(a_spec, sys, engine.batch_of(sys, measure.points))
     wx, wy = _push_directions(va, vb, vc, vd, measure.vx, measure.vy)
     rx, ry, ok = extract(a_spec, sys, pushed_pts, measure.depth, threads)
     if not ok.all():
@@ -193,88 +183,3 @@ def invariance_defect(
             per_test[f"{base_name}*{fiber_name}"] = abs(lhs - rhs)
     defect = max(per_test.values())
     return InvarianceReport(defect=defect, per_test=per_test, samples=measure.size)
-
-
-# ---------------------------------------------------------------------------
-# attraction
-
-
-@dataclass(frozen=True, eq=False)
-class AttractionReport:
-    side: str
-    n: int
-    distances: np.ndarray  # (S, G) final projective distances to reference
-    median_final: float
-    max_final: float
-
-
-def attraction_test(
-    a_spec: CocycleSpec,
-    sys: BaseSystem,
-    side: str = "unstable",
-    samples: int = 50,
-    grid: int = 16,
-    n: int = 100,
-    depth: int = 40,
-    seed: int = 0,
-    threads: int = 1,
-) -> AttractionReport:
-    """Push a grid of directions with the cocycle (or its inverse) and
-    measure the collapse onto the pushed reference direction.
-
-    The unstable side walks n steps forward and pushes by A(x), A(fx), ...,
-    A(f^{n-1}x); the stable side walks n steps backward and pushes by
-    A(f^{-1}x)^{-1}, ..., A(f^{-n}x)^{-1}, each inverse formed as
-    adj(A)/det(A).  The values come from the scans' own orbit walk, so the
-    symbol window is checked once, before the first step.
-
-    The reference at each point is the extracted direction pushed along the
-    same orbit, which the dynamics keeps closer to the true field than a
-    fresh finite-depth extraction would be.
-    """
-    extract = extractor(side)
-    if grid < 2:
-        raise ConfigError("grid needs at least two directions")
-    pts = sample_points(sys, samples, depth + n + 2 + a_spec.symbol_depth, seed)
-    rx0, ry0, ok = extract(a_spec, sys, pts, depth, threads)
-    if not ok.all():
-        raise NoGap("conformal window product in attraction test")
-    # grid of initial angles, offset to avoid symmetry artifacts
-    thetas = np.pi * (np.arange(grid) + 0.37) / grid
-    gx0 = np.cos(thetas)
-    gy0 = np.sin(thetas)
-    backward = side == "stable"
-
-    def job(start: int, stop: int):
-        width = stop - start
-        batch = engine.batch_of(sys, pts[start:stop])
-        gx = np.tile(gx0, (width, 1))
-        gy = np.tile(gy0, (width, 1))
-        rx, ry = rx0[start:stop], ry0[start:stop]
-        for va, vb, vc, vd, _ in engine._orbit_values(a_spec, sys, batch, n, backward):
-            if backward:
-                sdet = va * vd - vb * vc
-                va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
-                va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet
-            gx, gy = _push_grid(va, vb, vc, vd, gx, gy)
-            rx, ry = _push_directions(va, vb, vc, vd, rx, ry)
-        dist = np.abs(gx * ry[:, None] - gy * rx[:, None])
-        return (dist.T,)  # block_map concatenates on the last axis
-
-    (dist_t,) = engine.block_map(job, samples, threads)
-    distances = dist_t.T
-    return AttractionReport(
-        side=side,
-        n=n,
-        distances=distances,
-        median_final=float(np.median(distances)),
-        max_final=float(np.max(distances)),
-    )
-
-
-def _push_grid(va, vb, vc, vd, gx, gy):
-    """Push (S, G) direction columns by per-sample matrices."""
-    wx = va[:, None] * gx + vb[:, None] * gy
-    wy = vc[:, None] * gx + vd[:, None] * gy
-    nrm = np.hypot(wx, wy)
-    return wx / nrm, wy / nrm

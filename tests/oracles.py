@@ -1,13 +1,20 @@
 """Test-side references that the library itself does not need: the rotation
-matrix, the base metric between two points and a shift spec's value read
-symbol by symbol, each written out directly."""
+matrix, the base metric between two points, a shift spec's value read
+symbol by symbol and the attraction of directions onto the splitting, each
+written out directly."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cocyclelab import mat2
-from cocyclelab.base import BaseSystem, BasePoint, ShiftSystem, torus_distances
+from cocyclelab import engine, mat2
+from cocyclelab.base import (
+    BaseSystem,
+    BasePoint,
+    ShiftSystem,
+    sample_points,
+    torus_distances,
+)
 from cocyclelab.cocycle import (
     ConstantCocycle,
     LocallyConstantCocycle,
@@ -15,6 +22,7 @@ from cocyclelab.cocycle import (
     StackedCocycle,
 )
 from cocyclelab.errors import HorizonExceeded
+from cocyclelab.oseledets import stable_directions, unstable_directions
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -103,3 +111,44 @@ def oracle_direction_walk(spec, points, n: int, backward: bool):
         ldet_path.append(logdet)
     state = dict(a=a, b=b, c=c, d=d, log_scale=log_scale, logdet=logdet)
     return state, (np.array(ls_path), np.array(ldet_path))
+
+
+def _push_lines(va, vb, vc, vd, x, y):
+    """Push (S, k) direction columns by per-sample matrices and normalize."""
+    wx = va[:, None] * x + vb[:, None] * y
+    wy = vc[:, None] * x + vd[:, None] * y
+    nrm = np.hypot(wx, wy)
+    return wx / nrm, wy / nrm
+
+
+def stepwise_attraction(spec, sys, side, samples, grid, n, depth, seed):
+    """(samples, grid) projective distances between a grid of directions and
+    the extracted direction after both are pushed n steps along each
+    sampled orbit, one step at a time: A read at the batch's position and
+    the batch moved by one step, forward for the unstable side, backward
+    with A inverted as adj(A)/det(A) for the stable side.  Small distances
+    show the grid collapsing onto the splitting."""
+    extract = unstable_directions if side == "unstable" else stable_directions
+    pts = sample_points(sys, samples, depth + n + 2 + spec.symbol_depth, seed)
+    rx, ry, ok = extract(spec, sys, pts, depth)
+    assert ok.all()
+    # grid of initial angles, offset to avoid symmetry artifacts
+    thetas = np.pi * (np.arange(grid) + 0.37) / grid
+    gx = np.tile(np.cos(thetas), (samples, 1))
+    gy = np.tile(np.sin(thetas), (samples, 1))
+    rx, ry = rx[:, None], ry[:, None]
+    batch = engine.batch_of(sys, pts)
+    for k in range(n):
+        if side == "unstable":
+            va, vb, vc, vd = engine.values(spec, sys, batch)
+            if k + 1 < n:
+                engine.step(sys, batch, 1)
+        else:
+            engine.step(sys, batch, -1)
+            va, vb, vc, vd = engine.values(spec, sys, batch)
+            sdet = va * vd - vb * vc
+            va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
+            va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet
+        gx, gy = _push_lines(va, vb, vc, vd, gx, gy)
+        rx, ry = _push_lines(va, vb, vc, vd, rx, ry)
+    return np.abs(gx * ry - gy * rx)

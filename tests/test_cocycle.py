@@ -29,7 +29,6 @@ from cocyclelab.cocycle import (
     _HolderSample,
     _table_holder,
     bunching_check,
-    evaluate,
     holder_distances,
     product,
     specialize,
@@ -182,13 +181,27 @@ class TestSpecs:
         assert not wavy.is_constant
 
 
+def shift_value(spec, x, sys):
+    """A(x) at one shift point as the scans read it (``engine.values``),
+    checked bitwise against the oracle's word lookup."""
+    got = engine.values(spec, sys, engine.batch_of(sys, [x]))
+    want = oracle_entries(spec, [x])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return np.array(want).reshape(2, 2)
+
+
+def torus_value(spec, x):
+    """A(x) at one torus point from the spec's hook."""
+    return np.array(spec.values_at_coords(np.array([[x.u, x.v]]))).reshape(2, 2)
+
+
 class TestEvaluate:
     def test_locally_constant_reads_first_symbol(self, shift2):
         spec = two_table(DIAG2, rotation(0.5))
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
-        assert np.array_equal(evaluate(spec, x, shift2), DIAG2)
+        assert np.array_equal(shift_value(spec, x, shift2), DIAG2)
         y = apply_f(shift2, x, 1)
-        assert np.allclose(evaluate(spec, y, shift2), rotation(0.5))
+        assert np.allclose(shift_value(spec, y, shift2), rotation(0.5))
 
     @pytest.mark.filterwarnings("error")
     def test_regularity_rule(self, shift2):
@@ -198,17 +211,17 @@ class TestEvaluate:
         for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-17])):
             spec = LocallyConstantCocycle(table=np.array([DIAG2, bad]), invertible=False)
             with pytest.raises(SingularValueError):
-                evaluate(spec, x, shift2)
-            assert np.array_equal(evaluate(spec, apply_f(shift2, x, -1), shift2), DIAG2)
+                product(spec, shift2, x, 1)
+            assert np.array_equal(product(spec, shift2, apply_f(shift2, x, -1), 1), DIAG2)
         tiny = np.ldexp(DIAG2, -60)
-        assert np.array_equal(evaluate(two_table(DIAG2, tiny), x, shift2), tiny)
+        assert np.array_equal(product(two_table(DIAG2, tiny), shift2, x, 1), tiny)
 
     def test_depth_two_word_order(self, shift2):
         mats = [np.diag([float(k + 1), 1.0]) for k in range(4)]
         spec = LocallyConstantCocycle(table=np.array(mats), depth=2, alphabet_size=2)
         # word (x_0, x_1) = (1, 0) is index 2 in lexicographic order
         x = ShiftPoint(window=np.array([0, 0, 1, 0, 0], dtype=np.int16))
-        assert evaluate(spec, x, shift2)[0, 0] == 3.0
+        assert shift_value(spec, x, shift2)[0, 0] == 3.0
 
     @pytest.mark.parametrize("depth", [2, 65, 2**63])
     def test_table_length_must_match_the_depth(self, depth):
@@ -228,7 +241,7 @@ class TestEvaluate:
         th = 0.4 * np.sin(2 * np.pi * 0.2)
         d1 = np.exp(0.3 * np.cos(2 * np.pi * 0.7))
         ref = rotation(th) @ np.diag([d1, 1.0])
-        assert np.allclose(evaluate(spec, x, cat), ref, rtol=1e-14)
+        assert np.allclose(torus_value(spec, x), ref, rtol=1e-14)
 
     def test_perturbed_multiplicative(self, cat):
         base = ConstantCocycle(matrix=DIAG2)
@@ -238,7 +251,7 @@ class TestEvaluate:
         pert = PerturbedCocycle(base=base, direction=fld, t=0.25, rule="multiplicative_exp")
         x = TorusPoint(0.1, 0.2)
         ref = DIAG2 @ mat2.expm(0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(evaluate(pert, x, cat), ref, rtol=1e-14)
+        assert np.allclose(torus_value(pert, x), ref, rtol=1e-14)
         assert pert.r == base.r
 
     def test_perturbed_additive(self, shift2):
@@ -249,15 +262,16 @@ class TestEvaluate:
         )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.1, rule="additive")
         x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
-        assert np.allclose(evaluate(pert, x, shift2), DIAG2 + 0.1 * np.eye(2))
+        assert np.allclose(shift_value(pert, x, shift2), DIAG2 + 0.1 * np.eye(2))
 
     def test_wrong_base_kind(self, cat, shift2):
         lc = two_table(DIAG2, rotation(0.3))
         with pytest.raises(ConfigError):
-            evaluate(lc, TorusPoint(0.1, 0.1), cat)
+            engine.values(lc, cat, engine.batch_of(cat, [TorusPoint(0.1, 0.1)]))
         pw = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=1.0)),))
+        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
         with pytest.raises(ConfigError):
-            evaluate(pw, ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16)), shift2)
+            engine.values(pw, shift2, engine.batch_of(shift2, [x]))
 
 
 class TestProducts:
@@ -424,6 +438,12 @@ class TestHolderNorm:
         lipschitz = 2.0 * np.pi * eps
         assert rep.holder_constant <= lipschitz * (1.0 + 1e-6)
         assert rep.holder_constant >= 0.9 * lipschitz
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_sampled_pairs_is_refused(self, cat, pairs):
+        spec = ConstantCocycle(np.eye(2))
+        with pytest.raises(ConfigError, match="pair_samples"):
+            holder_distances([spec], ZERO, cat, pair_samples=pairs)
 
     def test_distance_exact_tables(self, shift2):
         a = two_table(DIAG2, rotation(0.3))
@@ -715,7 +735,7 @@ class TestMixedDepth:
         spec = mixed_depth("multiplicative_exp", deep_base)
         table = specialize(spec, shift2)
         x = sample_points(shift2, 1, 12, seed=4)[0]
-        assert rel_err(evaluate(spec, x, shift2), evaluate(table, x, shift2)) < 1e-14
+        assert rel_err(shift_value(spec, x, shift2), shift_value(table, x, shift2)) < 1e-14
         assert rel_err(product(spec, shift2, x, 8), product(table, shift2, x, 8)) < 1e-13
         assert rel_err(product(spec, shift2, x, -8), product(table, shift2, x, -8)) < 1e-13
 

@@ -28,7 +28,6 @@ from cocyclelab.cocycle import (
     RotationFactor,
     StackedCocycle,
     TrigExpr,
-    evaluate,
     product,
 )
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
@@ -523,8 +522,6 @@ class TestSingularSteps:
                 getattr(engine, scan)(spec, sys_, engine.batch_of(sys_, draw), 4)
         with pytest.raises(ConfigError, match=named):
             engine.values(spec, sys_, engine.batch_of(sys_, draw))
-        with pytest.raises(ConfigError, match=named):
-            evaluate(spec, draw[0], sys_)
 
 
 def step_path(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import oseledets
-from cocyclelab.base import TorusPoint, apply_f, sample_points
+from cocyclelab.base import ShiftSystem, TorusDraw, TorusPoint, apply_f, sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
@@ -14,86 +14,85 @@ from cocyclelab.cocycle import (
     PointwiseCocycle,
     RotationFactor,
     TrigExpr,
-    evaluate,
 )
 from cocyclelab.errors import ConfigError, NoGap, SingularValueError
 from cocyclelab.oseledets import (
-    Direction,
+    _lines,
     equivariance_residuals,
-    projective_distance,
-    stable_direction,
     stable_directions,
-    unstable_direction,
     unstable_directions,
 )
-from oracles import rotation
+from oracles import oracle_entries, rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
 
+def line(x, y):
+    """A line as a unit vector with its first nonzero component positive,
+    written out for one vector."""
+    nrm = np.hypot(x, y)
+    x, y = x / nrm, y / nrm
+    flip = np.sign(x if x != 0.0 else y)
+    return x * flip, y * flip
+
+
+def sine(p, q):
+    """Sine of the angle between two lines: the projective distance."""
+    return abs(p[0] * q[1] - p[1] * q[0])
+
+
+def at_one_point(extract, spec, sys, x, depth):
+    """The extractor's (vx, vy) on a one-point draw, which must have a gap."""
+    vx, vy, ok = extract(spec, sys, [x], depth)
+    assert vx.shape == (1,) and ok[0]
+    return vx[0], vy[0]
+
+
 class TestDirection:
     def test_normalization(self):
-        d = Direction(-2.0, 0.0)
-        assert (d.x, d.y) == (1.0, 0.0)
-        assert d.angle == 0.0
-        d = Direction(0.0, -3.0)
-        assert d.y == 1.0
-        assert d.angle == pytest.approx(np.pi / 2)
+        # the sign convention: the first nonzero component is positive
+        x, y = _lines(np.array([-2.0, 0.0, 3.0]), np.array([0.0, -3.0, -4.0]))
+        assert list(zip(x, y)) == [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)]
 
-    def test_projective_distance_metric(self):
-        rng = np.random.default_rng(1)
-        ds = [Direction(*rng.standard_normal(2)) for _ in range(50)]
-        for a in ds[:10]:
-            assert projective_distance(a, a) == 0.0
-            for b in ds[10:20]:
-                assert projective_distance(a, b) == pytest.approx(
-                    projective_distance(b, a)
-                )
-                for c in ds[20:25]:
-                    lhs = projective_distance(a, b)
-                    rhs = projective_distance(a, c) + projective_distance(c, b)
-                    assert lhs <= rhs + 1e-12
-
-    def test_perpendicular_lines(self):
-        assert projective_distance(Direction(1, 0), Direction(0, 1)) == 1.0
-        assert projective_distance(Direction(1, 1), Direction(1, -1)) == pytest.approx(1.0)
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_zero_or_nonfinite_vector_raises(self, x, y):
+        with pytest.raises(ConfigError, match="nonzero finite"):
+            _lines(np.array([1.0, x]), np.array([0.0, y]))
 
 
 class TestConstantCocycles:
     def test_diagonal_axes_exact_shift(self, shift2):
         spec = ConstantCocycle(matrix=DIAG2)
         pts = sample_points(shift2, 3, 2, seed=0)  # tiny windows suffice
-        eu = unstable_direction(spec, shift2, pts[0], depth=60)
-        es = stable_direction(spec, shift2, pts[0], depth=60)
-        assert (eu.x, eu.y) == (1.0, 0.0) and eu.angle == 0.0
-        assert es.y == 1.0 and es.angle == np.pi / 2
+        assert at_one_point(unstable_directions, spec, shift2, pts[0], 60) == (1.0, 0.0)
+        assert at_one_point(stable_directions, spec, shift2, pts[0], 60) == (0.0, 1.0)
 
     def test_diagonal_axes_exact_torus(self, cat):
         spec = ConstantCocycle(matrix=DIAG2)
         x = TorusPoint(0.37, 0.81)
-        assert unstable_direction(spec, cat, x, depth=60).angle == 0.0
-        assert stable_direction(spec, cat, x, depth=60).angle == np.pi / 2
+        assert at_one_point(unstable_directions, spec, cat, x, 60) == (1.0, 0.0)
+        assert at_one_point(stable_directions, spec, cat, x, 60) == (0.0, 1.0)
 
     def test_cat_matrix_recovers_eigenvectors(self, cat):
         spec = ConstantCocycle(matrix=np.array([[2.0, 1.0], [1.0, 1.0]]))
         x = TorusPoint(0.2, 0.6)
-        eu = unstable_direction(spec, cat, x, depth=50)
-        es = stable_direction(spec, cat, x, depth=50)
-        ref_u = Direction(*cat.unstable_vector)
-        ref_s = Direction(*cat.stable_vector)
-        assert projective_distance(eu, ref_u) < 1e-12
-        assert projective_distance(es, ref_s) < 1e-12
+        eu = at_one_point(unstable_directions, spec, cat, x, 50)
+        es = at_one_point(stable_directions, spec, cat, x, 50)
+        assert sine(eu, line(*cat.unstable_vector)) < 1e-12
+        assert sine(es, line(*cat.stable_vector)) < 1e-12
         # the splitting is invariant: pushing E^u forward returns E^u
-        pushed = Direction(*(spec.matrix @ eu.vector))
-        assert projective_distance(pushed, eu) < 1e-12
+        assert sine(line(*(spec.matrix @ eu)), eu) < 1e-12
 
     def test_conformal_raises(self, shift2):
+        # a conformal window has no direction: the mask says so, and the
+        # equivariance residuals, which need the field, raise NoGap
         spec = ConstantCocycle(matrix=rotation(0.7))
         pts = sample_points(shift2, 1, 2, seed=1)
-        with pytest.raises(NoGap):
-            unstable_direction(spec, shift2, pts[0], depth=30)
-        with pytest.raises(NoGap):
-            stable_direction(spec, shift2, pts[0], depth=30)
+        for side in ("unstable", "stable"):
+            field = oseledets.extractor(side)(spec, shift2, pts, 30)
+            assert not field[2].any()
+            with pytest.raises(NoGap):
+                equivariance_residuals(spec, shift2, pts, field, 30, side=side)
 
 
 class TestSampledCocycles:
@@ -124,21 +123,12 @@ class TestSampledCocycles:
 
     def test_splitting_angle_positive(self, shift2):
         pts = sample_points(shift2, 5, 45, seed=5)
-        for x in pts:
-            u = unstable_direction(self.spec(), shift2, x, depth=40)
-            s = stable_direction(self.spec(), shift2, x, depth=40)
-            assert projective_distance(u, s) > 0.5  # near-perpendicular here
-
-    def test_batched_matches_single(self, shift2):
-        pts = sample_points(shift2, 6, 45, seed=6)
-        vx, vy, ok = unstable_directions(self.spec(), shift2, pts, depth=30)
-        assert ok.all()
-        for i, x in enumerate(pts):
-            d = unstable_direction(self.spec(), shift2, x, depth=30)
-            # the Direction constructor renormalizes once more, which may
-            # move the last bit
-            assert d.x == pytest.approx(vx[i], abs=1e-15)
-            assert d.y == pytest.approx(vy[i], abs=1e-15)
+        ux, uy, ok_u = unstable_directions(self.spec(), shift2, pts, depth=40)
+        sx, sy, ok_s = stable_directions(self.spec(), shift2, pts, depth=40)
+        assert ok_u.all() and ok_s.all()
+        for i in range(len(pts)):
+            # near-perpendicular here
+            assert sine((ux[i], uy[i]), (sx[i], sy[i])) > 0.5
 
     def test_threads_bitwise_equal(self, shift2):
         pts = sample_points(shift2, 2100, 35, seed=7)
@@ -149,18 +139,24 @@ class TestSampledCocycles:
 
 
 def per_point_residuals(spec, sys, draw, depth, side):
-    """Equivariance residuals one point at a time, as Direction and
-    evaluate define them: the reference for the batched route."""
+    """Equivariance residuals one point at a time: A(x) from the oracle's
+    word lookup over a shift and from the spec's hook over a torus, each
+    line normalized and pushed on its own; the reference for the batched
+    route."""
     extract = unstable_directions if side == "unstable" else stable_directions
     points = list(draw)
     vx, vy, _ = extract(spec, sys, points, depth)
     wx, wy, _ = extract(spec, sys, [apply_f(sys, p, 1) for p in points], depth)
+    if isinstance(sys, ShiftSystem):
+        va, vb, vc, vd = oracle_entries(spec, points)
+    else:
+        assert isinstance(draw, TorusDraw)
+        va, vb, vc, vd = spec.values_at_coords(draw.coords)
     out = []
-    for i, p in enumerate(points):
-        m = evaluate(spec, p, sys)
-        d = Direction(float(vx[i]), float(vy[i]))
-        pushed = Direction(m[0, 0] * d.x + m[0, 1] * d.y, m[1, 0] * d.x + m[1, 1] * d.y)
-        out.append(projective_distance(pushed, Direction(float(wx[i]), float(wy[i]))))
+    for i in range(len(points)):
+        dx, dy = line(vx[i], vy[i])
+        pushed = line(va[i] * dx + vb[i] * dy, vc[i] * dx + vd[i] * dy)
+        out.append(sine(pushed, line(wx[i], wy[i])))
     return np.array(out)
 
 

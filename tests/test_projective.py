@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import engine, mat2
 from cocyclelab.base import sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
@@ -16,22 +15,15 @@ from cocyclelab.cocycle import (
     TrigExpr,
 )
 from cocyclelab.errors import ConfigError, NoGap
-from cocyclelab.oseledets import (
-    equivariance_residuals,
-    stable_directions,
-    unstable_directions,
-)
+from cocyclelab.oseledets import equivariance_residuals, unstable_directions
 from cocyclelab.projective import (
-    _push_directions,
-    _push_grid,
-    attraction_test,
     build_invariant_measures,
     integrate_phi,
     invariance_defect,
     phi_values,
 )
 from cocyclelab.spectrum import lyapunov_exponents
-from oracles import rotation
+from oracles import rotation, stepwise_attraction
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -44,35 +36,6 @@ def gapped_spec():
 def torus_spec():
     rot = RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1))
     return PointwiseCocycle(factors=(rot, ConstantFactor(np.diag([1.5, 1.0 / 1.5]))))
-
-
-def stepwise_attraction(spec, sys, side, samples, grid, n, depth, seed):
-    """The attraction distances with the orbit walked one step at a time:
-    A read at the batch's position and the batch moved by one step, forward
-    for the unstable side, backward with A inverted as adj(A)/det(A) for
-    the stable side.  The reference for attraction_test's walk."""
-    extract = unstable_directions if side == "unstable" else stable_directions
-    pts = sample_points(sys, samples, depth + n + 2 + spec.symbol_depth, seed)
-    rx, ry, ok = extract(spec, sys, pts, depth)
-    assert ok.all()
-    thetas = np.pi * (np.arange(grid) + 0.37) / grid
-    gx = np.tile(np.cos(thetas), (samples, 1))
-    gy = np.tile(np.sin(thetas), (samples, 1))
-    batch = engine.batch_of(sys, pts)
-    for k in range(n):
-        if side == "unstable":
-            va, vb, vc, vd = engine.values(spec, sys, batch)
-            if k + 1 < n:
-                engine.step(sys, batch, 1)
-        else:
-            engine.step(sys, batch, -1)
-            va, vb, vc, vd = engine.values(spec, sys, batch)
-            sdet = va * vd - vb * vc
-            va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
-            va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet
-        gx, gy = _push_grid(va, vb, vc, vd, gx, gy)
-        rx, ry = _push_directions(va, vb, vc, vd, rx, ry)
-    return np.abs(gx * ry[:, None] - gy * rx[:, None])
 
 
 class TestBuild:
@@ -162,40 +125,32 @@ class TestInvarianceDefect:
 
 
 class TestAttraction:
+    """A grid of directions pushed along the orbits collapses onto the
+    pushed extracted direction (``oracles.stepwise_attraction``)."""
+
     def test_forward_collapse(self, shift2):
-        rep = attraction_test(
-            gapped_spec(), shift2, side="unstable", samples=20, grid=8, n=60,
+        dist = stepwise_attraction(
+            gapped_spec(), shift2, "unstable", samples=20, grid=8, n=60,
             depth=30, seed=9,
         )
-        assert rep.median_final < 1e-6
-        assert rep.distances.shape == (20, 8)
+        assert np.median(dist) < 1e-6
+        assert dist.shape == (20, 8)
 
     def test_backward_collapse(self, shift2):
-        rep = attraction_test(
-            gapped_spec(), shift2, side="stable", samples=20, grid=8, n=60,
+        dist = stepwise_attraction(
+            gapped_spec(), shift2, "stable", samples=20, grid=8, n=60,
             depth=30, seed=10,
         )
-        assert rep.median_final < 1e-6
+        assert np.median(dist) < 1e-6
 
     def test_torus_pointwise(self, cat):
-        spec = ConstantCocycle(matrix=np.array([[2.0, 1.0], [1.0, 1.0]]))
-        rep = attraction_test(spec, cat, side="unstable", samples=10, grid=6, n=40)
-        assert rep.median_final < 1e-8
-
-    def test_threads_bitwise(self, shift2):
-        kw = dict(samples=1100, grid=4, n=20, depth=20, seed=11)
-        a = attraction_test(gapped_spec(), shift2, side="unstable", threads=1, **kw)
-        b = attraction_test(gapped_spec(), shift2, side="unstable", threads=8, **kw)
-        assert np.array_equal(a.distances, b.distances)
-
-    @pytest.mark.parametrize("side", ["unstable", "stable"])
-    def test_walk_matches_stepwise_bitwise(self, shift2, cat, side):
-        kw = dict(samples=40, grid=6, n=25, depth=20, seed=12)
-        for spec, sys in ((gapped_spec(), shift2), (torus_spec(), cat)):
-            rep = attraction_test(spec, sys, side=side, **kw)
-            ref = stepwise_attraction(spec, sys, side, **kw)
-            assert np.max(ref) > 0.0
-            assert np.array_equal(rep.distances, ref)
+        cat_matrix = ConstantCocycle(matrix=np.array([[2.0, 1.0], [1.0, 1.0]]))
+        for spec in (cat_matrix, torus_spec()):
+            for side in ("unstable", "stable"):
+                dist = stepwise_attraction(
+                    spec, cat, side, samples=10, grid=6, n=40, depth=40, seed=0
+                )
+                assert np.median(dist) < 1e-8
 
 
 class TestSideRule:
@@ -208,7 +163,6 @@ class TestSideRule:
         calls = (
             lambda: equivariance_residuals(spec, shift2, draw, field, 10, side="x"),
             lambda: invariance_defect(spec, shift2, bad),
-            lambda: attraction_test(spec, shift2, side="x", samples=4, grid=4, n=5),
         )
         for call in calls:
             with pytest.raises(ConfigError, match="^side must be 'unstable' or 'stable'$"):
