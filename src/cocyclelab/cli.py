@@ -11,7 +11,8 @@ hash, and the seed, and floats are printed with %.17g so identical runs
 produce identical bytes.
 
 Exit codes: 0 success, 1 failed certificate or other lab error, 2 bad
-config, 3 no singular value gap, 4 orbit left the sampled window.
+config or unwritable output, 3 no singular value gap, 4 orbit left the
+sampled window.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def _write(study, out_dir: str, cfg: Config, seed: int) -> int:
     """Write each output of the generator ``study`` as it comes: a string is
     a summary line for stdout, a (file name, payload) pair a CSV table (its
     columns by name) or an SVG plot (its text, or None to remove a plot an
-    earlier run left, which would describe another draw).  The study returns
-    what it would hand ``sys.exit``: None for exit 0, an exit code, or a
-    message for stderr and exit 1."""
+    earlier run left, which would describe another draw); ConfigError where
+    one cannot be written.  The study returns what it would hand sys.exit:
+    None for exit 0, an exit code, or a message for stderr and exit 1."""
     while True:
         try:
             item = next(study)
@@ -126,12 +127,15 @@ def _write(study, out_dir: str, cfg: Config, seed: int) -> int:
             continue
         name, payload = item
         path = os.path.join(out_dir, name)
-        if name.endswith(".csv"):
-            _write_csv(path, cfg, seed, payload)
-        elif payload is not None:
-            emit_plot(path, payload)
-        elif os.path.exists(path):
-            os.remove(path)
+        try:
+            if name.endswith(".csv"):
+                _write_csv(path, cfg, seed, payload)
+            elif payload is not None:
+                emit_plot(path, payload)
+            elif os.path.exists(path):
+                os.remove(path)
+        except OSError as err:
+            raise ConfigError(f"cannot write output {path!r}: {err.strerror}") from err
     if isinstance(result, str):
         print(result, file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ products are ``engine``'s scans.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from math import ceil, log
+from math import ceil
 from typing import Union
 
 import numpy as np
@@ -424,16 +424,15 @@ class StackedCocycle:
     entry arrays whose row m is bitwise the m-th member's own (S,) values,
     so one orbit walk serves every member.
 
-    The members are either symbol tables over one alphabet, stacked by
-    ``symbol_table``, or a base spec (optionally first) followed by
-    perturbations of it along one direction and rule.  Over a torus the
-    base and direction hooks of such perturbations run once per step and
-    only the t-dependent composition is formed per member.
+    The members are either a base spec (optionally first) followed by
+    perturbations of it along one direction and rule, whose base and
+    direction hooks run once per step over a torus, only the t-dependent
+    composition being formed per member; or any specs with a symbol table
+    (tables, constants and perturbations of them), read over a shift only,
+    through ``symbol_table``.
     """
 
     members: tuple
-
-    is_constant = False
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -445,28 +444,24 @@ class StackedCocycle:
             self, "symbol_depth", max(m.symbol_depth for m in members)
         )
         first = members[0]
-        tables = all(
-            isinstance(m, LocallyConstantCocycle)
-            and m.alphabet_size == first.alphabet_size
-            for m in members
-        )
         base = first.base if isinstance(first, PerturbedCocycle) else first
         with_base = first is base
-        # a stack of tables has no values at torus coordinates: its first
-        # member's hook says so
-        perturbed = () if tables else members[1:] if with_base else members
+        perturbed = members[1:] if with_base else members
         head = perturbed[0] if perturbed else None
-        if not tables and not all(
+        if not all(
             isinstance(m, PerturbedCocycle)
             and m.base is base
             and m.direction is head.direction
             and m.rule == head.rule
             for m in perturbed
         ):
-            raise ConfigError(
-                "stacked members must be symbol tables or perturbations of "
-                "one base along one direction"
-            )
+            if not all(_has_table(m) for m in members):
+                raise ConfigError(
+                    "stacked members must be symbol tables or perturbations "
+                    "of one base along one direction"
+                )
+            # a stack of tables has no values at torus coordinates
+            base, head, perturbed = None, None, ()
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_with_base", with_base)
@@ -481,6 +476,8 @@ class StackedCocycle:
     def values_at_coords(self, coords):
         """Rows from one call of the base's hook and one of the
         direction's; only the composition is formed per member."""
+        if self._base is None:
+            raise ConfigError("stacked symbol tables live over shift bases")
         base_vals = self._base.values_at_coords(coords)
         if self._head is None:
             return tuple(np.asarray(v)[None] for v in base_vals)
@@ -501,6 +498,14 @@ class StackedCocycle:
 CocycleSpec = Union[
     ConstantCocycle, LocallyConstantCocycle, PointwiseCocycle, PerturbedCocycle
 ]
+
+
+def _has_table(spec) -> bool:
+    """Whether ``_word_matrices`` reads the spec: a table, a constant, or
+    a perturbation of them."""
+    if isinstance(spec, PerturbedCocycle):
+        return _has_table(spec.base) and _has_table(spec.direction)
+    return isinstance(spec, LocallyConstantCocycle) or spec.is_constant
 
 
 # ---------------------------------------------------------------------------
@@ -526,31 +531,6 @@ def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.nd
         # window loses its small singular value at O(kappa n eps).
         out = (mat2.inverse(m) if n < 0 else m) @ out
     return out
-
-
-def _constant_power(m: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """m**n for n >= 0 as (normalized, log_scale) with unit operator norm,
-    by repeated squaring, renormalizing after every product."""
-    base = np.asarray(m, dtype=float)
-    norm = mat2.opnorm(base)
-    acc = np.eye(2)
-    acc_log = 0.0
-    cur = base / norm
-    cur_log = log(norm)
-    k = n
-    while k:
-        if k & 1:
-            acc = cur @ acc
-            s = mat2.opnorm(acc)
-            acc /= s
-            acc_log += cur_log + log(s)
-        k >>= 1
-        if k:
-            cur = cur @ cur
-            s = mat2.opnorm(cur)
-            cur /= s
-            cur_log = 2.0 * cur_log + log(s)
-    return acc, acc_log
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +662,7 @@ def _word_matrices(spec, sys: ShiftSystem):
             out[i] = btab[i] @ mat2.expm(spec.t * ftab[i])
         return out, depth
     if spec.is_constant:
+        # a constant of any kind is its matrix at every symbol
         return spec.constant_value()[None, :, :].repeat(a, axis=0), 1
     raise ConfigError("a pointwise spec has no symbol table: it lives over torus bases")
 
@@ -843,21 +824,20 @@ def bunching_check(
 
     b_n is the sampled supremum of ||A^n(x)|| * ||A^n(x)^{-1}|| * lambda^{nr};
     the decay rate estimate comes from a least-squares fit of log b_n on the
-    tail n in [n_max/2, n_max].  Constant specs need no sampling and also
-    report the one-step bound kappa * lambda^r.
+    tail n in [n_max/2, n_max].  Every spec is sampled alike; a constant
+    one also reports its one-step bound kappa * lambda^r.
     """
     if n_max < 4:
         raise ConfigError("n_max must be at least 4")
     lam = sys.contraction
     r = a_spec.r
+    # a constant's exact one-step bound, which the verdict may fall back on
     exact = bool(a_spec.is_constant)
     kappa_lambda_r = None
     if exact:
         s1, s2 = mat2.singular_values(a_spec.constant_value())
         kappa_lambda_r = (s1 / s2) * lam ** r
-    # a constant spec takes the same value at every point, so one will do
-    samples = 1 if exact else x_samples
-    points = sample_points(sys, samples, n_max + a_spec.symbol_depth, seed)
+    points = sample_points(sys, x_samples, n_max + a_spec.symbol_depth, seed)
     batch = engine.batch_of(sys, points)
     ls_path, ldet_path = engine.forward_record(a_spec, sys, batch, n_max)
     ns = np.arange(1, n_max + 1)
@@ -872,7 +852,7 @@ def bunching_check(
         verdict = "bunched"
     elif theta_hat >= 1.0 + margin:
         verdict = "not_bunched"
-    elif exact and kappa_lambda_r is not None and kappa_lambda_r < 1.0 - margin:
+    elif exact and kappa_lambda_r < 1.0 - margin:
         verdict = "bunched"
     else:
         verdict = "inconclusive"
@@ -885,6 +865,6 @@ def bunching_check(
         exact=exact,
         margin=margin,
         kappa_lambda_r=kappa_lambda_r,
-        samples=samples,
+        samples=x_samples,
     )
 

@@ -212,22 +212,11 @@ def _exponents(a_spec, sys, points, n, threads):
 
 
 def _each_member(fn, specs, *args) -> list[tuple[np.ndarray, ...]]:
-    """fn(spec, *args) for every spec, as a tuple of per-sample arrays.
-
-    The specs that need an orbit walk go through one call on their
-    StackedCocycle and each reads its own row back; constant specs take
-    fn's closed-form path on their own.
-    """
-    walked = [i for i, spec in enumerate(specs) if not spec.is_constant]
-    out: list = [None] * len(specs)
-    if walked:
-        stacked = fn(StackedCocycle(tuple(specs[i] for i in walked)), *args)
-        for row, i in enumerate(walked):
-            out[i] = tuple(x[row] for x in stacked)
-    for i, spec in enumerate(specs):
-        if out[i] is None:
-            out[i] = fn(spec, *args)
-    return out
+    """fn(spec, *args) for every spec, as a tuple of per-sample arrays:
+    one call on their StackedCocycle, constants included, from which each
+    spec reads its own row back."""
+    stacked = fn(StackedCocycle(tuple(specs)), *args)
+    return [tuple(x[row] for x in stacked) for row in range(len(specs))]
 
 
 # ---------------------------------------------------------------------------

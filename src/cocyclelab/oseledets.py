@@ -5,10 +5,10 @@ product over the backward window A^depth(f^{-depth} x); the stable direction
 is the bottom right-singular direction of the forward product A^depth(x),
 which in dimension two is exactly the rotation by 90 degrees of the top one.
 
-Both sides run through one body, ``_directions``: the side picks only the
-scan and the singular vector read off its product.  The depth check, the
-constant closed form (read as one window, like a scanned one), the blocks
-and the conformality guard are shared: when the window product has
+Both sides run through one body, ``_directions``, for every spec, a
+constant one included: the side picks only the scan and the singular
+vector read off its product.  The depth check, the scan head, the blocks
+and the conformality guard are common to both: when the window product has
 essentially equal singular values the direction is meaningless and the
 sample's mask entry reports it.  ``extractor(side)`` is the one place that
 maps a side's name to its extractor and rejects other names.
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, mat2
 from .base import BasePoint, BaseSystem, ShiftDraw, TorusDraw
-from .cocycle import CocycleSpec, _constant_power
+from .cocycle import CocycleSpec
 from .errors import ConfigError, NoGap, SingularValueError
 
 _CONFORMAL_GAP = np.log1p(1e-6)
@@ -58,14 +58,6 @@ def _directions(side, a_spec, sys, points, depth, threads):
     over the backward window, the stable side over the forward one."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
-    if a_spec.is_constant:
-        # the window product is the same matrix power everywhere, so no
-        # orbit access is needed; read it once and replicate
-        m = a_spec.constant_value()
-        normalized, ls = _constant_power(m, depth)
-        ldet = depth * np.log(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-        window = engine.ScanState(*normalized.reshape(4, 1), ls, ldet)
-        return tuple(np.repeat(r, len(points)) for r in _read(window, side))
     backward = side == "unstable"
     scan = engine.backward_scan if backward else engine.forward_scan
     # the shared first steps of every scan, walked once for the whole draw

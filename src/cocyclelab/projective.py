@@ -79,7 +79,7 @@ def build_invariant_measures(
 
 
 def _push_directions(va, vb, vc, vd, vx, vy):
-    """, normalized image of unit directions under per-sample matrices."""
+    """The normalized image of unit directions under per-sample matrices."""
     wx, wy = mat2.matvec_batch(va, vb, vc, vd, vx, vy)
     nrm = np.hypot(wx, wy)
     return wx / nrm, wy / nrm

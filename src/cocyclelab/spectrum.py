@@ -1,9 +1,9 @@
 """Lyapunov exponents from renormalized orbit products.
 
-The top exponent comes from the forward product's log scale.  The singular
-values of a 2x2 product satisfy sigma1 * sigma2 = |det|, so the bottom
-exponent is the determinant rate minus the top one: one rule, on the
-scanned and the constant path alike.
+The top exponent comes from the forward product's log scale, scanned by
+``engine.exponent_scan`` for every spec, a constant one included.  The
+singular values of a 2x2 product satisfy sigma1 * sigma2 = |det|, so the
+bottom exponent is the determinant rate minus the top one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .base import BasePoint, BaseSystem, sample_points
-from .cocycle import CocycleSpec, _constant_power
+from .cocycle import CocycleSpec
 from .errors import ConfigError
 
 
@@ -87,23 +87,22 @@ def finite_time_exponents(
     a StackedCocycle gives (M, S) arrays, row m for its m-th member."""
     if n < 1:
         raise ConfigError("window length n must be >= 1")
-    count = len(points)
-    if a_spec.is_constant:
-        m = a_spec.constant_value()
-        _, ls = _constant_power(m, n)
-        plus = np.full(count, ls / n)
-        rate = np.full(count, _log_abs_det(m))
-    else:
-        words = engine.word_tables(a_spec, sys, n)
+    words = engine.word_tables(a_spec, sys, n)
 
-        def job(start: int, stop: int):
-            batch = engine.batch_of(sys, points[start:stop])
-            log_scale, logdet = engine.exponent_scan(a_spec, sys, batch, n, words)
-            return log_scale / n, logdet / n
+    def job(start: int, stop: int):
+        batch = engine.batch_of(sys, points[start:stop])
+        log_scale, logdet = engine.exponent_scan(a_spec, sys, batch, n, words)
+        return log_scale / n, logdet / n
 
-        plus, rate = engine.block_map(
-            job, count, threads, rows=getattr(a_spec, "rows", 1)
-        )
+    plus, rate = engine.block_map(
+        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
+    )
+    # a constant's log-det rate is its matrix's, exactly (shift_bunched's float
+    # det rounds to 1 - 2**-53 per step); a stacked row too, as it runs alone
+    members = getattr(a_spec, "members", (a_spec,))
+    for row, spec in zip(rate.reshape(len(members), -1), members):
+        if spec.is_constant:
+            row[...] = _log_abs_det(spec.constant_value())
     minus = rate - plus
     # sigma1 >= sigma2 makes plus >= minus automatic; enforce against ties
     lo = np.minimum(plus, minus)

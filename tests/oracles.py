@@ -1,9 +1,11 @@
 """Test-side references that the library itself does not need: the rotation
 matrix, the base metric between two points, a shift spec's value read
-symbol by symbol and the attraction of directions onto the splitting, each
-written out directly."""
+symbol by symbol, a constant's power in closed form and the attraction of
+directions onto the splitting, each written out directly."""
 
 from __future__ import annotations
+
+from math import log
 
 import numpy as np
 
@@ -28,6 +30,32 @@ from cocyclelab.oseledets import stable_directions, unstable_directions
 def rotation(theta: float) -> np.ndarray:
     ct, st = np.cos(theta), np.sin(theta)
     return np.array([[ct, -st], [st, ct]], dtype=float)
+
+
+def constant_power(m: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """m**n for n >= 0 as (normalized, log_scale) with unit operator norm,
+    by repeated squaring, renormalizing after every product: about log2 n
+    products, where the scans take n."""
+    base = np.asarray(m, dtype=float)
+    norm = mat2.opnorm(base)
+    acc = np.eye(2)
+    acc_log = 0.0
+    cur = base / norm
+    cur_log = log(norm)
+    k = n
+    while k:
+        if k & 1:
+            acc = cur @ acc
+            s = mat2.opnorm(acc)
+            acc /= s
+            acc_log += cur_log + log(s)
+        k >>= 1
+        if k:
+            cur = cur @ cur
+            s = mat2.opnorm(cur)
+            cur /= s
+            cur_log = 2.0 * cur_log + log(s)
+    return acc, acc_log
 
 
 def base_distance(sys: BaseSystem, x: BasePoint, y: BasePoint) -> float:

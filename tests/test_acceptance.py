@@ -34,7 +34,7 @@ from cocyclelab.oseledets import (
 )
 from cocyclelab.projective import build_invariant_measures, integrate_phi
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
-from oracles import rotation, stepwise_attraction
+from oracles import constant_power, rotation, stepwise_attraction
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -72,18 +72,26 @@ def test_ac1_constant_exponents_and_axes(shift2, cat):
     clock = _Clock(1.0)
     spec = ConstantCocycle(matrix=DIAG2)
     log2 = float(np.log(2.0))
+    n, depth = 200, 40
+    # the closed form, by repeated squaring, at the scans' n
+    _, log_scale = constant_power(DIAG2, n)
     for sys_ in (shift2, cat):
-        rep = lyapunov_exponents(spec, sys_, n=200, samples=20, seed=0)
+        rep = lyapunov_exponents(spec, sys_, n=n, samples=20, seed=0)
         assert rep.lambda_plus == pytest.approx(log2, abs=1e-9)
         assert rep.lambda_minus == pytest.approx(-log2, abs=1e-9)
-        x = sample_points(sys_, 1, 8, seed=1)
-        ux, uy, ok_u = unstable_directions(spec, sys_, x, depth=40)
-        sx, sy, ok_s = stable_directions(spec, sys_, x, depth=40)
+        assert rep.lambda_plus == pytest.approx(log_scale / n, abs=1e-12)
+        # a constant walks the scans, so its window follows the horizon rule
+        x = sample_points(sys_, 1, depth + 2 + spec.symbol_depth, seed=1)
+        ux, uy, ok_u = unstable_directions(spec, sys_, x, depth=depth)
+        sx, sy, ok_s = stable_directions(spec, sys_, x, depth=depth)
         assert ok_u[0] and ok_s[0]
         assert np.arctan2(uy[0], ux[0]) % np.pi == 0.0
         assert np.arctan2(sy[0], sx[0]) % np.pi == np.pi / 2.0
     elapsed = clock.check()
-    print(f"\n[AC1] PASS ({elapsed:.2f}s): exponents +-log2 to 1e-9, axes exact, both bases")
+    print(
+        f"\n[AC1] PASS ({elapsed:.2f}s): exponents +-log2 to 1e-9 and the closed "
+        "form to 1e-12, axes exact, both bases"
+    )
 
 
 def test_ac2_cocycle_identity(shift2, cat):

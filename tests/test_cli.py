@@ -441,6 +441,23 @@ class TestExitCodes:
         assert repr(named) in err
 
     @pytest.mark.parametrize(
+        "command, blocked",
+        [("lyapunov", "lyapunov.csv"), ("continuity", "goodset.svg")],
+        ids=["csv", "svg"],
+    )
+    def test_unwritable_output_is_2(self, command, blocked, shift_cfg, tmp_path, capsys):
+        # a directory where an output file goes: the outputs before it are
+        # written, and the run exits 2 naming the path
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert run([command, "--config", shift_cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output ") and "Traceback" not in err
+        assert repr(str(out / blocked)) in err
+        if command == "continuity":
+            assert (out / "goodset.csv").read_text().startswith("# cocyclelab ")
+
+    @pytest.mark.parametrize(
         "edit, key",
         [
             (("base", "measure", "weights"), "weights"),

@@ -34,10 +34,16 @@ from cocyclelab.cocycle import (
     specialize,
 )
 from cocyclelab.config import build_cocycle, load_config
-from cocyclelab.errors import ConfigError, SingularValueError
+from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
-from oracles import base_distance, oracle_entries, rotation, word_matrix
+from oracles import (
+    base_distance,
+    constant_power,
+    oracle_entries,
+    rotation,
+    word_matrix,
+)
 
 DIAG2 = np.diag([2.0, 0.5])
 # a Holder norm is the Holder distance to the zero map
@@ -356,25 +362,33 @@ class TestProducts:
                 assert logdet[i] == 0.0
 
     def test_identity_cocycle_long_product(self, shift2):
-        # a one-symbol window cannot host a 10**6-step walk; the constant
-        # path needs none
+        # the identity's power is itself at any n; the scans walk 10**4
+        # steps on windows the horizon rule sizes, and log 1 = 0 exactly
         spec = ConstantCocycle(matrix=np.eye(2))
-        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
-        ft = finite_time_exponents(spec, shift2, [x], 10**6)
-        assert (ft.plus[0], ft.minus[0], ft.logdet_rate[0]) == (0.0, 0.0, 0.0)
+        n = 10**4
+        assert constant_power(np.eye(2), n)[1] == 0.0
+        ft = finite_time_exponents(spec, shift2, sample_points(shift2, 2, n, seed=0), n)
+        for rate in (ft.plus, ft.minus, ft.logdet_rate):
+            assert np.all(rate == 0.0)
 
-    def test_constant_power_no_orbit_access(self, shift2):
-        # window of half-width 1 cannot host a 100-step walk; the constant
-        # fast paths must not need one.
+    def test_constant_walks_the_scans(self, shift2):
+        # a constant is walked like any spec: a window of half-width 1
+        # cannot host a 100-step walk, and one the horizon rule sizes gives
+        # the closed form's exponents and the exact axes
         spec = ConstantCocycle(matrix=DIAG2)
         x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
-        ft = finite_time_exponents(spec, shift2, [x], 100)
+        with pytest.raises(HorizonExceeded):
+            finite_time_exponents(spec, shift2, [x], 100)
+        n = 100
+        pts = sample_points(shift2, 1, n + 2, seed=0)
+        ft = finite_time_exponents(spec, shift2, pts, n)
+        assert ft.plus[0] == pytest.approx(constant_power(DIAG2, n)[1] / n, rel=1e-14)
         assert ft.plus[0] == pytest.approx(np.log(2.0), rel=1e-14)
         assert ft.minus[0] == pytest.approx(-np.log(2.0), rel=1e-12)
         # the normalized power diag(1, 0.25**100) has the axes for its
         # singular directions
-        ux, uy, ok_u = unstable_directions(spec, shift2, [x], 100)
-        sx, sy, ok_s = stable_directions(spec, shift2, [x], 100)
+        ux, uy, ok_u = unstable_directions(spec, shift2, pts, n)
+        sx, sy, ok_s = stable_directions(spec, shift2, pts, n)
         assert ok_u[0] and ok_s[0]
         assert (ux[0], uy[0], sx[0], sy[0]) == (1.0, 0.0, 0.0, 1.0)
 
@@ -677,6 +691,24 @@ class TestStacked:
             for got, want in zip(rows, member.values_at_coords(coords)):
                 assert np.array_equal(got[m], want)
 
+    def test_constants_beside_tables(self, shift2, cat):
+        # a constant and a constant perturbation stack with tables over a
+        # shift, each row its member's own; over a torus the stack has no
+        # values, as its tables have none
+        table = two_table(DIAG2, rotation(0.3) @ DIAG2)
+        constant = ConstantCocycle(matrix=rotation(0.2) @ DIAG2)
+        spin = ConstantCocycle(matrix=np.array([[0.0, -1.0], [1.0, 0.0]]), invertible=False)
+        perturbed = PerturbedCocycle(constant, spin, t=0.25, rule="additive")
+        members = (constant, table, perturbed)
+        stacked = StackedCocycle(members)
+        draw = sample_points(shift2, 50, 3, seed=1)
+        rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
+        for m, member in enumerate(members):
+            for got, want in zip(rows, oracle_entries(member, list(draw))):
+                assert np.array_equal(got[m], want)
+        with pytest.raises(ConfigError, match="shift bases"):
+            stacked.values_at_coords(sample_points(cat, 5, 0, seed=1).coords)
+
     def test_mixed_members_rejected(self):
         base, field = torus_base(), torus_direction()
         other = PerturbedCocycle(base=torus_base(), direction=field, t=0.5, rule="additive")
@@ -833,8 +865,8 @@ class TestBunching:
 
     @pytest.mark.parametrize("base", ["shift2", "cat"])
     def test_constant_report_is_closed_form(self, base, request):
-        # a constant spec draws one point like any spec; its values, and so
-        # its report, do not depend on which point that is
+        # a constant spec is sampled like any spec; its values, and so its
+        # report, do not depend on which points are drawn
         sys_ = request.getfixturevalue(base)
         q = 2.0 ** 0.25
         specs = [ConstantCocycle(matrix=np.diag([q, 1.0 / q]), r=0.7)]
@@ -861,7 +893,7 @@ class TestBunching:
             )
         for spec in specs:
             rep = bunching_check(spec, sys_, n_max=40, seed=3)
-            assert rep.exact and rep.samples == 1
+            assert rep.exact and rep.samples == 64
             # ||A^n|| ||A^-n|| = kappa^n for a normal A, so b_n = (kappa lambda^r)^n
             want = rep.kappa_lambda_r ** rep.ns
             assert np.allclose(rep.b_values, want, rtol=0.0, atol=1e-14)

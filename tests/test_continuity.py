@@ -589,6 +589,25 @@ class TestFamilyWalk:
         rep = continuity_experiment(fam, cat, **self.KW)
         assert_rows_match(rep, want)
 
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    def test_constant_family(self, base, request):
+        # a constant base along a constant direction: every member is
+        # constant, and one stack walks them all, the base included
+        sys_ = request.getfixturevalue(base)
+        fam = PerturbationFamily(
+            base=ConstantCocycle(matrix=np.array([[3.0, 1.0], [0.0, 0.5]])),
+            direction=constant_direction(SPIN), ts=(0.5, 0.25, 0.125),
+        )
+        want = per_member_rows(fam, sys_, **self.KW)
+        assert all(isinstance(w, dict) for w in want)
+        rep = continuity_experiment(fam, sys_, **self.KW)
+        assert_rows_match(rep, want)
+        n = self.KW["n_window"]
+        points = sample_points(sys_, self.KW["samples"], n + 2, self.KW["seed"])
+        alone = lyapunov_exponents(fam.base, sys_, n=n, points=points)
+        assert rep.base_lambda_plus == alone.lambda_plus
+        assert rep.base_lambda_minus == alone.lambda_minus
+
     def test_base_exponents_match_a_lone_call(self, cat):
         fam = torus_gapless_family()
         rep = continuity_experiment(fam, cat, **self.KW)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cocyclelab import oseledets
+from cocyclelab import engine, oseledets
 from cocyclelab.base import ShiftSystem, TorusDraw, TorusPoint, apply_f, sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
@@ -22,9 +22,12 @@ from cocyclelab.oseledets import (
     stable_directions,
     unstable_directions,
 )
-from oracles import oracle_entries, rotation
+from oracles import constant_power, oracle_entries, rotation
 
 DIAG2 = np.diag([2.0, 0.5])
+# constants that no axis diagonalizes: a triangular one with a gap and a
+# conformal one without
+NON_DIAGONAL = [np.array([[3.0, 1.0], [0.0, 0.5]]), 2.0 * rotation(0.3)]
 
 
 def line(x, y):
@@ -63,7 +66,8 @@ class TestDirection:
 class TestConstantCocycles:
     def test_diagonal_axes_exact_shift(self, shift2):
         spec = ConstantCocycle(matrix=DIAG2)
-        pts = sample_points(shift2, 3, 2, seed=0)  # tiny windows suffice
+        # a constant walks the scans, so its windows follow the horizon rule
+        pts = sample_points(shift2, 3, 60 + 2, seed=0)
         assert at_one_point(unstable_directions, spec, shift2, pts[0], 60) == (1.0, 0.0)
         assert at_one_point(stable_directions, spec, shift2, pts[0], 60) == (0.0, 1.0)
 
@@ -87,12 +91,39 @@ class TestConstantCocycles:
         # a conformal window has no direction: the mask says so, and the
         # equivariance residuals, which need the field, raise NoGap
         spec = ConstantCocycle(matrix=rotation(0.7))
-        pts = sample_points(shift2, 1, 2, seed=1)
+        pts = sample_points(shift2, 1, 30 + 2, seed=1)
         for side in ("unstable", "stable"):
             field = oseledets.extractor(side)(spec, shift2, pts, 30)
             assert not field[2].any()
             with pytest.raises(NoGap):
                 equivariance_residuals(spec, shift2, pts, field, 30, side=side)
+
+
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    @pytest.mark.parametrize("matrix", NON_DIAGONAL, ids=["triangular", "conformal"])
+    def test_non_diagonal_is_the_direction_scans(self, base, matrix, request):
+        # a constant's directions are the bits of its backward and forward
+        # scans read by _read, on the same draw, and within 1e-12 of the
+        # closed-form power's singular vectors (numpy's SVD)
+        sys_ = request.getfixturevalue(base)
+        spec = ConstantCocycle(matrix=matrix)
+        depth = 30
+        pts = sample_points(sys_, 40, depth + 2, seed=4)
+        power, _ = constant_power(matrix, depth)
+        u, sigma, vt = np.linalg.svd(power)
+        gap = np.log(sigma[0] / sigma[1]) >= oseledets._CONFORMAL_GAP
+        for side, scan, want in (
+            ("unstable", engine.backward_scan, u[:, 0]),
+            ("stable", engine.forward_scan, vt[1]),
+        ):
+            got = oseledets.extractor(side)(spec, sys_, pts, depth)
+            walk = scan(spec, sys_, engine.batch_of(sys_, pts), depth)
+            for g, w in zip(got, oseledets._read(walk, side)):
+                assert np.array_equal(g, w)
+            vx, vy, ok = got
+            assert np.all(ok == gap)
+            if gap:
+                assert np.max(np.abs(vx * want[1] - vy * want[0])) <= 1e-12
 
 
 class TestSampledCocycles:
@@ -191,13 +222,16 @@ class TestBatchedEquivariance:
             )
 
     def test_singular_value(self, shift2):
-        # rank one: the constant window still has a gap, A(x) has none
+        # rank one: A(x) has no inverse, so the residuals of a field
+        # extracted elsewhere raise, and so does the extraction, whose
+        # window walks A as any spec's does
         spec = ConstantCocycle(matrix=np.diag([1.0, 0.0]), invertible=False)
-        draw = sample_points(shift2, 4, 3, seed=1)
-        with np.errstate(divide="ignore"):
-            field = unstable_directions(spec, shift2, draw, 5)
-            with pytest.raises(SingularValueError):
-                equivariance_residuals(spec, shift2, draw, field, depth=5)
+        draw = sample_points(shift2, 4, 5 + 2, seed=1)
+        field = unstable_directions(ConstantCocycle(matrix=DIAG2), shift2, draw, 5)
+        with pytest.raises(SingularValueError):
+            equivariance_residuals(spec, shift2, draw, field, depth=5)
+        with pytest.raises(SingularValueError):
+            unstable_directions(spec, shift2, draw, 5)
 
     def test_zero_line(self, monkeypatch, shift2):
         def zero_lines(spec, sys, points, depth, threads=1):

@@ -1,7 +1,6 @@
 """The shipped configs' outputs at seed 0 against the benchmark's committed
 references (``perfbench/reference/``), cell by cell within the benchmark's
-bound, as CI's smoke step compares them: a change that moves an output bit
-past the bound fails here, not only in CI."""
+bound: a change that moves an output bit past the bound fails here."""
 
 from __future__ import annotations
 

@@ -14,11 +14,12 @@ from cocyclelab.base import BernoulliMeasure, ShiftSystem, apply_f, sample_point
 from cocyclelab.config import build_cocycle, build_system, load_config
 from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle, product
 from cocyclelab.spectrum import (
+    _log_abs_det,
     finite_time_exponents,
     lyapunov_exponents,
     spectral_gap,
 )
-from oracles import rotation
+from oracles import constant_power, rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 
@@ -26,7 +27,7 @@ DIAG2 = np.diag([2.0, 0.5])
 class TestConstant:
     def test_diagonal_exponents_shift(self, shift2):
         spec = ConstantCocycle(matrix=DIAG2)
-        rep = lyapunov_exponents(spec, shift2, n=100000, samples=10, seed=0)
+        rep = lyapunov_exponents(spec, shift2, n=10**4, samples=10, seed=0)
         assert rep.lambda_plus == pytest.approx(np.log(2.0), abs=1e-12)
         assert rep.lambda_minus == pytest.approx(-np.log(2.0), abs=1e-12)
         assert rep.se_plus == 0.0
@@ -36,18 +37,21 @@ class TestConstant:
 
     def test_diagonal_exponents_torus(self, cat):
         spec = ConstantCocycle(matrix=DIAG2)
-        rep = lyapunov_exponents(spec, cat, n=100000, samples=10, seed=0)
+        rep = lyapunov_exponents(spec, cat, n=10**4, samples=10, seed=0)
         assert rep.lambda_plus == pytest.approx(np.log(2.0), abs=1e-12)
         assert rep.lambda_minus == pytest.approx(-np.log(2.0), abs=1e-12)
 
     def test_base_matrix_as_cocycle(self, cat):
-        # the automorphism matrix itself: exponents converge to the log
-        # eigenvalue moduli at O(1/n)
-        spec = ConstantCocycle(matrix=np.array([[2.0, 1.0], [1.0, 1.0]]))
-        rep = lyapunov_exponents(spec, cat, n=10**6, samples=2, seed=1)
+        # the automorphism matrix itself: symmetric, so ||M^n|| is exactly
+        # the n-th power of its top eigenvalue, and the scanned exponents
+        # meet both it and the closed-form power at the same n
+        m = np.array([[2.0, 1.0], [1.0, 1.0]])
+        n = 10**4
+        rep = lyapunov_exponents(ConstantCocycle(matrix=m), cat, n=n, samples=2, seed=1)
         lam_u = (3.0 + np.sqrt(5.0)) / 2.0
         assert rep.lambda_plus == pytest.approx(np.log(lam_u), abs=1e-5)
         assert rep.lambda_minus == pytest.approx(-np.log(lam_u), abs=1e-5)
+        assert rep.lambda_plus == pytest.approx(constant_power(m, n)[1] / n, abs=1e-14)
 
     @pytest.mark.parametrize(
         "matrix, plus, minus",
@@ -57,16 +61,42 @@ class TestConstant:
         ],
     )
     def test_non_unit_det_closed_form(self, shift2, matrix, plus, minus):
-        # the bottom exponent is the determinant rate minus the top one on
-        # the closed-form path too; the power's exponents converge at O(1/n)
+        # the bottom exponent is the determinant rate minus the top one;
+        # the closed-form power at the same n gives the top one, and the
+        # limits are met at O(1/n)
+        n = 10**4
+        top = constant_power(matrix, n)[1] / n
         spec = ConstantCocycle(matrix=np.array(matrix))
-        ft = finite_time_exponents(spec, shift2, sample_points(shift2, 2, 1, 0), 10**6)
-        assert ft.plus[0] == pytest.approx(plus, abs=1e-5)
-        assert ft.minus[0] == pytest.approx(minus, abs=1e-5)
+        ft = finite_time_exponents(spec, shift2, sample_points(shift2, 2, n, 0), n)
+        assert ft.plus[0] == pytest.approx(top, abs=1e-14)
+        assert ft.minus[0] == pytest.approx(plus + minus - top, abs=1e-14)
+        assert ft.plus[0] == pytest.approx(plus, abs=10.0 / n)
+        assert ft.minus[0] == pytest.approx(minus, abs=10.0 / n)
         assert ft.logdet_rate[0] == pytest.approx(plus + minus, abs=1e-14)
         # a conformal power ties the exponents up to rounding, never
         # reversing them
         assert ft.plus[0] >= ft.minus[0]
+
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.array([[3.0, 1.0], [0.0, 0.5]]), 2.0 * rotation(0.3)],
+        ids=["triangular", "conformal"],
+    )
+    def test_non_diagonal_is_the_exponent_scan(self, base, matrix, request):
+        # a constant's top exponent is the bits of engine.exponent_scan on
+        # the same draw, where the tie rule leaves it on top, and within
+        # 1e-14 of the closed-form power's; its log-det rate is exact
+        sys_ = request.getfixturevalue(base)
+        n = 500
+        pts = sample_points(sys_, 30, n, seed=2)
+        spec = ConstantCocycle(matrix=matrix)
+        ft = finite_time_exponents(spec, sys_, pts, n)
+        log_scale, _ = engine.exponent_scan(spec, sys_, engine.batch_of(sys_, pts), n)
+        top = log_scale / n
+        assert np.all(ft.logdet_rate == _log_abs_det(matrix))
+        assert np.array_equal(ft.plus, np.maximum(top, ft.logdet_rate - top))
+        assert np.max(np.abs(top - constant_power(matrix, n)[1] / n)) <= 1e-14
 
     def test_gap_detected(self, shift2):
         rep = lyapunov_exponents(ConstantCocycle(matrix=DIAG2), shift2, n=1000, samples=5)
