@@ -3,10 +3,10 @@
 A cocycle spec is a serializable description of a matrix map A(x).  Over
 a shift a spec is its symbol table (``symbol_table``: one matrix per word of
 forward symbols, as four entry arrays); over a torus it is its batched hook
-``values_at_coords``, which returns four entry arrays.  The iteration
-kernels read specs through those two only.  The plain orbit product
-``product`` is kept as a cross-check at moderate n; the renormalized
-products are ``engine``'s scans.
+``values_at_coords``, which returns four entry arrays (its parts share
+one ``TrigModes``).  The iteration kernels read specs through those two
+only.  The plain orbit product ``product`` is kept as a cross-check at
+moderate n; the renormalized products are ``engine``'s scans.
 """
 
 from __future__ import annotations
@@ -55,13 +55,28 @@ def _require_regular(m: np.ndarray, what: str) -> None:
 # scalar expressions for pointwise specs
 
 
+class TrigModes(dict):
+    """Torus coordinates u, v and the trig modes sin(2 pi u) .. cos(2 pi v)
+    under their ``TrigExpr`` names, each formed once, on its first read."""
+
+    def __init__(self, coords):
+        super().__init__(u=coords[:, 0], v=coords[:, 1])
+
+    def __missing__(self, mode):
+        fn, x = mode.split("_")
+        self[mode] = value = getattr(np, fn)(_TWO_PI * self[x])
+        return value
+
+
 @dataclass(frozen=True)
 class TrigExpr:
     """Scalar field on the torus: const + linear part + first trig modes.
 
     The linear part is only admissible inside rotation angles, where a full
     turn is the identity; validation of that restriction happens in the
-    factor constructors.
+    factor constructors.  Zero terms are not formed: a zero linear term is
+    +0.0 (torus coordinates are finite and not -0.0), so the bits are those
+    of adding const, both linear terms and the nonzero trig terms.
     """
 
     const: float = 0.0
@@ -75,17 +90,14 @@ class TrigExpr:
     def __post_init__(self) -> None:
         _require_finite(astuple(self), "TrigExpr coefficients")
 
-    def __call__(self, u, v):
-        out = self.const + self.lin_u * u + self.lin_v * v
-        if self.sin_u:
-            out = out + self.sin_u * np.sin(_TWO_PI * u)
-        if self.cos_u:
-            out = out + self.cos_u * np.cos(_TWO_PI * u)
-        if self.sin_v:
-            out = out + self.sin_v * np.sin(_TWO_PI * v)
-        if self.cos_v:
-            out = out + self.cos_v * np.cos(_TWO_PI * v)
-        return out
+    def __call__(self, modes: TrigModes):
+        out = self.const
+        for coef, x in ((self.lin_u, "u"), (self.lin_v, "v")):
+            out = out + (coef * modes[x] if coef else 0.0)
+        for mode in ("sin_u", "cos_u", "sin_v", "cos_v"):
+            if getattr(self, mode):
+                out = out + getattr(self, mode) * modes[mode]
+        return out if np.ndim(out) else np.full(modes["u"].shape, out)
 
     @property
     def is_constant(self) -> bool:
@@ -124,8 +136,8 @@ class RotationFactor:
     def __post_init__(self) -> None:
         _require_winding(self.angle, "rotation angle")
 
-    def values(self, u, v):
-        th = self.angle(u, v)
+    def values(self, modes):
+        th = self.angle(modes)
         ct, st = np.cos(th), np.sin(th)
         return ct, -st, st, ct
 
@@ -141,9 +153,9 @@ class DiagonalFactor:
         _require_trig_only(self.log_d1, "diagonal entry")
         _require_trig_only(self.log_d2, "diagonal entry")
 
-    def values(self, u, v):
-        d1 = np.exp(self.log_d1(u, v))
-        d2 = np.exp(self.log_d2(u, v))
+    def values(self, modes):
+        d1 = np.exp(self.log_d1(modes))
+        d2 = np.exp(self.log_d2(modes))
         zero = np.zeros_like(np.asarray(d1, dtype=float))
         return d1, zero, zero, d2
 
@@ -162,7 +174,7 @@ class ConstantFactor:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def values(self, u, v):
+    def values(self, modes):
         m = self.matrix
         return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
@@ -213,7 +225,7 @@ class ConstantCocycle:
     def constant_value(self) -> np.ndarray:
         return self.matrix
 
-    def values_at_coords(self, coords):
+    def values_at_coords(self, coords, modes=None):
         m = self.matrix
         ones = np.ones(coords.shape[0])
         return m[0, 0] * ones, m[0, 1] * ones, m[1, 0] * ones, m[1, 1] * ones
@@ -272,7 +284,7 @@ class LocallyConstantCocycle:
     def constant_value(self) -> np.ndarray:
         return self.table[0]
 
-    def values_at_coords(self, coords):
+    def values_at_coords(self, coords, modes=None):
         raise ConfigError("locally constant cocycles live over shift bases")
 
 
@@ -300,14 +312,13 @@ class PointwiseCocycle:
         a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
-    def values_at_coords(self, coords):
-        u = coords[:, 0]
-        v = coords[:, 1]
-        a, b, c, d = self.factors[0].values(u, v)
-        ones = np.ones_like(u)
+    def values_at_coords(self, coords, modes=None):
+        modes = TrigModes(coords) if modes is None else modes
+        a, b, c, d = self.factors[0].values(modes)
+        ones = np.ones(len(coords))
         a, b, c, d = a * ones, b * ones, c * ones, d * ones
         for f in self.factors[1:]:
-            fa, fb, fc, fd = f.values(u, v)
+            fa, fb, fc, fd = f.values(modes)
             a, b, c, d = mat2.matmul_batch(a, b, c, d, fa, fb, fc, fd)
         return a, b, c, d
 
@@ -342,16 +353,9 @@ class PointwiseEntriesField:
         a, b, c, d = self.values_at_coords(np.zeros((1, 2)))
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
-    def values_at_coords(self, coords):
-        u = coords[:, 0]
-        v = coords[:, 1]
-        ones = np.ones_like(u)
-        return (
-            self.e00(u, v) * ones,
-            self.e01(u, v) * ones,
-            self.e10(u, v) * ones,
-            self.e11(u, v) * ones,
-        )
+    def values_at_coords(self, coords, modes=None):
+        modes = TrigModes(coords) if modes is None else modes
+        return self.e00(modes), self.e01(modes), self.e10(modes), self.e11(modes)
 
 
 MatrixField = Union[ConstantCocycle, LocallyConstantCocycle, PointwiseEntriesField]
@@ -397,12 +401,13 @@ class PerturbedCocycle:
         )
         return np.array([[a[0], b[0]], [c[0], d[0]]])
 
-    def values_at_coords(self, coords):
+    def values_at_coords(self, coords, modes=None):
+        modes = TrigModes(coords) if modes is None else modes
         return _compose(
             self.rule,
             self.t,
-            self.base.values_at_coords(coords),
-            self.direction.values_at_coords(coords),
+            self.base.values_at_coords(coords, modes),
+            self.direction.values_at_coords(coords, modes),
         )
 
 
@@ -473,19 +478,21 @@ class StackedCocycle:
     def rows(self) -> int:
         return len(self.members)
 
-    def values_at_coords(self, coords):
+    def values_at_coords(self, coords, modes=None):
         """Rows from one call of the base's hook and one of the
-        direction's; only the composition is formed per member."""
+        direction's, which share one ``TrigModes``; only the composition
+        is formed per member."""
         if self._base is None:
             raise ConfigError("stacked symbol tables live over shift bases")
-        base_vals = self._base.values_at_coords(coords)
+        modes = TrigModes(coords) if modes is None else modes
+        base_vals = self._base.values_at_coords(coords, modes)
         if self._head is None:
             return tuple(np.asarray(v)[None] for v in base_vals)
         composed = _compose(
             self._head.rule,
             self._ts,
             base_vals,
-            self._head.direction.values_at_coords(coords),
+            self._head.direction.values_at_coords(coords, modes),
         )
         if not self._with_base:
             return composed

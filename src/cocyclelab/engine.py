@@ -17,12 +17,14 @@ matrix, so no product ever overflows, in one of two ways:
   table it absorbs one precomputed k-step word product per k symbols
   instead of one matrix per symbol.
 
-Every step enters a scan as (a, b, c, d, log |det|), with log |det| NaN
-wherever the value fails ``mat2.regular`` (``_step``).  A shift batch's
-symbol window is checked once per scan, before the first step, and
-singular steps are caught once, after the last one.  A shift scan numbers
-the words it reads once per walk (``_word_numbers``), a chunk of steps at a
-time, as every word table is indexed.
+Every step enters a direction scan as (a, b, c, d, log |det|), with
+log |det| NaN wherever the value fails ``mat2.regular`` (``_step``), and
+the exponent scan with det and that flag instead (``_step_factor``), from
+one walk (``_orbit_values``).  A shift batch's symbol window is checked
+once per scan, before the first step, and singular steps are caught once,
+after the last one.  A shift scan numbers the words it reads once per walk
+(``_word_numbers``), a chunk of steps at a time, as every word table is
+indexed.
 
 On a shift the first k steps of a direction scan read only a word of
 k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
@@ -222,11 +224,13 @@ def _regular_steps(spec, sys: BaseSystem):
     return None if np.isnan(table[0][4]).any() else table
 
 
-def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None):
+def _orbit_values(
+    spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None, form=_step
+):
     """Yield the steps a scan of n steps absorbs, in scan order, each as
-    ``_step`` gives it: A(x), A(fx), ..., A(f^{n-1}x) forward, or
-    A(f^{-1}x), ..., A(f^{-n}x) backward, leaving out the first ``skip``
-    (shift batches only).
+    ``form`` (``_step``, or the scan's own) gives it from its entries:
+    A(x), A(fx), ..., A(f^{n-1}x) forward, or A(f^{-1}x), ..., A(f^{-n}x)
+    backward, leaving out the first ``skip`` (shift batches only).
 
     A shift batch is checked for the whole walk and moved to its final
     position up front (see ``_symbol_starts``; a caller that has already
@@ -242,14 +246,15 @@ def _orbit_values(spec, sys, batch: Batch, n: int, backward: bool, skip=0, start
                 step(sys, batch, -1)
             elif j:
                 step(sys, batch, 1)
-            yield _step(*spec.values_at_coords(batch.coords))
+            yield form(*spec.values_at_coords(batch.coords))
         return
     steps, alphabet, depth = _step_table(spec, sys)
     if starts is None:
         starts = _symbol_starts(batch, n, depth, backward)
     order = np.arange(-1 - skip, -n - 1, -1) if backward else np.arange(skip, n)
     for idx in _word_numbers(batch.windows, starts, order, depth, alphabet):
-        yield np.take(steps, idx, axis=-1)
+        values = np.take(steps, idx, axis=-1)
+        yield values if form is _step else form(*values[:4])
 
 
 def values(spec, sys: BaseSystem, batch: Batch):
@@ -473,9 +478,12 @@ def _identity_factor(size: int):
     return (one, 0.0, 0.0, one, zero, one, zero, True)
 
 
-def _step_factor(va, vb, vc, vd, log_det):
-    """One step, as ``_step`` gives it, as a factor."""
-    return (va, vb, vc, vd, 0, va * vd - vb * vc, 0, ~np.isnan(log_det))
+def _step_factor(va, vb, vc, vd):
+    """One step's values as a factor: det, formed once, and the
+    ``mat2.regular`` flag, with no log |det| (see ``_step``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = va * vd - vb * vc
+        return (va, vb, vc, vd, 0, det, 0, mat2.regular(va, vb, vc, vd, det))
 
 
 def _absorb(acc, factor):
@@ -514,7 +522,7 @@ def _word_factors(steps, alphabet: int, depth: int, length: int) -> np.ndarray:
     acc = _identity_factor(1)
     for j in range(length):
         idx = words // alphabet ** (length - 1 - j) % alphabet ** depth
-        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in steps)))
+        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in steps[:4])))
     return np.ascontiguousarray(np.stack(np.broadcast_arrays(*acc)), dtype=float)
 
 
@@ -587,8 +595,7 @@ def exponent_scan(
     if words is None:
         words = word_tables(spec, sys, n)
     if words is None:
-        values = _orbit_values(spec, sys, batch, n, backward=False)
-        factors = (_step_factor(*v) for v in values)
+        factors = _orbit_values(spec, sys, batch, n, False, form=_step_factor)
     else:
         factors = _word_walk(words, batch, n)
     acc = _identity_factor(batch.size)

@@ -131,22 +131,25 @@ def expm_batch(a, b, c, d):
 
     Only the branches some entry needs are evaluated: cos and sin/w always,
     cosh and sinh/w only when some w2 > 0, the series only when some |w2|
-    is below the cut (which also overwrites the 0/0 at w = 0).  Each entry
-    gets the same bits as evaluating every branch and selecting.
+    is below the cut (which also overwrites the 0/0 at w = 0).  A batch
+    whose diagonal is zero throughout skips the terms that read it, unless
+    some sinhc is not finite.  Each entry gets the same bits as evaluating
+    every term and branch and selecting.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    s = 0.5 * (a + d)
+    diagonal = a.any() or d.any()
+    s = 0.5 * (a + d) if diagonal else 0.0
     # on a traceless batch e^s is exactly 1, so skip the shift and the
     # scale; a = d = -0.0 then keeps na = -0.0 where a - s gives +0.0,
     # which no output bit sees (na enters as na^2 or added to a nonzero
-    # cosh term)
-    traced = s.any()
+    # cosh term), and without a diagonal neither is formed
+    traced = np.any(s)
     na = a - s if traced else a
     nd = d - s if traced else d
-    w2 = na * na + b * c
+    w2 = na * na + b * c if diagonal else b * c
 
     abs_w2 = np.abs(w2)
     w = np.sqrt(abs_w2)
@@ -164,10 +167,13 @@ def expm_batch(a, b, c, d):
         cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
         sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
 
-    ea = cosh_term + sinhc_term * na
+    # cosh is never 0, so cosh + sinhc * (+-0) is cosh where sinhc is finite
+    ea = ed = cosh_term
+    if diagonal or not np.isfinite(sinhc_term).all():
+        ea = cosh_term + sinhc_term * na
+        ed = cosh_term + sinhc_term * nd
     eb = sinhc_term * b
     ec = sinhc_term * c
-    ed = cosh_term + sinhc_term * nd
     if traced:
         scale = np.exp(s)
         ea, eb, ec, ed = scale * ea, scale * eb, scale * ec, scale * ed

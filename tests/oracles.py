@@ -1,7 +1,8 @@
 """Test-side references that the library itself does not need: the rotation
 matrix, the base metric between two points, a shift spec's value read
-symbol by symbol, a constant's power in closed form and the attraction of
-directions onto the splitting, each written out directly."""
+symbol by symbol, a torus spec's value with every term formed, a torus
+exponent walk one step at a time, a constant's power in closed form and the
+attraction of directions onto the splitting, each written out directly."""
 
 from __future__ import annotations
 
@@ -19,11 +20,15 @@ from cocyclelab.base import (
 )
 from cocyclelab.cocycle import (
     ConstantCocycle,
+    DiagonalFactor,
     LocallyConstantCocycle,
     PerturbedCocycle,
+    PointwiseCocycle,
+    PointwiseEntriesField,
+    RotationFactor,
     StackedCocycle,
 )
-from cocyclelab.errors import HorizonExceeded
+from cocyclelab.errors import HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 
 
@@ -139,6 +144,148 @@ def oracle_direction_walk(spec, points, n: int, backward: bool):
         ldet_path.append(logdet)
     state = dict(a=a, b=b, c=c, d=d, log_scale=log_scale, logdet=logdet)
     return state, (np.array(ls_path), np.array(ldet_path))
+
+
+def same_values(got, ref) -> bool:
+    """Equal shapes, equal values with NaN equal to NaN, and equal sign
+    bits, so that +0.0 and -0.0 differ."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return (
+        got.shape == ref.shape
+        and np.array_equal(got, ref, equal_nan=True)
+        and np.array_equal(np.signbit(got), np.signbit(ref))
+    )
+
+
+def trig_all_terms(expr, u, v):
+    """A ``TrigExpr`` at coordinates u, v with its constant and both linear
+    terms formed, zero ones included, then each trig mode whose coefficient
+    is nonzero."""
+    two_pi = 2.0 * np.pi
+    out = expr.const + expr.lin_u * u + expr.lin_v * v
+    if expr.sin_u:
+        out = out + expr.sin_u * np.sin(two_pi * u)
+    if expr.cos_u:
+        out = out + expr.cos_u * np.cos(two_pi * u)
+    if expr.sin_v:
+        out = out + expr.sin_v * np.sin(two_pi * v)
+    if expr.cos_v:
+        out = out + expr.cos_v * np.cos(two_pi * v)
+    return out
+
+
+def expm_all_terms(a, b, c, d):
+    """exp(M) in closed form with every term of the split M = s I + N
+    formed: w2 = na^2 + b c, and cosh + sinhc * na on the diagonal, whatever
+    the diagonal is; the branches as ``mat2.expm_batch`` selects them."""
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    s = 0.5 * (a + d)
+    traced = s.any()
+    na = a - s if traced else a
+    nd = d - s if traced else d
+    w2 = na * na + b * c
+    abs_w2 = np.abs(w2)
+    w = np.sqrt(abs_w2)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        cosh_term = np.cos(w)
+        sinhc_term = np.sin(w) / w
+        hyperbolic = w2 > 0
+        if hyperbolic.any():
+            wh = np.where(hyperbolic, w, 0.0)
+            cosh_term = np.where(hyperbolic, np.cosh(wh), cosh_term)
+            sinhc_term = np.where(hyperbolic, np.sinh(wh) / wh, sinhc_term)
+        series = abs_w2 < mat2._EXPM_SERIES_CUT
+        if series.any():
+            cosh_term = np.where(series, 1.0 + 0.5 * w2, cosh_term)
+            sinhc_term = np.where(series, 1.0 + w2 / 6.0, sinhc_term)
+        ea = cosh_term + sinhc_term * na
+        eb = sinhc_term * b
+        ec = sinhc_term * c
+        ed = cosh_term + sinhc_term * nd
+        if traced:
+            scale = np.exp(s)
+            ea, eb, ec, ed = scale * ea, scale * eb, scale * ec, scale * ed
+    return ea, eb, ec, ed
+
+
+def values_all_terms(spec, coords):
+    """A torus spec's four entry arrays at the (S, 2) ``coords``, each
+    expression formed on its own by ``trig_all_terms``: factors multiplied
+    in order, exp(t B) by ``expm_all_terms`` of t times every entry of B,
+    and a stack as its members' rows, (M, S)."""
+    u, v = coords[:, 0], coords[:, 1]
+    ones = np.ones_like(u)
+    if isinstance(spec, StackedCocycle):
+        rows = [values_all_terms(m, coords) for m in spec.members]
+        return tuple(np.stack(col) for col in zip(*rows))
+    if isinstance(spec, PerturbedCocycle):
+        base = values_all_terms(spec.base, coords)
+        step = [spec.t * f for f in values_all_terms(spec.direction, coords)]
+        if spec.rule == "additive":
+            return tuple(x + y for x, y in zip(base, step))
+        return mat2.matmul_batch(*base, *expm_all_terms(*step))
+    if isinstance(spec, PointwiseEntriesField):
+        entries = (spec.e00, spec.e01, spec.e10, spec.e11)
+        return tuple(trig_all_terms(e, u, v) * ones for e in entries)
+    if isinstance(spec, ConstantCocycle):
+        m = spec.matrix
+        return m[0, 0] * ones, m[0, 1] * ones, m[1, 0] * ones, m[1, 1] * ones
+    if not isinstance(spec, PointwiseCocycle):
+        raise TypeError(f"no torus values for {type(spec).__name__}")
+    out = None
+    for f in spec.factors:
+        if isinstance(f, RotationFactor):
+            th = trig_all_terms(f.angle, u, v)
+            vals = (np.cos(th), -np.sin(th), np.sin(th), np.cos(th))
+        elif isinstance(f, DiagonalFactor):
+            d1 = np.exp(trig_all_terms(f.log_d1, u, v))
+            d2 = np.exp(trig_all_terms(f.log_d2, u, v))
+            vals = (d1, np.zeros_like(d1), np.zeros_like(d1), d2)
+        else:
+            m = f.matrix
+            vals = (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        if out is None:
+            out = tuple(x * ones for x in vals)
+        else:
+            out = mat2.matmul_batch(*out, *vals)
+    return out
+
+
+def torus_exponent_walk(spec, sys, points, n: int):
+    """(log_scale, logdet) of ``engine.exponent_scan`` over a torus, from a
+    walk of n >= 1 steps that reads each step's values by
+    ``values_all_terms`` and absorbs them one at a time: the step's
+    regularity read back from a log |det| that is NaN where it fails
+    ``mat2.regular``, the product taken on the left and divided by the
+    power of two above its largest entry, and the determinant product kept
+    as a frexp mantissa and exponent.  Raises SingularValueError where a
+    step fails."""
+    size = len(points)
+    a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
+    exps, det, det_exps = np.zeros(size, dtype=np.int64), np.ones(size), 0
+    ok = True
+    batch = engine.batch_of(sys, points)
+    for j in range(n):
+        if j:
+            engine.step(sys, batch, 1)
+        va, vb, vc, vd = values_all_terms(spec, batch.coords)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step_det = va * vd - vb * vc
+            regular = mat2.regular(va, vb, vc, vd, step_det)
+            log_det = np.log(np.abs(step_det), out=np.full_like(step_det, np.nan), where=regular)
+        ok = ok & ~np.isnan(log_det)
+        a, b, c, d = mat2.matmul_batch(va, vb, vc, vd, a, b, c, d)
+        big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+        k = np.frexp(big)[1]
+        a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+        exps = exps + k
+        det, k = np.frexp(det * step_det)
+        det_exps = det_exps + k
+    if not np.all(ok):
+        raise SingularValueError("a step fails mat2.regular")
+    ln2 = np.log(2.0)
+    log_scale = exps * ln2 + np.log(mat2.opnorm_batch(a, b, c, d))
+    return log_scale, det_exps * ln2 + np.log(np.abs(det))
 
 
 def _push_lines(va, vb, vc, vd, x, y):

@@ -26,6 +26,7 @@ from cocyclelab.cocycle import (
     RotationFactor,
     StackedCocycle,
     TrigExpr,
+    TrigModes,
     _HolderSample,
     _table_holder,
     bunching_check,
@@ -42,6 +43,9 @@ from oracles import (
     constant_power,
     oracle_entries,
     rotation,
+    same_values,
+    trig_all_terms,
+    values_all_terms,
     word_matrix,
 )
 
@@ -601,9 +605,10 @@ class NanAt:
     def __init__(self, inner, us):
         self.inner, self.us, self.r = inner, us, inner.r
 
-    def values_at_coords(self, coords):
+    def values_at_coords(self, coords, modes=None):
         hit = np.isin(coords[:, 0], self.us)
-        return tuple(np.where(hit, np.nan, v) for v in self.inner.values_at_coords(coords))
+        inner = self.inner.values_at_coords(coords, modes)
+        return tuple(np.where(hit, np.nan, v) for v in inner)
 
 
 def same_float(x, y):
@@ -656,6 +661,84 @@ class TestStackedHolder:
             # Python's max keeps a NaN it starts from and drops a later one
             assert np.isnan(rep.sup_norm) == (ring == -1)
             assert np.isnan(rep.holder_constant) == (ring <= 0)
+
+
+TWO_PI = 2.0 * np.pi
+# coordinates where some mode is exactly 0 or 1, and a draw
+EDGE_COORDS = np.array(
+    [[0.0, 0.0], [0.5, 0.25], [0.25, 0.5], [0.75, 0.0], [0.0, 0.999], [1.0, 1.0]]
+)
+
+
+def torus_coords(cat):
+    return np.concatenate([EDGE_COORDS, sample_points(cat, 200, 0, seed=5).coords])
+
+
+class TestAllTerms:
+    """Trig expressions skip their zero terms and the hooks of one call
+    share each trig mode; every value keeps the bits, sign bits and NaNs
+    of forming every term of every expression on its own."""
+
+    EXPRS = [
+        TrigExpr(),
+        TrigExpr(const=-0.0),
+        TrigExpr(const=-0.0, sin_u=-0.0, cos_v=0.0),
+        TrigExpr(const=-0.0, lin_u=TWO_PI),
+        TrigExpr(const=-0.0, lin_u=-TWO_PI, lin_v=-TWO_PI),
+        TrigExpr(const=-0.0, lin_v=-2 * TWO_PI, sin_u=0.3),
+        TrigExpr(lin_u=TWO_PI, lin_v=3 * TWO_PI, cos_u=-0.1, sin_v=0.2),
+        TrigExpr(const=1.5, sin_u=-0.2, cos_u=0.4, sin_v=0.1, cos_v=0.1),
+        TrigExpr(const=-1.0, sin_u=1.0),
+        TrigExpr(cos_u=-1.0),
+    ]
+
+    @pytest.mark.parametrize("expr", EXPRS, ids=repr)
+    def test_trig_expr(self, cat, expr):
+        coords = torus_coords(cat)
+        got = expr(TrigModes(coords))
+        assert same_values(got, trig_all_terms(expr, coords[:, 0], coords[:, 1]))
+
+    def test_modes_formed_once(self, cat):
+        modes = TrigModes(torus_coords(cat))
+        first = modes["sin_u"]
+        assert modes["sin_u"] is first and sorted(modes) == ["sin_u", "u", "v"]
+
+    @staticmethod
+    def specs():
+        base = torus_base()
+        winding = PointwiseCocycle(
+            factors=(
+                RotationFactor(angle=TrigExpr(const=-0.0, lin_u=TWO_PI, sin_v=0.2)),
+                DiagonalFactor(log_d1=TrigExpr(const=0.2), log_d2=TrigExpr(cos_u=-0.1)),
+            )
+        )
+        fixed = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(const=0.3)),))
+        signed = PointwiseEntriesField(
+            e00=TrigExpr(const=-0.0), e01=TrigExpr(const=-1.0, sin_u=0.2),
+            e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(const=-0.0, sin_v=-0.0),
+        )
+        # 3000 off the diagonal overflows exp(t B) for t >= 1/4
+        steep = PointwiseEntriesField(
+            e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
+            e10=TrigExpr(const=3000.0), e11=TrigExpr(),
+        )
+        out = [base, winding, fixed]
+        for field in (torus_direction(), signed, steep):
+            for rule in ("multiplicative_exp", "additive"):
+                members = [
+                    PerturbedCocycle(base=base, direction=field, t=t, rule=rule)
+                    for t in (0.5, 0.25, -0.25, 2.0**-10, 0.0)
+                ]
+                out += [members[0], members[2], StackedCocycle((base, *members))]
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hooks(self, cat):
+        coords = torus_coords(cat)
+        for spec in self.specs():
+            got = spec.values_at_coords(coords)
+            ref = values_all_terms(spec, coords)
+            assert all(same_values(g, r) for g, r in zip(got, ref)), spec
 
 
 class TestStacked:

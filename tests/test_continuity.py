@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ def steep_direction():
     return PointwiseEntriesField(
         e00=TrigExpr(const=3000.0), e01=TrigExpr(const=-1.0, sin_u=0.2),
         e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(const=-3000.0),
+    )
+
+
+def steep_off_diagonal():
+    """A zero-diagonal direction with 3000 off the diagonal: w ~ 3000 t
+    overflows cosh and sinh for t >= 1/4, where exp(t B) has NaN on its
+    diagonal (cosh + sinhc * 0 with both infinite), and exp(t B) is
+    singular to working precision for t >= 1/128."""
+    return PointwiseEntriesField(
+        e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
+        e10=TrigExpr(const=3000.0, sin_u=0.0), e11=TrigExpr(),
     )
 
 
@@ -370,6 +383,33 @@ class TestExperiment:
         assert first.censored and np.isnan(first.holder_dist)
         assert second.censored and np.isnan(second.holder_dist)
         assert not third.censored and np.isfinite(third.g_hat)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_torus_zero_diagonal_overflow_rows(self, cat):
+        # the shipped torus run with ``steep_off_diagonal`` at 50 samples:
+        # sizes 1..7 censored, and the live rows' fields (k, t, holder_dist,
+        # g_hat, ci_lo, ci_hi, lambda_plus, lambda_minus, mean_du, max_du,
+        # mean_ds, max_ds) exactly as goodset.csv has written them since the
+        # exponential formed every term of a zero diagonal
+        fam = PerturbationFamily.dyadic(shipped_torus_base(), steep_off_diagonal(), count=10)
+        rep = continuity_experiment(
+            fam, cat, epsilon=0.1, samples=50, depth=40, n_window=400, seed=0
+        )
+        assert [row.censored for row in rep.rows] == [True] * 7 + [False] * 3
+        for row in rep.rows[:7]:
+            assert np.isnan(astuple(row)[2:12]).all()
+        live = [astuple(row)[:12] for row in rep.rows[7:]]
+        assert live == [
+            (8, 0.00390625, 364716.50303256814, 0.0, 0.0, 0.071347599133358724,
+             11.789716441206219, -11.78971644460408, 0.39967593585257633,
+             0.49477906828778689, 0.69856599595195812, 0.78216672329321191),
+            (9, 0.001953125, 1037.5029497317707, 0.0, 0.0, 0.071347599133358724,
+             5.9303426197801583, -5.930342619780248, 0.39967388419826455,
+             0.49477566593961092, 0.69856391530899686, 0.78216418362318585),
+            (10, 0.0009765625, 52.638542570351795, 0.0, 0.0, 0.071347599133358724,
+             3.0010792720273844, -3.0010792720273844, 0.39895535850463498,
+             0.49358523351997402, 0.69783436706006652, 0.78127373220029472),
+        ]
 
     def test_torus_singular_perturbation_row_censored(self, cat):
         # A(x) = R(0.15 sin 2 pi u) diag(3/2, 2/3) minus t diag(3/2, 0) is

@@ -25,6 +25,7 @@ from cocyclelab.cocycle import (
     LocallyConstantCocycle,
     PerturbedCocycle,
     PointwiseCocycle,
+    PointwiseEntriesField,
     RotationFactor,
     StackedCocycle,
     TrigExpr,
@@ -33,7 +34,14 @@ from cocyclelab.cocycle import (
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
-from oracles import oracle_direction_walk, oracle_entries, rotation, word_matrix
+from oracles import (
+    oracle_direction_walk,
+    oracle_entries,
+    rotation,
+    same_values,
+    torus_exponent_walk,
+    word_matrix,
+)
 
 D = np.diag([2.0, 0.5])
 
@@ -423,6 +431,65 @@ class TestHorizonEdges:
         short = sample_points(shift2, 6, exact - 1, seed=11)
         with pytest.raises(HorizonExceeded):
             lyapunov_exponents(spec, shift2, n=n, points=short)
+
+
+def shipped_torus_family(direction=None):
+    """The shipped torus base and its perturbations along the shipped
+    direction (or ``direction``) at t = 2^-1 .. 2^-10."""
+    base = PointwiseCocycle(
+        factors=(
+            RotationFactor(angle=TrigExpr(sin_u=0.15, cos_v=0.1)),
+            ConstantFactor(matrix=np.diag([1.5, 1.0 / 1.5])),
+        )
+    )
+    field = direction or PointwiseEntriesField(
+        e00=TrigExpr(), e01=TrigExpr(const=-1.0, sin_u=0.2),
+        e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(),
+    )
+    members = [
+        PerturbedCocycle(base=base, direction=field, t=2.0**-k, rule="multiplicative_exp")
+        for k in range(1, 11)
+    ]
+    return base, members
+
+
+class TestTorusExponentWalk:
+    """A torus exponent scan reads each step's det and regularity flag, not
+    its log |det|; its results are bitwise those of a step-by-step walk that
+    forms every value term by term and reads the flag from the log."""
+
+    def test_single_spec(self, cat):
+        base, members = shipped_torus_family()
+        draw = sample_points(cat, 40, 0, seed=3)
+        for spec in (base, members[2]):
+            got = engine.exponent_scan(spec, cat, engine.batch_of(cat, draw), 60)
+            ref = torus_exponent_walk(spec, cat, draw, 60)
+            assert all(same_values(g, r) for g, r in zip(got, ref))
+
+    def test_stack(self, cat):
+        base, members = shipped_torus_family()
+        stack = StackedCocycle((base, *members))
+        draw = sample_points(cat, 40, 0, seed=3)
+        got = engine.exponent_scan(stack, cat, engine.batch_of(cat, draw), 60)
+        ref = torus_exponent_walk(stack, cat, draw, 60)
+        assert got[0].shape == (11, 40)
+        assert all(same_values(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_member_raises(self, cat):
+        # 3000 off a zero diagonal overflows exp(t B) at t = 1/2 (the
+        # hook warns; continuity censors such a size before any scan)
+        steep = PointwiseEntriesField(
+            e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
+            e10=TrigExpr(const=3000.0), e11=TrigExpr(),
+        )
+        base, members = shipped_torus_family(steep)
+        draw = sample_points(cat, 10, 0, seed=3)
+        for spec in (members[0], StackedCocycle((base, *members))):
+            with pytest.raises(SingularValueError):
+                engine.exponent_scan(spec, cat, engine.batch_of(cat, draw), 5)
+            with pytest.raises(SingularValueError):
+                torus_exponent_walk(spec, cat, draw, 5)
 
 
 class TestSingularSteps:

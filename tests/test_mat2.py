@@ -9,7 +9,7 @@ import pytest
 
 from cocyclelab import mat2
 from cocyclelab.errors import SingularValueError
-from oracles import rotation
+from oracles import expm_all_terms, rotation, same_values
 
 
 def random_entries(count, seed, scale=1.0):
@@ -295,6 +295,64 @@ class TestExpmTraceless:
         got = mat2.expm_batch(a, b, c, d)
         ref = two_branch_expm(a, b, c, d)
         assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+
+class TestExpmZeroDiagonal:
+    """A batch whose diagonal is zero throughout skips the terms that read
+    it; every entry matches the formula that forms them all, sign bits and
+    NaNs included, and the full formula is taken where sinhc is not
+    finite."""
+
+    ZERO_DIAGONALS = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]
+    # w = 800 and 1000 overflow cosh and sinh: exp(M) has inf off the
+    # diagonal and inf * 0 = NaN on it
+    OVERFLOW = [(800.0, 800.0), (1000.0, 1000.0), (-800.0, -800.0)]
+    FINITE = [bc for bc in OFF_DIAGONALS if np.all(np.isfinite(bc))] + [(700.0, 700.0)]
+
+    @staticmethod
+    def batch(diagonals, off_diagonals):
+        rows = [(a, b, c, d) for a, d in diagonals for b, c in off_diagonals]
+        return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+    @pytest.mark.parametrize("kind", ["finite", "overflow", "non-finite"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_all_terms(self, kind):
+        offs = {
+            "finite": self.FINITE,
+            "overflow": self.FINITE + self.OVERFLOW,
+            "non-finite": OFF_DIAGONALS,
+        }[kind]
+        a, b, c, d = self.batch(self.ZERO_DIAGONALS, offs)
+        assert not (a.any() or d.any())
+        got = mat2.expm_batch(a, b, c, d)
+        ref = expm_all_terms(a, b, c, d)
+        assert all(same_values(g, r) for g, r in zip(got, ref))
+        if kind != "finite":
+            assert np.isnan(ref[0]).any()
+        for i, row in enumerate(zip(a, b, c, d)):  # 0-d input alone
+            one = mat2.expm_batch(*row)
+            assert all(np.ndim(x) == 0 and same_values(x, g[i]) for x, g in zip(one, got))
+
+    def test_series_entries(self):
+        # |w2| = |b c| below the cut, on both sides of zero
+        b = np.array([1.0, 1.0, 1e-7, -1e-7, 0.0, 3e-7])
+        c = np.array([1e-13, -1e-13, 1e-7, 1e-7, 0.0, -3e-7])
+        zero = np.zeros_like(b)
+        for a, d in self.ZERO_DIAGONALS:
+            entries = (np.copysign(zero, a), b, c, np.copysign(zero, d))
+            got = mat2.expm_batch(*entries)
+            assert all(same_values(g, r) for g, r in zip(got, expm_all_terms(*entries)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_size_column(self):
+        # the (T, 1) sizes of a stack times a zero-diagonal direction; t < 0
+        # makes the diagonal -0.0
+        t = np.array([0.5, 0.25, -0.25, 2.0**-10])[:, None]
+        _, b, c, _ = self.batch([(0.0, 0.0)], self.FINITE + self.OVERFLOW)
+        args = (t * np.zeros_like(b), t * b, t * c, t * np.zeros_like(b))
+        got = mat2.expm_batch(*args)
+        assert got[0].shape == (4, b.size)
+        assert all(same_values(g, r) for g, r in zip(got, expm_all_terms(*args)))
 
 
 class TestInverseAdjugate:
