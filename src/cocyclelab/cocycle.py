@@ -811,10 +811,8 @@ class BunchingReport:
     ns: np.ndarray
     b_values: np.ndarray
     theta_hat: float
-    c3_hat: float
     verdict: str
     exact: bool
-    margin: float
     kappa_lambda_r: float | None
     samples: int
 
@@ -850,9 +848,8 @@ def bunching_check(
     ns = np.arange(1, n_max + 1)
     log_b = np.max(2.0 * ls_path - ldet_path, axis=1) + ns * r * np.log(lam)
     tail = ns >= ceil(n_max / 2)
-    slope, intercept = np.polyfit(ns[tail], log_b[tail], 1)
+    slope, _ = np.polyfit(ns[tail], log_b[tail], 1)
     theta_hat = float(np.exp(slope))
-    c3_hat = float(np.exp(intercept))
     with np.errstate(over="ignore"):
         b_values = np.exp(log_b)  # inf past the float range
     if theta_hat <= 1.0 - margin:
@@ -867,10 +864,8 @@ def bunching_check(
         ns=ns,
         b_values=b_values,
         theta_hat=theta_hat,
-        c3_hat=c3_hat,
         verdict=verdict,
         exact=exact,
-        margin=margin,
         kappa_lambda_r=kappa_lambda_r,
         samples=x_samples,
     )

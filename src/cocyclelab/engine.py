@@ -13,9 +13,9 @@ matrix, so no product ever overflows, in one of two ways:
   read the unit-norm product as a direction;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
-  exponents, and takes one norm and one log at the end.  Over a symbol
-  table it absorbs one precomputed k-step word product per k symbols
-  instead of one matrix per symbol.
+  exponents, and takes one norm and one log at the end.  Over a shift it
+  absorbs one precomputed k-step word product per k symbols instead of
+  one matrix per symbol; over a torus it takes one step at a time.
 
 Every step enters a direction scan as (a, b, c, d, log |det|), with
 log |det| NaN wherever the value fails ``mat2.regular`` (``_step``), and
@@ -31,8 +31,10 @@ k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
 words of an a-symbol alphabet once, with k maximizing the sample-steps
 saved, k (S - a^(k + depth - 1)) over S samples; ``forward_scan`` and
 ``backward_scan`` gather each sample's state by its word's number, as the
-word tables are indexed, and walk the other n - k steps.  The per-sample
-arithmetic is the same, so the result is bitwise the unshared walk's.
+word tables are indexed, and walk the other n - k steps.  Heads and word
+tables come from one builder (``_word_states``) that folds the scan's own
+step over every word, so each result is bitwise the unshared walk's.  A
+table entry that fails ``mat2.regular`` marks only the words through it.
 
 A shift spec is its symbol table (``cocycle.symbol_table``): one matrix per
 word of the forward symbols it reads, from which a scan forms a
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import takewhile
 from typing import Callable, Sequence
 
@@ -213,17 +216,6 @@ def _step_table(spec, sys: BaseSystem):
     return np.stack(_step(*entries)), alphabet, depth
 
 
-def _regular_steps(spec, sys: BaseSystem):
-    """The step table of a shift spec whose entries all pass
-    ``mat2.regular``, so every step does; None off a shift or when an
-    entry fails.  The word tables and the shared heads take only these:
-    both form words that no sample may read."""
-    if not isinstance(sys, ShiftSystem):
-        return None
-    table = _step_table(spec, sys)
-    return None if np.isnan(table[0][4]).any() else table
-
-
 def _orbit_values(
     spec, sys, batch: Batch, n: int, backward: bool, skip=0, starts=None, form=_step
 ):
@@ -282,6 +274,19 @@ def _word_numbers(windows, starts, at, width: int, alphabet: int):
         yield from idx
 
 
+def _word_states(steps, alphabet, depth, length, state, absorb, backward=False):
+    """``state`` after the ``length`` steps of each word of length +
+    depth - 1 symbols, one column per word numbered as ``_word_numbers``
+    does.  Step j reads ``depth`` symbols from j, or length - 1 - j
+    backward, from ``steps``, folded in by the scan's own ``absorb``, so a
+    sample reading a word gets bitwise its own walk's state."""
+    words = np.arange(alphabet ** (length + depth - 1))
+    for j in range(length):
+        idx = words // alphabet ** (j if backward else length - 1 - j) % alphabet**depth
+        state = absorb(state, np.take(steps, idx, axis=-1))
+    return state
+
+
 # ---------------------------------------------------------------------------
 # renormalized scans
 
@@ -309,14 +314,17 @@ def _identity_state(size: int) -> ScanState:
 # direction scans: unit-norm renormalization at every step
 
 
-def _renormalize(st: ScanState, a, b, c, d, log_det) -> None:
-    """st <- the new product [[a, b], [c, d]], renormalized; log_det is the
-    log |det| of the step it absorbed.  The state takes the shape of the
-    product, so a stacked spec's (M, S) values widen an (S,) start."""
+def _direction_step(st: ScanState, step, backward: bool) -> ScanState:
+    """st after one more step (a, b, c, d, log |det|), taken on the right of
+    a backward product and the left of a forward one, renormalized.  The
+    state takes the shape of the product, so a stacked spec's (M, S) values
+    widen an (S,) start."""
+    here = st.a, st.b, st.c, st.d
+    left, right = (here, step[:4]) if backward else (step[:4], here)
+    a, b, c, d = mat2.matmul_batch(*left, *right)
     nrm = mat2.opnorm_batch(a, b, c, d)
-    st.a, st.b, st.c, st.d = a / nrm, b / nrm, c / nrm, d / nrm
-    st.log_scale = st.log_scale + np.log(nrm)
-    st.logdet = st.logdet + log_det
+    logs = st.log_scale + np.log(nrm), st.logdet + step[4]
+    return ScanState(a / nrm, b / nrm, c / nrm, d / nrm, *logs)
 
 
 def _direction_scan(
@@ -343,12 +351,8 @@ def _direction_scan(
     # a singular step turns the product into 0/0 noise; the warning is
     # replaced by the SingularValueError raised after the walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        for va, vb, vc, vd, log_det in steps:
-            if backward:
-                prod = mat2.matmul_batch(st.a, st.b, st.c, st.d, va, vb, vc, vd)
-            else:
-                prod = mat2.matmul_batch(va, vb, vc, vd, st.a, st.b, st.c, st.d)
-            _renormalize(st, *prod, log_det)
+        for values in steps:
+            st = _direction_step(st, values, backward)
             if paths is not None:
                 paths.append((st.log_scale, st.logdet))
     if np.isnan(st.logdet).any():
@@ -420,29 +424,26 @@ def scan_head(
     when ``backward``, else ``forward_scan``) of ``spec`` over a draw of
     ``count`` samples, walked once per word of the k + depth - 1 symbols
     they read, with k maximizing the sample-steps saved, k (count - words).
-    None off a shift, when no k saves a step, or when a symbol table entry
-    fails ``mat2.regular`` (``_regular_steps``): a word the draw never
-    reads must not raise.
+    None off a shift, or when no k saves a step.  Every word is walked, so
+    a table entry that fails ``mat2.regular`` leaves a NaN logdet in the
+    words through it, which raises only in a scan that reads one.
     """
-    table = _regular_steps(spec, sys)
-    if table is None:
+    if not isinstance(sys, ShiftSystem):
         return None
-    _, alphabet, depth = table
+    steps, alphabet, depth = _step_table(spec, sys)
     span = depth - 1
     # a longer head saves nothing once its words outnumber the samples
-    steps = takewhile(lambda j: alphabet ** (j + span) < count, range(1, n + 1))
-    k = max(steps, key=lambda j: j * (count - alphabet ** (j + span)), default=None)
+    lengths = takewhile(lambda j: alphabet ** (j + span) < count, range(1, n + 1))
+    k = max(lengths, key=lambda j: j * (count - alphabet ** (j + span)), default=None)
     if k is None:
         return None
-    # the first k steps read the symbols at 0 .. k + span - 1 forward, and
-    # at -k .. span - 1 backward; every word, in windows around them
-    reach = k + span
-    reads = np.arange(reach) - (k if backward else 0)
-    words = np.arange(alphabet**reach)[:, None]
-    near = np.zeros((words.size, 2 * reach + 1), dtype=np.int16)
-    near[:, reach + reads] = words // alphabet ** np.arange(reach - 1, -1, -1) % alphabet
-    heads = ShiftBatch(near, np.zeros(words.size, dtype=np.int64), reach)
-    state = _direction_scan(spec, sys, heads, k, backward)
+    # the first k steps read the symbols at 0 .. k + span - 1, or -k .. span - 1 backward
+    reads = np.arange(k + span) - (k if backward else 0)
+    absorb = partial(_direction_step, backward=backward)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        state = _word_states(
+            steps, alphabet, depth, k, _identity_state(1), absorb, backward
+        )
     return ScanHead(n=n, k=k, backward=backward, reads=reads, state=state)
 
 
@@ -514,24 +515,24 @@ def _word_length(alphabet: int) -> int:
 
 def _word_factors(steps, alphabet: int, depth: int, length: int) -> np.ndarray:
     """The factor of every word of length + depth - 1 symbols (x_0 most
-    significant): the product of the ``length`` steps it determines, from
-    the step table ``steps``, built with the scan's own arithmetic.
-    Returned as one float array of shape (8, ..., words), exponents held
-    exactly as floats, so a scan gathers a word's whole factor at once."""
-    words = np.arange(alphabet ** (length + depth - 1))
-    acc = _identity_factor(1)
-    for j in range(length):
-        idx = words // alphabet ** (length - 1 - j) % alphabet ** depth
-        acc = _absorb(acc, _step_factor(*(e[..., idx] for e in steps[:4])))
+    significant): the product of the ``length`` steps it determines, built
+    by ``_word_states`` with the scan's own arithmetic.  Returned as one
+    float array of shape (8, ..., words), exponents held exactly as floats,
+    so a scan gathers a word's whole factor at once."""
+    acc = _word_states(
+        steps, alphabet, depth, length, _identity_factor(1),
+        lambda acc, step: _absorb(acc, _step_factor(*step[:4])),
+    )
     return np.ascontiguousarray(np.stack(np.broadcast_arrays(*acc)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class WordTables:
-    """The word factors an n-step exponent scan of a symbol-table spec
-    absorbs: ``factors[L]`` for every word length L it uses (k, and n mod k
-    when that is not 0)."""
+    """The word factors an n-step exponent scan of a shift spec absorbs:
+    ``factors[L]`` for every word length L it uses (k, and n mod k when
+    that is not 0)."""
 
+    n: int
     alphabet: int
     depth: int
     k: int
@@ -540,18 +541,21 @@ class WordTables:
 
 def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
     """Word tables for n-step exponent scans of ``spec``, to build once and
-    pass to every block's scan; None off a shift, when a symbol table
-    entry fails ``mat2.regular`` (see ``_regular_steps``), or n < 1."""
-    table = _regular_steps(spec, sys)
-    if table is None or n < 1:
+    pass to every block's scan; None off a shift or for n < 1.  Every word
+    is formed, so a table entry that fails ``mat2.regular`` leaves a zero
+    flag in the words through it, which raises only in a scan reading one."""
+    if not isinstance(sys, ShiftSystem):
         return None
-    steps, alphabet, depth = table
+    steps, alphabet, depth = _step_table(spec, sys)
+    if n < 1:
+        return None
     k = _word_length(alphabet)
-    factors = {
-        length: _word_factors(steps, alphabet, depth, length)
-        for length in {min(k, n), n % k} - {0}
-    }
-    return WordTables(alphabet=alphabet, depth=depth, k=k, factors=factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = {
+            length: _word_factors(steps, alphabet, depth, length)
+            for length in {min(k, n), n % k} - {0}
+        }
+    return WordTables(n=n, alphabet=alphabet, depth=depth, k=k, factors=factors)
 
 
 def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
@@ -579,12 +583,12 @@ def exponent_scan(
     log scale.  For a 2x2 product sigma1 * sigma2 = |det|, so the bottom
     exponent is the log-det rate minus the top one.
 
-    A shift spec whose table entries all pass ``mat2.regular`` is walked a
-    word at a time: each iteration gathers one precomputed k-step factor
-    per sample from ``words`` (see ``word_tables``, built here when not
-    passed), so an n-step walk takes about n / k iterations.  Other specs
-    are walked a step at a time.  The window is checked once, before the
-    walk, and singular steps once, after it.
+    A shift spec is walked a word at a time: each iteration gathers one
+    precomputed k-step factor per sample from ``words`` (see
+    ``word_tables``, built here when not passed, and refused with
+    ConfigError when built for another n), so an n-step walk takes about
+    n / k iterations.  A torus spec is walked a step at a time.  The window
+    is checked once, before the walk, and singular steps once, after it.
 
     The batch is left positioned at f^{n-1} of its starting points (or
     untouched when n = 0).  As in ``forward_record``, the arrays take the
@@ -594,13 +598,17 @@ def exponent_scan(
         raise ConfigError("exponent_scan needs n >= 0")
     if words is None:
         words = word_tables(spec, sys, n)
+    elif words.n != n:
+        raise ConfigError("word tables were built for another scan")
     if words is None:
         factors = _orbit_values(spec, sys, batch, n, False, form=_step_factor)
     else:
         factors = _word_walk(words, batch, n)
     acc = _identity_factor(batch.size)
-    for factor in factors:
-        acc = _absorb(acc, factor)
+    # a bad factor turns the product into inf or NaN noise; its flag raises
+    with np.errstate(invalid="ignore"):
+        for factor in factors:
+            acc = _absorb(acc, factor)
     a, b, c, d, exps, det, det_exps, regular = acc
     if not np.all(regular):
         raise SingularValueError("cocycle value is singular along the orbit")

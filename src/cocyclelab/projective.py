@@ -149,10 +149,6 @@ class InvarianceReport:
     per_test: dict[str, float]
     samples: int
 
-    @property
-    def bank_size(self) -> int:
-        return len(self.per_test)
-
 
 def invariance_defect(
     a_spec: CocycleSpec,

@@ -552,25 +552,29 @@ class TestSingularSteps:
     @pytest.mark.parametrize(
         "scan", ["forward_scan", "backward_scan", "forward_record", "exponent_scan"]
     )
-    @pytest.mark.parametrize("bad", [1, 2], ids=["singular", "nan"])
+    @pytest.mark.parametrize("bad", [1, 2, 3], ids=["singular", "nan", "inf"])
     def test_bad_entries_raise_only_where_read(self, scan, bad):
-        # over three symbols: D, then D expm(-1000 I), which underflows to
-        # the zero matrix, then D expm(diag(1000, -1000)), which is NaN
+        # over four symbols: D, then D expm(-1000 I), which underflows to
+        # the zero matrix, then D expm(diag(1000, -1000)), which is NaN,
+        # then D expm(diag(1000, 0)), whose inf meets zeros in any product
         direction = LocallyConstantCocycle(
-            table=np.array([np.zeros((2, 2)), -1e3 * np.eye(2), np.diag([1e3, -1e3])]),
+            table=np.array(
+                [np.zeros((2, 2)), -1e3 * np.eye(2), np.diag([1e3, -1e3]), np.diag([1e3, 0.0])]
+            ),
             invertible=False,
         )
         spec = PerturbedCocycle(
-            LocallyConstantCocycle(table=np.array([D, D, D])), direction,
+            LocallyConstantCocycle(table=np.array([D] * 4)), direction,
             t=1.0, rule="multiplicative_exp",
         )
-        sys_ = bernoulli_shift(3)
+        sys_ = bernoulli_shift(4)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not mat2.regular(*word_matrix(spec, [1]).ravel())
             assert np.isnan(word_matrix(spec, [2])).any()
-        # the other entry sits in the window, one step past the walk
+            assert np.isinf(word_matrix(spec, [3])).any()
+        # another bad entry sits in the window, one step past the walk
         window = np.zeros(11, dtype=np.int16)
-        window[5 + (-5 if scan == "backward_scan" else 4)] = 3 - bad
+        window[5 + (-5 if scan == "backward_scan" else 4)] = bad % 3 + 1
         run = getattr(engine, scan)
         run(spec, sys_, engine.batch_of(sys_, [ShiftPoint(window)] * 3), 4)
         window[5 + (-4 if scan == "backward_scan" else 3)] = bad
@@ -604,6 +608,7 @@ class TestWordBlocks:
             8, 5, 4, 2, 1, 1,
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_only_tables_over_the_alphabet_take_words(self, shift2, cat):
         assert engine.word_tables(lc_spec(), shift2, 10).factors.keys() == {8, 2}
         assert engine.word_tables(lc_spec(), shift2, 3).factors.keys() == {3}
@@ -619,10 +624,14 @@ class TestWordBlocks:
             got = engine.word_tables(spec, shift2, 10)
             for length, factors in want.factors.items():
                 assert np.array_equal(got.factors[length], factors)
+        # a singular entry takes word tables too: the regularity flag (the
+        # factor's last row) is 0 in exactly the words through symbol 1
         singular = LocallyConstantCocycle(
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
-        assert engine.word_tables(singular, shift2, 10) is None
+        words = engine.word_tables(singular, shift2, 10)
+        for length, factors in words.factors.items():
+            assert np.array_equal(factors[7], np.arange(2**length) == 0)
         shift3 = ShiftSystem(
             alphabet_size=3, measure=BernoulliMeasure(weights=(0.2, 0.3, 0.5))
         )
@@ -670,6 +679,21 @@ class TestWordBlocks:
         finite_time_exponents(lc_spec(), shift2, pts, 30, threads)
         # five blocks, two word lengths: 3 words of 8 steps and a tail of 6
         assert sorted(built) == [6, 8]
+
+    def test_tables_of_another_n_are_refused(self, shift2):
+        # a 41-step scan needs a 1-step tail that 40-step tables lack, and
+        # a 40-step scan groups its steps as 41-step tables do not say
+        draw = sample_points(shift2, 20, 43, seed=5)
+        for built, n in ((40, 41), (41, 40)):
+            words = engine.word_tables(lc_spec(), shift2, built)
+            batch = engine.batch_of(shift2, draw)
+            with pytest.raises(ConfigError, match="another scan"):
+                engine.exponent_scan(lc_spec(), shift2, batch, n, words)
+            assert np.all(batch.offsets == 0)
+            words = engine.word_tables(lc_spec(), shift2, n)
+            got = engine.exponent_scan(lc_spec(), shift2, batch, n, words)
+            want = engine.exponent_scan(lc_spec(), shift2, engine.batch_of(shift2, draw), n)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_step_inside_a_word_raises(self, shift2):
@@ -857,30 +881,43 @@ class TestScanHeads:
         window[6 + (-2 if backward else 1)] = 1
         draw = ShiftDraw(np.tile(window, (50, 1)), 0)
         extract = unstable_directions if backward else stable_directions
+        scan = engine.backward_scan if backward else engine.forward_scan
+        # the head walks all four steps; the logdet is NaN in exactly the
+        # words through symbol 1, in the bad member's row
+        through = np.arange(16) != 0
         with np.errstate(over="ignore") if nan else nullcontext():
-            for s in (spec, stack):
-                assert engine.scan_head(s, shift2, 50, 4, backward) is None
+            for s, bad in ((spec, through), (stack, [np.zeros(16, bool), through])):
+                head = engine.scan_head(s, shift2, 50, 4, backward)
+                assert head.k == 4
+                assert np.array_equal(np.isnan(head.state.logdet), bad)
+                with pytest.raises(SingularValueError):
+                    scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
                 with pytest.raises(SingularValueError):
                     extract(s, shift2, draw, 4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_an_unread_singular_entry_takes_no_head(self, backward):
+    def test_an_unread_singular_entry_takes_a_head_and_word_tables(self, backward):
         # a depth-2 table whose entry for the word 00 is singular, over a
         # Markov law in which 0 never follows 0: the draw never reads it,
-        # so the walk raises nothing and gives the regular table's result
+        # so the walks raise nothing and give the regular table's results
         sys_ = markov_shift(2)
         tab = random_table(2, 2, seed=3).table
         bad = tab.copy()
         bad[0] = 0.0
         spec = LocallyConstantCocycle(table=bad, depth=2, alphabet_size=2, invertible=False)
         good = LocallyConstantCocycle(table=tab, depth=2, alphabet_size=2)
-        assert engine.scan_head(good, sys_, 2000, 20, backward).k == 7
-        assert engine.scan_head(spec, sys_, 2000, 20, backward) is None
+        for s in (good, spec):
+            assert engine.scan_head(s, sys_, 2000, 20, backward).k == 7
+            assert engine.word_tables(s, sys_, 20).factors.keys() == {8, 4}
         draw = sample_points(sys_, 2000, 22, seed=2)
         extract = unstable_directions if backward else stable_directions
         for x, y in zip(extract(spec, sys_, draw, 20), extract(good, sys_, draw, 20)):
             assert np.array_equal(x, y)
+        got = finite_time_exponents(spec, sys_, draw, 20)
+        want = finite_time_exponents(good, sys_, draw, 20)
+        for name in ("plus", "minus", "logdet_rate"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_large_draws_read_fewer_values(self, shift2, monkeypatch):
         # a scan that stopped sharing its head would gather S * n steps; the

@@ -101,11 +101,11 @@ class TestInvarianceDefect:
         spec = ConstantCocycle(matrix=DIAG2)
         m_u, _ = build_invariant_measures(spec, shift2, 20, 20, seed=6)
         rep = invariance_defect(spec, shift2, m_u)
-        assert rep.bank_size == 21  # (1 + 2 + 4) cylinders x 3 fiber modes
+        assert len(rep.per_test) == 21  # (1 + 2 + 4) cylinders x 3 fiber modes
         assert rep.per_test["1*1"] == 0.0
         m_u, _ = build_invariant_measures(spec, cat, 20, 20, seed=6)
         rep = invariance_defect(spec, cat, m_u)
-        assert rep.bank_size == 39  # (1 + 12 Fourier modes) x 3 fiber modes
+        assert len(rep.per_test) == 39  # (1 + 12 Fourier modes) x 3 fiber modes
 
     def test_gapped_family_small_defect(self, shift2):
         spec = gapped_spec()
