@@ -357,6 +357,24 @@ class PointwiseEntriesField:
         modes = TrigModes(coords) if modes is None else modes
         return self.e00(modes), self.e01(modes), self.e10(modes), self.e11(modes)
 
+    def terms(self, modes: TrigModes):
+        """The entries as ``_compose`` takes them: one whose coefficients
+        are all zero as the scalar 0.0, its value everywhere, so no zero
+        array, no product of it with t and no scan of one for zeros is
+        formed per step."""
+        return tuple(
+            0.0 if e.is_constant and not e.const else e(modes)
+            for e in (self.e00, self.e01, self.e10, self.e11)
+        )
+
+
+def _direction_values(direction, coords, modes):
+    """A direction's entries as ``_compose`` takes them: a
+    ``PointwiseEntriesField``'s terms, other fields' values."""
+    if isinstance(direction, PointwiseEntriesField):
+        return direction.terms(modes)
+    return direction.values_at_coords(coords, modes)
+
 
 MatrixField = Union[ConstantCocycle, LocallyConstantCocycle, PointwiseEntriesField]
 
@@ -407,14 +425,15 @@ class PerturbedCocycle:
             self.rule,
             self.t,
             self.base.values_at_coords(coords, modes),
-            self.direction.values_at_coords(coords, modes),
+            _direction_values(self.direction, coords, modes),
         )
 
 
 def _compose(rule: str, t, base_vals, dir_vals):
     """Entries of A composed with t B, from the entries of A and B; with a
     column of sizes t of shape (T, 1) and (S,) entries this gives (T, S)
-    entries, row k bitwise the scalar result at t[k]."""
+    entries, row k bitwise the scalar result at t[k].  An entry of B may be
+    a scalar, which broadcasts."""
     ba, bb, bc, bd = base_vals
     fa, fb, fc, fd = dir_vals
     if rule == "additive":
@@ -492,7 +511,7 @@ class StackedCocycle:
             self._head.rule,
             self._ts,
             base_vals,
-            self._head.direction.values_at_coords(coords, modes),
+            _direction_values(self._head.direction, coords, modes),
         )
         if not self._with_base:
             return composed

@@ -8,11 +8,13 @@ unstable directions both moved less than epsilon.  Coupling removes the
 base-sampling noise from all comparisons, which is what makes the small-t
 rows informative at realistic sample counts.
 
-The whole family is walked together: each scan steps every orbit once and
-absorbs the values of all live members as stacked (M, S) arrays (see
-``StackedCocycle``), and the up-front grid check and the sampled Holder
-distances each evaluate every member in one pass.  Each row is then
-reduced from its own slice, bitwise as if its member had been run alone.
+The whole family is walked together, the values of all live members
+absorbed as stacked (M, S) arrays (see ``StackedCocycle``): every orbit is
+walked backward once, for the unstable directions, and forward once, for
+the stable directions and the exponents (``engine.forward_walk``).  The
+up-front grid check and the sampled Holder distances each evaluate every
+member in one pass.  Each row is then reduced from its own slice, bitwise
+as if its member had been run alone.
 
 Rows whose perturbed member loses its singular value gap, or fails the
 up-front check of ``perturbations``, are censored: the row stays in the
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine, oseledets, spectrum
 from .base import BaseSystem, ShiftSystem, sample_points
 from .cocycle import (
     STACK_BLOCK,
@@ -38,8 +41,7 @@ from .cocycle import (
 )
 from .errors import ConfigError, NoGap, SingularValueError
 from .mat2 import regular
-from .oseledets import stable_directions, unstable_directions
-from .spectrum import finite_time_exponents
+from .oseledets import unstable_directions
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # torus perturbations are checked on this many points per side of a grid
@@ -156,19 +158,15 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z) -> tuple[float
     return lo, hi
 
 
-def _good_set_stats(base_dirs, dirs, epsilon: float):
-    """One member against the base on the shared draw: the row's good-set
-    fraction with its Wilson interval and the displacement means and
-    maxima, plus the unstable displacements themselves."""
-    ux, uy, sx, sy = base_dirs
-    px, py, qx, qy = dirs
-    du = np.abs(ux * py - uy * px)
-    ds = np.abs(sx * qy - sy * qx)
+def _good_set_stats(du, ds, epsilon: float):
+    """One member against the base on the shared draw, from its unstable
+    and stable displacements: the row's good-set fraction with its Wilson
+    interval and the displacement means and maxima."""
     good = (du <= epsilon) & (ds <= epsilon)
     n = good.size
     hits = int(np.count_nonzero(good))
     lo, hi = wilson_interval(hits, n)
-    stats = dict(
+    return dict(
         g_hat=hits / n,
         ci_lo=lo,
         ci_hi=hi,
@@ -177,46 +175,78 @@ def _good_set_stats(base_dirs, dirs, epsilon: float):
         mean_ds=float(np.mean(ds)),
         max_ds=float(np.max(ds)),
     )
-    return stats, du
 
 
-def _directions(a_spec, sys, points, depth, threads):
-    """(ux, uy, sx, sy, ok): both finite-depth directions and where both
-    had a gap."""
-    ux, uy, ok_u = unstable_directions(a_spec, sys, points, depth, threads)
-    sx, sy, ok_s = stable_directions(a_spec, sys, points, depth, threads)
-    return ux, uy, sx, sy, ok_u & ok_s
+def _displacements(x, y):
+    """Per sample, |sin| of the angle between each row's unit directions
+    (x, y) and row 0's, the base's, as (M, S) arrays; formed in place, so
+    at most one temporary of that size is held beside them."""
+    out = x[0] * y
+    out -= y[0] * x
+    return np.abs(out, out=out)
 
 
-def _good_sets(specs: dict, sys, points, epsilon, depth, threads):
-    """Good-set statistics of every perturbed member (keys other than 0)
-    that has a gap, against the base (key 0), and the unstable
-    displacements of the last of them (None if there is none); raises
-    NoGap if the base has no gap.  The stacked direction arrays are
-    dropped on return."""
-    (*base_dirs, base_ok), *rest = _each_member(
-        _directions, list(specs.values()), sys, points, depth, threads
-    )
-    if not base_ok.all():
+def _walk(specs: dict, sys, points, epsilon, depth, n, threads):
+    """(good, exponents, last_du): the good-set statistics of every
+    perturbed member (keys other than 0) with a gap, against the base (key
+    0); the (plus, minus) exponents of the base and of those members; and
+    the unstable displacements of the last of them (None if there is
+    none).
+
+    The members are walked as one StackedCocycle: its unstable directions
+    over the backward window, then its stable directions and exponents
+    from one forward walk per block (``_forward``); each side's directions
+    are kept only as their displacements from the base's.  Raises NoGap if
+    the base has no gap, and then SingularValueError if a step in the
+    exponent window of the base or of a member with a gap fails
+    ``mat2.regular``; a member without a gap is censored whatever its
+    exponents."""
+    stack = StackedCocycle(tuple(specs.values()))
+    ux, uy, ok_u = unstable_directions(stack, sys, points, depth, threads)
+    du = _displacements(ux, uy)
+    # each side's directions are dropped as soon as their displacements are
+    # formed, which keeps them out of the run's peak memory
+    del ux, uy
+    ds, ok_s, plus, rate, clean = _forward(stack, sys, points, depth, n, threads)
+    gap = (ok_u & ok_s).all(axis=1)
+    if not gap[0]:
         raise NoGap("conformal window product during direction extraction")
-    stats, last_du = {}, None
-    for k, (*dirs, ok) in zip(list(specs)[1:], rest):
-        if ok.all():
-            stats[k], last_du = _good_set_stats(base_dirs, dirs, epsilon)
-    return stats, last_du
+    if not clean[gap].all():
+        raise SingularValueError("cocycle value is singular along the orbit")
+    good, last_du = {}, None
+    for row, k in enumerate(specs):
+        if row and gap[row]:
+            good[k] = _good_set_stats(du[row], ds[row], epsilon)
+            last_du = du[row].copy()
+    del du, ds
+    ft = spectrum._finite_time(stack, plus, rate, n)
+    exps = {k: (ft.plus[row], ft.minus[row]) for row, k in enumerate(specs) if gap[row]}
+    return good, exps, last_du
 
 
-def _exponents(a_spec, sys, points, n, threads):
-    ft = finite_time_exponents(a_spec, sys, points, n, threads)
-    return ft.plus, ft.minus
+def _forward(stack, sys, points, depth, n, threads):
+    """(ds, ok, plus, rate, clean) of every row of ``stack``: the
+    displacement of its stable directions at ``depth``, as
+    ``stable_directions`` gives them, from row 0's, and its top exponents
+    and log-det rates over [0, n), as ``finite_time_exponents`` forms
+    them, from one ``engine.forward_walk`` per block; ``clean`` is False
+    where a sample's exponent window holds a step that fails
+    ``mat2.regular``.  The stable directions themselves live one block at
+    a time."""
+    if n < 1:
+        raise ConfigError("window length n must be >= 1")
+    head = engine.scan_head(stack, sys, len(points), depth, backward=False)
+    words = engine.word_tables(stack, sys, n)
 
+    def job(start: int, stop: int):
+        batch = engine.batch_of(sys, points[start:stop])
+        st, log_scale, logdet, clean = engine.forward_walk(
+            stack, sys, batch, depth, n, head, words
+        )
+        sx, sy, ok = oseledets._read(st, "stable")
+        return _displacements(sx, sy), ok, log_scale / n, logdet / n, clean
 
-def _each_member(fn, specs, *args) -> list[tuple[np.ndarray, ...]]:
-    """fn(spec, *args) for every spec, as a tuple of per-sample arrays:
-    one call on their StackedCocycle, constants included, from which each
-    spec reads its own row back."""
-    stacked = fn(StackedCocycle(tuple(specs)), *args)
-    return [tuple(x[row] for x in stacked) for row in range(len(specs))]
+    return engine.block_map(job, len(points), threads, rows=stack.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +320,7 @@ def continuity_experiment(
         if spec is not None
     }
     specs = {0: family.base, **live}
-    good, last_du = _good_sets(specs, sys, points, epsilon, depth, threads)
-    walked = [0, *good]
-    exps = dict(
-        zip(
-            walked,
-            _each_member(
-                _exponents, [specs[k] for k in walked], sys, points, n_window,
-                threads,
-            ),
-        )
-    )
+    good, exps, last_du = _walk(specs, sys, points, epsilon, depth, n_window, threads)
     holder = dict(
         zip(live, holder_distances(tuple(live.values()), family.base, sys, seed=seed))
     )

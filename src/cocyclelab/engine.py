@@ -17,14 +17,21 @@ matrix, so no product ever overflows, in one of two ways:
   absorbs one precomputed k-step word product per k symbols instead of
   one matrix per symbol; over a torus it takes one step at a time.
 
-Every step enters a direction scan as (a, b, c, d, log |det|), with
-log |det| NaN wherever the value fails ``mat2.regular`` (``_step``), and
-the exponent scan with det and that flag instead (``_step_factor``), from
-one walk (``_orbit_values``).  A shift batch's symbol window is checked
-once per scan, before the first step, and singular steps are caught once,
-after the last one.  A shift scan numbers the words it reads once per walk
-(``_word_numbers``), a chunk of steps at a time, as every word table is
-indexed.
+Every step enters the exponent scan as its values, det and
+``mat2.regular`` flag (``_step_factor``), and a direction scan with
+log |det| in place of the last two, NaN wherever the flag is False
+(``_step``), from one walk (``_orbit_values``).  A shift batch's symbol
+window is checked once per scan, before the first step, and singular steps
+are caught once, after the last one.  A shift scan numbers the words it
+reads once per walk (``_word_numbers``), a chunk of steps at a time, as
+every word table is indexed.
+
+``forward_walk`` gives a depth-step ``forward_scan`` and an n-step
+``exponent_scan`` together.  Over a torus both come from one walk of the
+orbits: each step's values, det and flag are formed once, the first depth
+steps go to the direction accumulator and the first n to the exponent
+one, each with its own arithmetic, so both are bitwise the separate
+scans'.  Over a shift the two scans run as they do alone.
 
 On a shift the first k steps of a direction scan read only a word of
 k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
@@ -47,6 +54,7 @@ spec reads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import takewhile
@@ -195,14 +203,18 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
 
 
 def _step(a, b, c, d):
-    """Values [[a, b], [c, d]] as a scan absorbs them: (a, b, c, d,
-    log |det|), with log |det| NaN wherever they fail ``mat2.regular``,
+    """Values [[a, b], [c, d]] as a direction scan absorbs them: (a, b, c,
+    d, log |det|), with log |det| NaN wherever they fail ``mat2.regular``,
     which is the scans' one singularity signal.  Failing values warn
     nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = a * d - b * c
-        ok = mat2.regular(a, b, c, d, det)
-    return a, b, c, d, np.log(np.abs(det), out=np.full_like(det, np.nan), where=ok)
+    return a, b, c, d, _log_det(_step_factor(a, b, c, d))
+
+
+def _log_det(factor):
+    """log |det| of a step's factor (see ``_step_factor``), NaN where the
+    step fails ``mat2.regular``."""
+    det, ok = factor[5], factor[7]
+    return np.log(np.abs(det), out=np.full_like(det, np.nan), where=ok)
 
 
 def _step_table(spec, sys: BaseSystem):
@@ -348,13 +360,18 @@ def _direction_scan(
         st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
         done = head.k
     steps = _orbit_values(spec, sys, batch, n, backward, done, starts)
-    # a singular step turns the product into 0/0 noise; the warning is
-    # replaced by the SingularValueError raised after the walk
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a singular step, or one too large for the norm's squares, turns the
+    # product into inf or 0/0 noise; the warning is replaced by the
+    # SingularValueError raised after the walk
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for values in steps:
             st = _direction_step(st, values, backward)
             if paths is not None:
                 paths.append((st.log_scale, st.logdet))
+    return _checked(st)
+
+
+def _checked(st: ScanState) -> ScanState:
     if np.isnan(st.logdet).any():
         raise SingularValueError("cocycle value is singular along the orbit")
     return st
@@ -596,6 +613,15 @@ def exponent_scan(
     """
     if n < 0:
         raise ConfigError("exponent_scan needs n >= 0")
+    log_scale, logdet, regular = _exponent_walk(spec, sys, batch, n, words)
+    if not np.all(regular):
+        raise SingularValueError("cocycle value is singular along the orbit")
+    return log_scale, logdet
+
+
+def _exponent_walk(spec, sys, batch, n, words):
+    """``exponent_scan``'s results and, in place of its raise, where every
+    step passed ``mat2.regular``."""
     if words is None:
         words = word_tables(spec, sys, n)
     elif words.n != n:
@@ -605,14 +631,58 @@ def exponent_scan(
     else:
         factors = _word_walk(words, batch, n)
     acc = _identity_factor(batch.size)
-    # a bad factor turns the product into inf or NaN noise; its flag raises
+    # a bad factor turns the product into inf or NaN noise; its flag tells
     with np.errstate(invalid="ignore"):
         for factor in factors:
             acc = _absorb(acc, factor)
+    return _exponent_results(acc)
+
+
+def _exponent_results(acc):
+    """(log_scale, logdet, regular) of an exponent scan's final product;
+    the logs of a sample that failed ``mat2.regular`` are noise and warn
+    nothing."""
     a, b, c, d, exps, det, det_exps, regular = acc
-    if not np.all(regular):
-        raise SingularValueError("cocycle value is singular along the orbit")
-    return _log_norm(a, b, c, d, exps), det_exps * _LN2 + np.log(np.abs(det))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_scale = _log_norm(a, b, c, d, exps)
+        logdet = det_exps * _LN2 + np.log(np.abs(det))
+    return log_scale, logdet, np.asarray(regular, dtype=bool)
+
+
+def forward_walk(
+    spec, sys: BaseSystem, batch: Batch, depth: int, n: int,
+    head: ScanHead | None = None, words: WordTables | None = None,
+) -> tuple[ScanState, np.ndarray, np.ndarray, np.ndarray]:
+    """(state, log_scale, logdet, regular): ``forward_scan(spec, sys,
+    batch, depth, head)``'s state and ``exponent_scan(spec, sys, batch, n,
+    words)``'s results, bitwise, with ``regular`` False where the exponent
+    scan would raise; a singular step among the first ``depth`` raises.
+
+    Over a torus one walk of max(depth, n) steps serves both, each step's
+    values, det and regularity flag formed once for the direction
+    accumulator (the first ``depth`` steps) and the exponent one (the first
+    n).  Over a shift the two scans run as they do alone.  The batch is
+    left at f^{max(depth, n) - 1} of its starting points.
+    """
+    if depth < 1 or n < 1:
+        raise ConfigError("forward_walk needs depth >= 1 and n >= 1")
+    if isinstance(batch, ShiftBatch):
+        ahead = ShiftBatch(batch.windows, batch.offsets.copy(), batch.horizon)
+        st = forward_scan(spec, sys, ahead, depth, head)
+        log_scale, logdet, regular = _exponent_walk(spec, sys, batch, n, words)
+        if depth > n:
+            batch.offsets = ahead.offsets
+        return st, log_scale, logdet, regular
+    st, acc = _identity_state(batch.size), _identity_factor(batch.size)
+    steps = _orbit_values(spec, sys, batch, max(depth, n), False, form=_step_factor)
+    # the errstates of both scans: bad steps warn nothing, and their flags tell
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j, factor in enumerate(steps):
+            if j < depth:
+                st = _direction_step(st, (*factor[:4], _log_det(factor)), False)
+            if j < n:
+                acc = _absorb(acc, factor)
+    return (_checked(st), *_exponent_results(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -625,25 +695,27 @@ def block_map(
     threads: int = 1,
     rows: int = 1,
 ) -> tuple[np.ndarray, ...]:
-    """Apply fn(start, stop) over fixed index blocks and concatenate the
-    results positionally along their last axis.
+    """Apply fn(start, stop) over fixed index blocks and join the results
+    positionally along their last axis.
 
     Blocks are BLOCK wide, or narrower when each sample carries ``rows``
     members of a stacked spec: at most STACK_SPAN member-samples per
     block.  The block layout never depends on the thread count, and
-    results are reassembled in index order, so outputs are identical for
-    any value of ``threads``.
+    results are placed in index order, each block's into its slice of the
+    outputs as it arrives, so outputs are identical for any value of
+    ``threads`` and the blocks' results are never all held at once.
     """
     if count < 1:
         raise ConfigError("block_map needs count >= 1")
     width = max(1, min(BLOCK, STACK_SPAN // rows))
     bounds = [(s, min(s + width, count)) for s in range(0, count, width)]
-    if threads <= 1 or len(bounds) == 1:
-        parts = [fn(s, e) for s, e in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda se: fn(*se), bounds))
-    width = len(parts[0])
-    return tuple(
-        np.concatenate([p[i] for p in parts], axis=-1) for i in range(width)
-    )
+    threaded = threads > 1 and len(bounds) > 1
+    out = None
+    with ThreadPoolExecutor(max_workers=threads) if threaded else nullcontext() as pool:
+        parts = (pool.map if pool else map)(lambda se: fn(*se), bounds)
+        for (start, stop), part in zip(bounds, parts):
+            if out is None:
+                out = tuple(np.empty(x.shape[:-1] + (count,), x.dtype) for x in part)
+            for joined, x in zip(out, part):
+                joined[..., start:stop] = x
+    return out

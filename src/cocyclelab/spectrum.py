@@ -97,6 +97,12 @@ def finite_time_exponents(
     plus, rate = engine.block_map(
         job, len(points), threads, rows=getattr(a_spec, "rows", 1)
     )
+    return _finite_time(a_spec, plus, rate, n)
+
+
+def _finite_time(a_spec, plus: np.ndarray, rate: np.ndarray, n: int) -> FiniteTimeExponents:
+    """The exponents from the per-sample top exponents ``plus`` and log-det
+    rates ``rate`` of an n-step exponent scan of ``a_spec``."""
     # a constant's log-det rate is its matrix's, exactly (shift_bunched's float
     # det rounds to 1 - 2**-53 per step); a stacked row too, as it runs alone
     members = getattr(a_spec, "members", (a_spec,))

@@ -2,7 +2,8 @@
 matrix, the base metric between two points, a shift spec's value read
 symbol by symbol, a torus spec's value with every term formed, a torus
 exponent walk one step at a time, a constant's power in closed form and the
-attraction of directions onto the splitting, each written out directly."""
+attraction of directions onto the splitting, each written out directly; and
+a test double of a torus hook that is NaN at chosen points."""
 
 from __future__ import annotations
 
@@ -286,6 +287,24 @@ def torus_exponent_walk(spec, sys, points, n: int):
     ln2 = np.log(2.0)
     log_scale = exps * ln2 + np.log(mat2.opnorm_batch(a, b, c, d))
     return log_scale, det_exps * ln2 + np.log(np.abs(det))
+
+
+class NanAt:
+    """A torus spec, or direction field, equal to ``inner`` except for NaN
+    entries at points whose u coordinate is one of ``us``: a test double of
+    the ``values_at_coords`` hook."""
+
+    symbol_depth = 0
+    is_constant = False
+
+    def __init__(self, inner, us):
+        self.inner, self.us = inner, us
+        self.r = getattr(inner, "r", 1.0)
+
+    def values_at_coords(self, coords, modes=None):
+        hit = np.isin(coords[:, 0], self.us)
+        inner = self.inner.values_at_coords(coords, modes)
+        return tuple(np.where(hit, np.nan, v) for v in inner)
 
 
 def _push_lines(va, vb, vc, vd, x, y):

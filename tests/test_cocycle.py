@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -35,10 +37,12 @@ from cocyclelab.cocycle import (
     specialize,
 )
 from cocyclelab.config import build_cocycle, load_config
+from cocyclelab.continuity import perturbations
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
 from oracles import (
+    NanAt,
     base_distance,
     constant_power,
     oracle_entries,
@@ -595,22 +599,6 @@ class TestHolderRoutes:
             holder_distances((spec,), two_table(DIAG2, DIAG2), shift2)
 
 
-class NanAt:
-    """A torus spec equal to ``inner`` except for NaN entries at points
-    whose u coordinate is one of ``us``."""
-
-    symbol_depth = 0
-    is_constant = False
-
-    def __init__(self, inner, us):
-        self.inner, self.us, self.r = inner, us, inner.r
-
-    def values_at_coords(self, coords, modes=None):
-        hit = np.isin(coords[:, 0], self.us)
-        inner = self.inner.values_at_coords(coords, modes)
-        return tuple(np.where(hit, np.nan, v) for v in inner)
-
-
 def same_float(x, y):
     return x == y or (np.isnan(x) and np.isnan(y))
 
@@ -674,6 +662,25 @@ def torus_coords(cat):
     return np.concatenate([EDGE_COORDS, sample_points(cat, 200, 0, seed=5).coords])
 
 
+def zero_entry_fields():
+    """Direction fields with entries whose coefficients are all zero, on
+    and off the diagonal, some with -0.0 constants."""
+    signed = PointwiseEntriesField(
+        e00=TrigExpr(const=-0.0), e01=TrigExpr(const=-1.0, sin_u=0.2),
+        e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(const=-0.0, sin_v=-0.0),
+    )
+    # 3000 off the diagonal overflows exp(t B) for t >= 1/4
+    steep = PointwiseEntriesField(
+        e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
+        e10=TrigExpr(const=3000.0), e11=TrigExpr(),
+    )
+    lower = PointwiseEntriesField(
+        e00=TrigExpr(const=0.3, sin_u=0.1), e01=TrigExpr(),
+        e10=TrigExpr(const=-0.0), e11=TrigExpr(cos_v=-0.2),
+    )
+    return [torus_direction(), signed, steep, lower]
+
+
 class TestAllTerms:
     """Trig expressions skip their zero terms and the hooks of one call
     share each trig mode; every value keeps the bits, sign bits and NaNs
@@ -713,17 +720,8 @@ class TestAllTerms:
             )
         )
         fixed = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(const=0.3)),))
-        signed = PointwiseEntriesField(
-            e00=TrigExpr(const=-0.0), e01=TrigExpr(const=-1.0, sin_u=0.2),
-            e10=TrigExpr(const=1.0, sin_u=-0.2), e11=TrigExpr(const=-0.0, sin_v=-0.0),
-        )
-        # 3000 off the diagonal overflows exp(t B) for t >= 1/4
-        steep = PointwiseEntriesField(
-            e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
-            e10=TrigExpr(const=3000.0), e11=TrigExpr(),
-        )
         out = [base, winding, fixed]
-        for field in (torus_direction(), signed, steep):
+        for field in zero_entry_fields():
             for rule in ("multiplicative_exp", "additive"):
                 members = [
                     PerturbedCocycle(base=base, direction=field, t=t, rule=rule)
@@ -739,6 +737,75 @@ class TestAllTerms:
             got = spec.values_at_coords(coords)
             ref = values_all_terms(spec, coords)
             assert all(same_values(g, r) for g, r in zip(got, ref)), spec
+
+
+class Dense:
+    """A direction field given by ``field``'s hook, every entry an array, so
+    that composing with it forms the zero entries the field itself skips."""
+
+    symbol_depth = 0
+    is_constant = False
+
+    def __init__(self, field):
+        self.field = field
+
+    def values_at_coords(self, coords, modes=None):
+        return self.field.values_at_coords(coords, modes)
+
+
+class TestZeroEntries:
+    """A field entry whose coefficients are all zero is the scalar 0.0 in
+    every composition (whose values ``TestAllTerms`` checks); the hook, the
+    constant value, the grid check and the Holder distances are those of
+    the field with every entry an array."""
+
+    def test_zero_terms_are_scalars(self, cat):
+        coords = torus_coords(cat)
+        modes = TrigModes(coords)
+        for field in zero_entry_fields():
+            values = field.values_at_coords(coords)
+            for expr, term, value in zip(
+                (field.e00, field.e01, field.e10, field.e11), field.terms(modes), values
+            ):
+                assert value.shape == (len(coords),)
+                assert same_values(value, trig_all_terms(expr, coords[:, 0], coords[:, 1]))
+                if expr.is_constant and not expr.const:
+                    assert type(term) is float and same_values(term, 0.0)
+                else:
+                    assert term.shape == (len(coords),)
+
+    def test_constant_value_is_a_matrix(self):
+        field = PointwiseEntriesField(
+            e00=TrigExpr(), e01=TrigExpr(const=-1.0), e10=TrigExpr(const=-0.0),
+            e11=TrigExpr(),
+        )
+        m = field.constant_value()
+        assert isinstance(m, np.ndarray) and m.shape == (2, 2)
+        assert same_values(m, [[0.0, -1.0], [0.0, 0.0]])
+        spec = PerturbedCocycle(
+            ConstantCocycle(matrix=DIAG2), field, t=0.5, rule="multiplicative_exp"
+        )
+        assert spec.constant_value().shape == (2, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
+    def test_grid_check_and_holder_distances_are_the_dense_fields(self, cat, rule):
+        base = torus_base()
+        ts = (0.5, 0.25, 2.0**-6, 2.0**-12)
+        for field in zero_entry_fields():
+            verdicts = [
+                perturbations(base, f, ts, rule, cat) for f in (field, Dense(field))
+            ]
+            assert [s is None for s in verdicts[0]] == [s is None for s in verdicts[1]]
+            reps = [
+                holder_distances(
+                    [PerturbedCocycle(base, f, t=t, rule=rule) for t in ts],
+                    base, cat, pair_samples=200, seed=6,
+                )
+                for f in (field, Dense(field))
+            ]
+            for got, want in zip(*reps):
+                assert same_values(astuple(got), astuple(want))
 
 
 class TestStacked:

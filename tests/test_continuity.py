@@ -27,10 +27,10 @@ from cocyclelab.continuity import (
     perturbations,
     wilson_interval,
 )
-from cocyclelab.errors import ConfigError
+from cocyclelab.errors import ConfigError, NoGap, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import lyapunov_exponents
-from oracles import oracle_entries, rotation
+from oracles import NanAt, oracle_entries, rotation
 
 DIAG2 = np.diag([2.0, 0.5])
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -657,3 +657,73 @@ class TestFamilyWalk:
         )
         assert rep.base_lambda_plus == alone.lambda_plus
         assert rep.base_lambda_minus == alone.lambda_minus
+
+
+def hits_past(sys_, step, rows, samples, depth, n_window, seed, **_):
+    """The u coordinates that the samples ``rows`` of the experiment's draw
+    reach at ``step``."""
+    points = sample_points(sys_, samples, max(depth, n_window) + 2, seed)
+    batch = engine.batch_of(sys_, points)
+    engine.step(sys_, batch, step)
+    return batch.coords[rows, 0]
+
+
+class TestRaiseOrder:
+    """A step that fails the rule past the direction depth is read only
+    through the exponents: it raises SingularValueError for the base or a
+    member with a gap, and leaves a member without one censored; a base
+    without a gap raises NoGap first.  The bad steps come from a hook that
+    is NaN at points the draw reaches after the depth."""
+
+    KW = dict(epsilon=0.1, samples=300, depth=6, n_window=40, seed=3)
+
+    def family(self, cat, ts, nan_base=False, nan_direction=False, step=9, base=None):
+        # the gapless family's sizes 1/2 and 1/8 keep a gap, 1/4 has none
+        fam = torus_gapless_family()
+        base = base or fam.base
+        us = hits_past(cat, step, [5, 77], **self.KW)
+        return PerturbationFamily(
+            base=NanAt(base, us) if nan_base else base,
+            direction=NanAt(fam.direction, us) if nan_direction else fam.direction,
+            ts=ts,
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_member_with_a_gap_raises(self, cat):
+        fam = self.family(cat, (0.5, 0.25), nan_direction=True)
+        with pytest.raises(SingularValueError):
+            continuity_experiment(fam, cat, **self.KW)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_member_without_a_gap_is_censored(self, cat):
+        rep = continuity_experiment(
+            self.family(cat, (0.25,), nan_direction=True), cat, **self.KW
+        )
+        clean = continuity_experiment(self.family(cat, (0.25,)), cat, **self.KW)
+        assert rep.rows[0].censored and clean.rows[0].censored
+        assert rep.rows[0].holder_dist == clean.rows[0].holder_dist
+        assert rep.base_lambda_plus == clean.base_lambda_plus
+        assert rep.base_lambda_minus == clean.base_lambda_minus
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_base_raises(self, cat):
+        fam = self.family(cat, (0.25,), nan_base=True)
+        with pytest.raises(SingularValueError):
+            continuity_experiment(fam, cat, **self.KW)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_within_the_depth_a_member_without_a_gap_raises(self, cat):
+        # its stable directions read the bad step, as they do alone
+        fam = self.family(cat, (0.25,), nan_direction=True, step=2)
+        with pytest.raises(SingularValueError):
+            continuity_experiment(fam, cat, **self.KW)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nan_base, nan_direction", [(True, False), (False, True), (True, True)])
+    def test_a_base_without_a_gap_raises_no_gap_first(self, cat, nan_base, nan_direction):
+        spin = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.15)),))
+        fam = self.family(
+            cat, (0.5, 0.25), nan_base=nan_base, nan_direction=nan_direction, base=spin
+        )
+        with pytest.raises(NoGap):
+            continuity_experiment(fam, cat, **self.KW)

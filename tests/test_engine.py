@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -31,10 +32,13 @@ from cocyclelab.cocycle import (
     TrigExpr,
     product,
 )
+from cocyclelab.config import build_family, build_system, load_config
+from cocyclelab.continuity import perturbations
 from cocyclelab.errors import ConfigError, HorizonExceeded, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
 from oracles import (
+    NanAt,
     oracle_direction_walk,
     oracle_entries,
     rotation,
@@ -324,6 +328,26 @@ class TestBlockMap:
         assert calls == [(0, width), (width, 2 * width), (2 * width, count)]
         assert out[0].shape == (count,)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_are_joined_as_they_arrive(self, threads):
+        # each block's (M, width) results go into the outputs as they come,
+        # with their dtypes, so at most one block's arrays are held beside
+        # the outputs in a serial run
+        held = []
+
+        def job(start, stop):
+            if threads == 1:
+                assert sum(ref() is not None for ref in held) <= 1
+            idx = np.arange(start, stop, dtype=float)
+            x = np.stack([idx, -idx])
+            held.append(weakref.ref(x))
+            return x, x > 7
+
+        x, big = engine.block_map(job, 10, threads, rows=engine.STACK_SPAN // 3)
+        assert len(held) == 4  # blocks of 3, 3, 3 and 1
+        assert np.array_equal(x, np.stack([np.arange(10.0), -np.arange(10.0)]))
+        assert big.dtype == bool and np.array_equal(big, x > 7)
+
 
 class TestBlockWidth:
     @pytest.mark.parametrize("base", ["shift2", "cat"])
@@ -492,6 +516,116 @@ class TestTorusExponentWalk:
                 torus_exponent_walk(spec, cat, draw, 5)
 
 
+def ac8_stack():
+    """The shipped shift base and its specialized perturbations, as the
+    continuity walk stacks them."""
+    cfg = load_config("configs/shift_gapped.yaml")
+    sys_, fam = build_system(cfg), build_family(cfg)
+    live = perturbations(fam.base, fam.direction, fam.ts, fam.rule, sys_)
+    assert all(spec is not None for spec in live)
+    return sys_, StackedCocycle((fam.base, *live))
+
+
+def separate_scans(spec, sys_, points, depth, n, head=None, words=None):
+    """``forward_scan`` at depth and ``exponent_scan`` over n, each on its
+    own batch of ``points``, and where the exponent batch ends."""
+    batch = engine.batch_of(sys_, points)
+    st = engine.forward_scan(spec, sys_, batch, depth, head)
+    batch = engine.batch_of(sys_, points)
+    exps = engine.exponent_scan(spec, sys_, batch, n, words)
+    return st, exps, batch
+
+
+def assert_walk_is_scans(walk, scans):
+    st, log_scale, logdet, clean = walk
+    want_st, want_exps, _ = scans
+    for f, x in vars(st).items():
+        assert same_values(x, getattr(want_st, f)), f
+    assert same_values(log_scale, want_exps[0]) and same_values(logdet, want_exps[1])
+    assert clean.dtype == bool and clean.shape == log_scale.shape and clean.all()
+
+
+class TestForwardWalk:
+    """One forward walk gives, bitwise, a direction scan at depth and an
+    exponent scan over n, each as its separate call gives it, and flags
+    where the exponent scan would raise in place of raising."""
+
+    @pytest.mark.parametrize("depth, n", [(40, 400), (9, 5), (7, 7)])
+    def test_torus_single_spec(self, cat, depth, n):
+        base, members = shipped_torus_family()
+        draw = sample_points(cat, 30, 0, seed=3)
+        for spec in (base, members[2]):
+            batch = engine.batch_of(cat, draw)
+            walk = engine.forward_walk(spec, cat, batch, depth, n)
+            scans = separate_scans(spec, cat, draw, depth, n)
+            assert_walk_is_scans(walk, scans)
+            if depth <= n:
+                assert same_values(batch.coords, scans[2].coords)
+
+    def test_torus_shipped_stack(self, cat):
+        base, members = shipped_torus_family()
+        stack = StackedCocycle((base, *members))
+        draw = sample_points(cat, 40, 0, seed=5)
+        walk = engine.forward_walk(stack, cat, engine.batch_of(cat, draw), 40, 400)
+        assert walk[1].shape == (11, 40)
+        assert_walk_is_scans(walk, separate_scans(stack, cat, draw, 40, 400))
+
+    @pytest.mark.parametrize("depth, n", [(40, 400), (12, 9)])
+    def test_shift_stack_with_a_head(self, depth, n):
+        sys_, stack = ac8_stack()
+        draw = sample_points(sys_, 600, max(depth, n) + 2 + stack.symbol_depth, seed=1)
+        head = engine.scan_head(stack, sys_, len(draw), depth, backward=False)
+        words = engine.word_tables(stack, sys_, n)
+        assert head is not None and head.k > 1 and words is not None
+        batch = engine.batch_of(sys_, draw)
+        walk = engine.forward_walk(stack, sys_, batch, depth, n, head, words)
+        assert walk[1].shape == (13, 600)
+        assert_walk_is_scans(walk, separate_scans(stack, sys_, draw, depth, n, head, words))
+        assert np.array_equal(batch.offsets, np.full(600, max(depth, n) - 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_singular_step_past_depth_is_flagged(self, shift2):
+        # symbol 1 is the zero matrix: read at step 5 of 8, past depth 3
+        spec = LocallyConstantCocycle(
+            table=np.array([D, np.zeros((2, 2))]), invertible=False
+        )
+        window = np.zeros(19, dtype=np.int16)
+        window[9 + 5] = 1
+        points = [ShiftPoint(np.zeros(19, dtype=np.int16)), ShiftPoint(window)]
+        _, log_scale, _, clean = engine.forward_walk(
+            spec, shift2, engine.batch_of(shift2, points), 3, 8
+        )
+        assert clean.tolist() == [True, False] and np.isfinite(log_scale[0])
+        with pytest.raises(SingularValueError):
+            engine.exponent_scan(spec, shift2, engine.batch_of(shift2, points), 8)
+        # read within the depth, it raises, as forward_scan does
+        with pytest.raises(SingularValueError):
+            engine.forward_walk(spec, shift2, engine.batch_of(shift2, points), 6, 8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_torus_nan_past_depth_is_flagged(self, cat):
+        base, _ = shipped_torus_family()
+        draw = sample_points(cat, 20, 0, seed=3)
+        batch = engine.batch_of(cat, draw)
+        engine.step(cat, batch, 6)
+        spec = NanAt(base, batch.coords[[4, 11], 0])
+        _, log_scale, logdet, clean = engine.forward_walk(
+            spec, cat, engine.batch_of(cat, draw), 6, 10
+        )
+        assert np.flatnonzero(~clean).tolist() == [4, 11]
+        alone = engine.exponent_scan(base, cat, engine.batch_of(cat, draw), 10)
+        assert same_values(log_scale[clean], alone[0][clean])
+        assert same_values(logdet[clean], alone[1][clean])
+        with pytest.raises(SingularValueError):
+            engine.forward_walk(spec, cat, engine.batch_of(cat, draw), 7, 10)
+
+    def test_bad_windows_are_refused(self, cat):
+        draw = sample_points(cat, 3, 0, seed=3)
+        for depth, n in ((0, 5), (5, 0)):
+            with pytest.raises(ConfigError):
+                engine.forward_walk(lc_spec(), cat, engine.batch_of(cat, draw), depth, n)
+
+
 class TestSingularSteps:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -506,6 +640,24 @@ class TestSingularSteps:
         batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):
             getattr(engine, scan)(spec, shift2, batch, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scan",
+        ["forward_scan", "backward_scan", "forward_record", "forward_walk", "exponent_scan"],
+    )
+    def test_oversized_step_raises_without_warnings(self, shift2, cat, scan):
+        # 1e200 D fails the rule by size: the norm's squares overflow
+        run = getattr(engine, scan)
+        if scan == "forward_walk":
+            run = lambda spec, sys_, batch, n: engine.forward_walk(spec, sys_, batch, n, n)
+        spec = LocallyConstantCocycle(table=np.array([D, 1e200 * D]), invertible=False)
+        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        with pytest.raises(SingularValueError):
+            run(spec, shift2, engine.batch_of(shift2, pts * 3), 4)
+        big = ConstantCocycle(matrix=1e200 * D, invertible=False)
+        with pytest.raises(SingularValueError):
+            run(big, cat, engine.batch_of(cat, sample_points(cat, 5, 0, seed=1)), 4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
