@@ -192,7 +192,7 @@ class TorusSystem:
         det = int(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if abs(det) != 1:
             raise ConfigError("torus matrix must have determinant +-1")
-        evals, evecs = np.linalg.eig(m.astype(float))
+        evals = np.linalg.eig(m.astype(float))[0]
         if np.any(np.abs(evals.imag) > 1e-12):
             raise ConfigError("torus matrix must have real eigenvalues")
         evals = evals.real
@@ -200,31 +200,13 @@ class TorusSystem:
             raise ConfigError("torus matrix has an eigenvalue on the unit circle")
         if not isinstance(self.measure, LebesgueMeasure):
             raise ConfigError("torus base uses the Lebesgue measure")
-        order = np.argsort(np.abs(evals))  # contracting first
-        e_s = _sign_normalized(evecs.real[:, order[0]])
-        e_u = _sign_normalized(evecs.real[:, order[1]])
         object.__setattr__(self, "matrix", tuple(tuple(int(v) for v in row) for row in m))
         object.__setattr__(self, "_det", det)
-        object.__setattr__(self, "_eval_s", float(evals[order[0]]))
-        object.__setattr__(self, "_eval_u", float(evals[order[1]]))
-        object.__setattr__(self, "_evec_s", e_s)
-        object.__setattr__(self, "_evec_u", e_u)
+        object.__setattr__(self, "_contraction", float(np.min(np.abs(evals))))
 
     @property
     def contraction(self) -> float:
-        return abs(self._eval_s)
-
-    @property
-    def expansion(self) -> float:
-        return abs(self._eval_u)
-
-    @property
-    def stable_vector(self) -> np.ndarray:
-        return self._evec_s.copy()
-
-    @property
-    def unstable_vector(self) -> np.ndarray:
-        return self._evec_u.copy()
+        return self._contraction
 
     @property
     def int_matrix(self) -> np.ndarray:
@@ -238,14 +220,6 @@ class TorusSystem:
 
 
 BaseSystem = Union[ShiftSystem, TorusSystem]
-
-
-def _sign_normalized(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    lead = v[0] if v[0] != 0.0 else v[1]
-    out = v if lead > 0 else -v
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ a shift a spec is its symbol table (``symbol_table``: one matrix per word of
 forward symbols, as four entry arrays); over a torus it is its batched hook
 ``values_at_coords``, which returns four entry arrays (its parts share
 one ``TrigModes``).  The iteration kernels read specs through those two
-only.  The plain orbit product ``product`` is kept as a cross-check at
-moderate n; the renormalized products are ``engine``'s scans.
+only.  ``proven_regular`` proves, from bounds on a torus spec's singular
+values over the whole torus, that its values pass the regularity rule, so
+its walks skip the per-step test.  The plain orbit product ``product`` is
+kept as a cross-check at moderate n; the renormalized products are
+``engine``'s scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from math import ceil
+from math import ceil, exp, hypot, inf
 from typing import Union
 
 import numpy as np
@@ -429,17 +432,21 @@ class PerturbedCocycle:
         )
 
 
-def _compose(rule: str, t, base_vals, dir_vals):
+def _compose(rule: str, t, base_vals, dir_vals, out=(None,) * 4):
     """Entries of A composed with t B, from the entries of A and B; with a
     column of sizes t of shape (T, 1) and (S,) entries this gives (T, S)
     entries, row k bitwise the scalar result at t[k].  An entry of B may be
-    a scalar, which broadcasts."""
+    a scalar, which broadcasts.  The entries are written into ``out``, four
+    arrays of their shape, when it is given."""
     ba, bb, bc, bd = base_vals
     fa, fb, fc, fd = dir_vals
     if rule == "additive":
-        return ba + t * fa, bb + t * fb, bc + t * fc, bd + t * fd
+        terms = ((ba, t * fa), (bb, t * fb), (bc, t * fc), (bd, t * fd))
+        return tuple(np.add(x, y, out=o) for (x, y), o in zip(terms, out))
     ea, eb, ec, ed = mat2.expm_batch(t * fa, t * fb, t * fc, t * fd)
-    return mat2.matmul_batch(ba, bb, bc, bd, ea, eb, ec, ed)
+    # A expm(t B) with matmul_batch's products and sums, entry by entry
+    rows = ((ba, bb, ea, ec), (ba, bb, eb, ed), (bc, bd, ea, ec), (bc, bd, eb, ed))
+    return tuple(np.add(x * p, y * q, out=o) for (x, y, p, q), o in zip(rows, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,18 +514,17 @@ class StackedCocycle:
         base_vals = self._base.values_at_coords(coords, modes)
         if self._head is None:
             return tuple(np.asarray(v)[None] for v in base_vals)
-        composed = _compose(
-            self._head.rule,
-            self._ts,
-            base_vals,
-            _direction_values(self._head.direction, coords, modes),
-        )
+        direction = _direction_values(self._head.direction, coords, modes)
         if not self._with_base:
-            return composed
-        return tuple(
-            np.concatenate([np.asarray(b)[None], c])
-            for b, c in zip(base_vals, composed)
+            return _compose(self._head.rule, self._ts, base_vals, direction)
+        # the base row and the composed rows fill one (M, S) block per entry
+        out = tuple(np.empty((self.rows, len(coords))) for _ in range(4))
+        for block, b in zip(out, base_vals):
+            block[0] = b
+        _compose(
+            self._head.rule, self._ts, base_vals, direction, tuple(x[1:] for x in out)
         )
+        return out
 
 
 CocycleSpec = Union[
@@ -532,6 +538,95 @@ def _has_table(spec) -> bool:
     if isinstance(spec, PerturbedCocycle):
         return _has_table(spec.base) and _has_table(spec.direction)
     return isinstance(spec, LocallyConstantCocycle) or spec.is_constant
+
+
+# ---------------------------------------------------------------------------
+# regularity proven from bounds over the torus
+
+# a constant's computed singular values are widened by this share of sigma1
+_ROUNDING = 2.0**-40
+
+
+def proven_regular(spec) -> bool:
+    """Whether every value of the torus spec passes ``mat2.regular``, as
+    ``mat2.certify_regular`` proves it from ``singular_bounds``; a stack
+    when every member is.  A spec it cannot prove is walked with the rule
+    at every step."""
+    if isinstance(spec, StackedCocycle):
+        return all(map(proven_regular, spec.members))
+    return mat2.certify_regular(*singular_bounds(spec))
+
+
+def singular_bounds(spec) -> tuple[float, float]:
+    """(an upper bound on sigma1, a lower bound on sigma2) of the spec's
+    values over the torus, built from its pieces: a rotation (1, 1); a
+    diagonal, exp of each log entry's const -+ the sum of its |coef|; a
+    constant, its singular values widened by ``_ROUNDING`` sigma1; a
+    pointwise product, the products of its factors' bounds; A expm(t B),
+    sigma1 e^{|t| |B|} and sigma2 e^{-|t| |B|}; A + t B, sigma1 + |t| |B|
+    and, by Weyl's inequality, sigma2 - |t| |B|; (inf, 0) for any other
+    spec.  A lower bound below 0 reads 0.
+
+    The computed values stray from the exact ones by far less than the
+    2**-30 sigma1 that ``certify_regular`` allows: a rotation's entries
+    keep c^2 + s^2 within ulps of 1, an exp of x rounds by about |x| < 710
+    ulps, a product by a few ulps of the product of its factors' bounds,
+    and within the certified ratio |t B| is at most 10 ln 2, where
+    ``mat2.expm_batch`` rounds by a few hundred ulps."""
+    if isinstance(spec, PointwiseCocycle):
+        hi = lo = 1.0
+        for f in spec.factors:
+            f_hi, f_lo = _factor_bounds(f)
+            hi, lo = hi * f_hi, lo * f_lo
+        return hi, lo
+    if isinstance(spec, ConstantCocycle):
+        return _matrix_bounds(spec.matrix)
+    if not isinstance(spec, PerturbedCocycle):
+        return inf, 0.0
+    hi, lo = singular_bounds(spec.base)
+    g = abs(spec.t) * _norm_bound(spec.direction)
+    if not g < inf:  # NaN too: t = 0 times a field with no bound
+        return inf, 0.0
+    if spec.rule == "additive":
+        return hi + g, max(lo - g, 0.0)
+    return hi * _exp(g), lo * _exp(-g)
+
+
+def _exp(x: float) -> float:
+    return exp(x) if x < 709.0 else inf
+
+
+def _trig_range(e: TrigExpr) -> tuple[float, float]:
+    """Bounds of a trig-only expression over the torus."""
+    spread = abs(e.sin_u) + abs(e.cos_u) + abs(e.sin_v) + abs(e.cos_v)
+    return e.const - spread, e.const + spread
+
+
+def _matrix_bounds(m) -> tuple[float, float]:
+    # a matrix too large for the norm's squares gets inf or NaN: no proof
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = mat2.singular_values(m)
+    return s1 + _ROUNDING * s1, max(s2 - _ROUNDING * s1, 0.0)
+
+
+def _factor_bounds(f: PointwiseFactor) -> tuple[float, float]:
+    if isinstance(f, RotationFactor):
+        return 1.0, 1.0
+    if isinstance(f, DiagonalFactor):
+        (lo1, hi1), (lo2, hi2) = _trig_range(f.log_d1), _trig_range(f.log_d2)
+        return _exp(max(hi1, hi2)), _exp(min(lo1, lo2))
+    return _matrix_bounds(f.matrix)
+
+
+def _norm_bound(direction) -> float:
+    """An upper bound on |B(x)| over the torus: the Frobenius norm of
+    bounds on its entries; inf for a field of another kind."""
+    if isinstance(direction, PointwiseEntriesField):
+        ranges = map(_trig_range, (direction.e00, direction.e01, direction.e10, direction.e11))
+        return hypot(*(max(-lo, hi) for lo, hi in ranges))
+    if isinstance(direction, ConstantCocycle):
+        return hypot(*direction.matrix.ravel())
+    return inf
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ The whole family is walked together, the values of all live members
 absorbed as stacked (M, S) arrays (see ``StackedCocycle``): every orbit is
 walked backward once, for the unstable directions, and forward once, for
 the stable directions and the exponents (``engine.forward_walk``).  The
-up-front grid check and the sampled Holder distances each evaluate every
-member in one pass.  Each row is then reduced from its own slice, bitwise
-as if its member had been run alone.
+up-front grid check evaluates every member that ``proven_regular`` cannot
+prove in one pass, and the sampled Holder distances every member in one
+pass.  Each row is then reduced from its own slice, bitwise as if its
+member had been run alone.
 
-Rows whose perturbed member loses its singular value gap, or fails the
-up-front check of ``perturbations``, are censored: the row stays in the
-table with NaN statistics rather than disappearing, so the schedule
+Rows whose perturbed member loses its singular value gap, fails the
+up-front check of ``perturbations``, or meets a step that fails
+``mat2.regular`` in its exponent window, are censored: the row stays in
+the table with NaN statistics rather than disappearing, so the schedule
 remains visible in the output.
 """
 
@@ -37,6 +39,7 @@ from .cocycle import (
     PerturbedCocycle,
     StackedCocycle,
     holder_distances,
+    proven_regular,
     specialize,
 )
 from .errors import ConfigError, NoGap, SingularValueError
@@ -102,9 +105,11 @@ def perturbations(
     member can be singular, an exponential can overflow or lose its
     determinant.  The torus is connected, so a continuous det of
     both signs vanishes on a curve, however far from 0 it stays on the
-    grid.  The grid is walked once for every size, as one
-    ``StackedCocycle`` whose rows are bitwise each member's own, so a size
-    gets the same verdict alone as in its family.
+    grid.  A member that ``proven_regular`` proves passes without the grid:
+    its values pass the rule everywhere and its det, never 0, keeps one
+    sign.  The others walk the grid once, as one ``StackedCocycle`` whose
+    rows are bitwise each member's own, so a size gets the same verdict
+    alone as in its family.
     """
     specs = [
         PerturbedCocycle(base=base, direction=direction, t=t, rule=rule) for t in ts
@@ -119,10 +124,13 @@ def perturbations(
                 except SingularValueError:
                     out.append(None)
         return out
+    checked = [i for i, spec in enumerate(specs) if not proven_regular(spec)]
+    if not checked:
+        return specs
     side = np.arange(_GRID_SIDE) / _GRID_SIDE
     uu, vv = np.meshgrid(side, side)
     coords = np.column_stack([uu.ravel(), vv.ravel()])
-    stack = StackedCocycle(tuple(specs))
+    stack = StackedCocycle(tuple(specs[i] for i in checked))
     keep = np.ones(stack.rows, dtype=bool)
     width = max(1, STACK_BLOCK // stack.rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -136,7 +144,10 @@ def perturbations(
             det = a * d - b * c
             ok = regular(a, b, c, d, det) & (np.sign(det) == sign)
             keep &= ok.all(axis=1)
-    return [spec if k else None for spec, k in zip(specs, keep)]
+    for i, k in zip(checked, keep):
+        if not k:
+            specs[i] = None
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +209,9 @@ def _walk(specs: dict, sys, points, epsilon, depth, n, threads):
     from one forward walk per block (``_forward``); each side's directions
     are kept only as their displacements from the base's.  Raises NoGap if
     the base has no gap, and then SingularValueError if a step in the
-    exponent window of the base or of a member with a gap fails
-    ``mat2.regular``; a member without a gap is censored whatever its
-    exponents."""
+    base's exponent window fails ``mat2.regular``; a member without a gap,
+    or with such a step in its exponent window, is censored, and the other
+    rows are bitwise their values without it."""
     stack = StackedCocycle(tuple(specs.values()))
     ux, uy, ok_u = unstable_directions(stack, sys, points, depth, threads)
     du = _displacements(ux, uy)
@@ -211,16 +222,20 @@ def _walk(specs: dict, sys, points, epsilon, depth, n, threads):
     gap = (ok_u & ok_s).all(axis=1)
     if not gap[0]:
         raise NoGap("conformal window product during direction extraction")
-    if not clean[gap].all():
+    clean = clean.all(axis=1)
+    if not clean[0]:
         raise SingularValueError("cocycle value is singular along the orbit")
+    live = gap & clean
     good, last_du = {}, None
     for row, k in enumerate(specs):
-        if row and gap[row]:
+        if row and live[row]:
             good[k] = _good_set_stats(du[row], ds[row], epsilon)
             last_du = du[row].copy()
     del du, ds
-    ft = spectrum._finite_time(stack, plus, rate, n)
-    exps = {k: (ft.plus[row], ft.minus[row]) for row, k in enumerate(specs) if gap[row]}
+    # a censored row's exponents are noise, and warn nothing
+    with np.errstate(invalid="ignore"):
+        ft = spectrum._finite_time(stack, plus, rate, n)
+    exps = {k: (ft.plus[row], ft.minus[row]) for row, k in enumerate(specs) if live[row]}
     return good, exps, last_du
 
 

@@ -20,11 +20,14 @@ matrix, so no product ever overflows, in one of two ways:
 Every step enters the exponent scan as its values, det and
 ``mat2.regular`` flag (``_step_factor``), and a direction scan with
 log |det| in place of the last two, NaN wherever the flag is False
-(``_step``), from one walk (``_orbit_values``).  A shift batch's symbol
-window is checked once per scan, before the first step, and singular steps
-are caught once, after the last one.  A shift scan numbers the words it
-reads once per walk (``_word_numbers``), a chunk of steps at a time, as
-every word table is indexed.
+(``_step``), from one walk (``_orbit_values``).  Over a torus the walk
+asks ``cocycle.proven_regular`` once: the values of a spec proven regular
+over the whole torus pass the rule at every step, so they take the flag
+True and an unmasked log, and no step calls ``mat2.regular``.  A shift
+batch's symbol window is checked once per scan, before the first step,
+and singular steps are caught once, after the last one.  A shift scan
+numbers the words it reads once per walk (``_word_numbers``), a chunk of
+steps at a time, as every word table is indexed.
 
 ``forward_walk`` gives a depth-step ``forward_scan`` and an n-step
 ``exponent_scan`` together.  Over a torus both come from one walk of the
@@ -202,18 +205,20 @@ def _symbol_starts(batch: ShiftBatch, n: int, depth: int, backward: bool):
     return starts
 
 
-def _step(a, b, c, d):
+def _step(a, b, c, d, proven=False):
     """Values [[a, b], [c, d]] as a direction scan absorbs them: (a, b, c,
     d, log |det|), with log |det| NaN wherever they fail ``mat2.regular``,
     which is the scans' one singularity signal.  Failing values warn
-    nothing."""
-    return a, b, c, d, _log_det(_step_factor(a, b, c, d))
+    nothing.  ``proven`` values pass the rule (see ``_step_factor``)."""
+    return a, b, c, d, _log_det(_step_factor(a, b, c, d, proven))
 
 
 def _log_det(factor):
     """log |det| of a step's factor (see ``_step_factor``), NaN where the
-    step fails ``mat2.regular``."""
+    step fails ``mat2.regular``; a proven step's log is unmasked."""
     det, ok = factor[5], factor[7]
+    if ok is True:
+        return np.log(np.abs(det))
     return np.log(np.abs(det), out=np.full_like(det, np.nan), where=ok)
 
 
@@ -240,11 +245,15 @@ def _orbit_values(
     position up front (see ``_symbol_starts``; a caller that has already
     done so passes its ``starts``), and each step is one gather from the
     spec's step table by the number of the word it reads; a torus batch
-    steps as it goes, calls the spec's hook and ends in the same place.
+    steps as it goes, calls the spec's hook and ends in the same place; a
+    spec that ``cocycle.proven_regular`` proves is asked once per walk, and
+    its steps skip the rule.
     """
     if n == 0:
         return
     if isinstance(batch, TorusBatch):
+        if cocycle.proven_regular(spec):
+            form = partial(form, proven=True)
         for j in range(n):
             if backward:
                 step(sys, batch, -1)
@@ -496,12 +505,14 @@ def _identity_factor(size: int):
     return (one, 0.0, 0.0, one, zero, one, zero, True)
 
 
-def _step_factor(va, vb, vc, vd):
+def _step_factor(va, vb, vc, vd, proven=False):
     """One step's values as a factor: det, formed once, and the
-    ``mat2.regular`` flag, with no log |det| (see ``_step``)."""
+    ``mat2.regular`` flag, with no log |det| (see ``_step``).  Values
+    ``proven`` to pass the rule take the flag True, unbroadcast."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = va * vd - vb * vc
-        return (va, vb, vc, vd, 0, det, 0, mat2.regular(va, vb, vc, vd, det))
+        ok = True if proven else mat2.regular(va, vb, vc, vd, det)
+        return (va, vb, vc, vd, 0, det, 0, ok)
 
 
 def _absorb(acc, factor):
@@ -639,14 +650,16 @@ def _exponent_walk(spec, sys, batch, n, words):
 
 
 def _exponent_results(acc):
-    """(log_scale, logdet, regular) of an exponent scan's final product;
-    the logs of a sample that failed ``mat2.regular`` are noise and warn
+    """(log_scale, logdet, regular) of an exponent scan's final product,
+    ``regular`` taking their shape (a proven walk's flag is one True); the
+    logs of a sample that failed ``mat2.regular`` are noise and warn
     nothing."""
     a, b, c, d, exps, det, det_exps, regular = acc
     with np.errstate(divide="ignore", invalid="ignore"):
         log_scale = _log_norm(a, b, c, d, exps)
         logdet = det_exps * _LN2 + np.log(np.abs(det))
-    return log_scale, logdet, np.asarray(regular, dtype=bool)
+    regular = np.broadcast_to(np.asarray(regular, dtype=bool), log_scale.shape)
+    return log_scale, logdet, regular
 
 
 def forward_walk(

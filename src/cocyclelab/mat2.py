@@ -9,7 +9,9 @@ here iterates.
 ``regular`` is the lab's one invertibility rule: |det| >= eps |A|_F^2 with
 |A|_F^2 nonzero and below 2**511, that is sigma2 / sigma1 >= eps up to a
 factor of 2.  It is scale-free: A and 2**k A pass or fail it alike, for any
-k that keeps the entries below about 2**255.
+k that keeps the entries below about 2**255.  ``certify_regular`` proves
+it from bounds on the singular values, so a caller whose values lie within
+such bounds can skip it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ _EPS = np.finfo(float).eps
 # and a squared Frobenius norm s below this, so that s * s is finite: the
 # squares of squares that opnorm_batch forms then stay finite too
 _FROB2_MAX = 2.0**511
+# ``certify_regular`` asks sigma2 / sigma1 >= 2**-20 of its bounds, 2**32
+# times eps, and both bounds within 2**-100 .. 2**100
+_CERT_RATIO = 2.0**-20
+_CERT_RANGE = 2.0**100
 
 
 def matmul_batch(a1, b1, c1, d1, a2, b2, c2, d2):
@@ -54,9 +60,28 @@ def regular(a, b, c, d, det=None):
         return (np.abs(det) / s >= _EPS) & (s < _FROB2_MAX)
 
 
-def adjugate_batch(a, b, c, d):
-    # adj(M) shares the singular values of M and equals det(M) * inv(M).
-    return d, -b, -c, a
+def certify_regular(s1_max: float, s2_min: float) -> bool:
+    """True when every matrix whose singular values satisfy sigma1 <=
+    s1_max and sigma2 >= s2_min passes ``regular``, whatever the rounding
+    of its entries and of the bounds: s2_min >= 2**-20 s1_max, and both lie
+    within [2**-100, 2**100].  NaN bounds prove nothing.
+
+    Error argument.  Let the computed value be A + E, with A within the
+    bounds and |E|_F <= delta s1_max for some delta <= 2**-30 (the value's
+    rounding and the bounds'; ``cocycle.singular_bounds`` argues it for the
+    torus specs).  By Weyl's inequality its singular values are s1 <=
+    (1 + delta) s1_max and s2 >= s2_min - delta s1_max, so s2 / s1 > 2**-21
+    and, as |A|_F^2 = s1^2 + s2^2 and |det| = s1 s2, |det| / |A|_F^2 >=
+    s2 / (2 s1) > 2**-22.  Its squared Frobenius norm lies within
+    [2**-202, 2**202], far from the subnormals and from 2**511.  The
+    computed det = a d - b c errs by at most eps |A|_F^2, as |a d| + |b c|
+    <= |A|_F^2 / 2, and the computed norm by a few ulps, so the computed
+    ratio exceeds 2**-23, 2**29 times eps."""
+    return bool(
+        1.0 / _CERT_RANGE <= s2_min
+        and s1_max <= _CERT_RANGE
+        and s2_min >= _CERT_RATIO * s1_max
+    )
 
 
 def top_eig_components(p, q, r):

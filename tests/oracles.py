@@ -1,9 +1,11 @@
 """Test-side references that the library itself does not need: the rotation
-matrix, the base metric between two points, a shift spec's value read
-symbol by symbol, a torus spec's value with every term formed, a torus
-exponent walk one step at a time, a constant's power in closed form and the
-attraction of directions onto the splitting, each written out directly; and
-a test double of a torus hook that is NaN at chosen points."""
+matrix, the adjugate, a torus base's eigendata, the base metric between two
+points, a shift spec's value read symbol by symbol, a torus spec's value
+with every term formed, a torus exponent walk one step at a time, a
+constant's power in closed form and the attraction of directions onto the
+splitting, each written out directly; and test doubles of a torus hook:
+one with chosen entries at chosen points, and one that no regularity bound
+reads."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from cocyclelab.base import (
     BaseSystem,
     BasePoint,
     ShiftSystem,
+    TorusSystem,
     sample_points,
     torus_distances,
 )
@@ -36,6 +39,32 @@ from cocyclelab.oseledets import stable_directions, unstable_directions
 def rotation(theta: float) -> np.ndarray:
     ct, st = np.cos(theta), np.sin(theta)
     return np.array([[ct, -st], [st, ct]], dtype=float)
+
+
+def adjugate_batch(a, b, c, d):
+    # adj(M) shares the singular values of M and equals det(M) * inv(M).
+    return d, -b, -c, a
+
+
+def _eigen(sys: TorusSystem):
+    """The eigenvalues and unit eigenvectors of the torus matrix, the
+    contracting pair first."""
+    evals, evecs = np.linalg.eig(sys.int_matrix.astype(float))
+    order = np.argsort(np.abs(evals.real))
+    return evals.real[order], evecs.real[:, order]
+
+
+def expansion(sys: TorusSystem) -> float:
+    """|eigenvalue| of the torus matrix's expanding direction."""
+    return float(abs(_eigen(sys)[0][1]))
+
+
+def stable_vector(sys: TorusSystem) -> np.ndarray:
+    return _eigen(sys)[1][:, 0]
+
+
+def unstable_vector(sys: TorusSystem) -> np.ndarray:
+    return _eigen(sys)[1][:, 1]
 
 
 def constant_power(m: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -290,21 +319,34 @@ def torus_exponent_walk(spec, sys, points, n: int):
 
 
 class NanAt:
-    """A torus spec, or direction field, equal to ``inner`` except for NaN
-    entries at points whose u coordinate is one of ``us``: a test double of
-    the ``values_at_coords`` hook."""
+    """A torus spec, or direction field, equal to ``inner`` except for the
+    entries ``at`` (a, b, c, d; NaN by default) at points whose u
+    coordinate is one of ``us``: a test double of the ``values_at_coords``
+    hook."""
 
     symbol_depth = 0
     is_constant = False
 
-    def __init__(self, inner, us):
-        self.inner, self.us = inner, us
+    def __init__(self, inner, us, at=(np.nan,) * 4):
+        self.inner, self.us, self.at = inner, us, at
         self.r = getattr(inner, "r", 1.0)
 
     def values_at_coords(self, coords, modes=None):
         hit = np.isin(coords[:, 0], self.us)
         inner = self.inner.values_at_coords(coords, modes)
-        return tuple(np.where(hit, np.nan, v) for v in inner)
+        return tuple(np.where(hit, x, v) for x, v in zip(self.at, inner))
+
+
+class Unproven:
+    """A spec that reads as ``inner`` in every attribute but is none of the
+    spec classes, so ``cocycle.proven_regular`` proves nothing of it, or of
+    a perturbation of it, and its torus walks test every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def _push_lines(va, vb, vc, vd, x, y):
@@ -341,7 +383,7 @@ def stepwise_attraction(spec, sys, side, samples, grid, n, depth, seed):
             engine.step(sys, batch, -1)
             va, vb, vc, vd = engine.values(spec, sys, batch)
             sdet = va * vd - vb * vc
-            va, vb, vc, vd = mat2.adjugate_batch(va, vb, vc, vd)
+            va, vb, vc, vd = adjugate_batch(va, vb, vc, vd)
             va, vb, vc, vd = va / sdet, vb / sdet, vc / sdet, vd / sdet
         gx, gy = _push_lines(va, vb, vc, vd, gx, gy)
         rx, ry = _push_lines(va, vb, vc, vd, rx, ry)

@@ -21,7 +21,7 @@ from cocyclelab.base import (
 )
 from cocyclelab.cocycle import _HolderSample
 from cocyclelab.errors import CocycleLabError, ConfigError, HorizonExceeded
-from oracles import base_distance
+from oracles import base_distance, expansion, stable_vector, unstable_vector
 
 
 def wpoint(*symbols, offset=0):
@@ -86,10 +86,10 @@ class TestSystems:
     def test_cat_map_eigendata(self, cat):
         lam_s = (3.0 - np.sqrt(5.0)) / 2.0
         assert cat.contraction == pytest.approx(lam_s, abs=1e-12)
-        assert cat.expansion == pytest.approx(1.0 / lam_s, abs=1e-12)
+        assert expansion(cat) == pytest.approx(1.0 / lam_s, abs=1e-12)
         m = cat.int_matrix.astype(float)
-        es = cat.stable_vector
-        eu = cat.unstable_vector
+        es = stable_vector(cat)
+        eu = unstable_vector(cat)
         assert np.allclose(m @ es, -lam_s * es) or np.allclose(m @ es, lam_s * es)
         assert np.linalg.norm(es) == pytest.approx(1.0)
         assert np.linalg.norm(eu) == pytest.approx(1.0)

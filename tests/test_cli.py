@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import os
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 import yaml
 
 import cocyclelab
-from cocyclelab import cli
+from cocyclelab import cli, mat2
 from cocyclelab.base import sample_points
 from cocyclelab.cli import GOODSET_COLUMNS, main
 from cocyclelab.config import load_config
 from cocyclelab.errors import NoGap
+from oracles import Unproven
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -720,6 +722,30 @@ class TestDeterminism:
         again = run_captured(command, str(path), tmp_path / "b", capsys)
         assert first[1] and (first[2] or command == "selftest")
         assert first == again
+
+    @pytest.mark.parametrize("command", ["continuity", "lyapunov", "oseledets"])
+    def test_a_hidden_proof_changes_no_byte(self, command, tmp_path, capsys, monkeypatch):
+        # torus_pointwise's specs are proven regular, so their walks skip
+        # the rule; behind a wrapper that hides the proof every step takes it
+        data = yaml.safe_load((CONFIG_DIR / "torus_pointwise.yaml").read_text())
+        data["budgets"]["samples"] = 300
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        calls = []
+        rule = mat2.regular
+        monkeypatch.setattr(mat2, "regular", lambda *a, **k: calls.append(1) or rule(*a, **k))
+        proven = run_captured(command, str(path), tmp_path / "a", capsys)
+        proven_calls = len(calls)
+
+        def hidden(config):
+            cfg = load_config(config)
+            spec = Unproven(cfg.cocycle)
+            return replace(cfg, cocycle=spec, family=replace(cfg.family, base=spec))
+
+        monkeypatch.setattr(cli, "load_config", hidden)
+        assert run_captured(command, str(path), tmp_path / "b", capsys) == proven
+        # the hidden run tests at least every step of a 40-step direction walk
+        assert proven[0] == 0 and len(calls) >= 2 * proven_calls + 40
 
 
 # modules that draw sample points, each through its own imported name

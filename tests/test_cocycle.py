@@ -1056,3 +1056,155 @@ class TestBunching:
         rep = bunching_check(spec, cat, n_max=40)
         # kappa lambda^r = 1.21 * 0.382 < 1
         assert rep.verdict == "bunched"
+
+
+# ---------------------------------------------------------------------------
+# regularity proven from bounds over the torus
+
+GRID = np.stack(np.meshgrid(np.arange(256) / 256, np.arange(256) / 256), -1).reshape(-1, 2)
+SCALES = (-1.0, 2.0, 3.0, 1e3, 2.0**-40, 2.0**40)
+
+
+def random_trig(rng, scale, linear=False):
+    """A trig expression with some of its coefficients drawn at ``scale``,
+    a multiple of 2 pi as each linear coefficient when ``linear``."""
+    coefs = {
+        k: scale * rng.uniform(-1.0, 1.0)
+        for k in ("const", "sin_u", "cos_u", "sin_v", "cos_v")
+        if rng.random() < 0.6
+    }
+    if linear:
+        coefs.update(lin_u=2.0 * np.pi * rng.integers(-2, 3), lin_v=2.0 * np.pi * rng.integers(-2, 3))
+    return TrigExpr(**coefs)
+
+
+def random_torus_spec(rng):
+    """A mutator-style torus spec: one to three rotation, diagonal and
+    constant factors, some scaled by an edge scale, perturbed along an
+    entry field or a constant, multiplicatively or additively, at t =
+    2^-1 .. 2^-6."""
+    factors = []
+    for _ in range(rng.integers(1, 4)):
+        kind = rng.integers(3)
+        if kind == 0:
+            factors.append(RotationFactor(angle=random_trig(rng, 2.0, linear=True)))
+        elif kind == 1:
+            scale = rng.choice((0.05, 0.3, 1.0, 3.0))
+            factors.append(DiagonalFactor(random_trig(rng, scale), random_trig(rng, scale)))
+        else:
+            m = rng.standard_normal((2, 2)) * rng.choice(SCALES)
+            factors.append(ConstantFactor(matrix=m))
+    base = PointwiseCocycle(factors=tuple(factors))
+    if rng.random() < 0.5:
+        direction = PointwiseEntriesField(
+            *(random_trig(rng, rng.choice((0.1, 1.0, 5.0))) for _ in range(4))
+        )
+    else:
+        direction = ConstantCocycle(
+            matrix=rng.standard_normal((2, 2)) * rng.choice((0.1, 1.0, 5.0)), invertible=False
+        )
+    rule = rng.choice(("multiplicative_exp", "additive"))
+    t = 2.0 ** -int(rng.integers(1, 7))
+    return base, PerturbedCocycle(base=base, direction=direction, t=t, rule=rule)
+
+
+class TestProvenRegular:
+    """``cocycle.singular_bounds`` bounds a torus spec's singular values
+    over the whole torus, and wherever ``proven_regular`` proves a spec,
+    ``mat2.regular`` holds at every value, on a 256 x 256 grid and along
+    sampled 440-step orbits; specs with failing values are not proven."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_random_specs(self, cat):
+        rng = np.random.default_rng(20)
+        # 64 sampled orbits of 440 steps, their points in one array
+        batch = engine.batch_of(cat, sample_points(cat, 64, 0, seed=20))
+        orbits = [batch.coords]
+        for _ in range(439):
+            engine.step(cat, batch, 1)
+            orbits.append(batch.coords)
+        orbits = np.concatenate(orbits)
+        proven = unproven = 0
+        for _ in range(30):
+            for spec in random_torus_spec(rng):
+                hi, lo = cocycle.singular_bounds(spec)
+                with np.errstate(all="ignore"):
+                    a, b, c, d = spec.values_at_coords(GRID)
+                    s1 = mat2.opnorm_batch(a, b, c, d)
+                    s2 = np.abs(a * d - b * c) / s1
+                if np.isfinite(hi) and np.all(np.isfinite(s1)):
+                    assert np.all(s1 <= hi * (1 + 1e-9))
+                    assert np.all(s2 >= lo - 1e-9 * hi)
+                if not cocycle.proven_regular(spec):
+                    unproven += 1
+                    continue
+                proven += 1
+                assert mat2.regular(a, b, c, d).all()
+                assert mat2.regular(*spec.values_at_coords(orbits)).all()
+        assert proven >= 40 and unproven >= 8
+
+    def test_shipped_family(self):
+        cfg = load_config("configs/torus_pointwise.yaml")
+        fam = cfg.family
+        specs = [
+            PerturbedCocycle(base=fam.base, direction=fam.direction, t=t, rule=rule)
+            for t in fam.ts
+            for rule in ("multiplicative_exp", "additive")
+        ]
+        assert cocycle.proven_regular(StackedCocycle((fam.base, *specs[::2])))
+        # Weyl's route proves A + t B up to t |B| < sigma2(A): 1/4 here, not 1/2
+        assert [cocycle.proven_regular(s) for s in specs[1::2]] == [False] + [True] * 9
+
+    def test_failing_values_are_not_proven(self, cat):
+        c = np.log(1.5)
+        steep = PointwiseCocycle(
+            factors=(DiagonalFactor(log_d1=TrigExpr(const=c, sin_u=40.0), log_d2=TrigExpr()),)
+        )
+        # det(A + B) = 0 on u = 0: the first entry of diag(1.5, 2/3) - diag(1.5, 0)
+        crossing = PerturbedCocycle(
+            base=torus_base(),
+            direction=ConstantCocycle(matrix=np.diag([-1.5, 0.0]), invertible=False),
+            t=1.0,
+            rule="additive",
+        )
+        base = torus_base()
+        nan = NanAt(base, [0.5])
+        nan_direction = PerturbedCocycle(
+            base=base, direction=NanAt(torus_direction(), [0.5]), t=0.25,
+            rule="multiplicative_exp",
+        )
+        for spec in (steep, crossing):
+            with np.errstate(all="ignore"):
+                assert not mat2.regular(*spec.values_at_coords(GRID)).all()
+        for spec in (steep, crossing, nan, nan_direction):
+            assert not cocycle.proven_regular(spec)
+        assert not cocycle.proven_regular(StackedCocycle((base, nan_direction)))
+
+
+class TestCertifyRegular:
+    @pytest.mark.parametrize(
+        "s1_max, s2_min, proven",
+        [
+            (1.0, 2.0**-20, True),
+            (1.0, 2.0**-20 * (1 - 2.0**-52), False),
+            (2.0**100, 2.0**80, True),
+            (2.0**100 * (1 + 2.0**-52), 2.0**99, False),
+            (2.0**-80, 2.0**-100, True),
+            (2.0**-80, 2.0**-100 * (1 - 2.0**-52), False),
+            (np.inf, 1.0, False),
+            (np.nan, 1.0, False),
+            (1.0, np.nan, False),
+            (1.0, 0.0, False),
+        ],
+    )
+    def test_bounds(self, s1_max, s2_min, proven):
+        assert mat2.certify_regular(s1_max, s2_min) is proven
+
+    def test_matrices_at_the_bounds_pass_the_rule(self):
+        # sigma2 / sigma1 = 2^-20 at the ends of the range, rotated both ways
+        # and rounded entry by entry
+        rng = np.random.default_rng(4)
+        for s1 in (2.0**-80, 1.0, 2.0**100):
+            q1, q2 = rotation(rng.uniform(0, 7)), rotation(rng.uniform(0, 7))
+            m = q1 @ np.diag([s1, s1 * 2.0**-20]) @ q2
+            assert mat2.regular(m[0, 0], m[0, 1], m[1, 0], m[1, 1])

@@ -30,7 +30,7 @@ from cocyclelab.continuity import (
 from cocyclelab.errors import ConfigError, NoGap, SingularValueError
 from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import lyapunov_exponents
-from oracles import NanAt, oracle_entries, rotation
+from oracles import NanAt, oracle_entries, rotation, same_values
 
 DIAG2 = np.diag([2.0, 0.5])
 SPIN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -670,10 +670,10 @@ def hits_past(sys_, step, rows, samples, depth, n_window, seed, **_):
 
 class TestRaiseOrder:
     """A step that fails the rule past the direction depth is read only
-    through the exponents: it raises SingularValueError for the base or a
-    member with a gap, and leaves a member without one censored; a base
-    without a gap raises NoGap first.  The bad steps come from a hook that
-    is NaN at points the draw reaches after the depth."""
+    through the exponents: it raises SingularValueError for the base and
+    censors a member, with a gap or without one; a base without a gap
+    raises NoGap first.  The bad steps come from a hook that is NaN (or
+    another chosen value) at points the draw reaches after the depth."""
 
     KW = dict(epsilon=0.1, samples=300, depth=6, n_window=40, seed=3)
 
@@ -689,10 +689,38 @@ class TestRaiseOrder:
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_member_with_a_gap_raises(self, cat):
-        fam = self.family(cat, (0.5, 0.25), nan_direction=True)
-        with pytest.raises(SingularValueError):
-            continuity_experiment(fam, cat, **self.KW)
+    def test_a_member_with_a_gap_is_censored(self, cat):
+        rep = continuity_experiment(
+            self.family(cat, (0.5, 0.25), nan_direction=True), cat, **self.KW
+        )
+        clean = continuity_experiment(self.family(cat, (0.5, 0.25)), cat, **self.KW)
+        # 1/2 keeps its gap and 1/4 has none; both read the NaN steps
+        assert not clean.rows[0].censored and clean.rows[1].censored
+        assert rep.rows[0].censored and rep.rows[1].censored
+        assert rep.rows[0].holder_dist == clean.rows[0].holder_dist
+        assert rep.base_lambda_plus == clean.base_lambda_plus
+        assert rep.base_lambda_minus == clean.base_lambda_minus
+        assert rep.last_unstable_distances is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_other_rows_are_bitwise_their_values_without_it(self, cat):
+        # B is 400 I at the hit points, so expm(t B) = e^{400 t} I: at t =
+        # 1/2 the value's squared Frobenius norm passes 2^511 and fails the
+        # rule, while at 1/8 it is scaled by e^50 and passes
+        fam = torus_gapless_family()
+        us = hits_past(cat, 9, [5, 77], **self.KW)
+        direction = NanAt(fam.direction, us, at=(400.0, 0.0, 0.0, 400.0))
+        rep, alone = (
+            continuity_experiment(
+                PerturbationFamily(base=fam.base, direction=direction, ts=ts), cat, **self.KW
+            )
+            for ts in ((0.5, 0.125), (0.125,))
+        )
+        assert rep.rows[0].censored and not np.isnan(rep.rows[0].holder_dist)
+        assert same_values(astuple(rep.rows[1])[1:], astuple(alone.rows[0])[1:])
+        assert same_values(rep.last_unstable_distances, alone.last_unstable_distances)
+        assert rep.base_lambda_plus == alone.base_lambda_plus
+        assert rep.base_lambda_minus == alone.base_lambda_minus
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_member_without_a_gap_is_censored(self, cat):

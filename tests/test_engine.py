@@ -39,6 +39,7 @@ from cocyclelab.oseledets import stable_directions, unstable_directions
 from cocyclelab.spectrum import finite_time_exponents, lyapunov_exponents
 from oracles import (
     NanAt,
+    Unproven,
     oracle_direction_walk,
     oracle_entries,
     rotation,
@@ -624,6 +625,34 @@ class TestForwardWalk:
         for depth, n in ((0, 5), (5, 0)):
             with pytest.raises(ConfigError):
                 engine.forward_walk(lc_spec(), cat, engine.batch_of(cat, draw), depth, n)
+
+
+class TestProvenWalks:
+    """A torus walk of a spec that ``cocycle.proven_regular`` proves calls
+    ``mat2.regular`` at no step and gives, bitwise, what the same spec
+    gives through a wrapper that hides the proof."""
+
+    def test_no_rule_call_and_the_same_bits(self, cat, monkeypatch):
+        base, members = shipped_torus_family()
+        stack = StackedCocycle((base, *members))
+        assert cocycle.proven_regular(stack)
+        assert not cocycle.proven_regular(Unproven(stack))
+        calls = []
+        rule = mat2.regular
+        monkeypatch.setattr(mat2, "regular", lambda *a, **k: calls.append(1) or rule(*a, **k))
+        draw = sample_points(cat, 40, 0, seed=5)
+        runs = []
+        for spec in (stack, Unproven(stack)):
+            calls.clear()
+            walk = engine.forward_walk(spec, cat, engine.batch_of(cat, draw), 40, 440)
+            back = engine.backward_scan(spec, cat, engine.batch_of(cat, draw), 40)
+            runs.append((len(calls), walk, back))
+        (proven_calls, walk, back), (hidden_calls, hidden_walk, hidden_back) = runs
+        assert proven_calls == 0 and hidden_calls == 440 + 40
+        assert_walk_is_scans(walk, (hidden_walk[0], hidden_walk[1:3], None))
+        assert same_values(walk[3], hidden_walk[3])
+        for f, x in vars(back).items():
+            assert same_values(x, getattr(hidden_back, f)), f
 
 
 class TestSingularSteps:
