@@ -15,7 +15,7 @@ kept as a cross-check at moderate n; the renormalized products are
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from math import ceil, exp, hypot, inf
+from math import ceil, exp, inf
 from typing import Union
 
 import numpy as np
@@ -619,13 +619,15 @@ def _factor_bounds(f: PointwiseFactor) -> tuple[float, float]:
 
 
 def _norm_bound(direction) -> float:
-    """An upper bound on |B(x)| over the torus: the Frobenius norm of
-    bounds on its entries; inf for a field of another kind."""
+    """An upper bound on |B(x)| over the torus, widened as a constant's
+    sigma1 is: a constant's own norm, or the norm of the nonnegative matrix
+    M of bounds on the entries, as |B(x) v| <= M |v| entrywise; inf for a
+    field of another kind."""
     if isinstance(direction, PointwiseEntriesField):
         ranges = map(_trig_range, (direction.e00, direction.e01, direction.e10, direction.e11))
-        return hypot(*(max(-lo, hi) for lo, hi in ranges))
+        return _matrix_bounds(np.reshape([max(-lo, hi) for lo, hi in ranges], (2, 2)))[0]
     if isinstance(direction, ConstantCocycle):
-        return hypot(*direction.matrix.ravel())
+        return _matrix_bounds(direction.matrix)[0]
     return inf
 
 

@@ -17,24 +17,23 @@ matrix, so no product ever overflows, in one of two ways:
   absorbs one precomputed k-step word product per k symbols instead of
   one matrix per symbol; over a torus it takes one step at a time.
 
-Every step enters the exponent scan as its values, det and
-``mat2.regular`` flag (``_step_factor``), and a direction scan with
-log |det| in place of the last two, NaN wherever the flag is False
-(``_step``), from one walk (``_orbit_values``).  Over a torus the walk
-asks ``cocycle.proven_regular`` once: the values of a spec proven regular
-over the whole torus pass the rule at every step, so they take the flag
-True and an unmasked log, and no step calls ``mat2.regular``.  A shift
-batch's symbol window is checked once per scan, before the first step,
-and singular steps are caught once, after the last one.  A shift scan
-numbers the words it reads once per walk (``_word_numbers``), a chunk of
-steps at a time, as every word table is indexed.
-
-``forward_walk`` gives a depth-step ``forward_scan`` and an n-step
-``exponent_scan`` together.  Over a torus both come from one walk of the
-orbits: each step's values, det and flag are formed once, the first depth
-steps go to the direction accumulator and the first n to the exponent
-one, each with its own arithmetic, so both are bitwise the separate
-scans'.  Over a shift the two scans run as they do alone.
+Every scan is one walk of the orbits (``_walk``): the unit-norm product
+of the first ``depth`` steps, backward or forward, and the radix-scaled
+product of the first n forward steps, each public scan asking for one of
+them or, ``forward_walk``, for both.  A walk checks a shift batch's symbol
+window once, for max(depth, n) steps, moves the batch once, and catches
+singular steps once, after the last one.  Every step enters the exponent
+product as its values, det and ``mat2.regular`` flag (``_step_factor``),
+and the direction product with log |det| in place of the last two, NaN
+wherever the flag is False (``_step``), from ``_orbit_values``.  Over a
+torus each step is formed once for both products, and the walk asks
+``cocycle.proven_regular`` once: the values of a spec proven regular over
+the whole torus pass the rule at every step, so they take the flag True
+and an unmasked log, and no step calls ``mat2.regular``.  Over a shift the
+direction steps are gathered from the step table and the exponent steps
+from the word tables, each sample's words numbered from one set of
+starting indices (``_word_numbers``), a chunk of steps at a time, as every
+table is indexed.
 
 On a shift the first k steps of a direction scan read only a word of
 k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
@@ -348,44 +347,6 @@ def _direction_step(st: ScanState, step, backward: bool) -> ScanState:
     return ScanState(a / nrm, b / nrm, c / nrm, d / nrm, *logs)
 
 
-def _direction_scan(
-    spec, sys, batch, n, backward, paths=None, head=None
-) -> ScanState:
-    """Walk n steps, renormalizing to unit norm at every step; a list
-    ``paths`` gets (log_scale, logdet) after each step.  With a ``head``
-    (see ``scan_head``) the walk is checked against the window, starts
-    from each sample's state after the head's k steps, gathered by the
-    number of its word, and takes the other n - k.  A step that fails
-    ``mat2.regular`` leaves its samples' logdet NaN, checked once, after
-    the walk."""
-    st, done, starts = _identity_state(batch.size), 0, None
-    if head is not None:
-        if (head.n, head.backward) != (n, backward):
-            raise ConfigError("scan head was built for another scan")
-        starts = _symbol_starts(batch, n, spec.symbol_depth, backward)
-        (idx,) = _word_numbers(
-            batch.windows, starts, head.reads[:1], head.reads.size, sys.alphabet_size
-        )
-        st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
-        done = head.k
-    steps = _orbit_values(spec, sys, batch, n, backward, done, starts)
-    # a singular step, or one too large for the norm's squares, turns the
-    # product into inf or 0/0 noise; the warning is replaced by the
-    # SingularValueError raised after the walk
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for values in steps:
-            st = _direction_step(st, values, backward)
-            if paths is not None:
-                paths.append((st.log_scale, st.logdet))
-    return _checked(st)
-
-
-def _checked(st: ScanState) -> ScanState:
-    if np.isnan(st.logdet).any():
-        raise SingularValueError("cocycle value is singular along the orbit")
-    return st
-
-
 def forward_scan(
     spec, sys: BaseSystem, batch: Batch, n: int, head: ScanHead | None = None
 ) -> ScanState:
@@ -397,7 +358,7 @@ def forward_scan(
     """
     if n < 0:
         raise ConfigError("forward_scan needs n >= 0")
-    return _direction_scan(spec, sys, batch, n, backward=False, head=head)
+    return _walk(spec, sys, batch, n, 0, head=head)[0]
 
 
 def forward_record(
@@ -408,7 +369,7 @@ def forward_record(
     if n < 1:
         raise ConfigError("forward_record needs n >= 1")
     paths = []
-    _direction_scan(spec, sys, batch, n, backward=False, paths=paths)
+    _walk(spec, sys, batch, n, 0, paths=paths)
     ls_path, ldet_path = zip(*paths)
     return np.stack(ls_path), np.stack(ldet_path)
 
@@ -424,7 +385,7 @@ def backward_scan(
     """
     if n < 0:
         raise ConfigError("backward_scan needs n >= 0")
-    return _direction_scan(spec, sys, batch, n, backward=True, head=head)
+    return _walk(spec, sys, batch, n, 0, backward=True, head=head)[0]
 
 
 # shared heads: the first k steps once per word of symbols
@@ -572,11 +533,9 @@ def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
     pass to every block's scan; None off a shift or for n < 1.  Every word
     is formed, so a table entry that fails ``mat2.regular`` leaves a zero
     flag in the words through it, which raises only in a scan reading one."""
-    if not isinstance(sys, ShiftSystem):
+    if not isinstance(sys, ShiftSystem) or n < 1:
         return None
     steps, alphabet, depth = _step_table(spec, sys)
-    if n < 1:
-        return None
     k = _word_length(alphabet)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = {
@@ -586,15 +545,15 @@ def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
     return WordTables(n=n, alphabet=alphabet, depth=depth, k=k, factors=factors)
 
 
-def _word_walk(words: WordTables, batch: ShiftBatch, n: int):
-    """Yield the factors of a forward walk of n >= 1 steps: one gathered
+def _word_walk(words: WordTables, windows, starts, n: int):
+    """Yield the factors of a forward walk of n >= 1 steps from ``starts``
+    (see ``_symbol_starts``, whose check covers the walk): one gathered
     word factor per k steps, the last word shorter when k does not divide
     n."""
     alphabet, depth, k = words.alphabet, words.depth, words.k
-    starts = _symbol_starts(batch, n, depth, backward=False)
     full = n - n % k
     for length, at in ((k, np.arange(0, full, k)), (n - full, np.arange(full, n)[:1])):
-        for idx in _word_numbers(batch.windows, starts, at, length + depth - 1, alphabet):
+        for idx in _word_numbers(windows, starts, at, length + depth - 1, alphabet):
             yield np.take(words.factors[length], idx, axis=-1)
 
 
@@ -624,42 +583,86 @@ def exponent_scan(
     """
     if n < 0:
         raise ConfigError("exponent_scan needs n >= 0")
-    log_scale, logdet, regular = _exponent_walk(spec, sys, batch, n, words)
+    _, log_scale, logdet, regular = _walk(spec, sys, batch, 0, n, words=words)
     if not np.all(regular):
         raise SingularValueError("cocycle value is singular along the orbit")
     return log_scale, logdet
 
 
-def _exponent_walk(spec, sys, batch, n, words):
-    """``exponent_scan``'s results and, in place of its raise, where every
-    step passed ``mat2.regular``."""
+# ---------------------------------------------------------------------------
+# the one walk
+
+
+def _walk(
+    spec, sys, batch, depth, n, backward=False, head=None, words=None, paths=None
+):
+    """(state, log_scale, logdet, regular): the unit-norm direction product
+    of the first ``depth`` steps (``backward`` ones when asked, from
+    ``head`` when one is passed; a list ``paths`` gets (log_scale, logdet)
+    after each), then the radix-scaled exponent product of the first n
+    forward steps, ``regular`` False where one of those fails
+    ``mat2.regular``.  One among the first ``depth`` raises
+    SingularValueError, after the walk.
+
+    A shift batch is checked against its symbol window once, for
+    max(depth, n) steps, and moved once (to f^{-depth} backward, else
+    f^{max(depth, n) - 1}); its direction steps are gathered from the step
+    table after the head's k, its exponent steps from ``words`` (built
+    here when not passed, refused with ConfigError when built for another
+    n), or a step at a time where ``word_tables`` gives None.  A torus
+    step's values, det and flag are formed once for both products, each
+    with its own arithmetic, so both are bitwise a one-product walk's.
+    """
+    if head is not None and (head.n, head.backward) != (depth, backward):
+        raise ConfigError("scan head was built for another scan")
     if words is None:
         words = word_tables(spec, sys, n)
     elif words.n != n:
         raise ConfigError("word tables were built for another scan")
-    if words is None:
-        factors = _orbit_values(spec, sys, batch, n, False, form=_step_factor)
-    else:
-        factors = _word_walk(words, batch, n)
-    acc = _identity_factor(batch.size)
-    # a bad factor turns the product into inf or NaN noise; its flag tells
-    with np.errstate(invalid="ignore"):
-        for factor in factors:
-            acc = _absorb(acc, factor)
-    return _exponent_results(acc)
+    st, acc = _identity_state(batch.size), _identity_factor(batch.size)
+    span, done, starts = max(depth, n), 0, None
+    if isinstance(batch, ShiftBatch) and span:
+        starts = _symbol_starts(batch, span, spec.symbol_depth, backward)
+        if head is not None:
+            (idx,) = _word_numbers(
+                batch.windows, starts, head.reads[:1], head.reads.size, sys.alphabet_size
+            )
+            st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
+            done = head.k
 
+    def direction(st, values):
+        st = _direction_step(st, values, backward)
+        if paths is not None:
+            paths.append((st.log_scale, st.logdet))
+        return st
 
-def _exponent_results(acc):
-    """(log_scale, logdet, regular) of an exponent scan's final product,
-    ``regular`` taking their shape (a proven walk's flag is one True); the
-    logs of a sample that failed ``mat2.regular`` are noise and warn
-    nothing."""
-    a, b, c, d, exps, det, det_exps, regular = acc
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a singular step, or one too large for the norm's squares, turns the
+    # products into inf, NaN or 0/0 noise; the logdet's NaN mark and the
+    # flag tell, so no step warns
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(batch, TorusBatch):
+            steps = _orbit_values(spec, sys, batch, span, backward, 0, None, _step_factor)
+            for j, factor in enumerate(steps):
+                if j < depth:
+                    st = direction(st, (*factor[:4], _log_det(factor)))
+                if j < n:
+                    acc = _absorb(acc, factor)
+        else:
+            for values in _orbit_values(spec, sys, batch, depth, backward, done, starts):
+                st = direction(st, values)
+            if words is None:
+                factors = _orbit_values(spec, sys, batch, n, False, 0, starts, _step_factor)
+            else:
+                factors = _word_walk(words, batch.windows, starts, n)
+            for factor in factors:
+                acc = _absorb(acc, factor)
+        a, b, c, d, exps, det, det_exps, regular = acc
         log_scale = _log_norm(a, b, c, d, exps)
         logdet = det_exps * _LN2 + np.log(np.abs(det))
+    if np.isnan(st.logdet).any():
+        raise SingularValueError("cocycle value is singular along the orbit")
     regular = np.broadcast_to(np.asarray(regular, dtype=bool), log_scale.shape)
-    return log_scale, logdet, regular
+    return st, log_scale, logdet, regular
 
 
 def forward_walk(
@@ -670,32 +673,12 @@ def forward_walk(
     batch, depth, head)``'s state and ``exponent_scan(spec, sys, batch, n,
     words)``'s results, bitwise, with ``regular`` False where the exponent
     scan would raise; a singular step among the first ``depth`` raises.
-
-    Over a torus one walk of max(depth, n) steps serves both, each step's
-    values, det and regularity flag formed once for the direction
-    accumulator (the first ``depth`` steps) and the exponent one (the first
-    n).  Over a shift the two scans run as they do alone.  The batch is
-    left at f^{max(depth, n) - 1} of its starting points.
+    One walk of max(depth, n) steps serves both (see ``_walk``), and the
+    batch is left at f^{max(depth, n) - 1} of its starting points.
     """
     if depth < 1 or n < 1:
         raise ConfigError("forward_walk needs depth >= 1 and n >= 1")
-    if isinstance(batch, ShiftBatch):
-        ahead = ShiftBatch(batch.windows, batch.offsets.copy(), batch.horizon)
-        st = forward_scan(spec, sys, ahead, depth, head)
-        log_scale, logdet, regular = _exponent_walk(spec, sys, batch, n, words)
-        if depth > n:
-            batch.offsets = ahead.offsets
-        return st, log_scale, logdet, regular
-    st, acc = _identity_state(batch.size), _identity_factor(batch.size)
-    steps = _orbit_values(spec, sys, batch, max(depth, n), False, form=_step_factor)
-    # the errstates of both scans: bad steps warn nothing, and their flags tell
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j, factor in enumerate(steps):
-            if j < depth:
-                st = _direction_step(st, (*factor[:4], _log_det(factor)), False)
-            if j < n:
-                acc = _absorb(acc, factor)
-    return (_checked(st), *_exponent_results(acc))
+    return _walk(spec, sys, batch, depth, n, head=head, words=words)
 
 
 # ---------------------------------------------------------------------------

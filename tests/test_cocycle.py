@@ -1152,8 +1152,22 @@ class TestProvenRegular:
             for rule in ("multiplicative_exp", "additive")
         ]
         assert cocycle.proven_regular(StackedCocycle((fam.base, *specs[::2])))
-        # Weyl's route proves A + t B up to t |B| < sigma2(A): 1/4 here, not 1/2
-        assert [cocycle.proven_regular(s) for s in specs[1::2]] == [False] + [True] * 9
+        # Weyl's route proves A + t B up to t |B| < sigma2(A) = 2/3: the
+        # spectral norm of B's entry bounds is 1.2, so t = 1/2 passes (their
+        # Frobenius norm, 1.697, would stop at t = 1/4)
+        assert cocycle._norm_bound(fam.direction) == pytest.approx(1.2, abs=1e-9)
+        assert all(cocycle.proven_regular(s) for s in specs[1::2])
+        # a constant direction's bound is its own norm, and B = diag(0,
+        # -1.3533) at t = 1/2 moves sigma2 by more than 2/3: no proof
+        spin = ConstantCocycle(matrix=np.array([[0.0, -0.2], [0.2, 0.0]]), invertible=False)
+        assert cocycle._norm_bound(spin) == pytest.approx(0.2, abs=1e-12)
+        flip = PointwiseEntriesField(
+            e00=TrigExpr(), e01=TrigExpr(), e10=TrigExpr(), e11=TrigExpr(const=-1.3533)
+        )
+        assert cocycle._norm_bound(flip) == pytest.approx(1.3533, abs=1e-9)
+        assert not cocycle.proven_regular(
+            PerturbedCocycle(base=fam.base, direction=flip, t=0.5, rule="additive")
+        )
 
     def test_failing_values_are_not_proven(self, cat):
         c = np.log(1.5)

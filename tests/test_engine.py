@@ -447,6 +447,23 @@ class TestHorizonEdges:
         for got, want in zip(words, steps):
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("depth, n", [(10, 4), (4, 10)], ids=["depth", "n"])
+    def test_forward_walk_reads_the_longer_window(self, shift2, depth, n):
+        # one check for max(depth, n) steps, which at depth 2 read that many
+        # symbols ahead: horizon max(depth, n) is exact, one less is
+        # refused before any step
+        spec, span = depth2_spec(), max(depth, n)
+        batch = window_batch(shift2, span)
+        walk = engine.forward_walk(spec, shift2, batch, depth, n)
+        assert np.all(batch.offsets == span - 1)
+        short = window_batch(shift2, span - 1)
+        with pytest.raises(HorizonExceeded):
+            engine.forward_walk(spec, shift2, short, depth, n)
+        assert np.all(short.offsets == 0)
+        st = engine.forward_scan(spec, shift2, window_batch(shift2, span), depth)
+        exps = engine.exponent_scan(spec, shift2, window_batch(shift2, span), n)
+        assert_walk_is_scans(walk, (st, exps, None))
+
     def test_lyapunov_points_end_to_end(self, shift2):
         spec, n = depth2_spec(), self.N
         exact = n + spec.symbol_depth - 2
@@ -625,6 +642,56 @@ class TestForwardWalk:
         for depth, n in ((0, 5), (5, 0)):
             with pytest.raises(ConfigError):
                 engine.forward_walk(lc_spec(), cat, engine.batch_of(cat, draw), depth, n)
+
+
+class TestOneWalk:
+    """Every scan is one walk: a shift walk checks its symbol window once,
+    and a torus forward walk calls the spec's hook once per step of the
+    longer of its two windows."""
+
+    def test_one_window_check_per_shift_walk(self, shift2, monkeypatch):
+        checked = []
+        symbol_starts = engine._symbol_starts
+
+        def counted(batch, n, depth, backward):
+            checked.append(n)
+            return symbol_starts(batch, n, depth, backward)
+
+        monkeypatch.setattr(engine, "_symbol_starts", counted)
+        spec, draw = lc_spec(), sample_points(shift2, 300, 45, seed=2)
+        head = engine.scan_head(spec, shift2, 300, 30, backward=False)
+        back = engine.scan_head(spec, shift2, 300, 30, backward=True)
+        words = engine.word_tables(spec, shift2, 40)
+        assert head is not None and back is not None and words is not None
+        runs = [
+            (lambda b: engine.forward_walk(spec, shift2, b, 30, 40, head, words), 40),
+            (lambda b: engine.forward_walk(spec, shift2, b, 40, 30), 40),
+            (lambda b: engine.forward_scan(spec, shift2, b, 30, head), 30),
+            (lambda b: engine.backward_scan(spec, shift2, b, 30, back), 30),
+            (lambda b: engine.forward_record(spec, shift2, b, 30), 30),
+            (lambda b: engine.exponent_scan(spec, shift2, b, 40, words), 40),
+        ]
+        for run, span in runs:
+            checked.clear()
+            run(engine.batch_of(shift2, draw))
+            assert checked == [span]
+
+    @pytest.mark.parametrize("depth, n", [(9, 5), (5, 9)], ids=["depth", "n"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    def test_one_hook_call_per_torus_step(self, cat, monkeypatch, depth, n, stacked):
+        base, members = shipped_torus_family()
+        spec = StackedCocycle((base, *members)) if stacked else base
+        calls = []
+        hook = type(spec).values_at_coords
+
+        def counted(self, coords, modes=None):
+            calls.append(coords.shape)
+            return hook(self, coords, modes)
+
+        monkeypatch.setattr(type(spec), "values_at_coords", counted)
+        draw = sample_points(cat, 20, 0, seed=3)
+        engine.forward_walk(spec, cat, engine.batch_of(cat, draw), depth, n)
+        assert calls == [(20, 2)] * max(depth, n)
 
 
 class TestProvenWalks:
@@ -1236,7 +1303,8 @@ class TestStepTables:
         draw = sample_points(shift2, 40, n + 2, seed=n)
         points = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
         batch = engine.batch_of(shift2, points)
-        got = list(engine._word_walk(words, batch, n))
+        starts = engine._symbol_starts(batch, n, spec.symbol_depth, backward=False)
+        got = list(engine._word_walk(words, batch.windows, starts, n))
         assert len(got) == -(-n // words.k)
         horizon = n + 2
         for w, factor in enumerate(got):
