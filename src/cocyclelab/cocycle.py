@@ -572,7 +572,14 @@ def singular_bounds(spec) -> tuple[float, float]:
     keep c^2 + s^2 within ulps of 1, an exp of x rounds by about |x| < 710
     ulps, a product by a few ulps of the product of its factors' bounds,
     and within the certified ratio |t B| is at most 10 ln 2, where
-    ``mat2.expm_batch`` rounds by a few hundred ulps."""
+    ``mat2.expm_batch`` rounds by a few hundred ulps.
+
+    A stack's bounds are the largest sigma1 and the smallest sigma2 bound
+    of its members."""
+    if isinstance(spec, StackedCocycle):
+        his, los = zip(*map(singular_bounds, spec.members))
+        # NaN, no bound, if a member's is
+        return float(np.max(his)), float(np.min(los))
     if isinstance(spec, PointwiseCocycle):
         hi = lo = 1.0
         for f in spec.factors:

@@ -88,10 +88,15 @@ class Config:
         return self.data["budgets"]["n_max"]
 
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python one:
+# both build the same safe types, and only a malformed file's message differs
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path!r}: {err.strerror}") from err
     except (yaml.YAMLError, UnicodeDecodeError) as err:

@@ -19,9 +19,9 @@ member had been run alone.
 
 Rows whose perturbed member loses its singular value gap, fails the
 up-front check of ``perturbations``, or meets a step that fails
-``mat2.regular`` in its exponent window, are censored: the row stays in
-the table with NaN statistics rather than disappearing, so the schedule
-remains visible in the output.
+``mat2.regular`` in its direction or exponent windows, are censored: the
+row stays in the table with NaN statistics rather than disappearing, so
+the schedule remains visible in the output.
 """
 
 from __future__ import annotations
@@ -207,18 +207,23 @@ def _walk(specs: dict, sys, points, epsilon, depth, n, threads):
     The members are walked as one StackedCocycle: its unstable directions
     over the backward window, then its stable directions and exponents
     from one forward walk per block (``_forward``); each side's directions
-    are kept only as their displacements from the base's.  Raises NoGap if
-    the base has no gap, and then SingularValueError if a step in the
-    base's exponent window fails ``mat2.regular``; a member without a gap,
-    or with such a step in its exponent window, is censored, and the other
-    rows are bitwise their values without it."""
+    are kept only as their displacements from the base's.  Raises
+    SingularValueError if a step in the base's direction windows fails
+    ``mat2.regular``, then NoGap if the base has no gap, and then
+    SingularValueError if a step in its exponent window fails; a member
+    without a gap, or with such a step in any of its windows, is censored,
+    and the other rows are bitwise their values without it."""
     stack = StackedCocycle(tuple(specs.values()))
     ux, uy, ok_u = unstable_directions(stack, sys, points, depth, threads)
+    _require_base_directions(ux)
     du = _displacements(ux, uy)
     # each side's directions are dropped as soon as their displacements are
     # formed, which keeps them out of the run's peak memory
     del ux, uy
     ds, ok_s, plus, rate, clean = _forward(stack, sys, points, depth, n, threads)
+    # a base direction of NaN leaves its row of displacements NaN
+    _require_base_directions(ds)
+    # a member's NaN directions fail the gap test, which censors its row
     gap = (ok_u & ok_s).all(axis=1)
     if not gap[0]:
         raise NoGap("conformal window product during direction extraction")
@@ -237,6 +242,14 @@ def _walk(specs: dict, sys, points, epsilon, depth, n, threads):
         ft = spectrum._finite_time(stack, plus, rate, n)
     exps = {k: (ft.plus[row], ft.minus[row]) for row, k in enumerate(specs) if live[row]}
     return good, exps, last_du
+
+
+def _require_base_directions(rows) -> None:
+    """Raise SingularValueError where the base's row is NaN: a stack's walk
+    leaves the directions of a member-sample whose window holds a step
+    that fails ``mat2.regular`` NaN."""
+    if np.isnan(rows[0]).any():
+        raise SingularValueError("cocycle value is singular along the orbit")
 
 
 def _forward(stack, sys, points, depth, n, threads):

@@ -5,17 +5,25 @@ sample, so every step is a handful of fused elementwise operations.  A
 stacked spec (``cocycle.StackedCocycle``) returns (M, S) arrays, one row
 per member, and every scan's state takes the shape of the values it
 absorbs, so one walk of the orbits serves all M members.  Every scan
-renormalizes at each step and keeps the scale and the |det| apart from the
+renormalizes as it goes and keeps the scale and the |det| apart from the
 matrix, so no product ever overflows, in one of two ways:
 
 - the direction scans (``forward_scan``, ``backward_scan``,
-  ``forward_record``) divide by the operator norm, because their callers
-  read the unit-norm product as a direction;
+  ``forward_record``) divide by the operator norm at each step, because
+  their callers read the unit-norm product as a direction;
 - ``exponent_scan``, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
   exponents, and takes one norm and one log at the end.  Over a shift it
   absorbs one precomputed k-step word product per k symbols instead of
-  one matrix per symbol; over a torus it takes one step at a time.
+  one matrix per symbol; over a torus it takes one step at a time.  It
+  rescales once per period of K factors and after the last, K proven
+  from bounds on the factors' singular values (``_period``): a torus
+  spec's ``cocycle.singular_bounds`` when ``cocycle.proven_regular``
+  proves it, a shift's word tables' normalized words, and 1 where nothing
+  is proven.  A power-of-two rescale commutes with rounding while every
+  term stays normal, so the results are bitwise a rescale after every
+  factor's unless a nonzero term of that walk lies below
+  2**(RESCALE_SPAN - 1022).
 
 Every scan is one walk of the orbits (``_walk``): the unit-norm product
 of the first ``depth`` steps, backward or forward, and the radix-scaled
@@ -60,6 +68,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import takewhile
+from math import inf, log2
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,15 +253,11 @@ def _orbit_values(
     position up front (see ``_symbol_starts``; a caller that has already
     done so passes its ``starts``), and each step is one gather from the
     spec's step table by the number of the word it reads; a torus batch
-    steps as it goes, calls the spec's hook and ends in the same place; a
-    spec that ``cocycle.proven_regular`` proves is asked once per walk, and
-    its steps skip the rule.
+    steps as it goes, calls the spec's hook and ends in the same place.
     """
     if n == 0:
         return
     if isinstance(batch, TorusBatch):
-        if cocycle.proven_regular(spec):
-            form = partial(form, proven=True)
         for j in range(n):
             if backward:
                 step(sys, batch, -1)
@@ -269,11 +274,14 @@ def _orbit_values(
         yield values if form is _step else form(*values[:4])
 
 
+def _entries(*entries):
+    return entries
+
+
 def values(spec, sys: BaseSystem, batch: Batch):
     """Cocycle entries at the batch's current positions, as four (S,)
     arrays ((M, S) for a stack)."""
-    a, b, c, d, _ = next(_orbit_values(spec, sys, batch, 1, backward=False))
-    return a, b, c, d
+    return next(_orbit_values(spec, sys, batch, 1, False, form=_entries))
 
 
 NUMBER_SPAN = 2**15
@@ -476,16 +484,58 @@ def _step_factor(va, vb, vc, vd, proven=False):
         return (va, vb, vc, vd, 0, det, 0, ok)
 
 
-def _absorb(acc, factor):
+def _absorb(acc, factor, rescale=True):
     """The running product acc followed by one more factor, taken on the
-    left; the product is rescaled by an exact power of two and the
-    determinant is kept as a frexp mantissa and exponent."""
+    left, the factor's exponents added.  When ``rescale``, the product is
+    then divided by the power of two above its largest entry and the
+    determinant split into a frexp mantissa and exponent; between
+    rescales both are only multiplied (see ``_period``)."""
     a, b, c, d, e, det, de, regular = acc
     fa, fb, fc, fd, fe, fdet, fde, fregular = factor
     a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
-    e = _radix_scale(a, b, c, d, e + fe)
-    det, k = np.frexp(det * fdet)
-    return a, b, c, d, e, det, de + k + fde, np.minimum(regular, fregular)
+    e, det, de = e + fe, det * fdet, de + fde
+    if rescale:
+        e = _radix_scale(a, b, c, d, e)
+        det, k = np.frexp(det)
+        de = de + k
+    return a, b, c, d, e, det, de, np.minimum(regular, fregular)
+
+
+# A walk rescales its exponent product once per period of K factors, chosen
+# so that between rescales it moves by at most 2**RESCALE_SPAN either way
+RESCALE_SPAN = 256
+
+
+def _period(s1: float, s2: float) -> int:
+    """K for factors whose singular values lie within [s2, s1]: the
+    largest with K max(log2 s1, -log2 s2, 1) <= RESCALE_SPAN; 1, a rescale
+    after every factor, when a bound is not finite or s2 is 0.
+
+    Over a period the product's largest entry stays within 2**RESCALE_SPAN
+    of its size after the last rescale, and its det mantissa within
+    2**(2 RESCALE_SPAN), so every term of the deferred walk is a term of
+    the per-factor walk times 2**s with |s| <= RESCALE_SPAN: normal, and
+    rounded alike, where that term is at least 2**(RESCALE_SPAN - 1022)."""
+    if not (0.0 < s2 and s1 < inf):  # NaN too
+        return 1
+    per_factor = max(log2(s1), -log2(s2), 1.0)
+    return max(1, int(RESCALE_SPAN // per_factor))
+
+
+def _word_period(tables) -> int:
+    """K for the word factors of ``tables``: sigma1 of each normalized
+    product as its operator norm, sigma2 as |det| / sigma1 with |det| read
+    from the factor's determinant mantissa and exponents; 1 when a word
+    fails ``mat2.regular`` or a bound is not finite."""
+    s1s, s2s = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a, b, c, d, e, det, de, ok in tables:
+            if not np.all(ok):
+                return 1
+            s1 = mat2.opnorm_batch(a, b, c, d)
+            s1s.append(s1.max())
+            s2s.append((np.ldexp(np.abs(det), (de - 2 * e).astype(int)) / s1).min())
+    return _period(float(np.max(s1s)), float(np.min(s2s)))
 
 
 # A word table covers at most WORD_SPAN words: the word length k is the
@@ -519,13 +569,18 @@ def _word_factors(steps, alphabet: int, depth: int, length: int) -> np.ndarray:
 class WordTables:
     """The word factors an n-step exponent scan of a shift spec absorbs:
     ``factors[L]`` for every word length L it uses (k, and n mod k when
-    that is not 0)."""
+    that is not 0), and the rescale period of a walk over them, read once
+    from them (see ``_word_period``)."""
 
     n: int
     alphabet: int
     depth: int
     k: int
     factors: dict
+
+    def __post_init__(self) -> None:
+        # read once per table, for every walk over it
+        object.__setattr__(self, "_period", _word_period(self.factors.values()))
 
 
 def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
@@ -570,6 +625,19 @@ def exponent_scan(
     log scale.  For a 2x2 product sigma1 * sigma2 = |det|, so the bottom
     exponent is the log-det rate minus the top one.
 
+    The rescale comes once per period of K factors and after the last, K
+    the largest with K max(log2 s1, -log2 s2, 1) <= RESCALE_SPAN for bounds
+    s1, s2 on the singular values of every factor (see ``_period``): from
+    ``cocycle.singular_bounds`` of a torus spec that
+    ``cocycle.proven_regular`` proves (a stack's widest over its members),
+    or from the word tables' normalized words, read once per table; K is 1
+    where nothing is proven or a bound is not finite.  Between rescales
+    the product moves by at most 2**RESCALE_SPAN, so at each rescale the
+    product, det mantissa and exponents are bitwise those of a rescale
+    after every factor, and so are the results, with one exception: a
+    nonzero term of that per-factor walk below 2**(RESCALE_SPAN - 1022),
+    which the deferred walk rounds as a normal number.
+
     A shift spec is walked a word at a time: each iteration gathers one
     precomputed k-step factor per sample from ``words`` (see
     ``word_tables``, built here when not passed, and refused with
@@ -602,7 +670,9 @@ def _walk(
     after each), then the radix-scaled exponent product of the first n
     forward steps, ``regular`` False where one of those fails
     ``mat2.regular``.  One among the first ``depth`` raises
-    SingularValueError, after the walk.
+    SingularValueError, after the walk, for a single spec; in a stack it
+    leaves its member-samples' state entries NaN, for the caller to
+    censor, and the other rows as they are.
 
     A shift batch is checked against its symbol window once, for
     max(depth, n) steps, and moved once (to f^{-depth} backward, else
@@ -611,7 +681,9 @@ def _walk(
     here when not passed, refused with ConfigError when built for another
     n), or a step at a time where ``word_tables`` gives None.  A torus
     step's values, det and flag are formed once for both products, each
-    with its own arithmetic, so both are bitwise a one-product walk's.
+    with its own arithmetic, so both are bitwise a one-product walk's.  The
+    exponent product is rescaled once per period (see ``exponent_scan``),
+    1 for a shift walked a step at a time.
     """
     if head is not None and (head.n, head.backward) != (depth, backward):
         raise ConfigError("scan head was built for another scan")
@@ -641,26 +713,35 @@ def _walk(
     # flag tell, so no step warns
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(batch, TorusBatch):
-            steps = _orbit_values(spec, sys, batch, span, backward, 0, None, _step_factor)
-            for j, factor in enumerate(steps):
-                if j < depth:
+            proven = cocycle.proven_regular(spec)
+            period = _period(*cocycle.singular_bounds(spec)) if proven and n else 1
+            form = partial(_step_factor, proven=proven)
+            steps = _orbit_values(spec, sys, batch, span, backward, 0, None, form)
+            for j, factor in enumerate(steps, 1):
+                if j <= depth:
                     st = direction(st, (*factor[:4], _log_det(factor)))
-                if j < n:
-                    acc = _absorb(acc, factor)
+                if j <= n:
+                    acc = _absorb(acc, factor, j % period == 0 or j == n)
         else:
             for values in _orbit_values(spec, sys, batch, depth, backward, done, starts):
                 st = direction(st, values)
             if words is None:
                 factors = _orbit_values(spec, sys, batch, n, False, 0, starts, _step_factor)
+                count, period = n, 1
             else:
                 factors = _word_walk(words, batch.windows, starts, n)
-            for factor in factors:
-                acc = _absorb(acc, factor)
+                count, period = -(-n // words.k), words._period
+            for j, factor in enumerate(factors, 1):
+                acc = _absorb(acc, factor, j % period == 0 or j == count)
         a, b, c, d, exps, det, det_exps, regular = acc
         log_scale = _log_norm(a, b, c, d, exps)
         logdet = det_exps * _LN2 + np.log(np.abs(det))
-    if np.isnan(st.logdet).any():
-        raise SingularValueError("cocycle value is singular along the orbit")
+    failed = np.isnan(st.logdet)
+    if failed.any():
+        if not isinstance(spec, cocycle.StackedCocycle):
+            raise SingularValueError("cocycle value is singular along the orbit")
+        entries = (np.where(failed, np.nan, x) for x in (st.a, st.b, st.c, st.d))
+        st = ScanState(*entries, st.log_scale, st.logdet)
     regular = np.broadcast_to(np.asarray(regular, dtype=bool), log_scale.shape)
     return st, log_scale, logdet, regular
 
@@ -672,9 +753,10 @@ def forward_walk(
     """(state, log_scale, logdet, regular): ``forward_scan(spec, sys,
     batch, depth, head)``'s state and ``exponent_scan(spec, sys, batch, n,
     words)``'s results, bitwise, with ``regular`` False where the exponent
-    scan would raise; a singular step among the first ``depth`` raises.
-    One walk of max(depth, n) steps serves both (see ``_walk``), and the
-    batch is left at f^{max(depth, n) - 1} of its starting points.
+    scan would raise; a singular step among the first ``depth`` raises
+    for a single spec and leaves NaN state entries in a stack.  One walk
+    of max(depth, n) steps serves both (see ``_walk``), and the batch is
+    left at f^{max(depth, n) - 1} of its starting points.
     """
     if depth < 1 or n < 1:
         raise ConfigError("forward_walk needs depth >= 1 and n >= 1")

@@ -1,11 +1,11 @@
 """Test-side references that the library itself does not need: the rotation
 matrix, the adjugate, a torus base's eigendata, the base metric between two
 points, a shift spec's value read symbol by symbol, a torus spec's value
-with every term formed, a torus exponent walk one step at a time, a
-constant's power in closed form and the attraction of directions onto the
-splitting, each written out directly; and test doubles of a torus hook:
-one with chosen entries at chosen points, and one that no regularity bound
-reads."""
+with every term formed, a torus exponent walk one step at a time, an
+exponent walk that rescales after every factor, a constant's power in
+closed form and the attraction of directions onto the splitting, each
+written out directly; and test doubles of a torus hook: one with chosen
+entries at chosen points, and one that no regularity bound reads."""
 
 from __future__ import annotations
 
@@ -316,6 +316,47 @@ def torus_exponent_walk(spec, sys, points, n: int):
     ln2 = np.log(2.0)
     log_scale = exps * ln2 + np.log(mat2.opnorm_batch(a, b, c, d))
     return log_scale, det_exps * ln2 + np.log(np.abs(det))
+
+
+def per_factor_exponent_walk(spec, sys, points, n: int):
+    """(log_scale, logdet, regular) of an n-step exponent walk that
+    rescales after every factor it absorbs: the engine's own factors (its
+    word tables' words over a shift, each step's values with det and
+    ``mat2.regular`` flag over a torus), each taken on the left of the
+    product, which is then divided by the power of two above its largest
+    entry, the determinant product split by frexp, and the exponents
+    summed.  ``regular`` is False where a step fails the rule."""
+    size = len(points)
+    a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
+    exps, det, det_exps, regular = np.zeros(size, dtype=np.int64), np.ones(size), 0, True
+    batch = engine.batch_of(sys, points)
+    if isinstance(sys, ShiftSystem):
+        words = engine.word_tables(spec, sys, n)
+        starts = engine._symbol_starts(batch, n, spec.symbol_depth, False)
+        factors = engine._word_walk(words, batch.windows, starts, n)
+    else:
+
+        def steps():
+            for j in range(n):
+                if j:
+                    engine.step(sys, batch, 1)
+                yield engine._step_factor(*spec.values_at_coords(batch.coords))
+
+        factors = steps()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for fa, fb, fc, fd, fe, fdet, fde, fregular in factors:
+            a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
+            big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+            k = np.frexp(big)[1]
+            a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+            exps = exps + fe + k
+            det, k = np.frexp(det * fdet)
+            det_exps = det_exps + k + fde
+            regular = np.minimum(regular, fregular)
+        ln2 = np.log(2.0)
+        log_scale = exps * ln2 + np.log(mat2.opnorm_batch(a, b, c, d))
+        logdet = det_exps * ln2 + np.log(np.abs(det))
+    return log_scale, logdet, np.broadcast_to(np.asarray(regular, dtype=bool), log_scale.shape)
 
 
 class NanAt:

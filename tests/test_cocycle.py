@@ -1152,6 +1152,15 @@ class TestProvenRegular:
             for rule in ("multiplicative_exp", "additive")
         ]
         assert cocycle.proven_regular(StackedCocycle((fam.base, *specs[::2])))
+        # a stack's bounds are its members' widest: the largest sigma1 bound
+        # and the smallest sigma2 bound, whichever members give them
+        members = (fam.base, *specs[::2])
+        his, los = zip(*map(cocycle.singular_bounds, members))
+        assert cocycle.singular_bounds(StackedCocycle(members)) == (max(his), min(los))
+        big = ConstantCocycle(matrix=np.diag([1e300, 1.0]), invertible=False)
+        small = ConstantCocycle(matrix=np.diag([2.0, 0.5]))
+        for stack in (StackedCocycle((big, small)), StackedCocycle((small, big))):
+            assert cocycle.singular_bounds(stack) == (np.inf, 0.0)
         # Weyl's route proves A + t B up to t |B| < sigma2(A) = 2/3: the
         # spectral norm of B's entry bounds is 1.2, so t = 1/2 passes (their
         # Frobenius norm, 1.697, would stop at t = 1/4)

@@ -672,8 +672,10 @@ class TestRaiseOrder:
     """A step that fails the rule past the direction depth is read only
     through the exponents: it raises SingularValueError for the base and
     censors a member, with a gap or without one; a base without a gap
-    raises NoGap first.  The bad steps come from a hook that is NaN (or
-    another chosen value) at points the draw reaches after the depth."""
+    raises NoGap first.  Within the depth, forward or backward, it censors
+    a member too, and the base raises SingularValueError before NoGap.  The
+    bad steps come from a hook that is NaN (or another chosen value) at
+    points the draw reaches at a chosen step."""
 
     KW = dict(epsilon=0.1, samples=300, depth=6, n_window=40, seed=3)
 
@@ -740,9 +742,48 @@ class TestRaiseOrder:
             continuity_experiment(fam, cat, **self.KW)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_within_the_depth_a_member_without_a_gap_raises(self, cat):
-        # its stable directions read the bad step, as they do alone
-        fam = self.family(cat, (0.25,), nan_direction=True, step=2)
+    def test_within_the_depth_a_member_without_a_gap_is_censored(self, cat):
+        # its stable directions read the bad step: NaN, and censored
+        rep = continuity_experiment(
+            self.family(cat, (0.25,), nan_direction=True, step=2), cat, **self.KW
+        )
+        clean = continuity_experiment(self.family(cat, (0.25,)), cat, **self.KW)
+        assert rep.rows[0].censored and rep.rows[0].holder_dist == clean.rows[0].holder_dist
+        assert rep.base_lambda_plus == clean.base_lambda_plus
+        assert rep.base_lambda_minus == clean.base_lambda_minus
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("step", [2, -3], ids=["stable", "unstable"])
+    def test_within_the_depth_the_other_rows_are_bitwise_their_values_without_it(
+        self, cat, step
+    ):
+        # as past the depth: B is 400 I at points that one member's stable
+        # (forward) or unstable (backward) directions read, which fails the
+        # rule at t = 1/2 only; that row alone is censored
+        fam = torus_gapless_family()
+        us = hits_past(cat, step, [5, 77], **self.KW)
+        direction = NanAt(fam.direction, us, at=(400.0, 0.0, 0.0, 400.0))
+        rep, alone = (
+            continuity_experiment(
+                PerturbationFamily(base=fam.base, direction=direction, ts=ts), cat, **self.KW
+            )
+            for ts in ((0.5, 0.125), (0.125,))
+        )
+        assert rep.rows[0].censored and not np.isnan(rep.rows[0].holder_dist)
+        assert not rep.rows[1].censored
+        assert same_values(astuple(rep.rows[1])[1:], astuple(alone.rows[0])[1:])
+        assert same_values(rep.last_unstable_distances, alone.last_unstable_distances)
+        assert rep.base_lambda_plus == alone.base_lambda_plus
+        assert rep.base_lambda_minus == alone.base_lambda_minus
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("step", [2, -3], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("gapless", [False, True], ids=["gap", "no-gap"])
+    def test_within_the_depth_the_base_raises_before_no_gap(self, cat, step, gapless):
+        spin = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.15)),))
+        fam = self.family(
+            cat, (0.5, 0.25), nan_base=True, step=step, base=spin if gapless else None
+        )
         with pytest.raises(SingularValueError):
             continuity_experiment(fam, cat, **self.KW)
 

@@ -42,6 +42,7 @@ from oracles import (
     Unproven,
     oracle_direction_walk,
     oracle_entries,
+    per_factor_exponent_walk,
     rotation,
     same_values,
     torus_exponent_walk,
@@ -722,6 +723,154 @@ class TestProvenWalks:
             assert same_values(x, getattr(hidden_back, f)), f
 
 
+# shift_gapped's table, and torus_pointwise's constant factor
+GAPPED = np.array([
+    [[1.2, 0.0], [0.0, 0.8333333333333334]],
+    [[1.194004998333631, -0.0831945138723568], [0.11980009997619379, 0.8291701377316882]],
+])
+TORUS_FACTOR = np.diag([1.5, 0.6666666666666666])
+
+
+def torus_k2_spec():
+    """A spec proven regular whose bounds give a rescale period of 2:
+    torus_pointwise's cocycle with its constant factor times 2**90."""
+    angle = TrigExpr(sin_u=0.15, cos_v=0.1)
+    factor = ConstantFactor(np.ldexp(TORUS_FACTOR, 90))
+    return PointwiseCocycle(factors=(RotationFactor(angle=angle), factor))
+
+
+def failing_table():
+    return LocallyConstantCocycle(table=np.array([D, np.zeros((2, 2))]), invertible=False)
+
+
+def assert_per_factor(spec, sys_, n, samples=30, depth=7):
+    """``forward_walk`` and ``exponent_scan`` over n give, bitwise, the
+    exponent walk that rescales after every factor."""
+    horizon = n + 2 + spec.symbol_depth
+    draw = sample_points(sys_, samples, horizon, seed=4)
+    want = per_factor_exponent_walk(spec, sys_, draw, n)
+    walk = engine.forward_walk(spec, sys_, engine.batch_of(sys_, draw), depth, n)
+    assert all(same_values(g, w) for g, w in zip(walk[1:], want))
+    if not want[2].all():
+        with pytest.raises(SingularValueError):
+            engine.exponent_scan(spec, sys_, engine.batch_of(sys_, draw), n)
+        return
+    got = engine.exponent_scan(spec, sys_, engine.batch_of(sys_, draw), n)
+    assert all(same_values(g, w) for g, w in zip(got, want[:2]))
+
+
+class TestRescalePeriod:
+    """The exponent product is rescaled once per period of K factors and
+    after the last; at each rescale it is bitwise the product rescaled
+    after every factor, so every result is that walk's."""
+
+    def test_period_from_bounds(self):
+        assert engine._period(2.7331782005897405, 0.3658744240617359) == 176
+        assert engine._period(1.0, 1.0) == engine._period(1.5, 0.75) == 256
+        assert engine._period(2.0**128, 1.0) == 2 and engine._period(2.0**200, 1.0) == 1
+        for s1, s2 in ((np.inf, 1.0), (1.0, 0.0), (np.nan, 1.0), (1.0, np.nan)):
+            assert engine._period(s1, s2) == 1
+
+    def test_periods_of_the_shipped_walks(self, cat):
+        base, members = shipped_torus_family()
+        stack = StackedCocycle((base, *members))
+        for spec, want in ((stack, 176), (base, 256), (torus_k2_spec(), 2)):
+            assert cocycle.proven_regular(spec)
+            assert engine._period(*cocycle.singular_bounds(spec)) == want
+        assert not cocycle.proven_regular(Unproven(stack))
+        sys_, ac8 = ac8_stack()
+        assert engine.word_tables(ac8, sys_, 400)._period == 50
+        assert engine.word_tables(failing_table(), sys_, 400)._period == 1
+
+    @pytest.mark.parametrize("n", [175, 176, 177, 351, 353, 400])
+    def test_torus_family(self, cat, n):
+        base, members = shipped_torus_family()
+        assert_per_factor(StackedCocycle((base, *members)), cat, n)
+        assert_per_factor(base, cat, n)
+
+    @pytest.mark.parametrize("n", [59, 60, 61])
+    def test_proven_torus_spec_with_a_period_of_2(self, cat, n):
+        assert_per_factor(torus_k2_spec(), cat, n)
+
+    @pytest.mark.parametrize("words", [49, 50, 51, 99, 101])
+    def test_ac8_stack(self, words):
+        sys_, stack = ac8_stack()
+        # whole words, and one word fewer plus a 3-step tail
+        for n in (8 * words, 8 * (words - 1) + 3):
+            assert_per_factor(stack, sys_, n, samples=100)
+
+    def test_diagonal_table(self, shift2):
+        # the product stays diagonal; its small entry sinks toward the
+        # subnormals, which the result does not read
+        spec = LocallyConstantCocycle(table=np.array([np.diag([1.9, 0.45]), np.diag([1.3, 0.7])]))
+        assert engine.word_tables(spec, shift2, 400)._period == 14
+        assert_per_factor(spec, shift2, 400)
+
+    @pytest.mark.parametrize("k", [-200, -30, 30, 200])
+    def test_scaled_gapped_table(self, shift2, k):
+        assert_per_factor(LocallyConstantCocycle(table=np.ldexp(GAPPED, k)), shift2, 400)
+
+    def test_a_failing_entry(self, shift2):
+        # stacked, so that a failing step within the depth does not raise
+        assert_per_factor(StackedCocycle((failing_table(),)), shift2, 40)
+
+
+def counted_rescales(monkeypatch):
+    calls = []
+    radix_scale = engine._radix_scale
+
+    def counted(*args):
+        calls.append(None)
+        return radix_scale(*args)
+
+    monkeypatch.setattr(engine, "_radix_scale", counted)
+    return calls
+
+
+class TestRescaleCount:
+    """A walk of ``count`` factors rescales ceil(count / K) times: once per
+    factor, K = 1, where nothing proves a bound."""
+
+    def test_torus(self, cat, monkeypatch):
+        base, members = shipped_torus_family()
+        stack = StackedCocycle((base, *members))
+        # a direction no bound reads: singular_bounds gives (inf, 0)
+        unbounded = PerturbedCocycle(
+            base, NanAt(members[0].direction, []), t=0.5, rule="multiplicative_exp"
+        )
+        assert cocycle.singular_bounds(unbounded) == (np.inf, 0.0)
+        draw = sample_points(cat, 20, 0, seed=3)
+        calls = counted_rescales(monkeypatch)
+        for spec, depth, n, want in (
+            (stack, 40, 400, 3),
+            (base, 40, 400, 2),
+            (torus_k2_spec(), 40, 61, 31),
+            (Unproven(stack), 40, 400, 400),
+            (unbounded, 5, 30, 30),
+        ):
+            calls.clear()
+            engine.forward_walk(spec, cat, engine.batch_of(cat, draw), depth, n)
+            assert len(calls) == want
+        calls.clear()
+        engine.exponent_scan(stack, cat, engine.batch_of(cat, draw), 177)
+        assert len(calls) == 2
+
+    def test_shift(self, monkeypatch):
+        sys_, stack = ac8_stack()
+        draw = sample_points(sys_, 100, 810 + stack.symbol_depth, seed=3)
+        cases = [(stack, 400, 1), (stack, 808, 3), (stack, 803, 3), (failing_table(), 400, 50)]
+        tables = [engine.word_tables(spec, sys_, n) for spec, n, _ in cases]
+        head = engine.scan_head(stack, sys_, len(draw), 40, backward=False)
+        calls = counted_rescales(monkeypatch)
+        for (spec, n, want), words in zip(cases, tables):
+            calls.clear()
+            engine._walk(spec, sys_, engine.batch_of(sys_, draw), 0, n, words=words)
+            assert len(calls) == want
+        calls.clear()
+        engine.forward_walk(stack, sys_, engine.batch_of(sys_, draw), 40, 400, head, tables[0])
+        assert len(calls) == 1
+
+
 class TestSingularSteps:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -1138,10 +1287,21 @@ class TestScanHeads:
                 head = engine.scan_head(s, shift2, 50, 4, backward)
                 assert head.k == 4
                 assert np.array_equal(np.isnan(head.state.logdet), bad)
-                with pytest.raises(SingularValueError):
-                    scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
-                with pytest.raises(SingularValueError):
-                    extract(s, shift2, draw, 4)
+                if s is spec:
+                    with pytest.raises(SingularValueError):
+                        scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
+                    with pytest.raises(SingularValueError):
+                        extract(s, shift2, draw, 4)
+                    continue
+                # a stack raises nothing: the bad member's state entries and
+                # directions are NaN, and the other row is its own scan's
+                st = scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
+                alone = scan(s.members[0], shift2, engine.batch_of(shift2, draw), 4)
+                for x, want in zip((st.a, st.b, st.c, st.d), (alone.a, alone.b, alone.c, alone.d)):
+                    assert np.isnan(x[1]).all() and same_values(x[0], want)
+                vx, vy, ok = extract(s, shift2, draw, 4)
+                assert np.isnan(vx[1]).all() and np.isnan(vy[1]).all()
+                assert ok.tolist() == [[True] * 50, [False] * 50]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])

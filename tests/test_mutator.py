@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cocyclelab import config
 from cocyclelab.cli import GOODSET_COLUMNS, main
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -155,6 +156,23 @@ def test_the_mutations_reach_every_exit_that_runs_can_take(tmp_path, capsys):
         (tmp_path / str(i)).mkdir()
         codes.add(check_run(*case(i), tmp_path / str(i), capsys))
     assert {0, 2} <= codes
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+def test_both_parsers_load_the_shipped_and_mutated_configs_alike(monkeypatch):
+    # load_config takes libyaml's parser where it can: every shipped config
+    # and every mutated one, as the runs above write it, reads as the
+    # pure-Python parser reads it, down to each value's type and sign
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    texts = [p.read_text() for p in paths] + [yaml.safe_dump(case(i)[1]) for i in range(CASES)]
+    for text in texts:
+        python, libyaml = (yaml.load(text, Loader=L) for L in (yaml.SafeLoader, yaml.CSafeLoader))
+        assert repr(python) == repr(libyaml)
+    hashes = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        hashes.append([config.config_hash(config.load_config(str(p))) for p in paths])
+    assert hashes[0] == hashes[1]
 
 
 def _shipped(name, **budgets):
