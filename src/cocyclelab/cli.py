@@ -36,7 +36,7 @@ from .config import (
     _seed,
 )
 from .continuity import continuity_experiment
-from .engine import batch_of, forward_scan
+from .engine import walk
 from .errors import (
     CocycleLabError,
     ConfigError,
@@ -283,11 +283,13 @@ def _selftest(cfg, sys_, spec, seed, threads):
     yield check("cocycle identity", worst < 1e-9, detail)
 
     # the exponents against the unit-norm walk, which shares no
-    # renormalization, grouping or accumulation with the exponent scan
+    # renormalization, grouping or accumulation with the exponent product
     points = sample_points(sys_, 50, 200 + spec.symbol_depth, seed)
     ft = finite_time_exponents(spec, sys_, points, 200, threads)
-    walk = forward_scan(spec, sys_, batch_of(sys_, points), 200)
-    plus, rate = walk.log_scale / 200, walk.logdet / 200
+    plus, rate = walk(
+        spec, sys_, points, lambda st, *_: (st.log_scale / 200, st.logdet / 200),
+        depth=200, threads=threads,
+    )
     dev = np.max(np.abs([ft.plus - plus, ft.minus - (rate - plus), ft.logdet_rate - rate]))
     yield check(
         "exponent routes", dev < 1e-9, f"max deviation from the unit-norm walk {dev:.2e}"

@@ -11,7 +11,7 @@ rows informative at realistic sample counts.
 The whole family is walked together, the values of all live members
 absorbed as stacked (M, S) arrays (see ``StackedCocycle``): every orbit is
 walked backward once, for the unstable directions, and forward once, for
-the stable directions and the exponents (``engine.forward_walk``).  The
+the stable directions and the exponents (one ``engine.walk`` each).  The
 up-front grid check evaluates every member that ``proven_regular`` cannot
 prove in one pass, and the sampled Holder distances every member in one
 pass.  Each row is then reduced from its own slice, bitwise as if its
@@ -257,24 +257,17 @@ def _forward(stack, sys, points, depth, n, threads):
     displacement of its stable directions at ``depth``, as
     ``stable_directions`` gives them, from row 0's, and its top exponents
     and log-det rates over [0, n), as ``finite_time_exponents`` forms
-    them, from one ``engine.forward_walk`` per block; ``clean`` is False
-    where a sample's exponent window holds a step that fails
-    ``mat2.regular``.  The stable directions themselves live one block at
-    a time."""
+    them, from one forward ``engine.walk``; ``clean`` is False where a
+    sample's exponent window holds a step that fails ``mat2.regular``.
+    The stable directions themselves live one block at a time."""
     if n < 1:
         raise ConfigError("window length n must be >= 1")
-    head = engine.scan_head(stack, sys, len(points), depth, backward=False)
-    words = engine.word_tables(stack, sys, n)
 
-    def job(start: int, stop: int):
-        batch = engine.batch_of(sys, points[start:stop])
-        st, log_scale, logdet, clean = engine.forward_walk(
-            stack, sys, batch, depth, n, head, words
-        )
+    def read(st, log_scale, logdet, clean):
         sx, sy, ok = oseledets._read(st, "stable")
         return _displacements(sx, sy), ok, log_scale / n, logdet / n, clean
 
-    return engine.block_map(job, len(points), threads, rows=stack.rows)
+    return engine.walk(stack, sys, points, read, depth, n, threads=threads)
 
 
 # ---------------------------------------------------------------------------

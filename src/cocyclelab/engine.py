@@ -3,15 +3,14 @@
 Matrices are carried as four entry arrays of shape (S,), one slot per
 sample, so every step is a handful of fused elementwise operations.  A
 stacked spec (``cocycle.StackedCocycle``) returns (M, S) arrays, one row
-per member, and every scan's state takes the shape of the values it
-absorbs, so one walk of the orbits serves all M members.  Every scan
-renormalizes as it goes and keeps the scale and the |det| apart from the
-matrix, so no product ever overflows, in one of two ways:
+per member, and a walk's state takes the shape of the values it absorbs,
+so one walk of the orbits serves all M members.  Every walk renormalizes
+as it goes and keeps the scale and the |det| apart from the matrix, so no
+product ever overflows, in one of two ways:
 
-- the direction scans (``forward_scan``, ``backward_scan``,
-  ``forward_record``) divide by the operator norm at each step, because
-  their callers read the unit-norm product as a direction;
-- ``exponent_scan``, which only needs the final scales, divides by the
+- the direction product divides by the operator norm at each step,
+  because its callers read the unit-norm product as a direction;
+- the exponent product, which only needs the final scales, divides by the
   power of two above the largest entry, which is exact, keeps the integer
   exponents, and takes one norm and one log at the end.  Over a shift it
   absorbs one precomputed k-step word product per k symbols instead of
@@ -25,36 +24,40 @@ matrix, so no product ever overflows, in one of two ways:
   factor's unless a nonzero term of that walk lies below
   2**(RESCALE_SPAN - 1022).
 
-Every scan is one walk of the orbits (``_walk``): the unit-norm product
+Every draw is walked by ``walk``: it builds the draw's shared tables once,
+blocks the draw (``block_map``), walks each block's orbits once (``_walk``)
+and joins what its caller reads off the products: the unit-norm product
 of the first ``depth`` steps, backward or forward, and the radix-scaled
-product of the first n forward steps, each public scan asking for one of
-them or, ``forward_walk``, for both.  A walk checks a shift batch's symbol
-window once, for max(depth, n) steps, moves the batch once, and catches
-singular steps once, after the last one.  Every step enters the exponent
-product as its values, det and ``mat2.regular`` flag (``_step_factor``),
-and the direction product with log |det| in place of the last two, NaN
-wherever the flag is False (``_step``), from ``_orbit_values``.  Over a
-torus each step is formed once for both products, and the walk asks
-``cocycle.proven_regular`` once: the values of a spec proven regular over
-the whole torus pass the rule at every step, so they take the flag True
-and an unmasked log, and no step calls ``mat2.regular``.  Over a shift the
-direction steps are gathered from the step table and the exponent steps
-from the word tables, each sample's words numbered from one set of
-starting indices (``_word_numbers``), a chunk of steps at a time, as every
-table is indexed.
+product of the first n forward steps.  A walk checks a shift batch's
+symbol window once, for max(depth, n) steps, moves the batch once, and
+catches singular steps once, after the last one.  Every step enters the
+exponent product as its values, det and ``mat2.regular`` flag
+(``_step_factor``), and the direction product with log |det| in place of
+the last two, NaN wherever the flag is False (``_step``), from
+``_orbit_values``.  Over a torus each step is formed once for both
+products, and the walk asks ``cocycle.proven_regular`` once: the values of
+a spec proven regular over the whole torus pass the rule at every step, so
+they take the flag True and an unmasked log, and no step calls
+``mat2.regular``.  Over a shift the direction steps are gathered from the
+step table and the exponent steps from the word tables, each sample's
+words numbered from one set of starting indices (``_word_numbers``), a
+chunk of steps at a time, as every table is indexed.  ``forward_record``,
+the one other reader of a walk, keeps the direction product's scales
+after every step.
 
-On a shift the first k steps of a direction scan read only a word of
-k + depth - 1 symbols.  ``scan_head`` walks each of the a^(k + depth - 1)
-words of an a-symbol alphabet once, with k maximizing the sample-steps
-saved, k (S - a^(k + depth - 1)) over S samples; ``forward_scan`` and
-``backward_scan`` gather each sample's state by its word's number, as the
-word tables are indexed, and walk the other n - k steps.  Heads and word
-tables come from one builder (``_word_states``) that folds the scan's own
-step over every word, so each result is bitwise the unshared walk's.  A
-table entry that fails ``mat2.regular`` marks only the words through it.
+On a shift the first k steps of a direction walk read only a word of
+k + depth - 1 symbols.  ``_shared_head`` walks each of the
+a^(k + depth - 1) words of an a-symbol alphabet once, with k maximizing
+the sample-steps saved, k (S - a^(k + depth - 1)) over the draw's S
+samples; ``_walk`` gathers each sample's state by its word's number, as
+the word tables are indexed, and walks the other depth - k steps.  Heads
+and word tables come from one builder (``_word_states``) that folds the
+walk's own step over every word, so each result is bitwise the unshared
+walk's.  A table entry that fails ``mat2.regular`` marks only the words
+through it.
 
 A shift spec is its symbol table (``cocycle.symbol_table``): one matrix per
-word of the forward symbols it reads, from which a scan forms a
+word of the forward symbols it reads, from which a walk forms a
 (5, ..., words) step table once and gathers every step with one
 ``np.take``.  A torus spec is its ``values_at_coords`` hook, called once per
 step.  An integer ``symbol_depth`` gives how many forward symbols a shift
@@ -316,12 +319,12 @@ def _word_states(steps, alphabet, depth, length, state, absorb, backward=False):
 
 
 # ---------------------------------------------------------------------------
-# renormalized scans
+# renormalized products
 
 
 @dataclass(eq=False)
 class ScanState:
-    """A direction scan's renormalized product: matrix = exp(log_scale) *
+    """A direction walk's renormalized product: matrix = exp(log_scale) *
     [[a, b], [c, d]] with [[a, b], [c, d]] of unit operator norm after every
     step; logdet accumulates log |det| of the product.
     """
@@ -339,7 +342,7 @@ def _identity_state(size: int) -> ScanState:
     return ScanState(one, zero, zero.copy(), one.copy(), zero.copy(), zero.copy())
 
 
-# direction scans: unit-norm renormalization at every step
+# the direction product: unit-norm renormalization at every step
 
 
 def _direction_step(st: ScanState, step, backward: bool) -> ScanState:
@@ -355,20 +358,6 @@ def _direction_step(st: ScanState, step, backward: bool) -> ScanState:
     return ScanState(a / nrm, b / nrm, c / nrm, d / nrm, *logs)
 
 
-def forward_scan(
-    spec, sys: BaseSystem, batch: Batch, n: int, head: ScanHead | None = None
-) -> ScanState:
-    """Renormalized product over the forward window [0, n), from ``head``
-    when one is passed (see ``scan_head``).
-
-    The batch is left positioned at f^{n-1} of its starting points (or
-    untouched when n = 0).
-    """
-    if n < 0:
-        raise ConfigError("forward_scan needs n >= 0")
-    return _walk(spec, sys, batch, n, 0, head=head)[0]
-
-
 def forward_record(
     spec, sys: BaseSystem, batch: Batch, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,46 +371,18 @@ def forward_record(
     return np.stack(ls_path), np.stack(ldet_path)
 
 
-def backward_scan(
-    spec, sys: BaseSystem, batch: Batch, n: int, head: ScanHead | None = None
-) -> ScanState:
-    """Renormalized product over the backward window:
-    A(f^{-1}x) A(f^{-2}x) ... A(f^{-n}x), which equals A^n(f^{-n}x); from
-    ``head`` when one is passed (see ``scan_head``).
-
-    The batch is left positioned at f^{-n} of its starting points.
-    """
-    if n < 0:
-        raise ConfigError("backward_scan needs n >= 0")
-    return _walk(spec, sys, batch, n, 0, backward=True, head=head)[0]
-
-
 # shared heads: the first k steps once per word of symbols
 
 
-@dataclass(frozen=True, eq=False)
-class ScanHead:
-    """The first k steps of n-step direction scans over a shift: ``state``
-    has one column per word of the symbols at the relative offsets
-    ``reads``, numbered as ``_word_numbers`` numbers them."""
-
-    n: int
-    k: int
-    backward: bool
-    reads: np.ndarray
-    state: ScanState
-
-
-def scan_head(
-    spec, sys: BaseSystem, count: int, n: int, backward: bool
-) -> ScanHead | None:
-    """The first k steps of the n-step direction scans (``backward_scan``
-    when ``backward``, else ``forward_scan``) of ``spec`` over a draw of
-    ``count`` samples, walked once per word of the k + depth - 1 symbols
-    they read, with k maximizing the sample-steps saved, k (count - words).
-    None off a shift, or when no k saves a step.  Every word is walked, so
-    a table entry that fails ``mat2.regular`` leaves a NaN logdet in the
-    words through it, which raises only in a scan that reads one.
+def _shared_head(spec, sys: BaseSystem, count: int, n: int, backward: bool):
+    """(k, width, state): the first k steps of the n-step direction walks
+    of ``spec`` over a draw of ``count`` samples, walked once per word of
+    the ``width`` = k + depth - 1 symbols they read, ``state`` one column
+    per word numbered as ``_word_numbers`` numbers them, with k maximizing
+    the sample-steps saved, k (count - words).  None off a shift, or when
+    no k saves a step.  Every word is walked, so a table entry that fails
+    ``mat2.regular`` leaves a NaN logdet in the words through it, which
+    raises only in a walk that reads one.
     """
     if not isinstance(sys, ShiftSystem):
         return None
@@ -432,17 +393,15 @@ def scan_head(
     k = max(lengths, key=lambda j: j * (count - alphabet ** (j + span)), default=None)
     if k is None:
         return None
-    # the first k steps read the symbols at 0 .. k + span - 1, or -k .. span - 1 backward
-    reads = np.arange(k + span) - (k if backward else 0)
     absorb = partial(_direction_step, backward=backward)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         state = _word_states(
             steps, alphabet, depth, k, _identity_state(1), absorb, backward
         )
-    return ScanHead(n=n, k=k, backward=backward, reads=reads, state=state)
+    return k, k + span, state
 
 
-# exponent scan: exact power-of-two renormalization
+# the exponent product: exact power-of-two renormalization
 
 
 def _radix_scale(a, b, c, d, exps):
@@ -465,8 +424,8 @@ def _log_norm(a, b, c, d, exps):
     return exps * _LN2 + np.log(mat2.opnorm_batch(a, b, c, d))
 
 
-# A factor is what exponent_scan absorbs, one step or one word of steps:
-# (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the
+# A factor is what the exponent product absorbs, one step or one word of
+# steps: (a, b, c, d, e) the forward product 2**e [[a, b], [c, d]], the
 # determinant product as (mantissa, exponent), and whether every step
 # passed ``mat2.regular`` (a bool, or 1.0 in a word table).
 def _identity_factor(size: int):
@@ -486,14 +445,17 @@ def _step_factor(va, vb, vc, vd, proven=False):
 
 def _absorb(acc, factor, rescale=True):
     """The running product acc followed by one more factor, taken on the
-    left, the factor's exponents added.  When ``rescale``, the product is
-    then divided by the power of two above its largest entry and the
-    determinant split into a frexp mantissa and exponent; between
-    rescales both are only multiplied (see ``_period``)."""
+    left, the factor's exponents added (a step's, the int 0, are not: the
+    adds would only copy).  When ``rescale``, the product is then divided
+    by the power of two above its largest entry and the determinant split
+    into a frexp mantissa and exponent; between rescales both are only
+    multiplied (see ``_period``)."""
     a, b, c, d, e, det, de, regular = acc
     fa, fb, fc, fd, fe, fdet, fde, fregular = factor
     a, b, c, d = mat2.matmul_batch(fa, fb, fc, fd, a, b, c, d)
-    e, det, de = e + fe, det * fdet, de + fde
+    det = det * fdet
+    if not isinstance(fe, int):
+        e, de = e + fe, de + fde
     if rescale:
         e = _radix_scale(a, b, c, d, e)
         det, k = np.frexp(det)
@@ -567,12 +529,11 @@ def _word_factors(steps, alphabet: int, depth: int, length: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WordTables:
-    """The word factors an n-step exponent scan of a shift spec absorbs:
+    """The word factors an n-step exponent walk of a shift spec absorbs:
     ``factors[L]`` for every word length L it uses (k, and n mod k when
     that is not 0), and the rescale period of a walk over them, read once
     from them (see ``_word_period``)."""
 
-    n: int
     alphabet: int
     depth: int
     k: int
@@ -583,11 +544,11 @@ class WordTables:
         object.__setattr__(self, "_period", _word_period(self.factors.values()))
 
 
-def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
-    """Word tables for n-step exponent scans of ``spec``, to build once and
-    pass to every block's scan; None off a shift or for n < 1.  Every word
-    is formed, so a table entry that fails ``mat2.regular`` leaves a zero
-    flag in the words through it, which raises only in a scan reading one."""
+def _word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
+    """Word tables for n-step exponent walks of ``spec``, built once per
+    draw; None off a shift or for n < 1.  Every word is formed, so a table
+    entry that fails ``mat2.regular`` leaves a zero flag in the words
+    through it, which marks only a walk reading one."""
     if not isinstance(sys, ShiftSystem) or n < 1:
         return None
     steps, alphabet, depth = _step_table(spec, sys)
@@ -597,7 +558,7 @@ def word_tables(spec, sys: BaseSystem, n: int) -> WordTables | None:
             length: _word_factors(steps, alphabet, depth, length)
             for length in {min(k, n), n % k} - {0}
         }
-    return WordTables(n=n, alphabet=alphabet, depth=depth, k=k, factors=factors)
+    return WordTables(alphabet=alphabet, depth=depth, k=k, factors=factors)
 
 
 def _word_walk(words: WordTables, windows, starts, n: int):
@@ -612,53 +573,38 @@ def _word_walk(words: WordTables, windows, starts, n: int):
             yield np.take(words.factors[length], idx, axis=-1)
 
 
-def exponent_scan(
-    spec, sys: BaseSystem, batch: Batch, n: int, words: WordTables | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log_scale, logdet) for exponents: the log operator norm and log
-    |det| of the forward product over [0, n).
-
-    The product, and the running product of step determinants, are
-    rescaled by an exact power of two as they go, with the exponent kept
-    apart, so no product overflows and the only rounding is in the
-    products themselves; one operator norm and one log at the end give the
-    log scale.  For a 2x2 product sigma1 * sigma2 = |det|, so the bottom
-    exponent is the log-det rate minus the top one.
-
-    The rescale comes once per period of K factors and after the last, K
-    the largest with K max(log2 s1, -log2 s2, 1) <= RESCALE_SPAN for bounds
-    s1, s2 on the singular values of every factor (see ``_period``): from
-    ``cocycle.singular_bounds`` of a torus spec that
-    ``cocycle.proven_regular`` proves (a stack's widest over its members),
-    or from the word tables' normalized words, read once per table; K is 1
-    where nothing is proven or a bound is not finite.  Between rescales
-    the product moves by at most 2**RESCALE_SPAN, so at each rescale the
-    product, det mantissa and exponents are bitwise those of a rescale
-    after every factor, and so are the results, with one exception: a
-    nonzero term of that per-factor walk below 2**(RESCALE_SPAN - 1022),
-    which the deferred walk rounds as a normal number.
-
-    A shift spec is walked a word at a time: each iteration gathers one
-    precomputed k-step factor per sample from ``words`` (see
-    ``word_tables``, built here when not passed, and refused with
-    ConfigError when built for another n), so an n-step walk takes about
-    n / k iterations.  A torus spec is walked a step at a time.  The window
-    is checked once, before the walk, and singular steps once, after it.
-
-    The batch is left positioned at f^{n-1} of its starting points (or
-    untouched when n = 0).  As in ``forward_record``, the arrays take the
-    shape of the values absorbed.
-    """
-    if n < 0:
-        raise ConfigError("exponent_scan needs n >= 0")
-    _, log_scale, logdet, regular = _walk(spec, sys, batch, 0, n, words=words)
-    if not np.all(regular):
-        raise SingularValueError("cocycle value is singular along the orbit")
-    return log_scale, logdet
-
-
 # ---------------------------------------------------------------------------
 # the one walk
+
+
+def walk(
+    spec, sys: BaseSystem, points, read, depth: int = 0, n: int = 0,
+    backward: bool = False, threads: int = 1,
+) -> tuple[np.ndarray, ...]:
+    """``read(state, log_scale, logdet, regular)`` of every block of the
+    draw ``points``, joined along the sample axis as ``block_map`` joins
+    them: the unit-norm product of each sample's first ``depth`` steps,
+    A(f^{depth-1}x) ... A(x), or backward A(f^{-1}x) ... A(f^{-depth}x) =
+    A^depth(f^{-depth}x), and the exponent product of its first n forward
+    steps, from one ``_walk`` per block.
+
+    The draw's shared tables, a shift's head and word tables, are built
+    once here for every block, and a stack's blocks are narrowed to its
+    rows.  Refuses with ConfigError a negative window, two empty ones, and
+    an exponent window on a backward walk.
+    """
+    if depth < 0 or n < 0 or not (depth or n):
+        raise ConfigError("a walk needs depth >= 0 and n >= 0, not both 0")
+    if backward and n:
+        raise ConfigError("a backward walk takes no exponent window")
+    head = _shared_head(spec, sys, len(points), depth, backward)
+    words = _word_tables(spec, sys, n)
+
+    def job(start: int, stop: int):
+        batch = batch_of(sys, points[start:stop])
+        return read(*_walk(spec, sys, batch, depth, n, backward, head, words))
+
+    return block_map(job, len(points), threads, rows=getattr(spec, "rows", 1))
 
 
 def _walk(
@@ -666,10 +612,10 @@ def _walk(
 ):
     """(state, log_scale, logdet, regular): the unit-norm direction product
     of the first ``depth`` steps (``backward`` ones when asked, from
-    ``head`` when one is passed; a list ``paths`` gets (log_scale, logdet)
-    after each), then the radix-scaled exponent product of the first n
-    forward steps, ``regular`` False where one of those fails
-    ``mat2.regular``.  One among the first ``depth`` raises
+    ``head`` when one is passed, see ``_shared_head``; a list ``paths``
+    gets (log_scale, logdet) after each), then the radix-scaled exponent
+    product of the first n forward steps, ``regular`` False where one of
+    those fails ``mat2.regular``.  One among the first ``depth`` raises
     SingularValueError, after the walk, for a single spec; in a stack it
     leaves its member-samples' state entries NaN, for the caller to
     censor, and the other rows as they are.
@@ -677,30 +623,32 @@ def _walk(
     A shift batch is checked against its symbol window once, for
     max(depth, n) steps, and moved once (to f^{-depth} backward, else
     f^{max(depth, n) - 1}); its direction steps are gathered from the step
-    table after the head's k, its exponent steps from ``words`` (built
-    here when not passed, refused with ConfigError when built for another
-    n), or a step at a time where ``word_tables`` gives None.  A torus
+    table after the head's k, its exponent steps from ``words`` (see
+    ``_word_tables``), one k-step word factor per k steps.  A torus
     step's values, det and flag are formed once for both products, each
-    with its own arithmetic, so both are bitwise a one-product walk's.  The
-    exponent product is rescaled once per period (see ``exponent_scan``),
-    1 for a shift walked a step at a time.
+    with its own arithmetic, so both are bitwise a one-product walk's.
+
+    The exponent product and the running product of step determinants are
+    rescaled by an exact power of two, the exponents kept apart, once per
+    period of K factors and after the last (see ``_period``): K is read
+    from ``cocycle.singular_bounds`` of a torus spec that
+    ``cocycle.proven_regular`` proves (a stack's widest over its members)
+    or from the word tables' normalized words, and is 1 where nothing is
+    proven.  The results are bitwise those of a rescale after every factor
+    but for one exception: a nonzero term of that per-factor walk below
+    2**(RESCALE_SPAN - 1022), which the deferred walk rounds as a normal
+    number.
     """
-    if head is not None and (head.n, head.backward) != (depth, backward):
-        raise ConfigError("scan head was built for another scan")
-    if words is None:
-        words = word_tables(spec, sys, n)
-    elif words.n != n:
-        raise ConfigError("word tables were built for another scan")
     st, acc = _identity_state(batch.size), _identity_factor(batch.size)
     span, done, starts = max(depth, n), 0, None
     if isinstance(batch, ShiftBatch) and span:
         starts = _symbol_starts(batch, span, spec.symbol_depth, backward)
         if head is not None:
-            (idx,) = _word_numbers(
-                batch.windows, starts, head.reads[:1], head.reads.size, sys.alphabet_size
-            )
-            st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(head.state).values()))
-            done = head.k
+            done, width, heads = head
+            # the head's k steps read the symbols from 0, or from -k backward
+            at = np.array([-done if backward else 0])
+            (idx,) = _word_numbers(batch.windows, starts, at, width, sys.alphabet_size)
+            st = ScanState(*(np.take(x, idx, axis=-1) for x in vars(heads).values()))
 
     def direction(st, values):
         st = _direction_step(st, values, backward)
@@ -725,14 +673,10 @@ def _walk(
         else:
             for values in _orbit_values(spec, sys, batch, depth, backward, done, starts):
                 st = direction(st, values)
-            if words is None:
-                factors = _orbit_values(spec, sys, batch, n, False, 0, starts, _step_factor)
-                count, period = n, 1
-            else:
-                factors = _word_walk(words, batch.windows, starts, n)
+            if n:
                 count, period = -(-n // words.k), words._period
-            for j, factor in enumerate(factors, 1):
-                acc = _absorb(acc, factor, j % period == 0 or j == count)
+                for j, factor in enumerate(_word_walk(words, batch.windows, starts, n), 1):
+                    acc = _absorb(acc, factor, j % period == 0 or j == count)
         a, b, c, d, exps, det, det_exps, regular = acc
         log_scale = _log_norm(a, b, c, d, exps)
         logdet = det_exps * _LN2 + np.log(np.abs(det))
@@ -744,23 +688,6 @@ def _walk(
         st = ScanState(*entries, st.log_scale, st.logdet)
     regular = np.broadcast_to(np.asarray(regular, dtype=bool), log_scale.shape)
     return st, log_scale, logdet, regular
-
-
-def forward_walk(
-    spec, sys: BaseSystem, batch: Batch, depth: int, n: int,
-    head: ScanHead | None = None, words: WordTables | None = None,
-) -> tuple[ScanState, np.ndarray, np.ndarray, np.ndarray]:
-    """(state, log_scale, logdet, regular): ``forward_scan(spec, sys,
-    batch, depth, head)``'s state and ``exponent_scan(spec, sys, batch, n,
-    words)``'s results, bitwise, with ``regular`` False where the exponent
-    scan would raise; a singular step among the first ``depth`` raises
-    for a single spec and leaves NaN state entries in a stack.  One walk
-    of max(depth, n) steps serves both (see ``_walk``), and the batch is
-    left at f^{max(depth, n) - 1} of its starting points.
-    """
-    if depth < 1 or n < 1:
-        raise ConfigError("forward_walk needs depth >= 1 and n >= 1")
-    return _walk(spec, sys, batch, depth, n, head=head, words=words)
 
 
 # ---------------------------------------------------------------------------

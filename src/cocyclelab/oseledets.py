@@ -6,12 +6,14 @@ is the bottom right-singular direction of the forward product A^depth(x),
 which in dimension two is exactly the rotation by 90 degrees of the top one.
 
 Both sides run through one body, ``_directions``, for every spec, a
-constant one included: the side picks only the scan and the singular
-vector read off its product.  The depth check, the scan head, the blocks
-and the conformality guard are common to both: when the window product has
-essentially equal singular values the direction is meaningless and the
-sample's mask entry reports it.  ``extractor(side)`` is the one place that
-maps a side's name to its extractor and rejects other names.
+constant one included: one ``engine.walk`` of the draw, backward for the
+unstable side and forward for the stable one, the side picking only the
+walk's direction and the singular vector read off its product.  The depth
+check and the conformality guard are common to both: when the window
+product has essentially equal singular values the direction is
+meaningless and the sample's mask entry reports it.  ``extractor(side)``
+is the one place that maps a side's name to its extractor and rejects
+other names.
 """
 
 from __future__ import annotations
@@ -58,17 +60,13 @@ def _directions(side, a_spec, sys, points, depth, threads):
     over the backward window, the stable side over the forward one."""
     if depth < 1:
         raise ConfigError("depth must be >= 1")
+
+    def read(st, *exponents):
+        return _read(st, side)
+
     backward = side == "unstable"
-    scan = engine.backward_scan if backward else engine.forward_scan
-    # the shared first steps of every scan, walked once for the whole draw
-    head = engine.scan_head(a_spec, sys, len(points), depth, backward)
-
-    def job(start: int, stop: int):
-        batch = engine.batch_of(sys, points[start:stop])
-        return _read(scan(a_spec, sys, batch, depth, head), side)
-
-    vx, vy, ok = engine.block_map(
-        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
+    vx, vy, ok = engine.walk(
+        a_spec, sys, points, read, depth, backward=backward, threads=threads
     )
     return vx, vy, ok.astype(bool)
 

@@ -1,9 +1,9 @@
 """Lyapunov exponents from renormalized orbit products.
 
-The top exponent comes from the forward product's log scale, scanned by
-``engine.exponent_scan`` for every spec, a constant one included.  The
-singular values of a 2x2 product satisfy sigma1 * sigma2 = |det|, so the
-bottom exponent is the determinant rate minus the top one.
+The top exponent comes from the forward product's log scale, the
+exponent product of one ``engine.walk`` for every spec, a constant one
+included.  The singular values of a 2x2 product satisfy sigma1 * sigma2 =
+|det|, so the bottom exponent is the determinant rate minus the top one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .base import BasePoint, BaseSystem, sample_points
 from .cocycle import CocycleSpec
-from .errors import ConfigError
+from .errors import ConfigError, SingularValueError
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +87,13 @@ def finite_time_exponents(
     a StackedCocycle gives (M, S) arrays, row m for its m-th member."""
     if n < 1:
         raise ConfigError("window length n must be >= 1")
-    words = engine.word_tables(a_spec, sys, n)
 
-    def job(start: int, stop: int):
-        batch = engine.batch_of(sys, points[start:stop])
-        log_scale, logdet = engine.exponent_scan(a_spec, sys, batch, n, words)
+    def read(st, log_scale, logdet, regular):
+        if not np.all(regular):
+            raise SingularValueError("cocycle value is singular along the orbit")
         return log_scale / n, logdet / n
 
-    plus, rate = engine.block_map(
-        job, len(points), threads, rows=getattr(a_spec, "rows", 1)
-    )
+    plus, rate = engine.walk(a_spec, sys, points, read, n=n, threads=threads)
     return _finite_time(a_spec, plus, rate, n)
 
 

@@ -4,8 +4,9 @@ points, a shift spec's value read symbol by symbol, a torus spec's value
 with every term formed, a torus exponent walk one step at a time, an
 exponent walk that rescales after every factor, a constant's power in
 closed form and the attraction of directions onto the splitting, each
-written out directly; and test doubles of a torus hook: one with chosen
-entries at chosen points, and one that no regularity bound reads."""
+written out directly; test doubles of a torus hook: one with chosen
+entries at chosen points, and one that no regularity bound reads; and the
+products of one ``engine.walk``, joined whole."""
 
 from __future__ import annotations
 
@@ -150,11 +151,11 @@ def oracle_entries(spec, points, at: int = 0):
 
 
 def oracle_direction_walk(spec, points, n: int, backward: bool):
-    """The state fields of an n-step direction scan at each shift point
-    (``engine.forward_scan``, or ``engine.backward_scan`` when
-    ``backward``), and for a forward walk the (log_scale, logdet) path, from
+    """The state fields of an n-step direction walk at each shift point
+    (``engine.walk`` at depth n, backward when ``backward``), and for a
+    forward walk the (log_scale, logdet) path, from
     a walk over ``word_matrix``'s matrices one step at a time with the
-    scans' mat2 arithmetic: multiply, divide by the operator norm, and add
+    engine's mat2 arithmetic: multiply, divide by the operator norm, and add
     the logs of the norm and of |det|."""
     size = len(points)
     a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
@@ -174,6 +175,19 @@ def oracle_direction_walk(spec, points, n: int, backward: bool):
         ldet_path.append(logdet)
     state = dict(a=a, b=b, c=c, d=d, log_scale=log_scale, logdet=logdet)
     return state, (np.array(ls_path), np.array(ldet_path))
+
+
+def walked(spec, sys_, points, depth=0, n=0, backward=False, threads=1):
+    """``engine.walk``'s products over ``points``, joined over its blocks:
+    (state, log_scale, logdet, regular), the state a ``ScanState``."""
+
+    def read(st, *exponents):
+        return (*vars(st).values(), *exponents)
+
+    *fields, log_scale, logdet, regular = engine.walk(
+        spec, sys_, points, read, depth, n, backward, threads
+    )
+    return engine.ScanState(*fields), log_scale, logdet, regular
 
 
 def same_values(got, ref) -> bool:
@@ -282,8 +296,8 @@ def values_all_terms(spec, coords):
 
 
 def torus_exponent_walk(spec, sys, points, n: int):
-    """(log_scale, logdet) of ``engine.exponent_scan`` over a torus, from a
-    walk of n >= 1 steps that reads each step's values by
+    """(log_scale, logdet) of ``engine.walk``'s exponent product over a
+    torus, from a walk of n >= 1 steps that reads each step's values by
     ``values_all_terms`` and absorbs them one at a time: the step's
     regularity read back from a log |det| that is NaN where it fails
     ``mat2.regular``, the product taken on the left and divided by the
@@ -318,20 +332,24 @@ def torus_exponent_walk(spec, sys, points, n: int):
     return log_scale, det_exps * ln2 + np.log(np.abs(det))
 
 
-def per_factor_exponent_walk(spec, sys, points, n: int):
+def per_factor_exponent_walk(spec, sys, points, n: int, steps: bool = False):
     """(log_scale, logdet, regular) of an n-step exponent walk that
     rescales after every factor it absorbs: the engine's own factors (its
     word tables' words over a shift, each step's values with det and
     ``mat2.regular`` flag over a torus), each taken on the left of the
     product, which is then divided by the power of two above its largest
     entry, the determinant product split by frexp, and the exponents
-    summed.  ``regular`` is False where a step fails the rule."""
+    summed.  ``regular`` is False where a step fails the rule.  With
+    ``steps``, a shift walk takes each step's values from
+    ``oracle_entries`` instead, one step at a time, as a torus walk does."""
     size = len(points)
     a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
     exps, det, det_exps, regular = np.zeros(size, dtype=np.int64), np.ones(size), 0, True
     batch = engine.batch_of(sys, points)
-    if isinstance(sys, ShiftSystem):
-        words = engine.word_tables(spec, sys, n)
+    if isinstance(sys, ShiftSystem) and steps:
+        factors = (engine._step_factor(*oracle_entries(spec, points, j)) for j in range(n))
+    elif isinstance(sys, ShiftSystem):
+        words = engine._word_tables(spec, sys, n)
         starts = engine._symbol_starts(batch, n, spec.symbol_depth, False)
         factors = engine._word_walk(words, batch.windows, starts, n)
     else:

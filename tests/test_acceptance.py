@@ -114,19 +114,21 @@ def test_ac2_cocycle_identity(shift2, cat):
 
 
 def test_ac3_determinant_conservation(shift2, cat):
-    # lambda+, lambda- and the log-det rate of the exponent scan against the
-    # unit-norm walk on the same points, which sums its logs step by step
+    # lambda+, lambda- and the log-det rate of the exponent product against
+    # the unit-norm walk on the same points, which sums its logs step by step
     clock = _Clock(5.0)
     devs = []
     n = 400
     for spec, sys_ in ((gapped_shift_spec(), shift2), (pointwise_torus_spec(), cat)):
         points = sample_points(sys_, 100, 401 + spec.symbol_depth, seed=3)
         ft = finite_time_exponents(spec, sys_, points, n=n)
-        walk = engine.forward_scan(spec, sys_, engine.batch_of(sys_, points), n)
+        log_scale, logdet = engine.walk(
+            spec, sys_, points, lambda st, *_: (st.log_scale, st.logdet), depth=n
+        )
         for got, want in (
-            (ft.plus, walk.log_scale / n),
-            (ft.minus, (walk.logdet - walk.log_scale) / n),
-            (ft.logdet_rate, walk.logdet / n),
+            (ft.plus, log_scale / n),
+            (ft.minus, (logdet - log_scale) / n),
+            (ft.logdet_rate, logdet / n),
         ):
             devs.append(np.max(np.abs(got - want)))
     # np.max keeps a NaN, which fails the bound

@@ -50,6 +50,7 @@ from oracles import (
     same_values,
     trig_all_terms,
     values_all_terms,
+    walked,
     word_matrix,
 )
 
@@ -322,8 +323,8 @@ class TestProducts:
             assert rel_err(lhs, rhs) < 1e-9
 
     def test_renormalized_matches_plain(self, shift2):
-        # the renormalized scans against the plain product: forward_scan's
-        # unit-norm product and log scale, the exponent scan's log norm, and
+        # the renormalized walk against the plain product: its direction's
+        # unit-norm product and log scale, its exponent product's log norm, and
         # log sigma1 - log |det| = log |A^-n| against the product of step
         # inverses
         spec = two_table(DIAG2, rotation(0.7) @ DIAG2)
@@ -332,10 +333,7 @@ class TestProducts:
         # entrywise agreement between differently grouped float products
         # degrades like cond * eps; the log scale stays tight throughout.
         for n, tol in ((1, 1e-12), (7, 1e-11), (12, 1e-9), (25, 1e-4)):
-            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
-            ls, logdet = engine.exponent_scan(
-                spec, shift2, engine.batch_of(shift2, pts), n
-            )
+            fwd, ls, logdet, _ = walked(spec, shift2, pts, n, n)
             for i, x in enumerate(pts):
                 plain = product(spec, shift2, x, n)
                 inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
@@ -353,10 +351,7 @@ class TestProducts:
         spec = two_table(flip, DIAG2)
         pts = sample_points(shift2, 4, 40, seed=8)
         for n in (9, 16):
-            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
-            ls, logdet = engine.exponent_scan(
-                spec, shift2, engine.batch_of(shift2, pts), n
-            )
+            fwd, ls, logdet, _ = walked(spec, shift2, pts, n, n)
             for i, x in enumerate(pts):
                 plain = product(spec, shift2, x, n)
                 inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
@@ -407,10 +402,7 @@ class TestProducts:
         pts = sample_points(shift2, 1, 30, seed=9)
 
         def scans(spec):
-            fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
-            ls, logdet = engine.exponent_scan(
-                spec, shift2, engine.batch_of(shift2, pts), 20
-            )
+            fwd, ls, logdet, _ = walked(spec, shift2, pts, 20, 20)
             unit = np.array([fwd.a, fwd.b, fwd.c, fwd.d])
             return unit, fwd.log_scale, ls, ls - logdet
 

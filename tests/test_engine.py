@@ -8,7 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from cocyclelab import cocycle, engine, mat2
+from cocyclelab import cocycle, continuity, engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
     LebesgueMeasure,
@@ -46,6 +46,7 @@ from oracles import (
     rotation,
     same_values,
     torus_exponent_walk,
+    walked,
     word_matrix,
 )
 
@@ -54,6 +55,32 @@ D = np.diag([2.0, 0.5])
 
 def lc_spec():
     return LocallyConstantCocycle(table=np.array([D, rotation(0.6) @ D]))
+
+
+# The one-product walks of one batch, moved as the walk moves it, under the
+# names the parametrized tests keep as their ids.
+BATCH_WALKS = {
+    "forward_scan": lambda spec, sys_, batch, n: engine._walk(spec, sys_, batch, n, 0),
+    "backward_scan": lambda spec, sys_, batch, n: engine._walk(
+        spec, sys_, batch, n, 0, backward=True
+    ),
+    "exponent_scan": lambda spec, sys_, batch, n: engine._walk(
+        spec, sys_, batch, 0, n, words=engine._word_tables(spec, sys_, n)
+    ),
+    "forward_record": engine.forward_record,
+}
+
+
+def run_walk(name, spec, sys_, points, n):
+    """The n-step walk a parametrized test names, over ``points`` as the
+    studies read it: a direction walk, forward or backward, the exponents
+    of ``finite_time_exponents``, which raise SingularValueError where a
+    step fails ``mat2.regular``, or ``forward_record`` of one batch."""
+    if name == "forward_record":
+        return engine.forward_record(spec, sys_, engine.batch_of(sys_, points), n)
+    if name == "exponent_scan":
+        return finite_time_exponents(spec, sys_, points, n)
+    return walked(spec, sys_, points, n, backward=name == "backward_scan")
 
 
 class TestBatches:
@@ -202,10 +229,7 @@ class TestScans:
     def test_forward_scan_matches_products(self, shift2):
         spec = lc_spec()
         pts = sample_points(shift2, 10, 25, seed=6)
-        fwd = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), 20)
-        log_scale, logdet = engine.exponent_scan(
-            spec, shift2, engine.batch_of(shift2, pts), 20
-        )
+        fwd, log_scale, logdet, _ = walked(spec, shift2, pts, 20, 20)
         for i, x in enumerate(pts):
             plain = product(spec, shift2, x, 20)
             got = np.exp(fwd.log_scale[i]) * np.array(
@@ -230,17 +254,15 @@ class TestScans:
         draw = sample_points(shift2, 3, 30, seed=14)
         pts = [ShiftPoint(window=p.window, offset=o) for p, o in zip(draw, (0, 3, -4))]
         n = 12
-        for scan, start in ((engine.forward_scan, 0), (engine.backward_scan, -n)):
-            st = scan(spec, shift2, engine.batch_of(shift2, pts), n)
+        for backward, start in ((False, 0), (True, -n)):
+            st = walked(spec, shift2, pts, n, backward=backward)[0]
             for i, x in enumerate(pts):
                 ref = product(spec, shift2, apply_f(shift2, x, start), n)
                 got = np.exp(st.log_scale[i]) * np.array(
                     [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
                 )
                 assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-12
-        log_scale, logdet = engine.exponent_scan(
-            spec, shift2, engine.batch_of(shift2, pts), n
-        )
+        _, log_scale, logdet, _ = walked(spec, shift2, pts, n=n)
         logs = (log_scale, log_scale - logdet, logdet)
         for i, x in enumerate(pts):
             ref = product(spec, shift2, x, n)
@@ -262,12 +284,9 @@ class TestScans:
                 RotationFactor(angle=TrigExpr(const=0.0)),
             )
         )
-        dil = ConstantCocycle(matrix=D)
-        for spec_k in (spec, None):
-            pass
         pts = sample_points(cat, 5, 0, seed=7)
         batch = engine.batch_of(cat, pts)
-        st = engine.backward_scan(spec, cat, batch, 12)
+        st = engine._walk(spec, cat, batch, 12, 0, backward=True)[0]
         for i, x in enumerate(pts):
             ref = product(spec, cat, apply_f(cat, x, -12), 12)
             got = np.exp(st.log_scale[i]) * np.array(
@@ -298,8 +317,7 @@ class TestScans:
     def test_scan_normalized_unit_norm(self, shift2):
         spec = lc_spec()
         pts = sample_points(shift2, 4, 35, seed=9)
-        batch = engine.batch_of(shift2, pts)
-        st = engine.forward_scan(spec, shift2, batch, 30)
+        st = walked(spec, shift2, pts, 30)[0]
         norms = mat2.opnorm_batch(st.a, st.b, st.c, st.d)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -387,10 +405,14 @@ def depth2_spec():
     )
 
 
-def window_batch(sys_, horizon, offsets=(0,)):
+def window_points(horizon, offsets=(0,)):
     rng = np.random.default_rng(horizon)
     window = rng.integers(0, 2, 2 * horizon + 1).astype(np.int16)
-    return engine.batch_of(sys_, [ShiftPoint(window=window, offset=o) for o in offsets])
+    return [ShiftPoint(window=window, offset=o) for o in offsets]
+
+
+def window_batch(sys_, horizon, offsets=(0,)):
+    return engine.batch_of(sys_, window_points(horizon, offsets))
 
 
 class TestHorizonEdges:
@@ -402,7 +424,7 @@ class TestHorizonEdges:
     @pytest.mark.parametrize("scan", ["forward_scan", "exponent_scan", "forward_record"])
     def test_forward_reads_n_plus_depth_minus_one_symbols(self, shift2, scan):
         spec, n = depth2_spec(), self.N
-        run = getattr(engine, scan)
+        run = BATCH_WALKS[scan]
         exact = n + spec.symbol_depth - 2  # symbols 0 .. n + depth - 2
         batch = window_batch(shift2, exact)
         run(spec, shift2, batch, n)
@@ -412,39 +434,41 @@ class TestHorizonEdges:
 
     def test_backward_reads_n_symbols_behind(self, shift2):
         spec, n = depth2_spec(), self.N
+        run = BATCH_WALKS["backward_scan"]
         batch = window_batch(shift2, n)
-        engine.backward_scan(spec, shift2, batch, n)
+        run(spec, shift2, batch, n)
         assert np.all(batch.offsets == -n)
         with pytest.raises(HorizonExceeded):
-            engine.backward_scan(spec, shift2, window_batch(shift2, n - 1), n)
+            run(spec, shift2, window_batch(shift2, n - 1), n)
 
     def test_check_covers_every_sample_offset(self, shift2):
         spec, n = depth2_spec(), self.N
         exact = n + spec.symbol_depth - 2
+        forward, backward = BATCH_WALKS["forward_scan"], BATCH_WALKS["backward_scan"]
         # the sample one step ahead needs one more symbol forward ...
-        engine.forward_scan(spec, shift2, window_batch(shift2, exact + 1, (0, 1)), n)
+        forward(spec, shift2, window_batch(shift2, exact + 1, (0, 1)), n)
         with pytest.raises(HorizonExceeded):
-            engine.forward_scan(spec, shift2, window_batch(shift2, exact, (0, 1)), n)
+            forward(spec, shift2, window_batch(shift2, exact, (0, 1)), n)
         # ... and the sample one step behind one more backward
-        engine.backward_scan(spec, shift2, window_batch(shift2, n + 1, (0, -1)), n)
+        backward(spec, shift2, window_batch(shift2, n + 1, (0, -1)), n)
         with pytest.raises(HorizonExceeded):
-            engine.backward_scan(spec, shift2, window_batch(shift2, n, (0, -1)), n)
+            backward(spec, shift2, window_batch(shift2, n, (0, -1)), n)
 
     @pytest.mark.parametrize("n", [3, 8, 16, 19])
-    def test_one_exact_window_for_every_scan(self, shift2, monkeypatch, n):
-        # at depth 2 the forward scans read n symbols ahead (the word walk
+    def test_one_exact_window_for_every_scan(self, shift2, n):
+        # at depth 2 the forward walks read n symbols ahead (the word walk
         # reads depth - 1 past its last step, whatever its word lengths)
-        # and the backward scan n behind, so horizon n is exact for all
+        # and the backward walk n behind, so horizon n is exact for all
         spec = depth2_spec()
-        assert engine.word_tables(spec, shift2, n) is not None
-        for scan in (engine.exponent_scan, engine.forward_scan, engine.backward_scan):
-            scan(spec, shift2, window_batch(shift2, n), n)
+        assert engine._word_tables(spec, shift2, n) is not None
+        for scan in ("exponent_scan", "forward_scan", "backward_scan"):
+            run = BATCH_WALKS[scan]
+            run(spec, shift2, window_batch(shift2, n), n)
             with pytest.raises(HorizonExceeded):
-                scan(spec, shift2, window_batch(shift2, n - 1), n)
+                run(spec, shift2, window_batch(shift2, n - 1), n)
         # the words at the exact window are the steps' products
-        words = engine.exponent_scan(spec, shift2, window_batch(shift2, n), n)
-        step_path(monkeypatch)
-        steps = engine.exponent_scan(spec, shift2, window_batch(shift2, n), n)
+        words = walked(spec, shift2, window_points(n), n=n)[1:3]
+        steps = per_factor_exponent_walk(spec, shift2, window_points(n), n, steps=True)
         for got, want in zip(words, steps):
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -454,16 +478,15 @@ class TestHorizonEdges:
         # symbols ahead: horizon max(depth, n) is exact, one less is
         # refused before any step
         spec, span = depth2_spec(), max(depth, n)
+        words = engine._word_tables(spec, shift2, n)
         batch = window_batch(shift2, span)
-        walk = engine.forward_walk(spec, shift2, batch, depth, n)
+        walk = engine._walk(spec, shift2, batch, depth, n, words=words)
         assert np.all(batch.offsets == span - 1)
         short = window_batch(shift2, span - 1)
         with pytest.raises(HorizonExceeded):
-            engine.forward_walk(spec, shift2, short, depth, n)
+            engine._walk(spec, shift2, short, depth, n, words=words)
         assert np.all(short.offsets == 0)
-        st = engine.forward_scan(spec, shift2, window_batch(shift2, span), depth)
-        exps = engine.exponent_scan(spec, shift2, window_batch(shift2, span), n)
-        assert_walk_is_scans(walk, (st, exps, None))
+        assert_walk_is_scans(walk, separate_scans(spec, shift2, window_points(span), depth, n))
 
     def test_lyapunov_points_end_to_end(self, shift2):
         spec, n = depth2_spec(), self.N
@@ -497,7 +520,7 @@ def shipped_torus_family(direction=None):
 
 
 class TestTorusExponentWalk:
-    """A torus exponent scan reads each step's det and regularity flag, not
+    """A torus exponent walk reads each step's det and regularity flag, not
     its log |det|; its results are bitwise those of a step-by-step walk that
     forms every value term by term and reads the flag from the log."""
 
@@ -505,7 +528,7 @@ class TestTorusExponentWalk:
         base, members = shipped_torus_family()
         draw = sample_points(cat, 40, 0, seed=3)
         for spec in (base, members[2]):
-            got = engine.exponent_scan(spec, cat, engine.batch_of(cat, draw), 60)
+            got = walked(spec, cat, draw, n=60)[1:3]
             ref = torus_exponent_walk(spec, cat, draw, 60)
             assert all(same_values(g, r) for g, r in zip(got, ref))
 
@@ -513,7 +536,7 @@ class TestTorusExponentWalk:
         base, members = shipped_torus_family()
         stack = StackedCocycle((base, *members))
         draw = sample_points(cat, 40, 0, seed=3)
-        got = engine.exponent_scan(stack, cat, engine.batch_of(cat, draw), 60)
+        got = walked(stack, cat, draw, n=60)[1:3]
         ref = torus_exponent_walk(stack, cat, draw, 60)
         assert got[0].shape == (11, 40)
         assert all(same_values(g, r) for g, r in zip(got, ref))
@@ -521,7 +544,7 @@ class TestTorusExponentWalk:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_member_raises(self, cat):
         # 3000 off a zero diagonal overflows exp(t B) at t = 1/2 (the
-        # hook warns; continuity censors such a size before any scan)
+        # hook warns; continuity censors such a size before any walk)
         steep = PointwiseEntriesField(
             e00=TrigExpr(), e01=TrigExpr(const=3000.0, sin_u=0.2),
             e10=TrigExpr(const=3000.0), e11=TrigExpr(),
@@ -530,7 +553,7 @@ class TestTorusExponentWalk:
         draw = sample_points(cat, 10, 0, seed=3)
         for spec in (members[0], StackedCocycle((base, *members))):
             with pytest.raises(SingularValueError):
-                engine.exponent_scan(spec, cat, engine.batch_of(cat, draw), 5)
+                finite_time_exponents(spec, cat, draw, 5)
             with pytest.raises(SingularValueError):
                 torus_exponent_walk(spec, cat, draw, 5)
 
@@ -545,13 +568,14 @@ def ac8_stack():
     return sys_, StackedCocycle((fam.base, *live))
 
 
-def separate_scans(spec, sys_, points, depth, n, head=None, words=None):
-    """``forward_scan`` at depth and ``exponent_scan`` over n, each on its
-    own batch of ``points``, and where the exponent batch ends."""
+def separate_scans(spec, sys_, points, depth, n, head=None):
+    """The direction walk at depth and the exponent walk over n, each on
+    its own batch of ``points``, and where the exponent batch ends."""
     batch = engine.batch_of(sys_, points)
-    st = engine.forward_scan(spec, sys_, batch, depth, head)
+    st = engine._walk(spec, sys_, batch, depth, 0, head=head)[0]
     batch = engine.batch_of(sys_, points)
-    exps = engine.exponent_scan(spec, sys_, batch, n, words)
+    words = engine._word_tables(spec, sys_, n)
+    exps = engine._walk(spec, sys_, batch, 0, n, words=words)[1:3]
     return st, exps, batch
 
 
@@ -565,9 +589,9 @@ def assert_walk_is_scans(walk, scans):
 
 
 class TestForwardWalk:
-    """One forward walk gives, bitwise, a direction scan at depth and an
-    exponent scan over n, each as its separate call gives it, and flags
-    where the exponent scan would raise in place of raising."""
+    """One forward walk gives, bitwise, a direction walk at depth and an
+    exponent walk over n, each as it gives it alone, and flags where a step
+    of the exponent walk fails ``mat2.regular``."""
 
     @pytest.mark.parametrize("depth, n", [(40, 400), (9, 5), (7, 7)])
     def test_torus_single_spec(self, cat, depth, n):
@@ -575,7 +599,7 @@ class TestForwardWalk:
         draw = sample_points(cat, 30, 0, seed=3)
         for spec in (base, members[2]):
             batch = engine.batch_of(cat, draw)
-            walk = engine.forward_walk(spec, cat, batch, depth, n)
+            walk = engine._walk(spec, cat, batch, depth, n)
             scans = separate_scans(spec, cat, draw, depth, n)
             assert_walk_is_scans(walk, scans)
             if depth <= n:
@@ -585,7 +609,7 @@ class TestForwardWalk:
         base, members = shipped_torus_family()
         stack = StackedCocycle((base, *members))
         draw = sample_points(cat, 40, 0, seed=5)
-        walk = engine.forward_walk(stack, cat, engine.batch_of(cat, draw), 40, 400)
+        walk = walked(stack, cat, draw, 40, 400)
         assert walk[1].shape == (11, 40)
         assert_walk_is_scans(walk, separate_scans(stack, cat, draw, 40, 400))
 
@@ -593,13 +617,13 @@ class TestForwardWalk:
     def test_shift_stack_with_a_head(self, depth, n):
         sys_, stack = ac8_stack()
         draw = sample_points(sys_, 600, max(depth, n) + 2 + stack.symbol_depth, seed=1)
-        head = engine.scan_head(stack, sys_, len(draw), depth, backward=False)
-        words = engine.word_tables(stack, sys_, n)
-        assert head is not None and head.k > 1 and words is not None
+        head = engine._shared_head(stack, sys_, len(draw), depth, backward=False)
+        words = engine._word_tables(stack, sys_, n)
+        assert head is not None and head[0] > 1 and words is not None
         batch = engine.batch_of(sys_, draw)
-        walk = engine.forward_walk(stack, sys_, batch, depth, n, head, words)
+        walk = engine._walk(stack, sys_, batch, depth, n, head=head, words=words)
         assert walk[1].shape == (13, 600)
-        assert_walk_is_scans(walk, separate_scans(stack, sys_, draw, depth, n, head, words))
+        assert_walk_is_scans(walk, separate_scans(stack, sys_, draw, depth, n, head))
         assert np.array_equal(batch.offsets, np.full(600, max(depth, n) - 1))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -611,15 +635,13 @@ class TestForwardWalk:
         window = np.zeros(19, dtype=np.int16)
         window[9 + 5] = 1
         points = [ShiftPoint(np.zeros(19, dtype=np.int16)), ShiftPoint(window)]
-        _, log_scale, _, clean = engine.forward_walk(
-            spec, shift2, engine.batch_of(shift2, points), 3, 8
-        )
+        _, log_scale, _, clean = walked(spec, shift2, points, 3, 8)
         assert clean.tolist() == [True, False] and np.isfinite(log_scale[0])
         with pytest.raises(SingularValueError):
-            engine.exponent_scan(spec, shift2, engine.batch_of(shift2, points), 8)
-        # read within the depth, it raises, as forward_scan does
+            finite_time_exponents(spec, shift2, points, 8)
+        # read within the depth, it raises, as the direction walk does
         with pytest.raises(SingularValueError):
-            engine.forward_walk(spec, shift2, engine.batch_of(shift2, points), 6, 8)
+            walked(spec, shift2, points, 6, 8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_torus_nan_past_depth_is_flagged(self, cat):
@@ -628,21 +650,93 @@ class TestForwardWalk:
         batch = engine.batch_of(cat, draw)
         engine.step(cat, batch, 6)
         spec = NanAt(base, batch.coords[[4, 11], 0])
-        _, log_scale, logdet, clean = engine.forward_walk(
-            spec, cat, engine.batch_of(cat, draw), 6, 10
-        )
+        _, log_scale, logdet, clean = walked(spec, cat, draw, 6, 10)
         assert np.flatnonzero(~clean).tolist() == [4, 11]
-        alone = engine.exponent_scan(base, cat, engine.batch_of(cat, draw), 10)
+        _, *alone, _ = walked(base, cat, draw, n=10)
         assert same_values(log_scale[clean], alone[0][clean])
         assert same_values(logdet[clean], alone[1][clean])
         with pytest.raises(SingularValueError):
-            engine.forward_walk(spec, cat, engine.batch_of(cat, draw), 7, 10)
+            walked(spec, cat, draw, 7, 10)
 
-    def test_bad_windows_are_refused(self, cat):
-        draw = sample_points(cat, 3, 0, seed=3)
-        for depth, n in ((0, 5), (5, 0)):
-            with pytest.raises(ConfigError):
-                engine.forward_walk(lc_spec(), cat, engine.batch_of(cat, draw), depth, n)
+
+class TestWalk:
+    """``engine.walk`` is its blocks' walks, with the draw's head and word
+    tables built once, and refuses the windows no walk takes."""
+
+    @pytest.mark.parametrize(
+        "depth, n, backward",
+        [(-1, 5, False), (5, -1, False), (0, 0, False), (0, 0, True), (5, 3, True), (0, 3, True)],
+        ids=["depth", "n", "empty", "empty-backward", "backward-n", "backward-only-n"],
+    )
+    @pytest.mark.parametrize("base", ["shift2", "cat"])
+    def test_bad_windows_are_refused(self, request, base, depth, n, backward):
+        # _walk has no backward exponent product: over a torus it would
+        # absorb the backward steps, over a shift read forward past the
+        # window it checked
+        sys_ = request.getfixturevalue(base)
+        draw = sample_points(sys_, 3, 8, seed=3)
+        with pytest.raises(ConfigError):
+            walked(ConstantCocycle(D), sys_, draw, depth, n, backward)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+    @pytest.mark.parametrize("base", ["shift", "torus"])
+    def test_walk_is_its_blocks_walks(self, cat, monkeypatch, base, stacked, threads):
+        # bitwise each block's own _walk from the draw's head and word
+        # tables, across the blocks' boundaries and at any thread count
+        monkeypatch.setattr(engine, "BLOCK", 300)
+        if base == "shift":
+            sys_, spec = ac8_stack()
+            if not stacked:
+                spec = spec.members[0]
+        else:
+            sys_, (spec, members) = cat, shipped_torus_family()
+            if stacked:
+                spec = StackedCocycle((spec, *members))
+        depth, n = 12, 30
+        draw = sample_points(sys_, 1000, n + 2 + spec.symbol_depth, seed=5)
+        got = walked(spec, sys_, draw, depth, n, threads=threads)
+        head = engine._shared_head(spec, sys_, len(draw), depth, False)
+        words = engine._word_tables(spec, sys_, n)
+        assert (head is None) == (words is None) == (base == "torus")
+        width = min(300, engine.STACK_SPAN // getattr(spec, "rows", 1))
+        blocks = []
+        for lo in range(0, len(draw), width):
+            batch = engine.batch_of(sys_, draw[lo : lo + width])
+            blocks.append(engine._walk(spec, sys_, batch, depth, n, head=head, words=words))
+        assert len(blocks) > 2
+        st, *exponents = got
+        for f, x in vars(st).items():
+            want = np.concatenate([vars(b[0])[f] for b in blocks], axis=-1)
+            assert same_values(x, want), f
+        for i, x in enumerate(exponents, 1):
+            assert np.array_equal(x, np.concatenate([b[i] for b in blocks], axis=-1))
+
+    def test_each_study_builds_one_head_and_one_set_of_tables(self, monkeypatch):
+        # per draw, not per block: the extractors, the exponents and the
+        # continuity walk's forward side
+        built = []
+        for name in ("_shared_head", "_word_tables"):
+            builder = getattr(engine, name)
+
+            def counted(spec, sys_, *args, name=name, builder=builder):
+                built.append(name)
+                return builder(spec, sys_, *args)
+
+            monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(engine, "BLOCK", 300)
+        sys_, stack = ac8_stack()
+        draw = sample_points(sys_, 1000, 42 + stack.symbol_depth, seed=2)
+        runs = [
+            lambda: unstable_directions(stack, sys_, draw, 40),
+            lambda: stable_directions(stack, sys_, draw, 40),
+            lambda: finite_time_exponents(stack, sys_, draw, 40),
+            lambda: continuity._forward(stack, sys_, draw, 20, 40, 1),
+        ]
+        for run in runs:
+            built.clear()
+            run()
+            assert built == ["_shared_head", "_word_tables"]
 
 
 class TestOneWalk:
@@ -660,17 +754,18 @@ class TestOneWalk:
 
         monkeypatch.setattr(engine, "_symbol_starts", counted)
         spec, draw = lc_spec(), sample_points(shift2, 300, 45, seed=2)
-        head = engine.scan_head(spec, shift2, 300, 30, backward=False)
-        back = engine.scan_head(spec, shift2, 300, 30, backward=True)
-        words = engine.word_tables(spec, shift2, 40)
+        head = engine._shared_head(spec, shift2, 300, 30, backward=False)
+        back = engine._shared_head(spec, shift2, 300, 30, backward=True)
+        words = engine._word_tables(spec, shift2, 40)
+        words30 = engine._word_tables(spec, shift2, 30)
         assert head is not None and back is not None and words is not None
         runs = [
-            (lambda b: engine.forward_walk(spec, shift2, b, 30, 40, head, words), 40),
-            (lambda b: engine.forward_walk(spec, shift2, b, 40, 30), 40),
-            (lambda b: engine.forward_scan(spec, shift2, b, 30, head), 30),
-            (lambda b: engine.backward_scan(spec, shift2, b, 30, back), 30),
+            (lambda b: engine._walk(spec, shift2, b, 30, 40, head=head, words=words), 40),
+            (lambda b: engine._walk(spec, shift2, b, 40, 30, words=words30), 40),
+            (lambda b: engine._walk(spec, shift2, b, 30, 0, head=head), 30),
+            (lambda b: engine._walk(spec, shift2, b, 30, 0, True, back), 30),
             (lambda b: engine.forward_record(spec, shift2, b, 30), 30),
-            (lambda b: engine.exponent_scan(spec, shift2, b, 40, words), 40),
+            (lambda b: engine._walk(spec, shift2, b, 0, 40, words=words), 40),
         ]
         for run, span in runs:
             checked.clear()
@@ -691,7 +786,7 @@ class TestOneWalk:
 
         monkeypatch.setattr(type(spec), "values_at_coords", counted)
         draw = sample_points(cat, 20, 0, seed=3)
-        engine.forward_walk(spec, cat, engine.batch_of(cat, draw), depth, n)
+        walked(spec, cat, draw, depth, n)
         assert calls == [(20, 2)] * max(depth, n)
 
 
@@ -712,8 +807,8 @@ class TestProvenWalks:
         runs = []
         for spec in (stack, Unproven(stack)):
             calls.clear()
-            walk = engine.forward_walk(spec, cat, engine.batch_of(cat, draw), 40, 440)
-            back = engine.backward_scan(spec, cat, engine.batch_of(cat, draw), 40)
+            walk = walked(spec, cat, draw, 40, 440)
+            back = walked(spec, cat, draw, 40, backward=True)[0]
             runs.append((len(calls), walk, back))
         (proven_calls, walk, back), (hidden_calls, hidden_walk, hidden_back) = runs
         assert proven_calls == 0 and hidden_calls == 440 + 40
@@ -744,19 +839,20 @@ def failing_table():
 
 
 def assert_per_factor(spec, sys_, n, samples=30, depth=7):
-    """``forward_walk`` and ``exponent_scan`` over n give, bitwise, the
-    exponent walk that rescales after every factor."""
+    """A forward walk at ``depth`` and an exponent walk, both over n, give,
+    bitwise, the exponent walk that rescales after every factor; where a
+    step fails, the exponents raise."""
     horizon = n + 2 + spec.symbol_depth
     draw = sample_points(sys_, samples, horizon, seed=4)
     want = per_factor_exponent_walk(spec, sys_, draw, n)
-    walk = engine.forward_walk(spec, sys_, engine.batch_of(sys_, draw), depth, n)
+    walk = walked(spec, sys_, draw, depth, n)
     assert all(same_values(g, w) for g, w in zip(walk[1:], want))
     if not want[2].all():
         with pytest.raises(SingularValueError):
-            engine.exponent_scan(spec, sys_, engine.batch_of(sys_, draw), n)
+            finite_time_exponents(spec, sys_, draw, n)
         return
-    got = engine.exponent_scan(spec, sys_, engine.batch_of(sys_, draw), n)
-    assert all(same_values(g, w) for g, w in zip(got, want[:2]))
+    got = walked(spec, sys_, draw, n=n)[1:]
+    assert all(same_values(g, w) for g, w in zip(got, want))
 
 
 class TestRescalePeriod:
@@ -779,8 +875,8 @@ class TestRescalePeriod:
             assert engine._period(*cocycle.singular_bounds(spec)) == want
         assert not cocycle.proven_regular(Unproven(stack))
         sys_, ac8 = ac8_stack()
-        assert engine.word_tables(ac8, sys_, 400)._period == 50
-        assert engine.word_tables(failing_table(), sys_, 400)._period == 1
+        assert engine._word_tables(ac8, sys_, 400)._period == 50
+        assert engine._word_tables(failing_table(), sys_, 400)._period == 1
 
     @pytest.mark.parametrize("n", [175, 176, 177, 351, 353, 400])
     def test_torus_family(self, cat, n):
@@ -803,7 +899,7 @@ class TestRescalePeriod:
         # the product stays diagonal; its small entry sinks toward the
         # subnormals, which the result does not read
         spec = LocallyConstantCocycle(table=np.array([np.diag([1.9, 0.45]), np.diag([1.3, 0.7])]))
-        assert engine.word_tables(spec, shift2, 400)._period == 14
+        assert engine._word_tables(spec, shift2, 400)._period == 14
         assert_per_factor(spec, shift2, 400)
 
     @pytest.mark.parametrize("k", [-200, -30, 30, 200])
@@ -849,25 +945,26 @@ class TestRescaleCount:
             (unbounded, 5, 30, 30),
         ):
             calls.clear()
-            engine.forward_walk(spec, cat, engine.batch_of(cat, draw), depth, n)
+            walked(spec, cat, draw, depth, n)
             assert len(calls) == want
         calls.clear()
-        engine.exponent_scan(stack, cat, engine.batch_of(cat, draw), 177)
+        walked(stack, cat, draw, n=177)
         assert len(calls) == 2
 
     def test_shift(self, monkeypatch):
         sys_, stack = ac8_stack()
         draw = sample_points(sys_, 100, 810 + stack.symbol_depth, seed=3)
         cases = [(stack, 400, 1), (stack, 808, 3), (stack, 803, 3), (failing_table(), 400, 50)]
-        tables = [engine.word_tables(spec, sys_, n) for spec, n, _ in cases]
-        head = engine.scan_head(stack, sys_, len(draw), 40, backward=False)
+        tables = [engine._word_tables(spec, sys_, n) for spec, n, _ in cases]
+        head = engine._shared_head(stack, sys_, len(draw), 40, backward=False)
         calls = counted_rescales(monkeypatch)
         for (spec, n, want), words in zip(cases, tables):
             calls.clear()
             engine._walk(spec, sys_, engine.batch_of(sys_, draw), 0, n, words=words)
             assert len(calls) == want
         calls.clear()
-        engine.forward_walk(stack, sys_, engine.batch_of(sys_, draw), 40, 400, head, tables[0])
+        batch = engine.batch_of(sys_, draw)
+        engine._walk(stack, sys_, batch, 40, 400, head=head, words=tables[0])
         assert len(calls) == 1
 
 
@@ -882,9 +979,8 @@ class TestSingularSteps:
         )
         # the singular symbol sits two steps ahead and two steps behind
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
-        batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):
-            getattr(engine, scan)(spec, shift2, batch, 4)
+            run_walk(scan, spec, shift2, pts * 3, 4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -893,16 +989,18 @@ class TestSingularSteps:
     )
     def test_oversized_step_raises_without_warnings(self, shift2, cat, scan):
         # 1e200 D fails the rule by size: the norm's squares overflow
-        run = getattr(engine, scan)
-        if scan == "forward_walk":
-            run = lambda spec, sys_, batch, n: engine.forward_walk(spec, sys_, batch, n, n)
+        def run(spec, sys_, points, n):
+            if scan == "forward_walk":
+                return walked(spec, sys_, points, n, n)
+            return run_walk(scan, spec, sys_, points, n)
+
         spec = LocallyConstantCocycle(table=np.array([D, 1e200 * D]), invertible=False)
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
         with pytest.raises(SingularValueError):
-            run(spec, shift2, engine.batch_of(shift2, pts * 3), 4)
+            run(spec, shift2, pts * 3, 4)
         big = ConstantCocycle(matrix=1e200 * D, invertible=False)
         with pytest.raises(SingularValueError):
-            run(big, cat, engine.batch_of(cat, sample_points(cat, 5, 0, seed=1)), 4)
+            run(big, cat, sample_points(cat, 5, 0, seed=1), 4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -915,13 +1013,11 @@ class TestSingularSteps:
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
         pts = [ShiftPoint(window=np.zeros(9, dtype=np.int16))]
-        batch = engine.batch_of(shift2, pts * 3)
-        getattr(engine, scan)(spec, shift2, batch, 4)
+        run_walk(scan, spec, shift2, pts * 3, 4)
         window = np.zeros(9, dtype=np.int16)
         window[4 + (-4 if scan == "backward_scan" else 3)] = 1
-        batch = engine.batch_of(shift2, [ShiftPoint(window=window)] * 3)
         with pytest.raises(SingularValueError):
-            getattr(engine, scan)(spec, shift2, batch, 4)
+            run_walk(scan, spec, shift2, [ShiftPoint(window=window)] * 3, 4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -940,9 +1036,8 @@ class TestSingularSteps:
         assert np.all(np.isfinite(word_matrix(spec, [0])))
         assert np.isnan(word_matrix(spec, [1])).any()
         pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
-        batch = engine.batch_of(shift2, pts * 3)
         with pytest.raises(SingularValueError):
-            getattr(engine, scan)(spec, shift2, batch, 4)
+            run_walk(scan, spec, shift2, pts * 3, 4)
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -972,12 +1067,11 @@ class TestSingularSteps:
         # another bad entry sits in the window, one step past the walk
         window = np.zeros(11, dtype=np.int16)
         window[5 + (-5 if scan == "backward_scan" else 4)] = bad % 3 + 1
-        run = getattr(engine, scan)
-        run(spec, sys_, engine.batch_of(sys_, [ShiftPoint(window)] * 3), 4)
+        run_walk(scan, spec, sys_, [ShiftPoint(window)] * 3, 4)
         window[5 + (-4 if scan == "backward_scan" else 3)] = bad
         points = [ShiftPoint(np.zeros(11, dtype=np.int16)), ShiftPoint(window)]
         with pytest.raises(SingularValueError):
-            run(spec, sys_, engine.batch_of(sys_, points), 4)
+            run_walk(scan, spec, sys_, points, 4)
 
     @pytest.mark.parametrize("table, shift", [(2, 3), (3, 2)])
     def test_table_over_another_alphabet_is_refused(self, table, shift):
@@ -987,18 +1081,13 @@ class TestSingularSteps:
         named = f"over {table} symbols .* on {shift} symbols"
         for scan in ("forward_scan", "backward_scan", "forward_record", "exponent_scan"):
             with pytest.raises(ConfigError, match=named):
-                getattr(engine, scan)(spec, sys_, engine.batch_of(sys_, draw), 4)
+                run_walk(scan, spec, sys_, draw, 4)
         with pytest.raises(ConfigError, match=named):
             engine.values(spec, sys_, engine.batch_of(sys_, draw))
 
 
-def step_path(monkeypatch):
-    """Walk every exponent scan a step at a time: no word tables."""
-    monkeypatch.setattr(engine, "word_tables", lambda spec, sys_, n: None)
-
-
 class TestWordBlocks:
-    """The exponent scan's word path: k-step factors gathered per word."""
+    """The exponent walk over a shift: k-step factors gathered per word."""
 
     def test_word_length_from_alphabet(self):
         assert [engine._word_length(a) for a in (2, 3, 4, 16, 17, 300)] == [
@@ -1007,9 +1096,9 @@ class TestWordBlocks:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_only_tables_over_the_alphabet_take_words(self, shift2, cat):
-        assert engine.word_tables(lc_spec(), shift2, 10).factors.keys() == {8, 2}
-        assert engine.word_tables(lc_spec(), shift2, 3).factors.keys() == {3}
-        assert engine.word_tables(lc_spec(), shift2, 0) is None
+        assert engine._word_tables(lc_spec(), shift2, 10).factors.keys() == {8, 2}
+        assert engine._word_tables(lc_spec(), shift2, 3).factors.keys() == {3}
+        assert engine._word_tables(lc_spec(), shift2, 0) is None
         # a constant and a perturbation are the tables the oracle reads
         spin = ConstantCocycle(np.array([[0.0, -1.0], [1.0, 0.0]]), invertible=False)
         for spec in (
@@ -1017,8 +1106,8 @@ class TestWordBlocks:
             PerturbedCocycle(lc_spec(), spin, t=0.3, rule="multiplicative_exp"),
         ):
             table = np.array([word_matrix(spec, [s]) for s in range(2)])
-            want = engine.word_tables(LocallyConstantCocycle(table), shift2, 10)
-            got = engine.word_tables(spec, shift2, 10)
+            want = engine._word_tables(LocallyConstantCocycle(table), shift2, 10)
+            got = engine._word_tables(spec, shift2, 10)
             for length, factors in want.factors.items():
                 assert np.array_equal(got.factors[length], factors)
         # a singular entry takes word tables too: the regularity flag (the
@@ -1026,28 +1115,27 @@ class TestWordBlocks:
         singular = LocallyConstantCocycle(
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
-        words = engine.word_tables(singular, shift2, 10)
+        words = engine._word_tables(singular, shift2, 10)
         for length, factors in words.factors.items():
             assert np.array_equal(factors[7], np.arange(2**length) == 0)
         shift3 = ShiftSystem(
             alphabet_size=3, measure=BernoulliMeasure(weights=(0.2, 0.3, 0.5))
         )
         with pytest.raises(ConfigError, match="over 2 symbols .* on 3 symbols"):
-            engine.word_tables(lc_spec(), shift3, 10)
+            engine._word_tables(lc_spec(), shift3, 10)
         torus = PointwiseCocycle(factors=(ConstantFactor(matrix=D),))
-        assert engine.word_tables(torus, cat, 10) is None
+        assert engine._word_tables(torus, cat, 10) is None
 
     @pytest.mark.parametrize("make", [lc_spec, depth2_spec])
     def test_word_length_one_is_the_step_path(self, shift2, monkeypatch, make):
         monkeypatch.setattr(engine, "WORD_SPAN", 1)
         spec = make()
         pts = sample_points(shift2, 300, 45, seed=15)
-        assert engine.word_tables(spec, shift2, 40).k == 1
-        words = finite_time_exponents(spec, shift2, pts, 40)
-        step_path(monkeypatch)
-        steps = finite_time_exponents(spec, shift2, pts, 40)
-        for name in ("plus", "minus", "logdet_rate"):
-            assert np.array_equal(getattr(words, name), getattr(steps, name)), name
+        assert engine._word_tables(spec, shift2, 40).k == 1
+        words = walked(spec, shift2, pts, n=40)[1:]
+        steps = per_factor_exponent_walk(spec, shift2, list(pts), 40, steps=True)
+        for got, want in zip(words, steps):
+            assert same_values(got, want)
 
     def test_depth_expanded_stack_rows_are_member_calls(self, shift2):
         # the depth-1 member reads two symbols per step in the stack, so
@@ -1077,21 +1165,6 @@ class TestWordBlocks:
         # five blocks, two word lengths: 3 words of 8 steps and a tail of 6
         assert sorted(built) == [6, 8]
 
-    def test_tables_of_another_n_are_refused(self, shift2):
-        # a 41-step scan needs a 1-step tail that 40-step tables lack, and
-        # a 40-step scan groups its steps as 41-step tables do not say
-        draw = sample_points(shift2, 20, 43, seed=5)
-        for built, n in ((40, 41), (41, 40)):
-            words = engine.word_tables(lc_spec(), shift2, built)
-            batch = engine.batch_of(shift2, draw)
-            with pytest.raises(ConfigError, match="another scan"):
-                engine.exponent_scan(lc_spec(), shift2, batch, n, words)
-            assert np.all(batch.offsets == 0)
-            words = engine.word_tables(lc_spec(), shift2, n)
-            got = engine.exponent_scan(lc_spec(), shift2, batch, n, words)
-            want = engine.exponent_scan(lc_spec(), shift2, engine.batch_of(shift2, draw), n)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want))
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_step_inside_a_word_raises(self, shift2):
         spec = LocallyConstantCocycle(
@@ -1099,12 +1172,11 @@ class TestWordBlocks:
         )
         window = np.zeros(41, dtype=np.int16)
         window[20 + 11] = 1  # step 11 of 20: inside the second word
-        batch = engine.batch_of(shift2, [ShiftPoint(window=window)] * 3)
         with pytest.raises(SingularValueError):
-            engine.exponent_scan(spec, shift2, batch, 20)
+            finite_time_exponents(spec, shift2, [ShiftPoint(window=window)] * 3, 20)
         # a walk that stops just before the singular symbol absorbs none of it
-        batch = engine.batch_of(shift2, [ShiftPoint(window=window)])
-        log_scale, _ = engine.exponent_scan(spec, shift2, batch, 11)
+        _, log_scale, _, regular = walked(spec, shift2, [ShiftPoint(window=window)], n=11)
+        assert regular.all()
         assert log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)
 
 
@@ -1129,11 +1201,16 @@ def bernoulli_shift(alphabet):
     return ShiftSystem(alphabet_size=alphabet, measure=BernoulliMeasure(weights=weights))
 
 
-def one_point_scans(scan, spec, sys_, draw, n):
-    """The scan's state fields at each point of ``draw`` from one-point
-    batches, which share nothing, joined along the sample axis."""
+def head_walk(spec, sys_, batch, n, backward, head):
+    """The state of the n-step direction walk of ``batch`` from ``head``."""
+    return engine._walk(spec, sys_, batch, n, 0, backward, head)[0]
+
+
+def one_point_scans(backward, spec, sys_, draw, n):
+    """The direction walk's state fields at each point of ``draw`` from
+    one-point batches, which share nothing, joined along the sample axis."""
     states = [
-        scan(spec, sys_, engine.batch_of(sys_, draw[i : i + 1]), n)
+        head_walk(spec, sys_, engine.batch_of(sys_, draw[i : i + 1]), n, backward, None)
         for i in range(len(draw))
     ]
     return {
@@ -1160,21 +1237,21 @@ class TestScanHeads:
         if stacked:
             spec = StackedCocycle((spec, random_table(alphabet, 1, seed=9)))
         draw = sample_points(sys_, 60, self.N + 2, seed=depth)
-        scan = engine.backward_scan if backward else engine.forward_scan
         # the draw, the draw pushed by f, and points at mixed offsets
         mixed = [
             ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)
         ]
-        head = engine.scan_head(spec, sys_, 60, self.N, backward)
-        assert head is not None and 1 <= head.k <= self.N
-        assert head.state.a.shape[-1] == alphabet ** (head.k + depth - 1) < 60
+        head = engine._shared_head(spec, sys_, 60, self.N, backward)
+        k, width, state = head
+        assert 1 <= k <= self.N and width == k + depth - 1
+        assert state.a.shape[-1] == alphabet**width < 60
         for points in (draw, engine.pushed(sys_, draw), mixed):
             batch = engine.batch_of(sys_, points)
             start = batch.offsets.copy()
-            st = scan(spec, sys_, batch, self.N, head)
+            st = head_walk(spec, sys_, batch, self.N, backward, head)
             end = -self.N if backward else self.N - 1
             assert np.array_equal(batch.offsets, start + end)
-            want = one_point_scans(scan, spec, sys_, points, self.N)
+            want = one_point_scans(backward, spec, sys_, points, self.N)
             for f, x in vars(st).items():
                 assert np.array_equal(x, want[f]), f
 
@@ -1185,9 +1262,9 @@ class TestScanHeads:
         count = 400 * alphabet**span
         spec = random_table(alphabet, span + 1, seed=1)
         saved = [k * (count - alphabet ** (k + span)) for k in range(1, n + 1)]
-        head = engine.scan_head(spec, bernoulli_shift(alphabet), count, n, False)
-        assert head.k == int(np.argmax(saved)) + 1
-        assert head.state.a.size == alphabet ** (head.k + span)
+        k, width, state = engine._shared_head(spec, bernoulli_shift(alphabet), count, n, False)
+        assert k == int(np.argmax(saved)) + 1
+        assert state.a.size == alphabet**width == alphabet ** (k + span)
 
     @pytest.mark.parametrize(
         "count, k", [(10_000, 10), (2_000, 8), (100, 5)], ids=["ac8", "sweep", "selftest"]
@@ -1196,60 +1273,49 @@ class TestScanHeads:
         # a Bernoulli(1/2, 1/2) depth-1 table at depth 40, as every shipped
         # shift extraction is
         for backward in (False, True):
-            head = engine.scan_head(lc_spec(), shift2, count, 40, backward)
-            assert (head.k, head.state.a.size) == (k, 2**k)
+            head = engine._shared_head(lc_spec(), shift2, count, 40, backward)
+            assert (head[0], head[2].a.size) == (k, 2**k)
 
     def test_nothing_shared_is_no_head(self, shift2):
         # no head unless the words of one step are fewer than the samples
-        assert engine.scan_head(lc_spec(), shift2, 2, 30, False) is None
-        assert engine.scan_head(lc_spec(), shift2, 3, 30, False).k == 1
-        assert engine.scan_head(depth2_spec(), shift2, 4, 30, True) is None
-        assert engine.scan_head(depth2_spec(), shift2, 5, 30, True).k == 1
-        assert engine.scan_head(lc_spec(), shift2, 10_000, 0, True) is None
+        assert engine._shared_head(lc_spec(), shift2, 2, 30, False) is None
+        assert engine._shared_head(lc_spec(), shift2, 3, 30, False)[0] == 1
+        assert engine._shared_head(depth2_spec(), shift2, 4, 30, True) is None
+        assert engine._shared_head(depth2_spec(), shift2, 5, 30, True)[0] == 1
+        assert engine._shared_head(lc_spec(), shift2, 10_000, 0, True) is None
         # a constant is its matrix at every symbol: it takes a head, and the
-        # scan from it is the oracle's walk
+        # walk from it is the oracle's walk
         spec, draw = ConstantCocycle(D), sample_points(shift2, 10, 6, seed=1)
-        head = engine.scan_head(spec, shift2, 10, 5, True)
-        assert head.k == 2
-        st = engine.backward_scan(spec, shift2, engine.batch_of(shift2, draw), 5, head)
+        head = engine._shared_head(spec, shift2, 10, 5, True)
+        assert head[0] == 2
+        st = head_walk(spec, shift2, engine.batch_of(shift2, draw), 5, True, head)
         want, _ = oracle_direction_walk(spec, list(draw), 5, True)
         for f, x in vars(st).items():
             assert np.array_equal(x, want[f]), f
 
     def test_torus_draws_take_no_head(self, cat):
         spec = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=0.1)),))
-        assert engine.scan_head(spec, cat, 10_000, 5, True) is None
-
-    def test_head_of_another_scan_is_refused(self, shift2):
-        draw = sample_points(shift2, 200, 12, seed=3)
-        head = engine.scan_head(lc_spec(), shift2, 200, 10, backward=True)
-        for n, scan in [(10, engine.forward_scan), (9, engine.backward_scan)]:
-            with pytest.raises(ConfigError, match="another scan"):
-                scan(lc_spec(), shift2, engine.batch_of(shift2, draw), n, head)
-        # a head is not tied to the draw: it serves a batch of any size
-        st = engine.backward_scan(lc_spec(), shift2, engine.batch_of(shift2, draw[:7]), 10, head)
-        assert st.a.shape == (7,)
+        assert engine._shared_head(spec, cat, 10_000, 5, True) is None
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_window_check_is_the_scans(self, shift2, backward):
         # at depth 2 both scans read n symbols to one side: horizon n is
         # exact, n - 1 is refused before any step, as without a head
         spec, n = depth2_spec(), 10
-        scan = engine.backward_scan if backward else engine.forward_scan
-        head = engine.scan_head(spec, shift2, 300, n, backward)
+        head = engine._shared_head(spec, shift2, 300, n, backward)
         for horizon in (n, n - 1):
             draw = sample_points(shift2, 300, horizon, seed=4)
             batch = engine.batch_of(shift2, draw)
             if horizon < n:
                 with pytest.raises(HorizonExceeded):
-                    scan(spec, shift2, batch, n, head)
+                    head_walk(spec, shift2, batch, n, backward, head)
                 assert np.all(batch.offsets == 0)
                 extract = unstable_directions if backward else stable_directions
                 with pytest.raises(HorizonExceeded):
                     extract(spec, shift2, draw, n)
             else:
-                st = scan(spec, shift2, batch, n, head)
-                want = one_point_scans(scan, spec, shift2, draw, n)
+                st = head_walk(spec, shift2, batch, n, backward, head)
+                want = one_point_scans(backward, spec, shift2, draw, n)
                 assert np.array_equal(st.a, want["a"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1278,25 +1344,24 @@ class TestScanHeads:
         window[6 + (-2 if backward else 1)] = 1
         draw = ShiftDraw(np.tile(window, (50, 1)), 0)
         extract = unstable_directions if backward else stable_directions
-        scan = engine.backward_scan if backward else engine.forward_scan
         # the head walks all four steps; the logdet is NaN in exactly the
         # words through symbol 1, in the bad member's row
         through = np.arange(16) != 0
         with np.errstate(over="ignore") if nan else nullcontext():
             for s, bad in ((spec, through), (stack, [np.zeros(16, bool), through])):
-                head = engine.scan_head(s, shift2, 50, 4, backward)
-                assert head.k == 4
-                assert np.array_equal(np.isnan(head.state.logdet), bad)
+                head = engine._shared_head(s, shift2, 50, 4, backward)
+                assert head[0] == 4
+                assert np.array_equal(np.isnan(head[2].logdet), bad)
                 if s is spec:
                     with pytest.raises(SingularValueError):
-                        scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
+                        head_walk(s, shift2, engine.batch_of(shift2, draw), 4, backward, head)
                     with pytest.raises(SingularValueError):
                         extract(s, shift2, draw, 4)
                     continue
                 # a stack raises nothing: the bad member's state entries and
-                # directions are NaN, and the other row is its own scan's
-                st = scan(s, shift2, engine.batch_of(shift2, draw), 4, head)
-                alone = scan(s.members[0], shift2, engine.batch_of(shift2, draw), 4)
+                # directions are NaN, and the other row is its own walk's
+                st = head_walk(s, shift2, engine.batch_of(shift2, draw), 4, backward, head)
+                alone = head_walk(s.members[0], shift2, engine.batch_of(shift2, draw), 4, backward, None)
                 for x, want in zip((st.a, st.b, st.c, st.d), (alone.a, alone.b, alone.c, alone.d)):
                     assert np.isnan(x[1]).all() and same_values(x[0], want)
                 vx, vy, ok = extract(s, shift2, draw, 4)
@@ -1316,8 +1381,8 @@ class TestScanHeads:
         spec = LocallyConstantCocycle(table=bad, depth=2, alphabet_size=2, invertible=False)
         good = LocallyConstantCocycle(table=tab, depth=2, alphabet_size=2)
         for s in (good, spec):
-            assert engine.scan_head(s, sys_, 2000, 20, backward).k == 7
-            assert engine.word_tables(s, sys_, 20).factors.keys() == {8, 4}
+            assert engine._shared_head(s, sys_, 2000, 20, backward)[0] == 7
+            assert engine._word_tables(s, sys_, 20).factors.keys() == {8, 4}
         draw = sample_points(sys_, 2000, 22, seed=2)
         extract = unstable_directions if backward else stable_directions
         for x, y in zip(extract(spec, sys_, draw, 20), extract(good, sys_, draw, 20)):
@@ -1328,7 +1393,7 @@ class TestScanHeads:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_large_draws_read_fewer_values(self, shift2, monkeypatch):
-        # a scan that stopped sharing its head would gather S * n steps; the
+        # a walk that stopped sharing its head would gather S * n steps; the
         # head of about 10 of the 20 steps gathers a little over half of that
         rows = []
         orbit_values = engine._orbit_values
@@ -1359,13 +1424,13 @@ class TestScanHeads:
     def test_threads_agree_through_the_head(self, shift2, monkeypatch):
         # one head per extraction, over the whole draw, not one per block
         built = []
-        scan_head = engine.scan_head
+        shared_head = engine._shared_head
 
         def counted(spec, sys_, count, n, backward):
             built.append(count)
-            return scan_head(spec, sys_, count, n, backward)
+            return shared_head(spec, sys_, count, n, backward)
 
-        monkeypatch.setattr(engine, "scan_head", counted)
+        monkeypatch.setattr(engine, "_shared_head", counted)
         monkeypatch.setattr(engine, "BLOCK", 700)
         draw = sample_points(shift2, 3000, 32, seed=8)
         for extract in (unstable_directions, stable_directions):
@@ -1377,7 +1442,7 @@ class TestScanHeads:
 
 
 class TestStepTables:
-    """The direction scans gather every step from one step table by its
+    """The direction walks gather every step from one step table by its
     word number, bitwise the oracle's walk over ``word_matrix``."""
 
     N = 10
@@ -1401,14 +1466,13 @@ class TestStepTables:
         sys_, spec = law(3), make()
         draw = sample_points(sys_, 90, self.N + 3, seed=11)
         mixed = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
-        scan = engine.backward_scan if backward else engine.forward_scan
-        head = engine.scan_head(spec, sys_, len(mixed), self.N, backward)
+        head = engine._shared_head(spec, sys_, len(mixed), self.N, backward)
         assert head is not None
         want, paths = oracle_direction_walk(spec, mixed, self.N, backward)
         for h in (None, head):
             batch = engine.batch_of(sys_, mixed)
             start = batch.offsets.copy()
-            st = scan(spec, sys_, batch, self.N, h)
+            st = head_walk(spec, sys_, batch, self.N, backward, h)
             end = -self.N if backward else self.N - 1
             assert np.array_equal(batch.offsets, start + end)
             for f, x in vars(st).items():
@@ -1459,7 +1523,7 @@ class TestStepTables:
         # symbol by symbol; k = 8 divides 16 and not 3 or 21
         monkeypatch.setattr(engine, "NUMBER_SPAN", span)
         spec = make()
-        words = engine.word_tables(spec, shift2, n)
+        words = engine._word_tables(spec, shift2, n)
         draw = sample_points(shift2, 40, n + 2, seed=n)
         points = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
         batch = engine.batch_of(shift2, points)

@@ -103,7 +103,7 @@ class TestConstantCocycles:
     @pytest.mark.parametrize("matrix", NON_DIAGONAL, ids=["triangular", "conformal"])
     def test_non_diagonal_is_the_direction_scans(self, base, matrix, request):
         # a constant's directions are the bits of its backward and forward
-        # scans read by _read, on the same draw, and within 1e-12 of the
+        # walks read by _read, on the same draw, and within 1e-12 of the
         # closed-form power's singular vectors (numpy's SVD)
         sys_ = request.getfixturevalue(base)
         spec = ConstantCocycle(matrix=matrix)
@@ -112,12 +112,10 @@ class TestConstantCocycles:
         power, _ = constant_power(matrix, depth)
         u, sigma, vt = np.linalg.svd(power)
         gap = np.log(sigma[0] / sigma[1]) >= oseledets._CONFORMAL_GAP
-        for side, scan, want in (
-            ("unstable", engine.backward_scan, u[:, 0]),
-            ("stable", engine.forward_scan, vt[1]),
-        ):
+        for side, backward, want in (("unstable", True, u[:, 0]), ("stable", False, vt[1])):
             got = oseledets.extractor(side)(spec, sys_, pts, depth)
-            walk = scan(spec, sys_, engine.batch_of(sys_, pts), depth)
+            batch = engine.batch_of(sys_, pts)
+            walk = engine._walk(spec, sys_, batch, depth, 0, backward)[0]
             for g, w in zip(got, oseledets._read(walk, side)):
                 assert np.array_equal(g, w)
             vx, vy, ok = got

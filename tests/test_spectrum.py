@@ -84,15 +84,15 @@ class TestConstant:
         ids=["triangular", "conformal"],
     )
     def test_non_diagonal_is_the_exponent_scan(self, base, matrix, request):
-        # a constant's top exponent is the bits of engine.exponent_scan on
-        # the same draw, where the tie rule leaves it on top, and within
+        # a constant's top exponent is the bits of engine.walk's exponent
+        # product on the same draw, where the tie rule leaves it on top, and within
         # 1e-14 of the closed-form power's; its log-det rate is exact
         sys_ = request.getfixturevalue(base)
         n = 500
         pts = sample_points(sys_, 30, n, seed=2)
         spec = ConstantCocycle(matrix=matrix)
         ft = finite_time_exponents(spec, sys_, pts, n)
-        log_scale, _ = engine.exponent_scan(spec, sys_, engine.batch_of(sys_, pts), n)
+        (log_scale,) = engine.walk(spec, sys_, pts, lambda st, ls, *_: (ls,), n=n)
         top = log_scale / n
         assert np.all(ft.logdet_rate == _log_abs_det(matrix))
         assert np.array_equal(ft.plus, np.maximum(top, ft.logdet_rate - top))
@@ -115,10 +115,12 @@ class TestSampled:
         pts = sample_points(shift2, 50, 410, seed=2)
         n = 400
         ft = finite_time_exponents(spec, shift2, pts, n)
-        walk = engine.forward_scan(spec, shift2, engine.batch_of(shift2, pts), n)
-        assert np.max(np.abs(ft.plus - walk.log_scale / n)) < 1e-9
-        assert np.max(np.abs(ft.minus - (walk.logdet - walk.log_scale) / n)) < 1e-9
-        assert np.max(np.abs(ft.logdet_rate - walk.logdet / n)) < 1e-9
+        log_scale, logdet = engine.walk(
+            spec, shift2, pts, lambda st, *_: (st.log_scale, st.logdet), depth=n
+        )
+        assert np.max(np.abs(ft.plus - log_scale / n)) < 1e-9
+        assert np.max(np.abs(ft.minus - (logdet - log_scale) / n)) < 1e-9
+        assert np.max(np.abs(ft.logdet_rate - logdet / n)) < 1e-9
         assert np.all(ft.plus >= ft.minus)
 
     def test_logdet_rate_matches_measure_mean(self):
@@ -180,8 +182,8 @@ class TestExponentScan:
         n = 2000
         pts = sample_points(shift2, 40, n + 1, seed=12)
         ft = finite_time_exponents(spec, shift2, pts, n)
-        log_scale, logdet = engine.exponent_scan(
-            spec, shift2, engine.batch_of(shift2, pts), n
+        log_scale, logdet = engine.walk(
+            spec, shift2, pts, lambda st, log_scale, logdet, _: (log_scale, logdet), n=n
         )
         for i, x in enumerate(pts):
             k = int(np.count_nonzero(x.window[x.horizon : x.horizon + n] == 0))
