@@ -14,7 +14,6 @@ from .base import (
     MarkovMeasure,
     ShiftSystem,
     TorusSystem,
-    apply_f,
     sample_points,
 )
 from .cocycle import (

@@ -1,14 +1,15 @@
 """Hyperbolic base dynamics: two-sided full shift and toral automorphism.
 
-Both realizations expose the same small surface: orbit stepping, the base
-metric, and measure sampling with per-point seed substreams.  Shift points
-carry an explicit finite symbol window; stepping or reading past the
-window is a hard error, never a silent fallback.
+Both realizations expose the same small surface: the torus metric and
+measure sampling into draws with per-point seed substreams.  A draw holds
+its points as the rows of one array and is sliced, never indexed: one point
+is a draw of size 1, and ``engine.pushed`` moves a draw by f.  A shift draw
+carries a finite symbol window; stepping or reading past it is a hard error,
+never a silent fallback.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Union
@@ -223,70 +224,22 @@ BaseSystem = Union[ShiftSystem, TorusSystem]
 
 
 # ---------------------------------------------------------------------------
-# points
+# draws
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftPoint:
-    """A shift orbit segment: symbols on the index range [-H, H] plus the
-    current offset of the distinguished coordinate inside that window."""
-
-    window: np.ndarray
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.window)
-        if w.ndim != 1 or w.size % 2 != 1:
-            raise ConfigError("shift window must be 1-d with odd length")
-        if not np.issubdtype(w.dtype, np.integer):
-            raise ConfigError("shift window must hold integer symbols")
-        if w.dtype != _WINDOW_DTYPE:
-            w = w.astype(_WINDOW_DTYPE)
-        if not w.flags.writeable:
-            pass
-        else:
-            w = w.copy()
-            w.setflags(write=False)
-        object.__setattr__(self, "window", w)
-        if abs(self.offset) > self.horizon:
-            raise HorizonExceeded(
-                f"offset {self.offset} outside window horizon {self.horizon}"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return (self.window.size - 1) // 2
-
-    def symbol(self, i: int) -> int:
-        j = self.offset + i
-        if abs(j) > self.horizon:
-            raise HorizonExceeded(
-                f"symbol access at relative index {i} leaves the window"
-            )
-        return int(self.window[self.horizon + j])
+def _require_slice(i) -> None:
+    # an integer index would give a row, which TorusDraw would take for a
+    # draw of two points
+    if not isinstance(i, slice):
+        raise TypeError(
+            f"draws are sliced, not indexed: take draw[i : i + 1], not draw[{i!r}]"
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class TorusPoint:
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", float(wrap_unit(float(self.u))))
-        object.__setattr__(self, "v", float(wrap_unit(float(self.v))))
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
-
-
-BasePoint = Union[ShiftPoint, TorusPoint]
-
-
-class ShiftDraw(Sequence):
+class ShiftDraw:
     """Shift points at one common offset held as the rows of one read-only
-    window array: indexing gives a ShiftPoint over a row, slicing a
-    ShiftDraw over the same rows, so batches take views instead of copies."""
+    window array.  A draw is only sliced, giving a ShiftDraw over the same
+    rows, so batches take views instead of copies; point i is draw[i : i + 1]."""
 
     def __init__(self, windows: np.ndarray, offset: int = 0):
         self.windows = windows
@@ -295,10 +248,9 @@ class ShiftDraw(Sequence):
     def __len__(self) -> int:
         return self.windows.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ShiftDraw(self.windows[i], self.offset)
-        return ShiftPoint(window=self.windows[i], offset=self.offset)
+    def __getitem__(self, i: slice) -> ShiftDraw:
+        _require_slice(i)
+        return ShiftDraw(self.windows[i], self.offset)
 
     def symbols(self, i: int) -> np.ndarray:
         """Every point's symbol at relative index i, as one column."""
@@ -311,9 +263,9 @@ class ShiftDraw(Sequence):
         return self.windows[:, horizon + j]
 
 
-class TorusDraw(Sequence):
+class TorusDraw:
     """Torus points held as the rows of one read-only (count, 2) coordinate
-    array; indexing gives a TorusPoint, slicing a TorusDraw."""
+    array; slicing gives a TorusDraw, and point i is draw[i : i + 1]."""
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
@@ -321,11 +273,9 @@ class TorusDraw(Sequence):
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TorusDraw(self.coords[i])
-        u, v = self.coords[i]
-        return TorusPoint(u, v)
+    def __getitem__(self, i: slice) -> TorusDraw:
+        _require_slice(i)
+        return TorusDraw(self.coords[i])
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +291,6 @@ def wrap_unit(x):
     x rounds up to 1.0 either way).  It is several times cheaper.
     """
     return x - np.floor(x)
-
-
-def apply_f(sys: BaseSystem, x: BasePoint, j: int = 1) -> BasePoint:
-    """Apply f^j.  Shift points move their offset inside the fixed window
-    (hard error past the horizon); torus points step one matrix application
-    at a time with ``wrap_unit`` reduction, which keeps composition exact."""
-    j = int(j)
-    if isinstance(sys, ShiftSystem):
-        if not isinstance(x, ShiftPoint):
-            raise ConfigError("shift system expects shift points")
-        target = x.offset + j
-        if abs(target) > x.horizon:
-            raise HorizonExceeded(
-                f"orbit access at offset {target} exceeds horizon {x.horizon}"
-            )
-        return ShiftPoint(window=x.window, offset=target)
-    if not isinstance(x, TorusPoint):
-        raise ConfigError("torus system expects torus points")
-    step = sys.int_matrix if j >= 0 else sys.int_inverse
-    u, v = x.u, x.v
-    for _ in range(abs(j)):
-        u, v = (
-            wrap_unit(step[0, 0] * u + step[0, 1] * v),
-            wrap_unit(step[1, 0] * u + step[1, 1] * v),
-        )
-    return TorusPoint(u, v)
 
 
 def torus_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

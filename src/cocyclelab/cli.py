@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .base import apply_f, sample_points
+from .base import sample_points
 from .cocycle import bunching_check, product
 from .config import (
     Config,
@@ -36,7 +36,7 @@ from .config import (
     _seed,
 )
 from .continuity import continuity_experiment
-from .engine import walk
+from .engine import pushed, walk
 from .errors import (
     CocycleLabError,
     ConfigError,
@@ -271,10 +271,11 @@ def _selftest(cfg, sys_, spec, seed, threads):
     worst = 0.0
     # products past the float range give a non-finite defect, which fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, p in enumerate(points):
+        for i in range(len(points)):
+            p = points[i : i + 1]
             m, n = (i % 5) - 2, ((i * 7) % 9) - 4
             lhs = product(spec, sys_, p, m + n)
-            rhs = product(spec, sys_, apply_f(sys_, p, n), m) @ product(spec, sys_, p, n)
+            rhs = product(spec, sys_, pushed(sys_, p, n), m) @ product(spec, sys_, p, n)
             scale = max(1.0, float(np.max(np.abs(lhs))))
             worst = np.maximum(worst, float(np.max(np.abs(lhs - rhs))) / scale)
     detail = f"max relative defect {worst:.2e}"

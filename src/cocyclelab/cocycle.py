@@ -23,8 +23,9 @@ import numpy as np
 from . import engine, mat2
 from .base import (
     BaseSystem,
-    BasePoint,
+    ShiftDraw,
     ShiftSystem,
+    TorusDraw,
     TorusSystem,
     sample_points,
     torus_distances,
@@ -642,15 +643,18 @@ def _norm_bound(direction) -> float:
 # products
 
 
-def product(a_spec: CocycleSpec, sys: BaseSystem, x: BasePoint, n: int) -> np.ndarray:
-    """Plain (unrenormalized) orbit product, kept as a cross-check for
-    moderate n: A(f^{n-1}x) ... A(x) for n > 0, identity for n = 0, and the
-    inverse of the product along the backward orbit for n < 0.  The values
-    are the scans' own (``engine._orbit_values``); raises
-    SingularValueError where one fails ``mat2.regular``."""
+def product(a_spec: CocycleSpec, sys: BaseSystem, x: ShiftDraw | TorusDraw, n: int):
+    """Plain (unrenormalized) 2x2 orbit product at the point of the one-point
+    draw x, kept as a cross-check for moderate n: A(f^{n-1}x) ... A(x) for
+    n > 0, identity for n = 0, and the inverse of the product along the
+    backward orbit for n < 0.  The values are the scans' own
+    (``engine._orbit_values``); raises SingularValueError where one fails
+    ``mat2.regular``."""
+    if len(x) != 1:
+        raise ConfigError("a plain product takes a draw of one point")
     n = int(n)
     out = np.eye(2)
-    steps = engine._orbit_values(a_spec, sys, engine.batch_of(sys, [x]), abs(n), n < 0)
+    steps = engine._orbit_values(a_spec, sys, engine.batch_of(sys, x), abs(n), n < 0)
     for va, vb, vc, vd, log_det in steps:
         if np.isnan(log_det[0]):
             raise SingularValueError("cocycle value is singular along the orbit")

@@ -72,19 +72,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import takewhile
 from math import inf, log2
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import cocycle, mat2
-from .base import (
-    BasePoint,
-    BaseSystem,
-    ShiftDraw,
-    ShiftSystem,
-    TorusDraw,
-    wrap_unit,
-)
+from .base import BaseSystem, ShiftDraw, ShiftSystem, TorusDraw, wrap_unit
 from .errors import ConfigError, HorizonExceeded, SingularValueError
 
 BLOCK = 4096
@@ -121,47 +114,28 @@ class TorusBatch:
 Batch = ShiftBatch | TorusBatch
 
 
-def batch_of(sys: BaseSystem, points: Sequence[BasePoint]) -> Batch:
-    """Pack points into a batch; shift points must share one window length.
-
-    A draw from ``sample_points`` (or a slice of one) is taken as a view of
-    its rows, without touching the points one by one."""
-    if not len(points):
+def batch_of(sys: BaseSystem, draw: ShiftDraw | TorusDraw) -> Batch:
+    """A batch over a draw of the system's own base (``sample_points``, or a
+    slice of one): a view of a shift draw's window rows, or a copy of a
+    torus draw's coordinates, which the walks move in place."""
+    if not isinstance(draw, ShiftDraw if isinstance(sys, ShiftSystem) else TorusDraw):
+        raise ConfigError("a batch needs a draw of the system's own base")
+    if not len(draw):
         raise ConfigError("cannot build an empty batch")
-    if isinstance(sys, ShiftSystem):
-        if isinstance(points, ShiftDraw):
-            windows = points.windows
-            offsets = np.full(len(points), points.offset, dtype=np.int64)
-        else:
-            try:
-                windows = np.stack([p.window for p in points])
-                offsets = np.array([p.offset for p in points], dtype=np.int64)
-            except AttributeError as err:
-                raise ConfigError("shift system needs shift points") from err
-            except ValueError as err:
-                raise ConfigError(
-                    "batched shift points must share a window length"
-                ) from err
-            windows.setflags(write=False)
-        horizon = (windows.shape[1] - 1) // 2
-        return ShiftBatch(windows=windows, offsets=offsets, horizon=horizon)
-    if isinstance(points, TorusDraw):
-        return TorusBatch(coords=points.coords.copy())
-    try:
-        coords = np.array([[p.u, p.v] for p in points], dtype=float)
-    except AttributeError as err:
-        raise ConfigError("torus system needs torus points") from err
-    return TorusBatch(coords=coords)
+    if isinstance(draw, ShiftDraw):
+        offsets = np.full(len(draw), draw.offset, dtype=np.int64)
+        return ShiftBatch(draw.windows, offsets, (draw.windows.shape[1] - 1) // 2)
+    return TorusBatch(coords=draw.coords.copy())
 
 
-def pushed(sys: BaseSystem, draw: ShiftDraw | TorusDraw) -> ShiftDraw | TorusDraw:
-    """The draw moved by f, as one array: the same shift windows one offset
-    on, or the torus coordinates stepped once.  As ``apply_f``, a shift
-    draw raises HorizonExceeded when the step leaves its window."""
+def pushed(sys: BaseSystem, draw: ShiftDraw | TorusDraw, j: int = 1):
+    """The draw moved by f^j, as one draw: the same shift windows j
+    offsets on, or the torus coordinates stepped |j| times (see ``step``).
+    A shift draw raises HorizonExceeded when the step leaves its window."""
     batch = batch_of(sys, draw)
-    step(sys, batch, 1)
+    step(sys, batch, j)
     if isinstance(batch, ShiftBatch):
-        return ShiftDraw(batch.windows, draw.offset + 1)
+        return ShiftDraw(batch.windows, draw.offset + j)
     batch.coords.setflags(write=False)
     return TorusDraw(batch.coords)
 
@@ -179,8 +153,8 @@ def step(sys: BaseSystem, batch: Batch, j: int = 1) -> None:
     u = batch.coords[:, 0]
     v = batch.coords[:, 1]
     for _ in range(abs(j)):
-        # The elementwise form and the wrap are those of apply_f, so batched
-        # and per-point orbits agree bit for bit.
+        # tests/oracles.torus_step takes these steps one point at a time in
+        # Python floats, the independent reference they match bit for bit
         u, v = (
             wrap_unit(m[0, 0] * u + m[0, 1] * v),
             wrap_unit(m[1, 0] * u + m[1, 1] * v),

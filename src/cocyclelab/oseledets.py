@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine, mat2
-from .base import BasePoint, BaseSystem, ShiftDraw, TorusDraw
+from .base import BaseSystem, ShiftDraw, TorusDraw
 from .cocycle import CocycleSpec
 from .errors import ConfigError, NoGap, SingularValueError
 
@@ -74,7 +74,7 @@ def _directions(side, a_spec, sys, points, depth, threads):
 def unstable_directions(
     a_spec: CocycleSpec,
     sys: BaseSystem,
-    points: list[BasePoint],
+    points: ShiftDraw | TorusDraw,
     depth: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,7 +91,7 @@ def unstable_directions(
 def stable_directions(
     a_spec: CocycleSpec,
     sys: BaseSystem,
-    points: list[BasePoint],
+    points: ShiftDraw | TorusDraw,
     depth: int,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,8 +135,6 @@ def equivariance_residuals(
     ``points`` is a ``sample_points`` draw; the draw is pushed by f, A(x)
     read and the lines normalized as arrays."""
     extract = extractor(side)
-    if not isinstance(points, (ShiftDraw, TorusDraw)):
-        raise ConfigError("equivariance residuals need a sample_points draw")
     vx, vy, ok = field
     wx, wy, ok2 = extract(a_spec, sys, engine.pushed(sys, points), depth, threads)
     if not (np.all(ok) and np.all(ok2)):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import engine
-from .base import BasePoint, BaseSystem, sample_points
+from .base import BaseSystem, ShiftDraw, TorusDraw, sample_points
 from .cocycle import CocycleSpec
 from .errors import ConfigError, SingularValueError
 
@@ -79,7 +79,7 @@ def _log_abs_det(m: np.ndarray) -> float:
 def finite_time_exponents(
     a_spec: CocycleSpec,
     sys: BaseSystem,
-    points: list[BasePoint],
+    points: ShiftDraw | TorusDraw,
     n: int,
     threads: int = 1,
 ) -> FiniteTimeExponents:
@@ -120,7 +120,7 @@ def lyapunov_exponents(
     samples: int = 200,
     seed: int = 0,
     threads: int = 1,
-    points: list[BasePoint] | None = None,
+    points: ShiftDraw | TorusDraw | None = None,
 ) -> SpectrumReport:
     """Both exponents with standard errors over sampled base points.
 

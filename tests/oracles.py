@@ -1,12 +1,14 @@
 """Test-side references that the library itself does not need: the rotation
-matrix, the adjugate, a torus base's eigendata, the base metric between two
-points, a shift spec's value read symbol by symbol, a torus spec's value
-with every term formed, a torus exponent walk one step at a time, an
-exponent walk that rescales after every factor, a constant's power in
-closed form and the attraction of directions onto the splitting, each
-written out directly; test doubles of a torus hook: one with chosen
-entries at chosen points, and one that no regularity bound reads; and the
-products of one ``engine.walk``, joined whole."""
+matrix, the adjugate, a torus base's eigendata, a torus orbit step one
+point at a time, the base metric between two points, a shift spec's value
+read symbol by symbol, a torus spec's value with every term formed, a
+torus exponent walk one step at a time, an exponent walk that rescales
+after every factor, a constant's power in closed form and the attraction
+of directions onto the splitting, each written out directly; draws and
+batches built from chosen windows, coordinates and per-sample offsets;
+test doubles of a torus hook: one with chosen entries at chosen points,
+and one that no regularity bound reads; and the products of one
+``engine.walk``, joined whole."""
 
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ import numpy as np
 from cocyclelab import engine, mat2
 from cocyclelab.base import (
     BaseSystem,
-    BasePoint,
+    ShiftDraw,
     ShiftSystem,
+    TorusDraw,
     TorusSystem,
     sample_points,
     torus_distances,
@@ -94,25 +97,43 @@ def constant_power(m: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return acc, acc_log
 
 
-def base_distance(sys: BaseSystem, x: BasePoint, y: BasePoint) -> float:
-    """lambda0 ** k for shift points that first disagree k steps from the
-    centre (0 when they agree on every symbol both windows hold), and the
-    torus metric for torus points."""
+def torus_step(sys: TorusSystem, u: float, v: float, j: int = 1) -> tuple[float, float]:
+    """(u, v) moved by f^j one point at a time, in Python floats: |j| steps
+    of the integer matrix, or of its adjugate times the det (the inverse)
+    for j < 0, each sum reduced by ``% 1.0``, which ``wrap_unit`` equals
+    bitwise.  The batched orbit steps are pinned to it bit for bit."""
+    (a, b), (c, d) = sys.matrix
+    det = a * d - b * c
+    m = ((a, b), (c, d)) if j >= 0 else ((d * det, -b * det), (-c * det, a * det))
+    u, v = float(u), float(v)
+    for _ in range(abs(j)):
+        u, v = (m[0][0] * u + m[0][1] * v) % 1.0, (m[1][0] * u + m[1][1] * v) % 1.0
+    return u, v
+
+
+def base_distance(
+    sys: BaseSystem, x: ShiftDraw | TorusDraw, y: ShiftDraw | TorusDraw
+) -> float:
+    """Between the points of two one-point draws: lambda0 ** k for shift
+    points that first disagree k steps from the centre (0 when they agree
+    on every symbol both windows hold), and the torus metric for torus
+    points."""
     if isinstance(sys, ShiftSystem):
+        hx, hy = ((p.windows.shape[1] - 1) // 2 for p in (x, y))
         # the symbols both windows hold on both sides of the current one
-        common = min(x.horizon - abs(x.offset), y.horizon - abs(y.offset))
+        common = min(hx - abs(x.offset), hy - abs(y.offset))
         if common < 0:
             raise HorizonExceeded("windows share no common index range")
-        cx = x.horizon + x.offset
-        cy = y.horizon + y.offset
-        xs = x.window[cx - common : cx + common + 1]
-        ys = y.window[cy - common : cy + common + 1]
+        cx = hx + x.offset
+        cy = hy + y.offset
+        xs = x.windows[0, cx - common : cx + common + 1]
+        ys = y.windows[0, cy - common : cy + common + 1]
         mismatch = np.nonzero(xs != ys)[0]
         if mismatch.size == 0:
             return 0.0
         k = int(np.min(np.abs(mismatch - common)))
         return sys.lambda0 ** k
-    return float(torus_distances(x.coords, y.coords))
+    return float(torus_distances(x.coords[0], y.coords[0]))
 
 
 def word_matrix(spec, symbols) -> np.ndarray:
@@ -137,12 +158,47 @@ def word_matrix(spec, symbols) -> np.ndarray:
     raise TypeError(f"no word lookup for {type(spec).__name__}")
 
 
+def shift_batch(windows, offsets=0) -> engine.ShiftBatch:
+    """A batch over copies of the shift ``windows`` whose samples stand at
+    ``offsets``, one for all or one each: the per-sample offsets that a
+    draw, at one common offset, cannot hold."""
+    windows = np.array(windows, dtype=np.int16)
+    windows.setflags(write=False)
+    offsets = np.full(windows.shape[0], offsets, dtype=np.int64)
+    return engine.ShiftBatch(windows, offsets, (windows.shape[1] - 1) // 2)
+
+
+def window_draw(*windows, offset=0) -> ShiftDraw:
+    """The shift points over ``windows``, at one offset, as one draw."""
+    return ShiftDraw(shift_batch(windows).windows, offset)
+
+
+def coords_draw(*coords) -> TorusDraw:
+    """The torus points at ``coords``, as one read-only draw."""
+    coords = np.array(coords, dtype=float)
+    coords.setflags(write=False)
+    return TorusDraw(coords)
+
+
+def _rows(points):
+    """(windows, offsets) of a shift draw, or of a ``shift_batch``."""
+    if isinstance(points, engine.ShiftBatch):
+        return points.windows, points.offsets
+    return points.windows, np.full(len(points), points.offset)
+
+
 def oracle_entries(spec, points, at: int = 0):
-    """The four entries of A(f^at x) at each shift point, from
-    ``word_matrix``, as contiguous (S,) arrays ((M, S) for a stack)."""
+    """The four entries of A(f^at x) at each point of a shift draw (or of a
+    ``shift_batch``), from ``word_matrix``, as contiguous (S,) arrays ((M,
+    S) for a stack).  A symbol outside a window raises HorizonExceeded."""
     depth = max(spec.symbol_depth, 1)
+    windows, offsets = _rows(points)
+    centre = (windows.shape[1] - 1) // 2
+    first = centre + offsets + at
+    if first.min() < 0 or first.max() + depth > windows.shape[1]:
+        raise HorizonExceeded("an oracle read leaves the symbol window")
     mats = np.array(
-        [word_matrix(spec, [p.symbol(at + i) for i in range(depth)]) for p in points]
+        [word_matrix(spec, w[i : i + depth]) for w, i in zip(windows, first)]
     )
     mats = np.moveaxis(mats, 0, -3)  # members first, then samples
     return tuple(
@@ -157,7 +213,7 @@ def oracle_direction_walk(spec, points, n: int, backward: bool):
     a walk over ``word_matrix``'s matrices one step at a time with the
     engine's mat2 arithmetic: multiply, divide by the operator norm, and add
     the logs of the norm and of |det|."""
-    size = len(points)
+    size = _rows(points)[0].shape[0]
     a, b, c, d = np.ones(size), np.zeros(size), np.zeros(size), np.ones(size)
     log_scale, logdet = np.zeros(size), np.zeros(size)
     ls_path, ldet_path = [], []

@@ -11,21 +11,31 @@ from cocyclelab.base import (
     LebesgueMeasure,
     MarkovMeasure,
     ShiftDraw,
-    ShiftPoint,
     ShiftSystem,
     TorusDraw,
-    TorusPoint,
     TorusSystem,
-    apply_f,
     sample_points,
 )
 from cocyclelab.cocycle import _HolderSample
+from cocyclelab.engine import pushed
 from cocyclelab.errors import CocycleLabError, ConfigError, HorizonExceeded
-from oracles import base_distance, expansion, stable_vector, unstable_vector
+from oracles import (
+    base_distance,
+    coords_draw,
+    expansion,
+    stable_vector,
+    unstable_vector,
+    window_draw,
+)
 
 
 def wpoint(*symbols, offset=0):
-    return ShiftPoint(window=np.array(symbols, dtype=np.int16), offset=offset)
+    """One shift point, a draw of size 1 over the window ``symbols``."""
+    return window_draw(symbols, offset=offset)
+
+
+def tpoint(u, v):
+    return coords_draw((u, v))
 
 
 class TestMeasures:
@@ -97,57 +107,57 @@ class TestSystems:
 
 
 class TestPoints:
-    def test_window_validation(self):
-        with pytest.raises(ConfigError):
-            ShiftPoint(window=np.array([0, 1], dtype=np.int16))  # even length
-        with pytest.raises(HorizonExceeded):
-            ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16), offset=2)
-
-    def test_window_is_read_only(self):
-        p = wpoint(0, 1, 0)
-        assert not p.window.flags.writeable
-        with pytest.raises(ValueError):
-            p.window[0] = 1
+    def test_window_is_read_only(self, shift2, cat):
+        draw = sample_points(shift2, 3, 1, seed=0)
+        for d in (draw, draw[1:2], pushed(shift2, draw)):
+            assert not d.windows.flags.writeable
+            with pytest.raises(ValueError):
+                d.windows[0, 0] = 1
+        for d in (sample_points(cat, 3, 0, seed=0), pushed(cat, tpoint(0.5, 0.25), -2)):
+            with pytest.raises(ValueError):
+                d.coords[0, 0] = 0.5
 
     def test_symbol_access(self):
         p = wpoint(3, 1, 4, 1, 5, offset=1)
-        assert p.symbol(0) == 1
-        assert p.symbol(-3) == 3
-        assert p.symbol(1) == 5
+        assert p.symbols(0).tolist() == [1]
+        assert p.symbols(-3).tolist() == [3]
+        assert p.symbols(1).tolist() == [5]
         with pytest.raises(HorizonExceeded):
-            p.symbol(2)
-
-    def test_torus_point_wraps(self):
-        p = TorusPoint(-0.25, 1.5)
-        assert (p.u, p.v) == (0.75, 0.5)
+            p.symbols(2)
 
 
 class TestApplyF:
+    """``engine.pushed``, the one orbit step f^j of a draw."""
+
     def test_shift_moves_offset(self, shift2):
         p = wpoint(0, 1, 1, 0, 1)
-        q = apply_f(shift2, p, 2)
-        assert q.offset == 2 and q.symbol(0) == 1
-        assert apply_f(shift2, q, -2).offset == 0
+        q = pushed(shift2, p, 2)
+        assert q.offset == 2 and q.symbols(0).tolist() == [1]
+        assert q.windows is p.windows
+        assert pushed(shift2, q, -2).offset == 0
         with pytest.raises(HorizonExceeded):
-            apply_f(shift2, p, 3)
+            pushed(shift2, p, 3)
+        with pytest.raises(HorizonExceeded):
+            pushed(shift2, q, -5)
 
     def test_cat_map_half_half(self, cat):
-        q = apply_f(cat, TorusPoint(0.5, 0.5))
-        assert (q.u, q.v) == (0.5, 0.0)
+        assert pushed(cat, tpoint(0.5, 0.5)).coords.tolist() == [[0.5, 0.0]]
 
     def test_torus_composition_is_exact(self, cat):
-        x = TorusPoint(0.123, 0.456)
-        lhs = apply_f(cat, x, 5)
-        rhs = apply_f(cat, apply_f(cat, x, 2), 3)
-        assert (lhs.u, lhs.v) == (rhs.u, rhs.v)
+        for d in (tpoint(0.123, 0.456), sample_points(cat, 64, 0, seed=4)):
+            lhs = pushed(cat, d, 5)
+            rhs = pushed(cat, pushed(cat, d, 2), 3)
+            assert lhs.coords.tobytes() == rhs.coords.tobytes()
 
     def test_torus_inverse_roundtrip(self, cat):
-        x = TorusPoint(0.3178, 0.9143)
-        back = apply_f(cat, apply_f(cat, x, 1), -1)
-        assert back.u == pytest.approx(x.u, abs=1e-12)
-        assert back.v == pytest.approx(x.v, abs=1e-12)
-        y = TorusPoint(0.5, 0.25)  # dyadic coords stay exact
-        assert apply_f(cat, apply_f(cat, y, 3), -3).coords.tolist() == [0.5, 0.25]
+        x = tpoint(0.3178, 0.9143)
+        back = pushed(cat, pushed(cat, x, 1), -1)
+        assert back.coords == pytest.approx(x.coords, abs=1e-12)
+        # on the 2**-26 lattice of sampled points every step is exact
+        draw = sample_points(cat, 64, 0, seed=5)
+        for j in (1, 3, 12, -7):
+            back = pushed(cat, pushed(cat, draw, j), -j)
+            assert back.coords.tobytes() == draw.coords.tobytes()
 
 
 WRAP_EDGES = [
@@ -171,7 +181,7 @@ class TestWrap:
         for x in WRAP_EDGES:
             assert same_bits(base.wrap_unit(x), x % 1.0)
         assert base.wrap_unit(-1e-20) == 1.0
-        assert TorusPoint(-1e-20, -0.0).coords.tolist() == [1.0, 0.0]
+        assert base.wrap_unit(np.array([-1e-20, -0.0])).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 10.0, 1e3, 1e8, 1e15])
     def test_random_values_both_signs(self, scale):
@@ -202,7 +212,7 @@ class TestDistance:
         assert base_distance(shift2, x, y) == 1.0
 
     def test_torus_wraparound(self, cat):
-        d = base_distance(cat, TorusPoint(0.9, 0.1), TorusPoint(0.1, 0.9))
+        d = base_distance(cat, tpoint(0.9, 0.1), tpoint(0.1, 0.9))
         assert d == pytest.approx(0.2, abs=1e-15)
 
     def test_metric_axioms_shift(self, shift2):
@@ -219,7 +229,7 @@ class TestDistance:
     def test_metric_axioms_torus(self, cat):
         rng = np.random.default_rng(43)
         for _ in range(200):
-            x, y, z = (TorusPoint(*rng.random(2)) for _ in range(3))
+            x, y, z = (tpoint(*rng.random(2)) for _ in range(3))
             dxy = base_distance(cat, x, y)
             assert dxy == base_distance(cat, y, x)
             assert dxy <= base_distance(cat, x, z) + base_distance(cat, z, y) + 1e-15
@@ -229,41 +239,37 @@ class TestSampling:
     def test_reproducible(self, shift2, cat):
         a = sample_points(shift2, 5, 10, seed=7)
         b = sample_points(shift2, 5, 10, seed=7)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.window, q.window)
+        assert np.array_equal(a.windows, b.windows)
         ta = sample_points(cat, 5, 0, seed=7)
         tb = sample_points(cat, 5, 0, seed=7)
-        for p, q in zip(ta, tb):
-            assert (p.u, p.v) == (q.u, q.v)
+        assert np.array_equal(ta.coords, tb.coords)
 
     def test_substream_consistency(self, shift2, cat):
         # point i comes from its own substream, whatever the count
         few = sample_points(shift2, 3, 6, seed=123)
         many = sample_points(shift2, 10, 6, seed=123)
-        for p, q in zip(few, many):
-            assert np.array_equal(p.window, q.window)
+        assert np.array_equal(few.windows, many.windows[:3])
         few = sample_points(cat, 3, 0, seed=123)
         many = sample_points(cat, 10, 0, seed=123)
-        for p, q in zip(few, many):
-            assert (p.u, p.v) == (q.u, q.v)
+        assert np.array_equal(few.coords, many.coords[:3])
 
     def test_bernoulli_frequencies(self):
         sys = ShiftSystem(alphabet_size=2, measure=BernoulliMeasure(weights=(0.3, 0.7)))
         pts = sample_points(sys, 2000, 10, seed=5)
-        symbols = np.concatenate([p.window for p in pts])
+        symbols = pts.windows.ravel()
         freq = np.mean(symbols == 1)
         assert freq == pytest.approx(0.7, abs=0.02)
 
     def test_degenerate_bernoulli(self):
         sys = ShiftSystem(alphabet_size=2, measure=BernoulliMeasure(weights=(1.0, 0.0)))
         pts = sample_points(sys, 10, 5, seed=1)
-        assert all(np.all(p.window == 0) for p in pts)
+        assert np.all(pts.windows == 0)
 
     def test_markov_transition_frequencies(self):
         p = ((0.9, 0.1), (0.2, 0.8))
         sys = ShiftSystem(alphabet_size=2, measure=MarkovMeasure(matrix=p))
         pts = sample_points(sys, 1500, 12, seed=9)
-        wins = np.stack([q.window for q in pts])
+        wins = pts.windows
         prev = wins[:, :-1].ravel()
         nxt = wins[:, 1:].ravel()
         for s in (0, 1):
@@ -275,7 +281,7 @@ class TestSampling:
 
     def test_torus_uniform(self, cat):
         pts = sample_points(cat, 4000, 0, seed=11)
-        coords = np.array([[p.u, p.v] for p in pts])
+        coords = pts.coords
         assert np.all(coords >= 0.0) and np.all(coords < 1.0)
         assert np.mean(coords[:, 0]) == pytest.approx(0.5, abs=0.025)
         assert np.mean(coords[:, 1]) == pytest.approx(0.5, abs=0.025)
@@ -339,26 +345,37 @@ class TestDraws:
     def test_shift_draw_points_and_slices(self, shift2):
         draw = sample_points(shift2, 6, 4, seed=2)
         assert isinstance(draw, ShiftDraw) and len(draw) == 6
-        p = draw[4]
-        assert p.offset == 0 and p.horizon == 4
-        assert np.shares_memory(p.window, draw.windows)
+        p = draw[4:5]
+        assert isinstance(p, ShiftDraw) and len(p) == 1 and p.offset == 0
+        assert np.shares_memory(p.windows, draw.windows)
         part = draw[1:5]
         assert isinstance(part, ShiftDraw) and len(part) == 4
-        assert np.array_equal(part[0].window, draw[1].window)
-        assert [q.window.size for q in draw] == [9] * 6
+        assert np.array_equal(part[0:1].windows, draw[1:2].windows)
+        assert pushed(shift2, draw, -3)[2:4].offset == -3
+        # a draw is sliced, never indexed or iterated point by point
+        with pytest.raises(TypeError, match=r"draw\[i : i \+ 1\]"):
+            draw[4]
+        with pytest.raises(TypeError, match=r"draw\[i : i \+ 1\]"):
+            list(draw)
 
     def test_torus_draw_points_and_slices(self, cat):
         draw = sample_points(cat, 6, 0, seed=2)
         assert isinstance(draw, TorusDraw) and len(draw) == 6
-        assert (draw[3].u, draw[3].v) == tuple(draw.coords[3])
-        assert (draw[2:4][1].u, draw[2:4][1].v) == (draw[3].u, draw[3].v)
+        assert draw[3:4].coords.tolist() == [draw.coords[3].tolist()]
+        assert draw[2:4][1:2].coords.tolist() == draw[3:4].coords.tolist()
         assert not draw.coords.flags.writeable
+        # an integer index would give one row, which a TorusDraw would take
+        # for two points
+        with pytest.raises(TypeError, match=r"draw\[i : i \+ 1\]"):
+            draw[3]
+        with pytest.raises(TypeError, match=r"draw\[i : i \+ 1\]"):
+            draw[np.int64(3)]
 
     def test_vectorized_torus_metric_matches_points(self, cat):
         rng = np.random.default_rng(8)
         xs, ys = rng.random((50, 2)), rng.random((50, 2))
         for x, y, d in zip(xs, ys, base.torus_distances(xs, ys)):
-            assert base_distance(cat, TorusPoint(*x), TorusPoint(*y)) == d
+            assert base_distance(cat, tpoint(*x), tpoint(*y)) == d
 
 
 def one_shot_lattice(count, seed):

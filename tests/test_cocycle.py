@@ -10,11 +10,9 @@ import pytest
 from cocyclelab import cocycle, engine, mat2
 from cocyclelab.base import (
     BernoulliMeasure,
-    ShiftPoint,
     ShiftSystem,
-    TorusPoint,
-    apply_f,
     sample_points,
+    wrap_unit,
 )
 from cocyclelab.cocycle import (
     BunchingReport,
@@ -45,12 +43,14 @@ from oracles import (
     NanAt,
     base_distance,
     constant_power,
+    coords_draw,
     oracle_entries,
     rotation,
     same_values,
     trig_all_terms,
     values_all_terms,
     walked,
+    window_draw,
     word_matrix,
 )
 
@@ -199,35 +199,35 @@ class TestSpecs:
 def shift_value(spec, x, sys):
     """A(x) at one shift point as the scans read it (``engine.values``),
     checked bitwise against the oracle's word lookup."""
-    got = engine.values(spec, sys, engine.batch_of(sys, [x]))
-    want = oracle_entries(spec, [x])
+    got = engine.values(spec, sys, engine.batch_of(sys, x))
+    want = oracle_entries(spec, x)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     return np.array(want).reshape(2, 2)
 
 
 def torus_value(spec, x):
     """A(x) at one torus point from the spec's hook."""
-    return np.array(spec.values_at_coords(np.array([[x.u, x.v]]))).reshape(2, 2)
+    return np.array(spec.values_at_coords(x.coords)).reshape(2, 2)
 
 
 class TestEvaluate:
     def test_locally_constant_reads_first_symbol(self, shift2):
         spec = two_table(DIAG2, rotation(0.5))
-        x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
+        x = window_draw([1, 0, 1])
         assert np.array_equal(shift_value(spec, x, shift2), DIAG2)
-        y = apply_f(shift2, x, 1)
+        y = engine.pushed(shift2, x, 1)
         assert np.allclose(shift_value(spec, y, shift2), rotation(0.5))
 
     @pytest.mark.filterwarnings("error")
     def test_regularity_rule(self, shift2):
         # the value read fails the rule whatever its size: a rank-one entry
         # and a noise determinant raise, a tiny but regular one passes
-        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
+        x = window_draw([0, 1, 0])
         for bad in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-17])):
             spec = LocallyConstantCocycle(table=np.array([DIAG2, bad]), invertible=False)
             with pytest.raises(SingularValueError):
                 product(spec, shift2, x, 1)
-            assert np.array_equal(product(spec, shift2, apply_f(shift2, x, -1), 1), DIAG2)
+            assert np.array_equal(product(spec, shift2, engine.pushed(shift2, x, -1), 1), DIAG2)
         tiny = np.ldexp(DIAG2, -60)
         assert np.array_equal(product(two_table(DIAG2, tiny), shift2, x, 1), tiny)
 
@@ -235,7 +235,7 @@ class TestEvaluate:
         mats = [np.diag([float(k + 1), 1.0]) for k in range(4)]
         spec = LocallyConstantCocycle(table=np.array(mats), depth=2, alphabet_size=2)
         # word (x_0, x_1) = (1, 0) is index 2 in lexicographic order
-        x = ShiftPoint(window=np.array([0, 0, 1, 0, 0], dtype=np.int16))
+        x = window_draw([0, 0, 1, 0, 0])
         assert shift_value(spec, x, shift2)[0, 0] == 3.0
 
     @pytest.mark.parametrize("depth", [2, 65, 2**63])
@@ -252,7 +252,7 @@ class TestEvaluate:
                 DiagonalFactor(log_d1=TrigExpr(cos_v=0.3), log_d2=TrigExpr()),
             )
         )
-        x = TorusPoint(0.2, 0.7)
+        x = coords_draw((0.2, 0.7))
         th = 0.4 * np.sin(2 * np.pi * 0.2)
         d1 = np.exp(0.3 * np.cos(2 * np.pi * 0.7))
         ref = rotation(th) @ np.diag([d1, 1.0])
@@ -264,7 +264,7 @@ class TestEvaluate:
             matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), invertible=False
         )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.25, rule="multiplicative_exp")
-        x = TorusPoint(0.1, 0.2)
+        x = coords_draw((0.1, 0.2))
         ref = DIAG2 @ mat2.expm(0.25 * np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(torus_value(pert, x), ref, rtol=1e-14)
         assert pert.r == base.r
@@ -276,17 +276,17 @@ class TestEvaluate:
             invertible=False,
         )
         pert = PerturbedCocycle(base=base, direction=fld, t=0.1, rule="additive")
-        x = ShiftPoint(window=np.array([1, 0, 1], dtype=np.int16))
+        x = window_draw([1, 0, 1])
         assert np.allclose(shift_value(pert, x, shift2), DIAG2 + 0.1 * np.eye(2))
 
     def test_wrong_base_kind(self, cat, shift2):
         lc = two_table(DIAG2, rotation(0.3))
         with pytest.raises(ConfigError):
-            engine.values(lc, cat, engine.batch_of(cat, [TorusPoint(0.1, 0.1)]))
+            engine.values(lc, cat, engine.batch_of(cat, coords_draw((0.1, 0.1))))
         pw = PointwiseCocycle(factors=(RotationFactor(angle=TrigExpr(sin_u=1.0)),))
-        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
+        x = window_draw([0, 1, 0])
         with pytest.raises(ConfigError):
-            engine.values(pw, shift2, engine.batch_of(shift2, [x]))
+            engine.values(pw, shift2, engine.batch_of(shift2, x))
 
 
 class TestProducts:
@@ -297,10 +297,11 @@ class TestProducts:
         )
         pts = sample_points(shift2, 10, 45, seed=3)
         rng = np.random.default_rng(4)
-        for x in pts:
+        for i in range(len(pts)):
+            x = pts[i : i + 1]
             m, n = rng.integers(-20, 21, size=2)
             lhs = product(spec, shift2, x, int(m + n))
-            rhs = product(spec, shift2, apply_f(shift2, x, int(n)), int(m)) @ product(
+            rhs = product(spec, shift2, engine.pushed(shift2, x, int(n)), int(m)) @ product(
                 spec, shift2, x, int(n)
             )
             assert rel_err(lhs, rhs) < 1e-9
@@ -314,10 +315,11 @@ class TestProducts:
         )
         pts = sample_points(cat, 10, 0, seed=5)
         rng = np.random.default_rng(6)
-        for x in pts:
+        for i in range(len(pts)):
+            x = pts[i : i + 1]
             m, n = rng.integers(-15, 16, size=2)
             lhs = product(spec, cat, x, int(m + n))
-            rhs = product(spec, cat, apply_f(cat, x, int(n)), int(m)) @ product(
+            rhs = product(spec, cat, engine.pushed(cat, x, int(n)), int(m)) @ product(
                 spec, cat, x, int(n)
             )
             assert rel_err(lhs, rhs) < 1e-9
@@ -334,9 +336,10 @@ class TestProducts:
         # degrades like cond * eps; the log scale stays tight throughout.
         for n, tol in ((1, 1e-12), (7, 1e-11), (12, 1e-9), (25, 1e-4)):
             fwd, ls, logdet, _ = walked(spec, shift2, pts, n, n)
-            for i, x in enumerate(pts):
+            for i in range(len(pts)):
+                x = pts[i : i + 1]
                 plain = product(spec, shift2, x, n)
-                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+                inverse = product(spec, shift2, engine.pushed(shift2, x, n), -n)
                 unit = np.array([[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]])
                 assert abs(mat2.opnorm(unit) - 1.0) < 1e-12
                 assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < tol
@@ -352,9 +355,10 @@ class TestProducts:
         pts = sample_points(shift2, 4, 40, seed=8)
         for n in (9, 16):
             fwd, ls, logdet, _ = walked(spec, shift2, pts, n, n)
-            for i, x in enumerate(pts):
+            for i in range(len(pts)):
+                x = pts[i : i + 1]
                 plain = product(spec, shift2, x, n)
-                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+                inverse = product(spec, shift2, engine.pushed(shift2, x, n), -n)
                 unit = np.array([[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]])
                 assert rel_err(np.exp(fwd.log_scale[i]) * unit, plain) < 1e-9
                 assert ls[i] == pytest.approx(np.log(mat2.opnorm(plain)), abs=1e-12)
@@ -363,6 +367,15 @@ class TestProducts:
                 )
                 # every step has |det| = 1
                 assert logdet[i] == 0.0
+
+    def test_product_takes_one_point(self, shift2, cat):
+        # a plain product is of one orbit: a larger or empty draw is refused
+        for sys_ in (shift2, cat):
+            draw = sample_points(sys_, 3, 4, seed=1)
+            assert product(ConstantCocycle(DIAG2), sys_, draw[1:2], 2).shape == (2, 2)
+            for other in (draw, draw[3:]):
+                with pytest.raises(ConfigError, match="one point"):
+                    product(ConstantCocycle(DIAG2), sys_, other, 2)
 
     def test_identity_cocycle_long_product(self, shift2):
         # the identity's power is itself at any n; the scans walk 10**4
@@ -379,9 +392,9 @@ class TestProducts:
         # cannot host a 100-step walk, and one the horizon rule sizes gives
         # the closed form's exponents and the exact axes
         spec = ConstantCocycle(matrix=DIAG2)
-        x = ShiftPoint(window=np.array([0, 1, 0], dtype=np.int16))
+        x = window_draw([0, 1, 0])
         with pytest.raises(HorizonExceeded):
-            finite_time_exponents(spec, shift2, [x], 100)
+            finite_time_exponents(spec, shift2, x, 100)
         n = 100
         pts = sample_points(shift2, 1, n + 2, seed=0)
         ft = finite_time_exponents(spec, shift2, pts, n)
@@ -492,14 +505,14 @@ def loop_table_holder(tab, a, depth, lambda0, r):
 
 
 def per_point_sampled_holder(spec, sys, r, pair_samples, seed):
-    """The sampled sup-norm and quotient, one TorusPoint and one
+    """The sampled sup-norm and quotient, one one-point draw and one
     base_distance per pair."""
     pts = sample_points(sys, 2 * pair_samples, 0, seed)
-    xs = [pts[i] for i in range(pair_samples)]
-    ys = [pts[i] for i in range(pair_samples, 2 * pair_samples)]
+    xs = [pts[i : i + 1] for i in range(pair_samples)]
+    ys = [pts[i : i + 1] for i in range(pair_samples, 2 * pair_samples)]
 
     def values(points):
-        return spec.values_at_coords(np.array([[p.u, p.v] for p in points]))
+        return spec.values_at_coords(np.concatenate([p.coords for p in points]))
 
     vx, vy = values(xs), values(ys)
     sup = float(max(np.max(mat2.opnorm_batch(*vx)), np.max(mat2.opnorm_batch(*vy))))
@@ -511,7 +524,7 @@ def per_point_sampled_holder(spec, sys, r, pair_samples, seed):
     for scale in 10.0 ** np.arange(-1, -7, -1):
         angles = rng.random(len(xs)) * 2.0 * np.pi
         near = [
-            TorusPoint(p.u + scale * np.cos(t), p.v + scale * np.sin(t))
+            coords_draw(wrap_unit(p.coords[0] + scale * np.array([np.cos(t), np.sin(t)])))
             for p, t in zip(xs, angles)
         ]
         vn = values(near)
@@ -814,7 +827,7 @@ class TestStacked:
         draw = sample_points(shift2, 50, 3, seed=1)
         rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
         for m, member in enumerate((base, deep, base)):
-            for got, want in zip(rows, oracle_entries(member, list(draw))):
+            for got, want in zip(rows, oracle_entries(member, draw)):
                 assert np.array_equal(got[m], want)
 
     @pytest.mark.parametrize("rule", ["multiplicative_exp", "additive"])
@@ -846,7 +859,7 @@ class TestStacked:
         draw = sample_points(shift2, 50, 3, seed=1)
         rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
         for m, member in enumerate(members):
-            for got, want in zip(rows, oracle_entries(member, list(draw))):
+            for got, want in zip(rows, oracle_entries(member, draw)):
                 assert np.array_equal(got[m], want)
         with pytest.raises(ConfigError, match="shift bases"):
             stacked.values_at_coords(sample_points(cat, 5, 0, seed=1).coords)
@@ -908,7 +921,7 @@ class TestMixedDepth:
     def test_point_evaluation_and_products(self, shift2, deep_base):
         spec = mixed_depth("multiplicative_exp", deep_base)
         table = specialize(spec, shift2)
-        x = sample_points(shift2, 1, 12, seed=4)[0]
+        x = sample_points(shift2, 1, 12, seed=4)
         assert rel_err(shift_value(spec, x, shift2), shift_value(table, x, shift2)) < 1e-14
         assert rel_err(product(spec, shift2, x, 8), product(table, shift2, x, 8)) < 1e-13
         assert rel_err(product(spec, shift2, x, -8), product(table, shift2, x, -8)) < 1e-13
@@ -933,7 +946,7 @@ class TestMixedDepth:
         draw = sample_points(shift2, 30, 3, seed=1)
         rows = engine.values(stacked, shift2, engine.batch_of(shift2, draw))
         for m, member in enumerate(members):
-            for got, want in zip(rows, oracle_entries(member, list(draw))):
+            for got, want in zip(rows, oracle_entries(member, draw)):
                 assert np.array_equal(got[m], want)
 
 

@@ -14,10 +14,7 @@ from cocyclelab.base import (
     LebesgueMeasure,
     MarkovMeasure,
     ShiftDraw,
-    ShiftPoint,
     ShiftSystem,
-    TorusPoint,
-    apply_f,
     sample_points,
 )
 from cocyclelab.cocycle import (
@@ -45,8 +42,11 @@ from oracles import (
     per_factor_exponent_walk,
     rotation,
     same_values,
+    shift_batch,
     torus_exponent_walk,
+    torus_step,
     walked,
+    window_draw,
     word_matrix,
 )
 
@@ -72,10 +72,11 @@ BATCH_WALKS = {
 
 
 def run_walk(name, spec, sys_, points, n):
-    """The n-step walk a parametrized test names, over ``points`` as the
-    studies read it: a direction walk, forward or backward, the exponents
-    of ``finite_time_exponents``, which raise SingularValueError where a
-    step fails ``mat2.regular``, or ``forward_record`` of one batch."""
+    """The n-step walk a parametrized test names, over the draw ``points``
+    as the studies read it: a direction walk, forward or backward, the
+    exponents of ``finite_time_exponents``, which raise SingularValueError
+    where a step fails ``mat2.regular``, or ``forward_record`` of one
+    batch."""
     if name == "forward_record":
         return engine.forward_record(spec, sys_, engine.batch_of(sys_, points), n)
     if name == "exponent_scan":
@@ -91,34 +92,36 @@ class TestBatches:
         assert not batch.windows.flags.writeable
         tpts = sample_points(cat, 6, 0, seed=1)
         tbatch = engine.batch_of(cat, tpts)
-        assert np.array_equal(tbatch.coords, np.array([[p.u, p.v] for p in tpts]))
-
-    def test_mixed_windows_rejected(self, shift2):
-        a = ShiftPoint(window=np.zeros(5, dtype=np.int16))
-        b = ShiftPoint(window=np.zeros(7, dtype=np.int16))
-        with pytest.raises(ConfigError):
-            engine.batch_of(shift2, [a, b])
+        assert np.array_equal(tbatch.coords, tpts.coords)
+        assert not np.shares_memory(tbatch.coords, tpts.coords)
 
     def test_mixed_point_types_rejected(self, shift2, cat):
+        # a draw of the other base, or anything but a draw, makes no batch
         spts = sample_points(shift2, 3, 4, seed=1)
         tpts = sample_points(cat, 3, 0, seed=1)
-        for sys_, pts in ((shift2, tpts), (cat, spts)):
-            with pytest.raises(ConfigError):
-                engine.batch_of(sys_, pts)
-            with pytest.raises(ConfigError):
-                engine.batch_of(sys_, [pts[0], pts[1]])
-        with pytest.raises(ConfigError):
-            engine.batch_of(shift2, [spts[0], tpts[0]])
-        with pytest.raises(ConfigError):
-            engine.batch_of(cat, [tpts[0], spts[0]])
+        for sys_, pts, own in ((shift2, tpts, spts), (cat, spts, tpts)):
+            for other in (pts, [own[0:1], own[1:2]], np.zeros((3, 2))):
+                with pytest.raises(ConfigError, match="draw of the system's own base"):
+                    engine.batch_of(sys_, other)
+            with pytest.raises(ConfigError, match="draw of the system's own base"):
+                engine.pushed(sys_, pts)
+
+    def test_empty_draw_rejected(self, shift2, cat):
+        for sys_ in (shift2, cat):
+            draw = sample_points(sys_, 3, 4, seed=1)
+            with pytest.raises(ConfigError, match="cannot build an empty batch"):
+                engine.batch_of(sys_, draw[3:])
+            with pytest.raises(ConfigError, match="cannot build an empty batch"):
+                engine.batch_of(sys_, sample_points(sys_, 0, 4, seed=1))
 
     def test_draw_batch_is_a_view(self, shift2, cat):
         draw = sample_points(shift2, 10, 6, seed=3)
         batch = engine.batch_of(shift2, draw[2:7])
         assert np.shares_memory(batch.windows, draw.windows)
         assert batch.horizon == 6 and np.all(batch.offsets == 0)
-        listed = engine.batch_of(shift2, [draw[i] for i in range(2, 7)])
-        assert np.array_equal(batch.windows, listed.windows)
+        moved = engine.batch_of(shift2, engine.pushed(shift2, draw[2:7], -3))
+        assert np.shares_memory(moved.windows, draw.windows)
+        assert moved.offsets.shape == (5,) and np.all(moved.offsets == -3)
         tdraw = sample_points(cat, 10, 0, seed=3)
         tbatch = engine.batch_of(cat, tdraw[2:7])
         assert np.array_equal(tbatch.coords, tdraw.coords[2:7])
@@ -139,6 +142,8 @@ class TestBatches:
         assert seen[:2] == [(0, width), (width, 2 * width)]
         assert np.array_equal(out, np.arange(2000))
 
+    # the per-point torus step these pin the batched orbits to, bitwise, is
+    # oracles.torus_step
     def test_step_matches_apply_f(self, shift2, cat):
         pts = sample_points(shift2, 4, 6, seed=2)
         batch = engine.batch_of(shift2, pts)
@@ -147,13 +152,11 @@ class TestBatches:
         tpts = sample_points(cat, 4, 0, seed=2)
         tbatch = engine.batch_of(cat, tpts)
         engine.step(cat, tbatch, 2)
-        for i, p in enumerate(tpts):
-            q = apply_f(cat, p, 2)
-            assert (tbatch.coords[i, 0], tbatch.coords[i, 1]) == (q.u, q.v)
+        for (u, v), got in zip(tpts.coords, tbatch.coords):
+            assert torus_step(cat, u, v, 2) == tuple(got)
         engine.step(cat, tbatch, -2)
-        for i, p in enumerate(tpts):
-            q = apply_f(cat, apply_f(cat, p, 2), -2)
-            assert (tbatch.coords[i, 0], tbatch.coords[i, 1]) == (q.u, q.v)
+        for (u, v), got in zip(tpts.coords, tbatch.coords):
+            assert torus_step(cat, *torus_step(cat, u, v, 2), -2) == tuple(got)
 
     @pytest.mark.parametrize("j", [400, -400], ids=["forward", "backward"])
     def test_long_torus_orbits_match_apply_f(self, cat, j):
@@ -167,36 +170,37 @@ class TestBatches:
         for _ in range(abs(j)):
             u, v = (m[0, 0] * u + m[0, 1] * v) % 1.0, (m[1, 0] * u + m[1, 1] * v) % 1.0
         assert np.array_equal(batch.coords, np.column_stack([u, v]))
-        for p, got in zip(draw, batch.coords):
-            q = apply_f(cat, p, j)
-            assert (q.u, q.v) == tuple(got)
+        moved = engine.pushed(cat, draw, j)
+        assert moved.coords.tobytes() == batch.coords.tobytes()
+        for (u, v), got in zip(draw.coords, batch.coords):
+            assert torus_step(cat, u, v, j) == tuple(got)
 
     def test_pushed_draw_matches_apply_f(self, shift2, cat):
         draw = sample_points(shift2, 5, 2, seed=4)
         moved = engine.pushed(shift2, draw)
         assert np.shares_memory(moved.windows, draw.windows)
-        for p, got in zip(draw, moved):
-            q = apply_f(shift2, p, 1)
-            assert got.offset == q.offset == 1
-            assert [got.symbol(j) for j in (-3, 0, 1)] == [
-                q.symbol(j) for j in (-3, 0, 1)
-            ]
-        assert np.array_equal(moved.symbols(1), [p.symbol(2) for p in draw])
+        assert moved.offset == 1 and len(moved) == 5
+        for j in (-3, 0, 1):
+            assert np.array_equal(moved.symbols(j), draw.symbols(j + 1))
         assert np.all(engine.batch_of(shift2, moved[2:4]).offsets == 1)
-        # one more push stands at the edge; a third leaves the window, as
-        # apply_f does
+        # one more push stands at the edge; a third leaves the window, one
+        # point or many
         edge = engine.pushed(shift2, moved)
         with pytest.raises(HorizonExceeded):
-            apply_f(shift2, edge[0], 1)
+            engine.pushed(shift2, edge[0:1])
         with pytest.raises(HorizonExceeded):
             engine.pushed(shift2, edge)
         with pytest.raises(HorizonExceeded):
             edge.symbols(1)
+        assert engine.pushed(shift2, edge, -4).offset == -2
+        with pytest.raises(HorizonExceeded):
+            engine.pushed(shift2, draw, -3)
         tdraw = sample_points(cat, 5, 0, seed=4)
-        tmoved = engine.pushed(cat, tdraw)
-        for p, q in zip(tdraw, tmoved):
-            r = apply_f(cat, p, 1)
-            assert (q.u, q.v) == (r.u, r.v)
+        for j in (1, -1, 3):
+            tmoved = engine.pushed(cat, tdraw, j)
+            assert not tmoved.coords.flags.writeable
+            for (u, v), got in zip(tdraw.coords, tmoved.coords):
+                assert torus_step(cat, u, v, j) == tuple(got)
 
     def test_step_past_horizon_raises(self, shift2):
         pts = sample_points(shift2, 2, 3, seed=3)
@@ -211,8 +215,8 @@ class TestValues:
         pts = sample_points(shift2, 8, 6, seed=4)
         batch = engine.batch_of(shift2, pts)
         va, vb, vc, vd = engine.values(spec, shift2, batch)
-        for i, p in enumerate(pts):
-            ref = spec.table[p.symbol(0)]
+        for i, s in enumerate(pts.symbols(0)):
+            ref = spec.table[s]
             assert (va[i], vb[i], vc[i], vd[i]) == tuple(ref.ravel())
 
     def test_torus_values(self, cat):
@@ -220,7 +224,7 @@ class TestValues:
         pts = sample_points(cat, 8, 0, seed=5)
         batch = engine.batch_of(cat, pts)
         va, vb, vc, vd = engine.values(spec, cat, batch)
-        th = 0.5 * np.sin(2 * np.pi * np.array([p.u for p in pts]))
+        th = 0.5 * np.sin(2 * np.pi * pts.coords[:, 0])
         assert np.allclose(va, np.cos(th))
         assert np.allclose(vc, np.sin(th))
 
@@ -230,7 +234,8 @@ class TestScans:
         spec = lc_spec()
         pts = sample_points(shift2, 10, 25, seed=6)
         fwd, log_scale, logdet, _ = walked(spec, shift2, pts, 20, 20)
-        for i, x in enumerate(pts):
+        for i in range(len(pts)):
+            x = pts[i : i + 1]
             plain = product(spec, shift2, x, 20)
             got = np.exp(fwd.log_scale[i]) * np.array(
                 [[fwd.a[i], fwd.b[i]], [fwd.c[i], fwd.d[i]]]
@@ -238,7 +243,7 @@ class TestScans:
             assert mat2.opnorm(got - plain) / mat2.opnorm(plain) < 1e-9
             # the product of step inverses, multiplied out step by step, has
             # log norm log sigma1 - log |det| of the forward product
-            inv_plain = product(spec, shift2, apply_f(shift2, x, 20), -20)
+            inv_plain = product(spec, shift2, engine.pushed(shift2, x, 20), -20)
             for got_log, ref in ((log_scale, plain), (log_scale - logdet, inv_plain)):
                 assert got_log[i] == pytest.approx(
                     np.log(mat2.opnorm(ref)), abs=1e-12
@@ -250,23 +255,29 @@ class TestScans:
                 assert got_log[i] == pytest.approx(np.log(abs(det_plain)), abs=1e-6)
 
     def test_mixed_offsets_match_products(self, shift2):
+        # a batch whose samples stand at their own offsets, against each
+        # sample's point as a one-point draw at its offset
         spec = lc_spec()
         draw = sample_points(shift2, 3, 30, seed=14)
-        pts = [ShiftPoint(window=p.window, offset=o) for p, o in zip(draw, (0, 3, -4))]
+        offsets = (0, 3, -4)
+        pts = [engine.pushed(shift2, draw[i : i + 1], o) for i, o in enumerate(offsets)]
         n = 12
+        words = engine._word_tables(spec, shift2, n)
         for backward, start in ((False, 0), (True, -n)):
-            st = walked(spec, shift2, pts, n, backward=backward)[0]
+            batch = shift_batch(draw.windows, offsets)
+            st = engine._walk(spec, shift2, batch, n, 0, backward)[0]
             for i, x in enumerate(pts):
-                ref = product(spec, shift2, apply_f(shift2, x, start), n)
+                ref = product(spec, shift2, engine.pushed(shift2, x, start), n)
                 got = np.exp(st.log_scale[i]) * np.array(
                     [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
                 )
                 assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-12
-        _, log_scale, logdet, _ = walked(spec, shift2, pts, n=n)
+        batch = shift_batch(draw.windows, offsets)
+        _, log_scale, logdet, _ = engine._walk(spec, shift2, batch, 0, n, words=words)
         logs = (log_scale, log_scale - logdet, logdet)
         for i, x in enumerate(pts):
             ref = product(spec, shift2, x, n)
-            inv_ref = product(spec, shift2, apply_f(shift2, x, n), -n)
+            inv_ref = product(spec, shift2, engine.pushed(shift2, x, n), -n)
             want = (
                 np.log(mat2.opnorm(ref)),
                 np.log(mat2.opnorm(inv_ref)),
@@ -287,16 +298,15 @@ class TestScans:
         pts = sample_points(cat, 5, 0, seed=7)
         batch = engine.batch_of(cat, pts)
         st = engine._walk(spec, cat, batch, 12, 0, backward=True)[0]
-        for i, x in enumerate(pts):
-            ref = product(spec, cat, apply_f(cat, x, -12), 12)
+        for i in range(len(pts)):
+            ref = product(spec, cat, engine.pushed(cat, pts[i : i + 1], -12), 12)
             got = np.exp(st.log_scale[i]) * np.array(
                 [[st.a[i], st.b[i]], [st.c[i], st.d[i]]]
             )
             assert mat2.opnorm(got - ref) / mat2.opnorm(ref) < 1e-9
         # batch ends at f^{-12} of the start
-        for i, x in enumerate(pts):
-            q = apply_f(cat, x, -12)
-            assert (batch.coords[i, 0], batch.coords[i, 1]) == (q.u, q.v)
+        for (u, v), got in zip(pts.coords, batch.coords):
+            assert torus_step(cat, u, v, -12) == tuple(got)
 
     def test_forward_record_paths(self, shift2):
         spec = lc_spec()
@@ -304,9 +314,9 @@ class TestScans:
         batch = engine.batch_of(shift2, pts)
         ls_path, ldet_path = engine.forward_record(spec, shift2, batch, 10)
         assert ls_path.shape == (10, 3)
-        for i, x in enumerate(pts):
+        for i in range(len(pts)):
             for n in (1, 5, 10):
-                plain = product(spec, shift2, x, n)
+                plain = product(spec, shift2, pts[i : i + 1], n)
                 assert ls_path[n - 1, i] == pytest.approx(
                     np.log(mat2.opnorm(plain)), rel=1e-9
                 )
@@ -405,14 +415,16 @@ def depth2_spec():
     )
 
 
-def window_points(horizon, offsets=(0,)):
+def window_points(horizon):
+    """One point over a random window of half-width ``horizon``."""
     rng = np.random.default_rng(horizon)
-    window = rng.integers(0, 2, 2 * horizon + 1).astype(np.int16)
-    return [ShiftPoint(window=window, offset=o) for o in offsets]
+    return window_draw(rng.integers(0, 2, 2 * horizon + 1))
 
 
 def window_batch(sys_, horizon, offsets=(0,)):
-    return engine.batch_of(sys_, window_points(horizon, offsets))
+    """Samples over that window, one at each of ``offsets``."""
+    window = window_points(horizon).windows[0]
+    return shift_batch([window] * len(offsets), offsets)
 
 
 class TestHorizonEdges:
@@ -634,7 +646,7 @@ class TestForwardWalk:
         )
         window = np.zeros(19, dtype=np.int16)
         window[9 + 5] = 1
-        points = [ShiftPoint(np.zeros(19, dtype=np.int16)), ShiftPoint(window)]
+        points = window_draw(np.zeros(19), window)
         _, log_scale, _, clean = walked(spec, shift2, points, 3, 8)
         assert clean.tolist() == [True, False] and np.isfinite(log_scale[0])
         with pytest.raises(SingularValueError):
@@ -978,9 +990,9 @@ class TestSingularSteps:
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
         # the singular symbol sits two steps ahead and two steps behind
-        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        pts = window_draw(*[[0, 0, 1, 0, 0, 0, 1, 0, 0]] * 3)
         with pytest.raises(SingularValueError):
-            run_walk(scan, spec, shift2, pts * 3, 4)
+            run_walk(scan, spec, shift2, pts, 4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -995,9 +1007,9 @@ class TestSingularSteps:
             return run_walk(scan, spec, sys_, points, n)
 
         spec = LocallyConstantCocycle(table=np.array([D, 1e200 * D]), invertible=False)
-        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        pts = window_draw(*[[0, 0, 1, 0, 0, 0, 1, 0, 0]] * 3)
         with pytest.raises(SingularValueError):
-            run(spec, shift2, pts * 3, 4)
+            run(spec, shift2, pts, 4)
         big = ConstantCocycle(matrix=1e200 * D, invertible=False)
         with pytest.raises(SingularValueError):
             run(big, cat, sample_points(cat, 5, 0, seed=1), 4)
@@ -1012,12 +1024,11 @@ class TestSingularSteps:
         spec = LocallyConstantCocycle(
             table=np.array([D, np.zeros((2, 2))]), invertible=False
         )
-        pts = [ShiftPoint(window=np.zeros(9, dtype=np.int16))]
-        run_walk(scan, spec, shift2, pts * 3, 4)
+        run_walk(scan, spec, shift2, window_draw(*np.zeros((3, 9))), 4)
         window = np.zeros(9, dtype=np.int16)
         window[4 + (-4 if scan == "backward_scan" else 3)] = 1
         with pytest.raises(SingularValueError):
-            run_walk(scan, spec, shift2, [ShiftPoint(window=window)] * 3, 4)
+            run_walk(scan, spec, shift2, window_draw(window, window, window), 4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -1035,9 +1046,9 @@ class TestSingularSteps:
         )
         assert np.all(np.isfinite(word_matrix(spec, [0])))
         assert np.isnan(word_matrix(spec, [1])).any()
-        pts = [ShiftPoint(window=np.array([0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=np.int16))]
+        pts = window_draw(*[[0, 0, 1, 0, 0, 0, 1, 0, 0]] * 3)
         with pytest.raises(SingularValueError):
-            run_walk(scan, spec, shift2, pts * 3, 4)
+            run_walk(scan, spec, shift2, pts, 4)
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1067,9 +1078,9 @@ class TestSingularSteps:
         # another bad entry sits in the window, one step past the walk
         window = np.zeros(11, dtype=np.int16)
         window[5 + (-5 if scan == "backward_scan" else 4)] = bad % 3 + 1
-        run_walk(scan, spec, sys_, [ShiftPoint(window)] * 3, 4)
+        run_walk(scan, spec, sys_, window_draw(window, window, window), 4)
         window[5 + (-4 if scan == "backward_scan" else 3)] = bad
-        points = [ShiftPoint(np.zeros(11, dtype=np.int16)), ShiftPoint(window)]
+        points = window_draw(np.zeros(11), window)
         with pytest.raises(SingularValueError):
             run_walk(scan, spec, sys_, points, 4)
 
@@ -1133,7 +1144,7 @@ class TestWordBlocks:
         pts = sample_points(shift2, 300, 45, seed=15)
         assert engine._word_tables(spec, shift2, 40).k == 1
         words = walked(spec, shift2, pts, n=40)[1:]
-        steps = per_factor_exponent_walk(spec, shift2, list(pts), 40, steps=True)
+        steps = per_factor_exponent_walk(spec, shift2, pts, 40, steps=True)
         for got, want in zip(words, steps):
             assert same_values(got, want)
 
@@ -1173,9 +1184,9 @@ class TestWordBlocks:
         window = np.zeros(41, dtype=np.int16)
         window[20 + 11] = 1  # step 11 of 20: inside the second word
         with pytest.raises(SingularValueError):
-            finite_time_exponents(spec, shift2, [ShiftPoint(window=window)] * 3, 20)
+            finite_time_exponents(spec, shift2, window_draw(window, window, window), 20)
         # a walk that stops just before the singular symbol absorbs none of it
-        _, log_scale, _, regular = walked(spec, shift2, [ShiftPoint(window=window)], n=11)
+        _, log_scale, _, regular = walked(spec, shift2, window_draw(window), n=11)
         assert regular.all()
         assert log_scale[0] == pytest.approx(11 * np.log(2.0), abs=1e-12)
 
@@ -1206,12 +1217,18 @@ def head_walk(spec, sys_, batch, n, backward, head):
     return engine._walk(spec, sys_, batch, n, 0, backward, head)[0]
 
 
-def one_point_scans(backward, spec, sys_, draw, n):
+def one_point_scans(backward, spec, sys_, draw, n, offsets=None):
     """The direction walk's state fields at each point of ``draw`` from
-    one-point batches, which share nothing, joined along the sample axis."""
+    one-point batches, which share nothing, joined along the sample axis;
+    with ``offsets``, sample i stands at offsets[i] in its window."""
+
+    def batch_at(i):
+        if offsets is None:
+            return engine.batch_of(sys_, draw[i : i + 1])
+        return shift_batch(draw.windows[i : i + 1], offsets[i])
+
     states = [
-        head_walk(spec, sys_, engine.batch_of(sys_, draw[i : i + 1]), n, backward, None)
-        for i in range(len(draw))
+        head_walk(spec, sys_, batch_at(i), n, backward, None) for i in range(len(draw))
     ]
     return {
         f: np.concatenate([vars(st)[f] for st in states], axis=-1)
@@ -1237,21 +1254,22 @@ class TestScanHeads:
         if stacked:
             spec = StackedCocycle((spec, random_table(alphabet, 1, seed=9)))
         draw = sample_points(sys_, 60, self.N + 2, seed=depth)
-        # the draw, the draw pushed by f, and points at mixed offsets
-        mixed = [
-            ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)
-        ]
+        # the draw, the draw pushed by f, and samples at mixed offsets
+        offsets = np.arange(60) % 3 - 1
         head = engine._shared_head(spec, sys_, 60, self.N, backward)
         k, width, state = head
         assert 1 <= k <= self.N and width == k + depth - 1
         assert state.a.shape[-1] == alphabet**width < 60
-        for points in (draw, engine.pushed(sys_, draw), mixed):
-            batch = engine.batch_of(sys_, points)
+        for points, offs in ((draw, None), (engine.pushed(sys_, draw), None), (draw, offsets)):
+            if offs is None:
+                batch = engine.batch_of(sys_, points)
+            else:
+                batch = shift_batch(draw.windows, offs)
             start = batch.offsets.copy()
             st = head_walk(spec, sys_, batch, self.N, backward, head)
             end = -self.N if backward else self.N - 1
             assert np.array_equal(batch.offsets, start + end)
-            want = one_point_scans(backward, spec, sys_, points, self.N)
+            want = one_point_scans(backward, spec, sys_, points, self.N, offs)
             for f, x in vars(st).items():
                 assert np.array_equal(x, want[f]), f
 
@@ -1289,7 +1307,7 @@ class TestScanHeads:
         head = engine._shared_head(spec, shift2, 10, 5, True)
         assert head[0] == 2
         st = head_walk(spec, shift2, engine.batch_of(shift2, draw), 5, True, head)
-        want, _ = oracle_direction_walk(spec, list(draw), 5, True)
+        want, _ = oracle_direction_walk(spec, draw, 5, True)
         for f, x in vars(st).items():
             assert np.array_equal(x, want[f]), f
 
@@ -1465,12 +1483,14 @@ class TestStepTables:
         monkeypatch.setattr(engine, "NUMBER_SPAN", span)
         sys_, spec = law(3), make()
         draw = sample_points(sys_, 90, self.N + 3, seed=11)
-        mixed = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
-        head = engine._shared_head(spec, sys_, len(mixed), self.N, backward)
+        offsets = np.arange(len(draw)) % 3 - 1
+        head = engine._shared_head(spec, sys_, len(draw), self.N, backward)
         assert head is not None
-        want, paths = oracle_direction_walk(spec, mixed, self.N, backward)
+        want, paths = oracle_direction_walk(
+            spec, shift_batch(draw.windows, offsets), self.N, backward
+        )
         for h in (None, head):
-            batch = engine.batch_of(sys_, mixed)
+            batch = shift_batch(draw.windows, offsets)
             start = batch.offsets.copy()
             st = head_walk(spec, sys_, batch, self.N, backward, h)
             end = -self.N if backward else self.N - 1
@@ -1478,7 +1498,7 @@ class TestStepTables:
             for f, x in vars(st).items():
                 assert np.array_equal(x, want[f]), f
         if not backward:
-            got = engine.forward_record(spec, sys_, engine.batch_of(sys_, mixed), self.N)
+            got = engine.forward_record(spec, sys_, shift_batch(draw.windows, offsets), self.N)
             for x, y in zip(got, paths):
                 assert np.array_equal(x, y)
 
@@ -1488,7 +1508,7 @@ class TestStepTables:
         assert (alphabet, depth) == (2, 1)
         draw = sample_points(shift2, 50, 0, seed=1)
         got = engine.values(spec, shift2, engine.batch_of(shift2, draw))
-        for e, x, y in zip(entries, got, oracle_entries(spec, list(draw))):
+        for e, x, y in zip(entries, got, oracle_entries(spec, draw)):
             assert e.shape == (2, 2) and e.flags.c_contiguous
             assert x.shape == (2, 50) and x.flags.c_contiguous
             assert np.array_equal(x, y)
@@ -1525,8 +1545,8 @@ class TestStepTables:
         spec = make()
         words = engine._word_tables(spec, shift2, n)
         draw = sample_points(shift2, 40, n + 2, seed=n)
-        points = [ShiftPoint(window=w, offset=i % 3 - 1) for i, w in enumerate(draw.windows)]
-        batch = engine.batch_of(shift2, points)
+        offsets = np.arange(len(draw)) % 3 - 1
+        batch = shift_batch(draw.windows, offsets)
         starts = engine._symbol_starts(batch, n, spec.symbol_depth, backward=False)
         got = list(engine._word_walk(words, batch.windows, starts, n))
         assert len(got) == -(-n // words.k)
@@ -1535,8 +1555,8 @@ class TestStepTables:
             at = w * words.k
             length = min(words.k, n - at)
             want = []
-            for p in points:
-                first = horizon + p.offset + at
-                symbols = p.window[first : first + length + spec.depth - 1]
+            for window, offset in zip(draw.windows, offsets):
+                first = horizon + offset + at
+                symbols = window[first : first + length + spec.depth - 1]
                 want.append(int("".join(map(str, symbols)), 2))
             assert np.array_equal(factor, words.factors[length][:, want])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import engine, oseledets
-from cocyclelab.base import ShiftSystem, TorusDraw, TorusPoint, apply_f, sample_points
+from cocyclelab.base import ShiftDraw, ShiftSystem, sample_points
 from cocyclelab.cocycle import (
     ConstantCocycle,
     ConstantFactor,
@@ -22,7 +22,15 @@ from cocyclelab.oseledets import (
     stable_directions,
     unstable_directions,
 )
-from oracles import constant_power, oracle_entries, rotation, stable_vector, unstable_vector
+from oracles import (
+    constant_power,
+    coords_draw,
+    oracle_entries,
+    rotation,
+    stable_vector,
+    torus_step,
+    unstable_vector,
+)
 
 DIAG2 = np.diag([2.0, 0.5])
 # constants that no axis diagonalizes: a triangular one with a gap and a
@@ -46,7 +54,7 @@ def sine(p, q):
 
 def at_one_point(extract, spec, sys, x, depth):
     """The extractor's (vx, vy) on a one-point draw, which must have a gap."""
-    vx, vy, ok = extract(spec, sys, [x], depth)
+    vx, vy, ok = extract(spec, sys, x, depth)
     assert vx.shape == (1,) and ok[0]
     return vx[0], vy[0]
 
@@ -68,18 +76,18 @@ class TestConstantCocycles:
         spec = ConstantCocycle(matrix=DIAG2)
         # a constant walks the scans, so its windows follow the horizon rule
         pts = sample_points(shift2, 3, 60 + 2, seed=0)
-        assert at_one_point(unstable_directions, spec, shift2, pts[0], 60) == (1.0, 0.0)
-        assert at_one_point(stable_directions, spec, shift2, pts[0], 60) == (0.0, 1.0)
+        assert at_one_point(unstable_directions, spec, shift2, pts[0:1], 60) == (1.0, 0.0)
+        assert at_one_point(stable_directions, spec, shift2, pts[0:1], 60) == (0.0, 1.0)
 
     def test_diagonal_axes_exact_torus(self, cat):
         spec = ConstantCocycle(matrix=DIAG2)
-        x = TorusPoint(0.37, 0.81)
+        x = coords_draw((0.37, 0.81))
         assert at_one_point(unstable_directions, spec, cat, x, 60) == (1.0, 0.0)
         assert at_one_point(stable_directions, spec, cat, x, 60) == (0.0, 1.0)
 
     def test_cat_matrix_recovers_eigenvectors(self, cat):
         spec = ConstantCocycle(matrix=np.array([[2.0, 1.0], [1.0, 1.0]]))
-        x = TorusPoint(0.2, 0.6)
+        x = coords_draw((0.2, 0.6))
         eu = at_one_point(unstable_directions, spec, cat, x, 50)
         es = at_one_point(stable_directions, spec, cat, x, 50)
         assert sine(eu, line(*unstable_vector(cat))) < 1e-12
@@ -168,21 +176,23 @@ class TestSampledCocycles:
 
 
 def per_point_residuals(spec, sys, draw, depth, side):
-    """Equivariance residuals one point at a time: A(x) from the oracle's
-    word lookup over a shift and from the spec's hook over a torus, each
-    line normalized and pushed on its own; the reference for the batched
+    """Equivariance residuals one point at a time: the draw moved by f
+    without ``engine.pushed`` (the windows one offset on, or each torus
+    point stepped by ``torus_step``), A(x) from the oracle's word lookup
+    over a shift and from the spec's hook over a torus, each line
+    normalized and pushed on its own; the reference for the batched
     route."""
     extract = unstable_directions if side == "unstable" else stable_directions
-    points = list(draw)
-    vx, vy, _ = extract(spec, sys, points, depth)
-    wx, wy, _ = extract(spec, sys, [apply_f(sys, p, 1) for p in points], depth)
     if isinstance(sys, ShiftSystem):
-        va, vb, vc, vd = oracle_entries(spec, points)
+        moved = ShiftDraw(draw.windows, draw.offset + 1)
+        va, vb, vc, vd = oracle_entries(spec, draw)
     else:
-        assert isinstance(draw, TorusDraw)
+        moved = coords_draw(*(torus_step(sys, u, v) for u, v in draw.coords))
         va, vb, vc, vd = spec.values_at_coords(draw.coords)
+    vx, vy, _ = extract(spec, sys, draw, depth)
+    wx, wy, _ = extract(spec, sys, moved, depth)
     out = []
-    for i in range(len(points)):
+    for i in range(len(draw)):
         dx, dy = line(vx[i], vy[i])
         pushed = line(va[i] * dx + vb[i] * dy, vc[i] * dx + vd[i] * dy)
         out.append(sine(pushed, line(wx[i], wy[i])))
@@ -211,13 +221,16 @@ class TestBatchedEquivariance:
         ref = per_point_residuals(torus_spec(), cat, draw, 25, side)
         assert np.array_equal(res, ref)
 
-    def test_needs_a_draw(self, shift2):
+    def test_needs_a_draw(self, shift2, cat):
+        # the push by f refuses anything but a draw of the system's base,
+        # with the exit of a config error
         draw = sample_points(shift2, 3, 12, seed=1)
         field = unstable_directions(TestSampledCocycles().spec(), shift2, draw, 10)
-        with pytest.raises(ConfigError, match="draw"):
-            equivariance_residuals(
-                TestSampledCocycles().spec(), shift2, list(draw), field, 10
-            )
+        spec = TestSampledCocycles().spec()
+        points = [draw[i : i + 1] for i in range(3)]
+        for other in (points, draw.windows, sample_points(cat, 3, 0, seed=1)):
+            with pytest.raises(ConfigError, match="draw of the system's own base"):
+                equivariance_residuals(spec, shift2, other, field, 10)
 
     def test_singular_value(self, shift2):
         # rank one: A(x) has no inverse, so the residuals of a field

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cocyclelab import engine, mat2
-from cocyclelab.base import BernoulliMeasure, ShiftSystem, apply_f, sample_points
+from cocyclelab.base import BernoulliMeasure, ShiftSystem, sample_points
 from cocyclelab.config import build_cocycle, build_system, load_config
 from cocyclelab.cocycle import ConstantCocycle, LocallyConstantCocycle, product
 from cocyclelab.spectrum import (
@@ -185,8 +185,8 @@ class TestExponentScan:
         log_scale, logdet = engine.walk(
             spec, shift2, pts, lambda st, log_scale, logdet, _: (log_scale, logdet), n=n
         )
-        for i, x in enumerate(pts):
-            k = int(np.count_nonzero(x.window[x.horizon : x.horizon + n] == 0))
+        for i, w in enumerate(pts.windows):
+            k = int(np.count_nonzero(w[n + 1 : 2 * n + 1] == 0))
             plus = (k * np.log(1e3) + (n - k) * np.log(2.0)) / n
             minus = (k * np.log(1e-3) + (n - k) * np.log(0.5)) / n
             assert ft.plus[i] == pytest.approx(plus, abs=1e-13)
@@ -218,21 +218,23 @@ class TestExponentScan:
         for n in (5, 8, 19):
             pts = sample_points(shift2, 8, n + 1, seed=n)
             ft = finite_time_exponents(spec, shift2, pts, n)
-            for i, x in enumerate(pts):
-                inverse = product(spec, shift2, apply_f(shift2, x, n), -n)
+            for i in range(len(pts)):
+                x = pts[i : i + 1]
+                inverse = product(spec, shift2, engine.pushed(shift2, x, n), -n)
                 assert n * ft.minus[i] == pytest.approx(
                     -np.log(mat2.opnorm(inverse)), abs=1e-12
                 )
 
 
-def _exact_exponents(spec, x, n):
-    """(lambda_plus, lambda_minus) of the window product at x, from the
-    step matrices multiplied exactly in rationals: sigma1 from the exact
-    product, sigma2 = |det| / sigma1, logs taken at 60 digits."""
+def _exact_exponents(spec, symbols, n):
+    """(lambda_plus, lambda_minus) of the window product at the point with
+    forward symbols x_0, x_1, ... = ``symbols``, from the step matrices
+    multiplied exactly in rationals: sigma1 from the exact product, sigma2
+    = |det| / sigma1, logs taken at 60 digits."""
     depth, a = spec.depth, spec.alphabet_size
     prod = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     for j in range(n):
-        word = sum(x.symbol(j + i) * a ** (depth - 1 - i) for i in range(depth))
+        word = sum(int(symbols[j + i]) * a ** (depth - 1 - i) for i in range(depth))
         m = [[Fraction(float(v)) for v in row] for row in spec.table[word]]
         prod = [
             [sum(m[r][t] * prod[t][c] for t in range(2)) for c in range(2)]
@@ -282,7 +284,7 @@ class TestExactOracle:
         for n in (1, k - 1, k, k + 1, 30):
             pts = sample_points(sys_, 5, n + spec.depth, seed=n)
             ft = finite_time_exponents(spec, sys_, pts, n)
-            for i, x in enumerate(pts):
-                plus, minus = _exact_exponents(spec, x, n)
+            for i, w in enumerate(pts.windows):
+                plus, minus = _exact_exponents(spec, w[n + spec.depth :], n)
                 assert abs(ft.plus[i] - plus) < 1e-13
                 assert abs(ft.minus[i] - minus) < 1e-13
